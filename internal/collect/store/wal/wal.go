@@ -504,7 +504,10 @@ func (w *Store) drain(sync bool) error {
 func (w *Store) drainLocked(sync bool) error {
 	w.wmu.Lock()
 	b := w.batch
-	w.batch = w.spare[:0]
+	// Swap unconditionally: were the drained buffer kept out of spare (an
+	// idle tick, a failed write), batch and spare would share one backing
+	// array and the next drain would write a buffer append is refilling.
+	w.batch, w.spare = w.spare[:0], b[:0]
 	closed := w.closed
 	w.wmu.Unlock()
 	if closed {
@@ -514,7 +517,6 @@ func (w *Store) drainLocked(sync bool) error {
 		if _, err := w.f.Write(b); err != nil {
 			return err
 		}
-		w.spare = b[:0]
 	}
 	if sync {
 		return w.f.Sync()

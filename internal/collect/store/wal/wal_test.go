@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"p2pcollect/internal/collect/store"
 	"p2pcollect/internal/collect/store/storetest"
@@ -329,6 +330,42 @@ func TestIntervalSyncCrashBounded(t *testing.T) {
 		if !bytes.Equal(decoded[i], want) {
 			t.Fatalf("decoded block %d differs", i)
 		}
+	}
+}
+
+// TestIdleTickThenBurstKeepsLogIntact is the regression test for the
+// batch/spare aliasing race: an idle flusher tick (empty drain) used to
+// leave both buffers on one backing array, so the next tick's file write
+// raced the appender refilling it. Run with -race; without it a corrupted
+// record still surfaces as a torn tail or a short replay.
+func TestIdleTickThenBurstKeepsLogIntact(t *testing.T) {
+	dir := t.TempDir()
+	rng := randx.New(29)
+	src := makeSegment(t, rng, rlnc.SegmentID{Origin: 4, Seq: 4}, 8, 256)
+	w := openStore(t, dir, func(o *Options) {
+		o.Sync = SyncInterval
+		o.SyncInterval = time.Millisecond
+		o.SnapshotEvery = 1 << 30 // every record must come back by replay
+	})
+	records := 0
+	for round := 0; round < 30; round++ {
+		time.Sleep(3 * time.Millisecond) // idle ticks: empty drains
+		// A burst spanning several ticks, so drains overlap appends.
+		for burst := time.Now().Add(3 * time.Millisecond); time.Now().Before(burst); records++ {
+			if _, _, err := w.Receive(1, src.Encode(rng)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := w.drain(true); err != nil {
+		t.Fatal(err)
+	}
+	w.Crash()
+
+	w2 := openStore(t, dir, nil)
+	defer w2.Close() //nolint:errcheck // tmp dir
+	if rs := w2.Recovery(); rs.TornTail || rs.ReplayedRecords != records {
+		t.Fatalf("replayed %d of %d records, torn tail %v", rs.ReplayedRecords, records, rs.TornTail)
 	}
 }
 

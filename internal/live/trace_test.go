@@ -30,7 +30,7 @@ func TestGoldenOneShardFleetStreamWithObs(t *testing.T) {
 		cfg.Shards = 1
 		cfg.ShardID = 0
 		cfg.Journal = fleet.NewJournal(0)
-		cfg.Tracer = obs.NewIndexedRingTracer(1 << 14)
+		cfg.Tracer = obs.NewRingTracer(1 << 14)
 	}))
 }
 

@@ -79,14 +79,11 @@ func BenchmarkFlightRecorderAppend(b *testing.B) {
 	}
 }
 
-// queryBenchRing fills a ring with a many-segment workload so Query has
-// real eviction and interleaving to contend with.
-func queryBenchRing(indexed bool) *RingTracer {
+// BenchmarkRingTracerQueryIndexed queries one segment of a many-segment
+// ring, so Query has real eviction and interleaving to contend with.
+func BenchmarkRingTracerQueryIndexed(b *testing.B) {
 	const cap, segs = 4096, 256
 	rt := NewRingTracer(cap)
-	if indexed {
-		rt = NewIndexedRingTracer(cap)
-	}
 	for i := 0; i < 3*cap; i++ {
 		rt.Trace(TraceEvent{
 			Seg:  rlnc.SegmentID{Origin: uint64(i % segs), Seq: uint64(i % 3)},
@@ -94,21 +91,6 @@ func queryBenchRing(indexed bool) *RingTracer {
 			T:    float64(i),
 		})
 	}
-	return rt
-}
-
-func BenchmarkRingTracerQueryScan(b *testing.B) {
-	rt := queryBenchRing(false)
-	seg := rlnc.SegmentID{Origin: 17, Seq: 2}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = rt.Query(seg)
-	}
-}
-
-func BenchmarkRingTracerQueryIndexed(b *testing.B) {
-	rt := queryBenchRing(true)
 	seg := rlnc.SegmentID{Origin: 17, Seq: 2}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -56,13 +56,15 @@ func Handler(src Source) http.Handler {
 		for i, r := range regs {
 			snaps[i] = r.Snapshot()
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(map[string]any{"endpoints": snaps}); err != nil {
-			// Headers are gone; nothing useful left to do but note it.
+		// Encode before touching w: a value JSON cannot carry (a NaN gauge)
+		// must answer a clean 500, not a 200 with half a document.
+		body, err := json.MarshalIndent(map[string]any{"endpoints": snaps}, "", "  ")
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
 		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(append(body, '\n')) //nolint:errcheck // the scraper hung up
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

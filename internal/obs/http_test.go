@@ -1,9 +1,13 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
+	"log"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -97,6 +101,60 @@ func TestServeEndpoints(t *testing.T) {
 	}
 	if idx := get("/"); !strings.Contains(idx, "/metrics") {
 		t.Errorf("index page missing route list:\n%s", idx)
+	}
+}
+
+// TestSnapshotEncodeFailureIsClean500: a NaN gauge cannot be encoded as
+// JSON. The handler must find that out before it starts the body — status
+// 500, no partial document, and no "superfluous WriteHeader" complaint on
+// the server's error log.
+func TestSnapshotEncodeFailureIsClean500(t *testing.T) {
+	r := NewRegistry("server")
+	r.Gauge("bufferOccupancy").Set(math.NaN())
+	var errLog bytes.Buffer
+	srv := httptest.NewUnstartedServer(Handler(r))
+	srv.Config.ErrorLog = log.New(&errLog, "", 0)
+	srv.Start()
+	resp, err := http.Get(srv.URL + "/debug/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	srv.Close() // waits for the handler, so errLog is quiescent below
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("status %d, want 500", resp.StatusCode)
+	}
+	if strings.Contains(string(body), "{") {
+		t.Errorf("error response carries partial JSON: %q", body)
+	}
+	if errLog.Len() != 0 {
+		t.Errorf("server error log: %s", errLog.String())
+	}
+}
+
+// hungUpWriter is a ResponseWriter whose client went away: every body
+// write fails. It records explicit status writes.
+type hungUpWriter struct {
+	header   http.Header
+	statuses []int
+}
+
+func (w *hungUpWriter) Header() http.Header        { return w.header }
+func (w *hungUpWriter) Write([]byte) (int, error)  { return 0, io.ErrClosedPipe }
+func (w *hungUpWriter) WriteHeader(statusCode int) { w.statuses = append(w.statuses, statusCode) }
+
+// TestSnapshotWriteFailureSendsNoSecondStatus: when the scraper hangs up
+// mid-body the handler must not follow the started 200 with a 500 (the
+// "superfluous WriteHeader" line net/http used to log).
+func TestSnapshotWriteFailureSendsNoSecondStatus(t *testing.T) {
+	w := &hungUpWriter{header: http.Header{}}
+	Handler(buildRegistry("server")).ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/debug/snapshot", nil))
+	if len(w.statuses) != 0 {
+		t.Errorf("handler wrote status %v after the body had started", w.statuses)
 	}
 }
 

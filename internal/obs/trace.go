@@ -181,12 +181,19 @@ type RingTracer struct {
 	buf   []TraceEvent
 	start int
 	n     int
-	// idx, when non-nil, maps each segment to its live buffer slots in
-	// insertion order. The ring evicts in insertion order too, so the slot
-	// being overwritten is always the front of its segment's queue — index
-	// maintenance is O(1) per Trace and Query never scans the whole ring.
-	idx map[rlnc.SegmentID][]int
+	// next chains each segment's live slots in insertion order (-1 ends a
+	// chain) and segs holds every chain's ends, so Query touches only the
+	// queried segment's events instead of scanning the ring. The ring
+	// evicts in insertion order too: the slot being overwritten is always
+	// the head of its segment's chain, which keeps index maintenance O(1)
+	// per Trace with no per-segment storage to grow.
+	next []int32
+	segs map[rlnc.SegmentID]slotChain
 }
+
+// slotChain is one segment's run of ring slots: n slots from head to tail
+// through RingTracer.next.
+type slotChain struct{ head, tail, n int32 }
 
 // NewRingTracer returns a tracer retaining the last cap events
 // (minimum 1).
@@ -194,45 +201,45 @@ func NewRingTracer(cap int) *RingTracer {
 	if cap < 1 {
 		cap = 1
 	}
-	return &RingTracer{buf: make([]TraceEvent, cap)}
-}
-
-// NewIndexedRingTracer is NewRingTracer plus a per-segment slot index:
-// Query and Phases touch only the queried segment's events instead of
-// scanning the whole ring. Trace stays O(1) but may allocate when a
-// segment's slot list grows, so the unindexed tracer remains the default
-// on paths that must stay allocation-free.
-func NewIndexedRingTracer(cap int) *RingTracer {
-	rt := NewRingTracer(cap)
-	rt.idx = make(map[rlnc.SegmentID][]int)
-	return rt
+	return &RingTracer{
+		buf:  make([]TraceEvent, cap),
+		next: make([]int32, cap),
+		segs: make(map[rlnc.SegmentID]slotChain),
+	}
 }
 
 // Trace implements Tracer.
 func (rt *RingTracer) Trace(ev TraceEvent) {
 	rt.mu.Lock()
-	var slot int
+	var slot int32
 	if rt.n < len(rt.buf) {
-		slot = (rt.start + rt.n) % len(rt.buf)
+		slot = int32((rt.start + rt.n) % len(rt.buf))
 		rt.n++
 	} else {
-		slot = rt.start
+		slot = int32(rt.start)
 		rt.start = (rt.start + 1) % len(rt.buf)
-		if rt.idx != nil {
-			// The evicted slot is the oldest event overall, hence the front
-			// of its own segment's queue.
-			old := rt.buf[slot].Seg
-			if q := rt.idx[old]; len(q) <= 1 {
-				delete(rt.idx, old)
-			} else {
-				rt.idx[old] = q[1:]
-			}
+		// The evicted slot is the oldest event overall, hence the head of
+		// its own segment's chain.
+		old := rt.buf[slot].Seg
+		if c := rt.segs[old]; c.n <= 1 {
+			delete(rt.segs, old)
+		} else {
+			c.head = rt.next[slot]
+			c.n--
+			rt.segs[old] = c
 		}
 	}
 	rt.buf[slot] = ev
-	if rt.idx != nil {
-		rt.idx[ev.Seg] = append(rt.idx[ev.Seg], slot)
+	rt.next[slot] = -1
+	c, ok := rt.segs[ev.Seg]
+	if ok {
+		rt.next[c.tail] = slot
+	} else {
+		c.head = slot
 	}
+	c.tail = slot
+	c.n++
+	rt.segs[ev.Seg] = c
 	rt.mu.Unlock()
 }
 
@@ -266,19 +273,10 @@ func (rt *RingTracer) Tail(n int) []TraceEvent {
 func (rt *RingTracer) Query(seg rlnc.SegmentID) SegmentTrace {
 	rt.mu.Lock()
 	var events []TraceEvent
-	if rt.idx != nil {
-		if slots := rt.idx[seg]; len(slots) > 0 {
-			events = make([]TraceEvent, len(slots))
-			for i, slot := range slots {
-				events[i] = rt.buf[slot]
-			}
-		}
-	} else {
-		for i := 0; i < rt.n; i++ {
-			ev := rt.buf[(rt.start+i)%len(rt.buf)]
-			if ev.Seg == seg {
-				events = append(events, ev)
-			}
+	if c, ok := rt.segs[seg]; ok {
+		events = make([]TraceEvent, 0, c.n)
+		for slot := c.head; slot >= 0; slot = rt.next[slot] {
+			events = append(events, rt.buf[slot])
 		}
 	}
 	rt.mu.Unlock()

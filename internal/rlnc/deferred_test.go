@@ -152,44 +152,6 @@ func TestDecoderReleasePoison(t *testing.T) {
 	}
 }
 
-func TestAddBatch(t *testing.T) {
-	const size, payloadLen = 8, 32
-	seg := testSegment(t, 24, size, payloadLen)
-	rng := randx.New(11)
-	src := seg.SourceBlocks()
-
-	batch := make([]*CodedBlock, 0, size+4)
-	for i := 0; i < size+4; i++ {
-		batch = append(batch, Recode(src, rng))
-	}
-	d := NewDecoder(seg.ID, size, payloadLen)
-	n, err := d.AddBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != d.Rank() {
-		t.Fatalf("AddBatch counted %d innovative, rank is %d", n, d.Rank())
-	}
-	if !d.Complete() {
-		t.Fatalf("rank %d after %d blocks, want %d", d.Rank(), len(batch), size)
-	}
-	out, err := d.Decode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range out {
-		if !bytes.Equal(out[i], seg.Blocks[i]) {
-			t.Fatalf("block %d mismatch after AddBatch", i)
-		}
-	}
-
-	// Structural errors surface and stop the batch.
-	d2 := NewDecoder(SegmentID{Origin: 9, Seq: 9}, size, payloadLen)
-	if _, err := d2.AddBatch(batch); err == nil {
-		t.Fatal("AddBatch across segments did not error")
-	}
-}
-
 // TestRecodeIntoMatchesRecode checks the in-place variant draws the same
 // coefficients and produces the same block as Recode under an identical RNG
 // stream, and that RecodePooled agrees too.

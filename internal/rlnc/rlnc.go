@@ -120,16 +120,7 @@ func (s *Segment) Encode(rng *randx.Rand) *CodedBlock {
 // segment ID, coefficient width, and payload presence; violations panic as
 // programming errors.
 func Recode(blocks []*CodedBlock, rng *randx.Rand) *CodedBlock {
-	if len(blocks) == 0 {
-		panic("rlnc: Recode with no blocks")
-	}
-	first := blocks[0]
-	out := &CodedBlock{Seg: first.Seg, Coeffs: make([]byte, len(first.Coeffs))}
-	if first.Payload != nil {
-		out.Payload = make([]byte, len(first.Payload))
-	}
-	RecodeInto(out, blocks, rng)
-	return out
+	return recodeNew(blocks, rng, func(n int) []byte { return make([]byte, n) })
 }
 
 // RecodePooled is Recode with the output buffers drawn from the slab free
@@ -138,13 +129,18 @@ func Recode(blocks []*CodedBlock, rng *randx.Rand) *CodedBlock {
 // order is identical to Recode, so seeded runs are unaffected by which
 // variant produced a block.
 func RecodePooled(blocks []*CodedBlock, rng *randx.Rand) *CodedBlock {
+	return recodeNew(blocks, rng, slab.Get)
+}
+
+// recodeNew recodes into a fresh block whose buffers come from alloc.
+func recodeNew(blocks []*CodedBlock, rng *randx.Rand, alloc func(n int) []byte) *CodedBlock {
 	if len(blocks) == 0 {
 		panic("rlnc: Recode with no blocks")
 	}
 	first := blocks[0]
-	out := &CodedBlock{Seg: first.Seg, Coeffs: slab.Get(len(first.Coeffs))}
+	out := &CodedBlock{Seg: first.Seg, Coeffs: alloc(len(first.Coeffs))}
 	if first.Payload != nil {
-		out.Payload = slab.Get(len(first.Payload))
+		out.Payload = alloc(len(first.Payload))
 	}
 	RecodeInto(out, blocks, rng)
 	return out
@@ -166,27 +162,38 @@ func RecodeInto(out *CodedBlock, blocks []*CodedBlock, rng *randx.Rand) {
 		(hasPayload && len(out.Payload) != len(first.Payload)) {
 		panic("rlnc: RecodeInto output shape mismatch")
 	}
-	out.Seg = first.Seg
-	clear(out.Coeffs)
-	clear(out.Payload)
-	// Index of the block that gets a guaranteed non-zero coefficient.
-	anchor := rng.Intn(len(blocks))
-	for i, b := range blocks {
+	for _, b := range blocks {
 		if b.Seg != first.Seg || len(b.Coeffs) != width || (b.Payload != nil) != hasPayload {
 			panic("rlnc: Recode over mismatched blocks")
 		}
+	}
+	out.Seg = first.Seg
+	clear(out.Coeffs)
+	clear(out.Payload)
+	combine(len(blocks), rng, func(i int, c byte) {
+		gf256.AddMulSlice(out.Coeffs, c, blocks[i].Coeffs)
+		if hasPayload {
+			gf256.AddMulSlice(out.Payload, c, blocks[i].Payload)
+		}
+	})
+}
+
+// combine is the paper's gossip draw: one random coefficient per buffered
+// row, with one uniformly chosen row forced non-zero so the combination is
+// never the zero vector. Each non-zero (row, coefficient) pair goes to add.
+// Every recode in the repository draws through here, so seeded runs see one
+// RNG order no matter which holder produced a block.
+func combine(n int, rng *randx.Rand, add func(i int, c byte)) {
+	anchor := rng.Intn(n)
+	for i := 0; i < n; i++ {
 		var c byte
 		if i == anchor {
 			c = rng.Coefficient()
 		} else {
 			c = byte(rng.Intn(256))
 		}
-		if c == 0 {
-			continue
-		}
-		gf256.AddMulSlice(out.Coeffs, c, b.Coeffs)
-		if hasPayload {
-			gf256.AddMulSlice(out.Payload, c, b.Payload)
+		if c != 0 {
+			add(i, c)
 		}
 	}
 }
@@ -206,37 +213,31 @@ func ReleaseBlock(b *CodedBlock) {
 	b.Payload = nil
 }
 
-// Decoder progressively reconstructs one segment from coded blocks. It keeps
-// an augmented matrix [coefficients | payload] in reduced row-echelon form,
-// so decoding cost is spread over insertions and the originals drop out as
-// soon as rank s is reached.
+// Decoder progressively reconstructs one segment from coded blocks. All of
+// its linear algebra is one gfmat.Echelon; the two modes differ only in
+// what rides behind the coefficient columns.
 //
-// A Decoder created with payloadLen == 0 tracks linear independence only;
-// Add still reports innovation but Decode returns ErrNoPayload.
+// An eager decoder (NewDecoder) inserts rows [coefficients | payload], so
+// decoding cost is spread over insertions and the originals drop out of the
+// carried columns as soon as rank s is reached. Created with payloadLen == 0
+// it carries nothing and tracks linear independence only: Add still reports
+// innovation but Decode returns ErrNoPayload.
+//
+// A deferred decoder (NewDeferredDecoder) inserts coefficients alone (for
+// the innovation check) and keeps raw copies of the accepted blocks; Decode
+// solves the whole system in one batch. This moves the O(s²·payloadLen)
+// payload work out of Add — off the receive path — while producing
+// byte-identical originals (full-rank linear systems have a unique
+// solution).
 type Decoder struct {
 	seg        SegmentID
 	size       int
 	payloadLen int
-	pivots     []int
-	coeffs     [][]byte
-	payloads   [][]byte
+	ech        *gfmat.Echelon
 
-	// Deferred mode: Add eliminates coefficients only (for the innovation
-	// check) and keeps raw copies of the accepted blocks; Decode solves the
-	// whole system in one batched augmented elimination. This moves the
-	// O(s²·payloadLen) payload work out of Add — off the receive path —
-	// while producing byte-identical originals (full-rank linear systems
-	// have a unique solution).
 	deferred    bool
 	rawCoeffs   [][]byte
 	rawPayloads [][]byte
-
-	// Reusable reduction buffers: a redundant Add reduces the candidate to
-	// zero in scratch and allocates nothing; an innovative Add promotes the
-	// scratch rows into the basis.
-	scratchC []byte
-	scratchP []byte
-	pooled   bool // all row storage comes from the slab free list
 }
 
 // NewDecoder returns a decoder for the given segment with segment size s.
@@ -247,16 +248,8 @@ func NewDecoder(seg SegmentID, size, payloadLen int) *Decoder {
 	if payloadLen < 0 {
 		panic("rlnc: negative payload length")
 	}
-	return &Decoder{seg: seg, size: size, payloadLen: payloadLen}
-}
-
-// NewDecoderPooled is NewDecoder with all row storage drawn from the slab
-// free list. Call Release when the decoder is dropped so the rows return to
-// the pool.
-func NewDecoderPooled(seg SegmentID, size, payloadLen int) *Decoder {
-	d := NewDecoder(seg, size, payloadLen)
-	d.pooled = true
-	return d
+	return &Decoder{seg: seg, size: size, payloadLen: payloadLen,
+		ech: gfmat.NewAugmented(size, payloadLen, false)}
 }
 
 // NewDeferredDecoder returns a pooled decoder that postpones all payload
@@ -265,28 +258,27 @@ func NewDecoderPooled(seg SegmentID, size, payloadLen int) *Decoder {
 // Decode solves the accumulated s×s system against the s×payloadLen
 // right-hand side in one batched augmented elimination. Rank, Complete, and
 // the innovation verdicts match the eager decoder exactly, and Decode
-// returns byte-identical originals. payloadLen must be positive.
+// returns byte-identical originals. payloadLen must be positive. Call
+// Release when the decoder is dropped so its rows return to the slab.
 func NewDeferredDecoder(seg SegmentID, size, payloadLen int) *Decoder {
 	if payloadLen <= 0 {
 		panic("rlnc: deferred decoder needs a payload")
 	}
-	d := NewDecoder(seg, size, payloadLen)
-	d.deferred = true
-	d.pooled = true
-	return d
+	return &Decoder{seg: seg, size: size, payloadLen: payloadLen, deferred: true,
+		ech: gfmat.NewAugmented(size, 0, true)}
 }
 
 // SegmentID returns the segment the decoder reconstructs.
 func (d *Decoder) SegmentID() SegmentID { return d.seg }
 
 // Rank returns the number of linearly independent blocks received.
-func (d *Decoder) Rank() int { return len(d.coeffs) }
+func (d *Decoder) Rank() int { return d.ech.Rank() }
 
 // Size returns s, the number of independent blocks needed to decode.
 func (d *Decoder) Size() int { return d.size }
 
 // Complete reports whether the segment is decodable.
-func (d *Decoder) Complete() bool { return len(d.coeffs) == d.size }
+func (d *Decoder) Complete() bool { return d.ech.Full() }
 
 // Add offers a coded block to the decoder. It returns true when the block
 // was innovative (increased the rank). Blocks for other segments or with the
@@ -304,67 +296,14 @@ func (d *Decoder) Add(b *CodedBlock) (bool, error) {
 	if d.Complete() {
 		return false, nil
 	}
-	carryPayload := d.payloadLen > 0 && !d.deferred
-	v := d.scratchCoeffs()
-	copy(v, b.Coeffs)
-	var p []byte
-	if carryPayload {
-		p = d.scratchPayload()
-		copy(p, b.Payload)
+	// Eager decoders carry the payload through the elimination; deferred
+	// and rank-only decoders reduce the coefficients alone.
+	carried := b.Payload[:0]
+	if !d.deferred {
+		carried = b.Payload[:d.payloadLen]
 	}
-	// Reduce against the existing basis, carrying the payload along (eager
-	// mode only; deferred mode reduces coefficients alone).
-	for idx, piv := range d.pivots {
-		if f := v[piv]; f != 0 {
-			gf256.AddMulSlice(v, f, d.coeffs[idx])
-			if p != nil {
-				gf256.AddMulSlice(p, f, d.payloads[idx])
-			}
-		}
-	}
-	pivot := -1
-	for i, x := range v {
-		if x != 0 {
-			pivot = i
-			break
-		}
-	}
-	if pivot < 0 {
-		return false, nil // scratch rows stay ours for the next Add
-	}
-	inv := gf256.Inv(v[pivot])
-	gf256.MulSlice(inv, v)
-	if p != nil {
-		gf256.MulSlice(inv, p)
-	}
-	// Back-substitute to keep the form reduced.
-	for idx := range d.coeffs {
-		if f := d.coeffs[idx][pivot]; f != 0 {
-			gf256.AddMulSlice(d.coeffs[idx], f, v)
-			if p != nil {
-				gf256.AddMulSlice(d.payloads[idx], f, p)
-			}
-		}
-	}
-	pos := len(d.pivots)
-	for i, pv := range d.pivots {
-		if pivot < pv {
-			pos = i
-			break
-		}
-	}
-	d.pivots = append(d.pivots, 0)
-	copy(d.pivots[pos+1:], d.pivots[pos:])
-	d.pivots[pos] = pivot
-	d.coeffs = append(d.coeffs, nil)
-	copy(d.coeffs[pos+1:], d.coeffs[pos:])
-	d.coeffs[pos] = v
-	d.scratchC = nil // promoted into the basis
-	if carryPayload {
-		d.payloads = append(d.payloads, nil)
-		copy(d.payloads[pos+1:], d.payloads[pos:])
-		d.payloads[pos] = p
-		d.scratchP = nil
+	if !d.ech.InsertRow(b.Coeffs, carried) {
+		return false, nil
 	}
 	if d.deferred {
 		// Stash the untouched block for the batched end-of-segment solve.
@@ -374,45 +313,16 @@ func (d *Decoder) Add(b *CodedBlock) (bool, error) {
 	return true, nil
 }
 
-// AddBatch offers a run of coded blocks to the decoder and returns how many
-// were innovative. It stops early once the segment is complete — remaining
-// blocks cannot add rank — or on the first structural error.
-func (d *Decoder) AddBatch(blocks []*CodedBlock) (int, error) {
-	innovative := 0
-	for _, b := range blocks {
-		if d.Complete() {
-			break
-		}
-		ok, err := d.Add(b)
-		if err != nil {
-			return innovative, err
-		}
-		if ok {
-			innovative++
-		}
+// basisRow returns the i-th of Rank() coded-block rows spanning the
+// received space: the reduced echelon row of an eager decoder, the i-th
+// stashed raw block of a deferred one (its echelon rows carry no payload;
+// the raw blocks span the same space). The slices alias decoder storage.
+func (d *Decoder) basisRow(i int) (coeffs, payload []byte) {
+	if d.deferred {
+		return d.rawCoeffs[i], d.rawPayloads[i]
 	}
-	return innovative, nil
-}
-
-func (d *Decoder) scratchCoeffs() []byte {
-	if d.scratchC == nil {
-		d.scratchC = d.newRow(d.size)
-	}
-	return d.scratchC[:d.size]
-}
-
-func (d *Decoder) scratchPayload() []byte {
-	if d.scratchP == nil {
-		d.scratchP = d.newRow(d.payloadLen)
-	}
-	return d.scratchP[:d.payloadLen]
-}
-
-func (d *Decoder) newRow(n int) []byte {
-	if d.pooled {
-		return slab.Get(n)
-	}
-	return make([]byte, n)
+	row := d.ech.Row(i)
+	return row[:d.size], row[d.size:]
 }
 
 // Recode returns one fresh random linear combination of the decoder's
@@ -424,13 +334,7 @@ func (d *Decoder) newRow(n int) []byte {
 // output is never the zero vector. Returns nil for a rank-0 decoder (there
 // is nothing to combine) and for rank-only decoders (no payload to carry).
 func (d *Decoder) Recode(rng *randx.Rand) *CodedBlock {
-	rows, payloads := d.coeffs, d.payloads
-	if d.deferred {
-		// Deferred decoders keep the raw innovative blocks; their span equals
-		// the reduced basis's, and they carry the payloads.
-		rows, payloads = d.rawCoeffs, d.rawPayloads
-	}
-	if len(rows) == 0 || d.payloadLen == 0 || len(payloads) != len(rows) {
+	if d.Rank() == 0 || d.payloadLen == 0 {
 		return nil
 	}
 	out := &CodedBlock{
@@ -438,20 +342,11 @@ func (d *Decoder) Recode(rng *randx.Rand) *CodedBlock {
 		Coeffs:  make([]byte, d.size),
 		Payload: make([]byte, d.payloadLen),
 	}
-	anchor := rng.Intn(len(rows))
-	for i := range rows {
-		var c byte
-		if i == anchor {
-			c = rng.Coefficient()
-		} else {
-			c = byte(rng.Intn(256))
-		}
-		if c == 0 {
-			continue
-		}
-		gf256.AddMulSlice(out.Coeffs, c, rows[i])
-		gf256.AddMulSlice(out.Payload, c, payloads[i])
-	}
+	combine(d.Rank(), rng, func(i int, c byte) {
+		coeffs, payload := d.basisRow(i)
+		gf256.AddMulSlice(out.Coeffs, c, coeffs)
+		gf256.AddMulSlice(out.Payload, c, payload)
+	})
 	return out
 }
 
@@ -460,52 +355,31 @@ func (d *Decoder) Recode(rng *randx.Rand) *CodedBlock {
 // Re-adding every visited row (as coeffs/payload of a CodedBlock) to a
 // fresh decoder of the same shape reproduces the same rank, the same
 // innovation verdict for any future block, and byte-identical decoded
-// originals at full rank. Eager decoders yield their reduced basis rows;
-// deferred decoders yield the stashed raw blocks (the reduced rows carry
-// no payload there). payload is nil for rank-only decoders. The visited
-// slices alias decoder storage — copy before retaining.
+// originals at full rank. Eager decoders yield their reduced basis rows in
+// pivot order; deferred decoders yield the stashed raw blocks in arrival
+// order. payload is nil for rank-only decoders. The visited slices alias
+// decoder storage — copy before retaining.
 func (d *Decoder) RangeBasis(f func(coeffs, payload []byte)) {
-	rows, payloads := d.coeffs, d.payloads
-	if d.deferred {
-		rows, payloads = d.rawCoeffs, d.rawPayloads
-	}
-	for i, r := range rows {
-		var p []byte
-		if i < len(payloads) {
-			p = payloads[i]
+	for i := 0; i < d.Rank(); i++ {
+		coeffs, payload := d.basisRow(i)
+		if d.payloadLen == 0 {
+			payload = nil
 		}
-		f(r, p)
+		f(coeffs, payload)
 	}
 }
 
-// Release hands the decoder's row storage back to the slab free list (for
-// pooled decoders) and empties the decoder. The caller must not retain
-// slices previously returned by a deferred Decode's internal buffers; the
-// decoded originals themselves are freshly allocated and stay valid.
+// Release empties the decoder and hands a deferred decoder's pooled rows
+// back to the slab free list. Blocks previously returned by Decode are
+// freshly allocated and stay valid.
 func (d *Decoder) Release() {
-	if d.pooled {
-		for _, r := range d.coeffs {
-			slab.Put(r)
-		}
-		for _, r := range d.payloads {
-			slab.Put(r)
-		}
-		for _, r := range d.rawCoeffs {
-			slab.Put(r)
-		}
-		for _, r := range d.rawPayloads {
-			slab.Put(r)
-		}
-		slab.Put(d.scratchC)
-		slab.Put(d.scratchP)
+	d.ech.Release()
+	for i := range d.rawCoeffs {
+		slab.Put(d.rawCoeffs[i])
+		slab.Put(d.rawPayloads[i])
 	}
-	d.pivots = nil
-	d.coeffs = nil
-	d.payloads = nil
 	d.rawCoeffs = nil
 	d.rawPayloads = nil
-	d.scratchC = nil
-	d.scratchP = nil
 }
 
 // Decode returns the s original blocks in order. It fails with
@@ -518,32 +392,25 @@ func (d *Decoder) Decode() ([][]byte, error) {
 	if d.payloadLen == 0 {
 		return nil, ErrNoPayload
 	}
-	if d.deferred {
-		return d.decodeDeferred()
-	}
-	// At full rank the reduced form is the identity, so rows are already the
-	// originals ordered by pivot.
 	out := make([][]byte, d.size)
-	for idx, piv := range d.pivots {
-		out[piv] = append([]byte(nil), d.payloads[idx]...)
+	if !d.deferred {
+		// At full rank the pivot columns are the identity, so row i carries
+		// original i.
+		for i := range out {
+			out[i] = append([]byte(nil), d.ech.Row(i)[d.size:]...)
+		}
+		return out, nil
 	}
-	return out, nil
-}
-
-// decodeDeferred solves coeffs·X = payloads over the s stashed raw blocks
-// in one batched augmented elimination. The system has full rank by
-// construction (only innovative blocks were stashed), so the solution is
-// unique and equals what eager per-block elimination would have produced.
-func (d *Decoder) decodeDeferred() ([][]byte, error) {
-	m := gfmat.FromRows(d.rawCoeffs)
-	rhs := gfmat.FromRows(d.rawPayloads)
-	x, err := m.Solve(rhs)
+	// Solve coeffs·X = payloads over the s stashed raw blocks. The system
+	// has full rank by construction (only innovative blocks were stashed),
+	// so the solution is unique and equals what eager per-block elimination
+	// would have produced.
+	x, err := gfmat.FromRows(d.rawCoeffs).Solve(gfmat.FromRows(d.rawPayloads))
 	if err != nil {
 		// Unreachable when the bookkeeping is correct; surface it rather
 		// than panic so a corrupted stream degrades gracefully.
 		return nil, fmt.Errorf("rlnc: deferred decode: %w", err)
 	}
-	out := make([][]byte, d.size)
 	for i := range out {
 		out[i] = append([]byte(nil), x.Row(i)...)
 	}
