@@ -81,7 +81,7 @@ func (jf *JournalFile) Persist(seg rlnc.SegmentID) error {
 }
 
 // Close seals the journal file. Further Persist calls fail (and their
-// claims roll back).
+// claims are refused).
 func (jf *JournalFile) Close() error {
 	jf.mu.Lock()
 	defer jf.mu.Unlock()

@@ -18,18 +18,22 @@ const DefaultJournalCap = 1 << 20
 type Journal struct {
 	mu        sync.Mutex
 	delivered map[rlnc.SegmentID]bool
+	// ring holds the remembered segments. It grows by append, oldest first,
+	// until it reaches cap entries — a journal costs memory for what it has
+	// seen, not for its bound — and from then on is a circular buffer whose
+	// oldest entry sits at head.
 	ring      []rlnc.SegmentID
+	cap       int
 	head      int
-	size      int
 	persister JournalPersister
 }
 
 // JournalPersister records winning claims durably. Persist is called under
-// the journal lock, after the claim is admitted in RAM but before Claim
+// the journal lock, before the claim is admitted in RAM and before Claim
 // returns true — so a caller that goes on to deliver knows the claim is
 // already on disk, and a crash between persist and delivery costs at most
-// that one delivery (at-most-once), never a duplicate. An error rolls the
-// in-RAM claim back and the Claim is lost (the next full-rank shard
+// that one delivery (at-most-once), never a duplicate. On an error the
+// journal is left untouched and the Claim is lost (the next full-rank shard
 // retries it).
 type JournalPersister interface {
 	Persist(seg rlnc.SegmentID) error
@@ -52,7 +56,7 @@ func NewJournalBacked(cap int, persisted []rlnc.SegmentID, p JournalPersister) *
 	}
 	j := &Journal{
 		delivered: make(map[rlnc.SegmentID]bool),
-		ring:      make([]rlnc.SegmentID, cap),
+		cap:       cap,
 	}
 	for _, seg := range persisted {
 		j.admit(seg)
@@ -63,23 +67,20 @@ func NewJournalBacked(cap int, persisted []rlnc.SegmentID, p JournalPersister) *
 
 // Claim records the segment as delivered and reports whether this call won
 // the claim (true exactly once per remembered segment). A backed journal
-// persists the claim before returning true; if persistence fails the claim
-// is rolled back and false is returned, leaving the segment claimable.
+// persists the claim before returning true; if persistence fails false is
+// returned and the journal is unchanged, leaving the segment claimable.
 func (j *Journal) Claim(seg rlnc.SegmentID) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.delivered[seg] {
 		return false
 	}
-	j.admit(seg)
 	if j.persister != nil {
 		if err := j.persister.Persist(seg); err != nil {
-			// Roll back: pop the entry just placed at the logical tail.
-			j.size--
-			delete(j.delivered, seg)
 			return false
 		}
 	}
+	j.admit(seg)
 	return true
 }
 
@@ -89,13 +90,13 @@ func (j *Journal) admit(seg rlnc.SegmentID) {
 	if j.delivered[seg] {
 		return
 	}
-	if j.size == len(j.ring) {
+	if len(j.ring) < j.cap {
+		j.ring = append(j.ring, seg)
+	} else {
 		delete(j.delivered, j.ring[j.head])
-		j.head = (j.head + 1) % len(j.ring)
-		j.size--
+		j.ring[j.head] = seg
+		j.head = (j.head + 1) % j.cap
 	}
-	j.ring[(j.head+j.size)%len(j.ring)] = seg
-	j.size++
 	j.delivered[seg] = true
 }
 
@@ -110,5 +111,5 @@ func (j *Journal) Delivered(seg rlnc.SegmentID) bool {
 func (j *Journal) Count() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.size
+	return len(j.ring)
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -193,6 +194,89 @@ func TestJournalBounded(t *testing.T) {
 	// bounded-memory contract.
 	if !j.Claim(rlnc.SegmentID{Origin: 9, Seq: 0}) {
 		t.Error("evicted segment could not be re-claimed")
+	}
+}
+
+// TestJournalEvictionOrderAcrossGrowAndWrap walks a small journal through
+// its two regimes — the ring growing by append, then overwriting in place —
+// and checks after every claim that exactly the newest bound segments are
+// remembered, i.e. eviction is FIFO across the boundary and across several
+// wraps of head.
+func TestJournalEvictionOrderAcrossGrowAndWrap(t *testing.T) {
+	const bound = 3
+	seg := func(i int) rlnc.SegmentID { return rlnc.SegmentID{Origin: 4, Seq: uint64(i)} }
+	// Preloaded claims go through the same admission as live ones.
+	j := NewJournalBacked(bound, []rlnc.SegmentID{seg(0), seg(1)}, nil)
+	for i := 2; i < 4*bound; i++ {
+		if !j.Claim(seg(i)) {
+			t.Fatalf("claim %d lost on a fresh segment", i)
+		}
+		if want := min(i+1, bound); j.Count() != want {
+			t.Fatalf("after claim %d: Count = %d, want %d", i, j.Count(), want)
+		}
+		for k := 0; k <= i; k++ {
+			if got, want := j.Delivered(seg(k)), k > i-bound; got != want {
+				t.Fatalf("after claim %d: Delivered(%d) = %v, want %v", i, k, got, want)
+			}
+		}
+	}
+}
+
+// failingPersister refuses claims while fail is set and counts the rest.
+type failingPersister struct {
+	fail      bool
+	persisted int
+}
+
+func (p *failingPersister) Persist(rlnc.SegmentID) error {
+	if p.fail {
+		return errors.New("disk full")
+	}
+	p.persisted++
+	return nil
+}
+
+// TestJournalPersistFailureLeavesJournalUntouched refuses a claim once
+// while the ring is still growing and once after it has wrapped: the
+// refused segment stays claimable, nothing is evicted on its behalf, and
+// the FIFO order of later claims is what it would have been without it.
+func TestJournalPersistFailureLeavesJournalUntouched(t *testing.T) {
+	const bound = 3
+	seg := func(i int) rlnc.SegmentID { return rlnc.SegmentID{Origin: 6, Seq: uint64(i)} }
+	p := &failingPersister{}
+	j := NewJournalBacked(bound, nil, p)
+	refuse := func(i, wantCount int) {
+		t.Helper()
+		p.fail = true
+		if j.Claim(seg(i)) {
+			t.Fatalf("claim %d won although persistence failed", i)
+		}
+		p.fail = false
+		if j.Delivered(seg(i)) || j.Count() != wantCount {
+			t.Fatalf("refused claim %d left a trace: delivered=%v Count=%d, want false/%d",
+				i, j.Delivered(seg(i)), j.Count(), wantCount)
+		}
+	}
+
+	j.Claim(seg(0))
+	refuse(1, 1) // still growing
+	for i := 1; i <= 3; i++ {
+		if !j.Claim(seg(i)) {
+			t.Fatalf("claim %d lost", i)
+		}
+	}
+	// Ring is full and has wrapped once: 0 evicted, {1,2,3} remembered.
+	refuse(4, bound)
+	for k, want := range []bool{false, true, true, true} {
+		if j.Delivered(seg(k)) != want {
+			t.Fatalf("after refused claim on a full ring: Delivered(%d) = %v, want %v", k, !want, want)
+		}
+	}
+	if !j.Claim(seg(4)) || j.Delivered(seg(1)) || !j.Delivered(seg(2)) {
+		t.Fatal("FIFO order disturbed by the refused claims")
+	}
+	if p.persisted != 5 {
+		t.Fatalf("persisted %d claims, want 5", p.persisted)
 	}
 }
 

@@ -35,7 +35,7 @@ var (
 	// _nib[k][16+(v>>4)] — two lookups in a 32-byte row that fits in a
 	// single cache-line pair. The whole table is 8 KiB (vs 64 KiB for
 	// _mul), so it stays L1-resident across coefficient changes, and its
-	// 16-entry halves are exactly the shape PSHUFB consumes on amd64.
+	// 16-entry halves are exactly the shape VPSHUFB consumes on amd64.
 	_nib [256][32]byte
 )
 

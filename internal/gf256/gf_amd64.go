@@ -2,14 +2,14 @@
 
 package gf256
 
-// useAsm gates the SSSE3 PSHUFB kernels. SSSE3 is CPUID leaf 1, ECX bit 9;
-// present on effectively every x86-64 CPU since 2006, but checked anyway so
-// the package degrades to the nibble kernels instead of faulting on exotic
-// VMs that mask feature bits.
-var useAsm = hasSSSE3()
+// useAsm gates the AVX2 VPSHUFB kernels. An amd64 CPU (or a VM that masks
+// feature bits) without AVX2 runs the portable nibble kernels like every
+// other architecture; there is no narrower SIMD tier in between.
+var useAsm = hasAVX2()
 
-// hasSSSE3 is implemented in gf_amd64.s.
-func hasSSSE3() bool
+// hasAVX2 reports whether the CPU implements AVX2 and the OS preserves YMM
+// state. It is implemented in gf_amd64.s.
+func hasAVX2() bool
 
 // mulSliceAsm multiplies dst[0:n] by the coefficient whose nibble table
 // starts at tab, in place. n must be a positive multiple of 16.

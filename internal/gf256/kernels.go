@@ -4,16 +4,16 @@ package gf256
 
 // Fast slice kernels. Coefficient 0 and 1 are peeled up front (clear/XOR —
 // both common in sparse coefficient vectors); general coefficients run the
-// SSSE3 PSHUFB kernel over the 16-byte-aligned prefix when the CPU has it,
-// with the pure-Go word-at-a-time nibble kernel covering the tail and every
-// other architecture. Build with -tags gf256ref to swap these for the
-// scalar reference implementations.
+// AVX2 VPSHUFB kernel over the longest multiple-of-16 prefix when the CPU
+// has it, with the pure-Go word-at-a-time nibble kernel covering the tail,
+// amd64 CPUs without AVX2, and every other architecture. Build with -tags
+// gf256ref to swap these for the scalar reference implementations.
 
 // Kernel names the slice-kernel implementation selected at startup:
-// "ssse3", "nibble", or "ref".
+// "avx2", "nibble", or "ref".
 func Kernel() string {
 	if useAsm {
-		return "ssse3"
+		return "avx2"
 	}
 	return "nibble"
 }

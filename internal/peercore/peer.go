@@ -90,6 +90,9 @@ type Peer struct {
 	segPos    map[rlnc.SegmentID]int
 	deadlines map[*rlnc.CodedBlock]float64
 	occupancy int
+	// sweep is ExpireDue's snapshot of the holding it is visiting, kept so
+	// a sweep allocates nothing; it holds no blocks between sweeps.
+	sweep []*rlnc.CodedBlock
 	// traceCtx maps buffered segments to their sampled lineage (see
 	// trace.go). Lazily allocated: untraced runs never touch it.
 	traceCtx map[rlnc.SegmentID]obs.TraceContext
@@ -297,7 +300,9 @@ func (p *Peer) ExpireDue(now float64) int {
 	removed := 0
 	for i := 0; i < len(p.segIDs); i++ {
 		h := p.holdings[p.segIDs[i]]
-		for _, cb := range append([]*rlnc.CodedBlock(nil), h.Blocks()...) {
+		// RemoveBlock reorders h.Blocks(), so iterate over a snapshot.
+		p.sweep = append(p.sweep[:0], h.Blocks()...)
+		for _, cb := range p.sweep {
 			if deadline, ok := p.deadlines[cb]; ok && now > deadline {
 				h.RemoveBlock(cb)
 				delete(p.deadlines, cb)
@@ -312,6 +317,7 @@ func (p *Peer) ExpireDue(now float64) int {
 			i--
 		}
 	}
+	clear(p.sweep[:cap(p.sweep)])
 	return removed
 }
 

@@ -170,6 +170,28 @@ func TestExpireDueSweep(t *testing.T) {
 	}
 }
 
+// TestExpireDueNothingDueAllocatesNothing pins the steady-state cost of the
+// live runtime's periodic TTL sweep: visiting every holding without an
+// expiry must not allocate.
+func TestExpireDueNothingDueAllocatesNothing(t *testing.T) {
+	p := newTestPeer(t, 64, nil)
+	for i := 0; i < 4; i++ {
+		p.Inject(0, nil)
+	}
+	occ := p.Occupancy()
+	allocs := testing.AllocsPerRun(100, func() {
+		if n := p.ExpireDue(0); n != 0 {
+			t.Fatalf("sweep at t=0 removed %d blocks", n)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ExpireDue with nothing due: %v allocs/op, want 0", allocs)
+	}
+	if p.Occupancy() != occ {
+		t.Fatalf("occupancy %d after no-op sweeps, want %d", p.Occupancy(), occ)
+	}
+}
+
 func TestDropSegmentAndClear(t *testing.T) {
 	p := newTestPeer(t, 64, nil)
 	seg1, _, _ := p.Inject(0, nil)
