@@ -28,11 +28,8 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -84,7 +81,6 @@ func run(args []string) error {
 		flightPath    = fs.String("flight-path", "", "server mode: write the crash flight-recorder dump here on hard stop or panic (empty = <wal-dir>/flight.bin when -wal-dir is set)")
 		seed          = fs.Int64("seed", time.Now().UnixNano(), "random seed")
 		outPath       = fs.String("out", "", "server mode: append recovered records to this CSV file")
-		statsAddr     = fs.String("stats-addr", "", "serve live JSON stats over HTTP on this address (e.g. 127.0.0.1:8080)")
 		debugAddr     = fs.String("debug-addr", "", "serve the observability endpoint (Prometheus /metrics, JSON /debug/snapshot, pprof) on this address (e.g. 127.0.0.1:8090)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -163,11 +159,6 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		stopStats, err := serveStats(*statsAddr, func() any { return node.Stats() })
-		if err != nil {
-			return err
-		}
-		defer stopStats()
 		if err := node.Start(); err != nil {
 			return err
 		}
@@ -259,11 +250,6 @@ func run(args []string) error {
 			}
 			fmt.Printf("decoded segment %v: %d blocks, %d records\n", segID, len(blocks), records)
 		}
-		stopStats, err := serveStats(*statsAddr, func() any { return srv.Stats() })
-		if err != nil {
-			return err
-		}
-		defer stopStats()
 		if err := srv.Start(); err != nil {
 			return err
 		}
@@ -281,29 +267,6 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown -mode %q (want peer or server)", *mode)
 	}
-}
-
-// serveStats exposes the snapshot function as JSON on GET /stats. It
-// returns a stop function (a no-op when addr is empty).
-func serveStats(addr string, snapshot func() any) (func(), error) {
-	if addr == "" {
-		return func() {}, nil
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("stats listener: %w", err)
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(snapshot()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	server := &http.Server{Handler: mux}
-	go server.Serve(ln) //nolint:errcheck // closed on stop
-	fmt.Printf("stats at http://%s/stats\n", ln.Addr())
-	return func() { server.Close() }, nil
 }
 
 // parseBook parses "id=addr,id=addr" into an address book.

@@ -80,21 +80,6 @@ func TestRunServerBriefly(t *testing.T) {
 	}
 }
 
-func TestServeStatsEndpoint(t *testing.T) {
-	stop, err := serveStats("", func() any { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop() // no-op path
-
-	type snap struct{ Pulls int }
-	stop2, err := serveStats("127.0.0.1:0", func() any { return snap{Pulls: 7} })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop2()
-}
-
 func TestRunServerWithCSVOut(t *testing.T) {
 	out := t.TempDir() + "/records.csv"
 	err := run([]string{

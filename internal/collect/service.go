@@ -325,6 +325,18 @@ func (s *Service) HandleBlock(now float64, from pullsched.PeerRef, cb *rlnc.Code
 		res.Finished = true
 		return res
 	}
+	out, col, err := s.st.Receive(now, cb)
+	if err != nil {
+		s.redundant++
+		if pulled {
+			s.fb.Add(fbRedundant, 1)
+		}
+		res.Rejected = true
+		return res
+	}
+	// Per-segment bookkeeping starts only once the store accepted a block:
+	// a rejected block may name a segment that never opens a collection,
+	// and nothing would ever delete its entries.
 	if _, seen := s.firstSeen[cb.Seg]; !seen {
 		s.firstSeen[cb.Seg] = now
 	}
@@ -338,15 +350,6 @@ func (s *Service) HandleBlock(now float64, from pullsched.PeerRef, cb *rlnc.Code
 	}
 	res.Trace = s.traceCtx[cb.Seg]
 	tid, hop := res.Trace.ID, res.Trace.Hop
-	out, col, err := s.st.Receive(now, cb)
-	if err != nil {
-		s.redundant++
-		if pulled {
-			s.fb.Add(fbRedundant, 1)
-		}
-		res.Rejected = true
-		return res
-	}
 	res.Outcome, res.Col = out, col
 	if out.Innovative {
 		if pulled {

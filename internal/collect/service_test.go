@@ -173,6 +173,29 @@ func TestHandleBlockOutcomes(t *testing.T) {
 	}
 }
 
+// TestRejectedBlocksLeaveNoSegmentState: a block the store rejects for a
+// segment it never saw opens no collection, so nothing would ever retire
+// per-segment bookkeeping for it. N such blocks naming N fresh segments —
+// reachable from the wire, where only the frame codec vets a block — must
+// leave firstSeen and traceCtx empty, traced or not.
+func TestRejectedBlocksLeaveNoSegmentState(t *testing.T) {
+	for _, ctx := range []obs.TraceContext{{}, {ID: 42, Hop: 1}} {
+		h := newHarness(t, Config{})
+		for seq := uint64(100); seq < 164; seq++ {
+			cb := testSegment(t, seq).SourceBlock(0)
+			cb.Coeffs = cb.Coeffs[:testSize-1]
+			if res := h.HandleBlock(1, testPeer, cb, true, ctx); !res.Rejected || res.Trace.Valid() {
+				t.Fatalf("traced=%v seq %d: result %+v, want a rejection with no lineage", ctx.Valid(), seq, res)
+			}
+		}
+		if len(h.firstSeen) != 0 || len(h.traceCtx) != 0 || h.OpenCount() != 0 {
+			t.Errorf("traced=%v: 64 rejected blocks left firstSeen=%d traceCtx=%d open=%d entries, want none",
+				ctx.Valid(), len(h.firstSeen), len(h.traceCtx), h.OpenCount())
+		}
+		h.Close()
+	}
+}
+
 // TestOwnsFiltersPolicyInput: outside its segment universe the service
 // still decodes and counts, but the policy hears neither feedback nor
 // inventory for those segments.

@@ -140,9 +140,6 @@ func (c *Cluster) Registries() []*obs.Registry {
 	return regs
 }
 
-// serverIDBase offsets server IDs above any peer ID.
-const serverIDBase = 1 << 32
-
 // StartCluster builds and starts the whole deployment. On error, anything
 // already started is stopped.
 func StartCluster(cfg ClusterConfig) (*Cluster, error) {
@@ -166,7 +163,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	// swimCfg stamps a fresh per-endpoint copy of the SWIM template with
 	// the shared seed list. The first few peer IDs anchor the gossip; the
-	// per-endpoint RNG seed is left for newNodeAgent to derive.
+	// per-endpoint RNG seed is left for the endpoint to derive.
 	var swimSeeds []membership.Member
 	if cfg.Membership {
 		n := cfg.Peers

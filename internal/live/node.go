@@ -1,17 +1,17 @@
 // Package live is the wall-clock implementation of the indirect collection
 // protocol: real nodes running goroutine loops for statistics generation,
 // RLNC gossip, TTL expiry, and server pulls, over any transport.Transport
-// (in-memory channels or TCP). The protocol state machines themselves —
-// the per-peer buffer and the server collections — are the peercore ones
+// (in-memory channels, TCP or UDP). The protocol state machines themselves
+// — the per-peer buffer and the server collections — are the peercore ones
 // the discrete-event simulator drives, so the two runtimes execute the
 // same code paths; this package contributes the goroutine scheduling, the
-// wall clock, and real payload bytes moving over a transport.
+// wall clock (both in endpoint.go, shared by Node and Server), and real
+// payload bytes moving over a transport.
 package live
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"p2pcollect/internal/logdata"
@@ -33,11 +33,6 @@ const reapInterval = 20 * time.Millisecond
 // simulator uses for its policy RNG: tracing draws never perturb the
 // seeded protocol sequence.
 const traceSeedSalt = 0x7ace5eed
-
-// memberSeedSalt derives a node's membership RNG stream from its protocol
-// seed when the Membership config leaves Seed zero — same decoupling as
-// traceSeedSalt, so probe schedules never perturb protocol draws.
-const memberSeedSalt = 0x5317b007
 
 // NodeConfig parameterizes one live peer. Rates are per second.
 type NodeConfig struct {
@@ -141,43 +136,26 @@ type NodeStats struct {
 	Protocol         map[string]int64
 }
 
-// Node is one live peer. Create with NewNode, start with Start, stop with
-// Stop (which waits for all goroutines).
+// Node is one live peer: the peercore buffer driven by the shared endpoint
+// runtime. Create with NewNode, start with Start, stop with Stop (which
+// waits for all goroutines).
 type Node struct {
+	endpoint
 	cfg NodeConfig
-	tr  transport.Transport
 
-	mu       sync.Mutex
-	rng      *randx.Rand
+	// Guarded by mu, like everything the protocol touches.
 	traceRNG *randx.Rand // sampling decisions + trace IDs; nil when TraceSample is 0
 	core     *peercore.Peer
-	counters *peercore.Counters
-	// peers is the gossip target set: fixed at cfg.Neighbors under the
-	// static topology, updated by membership transitions when the SWIM
-	// agent runs. Guarded by mu like the protocol RNG that samples it.
-	peers *peercore.PeerSet
-	agent *membership.Agent // nil without cfg.Membership
 	// fullAt maps segment → neighbor → node-clock deadline until which the
 	// neighbor's segment-complete notice suppresses gossip of that segment
 	// toward it. Entries expire (reap) so a neighbor whose holding drained
 	// by TTL is gossiped to again — a notice must mute, not excommunicate.
-	fullAt  map[rlnc.SegmentID]map[transport.NodeID]float64
-	gen     *logdata.Generator
-	started time.Time
+	fullAt   map[rlnc.SegmentID]map[transport.NodeID]float64
+	gen      *logdata.Generator
+	injected int // segments injected so far, for MaxSegments
 
-	// Observability. The registry is always built (scraping it is free when
-	// nobody asks); the debug server only exists when DebugAddr is set.
-	reg         *obs.Registry
-	tracer      obs.Tracer
 	obsBuffered *obs.Gauge
-	obsOutbox   *obs.Gauge
 	obsOcc      *obs.TimeSeries
-	debug       *obs.DebugServer
-
-	stop    chan struct{}
-	wg      sync.WaitGroup
-	startMu sync.Mutex
-	running bool
 }
 
 // NewNode builds a peer over the given transport.
@@ -185,166 +163,53 @@ func NewNode(tr transport.Transport, cfg NodeConfig) (*Node, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	rng := randx.New(cfg.Seed)
-	counters := peercore.NewCounters()
-	core := peercore.NewPeer(uint64(tr.LocalID()), peercore.PeerConfig{
+	n := &Node{cfg: cfg, fullAt: make(map[rlnc.SegmentID]map[transport.NodeID]float64)}
+	// With Membership set, Neighbors only seed the gossip target set; the
+	// live view then keeps it current.
+	n.init(tr, membership.RolePeer, cfg.Seed, cfg.Neighbors, cfg.Membership,
+		cfg.Tracer, cfg.SampleInterval, cfg.DebugAddr)
+	// The seeded stream depends on this order: the buffer takes the RNG
+	// first, the generator forks it second.
+	n.core = peercore.NewPeer(uint64(tr.LocalID()), peercore.PeerConfig{
 		SegmentSize: cfg.SegmentSize,
 		BufferCap:   cfg.BufferCap,
 		Gamma:       cfg.Gamma,
-	}, rng, counters)
-	n := &Node{
-		cfg:      cfg,
-		tr:       tr,
-		rng:      rng,
-		core:     core,
-		counters: counters,
-		peers:    peercore.NewPeerSet(),
-		fullAt:   make(map[rlnc.SegmentID]map[transport.NodeID]float64),
-		gen:      logdata.NewGenerator(uint64(tr.LocalID()), rng.Fork()),
-		tracer:   cfg.Tracer,
-		stop:     make(chan struct{}),
-	}
-	for _, nb := range cfg.Neighbors {
-		n.peers.Add(uint64(nb))
-	}
-	if cfg.Membership != nil {
-		n.agent = newNodeAgent(tr, membership.RolePeer, *cfg.Membership, cfg.Seed, n.onMember)
-	}
-	if n.tracer == nil {
-		n.tracer = obs.NopTracer{}
-	}
+	}, n.rng, n.counters)
+	n.gen = logdata.NewGenerator(uint64(tr.LocalID()), n.rng.Fork())
 	if cfg.TraceSample > 0 {
 		// A salted sibling of the protocol stream, like the simulator's
 		// policy RNG: deterministic per seed, but consuming no protocol
 		// draws, so sampled and unsampled runs share one byte stream.
 		n.traceRNG = randx.New(cfg.Seed ^ traceSeedSalt)
 	}
-	n.reg = obs.NewRegistry(endpointLabel(tr.LocalID()))
-	n.reg.RegisterCounters(counters.Range)
-	if cr, ok := tr.(transport.CounterRanger); ok {
-		n.reg.RegisterCounters(cr.RangeCounters)
-	}
 	n.obsBuffered = n.reg.Gauge("bufferedBlocks")
-	n.obsOutbox = n.reg.Gauge("outboxDepth")
 	n.obsOcc = n.reg.TimeSeries("bufferOccupancy", obsSeriesCap)
-	if rt, ok := n.tracer.(*obs.RingTracer); ok {
-		n.reg.SetTracer(rt)
-	}
 	return n, nil
-}
-
-// Registry exposes the node's observability registry, for scraping it
-// directly or folding it into an obs.Group served on one shared port.
-func (n *Node) Registry() *obs.Registry { return n.reg }
-
-// ID returns the node's network identity.
-func (n *Node) ID() transport.NodeID { return n.tr.LocalID() }
-
-// Membership returns the node's SWIM agent, or nil when the node runs a
-// static topology.
-func (n *Node) Membership() *membership.Agent { return n.agent }
-
-// onMember folds membership transitions into the gossip target set: alive
-// peers are targets, the dead and the departed are not. Suspects stay —
-// SWIM suspicion is a grace period, not a verdict — and servers never
-// enter the set (gossip flows peer-to-peer; servers pull).
-func (n *Node) onMember(m membership.Member, st membership.Status) {
-	if m.Role != membership.RolePeer || m.ID == n.tr.LocalID() {
-		return
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	switch st {
-	case membership.StatusAlive:
-		n.peers.Add(uint64(m.ID))
-	case membership.StatusDead, membership.StatusLeft:
-		n.peers.Remove(uint64(m.ID))
-	}
 }
 
 // Start launches the protocol loops. It is an error to start twice.
 func (n *Node) Start() error {
-	n.startMu.Lock()
-	defer n.startMu.Unlock()
-	if n.running {
-		return errors.New("live: node already running")
+	loops := []func(){
+		func() { n.receive(n.handle) },
+		func() { n.every(reapInterval, n.reap) },
+		func() { n.paced(n.cfg.Mu, n.gossip) },
+		func() { n.every(n.sampleEvery, n.sampleObs) },
 	}
-	if n.cfg.DebugAddr != "" {
-		debug, err := obs.Serve(n.cfg.DebugAddr, n.reg)
-		if err != nil {
-			return err
-		}
-		n.debug = debug
-	}
-	n.running = true
-	n.started = time.Now()
-	n.wg.Add(4)
-	go n.recvLoop()
-	go n.reapLoop()
-	go n.gossipLoop()
-	go n.obsLoop()
 	if n.cfg.Lambda > 0 {
-		n.wg.Add(1)
-		go n.injectLoop()
+		rate := n.cfg.Lambda / float64(n.cfg.SegmentSize)
+		loops = append(loops, func() { n.paced(rate, n.inject) })
 	}
-	if n.agent != nil {
-		n.agent.Start()
-	}
-	return nil
+	return n.start(nil, loops...)
 }
 
-// DebugURL returns the node's debug endpoint base URL, or "" when no
-// DebugAddr was configured.
-func (n *Node) DebugURL() string {
-	if n.debug == nil {
-		return ""
-	}
-	return n.debug.URL()
-}
-
-// Stop shuts the node down: closes the transport and waits for every loop
-// to exit. Safe to call more than once.
-func (n *Node) Stop() {
-	n.startMu.Lock()
-	defer n.startMu.Unlock()
-	if !n.running {
-		return
-	}
-	n.running = false
-	if n.agent != nil {
-		// Leave gracefully while the transport can still carry the rumor.
-		n.agent.Stop()
-	}
-	close(n.stop)
-	n.tr.Close()
-	n.wg.Wait()
-	if n.debug != nil {
-		n.debug.Close() //nolint:errcheck // shutdown path
-		n.debug = nil
-	}
-}
+// Stop shuts the node down: says goodbye to the membership, closes the
+// transport and waits for every loop to exit. Safe to call more than once.
+func (n *Node) Stop() { n.shutdown(true, nil) }
 
 // Crash hard-stops the node the way a killed process would: no leave
 // rumor, no goodbye. The rest of the cluster must detect the death by
 // probing, exactly as for a real crash. For chaos and churn tests.
-func (n *Node) Crash() {
-	n.startMu.Lock()
-	defer n.startMu.Unlock()
-	if !n.running {
-		return
-	}
-	n.running = false
-	if n.agent != nil {
-		n.agent.Kill()
-	}
-	close(n.stop)
-	n.tr.Close()
-	n.wg.Wait()
-	if n.debug != nil {
-		n.debug.Close() //nolint:errcheck // shutdown path
-		n.debug = nil
-	}
-}
+func (n *Node) Crash() { n.shutdown(false, nil) }
 
 // Stats returns a consistent snapshot of the node's counters. Protocol
 // includes the transport's health counters (the "transport*" keys) when
@@ -366,70 +231,22 @@ func (n *Node) Stats() NodeStats {
 		PullsServed:      c.Get(peercore.EvPullServed),
 		BufferedBlocks:   n.core.Occupancy(),
 		BufferedSegments: n.core.NumSegments(),
-		Protocol:         mergeTransportCounters(c.Snapshot(), n.tr),
-	}
-}
-
-// mergeTransportCounters copies an instrumented transport's health
-// counters into a protocol counter snapshot.
-func mergeTransportCounters(protocol map[string]int64, tr transport.Transport) map[string]int64 {
-	if ic, ok := tr.(transport.Instrumented); ok {
-		for k, v := range ic.Counters() {
-			protocol[k] = v
-		}
-	}
-	return protocol
-}
-
-// now is the node's protocol clock: wall seconds since Start. Callers
-// hold mu (the core is single-threaded under the node mutex).
-func (n *Node) now() float64 { return time.Since(n.started).Seconds() }
-
-// expDelay samples an exponential inter-event time, clamped so a zero rate
-// parks the timer effectively forever.
-func (n *Node) expDelay(rate float64) time.Duration {
-	n.mu.Lock()
-	v := n.rng.Exp(rate)
-	n.mu.Unlock()
-	if v > 3600 {
-		v = 3600
-	}
-	return time.Duration(v * float64(time.Second))
-}
-
-func (n *Node) injectLoop() {
-	defer n.wg.Done()
-	rate := n.cfg.Lambda / float64(n.cfg.SegmentSize)
-	timer := time.NewTimer(n.expDelay(rate))
-	defer timer.Stop()
-	var injected int
-	for {
-		select {
-		case <-n.stop:
-			return
-		case <-timer.C:
-			if n.inject() {
-				injected++
-				if n.cfg.MaxSegments > 0 && injected >= n.cfg.MaxSegments {
-					return
-				}
-			}
-			timer.Reset(n.expDelay(rate))
-		}
+		Protocol:         n.withTransportCounters(c.Snapshot()),
 	}
 }
 
 // inject generates one segment of fresh statistics records and stores its
 // source blocks (suppressed by the core when the buffer is above B−s).
 // With trace sampling enabled, a sampled segment is minted a cluster-
-// unique lineage here — hop 0, the root of its eventual span. Reports
-// whether a segment was injected, so injectLoop can enforce MaxSegments.
+// unique lineage here — hop 0, the root of its eventual span. It is a
+// paced event: false, once MaxSegments have been injected, ends injection.
 func (n *Node) inject() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	now := n.now()
 	segID, _, ok := n.core.Inject(now, n.makePayloads)
 	if ok {
+		n.injected++
 		var tctx obs.TraceContext
 		if n.traceRNG != nil && n.traceRNG.Float64() < n.cfg.TraceSample {
 			tctx = obs.TraceContext{ID: n.mintTraceID()}
@@ -441,7 +258,7 @@ func (n *Node) inject() bool {
 			TraceID: tctx.ID, Hop: tctx.Hop,
 		})
 	}
-	return ok
+	return n.cfg.MaxSegments <= 0 || n.injected < n.cfg.MaxSegments
 }
 
 // mintTraceID draws a nonzero lineage identifier: 63 random bits folded
@@ -474,29 +291,19 @@ func (n *Node) makePayloads() [][]byte {
 	return blocks
 }
 
-func (n *Node) gossipLoop() {
-	defer n.wg.Done()
-	timer := time.NewTimer(n.expDelay(n.cfg.Mu))
-	defer timer.Stop()
-	for {
-		select {
-		case <-n.stop:
-			return
-		case <-timer.C:
-			if to, msg, ok := n.prepareGossip(); ok {
-				// EvGossipSend counts gossip the transport accepted
-				// (attempted). Whether a frame really left the machine is
-				// the transport's to know — its framesDelivered /
-				// dialFailures counters appear alongside this one in
-				// Stats().Protocol, so the two are reported separately
-				// instead of conflating a failed dial with a send.
-				if err := n.tr.Send(to, msg); err == nil {
-					n.counters.Count(peercore.EvGossipSend, 1)
-				}
-			}
-			timer.Reset(n.expDelay(n.cfg.Mu))
+// gossip is the paced push: one re-encoded block to one eligible neighbor.
+func (n *Node) gossip() bool {
+	if to, msg, ok := n.prepareGossip(); ok {
+		// EvGossipSend counts gossip the transport accepted (attempted).
+		// Whether a frame really left the machine is the transport's to
+		// know — its framesDelivered / dialFailures counters appear
+		// alongside this one in Stats().Protocol, so the two are reported
+		// separately instead of conflating a failed dial with a send.
+		if err := n.tr.Send(to, msg); err == nil {
+			n.counters.Count(peercore.EvGossipSend, 1)
 		}
 	}
+	return true
 }
 
 // prepareGossip picks a segment and an eligible neighbor and re-encodes one
@@ -537,20 +344,6 @@ func (n *Node) prepareGossip() (transport.NodeID, *transport.Message, bool) {
 	return to, msg, true
 }
 
-func (n *Node) reapLoop() {
-	defer n.wg.Done()
-	ticker := time.NewTicker(reapInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-n.stop:
-			return
-		case <-ticker.C:
-			n.reap()
-		}
-	}
-}
-
 // reap removes blocks whose TTL expired, and garbage-collects
 // segment-complete notices that are stale: past their mute deadline
 // (the neighbor's holding has drained by TTL and must become a gossip
@@ -578,21 +371,6 @@ func (n *Node) reap() {
 	}
 }
 
-func (n *Node) recvLoop() {
-	defer n.wg.Done()
-	for {
-		select {
-		case <-n.stop:
-			return
-		case m, ok := <-n.tr.Receive():
-			if !ok {
-				return
-			}
-			n.handle(m)
-		}
-	}
-}
-
 func (n *Node) handle(m *transport.Message) {
 	switch m.Type {
 	case transport.MsgBlock:
@@ -606,10 +384,6 @@ func (n *Node) handle(m *transport.Message) {
 		n.mu.Unlock()
 	case transport.MsgPullRequest:
 		n.servePull(m)
-	case transport.MsgSwim:
-		if n.agent != nil {
-			n.agent.Deliver(m.From, m.Raw)
-		}
 	case transport.MsgEmpty:
 		// Peers ignore empties; they are server-bound.
 	}
@@ -705,4 +479,17 @@ func (n *Node) inventory() []pullsched.InventoryEntry {
 		inv = append(inv, pullsched.InventoryEntry{Seg: seg, Blocks: blocks})
 	}
 	return inv
+}
+
+// sampleObs publishes the node's instantaneous state (buffer occupancy,
+// transport outbox depth) — the live counterpart of the simulator's
+// sim-clock sampler.
+func (n *Node) sampleObs() {
+	n.mu.Lock()
+	now := n.now()
+	occ := n.core.Occupancy()
+	n.mu.Unlock()
+	n.obsBuffered.Set(float64(occ))
+	n.obsOcc.Observe(now, float64(occ))
+	n.sampleOutbox()
 }

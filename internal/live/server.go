@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sync"
-	"time"
 
 	"p2pcollect/internal/collect"
 	"p2pcollect/internal/collect/store/wal"
@@ -168,30 +166,21 @@ type ServerStats struct {
 	Protocol          map[string]int64
 }
 
-// Server is the transport adapter over the collection service: it owns the
-// wire (pull loop, receive loop), the clock, and the serialization lock,
-// and delegates every protocol decision to an internal/collect.Service.
+// Server is the shared endpoint runtime driving the collection service: it
+// contributes the pull and receive handlers and the fleet follow-ups, and
+// delegates every protocol decision to an internal/collect.Service.
 // OnSegment, when set before Start, receives every reconstructed segment's
 // original blocks.
 type Server struct {
+	endpoint
 	cfg ServerConfig
-	tr  transport.Transport
 
 	// OnSegment is invoked (from the receive loop or the decode pool's
 	// delivery goroutine) with the original blocks of each segment as soon
 	// as it decodes.
 	OnSegment func(id rlnc.SegmentID, blocks [][]byte)
 
-	mu       sync.Mutex
-	rng      *randx.Rand
-	svc      *collect.Service
-	counters *peercore.Counters
-	started  time.Time
-	// peers is the pull target set: fixed at cfg.Peers under the static
-	// topology, updated by membership transitions when the SWIM agent
-	// runs. Guarded by mu like the RNG that samples it.
-	peers *peercore.PeerSet
-	agent *membership.Agent // nil without cfg.Membership
+	svc *collect.Service // guarded by mu
 
 	// Fleet state (nil/empty when standalone). exchRNG drives recoding for
 	// exchange forwards — separate from rng so fleet mode adds no draws to
@@ -204,23 +193,14 @@ type Server struct {
 
 	// Observability. pending maps each peer to the send time of its latest
 	// outstanding pull (the next reply from that peer closes it).
-	reg           *obs.Registry
-	tracer        obs.Tracer
 	pending       map[transport.NodeID]float64
 	obsRTT        *obs.Histogram
 	obsCollect    *obs.Histogram
 	obsDecode     *obs.Histogram
 	obsPending    *obs.Gauge
 	obsDecodeQ    *obs.Gauge
-	obsOutbox     *obs.Gauge
 	obsOpenSeries *obs.TimeSeries
-	debug         *obs.DebugServer
 	flight        *obs.FlightRecorder
-
-	stop    chan struct{}
-	wg      sync.WaitGroup
-	startMu sync.Mutex
-	running bool
 }
 
 // NewServer builds a logging server over the given transport.
@@ -232,42 +212,19 @@ func NewServer(tr transport.Transport, cfg ServerConfig) (*Server, error) {
 	if policy == nil {
 		policy = pullsched.Blind{}
 	}
-	s := &Server{
-		cfg:      cfg,
-		tr:       tr,
-		rng:      randx.New(cfg.Seed),
-		counters: peercore.NewCounters(),
-		peers:    peercore.NewPeerSet(),
-		tracer:   cfg.Tracer,
-		pending:  make(map[transport.NodeID]float64),
-		stop:     make(chan struct{}),
-	}
-	for _, p := range cfg.Peers {
-		s.peers.Add(uint64(p))
-	}
-	if cfg.Membership != nil {
-		s.agent = newNodeAgent(tr, membership.RoleServer, *cfg.Membership, cfg.Seed, s.onMember)
-	}
-	if s.tracer == nil {
-		s.tracer = obs.NopTracer{}
-	}
-	s.reg = obs.NewRegistry(endpointLabel(tr.LocalID()))
+	s := &Server{cfg: cfg, pending: make(map[transport.NodeID]float64)}
+	// With Membership set, Peers only seed the pull target set; the live
+	// view then keeps it current.
+	s.init(tr, membership.RoleServer, cfg.Seed, cfg.Peers, cfg.Membership,
+		cfg.Tracer, cfg.SampleInterval, cfg.DebugAddr)
 	s.reg.SetInfo("policy", policy.Name())
-	s.reg.RegisterCounters(s.counters.Range)
-	if cr, ok := tr.(transport.CounterRanger); ok {
-		s.reg.RegisterCounters(cr.RangeCounters)
-	}
 	s.obsRTT = s.reg.Histogram("pullRTT", obs.DelayBuckets())
 	s.obsCollect = s.reg.Histogram("collectionTime", obs.ExpBuckets(0.125, 2, 14))
 	s.obsDecode = s.reg.Histogram("decodeLatency", obs.ExpBuckets(1e-6, 4, 14))
 	s.obsPending = s.reg.Gauge("outstandingPulls")
 	s.obsDecodeQ = s.reg.Gauge("decodeQueueDepth")
-	s.obsOutbox = s.reg.Gauge("outboxDepth")
 	s.obsOpenSeries = s.reg.TimeSeries("openDecoders", obsSeriesCap)
-	if rt, ok := s.tracer.(*obs.RingTracer); ok {
-		s.reg.SetTracer(rt)
-	}
-	// The flight recorder is always on: a fixed-size in-memory ring of the
+	// The flight recorder is always on: a bounded in-memory ring of the
 	// last trace events, teed alongside the configured tracer so a crash
 	// dump exists even when tracing is otherwise disabled. Appends are
 	// allocation-free, so the cost on the hot path is a mutex and a copy.
@@ -339,101 +296,39 @@ func NewServer(tr transport.Transport, cfg ServerConfig) (*Server, error) {
 	return s, nil
 }
 
-// Registry exposes the server's observability registry, for scraping it
-// directly or folding it into an obs.Group served on one shared port.
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
-// ID returns the server's network identity.
-func (s *Server) ID() transport.NodeID { return s.tr.LocalID() }
-
 // Service exposes the server's collection service (tests and tools).
 func (s *Server) Service() *collect.Service { return s.svc }
 
-// Membership returns the server's SWIM agent, or nil when the server uses
-// a static peer set.
-func (s *Server) Membership() *membership.Agent { return s.agent }
-
-// onMember folds membership transitions into the pull target set: alive
-// peers are pullable, the dead and the departed are not, and fellow
-// servers are tracked by the detector but never pulled from.
-func (s *Server) onMember(m membership.Member, st membership.Status) {
-	if m.Role != membership.RolePeer {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch st {
-	case membership.StatusAlive:
-		s.peers.Add(uint64(m.ID))
-	case membership.StatusDead, membership.StatusLeft:
-		s.peers.Remove(uint64(m.ID))
-	}
-}
-
-// Start launches the pull and receive loops.
+// Start launches the pull and receive loops. A loop that panics leaves a
+// flight dump behind before the process dies.
 func (s *Server) Start() error {
-	s.startMu.Lock()
-	defer s.startMu.Unlock()
-	if s.running {
-		return errors.New("live: server already running")
+	loops := []func(){
+		func() {
+			defer s.dumpFlightOnPanic()
+			s.receive(s.handle)
+		},
+		func() { s.every(s.sampleEvery, s.sampleObs) },
 	}
-	if s.cfg.DebugAddr != "" {
-		debug, err := obs.Serve(s.cfg.DebugAddr, s.reg)
-		if err != nil {
-			return err
-		}
-		s.debug = debug
-	}
-	s.running = true
-	s.started = time.Now()
-	s.tracer.Trace(obs.TraceEvent{Kind: obs.TraceServerStart, T: 0, Actor: uint64(s.tr.LocalID())})
-	s.svc.Start(s.OnSegment)
-	s.wg.Add(2)
-	go s.recvLoop()
-	go s.obsLoop()
 	if s.cfg.PullRate > 0 {
-		s.wg.Add(1)
-		go s.pullLoop()
+		loops = append(loops, func() {
+			defer s.dumpFlightOnPanic()
+			s.paced(s.cfg.PullRate, s.pull)
+		})
 	}
-	if s.agent != nil {
-		s.agent.Start()
-	}
-	return nil
+	return s.start(func() {
+		s.tracer.Trace(obs.TraceEvent{Kind: obs.TraceServerStart, T: 0, Actor: uint64(s.tr.LocalID())})
+		s.svc.Start(s.OnSegment)
+	}, loops...)
 }
 
-// DebugURL returns the server's debug endpoint base URL, or "" when no
-// DebugAddr was configured.
-func (s *Server) DebugURL() string {
-	if s.debug == nil {
-		return ""
-	}
-	return s.debug.URL()
-}
-
-// Stop shuts the server down and waits for its loops.
+// Stop shuts the server down and waits for its loops. With the receive loop
+// gone no further blocks arrive: the service drains its decode pool,
+// delivering everything queued, then releases store state.
 func (s *Server) Stop() {
-	s.startMu.Lock()
-	defer s.startMu.Unlock()
-	if !s.running {
-		return
-	}
-	s.running = false
-	if s.agent != nil {
-		// Leave gracefully while the transport can still carry the rumor.
-		s.agent.Stop()
-	}
-	close(s.stop)
-	s.tr.Close()
-	s.wg.Wait()
-	s.tracer.Trace(obs.TraceEvent{Kind: obs.TraceServerStop, T: s.now(), Actor: uint64(s.tr.LocalID())})
-	// The receive loop has exited, so no further blocks arrive: the service
-	// drains its decode pool, delivering everything queued, then releases
-	// store state.
-	s.svc.Close()
-	if s.debug != nil {
-		s.debug.Close() //nolint:errcheck // shutdown path
-		s.debug = nil
-	}
+	s.shutdown(true, func() {
+		s.tracer.Trace(obs.TraceEvent{Kind: obs.TraceServerStop, T: s.now(), Actor: uint64(s.tr.LocalID())})
+		s.svc.Close()
+	})
 }
 
 // CrashStop hard-stops the server the way a killed process would, for
@@ -443,29 +338,11 @@ func (s *Server) Stop() {
 // as-is. A server restarted over the same WAL directory then exercises
 // real recovery: snapshot load plus log-tail replay.
 func (s *Server) CrashStop() {
-	s.startMu.Lock()
-	defer s.startMu.Unlock()
-	if !s.running {
-		return
-	}
-	s.running = false
-	if s.agent != nil {
-		// A crash says no goodbye: halt the detector without a leave
-		// broadcast, so the rest of the cluster must detect the failure.
-		s.agent.Kill()
-	}
-	close(s.stop)
-	s.tr.Close()
-	s.wg.Wait()
-	// Kill the debug endpoint first: a postmortem scraper must get a clean
-	// connection error, never a half-dead server's stale snapshot.
-	if s.debug != nil {
-		s.debug.Close() //nolint:errcheck // crash path
-		s.debug = nil
-	}
-	s.tracer.Trace(obs.TraceEvent{Kind: obs.TraceServerCrash, T: s.now(), Actor: uint64(s.tr.LocalID())})
-	s.dumpFlight()
-	s.svc.Crash()
+	s.shutdown(false, func() {
+		s.tracer.Trace(obs.TraceEvent{Kind: obs.TraceServerCrash, T: s.now(), Actor: uint64(s.tr.LocalID())})
+		s.dumpFlight()
+		s.svc.Crash()
+	})
 }
 
 // Flight exposes the server's always-on crash flight recorder.
@@ -527,13 +404,9 @@ func (s *Server) Stats() ServerStats {
 		s.fleetCtr.Range(func(name string, v int64) { snap[name] = v })
 	}
 	s.mu.Unlock()
-	st.Protocol = mergeTransportCounters(snap, s.tr)
+	st.Protocol = s.withTransportCounters(snap)
 	return st
 }
-
-// now is the server's protocol clock: wall seconds since Start. Callers
-// hold mu.
-func (s *Server) now() float64 { return time.Since(s.started).Seconds() }
 
 // observeRTT closes the peer's outstanding pull, if any, into the RTT
 // histogram. Callers hold mu.
@@ -544,62 +417,44 @@ func (s *Server) observeRTT(from transport.NodeID, now float64) {
 	}
 }
 
-func (s *Server) pullLoop() {
-	defer s.wg.Done()
-	defer s.dumpFlightOnPanic()
-	delay := func() time.Duration {
+// pull is the paced event: ask the policy for a peer (and maybe a segment
+// hint) and send it one pull request.
+func (s *Server) pull() bool {
+	s.mu.Lock()
+	dec, ok := s.svc.Choose(s.now(), liveEnv{s})
+	var tctx obs.TraceContext
+	if ok && dec.HasHint {
+		tctx = s.svc.TraceCtx(dec.Hint)
+	}
+	s.mu.Unlock()
+	if !ok {
+		return true
+	}
+	msg := &transport.Message{Type: transport.MsgPullRequest, WantInventory: dec.WantInventory}
+	if dec.HasHint {
+		msg.HasHint = true
+		msg.Seg = dec.Hint
+		// A hinted pull for a traced segment carries the lineage out, so
+		// the pull leg joins the segment's span.
+		if tctx.Valid() {
+			msg.Trace = tctx.Next()
+		}
+	}
+	// EvPullSent counts pulls the transport accepted, mirroring the
+	// gossip-send accounting: a pull the transport refused outright was
+	// never in flight.
+	if err := s.tr.Send(transport.NodeID(dec.Peer), msg); err == nil {
 		s.mu.Lock()
-		v := s.rng.Exp(s.cfg.PullRate)
+		s.counters.Count(peercore.EvPullSent, 1)
+		// One outstanding pull per peer: a newer pull to the same peer
+		// replaces the pending send time, so the RTT histogram measures the
+		// latest request→first reply span (an approximation that
+		// under-reports queueing at a slow peer, which the outstandingPulls
+		// gauge shows instead).
+		s.pending[transport.NodeID(dec.Peer)] = s.now()
 		s.mu.Unlock()
-		if v > 3600 {
-			v = 3600
-		}
-		return time.Duration(v * float64(time.Second))
 	}
-	timer := time.NewTimer(delay())
-	defer timer.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-timer.C:
-			s.mu.Lock()
-			dec, ok := s.svc.Choose(s.now(), liveEnv{s})
-			var tctx obs.TraceContext
-			if ok && dec.HasHint {
-				tctx = s.svc.TraceCtx(dec.Hint)
-			}
-			s.mu.Unlock()
-			if ok {
-				msg := &transport.Message{Type: transport.MsgPullRequest}
-				if dec.HasHint {
-					msg.HasHint = true
-					msg.Seg = dec.Hint
-					// A hinted pull for a traced segment carries the lineage
-					// out, so the pull leg joins the segment's span.
-					if tctx.Valid() {
-						msg.Trace = tctx.Next()
-					}
-				}
-				msg.WantInventory = dec.WantInventory
-				// EvPullSent counts pulls the transport accepted, mirroring
-				// the gossip-send accounting: a pull the transport refused
-				// outright was never in flight.
-				if err := s.tr.Send(transport.NodeID(dec.Peer), msg); err == nil {
-					s.mu.Lock()
-					s.counters.Count(peercore.EvPullSent, 1)
-					// One outstanding pull per peer: a newer pull to the same
-					// peer replaces the pending send time, so the RTT histogram
-					// measures the latest request→first reply span (an
-					// approximation that under-reports queueing at a slow
-					// peer, which the outstandingPulls gauge shows instead).
-					s.pending[transport.NodeID(dec.Peer)] = s.now()
-					s.mu.Unlock()
-				}
-			}
-			timer.Reset(delay())
-		}
-	}
+	return true
 }
 
 // liveEnv adapts the server to the policy's driver view. SamplePeer is the
@@ -616,43 +471,27 @@ func (e liveEnv) SamplePeer() (pullsched.PeerRef, bool) {
 	return pullsched.PeerRef(peers.At(e.s.rng.Intn(peers.Len()))), true
 }
 
-func (s *Server) recvLoop() {
-	defer s.wg.Done()
-	defer s.dumpFlightOnPanic()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case m, ok := <-s.tr.Receive():
-			if !ok {
-				return
-			}
-			switch m.Type {
-			case transport.MsgBlock:
-				s.receiveBlock(m)
-			case transport.MsgExchange:
-				s.receiveExchange(m)
-			case transport.MsgSegmentComplete:
-				s.receiveShardFinished(m)
-			case transport.MsgEmpty:
-				s.mu.Lock()
-				now := s.now()
-				s.counters.Count(peercore.EvEmptyReply, 1)
-				s.observeRTT(m.From, now)
-				s.svc.HandleEmpty(now, pullsched.PeerRef(m.From))
-				s.mu.Unlock()
-			case transport.MsgInventory:
-				s.mu.Lock()
-				s.svc.HandleInventory(s.now(), pullsched.PeerRef(m.From), m.Inventory)
-				s.mu.Unlock()
-			case transport.MsgSwim:
-				if s.agent != nil {
-					s.agent.Deliver(m.From, m.Raw)
-				}
-			default:
-				// Servers ignore peer-to-peer chatter.
-			}
-		}
+func (s *Server) handle(m *transport.Message) {
+	switch m.Type {
+	case transport.MsgBlock:
+		s.receiveBlock(m)
+	case transport.MsgExchange:
+		s.receiveExchange(m)
+	case transport.MsgSegmentComplete:
+		s.receiveShardFinished(m)
+	case transport.MsgEmpty:
+		s.mu.Lock()
+		now := s.now()
+		s.counters.Count(peercore.EvEmptyReply, 1)
+		s.observeRTT(m.From, now)
+		s.svc.HandleEmpty(now, pullsched.PeerRef(m.From))
+		s.mu.Unlock()
+	case transport.MsgInventory:
+		s.mu.Lock()
+		s.svc.HandleInventory(s.now(), pullsched.PeerRef(m.From), m.Inventory)
+		s.mu.Unlock()
+	default:
+		// Servers ignore peer-to-peer chatter.
 	}
 }
 
@@ -769,4 +608,17 @@ func (s *Server) broadcastFinished(seg rlnc.SegmentID) {
 // String describes the server for logs.
 func (s *Server) String() string {
 	return fmt.Sprintf("live.Server(%d)", s.tr.LocalID())
+}
+
+// sampleObs publishes the server's instantaneous state (open decoders,
+// pulls awaiting a reply, transport outbox depth).
+func (s *Server) sampleObs() {
+	s.mu.Lock()
+	now := s.now()
+	open := s.svc.OpenCount()
+	pending := len(s.pending)
+	s.mu.Unlock()
+	s.obsPending.Set(float64(pending))
+	s.obsOpenSeries.Observe(now, float64(open))
+	s.sampleOutbox()
 }

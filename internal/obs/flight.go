@@ -9,15 +9,14 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"p2pcollect/internal/rlnc"
 )
 
-// FlightRecorder is an always-on black box: a fixed-size ring of the most
+// FlightRecorder is an always-on black box: a bounded ring of the most
 // recent trace and lifecycle events, kept cheap enough (one short mutex
-// hold, zero allocations per event) to leave recording on every server in
-// production. When a process dies — CrashStop, panic, SIGQUIT — the ring
+// hold, no allocation once the ring has grown) to leave recording on every
+// server in production. When a process dies — CrashStop, panic, SIGQUIT — the ring
 // is dumped to a length+CRC framed binary file next to the WAL directory,
 // and `obstool postmortem` decodes it alongside the recovery stats so the
 // crash can be explained after the fact.
@@ -36,10 +35,7 @@ import (
 // dying process reads back as a torn tail, not corruption, and every
 // complete prefix is decodable.
 type FlightRecorder struct {
-	mu    sync.Mutex
-	buf   []TraceEvent
-	start int
-	n     int
+	ring ring[TraceEvent]
 }
 
 // flightMagic heads every dump file.
@@ -66,42 +62,18 @@ var ErrFlightCorrupt = errors.New("obs: corrupt flight dump")
 // NewFlightRecorder returns a recorder retaining the last cap events
 // (minimum 1).
 func NewFlightRecorder(cap int) *FlightRecorder {
-	if cap < 1 {
-		cap = 1
-	}
-	return &FlightRecorder{buf: make([]TraceEvent, cap)}
+	return &FlightRecorder{ring: ring[TraceEvent]{max: ringCap(cap)}}
 }
 
-// Trace implements Tracer: an O(1), allocation-free ring append.
-func (f *FlightRecorder) Trace(ev TraceEvent) {
-	f.mu.Lock()
-	if f.n < len(f.buf) {
-		f.buf[(f.start+f.n)%len(f.buf)] = ev
-		f.n++
-	} else {
-		f.buf[f.start] = ev
-		f.start = (f.start + 1) % len(f.buf)
-	}
-	f.mu.Unlock()
-}
+// Trace implements Tracer: an O(1) ring append, allocation-free once the
+// ring has grown to the events it holds.
+func (f *FlightRecorder) Trace(ev TraceEvent) { f.ring.push(&ev) }
 
 // Len returns the number of retained events.
-func (f *FlightRecorder) Len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.n
-}
+func (f *FlightRecorder) Len() int { return f.ring.len() }
 
 // Events returns the retained events, oldest-first.
-func (f *FlightRecorder) Events() []TraceEvent {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]TraceEvent, f.n)
-	for i := 0; i < f.n; i++ {
-		out[i] = f.buf[(f.start+i)%len(f.buf)]
-	}
-	return out
-}
+func (f *FlightRecorder) Events() []TraceEvent { return f.ring.snapshot() }
 
 // WriteTo serializes the retained events oldest-first in the dump format.
 func (f *FlightRecorder) WriteTo(w io.Writer) (int64, error) {

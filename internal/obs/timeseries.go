@@ -1,7 +1,5 @@
 package obs
 
-import "sync"
-
 // Gauge is a spot value with atomic set/read — buffer occupancy, outbox
 // depth, current rank. Unlike a Histogram it has no history; pair it with
 // a TimeSeries when the trajectory matters.
@@ -36,65 +34,29 @@ type Point struct {
 // oldest sample is dropped, so a long-running endpoint keeps a sliding
 // window rather than growing without bound. Samplers append on the
 // driver's clock (a DES event or a wall-clock ticker); scrapes copy the
-// window out under the same lock.
+// window out under the ring's lock.
 type TimeSeries struct {
 	name string
-
-	mu    sync.Mutex
-	buf   []Point
-	start int // index of oldest sample
-	n     int // samples stored
+	ring ring[Point]
 }
 
 // NewTimeSeries returns an empty series holding at most capacity samples
 // (minimum 1).
 func NewTimeSeries(name string, capacity int) *TimeSeries {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &TimeSeries{name: name, buf: make([]Point, capacity)}
+	return &TimeSeries{name: name, ring: ring[Point]{max: ringCap(capacity)}}
 }
 
 // Name returns the series' metric name.
 func (ts *TimeSeries) Name() string { return ts.name }
 
 // Observe appends a sample, evicting the oldest when full.
-func (ts *TimeSeries) Observe(t, v float64) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if ts.n < len(ts.buf) {
-		ts.buf[(ts.start+ts.n)%len(ts.buf)] = Point{T: t, V: v}
-		ts.n++
-		return
-	}
-	ts.buf[ts.start] = Point{T: t, V: v}
-	ts.start = (ts.start + 1) % len(ts.buf)
-}
+func (ts *TimeSeries) Observe(t, v float64) { ts.ring.push(&Point{T: t, V: v}) }
 
 // Len returns the number of stored samples.
-func (ts *TimeSeries) Len() int {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return ts.n
-}
+func (ts *TimeSeries) Len() int { return ts.ring.len() }
 
 // Last returns the most recent sample, if any.
-func (ts *TimeSeries) Last() (Point, bool) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if ts.n == 0 {
-		return Point{}, false
-	}
-	return ts.buf[(ts.start+ts.n-1)%len(ts.buf)], true
-}
+func (ts *TimeSeries) Last() (Point, bool) { return ts.ring.last() }
 
 // Points returns the stored window oldest-first as a fresh slice.
-func (ts *TimeSeries) Points() []Point {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	out := make([]Point, ts.n)
-	for i := 0; i < ts.n; i++ {
-		out[i] = ts.buf[(ts.start+i)%len(ts.buf)]
-	}
-	return out
-}
+func (ts *TimeSeries) Points() []Point { return ts.ring.snapshot() }

@@ -1,42 +1,28 @@
 package transport
 
-import (
-	"sync"
-
-	"p2pcollect/internal/metrics"
-)
-
-// defaultInboxSize buffers bursts on the in-memory network. Overflow drops
-// the message (the protocol tolerates loss), counted per endpoint.
-const defaultInboxSize = 256
+import "sync"
 
 // Network is an in-memory message fabric connecting channel transports. It
 // is safe for concurrent use.
 type Network struct {
-	mu     sync.RWMutex
-	inbox  map[NodeID]chan *Message
-	closed map[NodeID]bool
-	drops  map[NodeID]int64
+	mu        sync.RWMutex
+	endpoints map[NodeID]*chanTransport
 }
 
 // NewNetwork returns an empty in-memory network.
 func NewNetwork() *Network {
-	return &Network{
-		inbox:  make(map[NodeID]chan *Message),
-		closed: make(map[NodeID]bool),
-		drops:  make(map[NodeID]int64),
-	}
+	return &Network{endpoints: make(map[NodeID]*chanTransport)}
 }
 
 // Join registers id and returns its transport endpoint. Joining an id twice
 // replaces the previous endpoint's mailbox.
 func (n *Network) Join(id NodeID) Transport {
+	t := &chanTransport{net: n}
+	t.init(id)
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	ch := make(chan *Message, defaultInboxSize)
-	n.inbox[id] = ch
-	n.closed[id] = false
-	return &chanTransport{net: n, id: id, inbox: ch, counters: newTransportCounters()}
+	n.endpoints[id] = t
+	return t
 }
 
 // Drops returns how many messages destined to id were discarded because its
@@ -44,93 +30,46 @@ func (n *Network) Join(id NodeID) Transport {
 func (n *Network) Drops(id NodeID) int64 {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return n.drops[id]
+	if t := n.endpoints[id]; t != nil {
+		return t.counters.Get(ctrInboxDrops)
+	}
+	return 0
 }
 
-// Delivery outcomes for Network.deliver.
-const (
-	deliverOK = iota
-	deliverDropped
-	deliverGone
-)
-
-// deliver enqueues m for its destination, dropping on backpressure. The
-// read lock is held across the (non-blocking) send so leave cannot close
-// the mailbox mid-send. The outcome lets endpoints count deliveries vs
-// drops.
+// deliver hands m to its destination's inbox, dropping on backpressure. An
+// endpoint that closed stays known — the network silently eats its traffic
+// (deliverGone) — while an ID that never joined is ErrUnknownNode. The read
+// lock is held across the non-blocking send, which is what lets a closing
+// endpoint wait out in-flight deliveries (see chanTransport.Close).
 func (n *Network) deliver(m *Message) (int, error) {
 	n.mu.RLock()
-	ch, ok := n.inbox[m.To]
+	defer n.mu.RUnlock()
+	dst, ok := n.endpoints[m.To]
 	if !ok {
-		n.mu.RUnlock()
 		return deliverGone, ErrUnknownNode
 	}
-	if n.closed[m.To] {
-		n.mu.RUnlock()
-		return deliverGone, nil // destination gone; the network silently eats it
-	}
-	dropped := false
-	select {
-	case ch <- m:
-	default:
-		dropped = true
-	}
-	n.mu.RUnlock()
-	if dropped {
-		n.mu.Lock()
-		n.drops[m.To]++
-		n.mu.Unlock()
-		return deliverDropped, nil
-	}
-	return deliverOK, nil
-}
-
-// leave marks id closed and closes its mailbox.
-func (n *Network) leave(id NodeID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed[id] {
-		return
-	}
-	n.closed[id] = true
-	close(n.inbox[id])
+	return dst.deliver(m), nil
 }
 
 // chanTransport is one endpoint of a Network.
 type chanTransport struct {
-	net      *Network
-	id       NodeID
-	inbox    chan *Message
-	counters *metrics.CounterSet
-
-	mu     sync.Mutex
-	closed bool
+	core
+	net *Network
 }
 
 var _ Transport = (*chanTransport)(nil)
 var _ Instrumented = (*chanTransport)(nil)
 
-func (t *chanTransport) LocalID() NodeID { return t.id }
-
-// Counters returns the endpoint's health counters (sends, deliveries, and
-// backpressure drops at the destination mailbox).
-func (t *chanTransport) Counters() map[string]int64 { return t.counters.Snapshot() }
-
-// RangeCounters visits the health counters without allocating.
-func (t *chanTransport) RangeCounters(f func(name string, v int64)) { t.counters.Range(f) }
-
+// Send places a stamped copy of m in the destination's mailbox. The mailbox
+// is the only queue on this fabric, so a full one is counted twice: as the
+// destination's transportInboxDrops and as this sender's
+// transportDropsOverflow.
 func (t *chanTransport) Send(to NodeID, m *Message) error {
-	t.mu.Lock()
-	closed := t.closed
-	t.mu.Unlock()
-	if closed {
-		return ErrClosed
+	cp, err := t.stamp(to, m)
+	if err != nil {
+		return err
 	}
-	cp := *m
-	cp.From = t.id
-	cp.To = to
-	t.counters.Add(ctrSendsEnqueued, 1)
-	outcome, err := t.net.deliver(&cp)
+	outcome, err := t.net.deliver(cp)
 	switch {
 	case err != nil:
 	case outcome == deliverOK:
@@ -143,16 +82,13 @@ func (t *chanTransport) Send(to NodeID, m *Message) error {
 	return err
 }
 
-func (t *chanTransport) Receive() <-chan *Message { return t.inbox }
+// Close closes the mailbox. Senders deliver under the network's read lock
+// and check stop first, so once quiesce has held the write lock no delivery
+// is in flight and none can start: the inbox is then safe to close.
+func (t *chanTransport) Close() error { return t.shutdown(t.net.quiesce) }
 
-func (t *chanTransport) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil
-	}
-	t.closed = true
-	t.mu.Unlock()
-	t.net.leave(t.id)
-	return nil
+// quiesce returns once every delivery that began before the call is over.
+func (n *Network) quiesce() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 }

@@ -4,10 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
-
-	"p2pcollect/internal/metrics"
 )
 
 // TCPOptions tunes the TCP transport's liveness behavior. The zero value
@@ -60,20 +57,13 @@ func (o TCPOptions) withDefaults() TCPOptions {
 // unreachable are dropped, like the loss-tolerant protocol expects. Health
 // is tracked in the transport counter vocabulary (see Counters).
 type TCPTransport struct {
-	id       NodeID
+	routed
 	opts     TCPOptions
 	listener net.Listener
-	inbox    chan *Message
-	counters *metrics.CounterSet
-	stop     chan struct{}
 
-	mu       sync.Mutex
-	book     map[NodeID]string
+	// Guarded by mu.
 	senders  map[NodeID]*tcpSender
 	accepted map[net.Conn]struct{}
-	closed   bool
-
-	wg sync.WaitGroup
 }
 
 var _ Transport = (*TCPTransport)(nil)
@@ -94,19 +84,12 @@ func ListenTCPOpts(id NodeID, addr string, book map[NodeID]string, opts TCPOptio
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
 	t := &TCPTransport{
-		id:       id,
 		opts:     opts.withDefaults(),
 		listener: ln,
-		inbox:    make(chan *Message, defaultInboxSize),
-		counters: newTransportCounters(),
-		stop:     make(chan struct{}),
-		book:     make(map[NodeID]string, len(book)),
 		senders:  make(map[NodeID]*tcpSender),
 		accepted: make(map[net.Conn]struct{}),
 	}
-	for k, v := range book {
-		t.book[k] = v
-	}
+	t.init(id, book)
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
@@ -114,26 +97,6 @@ func ListenTCPOpts(id NodeID, addr string, book map[NodeID]string, opts TCPOptio
 
 // Addr returns the transport's bound listen address.
 func (t *TCPTransport) Addr() string { return t.listener.Addr().String() }
-
-// AddRoute registers or replaces the dialable address for a node. An
-// existing sender picks the new address up on its next (re)dial.
-func (t *TCPTransport) AddRoute(id NodeID, addr string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.book[id] = addr
-}
-
-// LocalID returns the node this transport serves.
-func (t *TCPTransport) LocalID() NodeID { return t.id }
-
-// Receive returns the incoming message channel. It is closed on Close.
-func (t *TCPTransport) Receive() <-chan *Message { return t.inbox }
-
-// Counters returns a snapshot of the transport's health counters.
-func (t *TCPTransport) Counters() map[string]int64 { return t.counters.Snapshot() }
-
-// RangeCounters visits the health counters without allocating.
-func (t *TCPTransport) RangeCounters(f func(name string, v int64)) { t.counters.Range(f) }
 
 // OutboxDepth returns the messages queued across all destination outboxes
 // and not yet written to the network.
@@ -152,84 +115,52 @@ func (t *TCPTransport) OutboxDepth() int {
 // and use after Close are reported; everything else is best-effort and
 // visible only through the health counters.
 func (t *TCPTransport) Send(to NodeID, m *Message) error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	cp, err := t.stamp(to, m)
+	if err != nil {
+		return err
+	}
+	s := t.sender(to)
+	if s == nil {
 		return ErrClosed
 	}
+	s.outbox.push(cp, t.counters)
+	return nil
+}
+
+// sender returns the destination's sender, starting it on first use. It
+// returns nil once the transport is closed: a goroutine must not join wg
+// after shutdown began waiting on it.
+func (t *TCPTransport) sender(to NodeID) *tcpSender {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	s := t.senders[to]
-	if s == nil {
-		if _, known := t.book[to]; !known {
-			t.mu.Unlock()
-			return fmt.Errorf("%w: %d", ErrUnknownNode, to)
-		}
-		s = &tcpSender{t: t, to: to, outbox: make(chan *Message, t.opts.OutboxSize)}
+	if s == nil && !t.closed {
+		s = &tcpSender{t: t, to: to, outbox: make(outbox, t.opts.OutboxSize)}
 		t.senders[to] = s
 		t.wg.Add(1)
 		go s.loop()
 	}
-	t.mu.Unlock()
-	cp := *m
-	cp.From = t.id
-	cp.To = to
-	t.counters.Add(ctrSendsEnqueued, 1)
-	s.enqueue(&cp)
-	return nil
+	return s
 }
 
 // Close shuts the listener, all connections, and all sender goroutines
 // down, then closes the inbox once every goroutine has exited.
 func (t *TCPTransport) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil
-	}
-	t.closed = true
-	accepted := t.accepted
-	t.accepted = make(map[net.Conn]struct{})
-	t.mu.Unlock()
-
-	close(t.stop)
-	t.listener.Close()
-	for conn := range accepted {
-		conn.Close()
-	}
-	t.wg.Wait()
-	close(t.inbox)
-	return nil
-}
-
-// addrOf resolves the current book entry for a destination.
-func (t *TCPTransport) addrOf(to NodeID) (string, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	addr, ok := t.book[to]
-	return addr, ok
+	return t.shutdown(func() {
+		t.listener.Close()
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		for conn := range t.accepted {
+			conn.Close()
+		}
+	})
 }
 
 // tcpSender owns the connection to one destination and drains its outbox.
 type tcpSender struct {
 	t      *TCPTransport
 	to     NodeID
-	outbox chan *Message
-}
-
-// enqueue adds m to the outbox, evicting the oldest queued message when it
-// is full (drop-oldest mirrors the protocol's preference for fresh blocks).
-func (s *tcpSender) enqueue(m *Message) {
-	for {
-		select {
-		case s.outbox <- m:
-			return
-		default:
-		}
-		select {
-		case <-s.outbox:
-			s.t.counters.Add(ctrDropsOverflow, 1)
-		default:
-		}
-	}
+	outbox outbox
 }
 
 // loop dials, writes, and reconnects with capped exponential backoff. A
@@ -257,7 +188,7 @@ func (s *tcpSender) loop() {
 					s.t.counters.Add(ctrDropsDown, 1)
 					continue
 				}
-				addr, ok := s.t.addrOf(s.to)
+				addr, ok := s.t.lookup(s.to)
 				if !ok {
 					s.t.counters.Add(ctrDropsDown, 1)
 					continue
@@ -343,17 +274,8 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		t.mu.Lock()
-		closed := t.closed
-		t.mu.Unlock()
-		if closed {
+		if t.deliver(m) == deliverGone {
 			return
-		}
-		select {
-		case t.inbox <- m:
-		default:
-			// Backpressure: drop, matching the loss-tolerant protocol.
-			t.counters.Add(ctrInboxDrops, 1)
 		}
 	}
 }

@@ -1,8 +1,12 @@
 // Package transport carries the live runtime's protocol messages between
-// nodes: gossip block pushes, segment-complete notices, and server pull
-// request/response pairs. Two implementations are provided — an in-memory
-// channel network for tests and single-process deployments, and a TCP
-// transport with a length-prefixed binary wire format.
+// nodes: gossip block pushes, segment-complete notices, server pull
+// request/response pairs, fleet exchange and SWIM probes. Three transports
+// are provided — an in-memory channel network for tests and single-process
+// deployments, a TCP transport streaming length-prefixed binary frames, and
+// a UDP transport sending one frame per datagram — all adapters over one
+// core (identity, inbox, health counters, address book, Send prologue,
+// shutdown order; see core.go), plus Faulty, a wrapper that injects seeded
+// loss, latency and partitions into any of them.
 package transport
 
 import (

@@ -4,9 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
-
-	"p2pcollect/internal/metrics"
 )
 
 // UDPOptions tunes the UDP transport. The zero value selects the defaults
@@ -59,20 +56,21 @@ const maxUDPPayload = 65507
 // valid datagram it receives — so a node reached through a SWIM rumor can
 // be answered before any static book entry exists.
 type UDPTransport struct {
-	id       NodeID
-	opts     UDPOptions
-	conn     *net.UDPConn
-	inbox    chan *Message
-	outbox   chan *Message
-	counters *metrics.CounterSet
-	stop     chan struct{}
+	routed
+	opts   UDPOptions
+	conn   *net.UDPConn
+	outbox outbox
 
-	mu     sync.Mutex
-	routes map[NodeID]*net.UDPAddr
-	book   map[NodeID]string
-	closed bool
+	// resolved caches each destination's parsed address next to the book
+	// entry it was parsed from, so a changed entry re-resolves. Guarded by
+	// mu.
+	resolved map[NodeID]udpRoute
+}
 
-	wg sync.WaitGroup
+// udpRoute is one resolved book entry.
+type udpRoute struct {
+	addr string
+	ua   *net.UDPAddr
 }
 
 var _ Transport = (*UDPTransport)(nil)
@@ -100,19 +98,12 @@ func ListenUDPOpts(id NodeID, addr string, book map[NodeID]string, opts UDPOptio
 	}
 	opts = opts.withDefaults()
 	t := &UDPTransport{
-		id:       id,
 		opts:     opts,
 		conn:     conn,
-		inbox:    make(chan *Message, defaultInboxSize),
-		outbox:   make(chan *Message, opts.OutboxSize),
-		counters: newTransportCounters(),
-		stop:     make(chan struct{}),
-		routes:   make(map[NodeID]*net.UDPAddr),
-		book:     make(map[NodeID]string, len(book)),
+		outbox:   make(outbox, opts.OutboxSize),
+		resolved: make(map[NodeID]udpRoute),
 	}
-	for k, v := range book {
-		t.book[k] = v
-	}
+	t.init(id, book)
 	t.wg.Add(2)
 	go t.writeLoop()
 	go t.readLoop()
@@ -122,133 +113,71 @@ func ListenUDPOpts(id NodeID, addr string, book map[NodeID]string, opts UDPOptio
 // Addr returns the transport's bound listen address.
 func (t *UDPTransport) Addr() string { return t.conn.LocalAddr().String() }
 
-// LocalID returns the node this transport serves.
-func (t *UDPTransport) LocalID() NodeID { return t.id }
-
-// Receive returns the incoming message channel. It is closed on Close.
-func (t *UDPTransport) Receive() <-chan *Message { return t.inbox }
-
-// Counters returns a snapshot of the transport's health counters.
-func (t *UDPTransport) Counters() map[string]int64 { return t.counters.Snapshot() }
-
-// RangeCounters visits the health counters without allocating.
-func (t *UDPTransport) RangeCounters(f func(name string, v int64)) { t.counters.Range(f) }
-
 // OutboxDepth returns the messages queued and not yet written to the
 // socket.
 func (t *UDPTransport) OutboxDepth() int { return len(t.outbox) }
-
-// AddRoute registers or replaces the dialable address for a node. The
-// address is resolved lazily on first send, so an unresolvable entry costs
-// only the sends toward it.
-func (t *UDPTransport) AddRoute(id NodeID, addr string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.book[id] = addr
-	delete(t.routes, id) // re-resolve on next send
-}
-
-// Routes snapshots the known id→address mapping (book entries plus learned
-// return routes), for membership layers that advertise reachability.
-func (t *UDPTransport) Routes() map[NodeID]string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[NodeID]string, len(t.book)+len(t.routes))
-	for id, addr := range t.book {
-		out[id] = addr
-	}
-	for id, ua := range t.routes {
-		out[id] = ua.String()
-	}
-	return out
-}
 
 // Send enqueues m for the writer goroutine and returns immediately. Unknown
 // destinations are reported only when no route can ever resolve (not in the
 // book and never heard from); everything else is best-effort and visible
 // through the health counters.
 func (t *UDPTransport) Send(to NodeID, m *Message) error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return ErrClosed
+	cp, err := t.stamp(to, m)
+	if err != nil {
+		return err
 	}
-	_, haveRoute := t.routes[to]
-	if !haveRoute {
-		_, haveRoute = t.book[to]
-	}
-	t.mu.Unlock()
-	if !haveRoute {
-		return fmt.Errorf("%w: %d", ErrUnknownNode, to)
-	}
-	cp := *m
-	cp.From = t.id
-	cp.To = to
-	t.counters.Add(ctrSendsEnqueued, 1)
-	for {
-		select {
-		case t.outbox <- &cp:
-			return nil
-		default:
-		}
-		// Drop-oldest mirrors the protocol's preference for fresh blocks.
-		select {
-		case <-t.outbox:
-			t.counters.Add(ctrDropsOverflow, 1)
-		default:
-		}
-	}
+	t.outbox.push(cp, t.counters)
+	return nil
 }
 
 // Close shuts the socket and both loops down, then closes the inbox.
 func (t *UDPTransport) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil
-	}
-	t.closed = true
-	t.mu.Unlock()
-	close(t.stop)
-	t.conn.Close() // unblocks the read loop
-	t.wg.Wait()
-	close(t.inbox)
-	return nil
+	return t.shutdown(func() { t.conn.Close() }) // unblocks the read loop
 }
 
-// resolve returns the destination's UDP address, resolving and caching a
-// book entry on first use.
+// resolve returns the destination's UDP address, parsing its book entry on
+// first use and again whenever the entry changed. An unresolvable entry
+// costs only the sends toward it.
 func (t *UDPTransport) resolve(to NodeID) (*net.UDPAddr, bool) {
 	t.mu.Lock()
-	if ua, ok := t.routes[to]; ok {
-		t.mu.Unlock()
-		return ua, true
-	}
 	addr, ok := t.book[to]
+	r := t.resolved[to]
 	t.mu.Unlock()
 	if !ok {
 		return nil, false
+	}
+	if r.ua != nil && r.addr == addr {
+		return r.ua, true
 	}
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, false
 	}
 	t.mu.Lock()
-	t.routes[to] = ua
+	t.resolved[to] = udpRoute{addr, ua}
 	t.mu.Unlock()
 	return ua, true
 }
 
 // learnRoute records the source address of a valid inbound datagram as the
 // return route to its sender. A changed address (rejoin after restart,
-// NAT rebind) replaces the old one: the freshest observation wins.
+// NAT rebind) replaces the old one, book entry included: the freshest
+// observation wins.
 func (t *UDPTransport) learnRoute(from NodeID, src *net.UDPAddr) {
 	if from == t.id || src == nil {
 		return
 	}
 	t.mu.Lock()
-	t.routes[from] = src
-	t.mu.Unlock()
+	defer t.mu.Unlock()
+	// The common case — the sender is where the book already says — must
+	// stay a map read: no String(), no write.
+	if r := t.resolved[from]; r.ua != nil && r.addr == t.book[from] &&
+		r.ua.Port == src.Port && r.ua.Zone == src.Zone && r.ua.IP.Equal(src.IP) {
+		return
+	}
+	addr := src.String()
+	t.book[from] = addr
+	t.resolved[from] = udpRoute{addr, src}
 }
 
 func (t *UDPTransport) writeLoop() {
@@ -294,16 +223,8 @@ func (t *UDPTransport) readLoop() {
 			continue // corrupt datagram; the protocol tolerates the loss
 		}
 		t.learnRoute(m.From, src)
-		select {
-		case <-t.stop:
+		if t.deliver(m) == deliverGone {
 			return
-		default:
-		}
-		select {
-		case t.inbox <- m:
-		default:
-			// Backpressure: drop, matching the loss-tolerant protocol.
-			t.counters.Add(ctrInboxDrops, 1)
 		}
 	}
 }

@@ -134,19 +134,6 @@ func TestUDPOversizeDrop(t *testing.T) {
 	t.Fatalf("oversize drop never counted: %v", a.Counters())
 }
 
-// TestUDPUnknownRoute asserts Send fails fast for a destination that is
-// neither in the book nor learned.
-func TestUDPUnknownRoute(t *testing.T) {
-	a, err := ListenUDP(1, "127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	if err := a.Send(99, &Message{Type: MsgPullRequest}); err == nil {
-		t.Fatal("Send to unknown node succeeded")
-	}
-}
-
 // TestUDPRouteLearning sends a→b with only a knowing b's address, then
 // replies b→a using the return route learned from the inbound datagram's
 // source address.
@@ -223,39 +210,6 @@ func TestUDPSwimMessage(t *testing.T) {
 		}
 	}
 	t.Fatal("swim message never delivered")
-}
-
-// TestUDPCloseIsClean closes under concurrent sends and asserts the inbox
-// closes and no send panics.
-func TestUDPCloseIsClean(t *testing.T) {
-	b, err := ListenUDP(2, "127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := ListenUDP(1, "127.0.0.1:0", map[NodeID]string{2: b.Addr()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			if err := a.Send(2, &Message{Type: MsgPullRequest}); err != nil {
-				return // ErrClosed ends the loop
-			}
-		}
-	}()
-	time.Sleep(10 * time.Millisecond)
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	<-done
-	if err := a.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
-	}
-	b.Close()
-	for range b.Receive() {
-	}
 }
 
 // TestUDPFaultyComposition wraps UDP in the seeded fault injector and
