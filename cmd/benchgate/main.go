@@ -1,12 +1,13 @@
 // Command benchgate compares a `go test -bench` run against a committed
-// baseline JSON (BENCH_*.json) and fails the build on performance
-// regressions. Two rules:
+// baseline JSON (BENCH_*.json) and fails the build on structural
+// regressions. Two rules, both exact:
 //
-//   - ns/op may not regress by more than -tolerance (default 30%) over the
-//     baseline for any benchmark present in the baseline;
+//   - every benchmark enrolled in the baseline must appear in the run;
 //   - a benchmark whose baseline records 0 allocs/op may not allocate at
-//     all — those are the steady-state hot paths, and a single alloc/op is
-//     a structural regression no timing tolerance should forgive.
+//     all — those are the steady-state hot paths.
+//
+// ns/op is printed beside its baseline for the reader and never judged:
+// throughput regressions are decided by paired runs of bench/.
 //
 // Usage:
 //
@@ -33,7 +34,6 @@ func main() {
 	var (
 		baselinePath = flag.String("baseline", "", "path to the committed BENCH_*.json baseline (required)")
 		inputPath    = flag.String("input", "-", "go test -bench output to check; - reads stdin")
-		tolerance    = flag.Float64("tolerance", 0.30, "allowed fractional ns/op regression (0.30 = 30%)")
 		update       = flag.Bool("update", false, "rewrite the baseline's numbers from this run instead of checking")
 	)
 	flag.Parse()
@@ -73,7 +73,7 @@ func main() {
 		return
 	}
 
-	report := benchcmp.Compare(baseline, run, *tolerance)
+	report := benchcmp.Compare(baseline, run)
 	for _, line := range report.Lines {
 		fmt.Println(line)
 	}
@@ -84,5 +84,5 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("benchgate: ok — %d benchmark(s) within tolerance %.0f%%\n", report.Checked, *tolerance*100)
+	fmt.Printf("benchgate: ok — %d enrolled benchmark(s) present, 0-alloc paths still 0\n", report.Checked)
 }

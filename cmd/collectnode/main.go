@@ -51,6 +51,10 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("collectnode", flag.ContinueOnError)
+	// Every protocol and runtime flag is bound straight to the config field
+	// it sets: node for -mode peer, srv for -mode server.
+	var node p2pcollect.NodeConfig
+	var srv p2pcollect.ServerConfig
 	var (
 		mode       = fs.String("mode", "peer", "peer or server")
 		id         = fs.Uint64("id", 1, "node id (unique across the session)")
@@ -62,54 +66,55 @@ func run(args []string) error {
 		joinList   = fs.String("join", "", "SWIM membership seeds as id=addr,...: replaces -neighbors/-peers with gossip-discovered membership")
 		swimPeriod = fs.Float64("swim-period", 0, "SWIM probe period in seconds (0 = default)")
 		duration   = fs.Duration("duration", 0, "how long to run (0 = until SIGINT)")
-
-		segSize       = fs.Int("s", 8, "segment size")
-		blockSize     = fs.Int("blocksize", logdata.RecordSize, "payload bytes per block")
-		lambda        = fs.Float64("lambda", 5, "blocks generated per second")
-		mu            = fs.Float64("mu", 10, "gossip blocks per second")
-		gamma         = fs.Float64("gamma", 0.2, "block expiry rate per second")
-		bufferCap     = fs.Int("buffer", 512, "buffer capacity in blocks")
-		pullRate      = fs.Float64("pullrate", 20, "server pulls per second")
-		decodeWorkers = fs.Int("decode-workers", 0, "server mode: decode completed segments on this many workers (0 = synchronous)")
-		shards        = fs.Int("shards", 0, "server mode: total shard count of the fleet this server belongs to (0 or 1 = standalone)")
-		shardID       = fs.Int("shard-id", 0, "server mode: this server's shard index in [0, shards)")
-		shardBook     = fs.String("shard-book", "", "server mode: shardID=nodeID,... mapping every fleet shard to its transport id (addresses come from -book)")
-		walDir        = fs.String("wal-dir", "", "server mode: persist collection state in a write-ahead log under this directory; a restart recovers and resumes (empty = in-RAM only)")
-		walSync       = fs.String("wal-sync", "interval", "server mode: WAL fsync policy: none, interval (group commit), or always")
-		snapshotEvery = fs.Int("snapshot-every", 0, "server mode: snapshot decoder state every N logged blocks to bound replay (0 = default 8192)")
-		traceSample   = fs.Float64("trace-sample", 0, "peer mode: fraction of injected segments stamped with a wire-level trace id (0 = off, frames stay byte-identical)")
-		flightPath    = fs.String("flight-path", "", "server mode: write the crash flight-recorder dump here on hard stop or panic (empty = <wal-dir>/flight.bin when -wal-dir is set)")
-		seed          = fs.Int64("seed", time.Now().UnixNano(), "random seed")
-		outPath       = fs.String("out", "", "server mode: append recovered records to this CSV file")
-		debugAddr     = fs.String("debug-addr", "", "serve the observability endpoint (Prometheus /metrics, JSON /debug/snapshot, pprof) on this address (e.g. 127.0.0.1:8090)")
+		shardBook  = fs.String("shard-book", "", "server mode: shardID=nodeID,... mapping every fleet shard to its transport id (addresses come from -book)")
+		seed       = fs.Int64("seed", time.Now().UnixNano(), "random seed")
+		outPath    = fs.String("out", "", "server mode: append recovered records to this CSV file")
+		debugAddr  = fs.String("debug-addr", "", "serve the observability endpoint (Prometheus /metrics, JSON /debug/snapshot, pprof) on this address (e.g. 127.0.0.1:8090)")
 	)
+	fs.IntVar(&node.SegmentSize, "s", 8, "segment size")
+	fs.IntVar(&node.BlockSize, "blocksize", logdata.RecordSize, "payload bytes per block")
+	fs.Float64Var(&node.Lambda, "lambda", 5, "blocks generated per second")
+	fs.Float64Var(&node.Mu, "mu", 10, "gossip blocks per second")
+	fs.Float64Var(&node.Gamma, "gamma", 0.2, "block expiry rate per second")
+	fs.IntVar(&node.BufferCap, "buffer", 512, "buffer capacity in blocks")
+	fs.Float64Var(&node.TraceSample, "trace-sample", 0, "peer mode: fraction of injected segments stamped with a wire-level trace id (0 = off, frames stay byte-identical)")
+	fs.Float64Var(&srv.PullRate, "pullrate", 20, "server pulls per second")
+	fs.IntVar(&srv.DecodeWorkers, "decode-workers", 0, "server mode: decode completed segments on this many workers (0 = synchronous)")
+	fs.IntVar(&srv.Shards, "shards", 0, "server mode: total shard count of the fleet this server belongs to (0 or 1 = standalone)")
+	fs.IntVar(&srv.ShardID, "shard-id", 0, "server mode: this server's shard index in [0, shards)")
+	fs.StringVar(&srv.Durability.Dir, "wal-dir", "", "server mode: persist collection state in a write-ahead log under this directory; a restart recovers and resumes (empty = in-RAM only)")
+	fs.Func("wal-sync", "server mode: WAL fsync policy: none, interval (group commit, the default), or always", func(v string) (err error) {
+		srv.Durability.Sync, err = p2pcollect.ParseWALSyncMode(v)
+		return err
+	})
+	fs.IntVar(&srv.Durability.SnapshotEvery, "snapshot-every", 0, "server mode: snapshot decoder state every N logged blocks to bound replay (0 = default 8192)")
+	fs.StringVar(&srv.FlightPath, "flight-path", "", "server mode: write the crash flight-recorder dump here on hard stop or panic (empty = <wal-dir>/flight.bin when -wal-dir is set)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	node.Seed, srv.Seed = *seed, *seed
+	node.DebugAddr, srv.DebugAddr = *debugAddr, *debugAddr
 
 	addrBook, err := parseBook(*book)
 	if err != nil {
 		return err
 	}
-	var tr p2pcollect.Transport
-	var listenAddr string
+	var tr interface {
+		p2pcollect.Transport
+		Addr() string
+	}
 	switch *trKind {
 	case "tcp":
-		t, err := p2pcollect.NewTCPTransport(p2pcollect.NodeID(*id), *listen, addrBook)
-		if err != nil {
-			return err
-		}
-		tr, listenAddr = t, t.Addr()
+		tr, err = p2pcollect.NewTCPTransport(p2pcollect.NodeID(*id), *listen, addrBook)
 	case "udp":
-		t, err := p2pcollect.NewUDPTransport(p2pcollect.NodeID(*id), *listen, addrBook)
-		if err != nil {
-			return err
-		}
-		tr, listenAddr = t, t.Addr()
+		tr, err = p2pcollect.NewUDPTransport(p2pcollect.NodeID(*id), *listen, addrBook)
 	default:
-		return fmt.Errorf("unknown -transport %q (want tcp or udp)", *trKind)
+		err = fmt.Errorf("unknown -transport %q (want tcp or udp)", *trKind)
 	}
-	fmt.Printf("node %d listening on %s (%s)\n", *id, listenAddr, *trKind)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("node %d listening on %s (%s)\n", *id, tr.Addr(), *trKind)
 
 	// -join switches from static topology to SWIM gossip membership: the
 	// listed members bootstrap the detector and everything else arrives by
@@ -143,34 +148,23 @@ func run(args []string) error {
 		if len(ids) == 0 && swim == nil {
 			return fmt.Errorf("peer mode needs -neighbors (or -join for gossip membership)")
 		}
-		node, err := p2pcollect.NewNode(tr, p2pcollect.NodeConfig{
-			SegmentSize: *segSize,
-			BlockSize:   *blockSize,
-			Lambda:      *lambda,
-			Mu:          *mu,
-			Gamma:       *gamma,
-			BufferCap:   *bufferCap,
-			Neighbors:   ids,
-			Membership:  swim,
-			Seed:        *seed,
-			DebugAddr:   *debugAddr,
-			TraceSample: *traceSample,
-		})
+		node.Neighbors, node.Membership = ids, swim
+		n, err := p2pcollect.NewNode(tr, node)
 		if err != nil {
 			return err
 		}
-		if err := node.Start(); err != nil {
+		if err := n.Start(); err != nil {
 			return err
 		}
-		if url := node.DebugURL(); url != "" {
+		if url := n.DebugURL(); url != "" {
 			fmt.Printf("debug endpoint at %s/metrics\n", url)
 		}
 		select {
 		case <-sig:
 		case <-stopAfter:
 		}
-		node.Stop()
-		fmt.Printf("peer stats: %+v\n", node.Stats())
+		n.Stop()
+		fmt.Printf("peer stats: %+v\n", n.Stats())
 		return nil
 
 	case "server":
@@ -178,51 +172,28 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("-peers: %w", err)
 		}
-		srvCfg := p2pcollect.ServerConfig{
-			PullRate:      *pullRate,
-			Peers:         ids,
-			Membership:    swim,
-			Seed:          *seed,
-			DebugAddr:     *debugAddr,
-			DecodeWorkers: *decodeWorkers,
-			FlightPath:    *flightPath,
-		}
-		if *walDir != "" {
-			sm, err := p2pcollect.ParseWALSyncMode(*walSync)
-			if err != nil {
-				return err
-			}
-			srvCfg.Durability = p2pcollect.Durability{
-				Dir:           *walDir,
-				Sync:          sm,
-				SnapshotEvery: *snapshotEvery,
-			}
-		}
-		if *shards > 1 {
-			sp, err := parseShardBook(*shardBook)
-			if err != nil {
+		srv.Peers, srv.Membership = ids, swim
+		if srv.Shards > 1 {
+			if srv.ShardPeers, err = parseShardBook(*shardBook); err != nil {
 				return fmt.Errorf("-shard-book: %w", err)
 			}
-			srvCfg.Shards = *shards
-			srvCfg.ShardID = *shardID
-			srvCfg.ShardPeers = sp
 			// Each process runs its own journal: it dedups local decodes;
 			// cross-process dedup rides on the fleet's completion notices.
 			// With a WAL directory the journal is durable too, so a
 			// restarted shard never re-delivers a segment it already
 			// claimed.
-			if *walDir != "" {
-				j, jc, err := p2pcollect.OpenDeliveryJournal(filepath.Join(*walDir, "journal.claims"), 0)
+			if dir := srv.Durability.Dir; dir != "" {
+				j, jc, err := p2pcollect.OpenDeliveryJournal(filepath.Join(dir, "journal.claims"), 0)
 				if err != nil {
 					return err
 				}
 				defer jc.Close()
-				srvCfg.Journal = j
+				srv.Journal = j
 			} else {
-				srvCfg.Journal = p2pcollect.NewDeliveryJournal(0)
+				srv.Journal = p2pcollect.NewDeliveryJournal(0)
 			}
 		}
-		srv, err := p2pcollect.NewServer(tr, srvCfg)
+		s, err := p2pcollect.NewServer(tr, srv)
 		if err != nil {
 			return err
 		}
@@ -235,7 +206,7 @@ func run(args []string) error {
 			defer f.Close()
 			csv = logdata.NewCSVWriter(f)
 		}
-		srv.OnSegment = func(segID p2pcollect.SegmentID, blocks [][]byte) {
+		s.OnSegment = func(segID p2pcollect.SegmentID, blocks [][]byte) {
 			records := 0
 			for _, b := range blocks {
 				if csv != nil {
@@ -250,18 +221,18 @@ func run(args []string) error {
 			}
 			fmt.Printf("decoded segment %v: %d blocks, %d records\n", segID, len(blocks), records)
 		}
-		if err := srv.Start(); err != nil {
+		if err := s.Start(); err != nil {
 			return err
 		}
-		if url := srv.DebugURL(); url != "" {
+		if url := s.DebugURL(); url != "" {
 			fmt.Printf("debug endpoint at %s/metrics\n", url)
 		}
 		select {
 		case <-sig:
 		case <-stopAfter:
 		}
-		srv.Stop()
-		fmt.Printf("server stats: %+v\n", srv.Stats())
+		s.Stop()
+		fmt.Printf("server stats: %+v\n", s.Stats())
 		return nil
 
 	default:

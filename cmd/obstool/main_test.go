@@ -38,7 +38,7 @@ func TestMergeLiveShardSnapshots(t *testing.T) {
 			Gamma:       0.2,
 			BufferCap:   256,
 		},
-		PullRate: 200,
+		Server: live.ServerConfig{PullRate: 200},
 		OnSegment: func(rlnc.SegmentID, [][]byte) {
 			select {
 			case delivered <- struct{}{}:

@@ -42,13 +42,13 @@ func run(servers int, fleetMode bool) (delivered int, dupes int, exchange int64,
 	var mu sync.Mutex
 	seen := make(map[p2pcollect.SegmentID]int)
 	cluster, err := p2pcollect.StartCluster(p2pcollect.ClusterConfig{
-		Peers:    peers,
-		Servers:  servers,
-		Degree:   degree,
-		Fleet:    fleetMode,
-		Node:     nodeConfig(),
-		PullRate: pullRate,
-		Seed:     7,
+		Peers:   peers,
+		Servers: servers,
+		Degree:  degree,
+		Fleet:   fleetMode,
+		Node:    nodeConfig(),
+		Server:  p2pcollect.ServerConfig{PullRate: pullRate},
+		Seed:    7,
 		OnSegment: func(id p2pcollect.SegmentID, blocks [][]byte) {
 			mu.Lock()
 			seen[id]++

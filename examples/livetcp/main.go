@@ -19,122 +19,62 @@ import (
 
 	"p2pcollect"
 	"p2pcollect/internal/logdata"
-	"p2pcollect/internal/transport"
 )
 
 func main() {
-	peers := flag.Int("peers", 6, "number of live peers")
-	duration := flag.Duration("duration", 4*time.Second, "how long to run")
-	loss := flag.Float64("loss", 0, "injected per-message loss probability [0,1)")
-	writeTimeout := flag.Duration("write-timeout", 2*time.Second, "per-frame TCP write deadline")
-	dialTimeout := flag.Duration("dial-timeout", time.Second, "TCP dial deadline")
-	policy := flag.String("policy", "blind",
-		fmt.Sprintf("server pull-scheduling policy %v", p2pcollect.PullPolicies()))
-	debugAddr := flag.String("debug-addr", "",
-		"serve Prometheus /metrics, JSON /debug/snapshot, and pprof for every endpoint on this address (e.g. 127.0.0.1:8090)")
-	flag.Parse()
-	if err := run(*peers, *duration, *loss, *dialTimeout, *writeTimeout, *policy, *debugAddr); err != nil {
-		log.Fatal(err)
-	}
-}
-
-func run(peers int, duration time.Duration, loss float64, dialTimeout, writeTimeout time.Duration, policyName, debugAddr string) error {
-	if peers < 2 {
-		return fmt.Errorf("need at least 2 peers, got %d", peers)
-	}
-	if loss < 0 || loss >= 1 {
-		return fmt.Errorf("loss %.2f outside [0, 1)", loss)
-	}
-	serverID := p2pcollect.NodeID(peers + 1)
-	opts := p2pcollect.TCPOptions{DialTimeout: dialTimeout, WriteTimeout: writeTimeout}
-
-	// Start every transport on an ephemeral localhost port, then exchange
-	// the address book. With -loss, each endpoint is wrapped in a seeded
-	// fault injector over the same production TCP path.
-	book := make(map[p2pcollect.NodeID]string, peers+1)
-	tcps := make([]*transport.TCPTransport, 0, peers+1)
-	endpoints := make([]p2pcollect.Transport, 0, peers+1)
-	for i := 1; i <= peers+1; i++ {
-		tr, err := p2pcollect.NewTCPTransportOpts(p2pcollect.NodeID(i), "127.0.0.1:0", nil, opts)
-		if err != nil {
-			return err
-		}
-		book[p2pcollect.NodeID(i)] = tr.Addr()
-		tcps = append(tcps, tr)
-		var ep p2pcollect.Transport = tr
-		if loss > 0 {
-			ep = p2pcollect.NewFaultyTransport(tr, p2pcollect.FaultConfig{LossProb: loss}, int64(i))
-		}
-		endpoints = append(endpoints, ep)
-	}
-	for _, tr := range tcps {
-		for id, addr := range book {
-			if id != tr.LocalID() {
-				tr.AddRoute(id, addr)
-			}
-		}
-	}
-
-	// With -debug-addr, every endpoint shares one lifecycle tracer and one
-	// debug HTTP server (endpoints distinguished by label).
-	var tracer *p2pcollect.RingTracer
-	if debugAddr != "" {
-		tracer = p2pcollect.NewRingTracer(1 << 12)
-	}
-
-	// Peers: full mesh among themselves, modest per-second rates.
-	var nodes []*p2pcollect.Node
-	for i := 0; i < peers; i++ {
-		cfg := p2pcollect.NodeConfig{
+	// One declaration per knob: every flag is bound to the config field it sets.
+	cfg := p2pcollect.ClusterConfig{
+		Servers: 1,
+		Node: p2pcollect.NodeConfig{
 			SegmentSize: 4,
 			BlockSize:   logdata.RecordSize,
 			Lambda:      20,
 			Mu:          40,
 			Gamma:       0.5,
 			BufferCap:   256,
-			Seed:        int64(i + 1),
-		}
-		if tracer != nil {
-			cfg.Tracer = tracer
-		}
-		for j := 1; j <= peers; j++ {
-			if p2pcollect.NodeID(j) != tcps[i].LocalID() {
-				cfg.Neighbors = append(cfg.Neighbors, p2pcollect.NodeID(j))
-			}
-		}
-		node, err := p2pcollect.NewNode(endpoints[i], cfg)
-		if err != nil {
-			return err
-		}
-		nodes = append(nodes, node)
+		},
+		Server: p2pcollect.ServerConfig{PullRate: 80},
+		Seed:   99,
 	}
+	var opts p2pcollect.TCPOptions
+	flag.IntVar(&cfg.Peers, "peers", 6, "number of live peers")
+	duration := flag.Duration("duration", 4*time.Second, "how long to run")
+	loss := flag.Float64("loss", 0, "injected per-message loss probability [0,1)")
+	flag.DurationVar(&opts.WriteTimeout, "write-timeout", 2*time.Second, "per-frame TCP write deadline")
+	flag.DurationVar(&opts.DialTimeout, "dial-timeout", time.Second, "TCP dial deadline")
+	flag.StringVar(&cfg.PullPolicy, "policy", "blind",
+		fmt.Sprintf("server pull-scheduling policy %v", p2pcollect.PullPolicies()))
+	flag.StringVar(&cfg.DebugAddr, "debug-addr", "",
+		"serve Prometheus /metrics, JSON /debug/snapshot, and pprof for every endpoint on this address (e.g. 127.0.0.1:8090)")
+	flag.Parse()
+	if err := run(cfg, opts, *duration, *loss); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	peerIDs := make([]p2pcollect.NodeID, peers)
-	for i := range peerIDs {
-		peerIDs[i] = p2pcollect.NodeID(i + 1)
+func run(cfg p2pcollect.ClusterConfig, opts p2pcollect.TCPOptions, duration time.Duration, loss float64) error {
+	if loss < 0 || loss >= 1 {
+		return fmt.Errorf("loss %.2f outside [0, 1)", loss)
 	}
-	policy, err := p2pcollect.NewPullPolicy(policyName, 99)
-	if err != nil {
-		return err
-	}
-	srvCfg := p2pcollect.ServerConfig{
-		PullRate: 80,
-		Peers:    peerIDs,
-		Seed:     99,
-		Policy:   policy,
-	}
-	if tracer != nil {
-		srvCfg.Tracer = tracer
-	}
-	server, err := p2pcollect.NewServer(endpoints[peers], srvCfg)
-	if err != nil {
-		return err
-	}
-
 	var mu sync.Mutex
 	recovered := make(map[uint64]int) // records recovered per origin peer
 	var sample *logdata.Record
-	server.OnSegment = func(id p2pcollect.SegmentID, blocks [][]byte) {
+
+	// StartCluster listens every endpoint on an ephemeral localhost port,
+	// exchanges the address book, and wires a full mesh of peers around one
+	// logging server. With -loss, each endpoint sits behind a seeded fault
+	// injector over the same production TCP path. With -debug-addr, every
+	// endpoint shares one lifecycle tracer and one debug HTTP server
+	// (endpoints distinguished by label).
+	cfg.Degree = cfg.Peers - 1
+	cfg.Listen = func(id p2pcollect.NodeID) (p2pcollect.Transport, error) {
+		tr, err := p2pcollect.NewTCPTransportOpts(id, "127.0.0.1:0", nil, opts)
+		if err != nil || loss == 0 {
+			return tr, err
+		}
+		return p2pcollect.NewFaultyTransport(tr, p2pcollect.FaultConfig{LossProb: loss}, int64(id)), nil
+	}
+	cfg.OnSegment = func(id p2pcollect.SegmentID, blocks [][]byte) {
 		mu.Lock()
 		defer mu.Unlock()
 		for _, block := range blocks {
@@ -148,45 +88,30 @@ func run(peers int, duration time.Duration, loss float64, dialTimeout, writeTime
 			}
 		}
 	}
+	cluster, err := p2pcollect.StartCluster(cfg)
+	if err != nil {
+		return err
+	}
+	defer cluster.Stop()
+	server, tracer := cluster.Servers[0], cluster.Tracer
 
 	if loss > 0 {
 		fmt.Printf("injecting %.0f%% message loss on every endpoint\n", loss*100)
 	}
-	fmt.Printf("starting %d peers + 1 logging server (id %d) on localhost TCP...\n", peers, serverID)
-	for _, n := range nodes {
-		if err := n.Start(); err != nil {
-			return err
-		}
-	}
-	if err := server.Start(); err != nil {
-		return err
-	}
-	if debugAddr != "" {
-		regs := make([]*p2pcollect.ObsRegistry, 0, peers+1)
-		for _, n := range nodes {
-			regs = append(regs, n.Registry())
-		}
-		regs = append(regs, server.Registry())
-		dbg, err := p2pcollect.ServeDebug(debugAddr, regs...)
-		if err != nil {
-			return err
-		}
-		defer dbg.Close()
-		fmt.Printf("debug endpoint: %s/metrics | %s/debug/snapshot | %s/debug/pprof/\n",
-			dbg.URL(), dbg.URL(), dbg.URL())
+	fmt.Printf("started %d peers + 1 logging server (id %d) on localhost TCP...\n", cfg.Peers, server.ID())
+	if cluster.Debug != nil {
+		url := cluster.Debug.URL()
+		fmt.Printf("debug endpoint: %s/metrics | %s/debug/snapshot | %s/debug/pprof/\n", url, url, url)
 	}
 	time.Sleep(duration)
 
 	stats := server.Stats()
-	server.Stop()
-	for _, n := range nodes {
-		n.Stop()
-	}
+	cluster.Stop()
 
 	mu.Lock()
 	defer mu.Unlock()
 	fmt.Printf("\nserver after %v (policy %s): %d pulls sent, %d blocks received, %d segments decoded\n",
-		duration, policyName, stats.PullsSent, stats.BlocksReceived, stats.DecodedSegments)
+		duration, cfg.PullPolicy, stats.PullsSent, stats.BlocksReceived, stats.DecodedSegments)
 	if stats.BlocksReceived > 0 {
 		useful := stats.Protocol["innovativePulls"]
 		fmt.Printf("  pull split: %d useful / %d redundant (%.1f%% of replies wasted)\n",

@@ -48,7 +48,7 @@ func run(peers int, duration time.Duration) error {
 			Gamma:       1,
 			BufferCap:   512,
 		},
-		PullRate:  120,
+		Server:    p2pcollect.ServerConfig{PullRate: 120},
 		Seed:      time.Now().UnixNano(),
 		DebugAddr: "127.0.0.1:0",
 		OnSegment: func(id p2pcollect.SegmentID, blocks [][]byte) {

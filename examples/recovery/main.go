@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -21,10 +20,9 @@ import (
 )
 
 const (
-	peers    = 12
-	degree   = 3
-	pullRate = 80.0
-	phase    = 3 * time.Second
+	peers  = 12
+	degree = 3
+	phase  = 3 * time.Second
 )
 
 func main() {
@@ -46,11 +44,6 @@ func main() {
 	// under <root>/shard-0. SyncAlways makes the kill below lose nothing,
 	// so the resumed ranks are exactly the pre-kill ones; the default
 	// interval mode would lose at most the last 50 ms of blocks.
-	durability := p2pcollect.Durability{
-		Dir:           root,
-		Sync:          p2pcollect.WALSyncAlways,
-		SnapshotEvery: 64,
-	}
 	cluster, err := p2pcollect.StartCluster(p2pcollect.ClusterConfig{
 		Peers:   peers,
 		Servers: 1,
@@ -63,10 +56,16 @@ func main() {
 			Gamma:       0.05,
 			BufferCap:   4096,
 		},
-		PullRate:   pullRate,
-		OnSegment:  onSegment,
-		Durability: durability,
-		Seed:       7,
+		Server: p2pcollect.ServerConfig{
+			PullRate: 80,
+			Durability: p2pcollect.Durability{
+				Dir:           root,
+				Sync:          p2pcollect.WALSyncAlways,
+				SnapshotEvery: 64,
+			},
+		},
+		OnSegment: onSegment,
+		Seed:      7,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -84,7 +83,7 @@ func main() {
 	fmt.Printf("killed server %d after %v: %d segments delivered, %d mid-collection\n",
 		id, phase, preDelivered, pre.OpenDecoders)
 
-	walDir := filepath.Join(root, "shard-0")
+	walDir := srv.Config().Durability.Dir // <root>/shard-0
 	entries, err := os.ReadDir(walDir)
 	if err != nil {
 		log.Fatal(err)
@@ -96,23 +95,12 @@ func main() {
 		}
 	}
 
-	// Phase 2: a new server over the same WAL directory and network
-	// identity. NewServer runs recovery before the first pull.
-	peerIDs := make([]p2pcollect.NodeID, peers)
-	for i := range peerIDs {
-		peerIDs[i] = p2pcollect.NodeID(i + 1)
-	}
-	srv2, err := p2pcollect.NewServer(cluster.Network.Join(id), p2pcollect.ServerConfig{
-		PullRate:    pullRate,
-		Peers:       peerIDs,
-		SegmentSize: 8,
-		Seed:        99,
-		Durability: p2pcollect.Durability{
-			Dir:           walDir,
-			Sync:          durability.Sync,
-			SnapshotEvery: durability.SnapshotEvery,
-		},
-	})
+	// Phase 2: a new server with the dead one's configuration (its WAL
+	// directory included) and network identity, on a fresh seed. NewServer
+	// runs recovery before the first pull.
+	restart := srv.Config()
+	restart.Seed = 99
+	srv2, err := p2pcollect.NewServer(cluster.Network.Join(id), restart)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Trace: follow individual segments across a sharded collection fleet.
 //
-// With TraceSample set, each node stamps a sampled fraction of its injected
+// With NodeConfig.TraceSample set, each node stamps a sampled fraction of its injected
 // segments with a cluster-unique trace ID that rides every coded block's
 // wire frame. Every endpoint records the milestones it observes — inject,
 // gossip hops, server rank growth, cross-shard exchange, delivery, decode —
@@ -40,14 +40,14 @@ func main() {
 			Mu:          40,
 			Gamma:       0.5,
 			BufferCap:   256,
+			// Trace every injected segment. Sample sparsely (e.g. 0.01) on
+			// clusters you care about; the wire cost is 10 bytes per traced
+			// block and zero for the rest.
+			TraceSample: 1,
 		},
-		PullRate: 120,
-		Seed:     11,
-		// Trace every injected segment and give each endpoint a private
-		// ring, as real processes would have. Sample sparsely (e.g. 0.01)
-		// on clusters you care about; the wire cost is 10 bytes per traced
-		// block and zero for the rest.
-		TraceSample:      1,
+		Server: p2pcollect.ServerConfig{PullRate: 120},
+		Seed:   11,
+		// Give each endpoint a private ring, as real processes would have.
 		PerEndpointTrace: true,
 		OnSegment: func(p2pcollect.SegmentID, [][]byte) {
 			if delivered.Add(1) >= 20 {

@@ -44,11 +44,10 @@ var feedbackCounterNames = [numFeedbackCounters]string{
 
 // Config parameterizes a collection service.
 type Config struct {
-	// SegmentSize is s; zero infers it from the first block (ignored when
-	// Store is supplied).
+	// SegmentSize is s; zero infers it from the first block.
 	SegmentSize int
-	// FinishedCap bounds the completed-segment memory (ignored when Store
-	// is supplied). Zero selects store.DefaultFinishedCap.
+	// FinishedCap bounds the completed-segment memory. Zero selects
+	// store.DefaultFinishedCap.
 	FinishedCap int
 	// DecodeWorkers offloads payload solves onto this many workers; the
 	// store then defers payload elimination. Zero decodes synchronously
@@ -58,19 +57,13 @@ type Config struct {
 	// Policy schedules pulls; nil selects pullsched.Blind. The service
 	// forwards the driver's serialization — policies are not thread-safe.
 	Policy pullsched.Policy
-	// Store overrides the segment-state backend; nil builds an in-memory
-	// store from SegmentSize/FinishedCap/DecodeWorkers/Sink — or, when
-	// Durability.Dir is set, a durable WAL store recovered from that
-	// directory.
-	Store store.Store
 	// Durability, when Dir is non-empty, persists segment state in a
-	// write-ahead log + snapshot store under that directory (ignored when
-	// Store is supplied). A service built over an existing WAL directory
+	// write-ahead log + snapshot store under that directory instead of the
+	// in-memory store. A service built over an existing WAL directory
 	// recovers its pre-crash collections; Start flushes any that had
 	// already reached full rank through the normal delivery path.
 	Durability wal.Config
-	// Sink receives the collector's protocol events (only used when the
-	// service builds its own store).
+	// Sink receives the collector's protocol events.
 	Sink peercore.EventSink
 	// Owns, when set, restricts the policy's segment universe: feedback and
 	// inventory for segments outside it are withheld from the policy, and
@@ -153,31 +146,29 @@ func New(cfg Config) (*Service, error) {
 	if policy == nil {
 		policy = pullsched.Blind{}
 	}
-	st := cfg.Store
-	if st == nil {
-		var err error
-		if cfg.Durability.Dir != "" {
-			st, err = wal.Open(wal.Options{
-				Config:        cfg.Durability,
-				SegmentSize:   cfg.SegmentSize,
-				FinishedCap:   cfg.FinishedCap,
-				DeferPayload:  cfg.DecodeWorkers > 0,
-				Sink:          cfg.Sink,
-				AppendLatency: cfg.WALAppend,
-				WALBytes:      cfg.WALBytes,
-				SnapshotAge:   cfg.SnapshotAge,
-			})
-		} else {
-			st, err = store.NewMemory(store.MemoryConfig{
-				SegmentSize:  cfg.SegmentSize,
-				FinishedCap:  cfg.FinishedCap,
-				DeferPayload: cfg.DecodeWorkers > 0,
-				Sink:         cfg.Sink,
-			})
-		}
-		if err != nil {
-			return nil, err
-		}
+	var st store.Store
+	var err error
+	if cfg.Durability.Dir != "" {
+		st, err = wal.Open(wal.Options{
+			Config:        cfg.Durability,
+			SegmentSize:   cfg.SegmentSize,
+			FinishedCap:   cfg.FinishedCap,
+			DeferPayload:  cfg.DecodeWorkers > 0,
+			Sink:          cfg.Sink,
+			AppendLatency: cfg.WALAppend,
+			WALBytes:      cfg.WALBytes,
+			SnapshotAge:   cfg.SnapshotAge,
+		})
+	} else {
+		st, err = store.NewMemory(store.MemoryConfig{
+			SegmentSize:  cfg.SegmentSize,
+			FinishedCap:  cfg.FinishedCap,
+			DeferPayload: cfg.DecodeWorkers > 0,
+			Sink:         cfg.Sink,
+		})
+	}
+	if err != nil {
+		return nil, err
 	}
 	tracer := cfg.Tracer
 	if tracer == nil {

@@ -96,7 +96,7 @@ func FleetScalingTable(opt Options) (*metrics.Table, error) {
 // violation.
 func runFleetPoint(opt Options, shards int, trial int64, warmup, window time.Duration) (rate, exchangeRate float64, dupes int64, err error) {
 	var deliveries, duplicate atomic.Int64
-	seen := make(map[string]*atomic.Int64)
+	seen := make(map[rlnc.SegmentID]bool)
 	var seenMu sync.Mutex
 	cluster, err := live.StartCluster(live.ClusterConfig{
 		Peers:   fleetPeers,
@@ -111,21 +111,16 @@ func runFleetPoint(opt Options, shards int, trial int64, warmup, window time.Dur
 			Gamma:       fleetGamma,
 			BufferCap:   fleetBufferCap,
 		},
-		PullRate: fleetPullRate,
-		Seed:     opt.Seed + fleetSeedSalt + int64(shards) + 101*trial,
+		Server: live.ServerConfig{PullRate: fleetPullRate},
+		Seed:   opt.Seed + fleetSeedSalt + int64(shards) + 101*trial,
 		OnSegment: func(id rlnc.SegmentID, blocks [][]byte) {
 			deliveries.Add(1)
-			key := id.String()
 			seenMu.Lock()
-			c := seen[key]
-			if c == nil {
-				c = &atomic.Int64{}
-				seen[key] = c
-			}
-			seenMu.Unlock()
-			if c.Add(1) > 1 {
+			if seen[id] {
 				duplicate.Add(1)
 			}
+			seen[id] = true
+			seenMu.Unlock()
 		},
 	})
 	if err != nil {

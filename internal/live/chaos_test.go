@@ -11,6 +11,20 @@ import (
 	"p2pcollect/internal/transport"
 )
 
+// faultyListen is a ClusterConfig.Listen that joins net and puts every
+// endpoint behind a Faulty with the schedule fault(id), seeded id*mul+add.
+func faultyListen(net *transport.Network, mul, add int64,
+	fault func(transport.NodeID) transport.FaultConfig) func(transport.NodeID) (transport.Transport, error) {
+	return func(id transport.NodeID) (transport.Transport, error) {
+		return transport.NewFaulty(net.Join(id), fault(id), randx.New(int64(id)*mul+add)), nil
+	}
+}
+
+// lossy20 is the uniform 20% send-side loss most chaos tests run under.
+func lossy20(transport.NodeID) transport.FaultConfig {
+	return transport.FaultConfig{LossProb: 0.2}
+}
+
 // startBlackhole returns the address of a listener that accepts every
 // connection and never reads — a stalled peer whose TCP window fills up.
 func startBlackhole(t *testing.T) string {
@@ -219,24 +233,21 @@ func TestChaosDifferentialUnderLossAndPartition(t *testing.T) {
 	window := transport.FaultPartition{Start: time.Second, End: 1800 * time.Millisecond}
 
 	cluster, err := StartCluster(ClusterConfig{
-		Peers:    peers,
-		Servers:  1,
-		Degree:   degree,
-		Node:     node,
-		PullRate: pullRate,
-		Seed:     11,
-		WrapTransport: func(tr transport.Transport) transport.Transport {
+		Peers:   peers,
+		Servers: 1,
+		Degree:  degree,
+		Node:    node,
+		Server:  ServerConfig{PullRate: pullRate},
+		Seed:    11,
+		Listen: faultyListen(transport.NewNetwork(), 7919, 1, func(id transport.NodeID) transport.FaultConfig {
 			parts := []transport.FaultPartition{window}
-			if tr.LocalID() > transport.NodeID(len(partitioned)) {
+			if id > transport.NodeID(len(partitioned)) {
 				// Everyone else only loses its links toward the
 				// partitioned set, making the cut symmetric.
 				parts = []transport.FaultPartition{{Start: window.Start, End: window.End, Peers: partitioned}}
 			}
-			return transport.NewFaulty(tr, transport.FaultConfig{
-				LossProb:   lossProb,
-				Partitions: parts,
-			}, randx.New(int64(tr.LocalID())*7919+1))
-		},
+			return transport.FaultConfig{LossProb: lossProb, Partitions: parts}
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)

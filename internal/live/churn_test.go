@@ -28,17 +28,15 @@ func TestMembershipChurnFullDelivery(t *testing.T) {
 		period         = 0.25
 		suspectTimeout = 0.75
 	)
-	tuning := &membership.Config{Period: period, SuspectTimeout: suspectTimeout}
 	got := newSegSet()
 	cluster, err := StartCluster(ClusterConfig{
-		Peers:            peers,
-		Servers:          1,
-		Node:             boundedNodeConfig(perPeer),
-		PullRate:         240,
-		Membership:       true,
-		MembershipTuning: tuning,
-		Seed:             42,
-		OnSegment:        got.observe,
+		Peers:      peers,
+		Servers:    1,
+		Node:       boundedNodeConfig(perPeer),
+		Server:     ServerConfig{PullRate: 240},
+		Membership: &membership.Config{Period: period, SuspectTimeout: suspectTimeout},
+		Seed:       42,
+		OnSegment:  got.observe,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -105,20 +103,14 @@ func TestMembershipChurnFullDelivery(t *testing.T) {
 		t.Errorf("suspect→dead gap %.2fs, want about %.2fs", gap, suspectTimeout)
 	}
 
-	// Both victims rejoin under their old identities: the in-memory fabric
-	// hands out fresh mailboxes, and the detector must revive them by
-	// direct contact against the left/dead tombstones.
+	// Both victims rejoin under their old identities and configs (fresh
+	// seeds): the in-memory fabric hands out fresh mailboxes, and the
+	// detector must revive them by direct contact against the left/dead
+	// tombstones.
 	var rejoined []*Node
 	for _, id := range []transport.NodeID{leaverID, crasherID} {
-		cfg := boundedNodeConfig(perPeer)
+		cfg := cluster.Nodes[id-1].Config()
 		cfg.Seed = 10000 + int64(id)
-		mc := *tuning
-		mc.Seeds = []membership.Member{
-			{ID: 1, Role: membership.RolePeer},
-			{ID: 2, Role: membership.RolePeer},
-			{ID: 3, Role: membership.RolePeer},
-		}
-		cfg.Membership = &mc
 		n, err := NewNode(cluster.Network.Join(id), cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -16,31 +16,35 @@ import (
 	"p2pcollect/internal/transport"
 )
 
-// ClusterConfig describes an in-process deployment: N peers on a random
-// k-neighbor overlay plus a set of logging servers, all connected through
-// one in-memory network.
+// ClusterConfig describes an in-process deployment: the cluster's shape, one
+// configuration template per role, and the transport every endpoint listens
+// on. Every protocol and runtime knob is declared once, in the template of
+// the role it belongs to; StartCluster adds only what differs per endpoint
+// and rejects a template that sets one of those fields itself.
 type ClusterConfig struct {
-	// Peers is the number of nodes.
+	// Peers is the number of nodes (IDs 1..Peers).
 	Peers int
 	// Servers is the number of logging servers.
 	Servers int
 	// Degree is the overlay parameter k (each peer links to k random
-	// partners).
+	// partners). Ignored when Membership is set.
 	Degree int
-	// Node is the template configuration; Neighbors and Seed are filled per
-	// node.
+	// Node is every peer's template. StartCluster fills Neighbors (or
+	// Membership), Seed and Tracer per node.
 	Node NodeConfig
-	// PullRate is each server's c_s in pulls/second.
-	PullRate float64
+	// Server is every server's template: PullRate, DecodeWorkers,
+	// FinishedCap, Durability and the rest are set here and nowhere else.
+	// StartCluster fills Peers (or Membership), Seed, Policy, Tracer and the
+	// fleet fields per server. A zero SegmentSize takes Node.SegmentSize.
+	// Durability.Dir, when set, is the cluster's root: server j logs under
+	// <Dir>/shard-<j>, and in fleet mode the shared delivery journal is
+	// durable at <Dir>/journal.claims, so a restarted shard resumes its
+	// collections and never re-delivers a segment the fleet already claimed.
+	Server ServerConfig
 	// PullPolicy names the servers' pull-scheduling policy (see
 	// pullsched.Names). Empty selects "blind", the paper-faithful baseline.
 	// Each server gets its own policy instance seeded from the cluster seed.
 	PullPolicy string
-	// OnSegment observes every segment reconstructed by any server.
-	OnSegment func(id rlnc.SegmentID, blocks [][]byte)
-	// DecodeWorkers gives every server a decode worker pool of this size
-	// (see ServerConfig.DecodeWorkers). Zero keeps decodes synchronous.
-	DecodeWorkers int
 	// Fleet runs the servers as a sharded fleet: a consistent-hash ring
 	// partitions the segment space across them, misrouted blocks are
 	// recoded and exchanged server-to-server, and a shared delivery
@@ -48,11 +52,24 @@ type ClusterConfig struct {
 	// server the fleet machinery is inert and the run is byte-identical
 	// to a standalone cluster.
 	Fleet bool
-	// WrapTransport, when set, wraps every endpoint's transport before the
-	// node or server is built — e.g. in a transport.Faulty for chaos
-	// testing. The callback sees the endpoint's LocalID and may return the
-	// transport unchanged.
-	WrapTransport func(transport.Transport) transport.Transport
+	// Membership, when non-nil, replaces the static overlay with SWIM gossip
+	// membership, using this config as every endpoint's template (Seeds are
+	// filled in: the first few peers, with their listen addresses): no
+	// random k-neighbor graph is drawn and no server gets a fixed peer
+	// roster. Every endpoint runs a failure detector, discovers the rest by
+	// rumor, and gossips to whatever the detector currently believes is
+	// alive, so peers can join, crash, and rejoin mid-collection.
+	Membership *membership.Config
+	// Listen opens the transport endpoint id runs on. Nil joins every
+	// endpoint to one in-memory Network (Cluster.Network). Otherwise
+	// StartCluster listens every endpoint first and then, under a static
+	// overlay, tells each transport that keeps an address book
+	// (AddRoute) the address (Addr) of every other; under Membership only
+	// the seed members' addresses are handed out and SWIM spreads the rest.
+	// Wrapping the result, e.g. in a transport.Faulty, needs no further seam.
+	Listen func(id transport.NodeID) (transport.Transport, error)
+	// OnSegment observes every segment reconstructed by any server.
+	OnSegment func(id rlnc.SegmentID, blocks [][]byte)
 	// DebugAddr, when non-empty, serves one debug endpoint for the whole
 	// cluster: every node's and server's registry on a shared port,
 	// distinguished by the endpoint="..." label. Use ":0" for an ephemeral
@@ -63,64 +80,63 @@ type ClusterConfig struct {
 	// Cluster.Tracer). Zero disables tracing unless DebugAddr is set, which
 	// implies a default-capacity tracer so /debug/snapshot has a trace tail.
 	TraceCap int
-	// TraceSample is every node's wire-level trace sampling rate (see
-	// NodeConfig.TraceSample). Zero keeps the cluster's frames byte-
-	// identical to a build without tracing.
-	TraceSample float64
 	// PerEndpointTrace gives every endpoint its own private ring tracer
 	// (capacity TraceCap, or the default) instead of the shared one, the
 	// way separate processes would record. Cluster.Dumps then returns one
 	// labelled dump per endpoint, ready for obs.Assembler to stitch
 	// cross-endpoint spans.
 	PerEndpointTrace bool
-	// Membership replaces the static overlay with SWIM gossip membership:
-	// no random k-neighbor graph is drawn and no server gets a fixed peer
-	// roster. Instead every endpoint runs a failure detector seeded with
-	// the first few peer IDs, discovers the rest by rumor, and gossips to
-	// whatever the detector currently believes is alive — so peers can
-	// join, crash, and rejoin mid-collection. Degree is ignored in this
-	// mode.
-	Membership bool
-	// MembershipTuning, when Membership is set, is the SWIM config template
-	// applied to every endpoint (Seeds and the RNG seed are filled per
-	// endpoint). Nil accepts the membership package defaults.
-	MembershipTuning *membership.Config
-	// Durability, when Dir is non-empty, gives every server a write-ahead
-	// log under <Dir>/shard-<j> with the configured sync policy, and — in
-	// fleet mode — makes the shared delivery journal durable at
-	// <Dir>/journal.claims, so a restarted shard resumes its collections
-	// and never re-delivers a segment the fleet already claimed.
-	Durability wal.Config
-	// Seed makes the deployment reproducible.
+	// Seed makes the deployment reproducible: the overlay and every
+	// endpoint's own seed are drawn from it.
 	Seed int64
+}
+
+// builderOwned names the first template field StartCluster fills per
+// endpoint that the caller set anyway, or "" when the templates are clean.
+func (cfg ClusterConfig) builderOwned() string {
+	n, s := cfg.Node, cfg.Server
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"Node.Neighbors", n.Neighbors != nil},
+		{"Node.Membership", n.Membership != nil},
+		{"Node.Seed", n.Seed != 0},
+		{"Node.Tracer", n.Tracer != nil},
+		{"Server.Peers", s.Peers != nil},
+		{"Server.Membership", s.Membership != nil},
+		{"Server.Seed", s.Seed != 0},
+		{"Server.Policy", s.Policy != nil},
+		{"Server.Tracer", s.Tracer != nil},
+		{"Server.Shards/ShardID/ShardPeers", s.Shards != 0 || s.ShardID != 0 || s.ShardPeers != nil},
+		{"Server.Journal", s.Journal != nil},
+		{"Membership.Seeds", cfg.Membership != nil && cfg.Membership.Seeds != nil},
+	} {
+		if f.set {
+			return f.name
+		}
+	}
+	return ""
 }
 
 // Cluster is a running in-process deployment.
 type Cluster struct {
+	// Network is the in-memory fabric every endpoint joined, nil when the
+	// config supplied its own Listen.
 	Network *transport.Network
 	Nodes   []*Node
 	Servers []*Server
 	// Journal is the fleet's shared delivery journal, nil unless Fleet.
 	Journal *fleet.Journal
 	// Tracer is the shared segment-lifecycle ring tracer, nil unless
-	// TraceCap or DebugAddr was set.
+	// TraceCap or DebugAddr was set without PerEndpointTrace.
 	Tracer *obs.RingTracer
 	// Debug is the cluster-wide debug server, nil unless DebugAddr was set.
 	Debug *obs.DebugServer
 
 	// journalFile seals the durable delivery journal on Stop, nil unless
-	// both Fleet and Durability.Dir were set.
+	// both Fleet and Server.Durability.Dir were set.
 	journalFile io.Closer
-
-	// perEndpoint holds each endpoint's private ring tracer when
-	// PerEndpointTrace was set, in Registries() order (nodes then servers).
-	perEndpoint []tracedEndpoint
-}
-
-// tracedEndpoint pairs an endpoint label with its private ring tracer.
-type tracedEndpoint struct {
-	label string
-	ring  *obs.RingTracer
 }
 
 // defaultClusterTraceCap sizes the shared ring tracer when DebugAddr implies
@@ -141,7 +157,12 @@ func (c *Cluster) Registries() []*obs.Registry {
 }
 
 // StartCluster builds and starts the whole deployment. On error, anything
-// already started is stopped.
+// already started is stopped and every opened transport is closed.
+//
+// The cluster RNG is consumed in a fixed order (overlay, one seed per node,
+// then per server its seed and, for feedback policies only, its policy seed)
+// and nothing else draws from it, so a seeded cluster is wired identically
+// whatever transport, tracing or durability it runs with.
 func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Peers < 2 {
 		return nil, fmt.Errorf("live: cluster needs at least 2 peers, got %d", cfg.Peers)
@@ -149,104 +170,122 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Servers < 1 {
 		return nil, fmt.Errorf("live: cluster needs at least 1 server")
 	}
+	if field := cfg.builderOwned(); field != "" {
+		return nil, fmt.Errorf("live: ClusterConfig.%s is filled per endpoint by StartCluster; leave it unset", field)
+	}
+	srvTmpl := cfg.Server
+	if srvTmpl.SegmentSize == 0 {
+		srvTmpl.SegmentSize = cfg.Node.SegmentSize
+	} else if srvTmpl.SegmentSize != cfg.Node.SegmentSize {
+		return nil, fmt.Errorf("live: Server.SegmentSize %d != Node.SegmentSize %d", srvTmpl.SegmentSize, cfg.Node.SegmentSize)
+	}
 	rng := randx.New(cfg.Seed)
 	// Membership mode draws no topology: the overlay is whatever SWIM
-	// discovers. Static mode keeps the exact RNG sequence of every prior
-	// release, so seeded goldens stay byte-identical.
+	// discovers.
 	var graph *topology.Graph
-	if !cfg.Membership {
+	if cfg.Membership == nil {
 		var err error
 		graph, err = topology.RandomKNeighbor(cfg.Peers, cfg.Degree, rng)
 		if err != nil {
 			return nil, err
 		}
 	}
-	// swimCfg stamps a fresh per-endpoint copy of the SWIM template with
-	// the shared seed list. The first few peer IDs anchor the gossip; the
-	// per-endpoint RNG seed is left for the endpoint to derive.
-	var swimSeeds []membership.Member
-	if cfg.Membership {
-		n := cfg.Peers
-		if n > 3 {
-			n = 3
+	c := &Cluster{}
+	listen := cfg.Listen
+	if listen == nil {
+		c.Network = transport.NewNetwork()
+		listen = func(id transport.NodeID) (transport.Transport, error) { return c.Network.Join(id), nil }
+	}
+	// Every endpoint listens before any is built, so the address book (or
+	// the SWIM seed list) is complete when the first one starts talking.
+	// trs holds peers 1..Peers, then the servers.
+	trs := make([]transport.Transport, 0, cfg.Peers+cfg.Servers)
+	fail := func(err error) (*Cluster, error) {
+		c.Stop()
+		for _, tr := range trs {
+			tr.Close() //nolint:errcheck // unwinding; endpoints that never started still hold theirs
 		}
-		for i := 0; i < n; i++ {
-			swimSeeds = append(swimSeeds, membership.Member{ID: transport.NodeID(i + 1), Role: membership.RolePeer})
+		return nil, err
+	}
+	for i := 0; i < cfg.Peers+cfg.Servers; i++ {
+		id := transport.NodeID(i + 1)
+		if i >= cfg.Peers {
+			id = transport.NodeID(serverIDBase + i - cfg.Peers)
+		}
+		tr, err := listen(id)
+		if err != nil {
+			return fail(fmt.Errorf("live: listen endpoint %d: %w", id, err))
+		}
+		trs = append(trs, tr)
+		if tr.LocalID() != id {
+			return fail(fmt.Errorf("live: Listen(%d) returned a transport for node %d", id, tr.LocalID()))
 		}
 	}
-	swimCfg := func() *membership.Config {
-		var mc membership.Config
-		if cfg.MembershipTuning != nil {
-			mc = *cfg.MembershipTuning
+	// swimCfg stamps a fresh per-endpoint copy of the SWIM template with
+	// the shared seed list: the first few peers anchor the gossip. The
+	// per-endpoint RNG seed is left for the endpoint to derive.
+	var swimSeeds []membership.Member
+	if cfg.Membership != nil {
+		for i := 0; i < 3 && i < cfg.Peers; i++ {
+			m := membership.Member{ID: trs[i].LocalID(), Role: membership.RolePeer}
+			if a, ok := trs[i].(addressed); ok {
+				m.Addr = a.Addr()
+			}
+			swimSeeds = append(swimSeeds, m)
 		}
+	} else {
+		exchangeRoutes(trs)
+	}
+	swimCfg := func() *membership.Config {
+		if cfg.Membership == nil {
+			return nil
+		}
+		mc := *cfg.Membership
 		mc.Seeds = swimSeeds
 		return &mc
 	}
-	c := &Cluster{Network: transport.NewNetwork()}
-	// The shared tracer draws no randomness, so attaching it cannot perturb
-	// the cluster's seeded RNG sequence.
-	if cfg.TraceCap > 0 {
-		c.Tracer = obs.NewRingTracer(cfg.TraceCap)
-	} else if cfg.DebugAddr != "" {
-		c.Tracer = obs.NewRingTracer(defaultClusterTraceCap)
+	// Tracers draw no randomness, so attaching one cannot perturb the
+	// cluster's seeded RNG sequence.
+	traceCap := cfg.TraceCap
+	if traceCap <= 0 {
+		traceCap = defaultClusterTraceCap
 	}
-	fail := func(err error) (*Cluster, error) {
-		c.Stop()
-		return nil, err
-	}
-	join := func(id transport.NodeID) transport.Transport {
-		tr := c.Network.Join(id)
-		if cfg.WrapTransport != nil {
-			tr = cfg.WrapTransport(tr)
-		}
-		return tr
+	if !cfg.PerEndpointTrace && (cfg.TraceCap > 0 || cfg.DebugAddr != "") {
+		c.Tracer = obs.NewRingTracer(traceCap)
 	}
 	// endpointTracer resolves which tracer an endpoint records into: its own
 	// private ring (PerEndpointTrace), the shared cluster ring, or none.
-	// Tracers draw no randomness, so neither choice perturbs seeded runs.
-	endpointTracer := func(id transport.NodeID) obs.Tracer {
-		if !cfg.PerEndpointTrace {
-			if c.Tracer != nil {
-				return c.Tracer
-			}
-			return nil
+	endpointTracer := func() obs.Tracer {
+		switch {
+		case cfg.PerEndpointTrace:
+			return obs.NewRingTracer(traceCap)
+		case c.Tracer != nil:
+			return c.Tracer
 		}
-		capacity := cfg.TraceCap
-		if capacity <= 0 {
-			capacity = defaultClusterTraceCap
-		}
-		rt := obs.NewRingTracer(capacity)
-		c.perEndpoint = append(c.perEndpoint, tracedEndpoint{label: endpointLabel(id), ring: rt})
-		return rt
+		return nil
 	}
-	for i := 0; i < cfg.Peers; i++ {
+	peerIDs := make([]transport.NodeID, cfg.Peers)
+	for i, tr := range trs[:cfg.Peers] {
+		peerIDs[i] = tr.LocalID()
 		nodeCfg := cfg.Node
-		if cfg.Membership {
-			nodeCfg.Membership = swimCfg()
-		} else {
+		nodeCfg.Membership = swimCfg()
+		if graph != nil {
 			for _, nb := range graph.Neighbors(i) {
 				nodeCfg.Neighbors = append(nodeCfg.Neighbors, transport.NodeID(nb+1))
 			}
 		}
 		nodeCfg.Seed = rng.Int63()
-		nodeCfg.TraceSample = cfg.TraceSample
-		if tr := endpointTracer(transport.NodeID(i + 1)); tr != nil {
-			nodeCfg.Tracer = tr
-		}
-		node, err := NewNode(join(transport.NodeID(i+1)), nodeCfg)
+		nodeCfg.Tracer = endpointTracer()
+		node, err := NewNode(tr, nodeCfg)
 		if err != nil {
 			return fail(err)
 		}
 		c.Nodes = append(c.Nodes, node)
 	}
-	peerIDs := make([]transport.NodeID, cfg.Peers)
-	for i := range peerIDs {
-		peerIDs[i] = transport.NodeID(i + 1)
-	}
-	var shardPeers map[int]transport.NodeID
+	root := srvTmpl.Durability.Dir
 	if cfg.Fleet {
-		if cfg.Durability.Dir != "" {
-			journal, jf, err := wal.OpenJournal(filepath.Join(cfg.Durability.Dir, "journal.claims"), 0)
+		if root != "" {
+			journal, jf, err := wal.OpenJournal(filepath.Join(root, "journal.claims"), 0)
 			if err != nil {
 				return fail(err)
 			}
@@ -255,16 +294,19 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		} else {
 			c.Journal = fleet.NewJournal(0)
 		}
-		shardPeers = make(map[int]transport.NodeID, cfg.Servers)
-		for j := 0; j < cfg.Servers; j++ {
-			shardPeers[j] = transport.NodeID(serverIDBase + j)
+		srvTmpl.Shards = cfg.Servers
+		srvTmpl.ShardPeers = make(map[int]transport.NodeID, cfg.Servers)
+		for j, tr := range trs[cfg.Peers:] {
+			srvTmpl.ShardPeers[j] = tr.LocalID()
 		}
+		srvTmpl.Journal = c.Journal
 	}
-	for j := 0; j < cfg.Servers; j++ {
+	for j, tr := range trs[cfg.Peers:] {
+		srvCfg := srvTmpl
 		// The server seed is drawn first and the policy seed only for
 		// feedback policies, so a blind cluster consumes exactly the same
 		// RNG sequence as before pull scheduling existed.
-		srvSeed := rng.Int63()
+		srvCfg.Seed = rng.Int63()
 		var polSeed int64
 		if cfg.PullPolicy != "" && cfg.PullPolicy != pullsched.NameBlind {
 			polSeed = rng.Int63()
@@ -273,33 +315,19 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		if err != nil {
 			return fail(err)
 		}
-		srvCfg := ServerConfig{
-			PullRate:       cfg.PullRate,
-			Peers:          peerIDs,
-			SegmentSize:    cfg.Node.SegmentSize,
-			Seed:           srvSeed,
-			Policy:         policy,
-			SampleInterval: cfg.Node.SampleInterval,
-			DecodeWorkers:  cfg.DecodeWorkers,
-		}
-		if cfg.Membership {
-			srvCfg.Peers = nil
-			srvCfg.Membership = swimCfg()
+		srvCfg.Policy = policy
+		srvCfg.Membership = swimCfg()
+		if srvCfg.Membership == nil {
+			srvCfg.Peers = peerIDs
 		}
 		if cfg.Fleet {
-			srvCfg.Shards = cfg.Servers
 			srvCfg.ShardID = j
-			srvCfg.ShardPeers = shardPeers
-			srvCfg.Journal = c.Journal
 		}
-		if cfg.Durability.Dir != "" {
-			srvCfg.Durability = cfg.Durability
-			srvCfg.Durability.Dir = filepath.Join(cfg.Durability.Dir, fmt.Sprintf("shard-%d", j))
+		if root != "" {
+			srvCfg.Durability.Dir = filepath.Join(root, fmt.Sprintf("shard-%d", j))
 		}
-		if tr := endpointTracer(transport.NodeID(serverIDBase + j)); tr != nil {
-			srvCfg.Tracer = tr
-		}
-		srv, err := NewServer(join(transport.NodeID(serverIDBase+j)), srvCfg)
+		srvCfg.Tracer = endpointTracer()
+		srv, err := NewServer(tr, srvCfg)
 		if err != nil {
 			return fail(err)
 		}
@@ -326,6 +354,23 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
+// exchangeRoutes is the static address book: every transport that keeps
+// one learns the listen address of every other transport that has one. On
+// the in-memory fabric neither holds and nothing happens.
+func exchangeRoutes(trs []transport.Transport) {
+	for _, to := range trs {
+		a, ok := to.(addressed)
+		if !ok || a.Addr() == "" {
+			continue
+		}
+		for _, from := range trs {
+			if r, ok := from.(router); ok && from != to {
+				r.AddRoute(to.LocalID(), a.Addr())
+			}
+		}
+	}
+}
+
 // Stop shuts every server and node down.
 func (c *Cluster) Stop() {
 	if c.Debug != nil {
@@ -346,20 +391,19 @@ func (c *Cluster) Stop() {
 
 // Dumps collects every endpoint's recorded trace events as labelled
 // per-process dumps for obs.Assembler. With PerEndpointTrace it returns
-// one dump per endpoint; with only the shared tracer, a single "cluster"
-// dump; otherwise nil.
+// one dump per endpoint, nodes first then servers; with only the shared
+// tracer, a single "cluster" dump; otherwise nil.
 func (c *Cluster) Dumps() []obs.ProcessDump {
-	if len(c.perEndpoint) > 0 {
-		dumps := make([]obs.ProcessDump, 0, len(c.perEndpoint))
-		for _, e := range c.perEndpoint {
-			dumps = append(dumps, obs.ProcessDump{Label: e.label, Events: e.ring.Tail(e.ring.Len())})
-		}
-		return dumps
-	}
 	if c.Tracer != nil {
 		return []obs.ProcessDump{{Label: "cluster", Events: c.Tracer.Tail(c.Tracer.Len())}}
 	}
-	return nil
+	var dumps []obs.ProcessDump
+	for _, reg := range c.Registries() {
+		if rt := reg.Tracer(); rt != nil {
+			dumps = append(dumps, obs.ProcessDump{Label: reg.Label(), Events: rt.Tail(rt.Len())})
+		}
+	}
+	return dumps
 }
 
 // TotalDecoded sums decoded segments across servers.

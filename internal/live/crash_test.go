@@ -12,7 +12,6 @@ import (
 	"p2pcollect/internal/collect/store/wal"
 	"p2pcollect/internal/obs"
 	"p2pcollect/internal/peercore"
-	"p2pcollect/internal/randx"
 	"p2pcollect/internal/rlnc"
 	"p2pcollect/internal/transport"
 )
@@ -290,14 +289,12 @@ func TestFleetCrashRestartDurableJournal(t *testing.T) {
 	// Blocks must stay collectible for the whole test window: losing a
 	// segment's last copy of some dimension to expiry or buffer eviction
 	// is ordinary protocol data loss, and this test is about crash
-	// recovery, not churn.
-	cfg.Node.Gamma = 0.005
+	// recovery, not churn. (Gamma as in TestFleetShardKillChaos, for the
+	// reason given there.)
+	cfg.Node.Gamma = 1e-6
 	cfg.Node.BufferCap = 8192
-	cfg.Durability = wal.Config{Dir: root, Sync: wal.SyncAlways, SnapshotEvery: 256}
-	cfg.WrapTransport = func(tr transport.Transport) transport.Transport {
-		return transport.NewFaulty(tr, transport.FaultConfig{LossProb: 0.2},
-			randx.New(int64(tr.LocalID())*6151+3))
-	}
+	cfg.Server.Durability = wal.Config{Dir: root, Sync: wal.SyncAlways, SnapshotEvery: 256}
+	cfg.Listen = faultyListen(transport.NewNetwork(), 6151, 3, lossy20)
 	cluster, err := StartCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -316,27 +313,14 @@ func TestFleetCrashRestartDurableJournal(t *testing.T) {
 	}
 	cluster.Servers[0].CrashStop()
 
-	// Restart shard 0 over its WAL directory, sharing the live journal.
-	shardPeers := make(map[int]transport.NodeID, cfg.Servers)
-	peerIDs := make([]transport.NodeID, cfg.Peers)
-	for j := 0; j < cfg.Servers; j++ {
-		shardPeers[j] = transport.NodeID(serverIDBase + j)
+	// Restart shard 0 over its WAL directory, sharing the live journal:
+	// the crashed server's own config, on a fresh transport and seed.
+	srvCfg := cluster.Servers[0].Config()
+	srvCfg.Seed = 424243
+	tr, err := cfg.Listen(cluster.Servers[0].ID())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range peerIDs {
-		peerIDs[i] = transport.NodeID(i + 1)
-	}
-	srvCfg := ServerConfig{
-		PullRate:    cfg.PullRate,
-		Peers:       peerIDs,
-		SegmentSize: cfg.Node.SegmentSize,
-		Seed:        424243,
-		Shards:      cfg.Servers,
-		ShardID:     0,
-		ShardPeers:  shardPeers,
-		Journal:     cluster.Journal,
-		Durability:  wal.Config{Dir: filepath.Join(root, "shard-0"), Sync: wal.SyncAlways, SnapshotEvery: 256},
-	}
-	tr := cfg.WrapTransport(cluster.Network.Join(transport.NodeID(serverIDBase)))
 	srv2, err := NewServer(tr, srvCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -370,6 +354,7 @@ func TestFleetCrashRestartDurableJournal(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 	}
 	if left := remaining(); len(left) != 0 {
+		reportUndelivered(t, cluster, append([]*Server{srv2}, cluster.Servers[1:]...), left)
 		t.Fatalf("%d of %d pre-crash segments never delivered after shard crash+restart under 20%% loss: %v",
 			len(left), len(injected), left)
 	}

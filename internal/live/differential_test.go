@@ -42,12 +42,12 @@ func TestDifferentialSimVsLive(t *testing.T) {
 	// Live side: run warmup+window wall-clock seconds, measure deliveries
 	// in the window and instantaneous occupancy at the end.
 	cluster, err := StartCluster(ClusterConfig{
-		Peers:    peers,
-		Servers:  1,
-		Degree:   degree,
-		Node:     node,
-		PullRate: pullRate,
-		Seed:     11,
+		Peers:   peers,
+		Servers: 1,
+		Degree:  degree,
+		Node:    node,
+		Server:  ServerConfig{PullRate: pullRate},
+		Seed:    11,
 	})
 	if err != nil {
 		t.Fatal(err)

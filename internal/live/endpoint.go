@@ -40,6 +40,16 @@ func endpointLabel(id transport.NodeID) string {
 	return fmt.Sprintf("node-%d", id)
 }
 
+// addressed and router are the two optional halves of an address-book
+// transport (TCP, UDP, and a Faulty around either): where it listens, and
+// how it is told where someone else does.
+type (
+	addressed interface{ Addr() string }
+	router    interface {
+		AddRoute(transport.NodeID, string)
+	}
+)
+
 // endpoint is the wall-clock runtime a Node and a Server share: one
 // transport, one lock around one seeded RNG and one protocol state machine,
 // the contact set that membership keeps current, the telemetry wiring, the
@@ -122,7 +132,7 @@ func (e *endpoint) init(tr transport.Transport, role membership.Role, seed int64
 func (e *endpoint) newAgent(role membership.Role, mcfg membership.Config, seed int64) *membership.Agent {
 	tr := e.tr
 	self := membership.Member{ID: tr.LocalID(), Role: role}
-	if a, ok := tr.(interface{ Addr() string }); ok {
+	if a, ok := tr.(addressed); ok {
 		self.Addr = a.Addr()
 	}
 	if mcfg.Seed == 0 {
@@ -136,9 +146,7 @@ func (e *endpoint) newAgent(role membership.Role, mcfg membership.Config, seed i
 		}
 	}
 	var addRoute func(transport.NodeID, string)
-	if r, ok := tr.(interface {
-		AddRoute(transport.NodeID, string)
-	}); ok {
+	if r, ok := tr.(router); ok {
 		addRoute = r.AddRoute
 	}
 	send := func(to transport.NodeID, raw []byte) {

@@ -7,7 +7,6 @@ import (
 
 	"p2pcollect/internal/fleet"
 	"p2pcollect/internal/obs"
-	"p2pcollect/internal/randx"
 	"p2pcollect/internal/rlnc"
 	"p2pcollect/internal/transport"
 )
@@ -41,7 +40,7 @@ func fleetClusterConfig(onSegment func(rlnc.SegmentID, [][]byte)) ClusterConfig 
 			Gamma:       0.2,
 			BufferCap:   256,
 		},
-		PullRate:  200,
+		Server:    ServerConfig{PullRate: 200},
 		OnSegment: onSegment,
 		Seed:      23,
 	}
@@ -131,13 +130,15 @@ func TestFleetShardKillChaos(t *testing.T) {
 	// protocol's own attrition: with the default Gamma/BufferCap a
 	// segment dimension can expire or be evicted from every peer buffer
 	// before the 30s recovery deadline, which is ordinary coupon loss,
-	// not a fleet bug. Make blocks outlive the whole window.
-	cfg.Node.Gamma = 0.005
+	// not a fleet bug. Make blocks outlive the whole window: Gamma as in
+	// boundedNodeConfig, because an Exp(Gamma) TTL has mass at zero. At
+	// Gamma = 0.005 (mean 200 s) about one run in seven still lost a source
+	// block at its origin before the segment's first gossip, leaving it at
+	// rank s-1 network-wide forever (reportUndelivered showed every node
+	// and shard stuck at 3 of 4); at 1e-6, 0 of 40 runs did.
+	cfg.Node.Gamma = 1e-6
 	cfg.Node.BufferCap = 8192
-	cfg.WrapTransport = func(tr transport.Transport) transport.Transport {
-		return transport.NewFaulty(tr, transport.FaultConfig{LossProb: 0.2},
-			randx.New(int64(tr.LocalID())*6151+3))
-	}
+	cfg.Listen = faultyListen(transport.NewNetwork(), 6151, 3, lossy20)
 	var mu sync.Mutex
 	delivered := make(map[rlnc.SegmentID]int)
 	cfg.OnSegment = func(id rlnc.SegmentID, blocks [][]byte) {
@@ -182,6 +183,7 @@ func TestFleetShardKillChaos(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 	}
 	if left := remaining(); len(left) != 0 {
+		reportUndelivered(t, cluster, cluster.Servers[1:], left)
 		t.Fatalf("%d of %d pre-kill segments never delivered after shard kill under 20%% loss: %v",
 			len(left), len(injected), left)
 	}

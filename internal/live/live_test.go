@@ -83,12 +83,12 @@ func TestEndToEndCollection(t *testing.T) {
 	}
 	var got []decoded
 	cluster, err := StartCluster(ClusterConfig{
-		Peers:    12,
-		Servers:  2,
-		Degree:   3,
-		Node:     fastNodeConfig(),
-		PullRate: 120,
-		Seed:     1,
+		Peers:   12,
+		Servers: 2,
+		Degree:  3,
+		Node:    fastNodeConfig(),
+		Server:  ServerConfig{PullRate: 120},
+		Seed:    1,
 		OnSegment: func(id rlnc.SegmentID, blocks [][]byte) {
 			mu.Lock()
 			got = append(got, decoded{id: id, blocks: blocks})
@@ -216,91 +216,14 @@ func TestTTLExpiryDrainsBuffer(t *testing.T) {
 	}
 }
 
-func TestClusterOverTCP(t *testing.T) {
-	// A miniature real-network deployment: 4 peers + 1 server over
-	// localhost TCP.
-	const peers = 4
-	addrs := make(map[transport.NodeID]string, peers+1)
-	trs := make([]*transport.TCPTransport, 0, peers+1)
-	for i := 1; i <= peers+1; i++ {
-		tr, err := transport.ListenTCP(transport.NodeID(i), "127.0.0.1:0", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[transport.NodeID(i)] = tr.Addr()
-		trs = append(trs, tr)
-	}
-	for _, tr := range trs {
-		for id, addr := range addrs {
-			if id != tr.LocalID() {
-				tr.AddRoute(id, addr)
-			}
-		}
-	}
-	var nodes []*Node
-	for i := 0; i < peers; i++ {
-		cfg := fastNodeConfig()
-		for j := 1; j <= peers; j++ {
-			if transport.NodeID(j) != trs[i].LocalID() {
-				cfg.Neighbors = append(cfg.Neighbors, transport.NodeID(j))
-			}
-		}
-		cfg.Seed = int64(i + 1)
-		n, err := NewNode(trs[i], cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := n.Start(); err != nil {
-			t.Fatal(err)
-		}
-		nodes = append(nodes, n)
-	}
-	srv, err := NewServer(trs[peers], ServerConfig{
-		PullRate: 150,
-		Peers:    []transport.NodeID{1, 2, 3, 4},
-		Seed:     9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	decoded := 0
-	srv.OnSegment = func(id rlnc.SegmentID, blocks [][]byte) {
-		mu.Lock()
-		decoded++
-		mu.Unlock()
-	}
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		srv.Stop()
-		for _, n := range nodes {
-			n.Stop()
-		}
-	}()
-
-	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) {
-		mu.Lock()
-		n := decoded
-		mu.Unlock()
-		if n >= 2 {
-			return
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	t.Fatalf("decoded %d segments over TCP, want >= 2 (server stats: %+v)", decoded, srv.Stats())
-}
-
 func TestClusterValidation(t *testing.T) {
-	if _, err := StartCluster(ClusterConfig{Peers: 1, Servers: 1, Degree: 1, Node: fastNodeConfig(), PullRate: 1}); err == nil {
+	if _, err := StartCluster(ClusterConfig{Peers: 1, Servers: 1, Degree: 1, Node: fastNodeConfig(), Server: ServerConfig{PullRate: 1}}); err == nil {
 		t.Error("1-peer cluster accepted")
 	}
-	if _, err := StartCluster(ClusterConfig{Peers: 4, Servers: 0, Degree: 1, Node: fastNodeConfig(), PullRate: 1}); err == nil {
+	if _, err := StartCluster(ClusterConfig{Peers: 4, Servers: 0, Degree: 1, Node: fastNodeConfig(), Server: ServerConfig{PullRate: 1}}); err == nil {
 		t.Error("serverless cluster accepted")
 	}
-	if _, err := StartCluster(ClusterConfig{Peers: 4, Servers: 1, Degree: 9, Node: fastNodeConfig(), PullRate: 1}); err == nil {
+	if _, err := StartCluster(ClusterConfig{Peers: 4, Servers: 1, Degree: 9, Node: fastNodeConfig(), Server: ServerConfig{PullRate: 1}}); err == nil {
 		t.Error("infeasible degree accepted")
 	}
 }

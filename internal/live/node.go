@@ -187,6 +187,12 @@ func NewNode(tr transport.Transport, cfg NodeConfig) (*Node, error) {
 	return n, nil
 }
 
+// Config returns the configuration the node was built with: for a cluster
+// node, the template plus everything StartCluster derived for it
+// (Neighbors or Membership seeds, Seed, Tracer). A replacement under the
+// same identity is NewNode(tr, old.Config()) with only the changed fields.
+func (n *Node) Config() NodeConfig { return n.cfg }
+
 // Start launches the protocol loops. It is an error to start twice.
 func (n *Node) Start() error {
 	loops := []func(){

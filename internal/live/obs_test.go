@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"p2pcollect/internal/obs"
-	"p2pcollect/internal/randx"
 	"p2pcollect/internal/transport"
 )
 
@@ -65,7 +64,7 @@ func TestClusterDebugEndpoints(t *testing.T) {
 		Servers:   1,
 		Degree:    3,
 		Node:      node,
-		PullRate:  150,
+		Server:    ServerConfig{PullRate: 150, SampleInterval: node.SampleInterval},
 		Seed:      7,
 		DebugAddr: "127.0.0.1:0",
 	})
@@ -216,13 +215,10 @@ func TestDebugEndpointUnderLoss(t *testing.T) {
 		Servers:   1,
 		Degree:    3,
 		Node:      node,
-		PullRate:  200,
+		Server:    ServerConfig{PullRate: 200, SampleInterval: node.SampleInterval},
 		Seed:      13,
 		DebugAddr: "127.0.0.1:0",
-		WrapTransport: func(tr transport.Transport) transport.Transport {
-			return transport.NewFaulty(tr, transport.FaultConfig{LossProb: 0.2},
-				randx.New(int64(tr.LocalID())*6271+5))
-		},
+		Listen:    faultyListen(transport.NewNetwork(), 6271, 5, lossy20),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -212,7 +212,7 @@ func TestNodePiggybacksInventory(t *testing.T) {
 func TestClusterPullPolicy(t *testing.T) {
 	if _, err := StartCluster(ClusterConfig{
 		Peers: 2, Servers: 1, Degree: 1,
-		Node: fastNodeConfig(), PullRate: 1,
+		Node: fastNodeConfig(), Server: ServerConfig{PullRate: 1},
 		PullPolicy: "bogus", Seed: 1,
 	}); err == nil {
 		t.Fatal("unknown pull policy accepted")
@@ -223,7 +223,7 @@ func TestClusterPullPolicy(t *testing.T) {
 		Servers:    2,
 		Degree:     3,
 		Node:       fastNodeConfig(),
-		PullRate:   120,
+		Server:     ServerConfig{PullRate: 120},
 		PullPolicy: "rarest",
 		Seed:       1,
 	})

@@ -219,7 +219,9 @@ func NewServer(tr transport.Transport, cfg ServerConfig) (*Server, error) {
 		cfg.Tracer, cfg.SampleInterval, cfg.DebugAddr)
 	s.reg.SetInfo("policy", policy.Name())
 	s.obsRTT = s.reg.Histogram("pullRTT", obs.DelayBuckets())
-	s.obsCollect = s.reg.Histogram("collectionTime", obs.ExpBuckets(0.125, 2, 14))
+	// ~1 ms to 1024 s: a loopback collection finishes in milliseconds, one
+	// starved of pulls in minutes.
+	s.obsCollect = s.reg.Histogram("collectionTime", obs.ExpBuckets(1.0/1024, 2, 21))
 	s.obsDecode = s.reg.Histogram("decodeLatency", obs.ExpBuckets(1e-6, 4, 14))
 	s.obsPending = s.reg.Gauge("outstandingPulls")
 	s.obsDecodeQ = s.reg.Gauge("decodeQueueDepth")
@@ -295,6 +297,14 @@ func NewServer(tr transport.Transport, cfg ServerConfig) (*Server, error) {
 	}
 	return s, nil
 }
+
+// Config returns the configuration the server was built with: for a cluster
+// server, the template plus everything StartCluster derived for it (Peers,
+// Seed, Policy, the fleet fields and shared Journal, its own
+// Durability.Dir). A restart over the same state is NewServer(tr,
+// old.Config()); Policy is the old server's instance, so replace it when the
+// policy is stateful and must start fresh.
+func (s *Server) Config() ServerConfig { return s.cfg }
 
 // Service exposes the server's collection service (tests and tools).
 func (s *Server) Service() *collect.Service { return s.svc }

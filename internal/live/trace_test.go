@@ -58,16 +58,13 @@ func TestChaosCrossShardTraceSpan(t *testing.T) {
 			Mu:          60,
 			Gamma:       0.2,
 			BufferCap:   256,
+			TraceSample: 1,
 		},
-		PullRate:         200,
-		TraceSample:      1,
+		Server:           ServerConfig{PullRate: 200},
 		PerEndpointTrace: true,
 		OnSegment:        func(rlnc.SegmentID, [][]byte) { delivered.Add(1) },
 		Seed:             29,
-		WrapTransport: func(tr transport.Transport) transport.Transport {
-			return transport.NewFaulty(tr, transport.FaultConfig{LossProb: 0.2},
-				randx.New(int64(tr.LocalID())*6271+5))
-		},
+		Listen:           faultyListen(transport.NewNetwork(), 6271, 5, lossy20),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,10 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"p2pcollect/internal/membership"
-	"p2pcollect/internal/randx"
 	"p2pcollect/internal/rlnc"
-	"p2pcollect/internal/transport"
 )
 
 // The differential tests bound every peer's injection (MaxSegments) and
@@ -98,60 +95,9 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 // full-mesh TCP cluster — the reference the datagram runs must match.
 func runTCPGolden(t *testing.T, peers, perPeer int) map[rlnc.SegmentID]bool {
 	t.Helper()
-	addrs := make(map[transport.NodeID]string, peers+1)
-	trs := make([]*transport.TCPTransport, 0, peers+1)
-	for i := 1; i <= peers+1; i++ {
-		tr, err := transport.ListenTCP(transport.NodeID(i), "127.0.0.1:0", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[transport.NodeID(i)] = tr.Addr()
-		trs = append(trs, tr)
-	}
-	for _, tr := range trs {
-		for id, addr := range addrs {
-			if id != tr.LocalID() {
-				tr.AddRoute(id, addr)
-			}
-		}
-	}
-	var nodes []*Node
-	for i := 0; i < peers; i++ {
-		cfg := boundedNodeConfig(perPeer)
-		for j := 1; j <= peers; j++ {
-			if transport.NodeID(j) != trs[i].LocalID() {
-				cfg.Neighbors = append(cfg.Neighbors, transport.NodeID(j))
-			}
-		}
-		cfg.Seed = int64(i + 1)
-		n, err := NewNode(trs[i], cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := n.Start(); err != nil {
-			t.Fatal(err)
-		}
-		nodes = append(nodes, n)
-	}
-	peerIDs := make([]transport.NodeID, peers)
-	for i := range peerIDs {
-		peerIDs[i] = transport.NodeID(i + 1)
-	}
-	srv, err := NewServer(trs[peers], ServerConfig{PullRate: 200, Peers: peerIDs, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
 	got := newSegSet()
-	srv.OnSegment = got.observe
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		srv.Stop()
-		for _, n := range nodes {
-			n.Stop()
-		}
-	}()
+	cluster := socketCluster(t, "tcp", peers, boundedNodeConfig(perPeer), 200, 0, got.observe)
+	defer cluster.Stop()
 	waitFor(t, 60*time.Second, "TCP full delivery", func() bool {
 		return got.len() >= peers*perPeer
 	})
@@ -166,56 +112,10 @@ func runTCPGolden(t *testing.T, peers, perPeer int) map[rlnc.SegmentID]bool {
 // rides on the surviving membership view.
 func runUDPSwim(t *testing.T, peers, perPeer int, lossProb float64, kill bool) map[rlnc.SegmentID]bool {
 	t.Helper()
-	trs := make([]transport.Transport, 0, peers+1)
-	addrs := make([]string, 0, peers+1)
-	for i := 1; i <= peers+1; i++ {
-		u, err := transport.ListenUDP(transport.NodeID(i), "127.0.0.1:0", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs = append(addrs, u.Addr())
-		var tr transport.Transport = u
-		if lossProb > 0 {
-			tr = transport.NewFaulty(tr, transport.FaultConfig{LossProb: lossProb}, randx.New(int64(i)*7919+1))
-		}
-		trs = append(trs, tr)
-	}
-	var seeds []membership.Member
-	for i := 0; i < 3 && i < peers; i++ {
-		seeds = append(seeds, membership.Member{ID: transport.NodeID(i + 1), Addr: addrs[i], Role: membership.RolePeer})
-	}
-	swim := func() *membership.Config {
-		return &membership.Config{Seeds: seeds, Period: 0.2, SuspectTimeout: 1.0}
-	}
-	var nodes []*Node
-	for i := 0; i < peers; i++ {
-		cfg := boundedNodeConfig(perPeer)
-		cfg.Seed = int64(i + 1)
-		cfg.Membership = swim()
-		n, err := NewNode(trs[i], cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := n.Start(); err != nil {
-			t.Fatal(err)
-		}
-		nodes = append(nodes, n)
-	}
-	srv, err := NewServer(trs[peers], ServerConfig{PullRate: 200, Seed: 9, Membership: swim()})
-	if err != nil {
-		t.Fatal(err)
-	}
 	got := newSegSet()
-	srv.OnSegment = got.observe
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		srv.Stop()
-		for _, n := range nodes {
-			n.Stop()
-		}
-	}()
+	cluster := socketCluster(t, "udp", peers, boundedNodeConfig(perPeer), 200, lossProb, got.observe)
+	defer cluster.Stop()
+	srv, nodes := cluster.Servers[0], cluster.Nodes
 	if kill {
 		victim := nodes[peers-1]
 		waitFor(t, 60*time.Second, "victim's segments delivered", func() bool {

@@ -1,7 +1,7 @@
 // Package metrics provides the estimators and output helpers used by the
-// simulator and the experiment harness: streaming mean/variance, time-
-// weighted averages over simulated time, rate counters, and series that can
-// be rendered as aligned text tables or CSV.
+// simulator and the experiment harness: streaming mean/variance, named
+// counter sets, and series that can be rendered as aligned text tables or
+// CSV.
 package metrics
 
 import (
@@ -73,74 +73,6 @@ func (s *Summary) Max() float64 {
 		return math.NaN()
 	}
 	return s.max
-}
-
-// TimeWeighted tracks the time average of a piecewise-constant quantity,
-// e.g. the number of buffered blocks, over simulated time.
-type TimeWeighted struct {
-	started  bool
-	lastT    float64
-	lastV    float64
-	area     float64
-	duration float64
-}
-
-// Observe records that the quantity has value v from time t onward. Calls
-// must have non-decreasing t; the first call starts the observation window.
-func (w *TimeWeighted) Observe(t, v float64) {
-	if w.started {
-		if t < w.lastT {
-			panic("metrics: time moved backwards")
-		}
-		w.area += w.lastV * (t - w.lastT)
-		w.duration += t - w.lastT
-	}
-	w.started = true
-	w.lastT = t
-	w.lastV = v
-}
-
-// CloseAt finalizes the window at time t, extending the last value.
-func (w *TimeWeighted) CloseAt(t float64) { w.Observe(t, w.lastV) }
-
-// Mean returns the time average so far (NaN before any interval elapsed).
-func (w *TimeWeighted) Mean() float64 {
-	if w.duration == 0 {
-		return math.NaN()
-	}
-	return w.area / w.duration
-}
-
-// Duration returns the observed window length.
-func (w *TimeWeighted) Duration() float64 { return w.duration }
-
-// Rate counts events within a window of simulated time.
-type Rate struct {
-	count int64
-	start float64
-	now   float64
-}
-
-// NewRate starts a counting window at time t.
-func NewRate(t float64) *Rate { return &Rate{start: t, now: t} }
-
-// Add records n events at time t.
-func (r *Rate) Add(t float64, n int64) {
-	r.count += n
-	if t > r.now {
-		r.now = t
-	}
-}
-
-// Count returns the number of events recorded.
-func (r *Rate) Count() int64 { return r.count }
-
-// PerUnit returns events per unit time as of time t.
-func (r *Rate) PerUnit(t float64) float64 {
-	if t <= r.start {
-		return math.NaN()
-	}
-	return float64(r.count) / (t - r.start)
 }
 
 // Point is one (X, Y) observation of a series.

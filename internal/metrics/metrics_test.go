@@ -40,48 +40,6 @@ func TestSummarySingleObservation(t *testing.T) {
 	}
 }
 
-func TestTimeWeighted(t *testing.T) {
-	var w TimeWeighted
-	if !math.IsNaN(w.Mean()) {
-		t.Error("empty TimeWeighted should be NaN")
-	}
-	w.Observe(0, 10) // 10 over [0, 2)
-	w.Observe(2, 0)  // 0 over [2, 4)
-	w.CloseAt(4)
-	if got := w.Mean(); math.Abs(got-5) > 1e-12 {
-		t.Errorf("Mean = %v, want 5", got)
-	}
-	if w.Duration() != 4 {
-		t.Errorf("Duration = %v", w.Duration())
-	}
-}
-
-func TestTimeWeightedBackwardsPanics(t *testing.T) {
-	var w TimeWeighted
-	w.Observe(5, 1)
-	defer func() {
-		if recover() == nil {
-			t.Error("backwards time did not panic")
-		}
-	}()
-	w.Observe(4, 1)
-}
-
-func TestRate(t *testing.T) {
-	r := NewRate(10)
-	r.Add(12, 4)
-	r.Add(14, 2)
-	if r.Count() != 6 {
-		t.Errorf("Count = %d", r.Count())
-	}
-	if got := r.PerUnit(16); math.Abs(got-1) > 1e-12 {
-		t.Errorf("PerUnit = %v, want 1", got)
-	}
-	if !math.IsNaN(r.PerUnit(10)) {
-		t.Error("PerUnit at window start should be NaN")
-	}
-}
-
 func TestTableRender(t *testing.T) {
 	tbl := NewTable("Fig X", "s")
 	a := tbl.AddSeries("analysis")

@@ -15,7 +15,7 @@
 //   - Analyze evaluates the paper's ODE characterization (§3) and Theorems
 //     1-4: storage overhead, session throughput, block delay, saved data.
 //   - StartCluster boots a live wall-clock deployment of real nodes that
-//     gossip actual coded statistics records over in-memory or TCP
+//     gossip actual coded statistics records over in-memory, TCP or UDP
 //     transports; logging servers reconstruct the original records.
 //   - The experiments package (driven by cmd/collectsim) regenerates every
 //     figure and table of the paper's evaluation.
@@ -111,8 +111,11 @@ type (
 	ServerConfig = live.ServerConfig
 	// Server is a running live logging server.
 	Server = live.Server
-	// ClusterConfig describes an in-process deployment of peers and
-	// servers on an in-memory network.
+	// ClusterConfig describes an in-process deployment: its shape (Peers,
+	// Servers, Degree, Fleet, Membership), one template per role (Node,
+	// Server — every protocol knob is set there and nowhere else), and the
+	// transport each endpoint listens on (Listen; nil is an in-memory
+	// network).
 	ClusterConfig = live.ClusterConfig
 	// Cluster is a running in-process deployment.
 	Cluster = live.Cluster
@@ -148,7 +151,9 @@ type (
 	// Durability configures a live server's write-ahead log (set it on
 	// ServerConfig.Durability): where the log lives, the fsync policy, and
 	// how often decoder state is snapshotted. A server restarted over the
-	// same directory recovers every open segment at its pre-crash rank.
+	// same directory recovers every open segment at its pre-crash rank. On
+	// ClusterConfig.Server, Dir is the cluster's root: server j logs under
+	// <Dir>/shard-<j>.
 	Durability = wal.Config
 	// WALSyncMode selects when appended WAL records reach disk:
 	// WALSyncInterval (group commit, the default), WALSyncNone, or
@@ -192,7 +197,12 @@ func OpenDeliveryJournal(path string, cap int) (*DeliveryJournal, io.Closer, err
 func NewDeliveryJournal(cap int) *DeliveryJournal { return fleet.NewJournal(cap) }
 
 // StartCluster boots an in-process live deployment: peers on a random
-// overlay plus logging servers, all running real protocol loops.
+// overlay (or SWIM membership) plus logging servers, all running real
+// protocol loops over the transport cfg.Listen opens. It fills in what
+// differs per endpoint (IDs, neighbors, seeds, shard coordinates) and
+// rejects a template that sets one of those fields; Node.Config and
+// Server.Config return the result, so a restart is NewServer(tr,
+// old.Config()).
 func StartCluster(cfg ClusterConfig) (*Cluster, error) { return live.StartCluster(cfg) }
 
 // NewNetwork returns an in-memory transport fabric for live nodes.
@@ -290,7 +300,8 @@ func NewPullPolicy(name string, seed int64) (PullPolicy, error) { return pullsch
 
 // NewFaultyTransport wraps a transport with seeded fault injection —
 // random loss, a latency distribution, and a partition schedule — for
-// rehearsing failure against the exact production code paths.
+// rehearsing failure against the exact production code paths. On a cluster,
+// wrap inside ClusterConfig.Listen.
 func NewFaultyTransport(inner Transport, cfg FaultConfig, seed int64) *FaultyTransport {
 	return transport.NewFaulty(inner, cfg, randx.New(seed))
 }
@@ -319,7 +330,7 @@ type (
 	DebugServer = obs.DebugServer
 	// TraceContext is the sampled lineage a traced block carries on the
 	// wire: a cluster-unique ID plus a hop count. Enable sampling with
-	// SimConfig/NodeConfig/ClusterConfig.TraceSample.
+	// SimConfig.TraceSample or NodeConfig.TraceSample.
 	TraceContext = obs.TraceContext
 	// ProcessDump is one process's trace contribution — a labeled event
 	// batch from a ring tail, flight recorder, or saved snapshot — fed to

@@ -93,8 +93,8 @@ func TestFacadeLiveCluster(t *testing.T) {
 			Gamma:       2,
 			BufferCap:   128,
 		},
-		PullRate: 100,
-		Seed:     4,
+		Server: p2pcollect.ServerConfig{PullRate: 100},
+		Seed:   4,
 		OnSegment: func(id p2pcollect.SegmentID, blocks [][]byte) {
 			select {
 			case decoded <- id:
