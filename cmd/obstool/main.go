@@ -168,7 +168,7 @@ func runMerge(w io.Writer, format, label string, sources []string) error {
 	cluster := obs.MergeSnapshots(label, all...)
 	switch format {
 	case "prom":
-		obs.WriteSnapshotPrometheus(w, cluster)
+		obs.WriteExposition(w, cluster)
 	case "text":
 		fmt.Fprintf(w, "cluster view %q: %d endpoints from %d sources\n", label, len(all), len(sources))
 		writeSnapshotText(w, "  ", cluster)

@@ -56,7 +56,7 @@ func TestMembershipChurnFullDelivery(t *testing.T) {
 		return true
 	})
 
-	observer := cluster.Nodes[0].Membership()
+	observer := cluster.Nodes[0]
 	cluster.Nodes[leaverID-1].Stop()
 	cluster.Nodes[crasherID-1].Crash()
 	crashAt := time.Now()
@@ -64,7 +64,7 @@ func TestMembershipChurnFullDelivery(t *testing.T) {
 	// The graceful leaver said goodbye: the observer must learn the left
 	// verdict by rumor, with no suspicion detour.
 	waitFor(t, 15*time.Second, "observer sees the leaver as left", func() bool {
-		st, ok := observer.Status(leaverID)
+		st, ok := observer.MemberStatus(leaverID)
 		return ok && st == membership.StatusLeft
 	})
 
@@ -74,10 +74,10 @@ func TestMembershipChurnFullDelivery(t *testing.T) {
 	deadline := time.Now().Add(20 * time.Second)
 	for deadAt.IsZero() {
 		if time.Now().After(deadline) {
-			st, ok := observer.Status(crasherID)
+			st, ok := observer.MemberStatus(crasherID)
 			t.Fatalf("observer never saw the crasher dead (status %v, known %v)", st, ok)
 		}
-		if st, ok := observer.Status(crasherID); ok {
+		if st, ok := observer.MemberStatus(crasherID); ok {
 			switch st {
 			case membership.StatusSuspect:
 				if suspectAt.IsZero() {
@@ -127,14 +127,14 @@ func TestMembershipChurnFullDelivery(t *testing.T) {
 	}()
 	waitFor(t, 30*time.Second, "observer sees both victims alive again", func() bool {
 		for _, id := range []transport.NodeID{leaverID, crasherID} {
-			if st, ok := observer.Status(id); !ok || st != membership.StatusAlive {
+			if st, ok := observer.MemberStatus(id); !ok || st != membership.StatusAlive {
 				return false
 			}
 		}
 		return true
 	})
 	waitFor(t, 30*time.Second, "rejoined node rebuilds a full view", func() bool {
-		return len(rejoined[0].Membership().Alive()) >= peers-2
+		return len(rejoined[0].AliveMembers()) >= peers-2
 	})
 
 	waitFor(t, 60*time.Second, "full delivery through churn", func() bool {

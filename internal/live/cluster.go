@@ -345,7 +345,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 	}
 	if cfg.DebugAddr != "" {
-		debug, err := obs.Serve(cfg.DebugAddr, obs.NewGroup(c.Registries()...))
+		debug, err := obs.Serve(cfg.DebugAddr, c.Registries()...)
 		if err != nil {
 			return fail(err)
 		}

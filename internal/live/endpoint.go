@@ -19,13 +19,10 @@ import (
 // draws.
 const memberSeedSalt = 0x5317b007
 
-// obsSeriesCap bounds each endpoint's retained time-series samples. At the
-// default 1s sample interval this is over an hour of history.
-const obsSeriesCap = 4096
-
-// defaultSampleInterval spaces observability samples when the config leaves
-// SampleInterval zero.
-const defaultSampleInterval = 1.0
+// swimTicksPerPeriod is how often the detector is advanced per probe
+// period: often enough that ping timeouts (a third of a period by default)
+// are noticed promptly.
+const swimTicksPerPeriod = 4
 
 // serverIDBase offsets server IDs above any peer ID.
 const serverIDBase = 1 << 32
@@ -67,18 +64,24 @@ type endpoint struct {
 	counters *peercore.Counters
 	// peers is who this endpoint contacts at random — gossip targets for a
 	// node, pull targets for a server: fixed under a static topology,
-	// tracking the live view when the SWIM agent runs.
+	// tracking the live view when the SWIM detector runs.
 	peers *peercore.PeerSet
-	agent *membership.Agent // nil under a static topology
+
+	// swim is the failure detector, nil under a static topology. swimMu
+	// serializes it and may be held when mu is taken (a status transition
+	// reaches onMember from inside the core), never the other way round.
+	swimMu sync.Mutex
+	swim   *membership.SWIM
 
 	// The registry is always built (scraping it is free when nobody asks);
-	// the debug server only exists when debugAddr is set.
-	reg         *obs.Registry
-	tracer      obs.Tracer
-	obsOutbox   *obs.Gauge
-	sampleEvery time.Duration
-	debugAddr   string
-	debug       *obs.DebugServer
+	// the debug server only exists when debugAddr is set. A scrape reads
+	// the registry's lists and then, with no registry lock held, takes mu
+	// inside a gauge function; Stats holds mu and reads the registry's
+	// counter list. The registry lock is never held while mu is taken.
+	reg       *obs.Registry
+	tracer    obs.Tracer
+	debugAddr string
+	debug     *obs.DebugServer
 
 	started time.Time
 	stop    chan struct{}
@@ -92,7 +95,7 @@ type endpoint struct {
 // order (peercore.NewPeer, then Fork, on a node) decides the seeded stream.
 func (e *endpoint) init(tr transport.Transport, role membership.Role, seed int64,
 	contacts []transport.NodeID, swim *membership.Config,
-	tracer obs.Tracer, sampleInterval float64, debugAddr string) {
+	tracer obs.Tracer, debugAddr string) {
 	e.tr = tr
 	e.rng = randx.New(seed)
 	e.counters = peercore.NewCounters()
@@ -101,7 +104,7 @@ func (e *endpoint) init(tr transport.Transport, role membership.Role, seed int64
 		e.peers.Add(uint64(id))
 	}
 	if swim != nil {
-		e.agent = e.newAgent(role, *swim, seed)
+		e.swim = e.newSWIM(role, *swim, seed)
 	}
 	e.tracer = tracer
 	if tracer == nil {
@@ -112,47 +115,58 @@ func (e *endpoint) init(tr transport.Transport, role membership.Role, seed int64
 	if cr, ok := tr.(transport.CounterRanger); ok {
 		e.reg.RegisterCounters(cr.RangeCounters)
 	}
-	e.obsOutbox = e.reg.Gauge("outboxDepth")
+	// The transport's send-queue depth, when it has one: the first thing to
+	// look at when a destination is slow.
+	e.reg.GaugeFunc("outboxDepth", func() float64 {
+		if dr, ok := tr.(transport.DepthReporter); ok {
+			return float64(dr.OutboxDepth())
+		}
+		return 0
+	})
 	if rt, ok := tracer.(*obs.RingTracer); ok {
 		e.reg.SetTracer(rt)
 	}
-	if sampleInterval <= 0 {
-		sampleInterval = defaultSampleInterval
-	}
-	e.sampleEvery = time.Duration(sampleInterval * float64(time.Second))
 	e.debugAddr = debugAddr
 	e.stop = make(chan struct{})
 }
 
-// newAgent wires a SWIM agent to the transport: outbound packets ride
-// MsgSwim frames, learned member addresses feed the transport's address
-// book when it has one, and every status transition reaches onMember before
-// any user callback from the config. The agent's RNG is decoupled from the
-// protocol seed via memberSeedSalt unless the config pins its own.
-func (e *endpoint) newAgent(role membership.Role, mcfg membership.Config, seed int64) *membership.Agent {
-	tr := e.tr
-	self := membership.Member{ID: tr.LocalID(), Role: role}
-	if a, ok := tr.(addressed); ok {
+// newSWIM builds the failure detector for this endpoint. Every status
+// transition first feeds the transport's address book when it has one (an
+// alive member or seed with an address becomes dialable), then onMember,
+// then any user callback from the config. The detector's RNG is decoupled
+// from the protocol seed via memberSeedSalt unless the config pins its own.
+func (e *endpoint) newSWIM(role membership.Role, mcfg membership.Config, seed int64) *membership.SWIM {
+	self := membership.Member{ID: e.tr.LocalID(), Role: role}
+	if a, ok := e.tr.(addressed); ok {
 		self.Addr = a.Addr()
 	}
 	if mcfg.Seed == 0 {
 		mcfg.Seed = seed ^ memberSeedSalt
 	}
+	book, _ := e.tr.(router)
 	userUpdate := mcfg.OnUpdate
 	mcfg.OnUpdate = func(m membership.Member, st membership.Status) {
+		if st == membership.StatusAlive && m.Addr != "" && book != nil {
+			book.AddRoute(m.ID, m.Addr)
+		}
 		e.onMember(m, st)
 		if userUpdate != nil {
 			userUpdate(m, st)
 		}
 	}
-	var addRoute func(transport.NodeID, string)
-	if r, ok := tr.(router); ok {
-		addRoute = r.AddRoute
+	return membership.New(self, mcfg)
+}
+
+// stepSWIM runs one step of the detector on the endpoint's clock and sends
+// the packets it emits as MsgSwim frames, outside the detector's lock so a
+// slow transport never stalls it.
+func (e *endpoint) stepSWIM(step func(now float64) []membership.Packet) {
+	e.swimMu.Lock()
+	pkts := step(e.now())
+	e.swimMu.Unlock()
+	for _, p := range pkts {
+		e.tr.Send(p.To, &transport.Message{Type: transport.MsgSwim, Raw: p.Raw}) //nolint:errcheck // best-effort probe
 	}
-	send := func(to transport.NodeID, raw []byte) {
-		tr.Send(to, &transport.Message{Type: transport.MsgSwim, Raw: raw}) //nolint:errcheck // best-effort probe
-	}
-	return membership.NewAgent(self, mcfg, send, addRoute)
 }
 
 // onMember folds membership transitions into the contact set: alive peers
@@ -175,15 +189,33 @@ func (e *endpoint) onMember(m membership.Member, st membership.Status) {
 }
 
 // Registry exposes the endpoint's observability registry, for scraping it
-// directly or folding it into an obs.Group served on one shared port.
+// directly or serving it with others on one shared port (obs.Serve).
 func (e *endpoint) Registry() *obs.Registry { return e.reg }
 
 // ID returns the endpoint's network identity.
 func (e *endpoint) ID() transport.NodeID { return e.tr.LocalID() }
 
-// Membership returns the endpoint's SWIM agent, or nil when it runs a
-// static topology.
-func (e *endpoint) Membership() *membership.Agent { return e.agent }
+// AliveMembers snapshots the members the SWIM detector currently considers
+// alive (self excluded), in unspecified order; nil under a static topology.
+func (e *endpoint) AliveMembers() []membership.Member {
+	if e.swim == nil {
+		return nil
+	}
+	e.swimMu.Lock()
+	defer e.swimMu.Unlock()
+	return e.swim.Alive()
+}
+
+// MemberStatus reports the detector's local view of one member; false when
+// it has never heard of it, or under a static topology.
+func (e *endpoint) MemberStatus(id transport.NodeID) (membership.Status, bool) {
+	if e.swim == nil {
+		return 0, false
+	}
+	e.swimMu.Lock()
+	defer e.swimMu.Unlock()
+	return e.swim.Status(id)
+}
 
 // DebugURL returns the debug endpoint's base URL, or "" when no DebugAddr
 // was configured (or the endpoint is not running).
@@ -194,32 +226,39 @@ func (e *endpoint) DebugURL() string {
 	return e.debug.URL()
 }
 
-// withTransportCounters copies an instrumented transport's health counters
-// (the "transport*" keys) into a protocol counter snapshot, so one snapshot
-// reports protocol progress and transport liveness side by side.
-func (e *endpoint) withTransportCounters(protocol map[string]int64) map[string]int64 {
-	if ic, ok := e.tr.(transport.Instrumented); ok {
-		for k, v := range ic.Counters() {
-			protocol[k] = v
-		}
+// protocolCounters is Stats().Protocol: every counter the registry exposes
+// — protocol, transport health, and whatever the embedder registered —
+// read from the registry's own sources in one hold of mu, in which
+// alongside reads the embedder's state that must agree with them. Only the
+// reads happen under mu; the map is built after it is released. A caller
+// that polls Stats in a tight loop (bench/ does, waiting for a cluster's
+// first pull) would otherwise hold mu most of the time and starve the very
+// loops it is waiting on.
+func (e *endpoint) protocolCounters(alongside func()) map[string]int64 {
+	type counter struct {
+		name string
+		v    int64
 	}
-	return protocol
+	read := make([]counter, 0, 64)
+	e.mu.Lock()
+	e.reg.RangeCounters(func(name string, v int64) { read = append(read, counter{name, v}) })
+	alongside()
+	e.mu.Unlock()
+	out := make(map[string]int64, len(read))
+	for _, c := range read {
+		out[c.name] = c.v
+	}
+	return out
 }
 
-// sampleOutbox publishes the transport's send-queue depth, when it has one.
-func (e *endpoint) sampleOutbox() {
-	if dr, ok := e.tr.(transport.DepthReporter); ok {
-		e.obsOutbox.Set(float64(dr.OutboxDepth()))
-	}
-}
-
-// now is the protocol clock: wall seconds since start. Callers hold mu
-// (the state machines are single-threaded under it).
+// now is the one clock of the endpoint, protocol and failure detector
+// alike: wall seconds since start.
 func (e *endpoint) now() float64 { return time.Since(e.started).Seconds() }
 
 // start brings the endpoint up: the debug server, the clock, ready (the
-// embedder's last step before traffic, nil for none), one goroutine per
-// loop, and finally the SWIM agent. It is an error to start twice.
+// embedder's last step before traffic, nil for none), and one goroutine per
+// loop, the SWIM detector's ticker among them. It is an error to start
+// twice.
 func (e *endpoint) start(ready func(), loops ...func()) error {
 	e.startMu.Lock()
 	defer e.startMu.Unlock()
@@ -238,6 +277,12 @@ func (e *endpoint) start(ready func(), loops ...func()) error {
 	if ready != nil {
 		ready()
 	}
+	if e.swim != nil {
+		period := time.Duration(e.swim.Period() / swimTicksPerPeriod * float64(time.Second))
+		loops = append(loops, func() {
+			e.every(max(period, time.Millisecond), func() { e.stepSWIM(e.swim.Tick) })
+		})
+	}
 	e.wg.Add(len(loops))
 	for _, loop := range loops {
 		go func() {
@@ -245,14 +290,11 @@ func (e *endpoint) start(ready func(), loops ...func()) error {
 			loop()
 		}()
 	}
-	if e.agent != nil {
-		e.agent.Start()
-	}
 	return nil
 }
 
 // shutdown brings the endpoint down and waits for every loop: gracefully
-// (the agent broadcasts a leave while the transport can still carry it) or
+// (the detector broadcasts a leave while the transport can still carry it) or
 // the way a killed process would go (no goodbye; the cluster must detect
 // the death by probing). The debug server closes before after runs, so a
 // postmortem scraper gets a clean connection error, never a half-dead
@@ -265,12 +307,8 @@ func (e *endpoint) shutdown(graceful bool, after func()) {
 		return
 	}
 	e.running = false
-	if e.agent != nil {
-		if graceful {
-			e.agent.Stop()
-		} else {
-			e.agent.Kill()
-		}
+	if e.swim != nil && graceful {
+		e.stepSWIM(e.swim.Leave)
 	}
 	close(e.stop)
 	e.tr.Close() //nolint:errcheck // shutdown path
@@ -329,7 +367,7 @@ func (e *endpoint) every(period time.Duration, fn func()) {
 }
 
 // receive feeds every inbound message to handle until the endpoint stops
-// or the transport closes. Membership packets go to the SWIM agent.
+// or the transport closes. Membership packets go to the SWIM detector.
 func (e *endpoint) receive(handle func(*transport.Message)) {
 	for {
 		select {
@@ -341,8 +379,10 @@ func (e *endpoint) receive(handle func(*transport.Message)) {
 				return
 			case m.Type != transport.MsgSwim:
 				handle(m)
-			case e.agent != nil:
-				e.agent.Deliver(m.From, m.Raw)
+			case e.swim != nil:
+				e.stepSWIM(func(now float64) []membership.Packet {
+					return e.swim.Handle(now, m.From, m.Raw)
+				})
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -20,7 +21,7 @@ import (
 // in-memory network.
 func newTestEndpoint(seed int64) *endpoint {
 	e := &endpoint{}
-	e.init(transport.NewNetwork().Join(1), membership.RolePeer, seed, nil, nil, nil, 0, "")
+	e.init(transport.NewNetwork().Join(1), membership.RolePeer, seed, nil, nil, nil, "")
 	return e
 }
 
@@ -187,12 +188,12 @@ func TestEndpointShutdownLeaveVsCrash(t *testing.T) {
 		}
 		heard := make(chan membership.Status, 16) // b's view of a; ample for alive→suspect→dead
 		a, b := &endpoint{}, &endpoint{}
-		a.init(net.Join(1), membership.RolePeer, 1, nil, swim(2, nil), nil, 0, "")
+		a.init(net.Join(1), membership.RolePeer, 1, nil, swim(2, nil), nil, "")
 		b.init(net.Join(2), membership.RolePeer, 2, nil, swim(1, func(m membership.Member, st membership.Status) {
 			if m.ID == 1 {
 				heard <- st
 			}
-		}), nil, 0, "")
+		}), nil, "")
 		for _, e := range []*endpoint{a, b} {
 			if err := e.start(nil, func() { e.receive(func(*transport.Message) {}) }); err != nil {
 				t.Fatal(err)
@@ -234,24 +235,74 @@ func TestEndpointShutdownLeaveVsCrash(t *testing.T) {
 	}
 }
 
+// routeRecorder is an in-memory transport with an address book that only
+// remembers what it was told.
+type routeRecorder struct {
+	transport.Transport
+	mu     sync.Mutex
+	routes map[transport.NodeID]string
+}
+
+func (r *routeRecorder) AddRoute(id transport.NodeID, addr string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.routes[id] = addr
+}
+
+// TestEndpointMemberUpdateOrder: by the time a user's OnUpdate hears that a
+// member is alive, the transport can already dial it and the contact set
+// already holds it — for a seed, that is during construction.
+func TestEndpointMemberUpdateOrder(t *testing.T) {
+	tr := &routeRecorder{Transport: transport.NewNetwork().Join(1), routes: map[transport.NodeID]string{}}
+	e := &endpoint{}
+	calls := 0
+	e.init(tr, membership.RolePeer, 1, nil, &membership.Config{
+		Seeds: []membership.Member{{ID: 2, Addr: "10.0.0.2:7000", Role: membership.RolePeer}},
+		OnUpdate: func(m membership.Member, st membership.Status) {
+			calls++
+			tr.mu.Lock()
+			addr := tr.routes[m.ID]
+			tr.mu.Unlock()
+			e.mu.Lock()
+			contact := e.peers.Len() == 1 && e.peers.At(0) == uint64(m.ID)
+			e.mu.Unlock()
+			if st != membership.StatusAlive || addr != m.Addr || !contact {
+				t.Errorf("OnUpdate(%v, %v): route %q, in contact set %v", m, st, addr, contact)
+			}
+		},
+	}, nil, "")
+	if calls != 1 {
+		t.Errorf("OnUpdate ran %d times for one seed", calls)
+	}
+	if st, ok := e.MemberStatus(2); !ok || st != membership.StatusAlive || len(e.AliveMembers()) != 1 {
+		t.Errorf("seed not alive in the local view: %v %v", st, ok)
+	}
+}
+
 // TestWallClockConfinedToEndpoint keeps the clock seam one file wide: no
 // non-test file of this package other than endpoint.go may read the wall
 // clock, sleep, or create a timer (durations and time constants are fine;
 // it is the calls that tie code to real time), and endpoint.go itself holds
-// one clock read, one elapsed-time read, one timer and one ticker.
+// one clock read, one elapsed-time read, one timer and one ticker. The
+// membership package, which the endpoint drives on that clock, holds none.
 func TestWallClockConfinedToEndpoint(t *testing.T) {
 	banned := map[string]bool{
 		"Now": true, "Since": true, "NewTimer": true, "NewTicker": true,
 		"After": true, "AfterFunc": true, "Sleep": true,
 	}
-	entries, err := os.ReadDir(".")
-	if err != nil {
-		t.Fatal(err)
+	var names []string
+	for _, dir := range []string{".", "../membership"} {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, entry := range entries {
+			names = append(names, filepath.Join(dir, entry.Name()))
+		}
 	}
 	fset := token.NewFileSet()
 	inEndpoint := map[string]int{}
-	for _, entry := range entries {
-		name := entry.Name()
+	for _, name := range names {
 		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}

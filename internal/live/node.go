@@ -83,9 +83,6 @@ type NodeConfig struct {
 	// leaves the seeded protocol byte stream untouched. Zero disables
 	// sampling (the default; frames stay byte-identical to legacy).
 	TraceSample float64
-	// SampleInterval spaces the observability samples (buffer occupancy,
-	// outbox depth) in seconds. Zero selects 1s.
-	SampleInterval float64
 	// DebugAddr, when non-empty, serves this node's debug endpoint
 	// (Prometheus /metrics, JSON /debug/snapshot, pprof) on the given
 	// address for the node's lifetime. Use ":0" for an ephemeral port.
@@ -153,9 +150,6 @@ type Node struct {
 	fullAt   map[rlnc.SegmentID]map[transport.NodeID]float64
 	gen      *logdata.Generator
 	injected int // segments injected so far, for MaxSegments
-
-	obsBuffered *obs.Gauge
-	obsOcc      *obs.TimeSeries
 }
 
 // NewNode builds a peer over the given transport.
@@ -167,7 +161,7 @@ func NewNode(tr transport.Transport, cfg NodeConfig) (*Node, error) {
 	// With Membership set, Neighbors only seed the gossip target set; the
 	// live view then keeps it current.
 	n.init(tr, membership.RolePeer, cfg.Seed, cfg.Neighbors, cfg.Membership,
-		cfg.Tracer, cfg.SampleInterval, cfg.DebugAddr)
+		cfg.Tracer, cfg.DebugAddr)
 	// The seeded stream depends on this order: the buffer takes the RNG
 	// first, the generator forks it second.
 	n.core = peercore.NewPeer(uint64(tr.LocalID()), peercore.PeerConfig{
@@ -182,8 +176,11 @@ func NewNode(tr transport.Transport, cfg NodeConfig) (*Node, error) {
 		// draws, so sampled and unsampled runs share one byte stream.
 		n.traceRNG = randx.New(cfg.Seed ^ traceSeedSalt)
 	}
-	n.obsBuffered = n.reg.Gauge("bufferedBlocks")
-	n.obsOcc = n.reg.TimeSeries("bufferOccupancy", obsSeriesCap)
+	n.reg.GaugeFunc("bufferedBlocks", func() float64 {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return float64(n.core.Occupancy())
+	})
 	return n, nil
 }
 
@@ -199,7 +196,6 @@ func (n *Node) Start() error {
 		func() { n.receive(n.handle) },
 		func() { n.every(reapInterval, n.reap) },
 		func() { n.paced(n.cfg.Mu, n.gossip) },
-		func() { n.every(n.sampleEvery, n.sampleObs) },
 	}
 	if n.cfg.Lambda > 0 {
 		rate := n.cfg.Lambda / float64(n.cfg.SegmentSize)
@@ -218,27 +214,26 @@ func (n *Node) Stop() { n.shutdown(true, nil) }
 func (n *Node) Crash() { n.shutdown(false, nil) }
 
 // Stats returns a consistent snapshot of the node's counters. Protocol
-// includes the transport's health counters (the "transport*" keys) when
-// the transport is instrumented, so one snapshot reports protocol progress
-// and transport liveness side by side. GossipSent counts gossip handed to
-// the transport (attempted); transportFramesDelivered among the Protocol
-// keys is how much of it actually left the machine.
+// holds exactly the counters the node's registry exposes, the transport's
+// health counters (the "transport*" keys) included, so one snapshot reports
+// protocol progress and transport liveness side by side. GossipSent counts
+// gossip handed to the transport (attempted); transportFramesDelivered
+// among the Protocol keys is how much of it actually left the machine.
 func (n *Node) Stats() NodeStats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	c := n.counters
-	return NodeStats{
-		InjectedSegments: c.Get(peercore.EvInjectedSegment),
-		InjectedBlocks:   c.Get(peercore.EvInjectedBlock),
-		GossipSent:       c.Get(peercore.EvGossipSend),
-		BlocksReceived:   c.Get(peercore.EvBlockReceived),
-		BlocksStored:     c.Get(peercore.EvBlockStored),
-		BlocksExpired:    c.Get(peercore.EvBlockLostTTL),
-		PullsServed:      c.Get(peercore.EvPullServed),
-		BufferedBlocks:   n.core.Occupancy(),
-		BufferedSegments: n.core.NumSegments(),
-		Protocol:         n.withTransportCounters(c.Snapshot()),
-	}
+	var st NodeStats
+	st.Protocol = n.protocolCounters(func() {
+		st.BufferedBlocks = n.core.Occupancy()
+		st.BufferedSegments = n.core.NumSegments()
+	})
+	get := func(ev peercore.Event) int64 { return st.Protocol[ev.String()] }
+	st.InjectedSegments = get(peercore.EvInjectedSegment)
+	st.InjectedBlocks = get(peercore.EvInjectedBlock)
+	st.GossipSent = get(peercore.EvGossipSend)
+	st.BlocksReceived = get(peercore.EvBlockReceived)
+	st.BlocksStored = get(peercore.EvBlockStored)
+	st.BlocksExpired = get(peercore.EvBlockLostTTL)
+	st.PullsServed = get(peercore.EvPullServed)
+	return st
 }
 
 // inject generates one segment of fresh statistics records and stores its
@@ -485,17 +480,4 @@ func (n *Node) inventory() []pullsched.InventoryEntry {
 		inv = append(inv, pullsched.InventoryEntry{Seg: seg, Blocks: blocks})
 	}
 	return inv
-}
-
-// sampleObs publishes the node's instantaneous state (buffer occupancy,
-// transport outbox depth) — the live counterpart of the simulator's
-// sim-clock sampler.
-func (n *Node) sampleObs() {
-	n.mu.Lock()
-	now := n.now()
-	occ := n.core.Occupancy()
-	n.mu.Unlock()
-	n.obsBuffered.Set(float64(occ))
-	n.obsOcc.Observe(now, float64(occ))
-	n.sampleOutbox()
 }

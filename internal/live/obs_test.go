@@ -5,11 +5,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"p2pcollect/internal/obs"
+	"p2pcollect/internal/randx"
 	"p2pcollect/internal/transport"
 )
 
@@ -57,14 +61,12 @@ func waitDecoded(t *testing.T, cluster *Cluster, want int64, timeout time.Durati
 // instruments, the shared tracer must reconstruct a decoded segment's
 // lifecycle, and pprof must answer.
 func TestClusterDebugEndpoints(t *testing.T) {
-	node := fastNodeConfig()
-	node.SampleInterval = 0.05
 	cluster, err := StartCluster(ClusterConfig{
 		Peers:     10,
 		Servers:   1,
 		Degree:    3,
-		Node:      node,
-		Server:    ServerConfig{PullRate: 150, SampleInterval: node.SampleInterval},
+		Node:      fastNodeConfig(),
+		Server:    ServerConfig{PullRate: 150},
 		Seed:      7,
 		DebugAddr: "127.0.0.1:0",
 	})
@@ -77,8 +79,6 @@ func TestClusterDebugEndpoints(t *testing.T) {
 	}
 	base := cluster.Debug.URL()
 	waitDecoded(t, cluster, 3, 15*time.Second)
-	// Let at least one sample tick land after decode progress.
-	time.Sleep(150 * time.Millisecond)
 
 	metrics := scrape(t, base+"/metrics")
 	for _, want := range []string{
@@ -208,14 +208,12 @@ func TestDebugEndpointUnderLoss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock chaos test")
 	}
-	node := fastNodeConfig()
-	node.SampleInterval = 0.05
 	cluster, err := StartCluster(ClusterConfig{
 		Peers:     10,
 		Servers:   1,
 		Degree:    3,
-		Node:      node,
-		Server:    ServerConfig{PullRate: 200, SampleInterval: node.SampleInterval},
+		Node:      fastNodeConfig(),
+		Server:    ServerConfig{PullRate: 200},
 		Seed:      13,
 		DebugAddr: "127.0.0.1:0",
 		Listen:    faultyListen(transport.NewNetwork(), 6271, 5, lossy20),
@@ -225,6 +223,35 @@ func TestDebugEndpointUnderLoss(t *testing.T) {
 	}
 	defer cluster.Stop()
 	base := cluster.Debug.URL()
+
+	// Stats on every endpoint, concurrently with the scrapes below: Stats
+	// holds the endpoint lock and reads the registry's counter sources, a
+	// scrape reads the registry's lists and then takes the endpoint lock in
+	// a gauge function. Nesting them the wrong way round deadlocks here;
+	// sharing anything unsynchronized fails under -race.
+	statsDone := make(chan struct{})
+	var statsWG sync.WaitGroup
+	statsWG.Add(1)
+	go func() {
+		defer statsWG.Done()
+		for {
+			select {
+			case <-statsDone:
+				return
+			default:
+			}
+			for _, n := range cluster.Nodes {
+				n.Stats()
+			}
+			for _, s := range cluster.Servers {
+				s.Stats()
+			}
+		}
+	}()
+	defer func() {
+		close(statsDone)
+		statsWG.Wait()
+	}()
 
 	// Scrape continuously for the whole collection window; every hit must
 	// succeed (scrape fails the test otherwise).
@@ -274,5 +301,126 @@ func TestDebugEndpointUnderLoss(t *testing.T) {
 	}
 	if lossDrops == 0 {
 		t.Error("loss drops not visible in /metrics")
+	}
+}
+
+// Counter names recorded at the parent of the change that made the registry
+// the only counter source (bench/ reads several of them by key): a node
+// exposes the protocol and transport vocabularies, a server adds the pull
+// feedback, a fleet shard the exchange counters.
+var (
+	parentNodeCounters = strings.Fields(`
+		blocksLostToExit blocksLostToTTL blocksPurgedByFeedback blocksReceived blocksStored
+		decodedSegments deliveredSegments departures emptyReplies gossipSends injectedBlocks
+		injectedSegments innovativePulls noTargetGossip pullsSent pullsServed redundantBlocks
+		redundantGossip redundantPulls serverPulls suppressedInjections usefulPulls
+		transportDialFailures transportDropsDown transportDropsOverflow transportDropsOversize
+		transportFaultDelayed transportFaultLossDrops transportFaultPartitionDrops
+		transportFramesDelivered transportInboxDrops transportReconnects transportSendsEnqueued
+		transportWriteErrors transportWriteTimeouts`)
+	parentServerCounters = append(strings.Fields(
+		`pullschedFeedbackEmpty pullschedFeedbackRedundant pullschedFeedbackUseful`), parentNodeCounters...)
+	parentShardCounters = append(strings.Fields(
+		`fleetExchangeInnovative fleetExchangeReceived fleetExchangeSent fleetMisroutedBlocks fleetRemoteFinished`),
+		parentServerCounters...)
+)
+
+// TestStatsProtocolEqualsRegistryCounters: Stats().Protocol and the
+// registry snapshot list exactly the same counters — they range the same
+// sources — and exactly the ones the parent listed, on every kind of
+// endpoint.
+func TestStatsProtocolEqualsRegistryCounters(t *testing.T) {
+	net := transport.NewNetwork()
+	nodeCfg := fastNodeConfig()
+	nodeCfg.Neighbors = []transport.NodeID{2}
+	node, err := NewNode(net.Join(1), nodeCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err := NewServer(net.Join(serverIDBase), ServerConfig{PullRate: 10, Peers: []transport.NodeID{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard, err := NewServer(net.Join(serverIDBase+1), ServerConfig{
+		PullRate: 10, Peers: []transport.NodeID{1},
+		Shards: 2, ShardID: 0, ShardPeers: map[int]transport.NodeID{1: serverIDBase + 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	udp, err := transport.ListenUDP(7, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty := transport.NewFaulty(udp, transport.FaultConfig{LossProb: 0.1}, randx.New(1))
+	defer faulty.Close()
+	overFaultyUDP, err := NewNode(faulty, nodeCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	keys := func(m map[string]int64) []string {
+		out := make([]string, 0, len(m))
+		for k := range m {
+			out = append(out, k)
+		}
+		sort.Strings(out)
+		return out
+	}
+	for _, tc := range []struct {
+		name     string
+		protocol map[string]int64
+		reg      *obs.Registry
+		parent   []string
+	}{
+		{"node", node.Stats().Protocol, node.Registry(), parentNodeCounters},
+		{"server", server.Stats().Protocol, server.Registry(), parentServerCounters},
+		{"fleet shard", shard.Stats().Protocol, shard.Registry(), parentShardCounters},
+		{"node over Faulty(UDP)", overFaultyUDP.Stats().Protocol, overFaultyUDP.Registry(), parentNodeCounters},
+	} {
+		want := append([]string(nil), tc.parent...)
+		sort.Strings(want)
+		if got := keys(tc.protocol); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Stats().Protocol keys\n%v\nwant the parent's\n%v", tc.name, got, want)
+		}
+		if got := keys(tc.reg.Snapshot().Counters); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: registry counter keys\n%v\nwant the parent's\n%v", tc.name, got, want)
+		}
+	}
+}
+
+// TestGaugesReadAtScrape: state gauges are evaluated when the snapshot is
+// taken, so the very first scrape is right — there is no sampler tick to
+// wait for.
+func TestGaugesReadAtScrape(t *testing.T) {
+	net := transport.NewNetwork()
+	cfg := fastNodeConfig()
+	cfg.Neighbors = []transport.NodeID{2}
+	n, err := NewNode(net.Join(1), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := n.Registry().Snapshot().Gauges["bufferedBlocks"]; got != 0 {
+		t.Fatalf("bufferedBlocks = %g on an empty buffer", got)
+	}
+	n.inject() // one segment of SegmentSize source blocks, no loop running
+	if got, want := n.Registry().Snapshot().Gauges["bufferedBlocks"], float64(cfg.SegmentSize); got != want {
+		t.Errorf("bufferedBlocks = %g on the first scrape after an injection, want %g", got, want)
+	}
+	if got, want := n.Registry().Snapshot().Gauges["bufferedBlocks"], float64(n.Stats().BufferedBlocks); got != want {
+		t.Errorf("bufferedBlocks gauge %g disagrees with Stats().BufferedBlocks %g", got, want)
+	}
+
+	srv, err := NewServer(net.Join(serverIDBase), ServerConfig{Peers: []transport.NodeID{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.pull() // sent into the void: node 1 is not running, so it stays outstanding
+	gauges := srv.Registry().Snapshot().Gauges
+	if gauges["outstandingPulls"] != 1 {
+		t.Errorf("outstandingPulls = %g after one unanswered pull, want 1", gauges["outstandingPulls"])
+	}
+	if _, ok := gauges["outboxDepth"]; !ok {
+		t.Error("outboxDepth gauge missing")
 	}
 }

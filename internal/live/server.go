@@ -77,9 +77,6 @@ type ServerConfig struct {
 	// Tracer receives segment-lifecycle milestones (rank growth, delivery,
 	// decode) on the server's clock. Nil disables tracing.
 	Tracer obs.Tracer
-	// SampleInterval spaces the observability samples (open decoders,
-	// outstanding pulls, outbox depth) in seconds. Zero selects 1s.
-	SampleInterval float64
 	// DebugAddr, when non-empty, serves this server's debug endpoint
 	// (Prometheus /metrics, JSON /debug/snapshot, pprof) on the given
 	// address for the server's lifetime. Use ":0" for an ephemeral port.
@@ -193,14 +190,12 @@ type Server struct {
 
 	// Observability. pending maps each peer to the send time of its latest
 	// outstanding pull (the next reply from that peer closes it).
-	pending       map[transport.NodeID]float64
-	obsRTT        *obs.Histogram
-	obsCollect    *obs.Histogram
-	obsDecode     *obs.Histogram
-	obsPending    *obs.Gauge
-	obsDecodeQ    *obs.Gauge
-	obsOpenSeries *obs.TimeSeries
-	flight        *obs.FlightRecorder
+	pending    map[transport.NodeID]float64
+	obsRTT     *obs.Histogram
+	obsCollect *obs.Histogram
+	obsDecode  *obs.Histogram
+	obsDecodeQ *obs.Gauge
+	flight     *obs.FlightRecorder
 }
 
 // NewServer builds a logging server over the given transport.
@@ -216,16 +211,19 @@ func NewServer(tr transport.Transport, cfg ServerConfig) (*Server, error) {
 	// With Membership set, Peers only seed the pull target set; the live
 	// view then keeps it current.
 	s.init(tr, membership.RoleServer, cfg.Seed, cfg.Peers, cfg.Membership,
-		cfg.Tracer, cfg.SampleInterval, cfg.DebugAddr)
+		cfg.Tracer, cfg.DebugAddr)
 	s.reg.SetInfo("policy", policy.Name())
 	s.obsRTT = s.reg.Histogram("pullRTT", obs.DelayBuckets())
 	// ~1 ms to 1024 s: a loopback collection finishes in milliseconds, one
 	// starved of pulls in minutes.
 	s.obsCollect = s.reg.Histogram("collectionTime", obs.ExpBuckets(1.0/1024, 2, 21))
 	s.obsDecode = s.reg.Histogram("decodeLatency", obs.ExpBuckets(1e-6, 4, 14))
-	s.obsPending = s.reg.Gauge("outstandingPulls")
+	s.reg.GaugeFunc("outstandingPulls", func() float64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return float64(len(s.pending))
+	})
 	s.obsDecodeQ = s.reg.Gauge("decodeQueueDepth")
-	s.obsOpenSeries = s.reg.TimeSeries("openDecoders", obsSeriesCap)
 	// The flight recorder is always on: a bounded in-memory ring of the
 	// last trace events, teed alongside the configured tracer so a crash
 	// dump exists even when tracing is otherwise disabled. Appends are
@@ -317,7 +315,6 @@ func (s *Server) Start() error {
 			defer s.dumpFlightOnPanic()
 			s.receive(s.handle)
 		},
-		func() { s.every(s.sampleEvery, s.sampleObs) },
 	}
 	if s.cfg.PullRate > 0 {
 		loops = append(loops, func() {
@@ -394,27 +391,23 @@ func (s *Server) dumpFlightOnPanic() {
 }
 
 // Stats returns a snapshot of the server's counters. All event-counter
-// fields come from one consistent snapshot taken under the lock (the old
-// implementation issued a separate read per field, so a decode landing
-// mid-call could yield DecodedSegments > DeliveredSegments).
+// fields come from one consistent snapshot taken under the lock, so a
+// decode landing mid-call cannot yield DecodedSegments > DeliveredSegments.
+// Protocol holds exactly the counters the server's registry exposes:
+// protocol events, transport health, pull feedback and, on a fleet shard,
+// the exchange counters.
 func (s *Server) Stats() ServerStats {
-	s.mu.Lock()
-	snap := s.counters.Snapshot()
-	st := ServerStats{
-		PullsSent:         snap[peercore.EvPullSent.String()],
-		BlocksReceived:    snap[peercore.EvBlockReceived.String()],
-		EmptyReplies:      snap[peercore.EvEmptyReply.String()],
-		RedundantBlocks:   s.svc.Redundant(),
-		DeliveredSegments: snap[peercore.EvDeliveredSegment.String()],
-		DecodedSegments:   snap[peercore.EvDecodedSegment.String()],
-		OpenDecoders:      s.svc.OpenCount(),
-	}
-	s.svc.RangeFeedback(func(name string, v int64) { snap[name] = v })
-	if s.cfg.Shards > 1 {
-		s.fleetCtr.Range(func(name string, v int64) { snap[name] = v })
-	}
-	s.mu.Unlock()
-	st.Protocol = s.withTransportCounters(snap)
+	var st ServerStats
+	st.Protocol = s.protocolCounters(func() {
+		st.RedundantBlocks = s.svc.Redundant()
+		st.OpenDecoders = s.svc.OpenCount()
+	})
+	get := func(ev peercore.Event) int64 { return st.Protocol[ev.String()] }
+	st.PullsSent = get(peercore.EvPullSent)
+	st.BlocksReceived = get(peercore.EvBlockReceived)
+	st.EmptyReplies = get(peercore.EvEmptyReply)
+	st.DeliveredSegments = get(peercore.EvDeliveredSegment)
+	st.DecodedSegments = get(peercore.EvDecodedSegment)
 	return st
 }
 
@@ -618,17 +611,4 @@ func (s *Server) broadcastFinished(seg rlnc.SegmentID) {
 // String describes the server for logs.
 func (s *Server) String() string {
 	return fmt.Sprintf("live.Server(%d)", s.tr.LocalID())
-}
-
-// sampleObs publishes the server's instantaneous state (open decoders,
-// pulls awaiting a reply, transport outbox depth).
-func (s *Server) sampleObs() {
-	s.mu.Lock()
-	now := s.now()
-	open := s.svc.OpenCount()
-	pending := len(s.pending)
-	s.mu.Unlock()
-	s.obsPending.Set(float64(pending))
-	s.obsOpenSeries.Observe(now, float64(open))
-	s.sampleOutbox()
 }

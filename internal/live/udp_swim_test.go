@@ -136,14 +136,14 @@ func runUDPSwim(t *testing.T, peers, perPeer int, lossProb float64, kill bool) m
 					t.Logf("missing segment %v", id)
 				}
 			}
-			t.Logf("server alive view: %d members", len(srv.Membership().Alive()))
+			t.Logf("server alive view: %d members", len(srv.AliveMembers()))
 			for i, n := range nodes {
 				if kill && i == peers-1 {
 					continue
 				}
 				st := n.Stats()
 				t.Logf("node %d: alive view %d, buffered %d blocks / %d segments",
-					i+1, len(n.Membership().Alive()), st.BufferedBlocks, st.BufferedSegments)
+					i+1, len(n.AliveMembers()), st.BufferedBlocks, st.BufferedSegments)
 			}
 			t.Fatalf("timed out waiting for UDP full delivery: %d/%d segments", got.len(), peers*perPeer)
 		}

@@ -9,8 +9,9 @@
 //
 // The core type, SWIM, is deterministic and single-threaded: it is driven
 // by an explicit clock (seconds, any epoch) and a seeded RNG, so tests can
-// replay exact probe and timeout schedules. Agent wraps it with a real
-// ticker and a mutex for live use.
+// replay exact probe and timeout schedules. The package never reads a
+// clock itself: the live endpoint runtime (internal/live) ticks the core
+// and feeds it packets on its own clock and under its own lock.
 package membership
 
 import (
@@ -167,7 +168,7 @@ type proxyEntry struct {
 }
 
 // SWIM is the deterministic failure-detector core. It is NOT safe for
-// concurrent use — drive it from one goroutine (see Agent) with a
+// concurrent use — drive it from one goroutine, or under one lock, with a
 // monotonic clock in seconds.
 type SWIM struct {
 	self Member
@@ -212,6 +213,10 @@ func New(self Member, cfg Config) *SWIM {
 
 // Self returns this detector's own member record.
 func (s *SWIM) Self() Member { return s.self }
+
+// Period returns the probe interval in seconds, defaults applied; a driver
+// calls Tick a few times per Period.
+func (s *SWIM) Period() float64 { return s.cfg.Period }
 
 // Incarnation returns the current self incarnation number.
 func (s *SWIM) Incarnation() uint32 { return s.inc }

@@ -19,12 +19,6 @@ func NewCounterSet(names []string) *CounterSet {
 	return &CounterSet{names: names, vals: make([]atomic.Int64, len(names))}
 }
 
-// Len returns the number of counters.
-func (c *CounterSet) Len() int { return len(c.names) }
-
-// Name returns the i-th counter's name.
-func (c *CounterSet) Name(i int) string { return c.names[i] }
-
 // Add increments counter i by n.
 func (c *CounterSet) Add(i int, n int64) { c.vals[i].Add(n) }
 
@@ -46,11 +40,4 @@ func (c *CounterSet) Range(f func(name string, v int64)) {
 	for i, name := range c.names {
 		f(name, c.vals[i].Load())
 	}
-}
-
-// SnapshotInto fills dst with every counter's current value, reusing its
-// storage. It is Snapshot without the allocation when the caller keeps a
-// map across scrapes.
-func (c *CounterSet) SnapshotInto(dst map[string]int64) {
-	c.Range(func(name string, v int64) { dst[name] = v })
 }

@@ -28,12 +28,6 @@ func TestCounterSetRangeMatchesSnapshot(t *testing.T) {
 	if joined := strings.Join(order, ","); joined != "a,b,c" {
 		t.Errorf("Range order = %s, want registration order a,b,c", joined)
 	}
-
-	into := map[string]int64{"stale": 99}
-	cs.SnapshotInto(into)
-	if into["a"] != 5 || into["c"] != 7 || into["b"] != 0 {
-		t.Errorf("SnapshotInto = %v", into)
-	}
 }
 
 func TestCounterSetRangeDoesNotAllocate(t *testing.T) {
@@ -43,10 +37,6 @@ func TestCounterSetRangeDoesNotAllocate(t *testing.T) {
 	f := func(name string, v int64) { sum += v }
 	if allocs := testing.AllocsPerRun(100, func() { cs.Range(f) }); allocs != 0 {
 		t.Errorf("Range allocates %.1f objects/op, want 0", allocs)
-	}
-	dst := make(map[string]int64, cs.Len())
-	if allocs := testing.AllocsPerRun(100, func() { cs.SnapshotInto(dst) }); allocs != 0 {
-		t.Errorf("SnapshotInto allocates %.1f objects/op, want 0", allocs)
 	}
 }
 

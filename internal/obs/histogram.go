@@ -16,10 +16,10 @@ import (
 // an implicit +Inf overflow bucket, so two histograms with the same bounds
 // merge exactly — across servers, or across nodes of a cluster.
 //
-// Quantiles are estimated by linear interpolation inside the bucket that
-// contains the target rank, the standard fixed-bucket estimator; choose
-// bounds (ExpBuckets, LinearBuckets) so the interesting mass does not land
-// in the overflow bucket, whose quantiles saturate at the last bound.
+// A histogram is read through Snapshot; quantiles, merging and exposition
+// all work on the HistogramSnapshot. Choose bounds (ExpBuckets) so the
+// interesting mass does not land in the overflow bucket, whose quantiles
+// saturate at the last bound.
 type Histogram struct {
 	name   string
 	bounds []float64 // ascending upper bounds; +Inf bucket is implicit
@@ -59,19 +59,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return bounds
 }
 
-// LinearBuckets returns n bounds start, start+width, start+2·width, … —
-// for quantities with a known linear range (occupancy, queue depth).
-func LinearBuckets(start, width float64, n int) []float64 {
-	if width <= 0 || n < 1 {
-		panic("obs: LinearBuckets needs width > 0, n >= 1")
-	}
-	bounds := make([]float64, n)
-	for i := range bounds {
-		bounds[i] = start + float64(i)*width
-	}
-	return bounds
-}
-
 // DelayBuckets are the default bounds for delay-like quantities: 5 ms to
 // ~164 s (or 0.005 to ~164 simulated time units), doubling.
 func DelayBuckets() []float64 { return ExpBuckets(0.005, 2, 16) }
@@ -103,82 +90,6 @@ func (h *Histogram) Count() int64 {
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return h.sum.Load() }
-
-// Mean returns the average observation (NaN when empty).
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return math.NaN()
-	}
-	return h.Sum() / float64(n)
-}
-
-// Quantile estimates the q-quantile (q in [0,1]) by interpolating inside
-// the containing bucket. Returns NaN when the histogram is empty. Values
-// in the overflow bucket clamp to the last finite bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	counts := make([]int64, len(h.counts))
-	var total int64
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-		total += counts[i]
-	}
-	if total == 0 {
-		return math.NaN()
-	}
-	target := q * float64(total)
-	var cum float64
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		if cum+float64(c) < target {
-			cum += float64(c)
-			continue
-		}
-		if i == len(h.bounds) {
-			return h.bounds[len(h.bounds)-1] // overflow: clamp
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		hi := h.bounds[i]
-		frac := (target - cum) / float64(c)
-		if frac < 0 {
-			frac = 0
-		}
-		return lo + frac*(hi-lo)
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
-// Merge adds o's buckets and sum into h. The bucket bounds must be
-// identical; merging across nodes of a cluster relies on every endpoint
-// using the same layout.
-func (h *Histogram) Merge(o *Histogram) error {
-	if len(h.bounds) != len(o.bounds) {
-		return fmt.Errorf("obs: merge %q: %d buckets vs %d", h.name, len(h.bounds), len(o.bounds))
-	}
-	for i, b := range h.bounds {
-		if b != o.bounds[i] {
-			return fmt.Errorf("obs: merge %q: bound %d is %g vs %g", h.name, i, b, o.bounds[i])
-		}
-	}
-	for i := range o.counts {
-		if n := o.counts[i].Load(); n != 0 {
-			h.counts[i].Add(n)
-		}
-	}
-	h.sum.Add(o.sum.Load())
-	return nil
-}
 
 // BucketCount is one bucket of a histogram snapshot.
 type BucketCount struct {
@@ -226,9 +137,10 @@ type HistogramSnapshot struct {
 	Buckets []BucketCount `json:"buckets"`
 }
 
-// Snapshot captures the histogram's state with headline percentiles. An
-// empty histogram reports zero percentiles rather than NaN so the snapshot
-// always serializes to JSON.
+// Snapshot copies the histogram's state. Count and the headline
+// percentiles are computed from the copied buckets, so one snapshot always
+// agrees with itself however many Observes race the copy. An empty
+// histogram reports zero percentiles.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	snap := HistogramSnapshot{
 		Name:    h.name,
@@ -244,36 +156,8 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		snap.Buckets[i] = BucketCount{LE: le, Count: c}
 		snap.Count += c
 	}
-	if snap.Count > 0 {
-		snap.P50 = h.Quantile(0.50)
-		snap.P90 = h.Quantile(0.90)
-		snap.P99 = h.Quantile(0.99)
-	}
+	snap.setPercentiles()
 	return snap
-}
-
-// promLines renders the histogram's sample lines (cumulative _bucket
-// series plus _sum and _count, as the exposition format requires) without
-// the family TYPE line, which the caller emits once per family.
-func (h *Histogram) promLines(label string) []string {
-	name := promName(h.name)
-	lines := make([]string, 0, len(h.counts)+2)
-	var cum int64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		le := "+Inf"
-		if i < len(h.bounds) {
-			le = strconv.FormatFloat(h.bounds[i], 'g', -1, 64)
-		}
-		lines = append(lines, fmt.Sprintf("%s_bucket%s %d\n", name, promLabelWith(label, "le", le), cum))
-	}
-	lbl := ""
-	if label != "" {
-		lbl = `{endpoint="` + label + `"}`
-	}
-	lines = append(lines, fmt.Sprintf("%s_sum%s %g\n", name, lbl, h.Sum()))
-	lines = append(lines, fmt.Sprintf("%s_count%s %d\n", name, lbl, cum))
-	return lines
 }
 
 // atomicFloat is a float64 with atomic add/load (CAS on the bit pattern).

@@ -12,15 +12,12 @@ func TestHistogramEmpty(t *testing.T) {
 	if h.Count() != 0 || h.Sum() != 0 {
 		t.Fatalf("empty histogram Count=%d Sum=%g", h.Count(), h.Sum())
 	}
-	if !math.IsNaN(h.Quantile(0.5)) {
-		t.Errorf("empty Quantile = %g, want NaN", h.Quantile(0.5))
-	}
-	if !math.IsNaN(h.Mean()) {
-		t.Errorf("empty Mean = %g, want NaN", h.Mean())
-	}
 	snap := h.Snapshot()
 	if snap.Count != 0 || len(snap.Buckets) != 4 {
 		t.Errorf("empty snapshot = %+v", snap)
+	}
+	if snap.Quantile(0.5) != 0 || snap.P50 != 0 || snap.P99 != 0 {
+		t.Errorf("empty snapshot percentiles = %g/%g/%g, want 0", snap.Quantile(0.5), snap.P50, snap.P99)
 	}
 }
 
@@ -34,8 +31,9 @@ func TestHistogramSingleSample(t *testing.T) {
 		t.Errorf("Sum = %g", h.Sum())
 	}
 	// All quantiles land inside the (1,2] bucket.
+	snap := h.Snapshot()
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		v := h.Quantile(q)
+		v := snap.Quantile(q)
 		if v < 1 || v > 2 {
 			t.Errorf("Quantile(%g) = %g, want within (1,2]", q, v)
 		}
@@ -60,7 +58,7 @@ func TestHistogramBucketBoundary(t *testing.T) {
 		t.Errorf("last bucket LE = %g, want +Inf", snap.Buckets[3].LE)
 	}
 	// Overflow values clamp quantiles to the last finite bound.
-	if v := h.Quantile(1); v != 4 {
+	if v := snap.Quantile(1); v != 4 {
 		t.Errorf("Quantile(1) = %g, want clamp to 4", v)
 	}
 }
@@ -71,44 +69,8 @@ func TestHistogramQuantileInterpolation(t *testing.T) {
 		h.Observe(5) // all mass in the first bucket [0,10]
 	}
 	// Median interpolates to the middle of the containing bucket.
-	if v := h.Quantile(0.5); v < 4 || v > 6 {
+	if v := h.Snapshot().Quantile(0.5); v < 4 || v > 6 {
 		t.Errorf("Quantile(0.5) = %g, want ≈5", v)
-	}
-}
-
-func TestHistogramMergeDisjointRanges(t *testing.T) {
-	bounds := []float64{1, 2, 4, 8}
-	a := NewHistogram("delay", bounds)
-	b := NewHistogram("delay", bounds)
-	for i := 0; i < 10; i++ {
-		a.Observe(0.5) // low range only
-		b.Observe(6)   // high range only
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
-	if a.Count() != 20 {
-		t.Fatalf("merged Count = %d", a.Count())
-	}
-	if got, want := a.Sum(), 10*0.5+10*6.0; math.Abs(got-want) > 1e-9 {
-		t.Errorf("merged Sum = %g, want %g", got, want)
-	}
-	// Low half of the distribution stays low, high half stays high.
-	if v := a.Quantile(0.25); v > 1 {
-		t.Errorf("merged Quantile(0.25) = %g, want <= 1", v)
-	}
-	if v := a.Quantile(0.75); v < 4 {
-		t.Errorf("merged Quantile(0.75) = %g, want >= 4", v)
-	}
-}
-
-func TestHistogramMergeRejectsMismatchedBounds(t *testing.T) {
-	a := NewHistogram("delay", []float64{1, 2})
-	if err := a.Merge(NewHistogram("delay", []float64{1, 2, 3})); err == nil {
-		t.Error("Merge accepted different bucket count")
-	}
-	if err := a.Merge(NewHistogram("delay", []float64{1, 3})); err == nil {
-		t.Error("Merge accepted different bounds")
 	}
 }
 
@@ -135,7 +97,12 @@ func TestHistogramConcurrentObserveAndScrape(t *testing.T) {
 		if cum != snap.Count {
 			t.Fatalf("scrape %d: bucket total %d != Count %d", i, cum, snap.Count)
 		}
-		_ = h.Quantile(0.9)
+		// The percentiles come from the buckets in this very snapshot, not
+		// from a second read of the live counters.
+		if p50, p90, p99 := snap.Quantile(0.50), snap.Quantile(0.90), snap.Quantile(0.99); snap.P50 != p50 || snap.P90 != p90 || snap.P99 != p99 {
+			t.Fatalf("scrape %d: percentiles %g/%g/%g do not recompute from the snapshot's buckets (%g/%g/%g)",
+				i, snap.P50, snap.P90, snap.P99, p50, p90, p99)
+		}
 	}
 	wg.Wait()
 	if got := h.Count(); got != workers*perWorker {
@@ -144,15 +111,13 @@ func TestHistogramConcurrentObserveAndScrape(t *testing.T) {
 }
 
 func TestHistogramPrometheusRendering(t *testing.T) {
-	h := NewHistogram("pullRTT", []float64{0.1, 1})
+	r := NewRegistry("server")
+	h := r.Histogram("pullRTT", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(5)
 	var b strings.Builder
-	for _, line := range h.promLines("server") {
-		b.WriteString(line)
-	}
-	b.WriteString("# TYPE p2p_pullRTT histogram\n")
+	WriteExposition(&b, r.Snapshot())
 	out := b.String()
 	for _, want := range []string{
 		"# TYPE p2p_pullRTT histogram",
@@ -172,12 +137,6 @@ func TestBucketHelpers(t *testing.T) {
 	for i, want := range []float64{1, 2, 4, 8} {
 		if exp[i] != want {
 			t.Errorf("ExpBuckets[%d] = %g, want %g", i, exp[i], want)
-		}
-	}
-	lin := LinearBuckets(0, 5, 3)
-	for i, want := range []float64{0, 5, 10} {
-		if lin[i] != want {
-			t.Errorf("LinearBuckets[%d] = %g, want %g", i, lin[i], want)
 		}
 	}
 }

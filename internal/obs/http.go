@@ -9,56 +9,34 @@ import (
 	"time"
 )
 
-// Source is anything that can be scraped: a single Registry, or a Group
-// bundling the registries of a whole in-process cluster under one port.
-type Source interface {
-	Registries() []*Registry
-}
-
-// Registries implements Source for a lone registry.
-func (r *Registry) Registries() []*Registry { return []*Registry{r} }
-
-// Group is a Source over several registries — e.g. one per node plus one
-// for the server of an in-process cluster.
-type Group struct {
-	regs []*Registry
-}
-
-// NewGroup bundles registries into one scrape surface.
-func NewGroup(regs ...*Registry) *Group { return &Group{regs: regs} }
-
-// Add appends a registry to the group.
-func (g *Group) Add(r *Registry) { g.regs = append(g.regs, r) }
-
-// Registries implements Source.
-func (g *Group) Registries() []*Registry { return g.regs }
-
-// Handler returns the debug mux for a source:
+// Handler returns the debug mux over the given registries — one endpoint's,
+// or those of a whole in-process cluster sharing a port:
 //
 //	/metrics         Prometheus text exposition, all endpoints, labeled
 //	/debug/snapshot  JSON snapshot {"endpoints":[...]}
 //	/debug/pprof/    the standard runtime profiles
 //
+// Both telemetry routes render a fresh set of snapshots, so /metrics is
+// exactly WriteExposition over what /debug/snapshot would have returned.
 // The mux is self-contained so callers can mount it on any server; Serve
 // is the turnkey path.
-func Handler(src Source) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		// One family-grouped exposition across all registries: writing each
-		// registry separately would repeat "# TYPE" per endpoint, which the
-		// format forbids.
-		WriteExposition(w, src.Registries()...)
-	})
-	mux.HandleFunc("/debug/snapshot", func(w http.ResponseWriter, req *http.Request) {
-		regs := src.Registries()
+func Handler(regs ...*Registry) http.Handler {
+	snapshots := func() []Snapshot {
 		snaps := make([]Snapshot, len(regs))
 		for i, r := range regs {
 			snaps[i] = r.Snapshot()
 		}
+		return snaps
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		WriteExposition(w, snapshots()...)
+	})
+	mux.HandleFunc("/debug/snapshot", func(w http.ResponseWriter, req *http.Request) {
 		// Encode before touching w: a value JSON cannot carry (a NaN gauge)
 		// must answer a clean 500, not a 200 with half a document.
-		body, err := json.MarshalIndent(map[string]any{"endpoints": snaps}, "", "  ")
+		body, err := json.MarshalIndent(map[string]any{"endpoints": snapshots()}, "", "  ")
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -97,15 +75,15 @@ func (d *DebugServer) URL() string { return "http://" + d.Addr }
 func (d *DebugServer) Close() error { return d.srv.Close() }
 
 // Serve binds addr (e.g. "127.0.0.1:9090", or ":0" for an ephemeral port)
-// and serves Handler(src) until Close. Scrapes run on their own
+// and serves Handler(regs...) until Close. Scrapes run on their own
 // goroutines, so a slow scraper never blocks collection.
-func Serve(addr string, src Source) (*DebugServer, error) {
+func Serve(addr string, regs ...*Registry) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: debug listen %s: %w", addr, err)
 	}
 	srv := &http.Server{
-		Handler:           Handler(src),
+		Handler:           Handler(regs...),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	go srv.Serve(ln) //nolint:errcheck // always returns ErrServerClosed after Close

@@ -8,6 +8,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"sort"
 	"strings"
 	"testing"
 
@@ -38,8 +40,7 @@ func buildRegistry(label string) *Registry {
 }
 
 func TestServeEndpoints(t *testing.T) {
-	group := NewGroup(buildRegistry("node-1"), buildRegistry("server"))
-	srv, err := Serve("127.0.0.1:0", group)
+	srv, err := Serve("127.0.0.1:0", buildRegistry("node-1"), buildRegistry("server"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,6 +102,55 @@ func TestServeEndpoints(t *testing.T) {
 	}
 	if idx := get("/"); !strings.Contains(idx, "/metrics") {
 		t.Errorf("index page missing route list:\n%s", idx)
+	}
+}
+
+// TestExpositionIsAFunctionOfSnapshots pins the single read path: /metrics
+// is byte-for-byte WriteExposition over the /debug/snapshot payload (after
+// its trip through JSON), and carries exactly the sample lines the
+// two-writer parent rendered straight from the live instruments
+// (testdata/exposition_parent.txt; only the family order differs).
+func TestExpositionIsAFunctionOfSnapshots(t *testing.T) {
+	srv := httptest.NewServer(Handler(buildRegistry("node-1"), buildRegistry("server")))
+	defer srv.Close()
+	get := func(path string) []byte {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	metrics := get("/metrics")
+	var doc struct {
+		Endpoints []Snapshot `json:"endpoints"`
+	}
+	if err := json.Unmarshal(get("/debug/snapshot"), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var fromSnaps bytes.Buffer
+	WriteExposition(&fromSnaps, doc.Endpoints...)
+	if !bytes.Equal(metrics, fromSnaps.Bytes()) {
+		t.Errorf("/metrics differs from WriteExposition(/debug/snapshot):\n%s\nvs\n%s", metrics, fromSnaps.Bytes())
+	}
+	parent, err := os.ReadFile("testdata/exposition_parent.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sorted := func(text []byte) string {
+		lines := strings.Split(strings.TrimSpace(string(text)), "\n")
+		sort.Strings(lines)
+		return strings.Join(lines, "\n")
+	}
+	if got, want := sorted(metrics), sorted(parent); got != want {
+		t.Errorf("sample lines differ from the parent's exposition:\ngot\n%s\nwant\n%s", got, want)
+	}
+	if err := LintExposition(bytes.NewReader(metrics)); err != nil {
+		t.Errorf("exposition fails lint: %v", err)
 	}
 }
 

@@ -215,22 +215,21 @@ func validateLabels(labels string) error {
 	return nil
 }
 
-// splitLabelPairs splits on commas outside quotes.
+// splitLabelPairs splits on commas outside quotes; inside quotes a
+// backslash escapes the next character.
 func splitLabelPairs(labels string) []string {
 	var out []string
-	depth := false
+	quoted := false
 	start := 0
 	for i := 0; i < len(labels); i++ {
-		switch labels[i] {
-		case '"':
-			if i == 0 || labels[i-1] != '\\' {
-				depth = !depth
-			}
-		case ',':
-			if !depth {
-				out = append(out, labels[start:i])
-				start = i + 1
-			}
+		switch c := labels[i]; {
+		case c == '\\' && quoted:
+			i++
+		case c == '"':
+			quoted = !quoted
+		case c == ',' && !quoted:
+			out = append(out, labels[start:i])
+			start = i + 1
 		}
 	}
 	return append(out, labels[start:])

@@ -46,12 +46,11 @@ func TestLintRejectsMalformedExpositions(t *testing.T) {
 	}
 }
 
-// TestMultiRegistryExpositionHasOneTypeLinePerFamily is the regression
-// test for the handler bug this change fixed: rendering a Group of
-// several registries looped WritePrometheus per registry, emitting one
-// "# TYPE" line per endpoint for the same family — which the format
-// forbids and real scrapers reject. WriteExposition must group families
-// across registries, and the result must pass the lint.
+// TestMultiRegistryExpositionHasOneTypeLinePerFamily: rendering each
+// endpoint of a shared debug port on its own would emit one "# TYPE" line
+// per endpoint for the same family — which the format forbids and real
+// scrapers reject. WriteExposition must group families across snapshots,
+// and the result must pass the lint.
 func TestMultiRegistryExpositionHasOneTypeLinePerFamily(t *testing.T) {
 	r1 := NewRegistry("node-1")
 	r1.Gauge("bufferedBlocks").Set(3)
@@ -61,7 +60,7 @@ func TestMultiRegistryExpositionHasOneTypeLinePerFamily(t *testing.T) {
 	r2.Histogram("pullRTT", DelayBuckets()).Observe(0.02)
 
 	var buf bytes.Buffer
-	WriteExposition(&buf, r1, r2)
+	WriteExposition(&buf, r1.Snapshot(), r2.Snapshot())
 	text := buf.String()
 	if n := strings.Count(text, "# TYPE p2p_bufferedBlocks gauge"); n != 1 {
 		t.Fatalf("%d TYPE lines for bufferedBlocks, want 1:\n%s", n, text)

@@ -2,16 +2,15 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"sort"
-	"strconv"
 	"strings"
 )
 
-// Quantile estimates the q-quantile from the snapshot's buckets with the
-// same interpolation Histogram.Quantile uses, so a merged snapshot reports
-// the same percentiles a merged live histogram would. Returns 0 when the
-// snapshot is empty.
+// Quantile estimates the q-quantile (q in [0,1]) from the snapshot's
+// buckets by linear interpolation inside the bucket that contains the
+// target rank, the standard fixed-bucket estimator. Values in the overflow
+// bucket clamp to the last finite bound. Returns 0 when the snapshot is
+// empty.
 func (hs HistogramSnapshot) Quantile(q float64) float64 {
 	if q < 0 {
 		q = 0
@@ -44,7 +43,7 @@ func (hs HistogramSnapshot) Quantile(q float64) float64 {
 			continue
 		}
 		if isInfBound(b.LE) {
-			return lastFinite // overflow: clamp, matching Histogram.Quantile
+			return lastFinite // overflow: clamp
 		}
 		lo := 0.0
 		if i > 0 {
@@ -61,9 +60,16 @@ func (hs HistogramSnapshot) Quantile(q float64) float64 {
 
 func isInfBound(le float64) bool { return le > 1e308 }
 
+// setPercentiles fills the headline percentiles from the buckets.
+func (hs *HistogramSnapshot) setPercentiles() {
+	hs.P50 = hs.Quantile(0.50)
+	hs.P90 = hs.Quantile(0.90)
+	hs.P99 = hs.Quantile(0.99)
+}
+
 // MergeHistogramSnapshots adds b into a. The bucket layouts must match
-// exactly — the same invariant Histogram.Merge enforces on live
-// histograms.
+// exactly; merging across the endpoints of a cluster relies on every one
+// using the same layout.
 func MergeHistogramSnapshots(a, b HistogramSnapshot) (HistogramSnapshot, error) {
 	if len(a.Buckets) != len(b.Buckets) {
 		return a, fmt.Errorf("obs: merge %q: %d buckets vs %d", a.Name, len(a.Buckets), len(b.Buckets))
@@ -78,9 +84,7 @@ func MergeHistogramSnapshots(a, b HistogramSnapshot) (HistogramSnapshot, error) 
 	}
 	out.Count += b.Count
 	out.Sum += b.Sum
-	out.P50 = out.Quantile(0.50)
-	out.P90 = out.Quantile(0.90)
-	out.P99 = out.Quantile(0.99)
+	out.setPercentiles()
 	return out, nil
 }
 
@@ -132,51 +136,6 @@ func MergeSnapshots(label string, snaps ...Snapshot) Snapshot {
 	out.Info["endpoints"] = strings.Join(endpoints, ",")
 	if len(conflicts) > 0 {
 		out.Info["mergeConflicts"] = strings.Join(conflicts, ",")
-	} else {
-		delete(out.Info, "mergeConflicts")
 	}
 	return out
-}
-
-// WriteSnapshotPrometheus renders a snapshot — typically a merged cluster
-// view — in the Prometheus text exposition format, one TYPE line per
-// family. The snapshot's Label becomes the endpoint label.
-func WriteSnapshotPrometheus(w io.Writer, snap Snapshot) {
-	lbl := ""
-	if snap.Label != "" {
-		lbl = `{endpoint="` + snap.Label + `"}`
-	}
-	names := make([]string, 0, len(snap.Counters))
-	for name := range snap.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		pn := promName(name)
-		fmt.Fprintf(w, "# TYPE %s counter\n%s%s %d\n", pn, pn, lbl, snap.Counters[name])
-	}
-	names = names[:0]
-	for name := range snap.Gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		pn := promName(name)
-		fmt.Fprintf(w, "# TYPE %s gauge\n%s%s %g\n", pn, pn, lbl, snap.Gauges[name])
-	}
-	for _, h := range snap.Histograms {
-		pn := promName(h.Name)
-		fmt.Fprintf(w, "# TYPE %s histogram\n", pn)
-		var cum int64
-		for _, b := range h.Buckets {
-			cum += b.Count
-			le := "+Inf"
-			if !isInfBound(b.LE) {
-				le = strconv.FormatFloat(b.LE, 'g', -1, 64)
-			}
-			fmt.Fprintf(w, "%s_bucket%s %d\n", pn, promLabelWith(snap.Label, "le", le), cum)
-		}
-		fmt.Fprintf(w, "%s_sum%s %g\n", pn, lbl, h.Sum)
-		fmt.Fprintf(w, "%s_count%s %d\n", pn, lbl, cum)
-	}
 }

@@ -82,32 +82,24 @@ func TestMergeHistogramSnapshotsRejectsMismatch(t *testing.T) {
 	}
 }
 
-func TestHistogramSnapshotQuantileMatchesLive(t *testing.T) {
-	h := NewHistogram("x", DelayBuckets())
-	for i := 0; i < 1000; i++ {
-		h.Observe(float64(i) / 100)
-	}
-	snap := h.Snapshot()
-	for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
-		if live, fromSnap := h.Quantile(q), snap.Quantile(q); live != fromSnap {
-			t.Fatalf("q=%g: live %g vs snapshot %g", q, live, fromSnap)
-		}
-	}
-}
-
-// TestMergedSnapshotPrometheusLints closes the loop with satellite (a):
-// the merged cluster view rendered as an exposition must satisfy the same
-// lint the /metrics handler output does.
+// TestMergedSnapshotPrometheusLints: the merged cluster view rendered as
+// an exposition must satisfy the same lint the /metrics handler output
+// does — whatever label the operator gave it (obstool merge -label).
 func TestMergedSnapshotPrometheusLints(t *testing.T) {
 	a := shardSnapshot("server-0", 3, []float64{0.2})
 	b := shardSnapshot("server-1", 4, []float64{0.4})
-	m := MergeSnapshots("cluster", a, b)
-	var buf bytes.Buffer
-	WriteSnapshotPrometheus(&buf, m)
-	if err := LintExposition(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("merged exposition fails lint: %v\n%s", err, buf.String())
-	}
-	if !strings.Contains(buf.String(), `endpoint="cluster"`) {
-		t.Fatalf("merged exposition missing cluster label:\n%s", buf.String())
+	for label, want := range map[string]string{
+		"cluster": `endpoint="cluster"`,
+		`a"b,c`:   `endpoint="a\"b,c"`,
+		"x\ny\\":  `endpoint="x\ny\\"`,
+	} {
+		var buf bytes.Buffer
+		WriteExposition(&buf, MergeSnapshots(label, a, b))
+		if err := LintExposition(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Errorf("label %q: merged exposition fails lint: %v\n%s", label, err, buf.String())
+		}
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("label %q: merged exposition missing %s:\n%s", label, want, buf.String())
+		}
 	}
 }

@@ -20,10 +20,14 @@
 //     increments, delivery, decode, purge — cheap enough to leave on. A
 //     trace query reconstructs "where did segment X's time go".
 //
-//   - Exposition: Registry bundles counters, histograms, gauges, series,
-//     and a trace tail behind one scrape surface; Handler/Serve put it on
-//     HTTP as Prometheus text (/metrics), a JSON snapshot
-//     (/debug/snapshot), and net/http/pprof (/debug/pprof/).
+//   - One read path: a Registry bundles an endpoint's counters,
+//     histograms, gauges, series and trace tail, and the only way out of it
+//     is Registry.Snapshot. Everything downstream is a function of
+//     snapshots: the JSON document (/debug/snapshot), the Prometheus text
+//     (WriteExposition, behind /metrics and obstool), the cluster view
+//     (MergeSnapshots) and quantiles (HistogramSnapshot.Quantile).
+//     Instantaneous state — buffer occupancy, queue depths — is a GaugeFunc
+//     evaluated when a snapshot is taken, not a value pushed on a timer.
 //
 // Nothing in this package draws from the protocol's random streams, so
 // enabling any of it never perturbs a seeded run; the golden tests in
@@ -33,6 +37,8 @@ package obs
 import (
 	"fmt"
 	"io"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -45,19 +51,27 @@ const traceTailLen = 64
 
 // Registry is one endpoint's scrape surface: every counter source,
 // histogram, gauge, time series, and optional tracer registered on it
-// appears in the Prometheus text and the JSON snapshot. Registration
-// usually happens at endpoint construction; all methods are safe for
-// concurrent use with scrapes.
+// appears in its Snapshot. Registration usually happens at endpoint
+// construction; all methods are safe for concurrent use with scrapes.
 type Registry struct {
 	label string
 
+	// mu guards the instrument lists, never their evaluation: Snapshot and
+	// RangeCounters copy a list under it and read the instruments after
+	// releasing it, so a gauge function or counter source may take any lock
+	// of its owner's.
 	mu       sync.Mutex
 	counters []func(func(name string, v int64))
 	hists    []*Histogram
-	gauges   []*Gauge
+	gauges   []gaugeFunc
 	series   []*TimeSeries
 	tracer   *RingTracer
 	info     map[string]string
+}
+
+type gaugeFunc struct {
+	name string
+	read func() float64
 }
 
 // NewRegistry returns an empty registry. The label identifies the endpoint
@@ -80,46 +94,51 @@ func (r *Registry) RegisterCounters(rangeFn func(func(name string, v int64))) {
 	r.counters = append(r.counters, rangeFn)
 }
 
-// RegisterHistogram adds a histogram to the scrape surface.
-func (r *Registry) RegisterHistogram(h *Histogram) {
+// RangeCounters visits every counter of every registered source, in
+// registration order: the Counters of a Snapshot without the rest. An
+// endpoint's Stats().Protocol is filled from it, so the two can never list
+// different counters.
+func (r *Registry) RangeCounters(f func(name string, v int64)) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.hists = append(r.hists, h)
+	sources := r.counters // appends never touch what a copied header sees
+	r.mu.Unlock()
+	for _, rangeFn := range sources {
+		rangeFn(f)
+	}
 }
 
 // Histogram creates a histogram with the given bucket upper bounds and
 // registers it.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	h := NewHistogram(name, bounds)
-	r.RegisterHistogram(h)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.hists = append(r.hists, h)
 	return h
 }
 
-// RegisterGauge adds a gauge to the scrape surface.
-func (r *Registry) RegisterGauge(g *Gauge) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.gauges = append(r.gauges, g)
-}
-
-// Gauge creates a named gauge and registers it.
+// Gauge creates a named gauge — a value its owner pushes — and registers it.
 func (r *Registry) Gauge(name string) *Gauge {
 	g := NewGauge(name)
-	r.RegisterGauge(g)
+	r.GaugeFunc(name, g.Value)
 	return g
 }
 
-// RegisterTimeSeries adds a bounded series to the scrape surface.
-func (r *Registry) RegisterTimeSeries(ts *TimeSeries) {
+// GaugeFunc registers a gauge that is read, not pushed: fn is evaluated
+// each time a snapshot is taken, outside the registry's lock, and must be
+// safe to call from any goroutine.
+func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.series = append(r.series, ts)
+	r.gauges = append(r.gauges, gaugeFunc{name, fn})
 }
 
 // TimeSeries creates a bounded series and registers it.
 func (r *Registry) TimeSeries(name string, capacity int) *TimeSeries {
 	ts := NewTimeSeries(name, capacity)
-	r.RegisterTimeSeries(ts)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.series = append(r.series, ts)
 	return ts
 }
 
@@ -162,131 +181,111 @@ type SeriesSnapshot struct {
 	Points []Point `json:"points"`
 }
 
-// Snapshot captures the registry's current state.
+// Snapshot captures the registry's current state. The instrument lists
+// are copied under the registry's lock and evaluated after it is released.
 func (r *Registry) Snapshot() Snapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	snap := Snapshot{
 		Label:    r.label,
 		Counters: make(map[string]int64),
 		Gauges:   make(map[string]float64),
 	}
+	r.mu.Lock()
 	if len(r.info) > 0 {
 		snap.Info = make(map[string]string, len(r.info))
 		for k, v := range r.info {
 			snap.Info[k] = v
 		}
 	}
-	for _, rangeFn := range r.counters {
-		rangeFn(func(name string, v int64) { snap.Counters[name] = v })
-	}
-	for _, h := range r.hists {
+	hists, gauges, series, tracer := r.hists, r.gauges, r.series, r.tracer
+	r.mu.Unlock()
+	r.RangeCounters(func(name string, v int64) { snap.Counters[name] = v })
+	for _, h := range hists {
 		snap.Histograms = append(snap.Histograms, h.Snapshot())
 	}
-	for _, g := range r.gauges {
-		snap.Gauges[g.Name()] = g.Value()
+	for _, g := range gauges {
+		snap.Gauges[g.name] = g.read()
 	}
-	for _, ts := range r.series {
+	for _, ts := range series {
 		snap.Series = append(snap.Series, SeriesSnapshot{Name: ts.Name(), Points: ts.Points()})
 	}
-	if r.tracer != nil {
-		snap.TraceTail = r.tracer.Tail(traceTailLen)
+	if tracer != nil {
+		snap.TraceTail = tracer.Tail(traceTailLen)
 	}
 	return snap
 }
 
-// WritePrometheus renders the registry in the Prometheus text exposition
-// format. Counter names keep their Go-side camelCase (legal in the format);
-// the endpoint label distinguishes registries sharing a debug server.
-func (r *Registry) WritePrometheus(w io.Writer) {
-	WriteExposition(w, r)
-}
-
-// WriteExposition renders any number of registries as one valid Prometheus
-// text exposition: samples are grouped by metric family with exactly one
-// "# TYPE" line per family, with the endpoint label telling the source
-// registries apart. Rendering each registry separately would repeat the
-// TYPE line per endpoint — a format violation real Prometheus servers
-// reject — so every multi-registry surface (obs.Handler, obstool) must go
-// through this writer.
-func WriteExposition(w io.Writer, regs ...*Registry) {
-	type family struct {
-		kind  string
-		lines []string
-	}
-	fams := make(map[string]*family)
-	var order []string
-	add := func(name, kind, line string) {
-		f := fams[name]
-		if f == nil {
-			f = &family{kind: kind}
-			fams[name] = f
-			order = append(order, name)
+// WriteExposition renders any number of snapshots as one valid Prometheus
+// text exposition — the only writer of that format in the tree, behind
+// /metrics and obstool alike. Samples are grouped by metric family, one
+// "# TYPE" line each (a TYPE line per endpoint is a format violation real
+// servers reject), with each snapshot's Label as the endpoint label.
+// Families are sorted by name within kind: counters, gauges, histograms. A
+// series is exposed as a gauge holding its last sample; the trajectory is
+// in the JSON (Prometheus scrapes build their own). Counter names keep
+// their Go-side camelCase, which the format allows.
+func WriteExposition(w io.Writer, snaps ...Snapshot) {
+	type family struct{ kind, name string }
+	lines := make(map[family][]string)
+	add := func(kind, name, suffix, labels string, v any) {
+		if labels != "" {
+			labels = "{" + labels + "}"
 		}
-		f.lines = append(f.lines, line)
+		fam := family{kind, name}
+		lines[fam] = append(lines[fam], fmt.Sprintf("%s%s%s %v\n", name, suffix, labels, v))
 	}
-	for _, r := range regs {
-		r.collectProm(add)
+	for _, s := range snaps {
+		ep, sep := "", ""
+		if s.Label != "" {
+			ep, sep = `endpoint="`+labelEscaper.Replace(s.Label)+`"`, ","
+		}
+		for name, v := range s.Counters {
+			add("counter", promName(name), "", ep, v)
+		}
+		for name, v := range s.Gauges {
+			add("gauge", promName(name), "", ep, v)
+		}
+		for _, ts := range s.Series {
+			if n := len(ts.Points); n > 0 {
+				add("gauge", promName(ts.Name), "", ep, ts.Points[n-1].V)
+			}
+		}
+		for _, h := range s.Histograms {
+			name := promName(h.Name)
+			var cum int64
+			for _, b := range h.Buckets {
+				cum += b.Count
+				le := "+Inf"
+				if !isInfBound(b.LE) {
+					le = strconv.FormatFloat(b.LE, 'g', -1, 64)
+				}
+				add("histogram", name, "_bucket", ep+sep+`le="`+le+`"`, cum)
+			}
+			add("histogram", name, "_sum", ep, h.Sum)
+			add("histogram", name, "_count", ep, cum)
+		}
 	}
-	for _, name := range order {
-		f := fams[name]
-		fmt.Fprintf(w, "# TYPE %s %s\n", name, f.kind)
-		for _, line := range f.lines {
+	fams := make([]family, 0, len(lines))
+	for fam := range lines {
+		fams = append(fams, fam)
+	}
+	// The kind names happen to sort in the order they are emitted.
+	sort.Slice(fams, func(i, j int) bool {
+		if fams[i].kind != fams[j].kind {
+			return fams[i].kind < fams[j].kind
+		}
+		return fams[i].name < fams[j].name
+	})
+	for _, fam := range fams {
+		fmt.Fprintf(w, "# TYPE %s %s\n", fam.name, fam.kind)
+		for _, line := range lines[fam] {
 			io.WriteString(w, line) //nolint:errcheck // best-effort scrape write
 		}
 	}
 }
 
-// collectProm feeds every sample line to add, keyed by exposed family name
-// and kind. Histogram families contribute their _bucket/_sum/_count lines
-// under the base name.
-func (r *Registry) collectProm(add func(name, kind, line string)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	lbl := r.promLabel()
-	for _, rangeFn := range r.counters {
-		rangeFn(func(name string, v int64) {
-			name = promName(name)
-			add(name, "counter", fmt.Sprintf("%s%s %d\n", name, lbl, v))
-		})
-	}
-	for _, g := range r.gauges {
-		name := promName(g.Name())
-		add(name, "gauge", fmt.Sprintf("%s%s %g\n", name, lbl, g.Value()))
-	}
-	for _, h := range r.hists {
-		name := promName(h.Name())
-		for _, line := range h.promLines(r.label) {
-			add(name, "histogram", line)
-		}
-	}
-	for _, ts := range r.series {
-		// Series expose their latest sample as a gauge; the full trajectory
-		// is in the JSON snapshot (Prometheus scrapes build their own).
-		if p, ok := ts.Last(); ok {
-			name := promName(ts.Name())
-			add(name, "gauge", fmt.Sprintf("%s%s %g\n", name, lbl, p.V))
-		}
-	}
-}
-
-// promLabel renders the endpoint label set, or "" when unlabeled.
-func (r *Registry) promLabel() string {
-	if r.label == "" {
-		return ""
-	}
-	return `{endpoint="` + r.label + `"}`
-}
-
-// promLabelWith renders the endpoint label plus one extra pair.
-func promLabelWith(label, key, value string) string {
-	pairs := make([]string, 0, 2)
-	if label != "" {
-		pairs = append(pairs, `endpoint="`+label+`"`)
-	}
-	pairs = append(pairs, key+`="`+value+`"`)
-	return "{" + strings.Join(pairs, ",") + "}"
-}
+// labelEscaper escapes a label value the way the exposition format
+// requires, so an operator-supplied label can never break out of its quotes.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // promName sanitizes a metric name for the exposition format and applies
 // the package prefix (which also guarantees a non-digit first character).

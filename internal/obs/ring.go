@@ -43,16 +43,6 @@ func (r *ring[T]) len() int {
 	return len(r.buf)
 }
 
-// last returns the newest element, if any.
-func (r *ring[T]) last() (v T, ok bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.buf) == 0 {
-		return v, false
-	}
-	return r.buf[(r.head+len(r.buf)-1)%len(r.buf)], true
-}
-
 // snapshot returns the window oldest-first as a fresh slice.
 func (r *ring[T]) snapshot() []T {
 	r.mu.Lock()

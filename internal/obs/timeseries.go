@@ -32,8 +32,8 @@ type Point struct {
 
 // TimeSeries is a bounded ring of samples: once capacity is reached the
 // oldest sample is dropped, so a long-running endpoint keeps a sliding
-// window rather than growing without bound. Samplers append on the
-// driver's clock (a DES event or a wall-clock ticker); scrapes copy the
+// window rather than growing without bound. A sampler appends on the
+// driver's clock (the simulator's, on a DES event); snapshots copy the
 // window out under the ring's lock.
 type TimeSeries struct {
 	name string
@@ -54,9 +54,6 @@ func (ts *TimeSeries) Observe(t, v float64) { ts.ring.push(&Point{T: t, V: v}) }
 
 // Len returns the number of stored samples.
 func (ts *TimeSeries) Len() int { return ts.ring.len() }
-
-// Last returns the most recent sample, if any.
-func (ts *TimeSeries) Last() (Point, bool) { return ts.ring.last() }
 
 // Points returns the stored window oldest-first as a fresh slice.
 func (ts *TimeSeries) Points() []Point { return ts.ring.snapshot() }

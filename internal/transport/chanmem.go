@@ -58,7 +58,7 @@ type chanTransport struct {
 }
 
 var _ Transport = (*chanTransport)(nil)
-var _ Instrumented = (*chanTransport)(nil)
+var _ CounterRanger = (*chanTransport)(nil)
 
 // Send places a stamped copy of m in the destination's mailbox. The mailbox
 // is the only queue on this fabric, so a full one is counted twice: as the

@@ -77,7 +77,14 @@ func conformanceFabrics() []conformanceFabric {
 }
 
 // counter reads one health counter of an instrumented transport.
-func counter(tr Transport, name string) int64 { return tr.(Instrumented).Counters()[name] }
+func counter(tr Transport, name string) int64 { return counters(tr)[name] }
+
+// counters snapshots a transport's health counters into a map.
+func counters(tr Transport) map[string]int64 {
+	out := make(map[string]int64)
+	tr.(CounterRanger).RangeCounters(func(name string, v int64) { out[name] = v })
+	return out
+}
 
 // eventually polls cond for up to five seconds.
 func eventually(t *testing.T, what string, cond func() bool) {

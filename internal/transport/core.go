@@ -72,9 +72,6 @@ func (c *core) LocalID() NodeID { return c.id }
 // Receive returns the incoming message channel. It is closed on Close.
 func (c *core) Receive() <-chan *Message { return c.inbox }
 
-// Counters returns a snapshot of the transport's health counters.
-func (c *core) Counters() map[string]int64 { return c.counters.Snapshot() }
-
 // RangeCounters visits the health counters without allocating.
 func (c *core) RangeCounters(f func(name string, v int64)) { c.counters.Range(f) }
 

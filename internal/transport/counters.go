@@ -4,8 +4,8 @@ import "p2pcollect/internal/metrics"
 
 // Transport health counters. Every instrumented transport counts into the
 // same fixed vocabulary (a metrics.CounterSet), so the live runtime can
-// merge transport health into NodeStats.Protocol / ServerStats.Protocol
-// next to the peercore protocol counters. Names are prefixed "transport"
+// report transport health in its registry and Stats().Protocol next to the
+// peercore protocol counters. Names are prefixed "transport"
 // to keep the two vocabularies disjoint.
 const (
 	// ctrSendsEnqueued counts messages accepted by Send (handed to the
@@ -79,17 +79,11 @@ func newTransportCounters() *metrics.CounterSet {
 	return metrics.NewCounterSet(transportCounterNames[:])
 }
 
-// Instrumented is implemented by transports that track health counters.
-// Counters returns a name→value snapshot using the shared
-// "transport*"-prefixed vocabulary.
-type Instrumented interface {
-	Counters() map[string]int64
-}
-
-// CounterRanger is the allocation-free sibling of Instrumented: RangeCounters
-// visits every health counter without building a map, which is the shape the
-// observability registry scrapes on every /metrics hit. Wrapping transports
-// (Faulty) fold their inner transport's counters into the same visit.
+// CounterRanger is implemented by transports that track health counters:
+// RangeCounters visits every one, under the shared "transport*"-prefixed
+// vocabulary, without building a map — the shape an observability registry
+// takes as a counter source. Wrapping transports (Faulty) fold their inner
+// transport's counters into the same visit.
 type CounterRanger interface {
 	RangeCounters(f func(name string, v int64))
 }

@@ -47,7 +47,7 @@ type Faulty struct {
 }
 
 var _ Transport = (*Faulty)(nil)
-var _ Instrumented = (*Faulty)(nil)
+var _ CounterRanger = (*Faulty)(nil)
 
 // NewFaulty wraps inner with the given fault schedule. The rng makes loss
 // and latency draws reproducible; the partition clock starts now.
@@ -161,20 +161,6 @@ func (f *Faulty) Close() error {
 	return f.inner.Close()
 }
 
-// Counters merges the wrapper's fault counters with the wrapped
-// transport's health counters (when it is instrumented).
-func (f *Faulty) Counters() map[string]int64 {
-	out := f.counters.Snapshot()
-	if ic, ok := f.inner.(Instrumented); ok {
-		for k, v := range ic.Counters() {
-			if v != 0 {
-				out[k] = v
-			}
-		}
-	}
-	return out
-}
-
 // RangeCounters visits the merged wrapper+inner health counters. Each name
 // is visited exactly once: the vocabulary is fixed, and every counter is
 // incremented by exactly one layer (fault counters by the wrapper, network
@@ -187,13 +173,8 @@ func (f *Faulty) RangeCounters(fn func(name string, v int64)) {
 		}
 	}
 	f.counters.Range(add)
-	switch ic := f.inner.(type) {
-	case CounterRanger:
+	if ic, ok := f.inner.(CounterRanger); ok {
 		ic.RangeCounters(add)
-	case Instrumented:
-		for k, v := range ic.Counters() {
-			add(k, v)
-		}
 	}
 	for i := range sums {
 		fn(transportCounterNames[i], sums[i])

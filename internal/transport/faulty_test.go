@@ -21,7 +21,7 @@ func TestFaultyTotalLossDropsEverything(t *testing.T) {
 		t.Fatalf("message survived total loss: %+v", m)
 	case <-time.After(50 * time.Millisecond):
 	}
-	if got := a.Counters()["transportFaultLossDrops"]; got != 20 {
+	if got := counters(a)["transportFaultLossDrops"]; got != 20 {
 		t.Errorf("loss drops = %d, want 20", got)
 	}
 }
@@ -47,8 +47,8 @@ func TestFaultyPartitionWindow(t *testing.T) {
 		t.Fatal("partitioned message delivered")
 	case <-time.After(30 * time.Millisecond):
 	}
-	if a.Counters()["transportFaultPartitionDrops"] != 1 {
-		t.Errorf("partition drops = %d, want 1", a.Counters()["transportFaultPartitionDrops"])
+	if counters(a)["transportFaultPartitionDrops"] != 1 {
+		t.Errorf("partition drops = %d, want 1", counters(a)["transportFaultPartitionDrops"])
 	}
 
 	// After the window the link heals.
@@ -72,8 +72,8 @@ func TestFaultyLatencyDelaysDelivery(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < delay {
 		t.Errorf("delivered after %v, want >= %v", elapsed, delay)
 	}
-	if a.Counters()["transportFaultDelayed"] != 1 {
-		t.Errorf("delayed = %d, want 1", a.Counters()["transportFaultDelayed"])
+	if counters(a)["transportFaultDelayed"] != 1 {
+		t.Errorf("delayed = %d, want 1", counters(a)["transportFaultDelayed"])
 	}
 }
 
@@ -118,10 +118,10 @@ func TestFaultyWrapsTCP(t *testing.T) {
 	// The merged counter view exposes the inner TCP transport's health.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if a.Counters()["transportFramesDelivered"] >= 1 {
+		if counters(a)["transportFramesDelivered"] >= 1 {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Errorf("merged counters missing inner delivery: %v", a.Counters())
+	t.Errorf("merged counters missing inner delivery: %v", counters(a))
 }

@@ -55,7 +55,7 @@ func (o TCPOptions) withDefaults() TCPOptions {
 // writes by WriteTimeout, and a lost connection is re-dialed with capped
 // exponential backoff; messages that arrive while the destination is
 // unreachable are dropped, like the loss-tolerant protocol expects. Health
-// is tracked in the transport counter vocabulary (see Counters).
+// is tracked in the transport counter vocabulary (see RangeCounters).
 type TCPTransport struct {
 	routed
 	opts     TCPOptions
@@ -67,7 +67,7 @@ type TCPTransport struct {
 }
 
 var _ Transport = (*TCPTransport)(nil)
-var _ Instrumented = (*TCPTransport)(nil)
+var _ CounterRanger = (*TCPTransport)(nil)
 
 // ListenTCP starts a transport for id on addr (use ":0" for an ephemeral
 // port) with the given address book mapping node IDs to dialable addresses

@@ -107,12 +107,12 @@ func TestSendBoundedByDeadlines(t *testing.T) {
 				if gap := time.Since(start); gap > opts.WriteTimeout {
 					t.Fatalf("Send blocked %v, deadline bound is %v", gap, opts.WriteTimeout)
 				}
-				if tr.Counters()[tt.counter] > 0 {
+				if counters(tr)[tt.counter] > 0 {
 					return
 				}
 				time.Sleep(5 * time.Millisecond)
 			}
-			t.Fatalf("%s never counted; counters: %v", tt.counter, tr.Counters())
+			t.Fatalf("%s never counted; counters: %v", tt.counter, counters(tr))
 		})
 	}
 }
@@ -164,14 +164,14 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 			if m.Type != MsgPullRequest {
 				t.Fatalf("got %v", m.Type)
 			}
-			if a.Counters()["transportReconnects"] == 0 {
-				t.Errorf("reconnect not counted: %v", a.Counters())
+			if counters(a)["transportReconnects"] == 0 {
+				t.Errorf("reconnect not counted: %v", counters(a))
 			}
 			return
 		case <-time.After(20 * time.Millisecond):
 		}
 	}
-	t.Fatalf("never reconnected; counters: %v", a.Counters())
+	t.Fatalf("never reconnected; counters: %v", counters(a))
 }
 
 // TestTCPOutboxDropOldest overfills a sender's outbox while the
@@ -196,10 +196,10 @@ func TestTCPOutboxDropOldest(t *testing.T) {
 		if err := tr.Send(2, msg); err != nil {
 			t.Fatal(err)
 		}
-		c := tr.Counters()
+		c := counters(tr)
 		if c["transportDropsOverflow"] > 0 || c["transportDropsDown"] > 0 {
 			return
 		}
 	}
-	t.Fatalf("no backpressure drops counted: %v", tr.Counters())
+	t.Fatalf("no backpressure drops counted: %v", counters(tr))
 }

@@ -74,7 +74,6 @@ type udpRoute struct {
 }
 
 var _ Transport = (*UDPTransport)(nil)
-var _ Instrumented = (*UDPTransport)(nil)
 var _ CounterRanger = (*UDPTransport)(nil)
 var _ DepthReporter = (*UDPTransport)(nil)
 

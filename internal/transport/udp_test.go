@@ -49,7 +49,7 @@ func TestUDPRoundTrip(t *testing.T) {
 		case <-time.After(20 * time.Millisecond):
 		}
 	}
-	t.Fatalf("never delivered; counters: %v", a.Counters())
+	t.Fatalf("never delivered; counters: %v", counters(a))
 }
 
 // TestUDPTracePreserved asserts the block trace-context suffix survives the
@@ -121,7 +121,7 @@ func TestUDPOversizeDrop(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if a.Counters()["transportDropsOversize"] > 0 {
+		if counters(a)["transportDropsOversize"] > 0 {
 			select {
 			case m := <-b.Receive():
 				t.Fatalf("oversized frame delivered: %+v", m)
@@ -131,7 +131,7 @@ func TestUDPOversizeDrop(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("oversize drop never counted: %v", a.Counters())
+	t.Fatalf("oversize drop never counted: %v", counters(a))
 }
 
 // TestUDPRouteLearning sends a→b with only a knowing b's address, then
@@ -233,8 +233,8 @@ func TestUDPFaultyComposition(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if f.Counters()["transportFaultLossDrops"] != 50 {
-		t.Fatalf("loss drops: %v", f.Counters())
+	if counters(f)["transportFaultLossDrops"] != 50 {
+		t.Fatalf("loss drops: %v", counters(f))
 	}
 	select {
 	case m := <-b.Receive():

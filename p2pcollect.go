@@ -253,11 +253,9 @@ type (
 	// target sets.
 	MemberRole = membership.Role
 	// MemberStatus is a member's detector state: alive, suspect, dead, or
-	// left.
+	// left. Node/Server.AliveMembers and MemberStatus(id) read the local
+	// view of an endpoint running the detector.
 	MemberStatus = membership.Status
-	// MembershipAgent is a running SWIM detector (Node.Membership /
-	// Server.Membership): query Alive and Status for the local view.
-	MembershipAgent = membership.Agent
 )
 
 // Membership roles and statuses.
@@ -322,8 +320,9 @@ type (
 	// into named spans (inject→firstHop, inject→delivered, ...).
 	SegmentTrace = obs.SegmentTrace
 	// ObsRegistry is one endpoint's observability registry: counters,
-	// histograms, gauges, and sampled time series, scrapeable as a JSON
-	// snapshot or Prometheus text.
+	// histograms and gauges (state gauges are read when the snapshot is
+	// taken). Snapshot is the only way out of it; the JSON document, the
+	// Prometheus text and Stats().Protocol are all derived from that.
 	ObsRegistry = obs.Registry
 	// DebugServer is a running debug HTTP endpoint (Prometheus /metrics,
 	// JSON /debug/snapshot, pprof).
@@ -344,8 +343,8 @@ type (
 	// FlightRecorder is the always-on crash black box every live server
 	// carries; CrashStop and loop panics dump it next to the WAL.
 	FlightRecorder = obs.FlightRecorder
-	// ObsSnapshot is one registry's scraped state; MergeSnapshots folds
-	// many into a cluster view.
+	// ObsSnapshot is one registry's scraped state — the single read model
+	// of the telemetry; MergeSnapshots folds many into a cluster view.
 	ObsSnapshot = obs.Snapshot
 )
 
@@ -392,5 +391,5 @@ func ReadFlightDump(path string) ([]TraceEvent, error) { return obs.ReadFlightDu
 // distinguished by their endpoint label. Close the returned server when
 // done.
 func ServeDebug(addr string, regs ...*ObsRegistry) (*DebugServer, error) {
-	return obs.Serve(addr, obs.NewGroup(regs...))
+	return obs.Serve(addr, regs...)
 }
