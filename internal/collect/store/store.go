@@ -86,17 +86,13 @@ type MemoryConfig struct {
 	Sink peercore.EventSink
 }
 
-// Memory is the in-RAM Store: a lazy peercore.Collector plus a fixed-slot
-// eviction ring for the finished set, so unbounded decode streams never
-// grow — or pin — a backing array.
+// Memory is the in-RAM Store: a lazy peercore.Collector plus the bounded
+// segment set of finished IDs, so unbounded decode streams never grow
+// the store.
 type Memory struct {
 	cfg       MemoryConfig
 	collector *peercore.Collector // nil until the segment size is known
-
-	finished     map[rlnc.SegmentID]bool
-	finishedRing []rlnc.SegmentID
-	ringHead     int
-	ringSize     int
+	finished  *rlnc.SegmentSet
 }
 
 var _ Store = (*Memory)(nil)
@@ -115,7 +111,7 @@ func NewMemory(cfg MemoryConfig) (*Memory, error) {
 	if cfg.Sink == nil {
 		cfg.Sink = peercore.NopSink{}
 	}
-	m := &Memory{cfg: cfg, finished: make(map[rlnc.SegmentID]bool)}
+	m := &Memory{cfg: cfg, finished: rlnc.NewSegmentSet(cfg.FinishedCap)}
 	if cfg.SegmentSize > 0 {
 		m.collector = m.newCollector(cfg.SegmentSize)
 	}
@@ -192,34 +188,18 @@ func (m *Memory) Restore(seg rlnc.SegmentID, state, payloadLen int, basis []*rln
 }
 
 // Finished implements Store.
-func (m *Memory) Finished(seg rlnc.SegmentID) bool { return m.finished[seg] }
+func (m *Memory) Finished(seg rlnc.SegmentID) bool { return m.finished.Has(seg) }
 
 // MarkFinished implements Store.
-func (m *Memory) MarkFinished(seg rlnc.SegmentID) {
-	if m.finishedRing == nil {
-		m.finishedRing = make([]rlnc.SegmentID, m.cfg.FinishedCap)
-	}
-	if m.ringSize == len(m.finishedRing) {
-		delete(m.finished, m.finishedRing[m.ringHead])
-		m.ringHead = (m.ringHead + 1) % len(m.finishedRing)
-		m.ringSize--
-	}
-	m.finishedRing[(m.ringHead+m.ringSize)%len(m.finishedRing)] = seg
-	m.ringSize++
-	m.finished[seg] = true
-}
+func (m *Memory) MarkFinished(seg rlnc.SegmentID) { m.finished.Add(seg) }
 
 // FinishedCount returns how many completed segments the store remembers.
-func (m *Memory) FinishedCount() int { return len(m.finished) }
+func (m *Memory) FinishedCount() int { return m.finished.Len() }
 
 // RangeFinished visits the finished set oldest-first — the eviction order,
 // so a restore that replays the visits through MarkFinished rebuilds an
-// identical ring. Callers must not mutate the store while ranging.
-func (m *Memory) RangeFinished(f func(seg rlnc.SegmentID)) {
-	for i := 0; i < m.ringSize; i++ {
-		f(m.finishedRing[(m.ringHead+i)%len(m.finishedRing)])
-	}
-}
+// identical set. Callers must not mutate the store while ranging.
+func (m *Memory) RangeFinished(f func(seg rlnc.SegmentID)) { m.finished.Range(f) }
 
 // Close implements Store: every open collection's pooled rows go back to
 // the slab free list, and the finished set is cleared — a reused store
@@ -237,8 +217,6 @@ func (m *Memory) Close() error {
 			m.collector.Forget(seg)
 		}
 	}
-	clear(m.finished)
-	m.finishedRing = nil
-	m.ringHead, m.ringSize = 0, 0
+	m.finished.Reset()
 	return nil
 }

@@ -24,12 +24,29 @@ func TestFinishedSetBounded(t *testing.T) {
 	if !m.Finished(rlnc.SegmentID{Origin: 1, Seq: 9}) {
 		t.Error("newest entry missing")
 	}
+
+	// A repeated mark is a no-op: it must not take a second slot, or the
+	// set would evict a live entry early and a snapshot would persist the
+	// duplicate.
+	m, err = NewMemory(MemoryConfig{SegmentSize: 2, FinishedCap: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, c := rlnc.SegmentID{Origin: 2, Seq: 0}, rlnc.SegmentID{Origin: 2, Seq: 1}, rlnc.SegmentID{Origin: 2, Seq: 2}
+	for _, seg := range []rlnc.SegmentID{a, a, b, c} {
+		m.MarkFinished(seg)
+	}
+	var order []rlnc.SegmentID
+	m.RangeFinished(func(seg rlnc.SegmentID) { order = append(order, seg) })
+	if !m.Finished(a) || m.FinishedCount() != 3 || len(order) != 3 || order[0] != a || order[1] != b || order[2] != c {
+		t.Errorf("after marking a, a, b, c under cap 3: Finished(a) = %v, count %d, order %v; want a, b, c",
+			m.Finished(a), m.FinishedCount(), order)
+	}
 }
 
-// TestMarkFinishedSteadyStateAllocations guards the finished-set ring
-// buffer: a store completing segments indefinitely must not allocate per
-// completion (a FIFO re-sliced with [1:] would pin an ever-growing backing
-// array).
+// TestMarkFinishedSteadyStateAllocations guards the finished set: a store
+// completing segments indefinitely must not allocate per completion (a
+// FIFO re-sliced with [1:] would pin an ever-growing backing array).
 func TestMarkFinishedSteadyStateAllocations(t *testing.T) {
 	m, err := NewMemory(MemoryConfig{SegmentSize: 2, FinishedCap: 64})
 	if err != nil {
@@ -40,7 +57,7 @@ func TestMarkFinishedSteadyStateAllocations(t *testing.T) {
 		m.MarkFinished(rlnc.SegmentID{Origin: 7, Seq: seq})
 		seq++
 	}
-	// Warm past ring creation and map growth, then measure steady state.
+	// Warm past the set's growth, then measure steady state.
 	for i := 0; i < 1024; i++ {
 		mark()
 	}
@@ -51,14 +68,11 @@ func TestMarkFinishedSteadyStateAllocations(t *testing.T) {
 	if m.FinishedCount() != 64 {
 		t.Errorf("finished set size = %d, want 64", m.FinishedCount())
 	}
-	if len(m.finishedRing) != 64 || cap(m.finishedRing) != 64 {
-		t.Errorf("ring len/cap = %d/%d, want 64/64", len(m.finishedRing), cap(m.finishedRing))
-	}
 	if !m.Finished(rlnc.SegmentID{Origin: 7, Seq: seq - 1}) {
-		t.Error("newest entry missing after ring wrap")
+		t.Error("newest entry missing after the set wrapped")
 	}
 	if m.Finished(rlnc.SegmentID{Origin: 7, Seq: seq - 65}) {
-		t.Error("entry older than the ring capacity not evicted")
+		t.Error("entry older than the set capacity not evicted")
 	}
 }
 

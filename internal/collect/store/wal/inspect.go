@@ -2,99 +2,27 @@ package wal
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"p2pcollect/internal/collect/store"
-	"p2pcollect/internal/peercore"
-	"p2pcollect/internal/rlnc"
 )
 
 // Inspect reconstructs what a crashed (or cleanly stopped) store left in a
-// WAL directory and reports the same RecoveryStats a real Open would —
+// WAL directory and reports the same RecoveryStats a real Open would,
 // without mutating anything. Open is a recovery-and-resume operation: it
-// truncates torn log tails and starts a fresh active segment. Postmortem
-// tooling must not do either, so Inspect walks the newest loadable
-// snapshot and the log tail with a non-truncating replay loop and throws
-// the reconstructed state away.
+// truncates at a stop point and starts a fresh active segment. Postmortem
+// tooling must do neither, so Inspect runs the same walk with no stop
+// action and throws the reconstructed state away.
 func Inspect(dir string) (RecoveryStats, error) {
-	var stats RecoveryStats
 	if dir == "" {
-		return stats, fmt.Errorf("wal: empty Dir")
+		return RecoveryStats{}, fmt.Errorf("wal: empty Dir")
 	}
 	start := time.Now()
-	logs, snaps, err := scanDir(dir)
+	rec, err := recoverDir(dir, store.MemoryConfig{}, nil)
 	if err != nil {
-		return stats, err
+		return RecoveryStats{}, err
 	}
-
-	var snap *snapshot
-	var snapSeq uint64
-	for i := len(snaps) - 1; i >= 0; i-- {
-		s, err := loadSnapshotFile(filepath.Join(dir, snapName(snaps[i])))
-		if err == nil {
-			snap, snapSeq = s, snaps[i]
-			break
-		}
-	}
-	segSize := 0
-	if snap != nil {
-		segSize = snap.segmentSize
-	}
-	mem, err := store.NewMemory(store.MemoryConfig{SegmentSize: segSize})
-	if err != nil {
-		return stats, err
-	}
-	defer mem.Close() //nolint:errcheck // in-memory close cannot fail
-
-	if snap != nil {
-		stats.SnapshotLoaded = true
-		for _, seg := range snap.finished {
-			mem.MarkFinished(seg)
-		}
-		for _, sc := range snap.cols {
-			if err := mem.Restore(sc.seg, sc.state, sc.payloadLen, sc.basis); err != nil {
-				return stats, fmt.Errorf("wal: %s: %w", snapName(snapSeq), err)
-			}
-			stats.SnapshotSegments++
-		}
-	}
-
-	for _, seq := range logs {
-		if seq < snapSeq {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, logName(seq)))
-		if err != nil {
-			return stats, fmt.Errorf("wal: %w", err)
-		}
-		off, torn := 0, false
-		for off < len(data) {
-			rec, n, derr := decodeRecord(data[off:])
-			if derr != nil {
-				stats.TornTail = true
-				torn = true
-				break
-			}
-			applyRecord(mem, rec)
-			stats.ReplayedRecords++
-			off += n
-		}
-		if torn {
-			// Like Open, recovered state must stay a prefix of history: no
-			// later segment is applied past a torn record.
-			break
-		}
-	}
-
-	mem.Range(func(seg rlnc.SegmentID, col *peercore.Collection) {
-		stats.OpenSegments++
-		stats.TotalRank += col.Rank()
-		if col.RankDeficit() == 0 {
-			stats.DecodedPending++
-		}
-	})
-	stats.Duration = time.Since(start)
-	return stats, nil
+	rec.mem.Close() //nolint:errcheck // in-memory close cannot fail
+	rec.stats.Duration = time.Since(start)
+	return rec.stats, nil
 }

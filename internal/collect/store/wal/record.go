@@ -5,13 +5,17 @@
 // that collected data outlives its peers; this package makes it outlive
 // the collector too — a restarted server loads the latest snapshot,
 // replays the log tail (tolerating a torn final record), and resumes every
-// open segment at the exact rank and collection state it held.
+// open segment at the exact rank and collection state it held. That
+// recovery is one walk (recoverDir): Open runs it and truncates where it
+// stopped, Inspect runs it read-only.
 //
 // Layout of a WAL directory:
 //
-//	wal-%016x.log    append-only record segments, ascending sequence
-//	snap-%016x.snap  snapshots; the sequence is the first log segment
-//	                 NOT covered (replay resumes there)
+//	wal-%016x.log    append-only record segments, ascending sequence;
+//	                 each record is one durable frame
+//	snap-%016x.snap  snapshots, written by durable.WriteFile; the
+//	                 sequence is the first log segment NOT covered
+//	                 (replay resumes there)
 //	journal.claims   optional durable delivery journal (OpenJournal)
 //
 // Concurrency matches the store.Store contract: the driver serializes all
@@ -22,8 +26,8 @@ package wal
 import (
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 
+	"p2pcollect/internal/durable"
 	"p2pcollect/internal/rlnc"
 )
 
@@ -45,16 +49,13 @@ const (
 	numRecordTypes
 )
 
-// Framing: [4B LE body length][4B LE CRC32-Castagnoli of body][body].
-// Body: [1B type][8B LE origin][8B LE seq], and for recBlock
-// [4B LE coeffLen][coeffs][4B LE payloadLen][payload].
-//
-// Castagnoli, not IEEE: records are framed on the receive hot path, and
-// the Castagnoli polynomial has a dedicated instruction on amd64/arm64
-// (an order of magnitude faster than table-driven IEEE). Snapshots and
-// journal claims are cold and keep IEEE.
+// A record is one durable frame (length + CRC-32C + body, see package
+// durable). Body: [1B type][8B LE origin][8B LE seq], and for recBlock
+// [4B LE coeffLen][coeffs][4B LE payloadLen][payload]. Snapshots and
+// journal claims are cold, predate the shared frame and keep their own
+// IEEE checksums.
 const (
-	frameHeaderSize = 8
+	frameHeaderSize = durable.FrameHeaderSize
 	segBodySize     = 1 + 8 + 8
 
 	// maxRecordBody rejects absurd length prefixes before any allocation:
@@ -71,11 +72,8 @@ const (
 // the condition is reported.
 var (
 	ErrCorrupt    = errors.New("wal: corrupt record")
-	errTornRecord = errors.New("wal: torn record")
+	errTornRecord = durable.ErrTorn
 )
-
-// castagnoli is the record-framing CRC table (hardware-accelerated).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // record is one log entry. For recBlock, coeffs and payload alias the
 // caller's buffers on encode and the log buffer on decode.
@@ -98,41 +96,31 @@ func (r record) bodySize() int {
 // appendRecord appends the framed record to dst and returns the extended
 // slice. It allocates only when dst lacks capacity.
 func appendRecord(dst []byte, r record) []byte {
-	body := r.bodySize()
-	start := len(dst)
-	dst = append(dst, make([]byte, frameHeaderSize+body)...)
-	b := dst[start:]
-	binary.LittleEndian.PutUint32(b, uint32(body))
-	p := b[frameHeaderSize:]
-	p[0] = byte(r.typ)
-	binary.LittleEndian.PutUint64(p[1:], r.seg.Origin)
-	binary.LittleEndian.PutUint64(p[9:], r.seg.Seq)
-	if r.typ == recBlock {
-		binary.LittleEndian.PutUint32(p[17:], uint32(len(r.coeffs)))
-		copy(p[21:], r.coeffs)
-		off := 21 + len(r.coeffs)
-		binary.LittleEndian.PutUint32(p[off:], uint32(len(r.payload)))
-		copy(p[off+4:], r.payload)
-	}
-	binary.LittleEndian.PutUint32(b[4:], crc32.Checksum(p, castagnoli))
-	return dst
+	return durable.AppendFrame(dst, r.bodySize(), func(p []byte) {
+		p[0] = byte(r.typ)
+		binary.LittleEndian.PutUint64(p[1:], r.seg.Origin)
+		binary.LittleEndian.PutUint64(p[9:], r.seg.Seq)
+		if r.typ == recBlock {
+			binary.LittleEndian.PutUint32(p[17:], uint32(len(r.coeffs)))
+			copy(p[21:], r.coeffs)
+			off := 21 + len(r.coeffs)
+			binary.LittleEndian.PutUint32(p[off:], uint32(len(r.payload)))
+			copy(p[off+4:], r.payload)
+		}
+	})
 }
 
 // decodeRecord parses one framed record from the front of b, returning the
 // record and the total frame size consumed. The returned slices alias b.
 func decodeRecord(b []byte) (record, int, error) {
-	if len(b) < frameHeaderSize {
-		return record{}, 0, errTornRecord
+	p, n, err := durable.NextFrame(b, maxRecordBody)
+	if err != nil {
+		if err != errTornRecord {
+			err = ErrCorrupt
+		}
+		return record{}, 0, err
 	}
-	body := int(binary.LittleEndian.Uint32(b))
-	if body < segBodySize || body > maxRecordBody {
-		return record{}, 0, ErrCorrupt
-	}
-	if len(b) < frameHeaderSize+body {
-		return record{}, 0, errTornRecord
-	}
-	p := b[frameHeaderSize : frameHeaderSize+body]
-	if crc32.Checksum(p, castagnoli) != binary.LittleEndian.Uint32(b[4:]) {
+	if len(p) < segBodySize {
 		return record{}, 0, ErrCorrupt
 	}
 	r := record{
@@ -162,11 +150,11 @@ func decodeRecord(b []byte) (record, int, error) {
 			r.payload = rest[4:]
 		}
 	case recFinished, recForget:
-		if body != segBodySize {
+		if len(p) != segBodySize {
 			return record{}, 0, ErrCorrupt
 		}
 	default:
 		return record{}, 0, ErrCorrupt
 	}
-	return r, frameHeaderSize + body, nil
+	return r, n, nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"p2pcollect/internal/collect/store"
@@ -200,35 +199,6 @@ func decodeSnapshot(b []byte) (*snapshot, error) {
 	return snap, nil
 }
 
-// writeSnapshotFile writes the encoded snapshot atomically: temp file in
-// the same directory, fsync, rename, fsync the directory.
-func writeSnapshotFile(dir, name string, data []byte) error {
-	tmp := filepath.Join(dir, name+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(dir)
-}
-
 // loadSnapshotFile reads and decodes one snapshot file.
 func loadSnapshotFile(path string) (*snapshot, error) {
 	data, err := os.ReadFile(path)
@@ -236,14 +206,4 @@ func loadSnapshotFile(path string) (*snapshot, error) {
 		return nil, err
 	}
 	return decodeSnapshot(data)
-}
-
-// syncDir fsyncs a directory so renames and unlinks within it are durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"p2pcollect/internal/collect/store"
+	"p2pcollect/internal/durable"
 	"p2pcollect/internal/obs"
 	"p2pcollect/internal/peercore"
 	"p2pcollect/internal/rlnc"
@@ -226,94 +227,18 @@ func Open(opts Options) (*Store, error) {
 	}
 	start := time.Now()
 
-	logs, snaps, err := scanDir(opts.Dir)
-	if err != nil {
-		return nil, err
-	}
-
 	w := &Store{opts: opts, gate: &gatedSink{inner: opts.Sink}, lastSnap: start}
-
-	// Newest loadable snapshot wins; unreadable ones fall back to older
-	// (more log replay, same state).
-	var snap *snapshot
-	var snapSeq uint64
-	for i := len(snaps) - 1; i >= 0; i-- {
-		s, err := loadSnapshotFile(filepath.Join(opts.Dir, snapName(snaps[i])))
-		if err == nil {
-			snap, snapSeq = s, snaps[i]
-			break
-		}
-	}
-
-	segSize := opts.SegmentSize
-	if snap != nil && snap.segmentSize > 0 {
-		segSize = snap.segmentSize
-	}
-	mem, err := store.NewMemory(store.MemoryConfig{
-		SegmentSize:  segSize,
+	rec, err := recoverDir(opts.Dir, store.MemoryConfig{
+		SegmentSize:  opts.SegmentSize,
 		FinishedCap:  opts.FinishedCap,
 		DeferPayload: opts.DeferPayload,
 		Sink:         w.gate,
-	})
+	}, discardFrom)
 	if err != nil {
 		return nil, err
 	}
-	w.mem = mem
-	if snap != nil {
-		w.recovery.SnapshotLoaded = true
-		for _, seg := range snap.finished {
-			mem.MarkFinished(seg)
-		}
-		for _, sc := range snap.cols {
-			if err := mem.Restore(sc.seg, sc.state, sc.payloadLen, sc.basis); err != nil {
-				return nil, fmt.Errorf("wal: %s: %w", snapName(snapSeq), err)
-			}
-			w.recovery.SnapshotSegments++
-		}
-	}
-
-	// Replay every log segment the snapshot does not cover, oldest first.
-	var maxSeq uint64
-	for _, seq := range logs {
-		if seq > maxSeq {
-			maxSeq = seq
-		}
-		if seq < snapSeq {
-			continue
-		}
-		stop, err := w.replayFile(filepath.Join(opts.Dir, logName(seq)))
-		if err != nil {
-			return nil, err
-		}
-		if stop {
-			break
-		}
-	}
-
-	// Collections the crash caught between full rank and durable
-	// completion: the service completes them at Start, through the normal
-	// finished/gate/delivery path.
-	mem.Range(func(seg rlnc.SegmentID, col *peercore.Collection) {
-		w.recovery.OpenSegments++
-		w.recovery.TotalRank += col.Rank()
-		if col.RankDeficit() == 0 {
-			w.recovered = append(w.recovered, seg)
-		}
-	})
-	sort.Slice(w.recovered, func(i, j int) bool {
-		a, b := w.recovered[i], w.recovered[j]
-		if a.Origin != b.Origin {
-			return a.Origin < b.Origin
-		}
-		return a.Seq < b.Seq
-	})
-	w.recovery.DecodedPending = len(w.recovered)
-
 	// New appends go to a fresh segment past everything on disk.
-	w.seq = maxSeq + 1
-	if snapSeq > w.seq {
-		w.seq = snapSeq
-	}
+	w.mem, w.recovery, w.recovered, w.seq = rec.mem, rec.stats, rec.decoded, rec.next
 	if err := w.openActive(); err != nil {
 		return nil, err
 	}
@@ -367,39 +292,136 @@ func dirLogBytes(dir string) int64 {
 	return total
 }
 
-// replayFile applies one log segment's records to the in-RAM store. stop
-// reports that replay hit a torn or corrupt record: the file is truncated
-// at the last valid frame (so the next recovery is clean) and no later
-// segment may be applied — recovered state must stay a prefix of history.
-func (w *Store) replayFile(path string) (stop bool, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return false, fmt.Errorf("wal: %w", err)
-	}
-	off := 0
-	for off < len(data) {
-		rec, n, derr := decodeRecord(data[off:])
-		if derr != nil {
-			w.recovery.TornTail = true
-			if terr := os.Truncate(path, int64(off)); terr != nil {
-				return false, fmt.Errorf("wal: truncating torn tail: %w", terr)
-			}
-			return true, nil
-		}
-		w.apply(rec)
-		w.recovery.ReplayedRecords++
-		off += n
-	}
-	return false, nil
+// recoveredState is what one walk over a WAL directory reconstructs.
+type recoveredState struct {
+	mem   *store.Memory
+	stats RecoveryStats // Duration is the caller's to set
+	// decoded lists the collections the crash caught between full rank and
+	// durable completion, in segment order: the service completes them at
+	// Start, through the normal finished/gate/delivery path.
+	decoded []rlnc.SegmentID
+	// next is the first sequence past every log segment on disk and not
+	// below any snapshot's: where a resuming store opens its active segment.
+	next uint64
 }
 
-// apply replays one record against the in-RAM store, mirroring what the
-// collection service did to generate it. Malformed blocks were rejected
-// when first received and are rejected identically here.
-func (w *Store) apply(rec record) { applyRecord(w.mem, rec) }
+// recoverDir is the one recovery walk: restore the newest loadable
+// snapshot (an unreadable one falls back to an older: more replay, same
+// state) into a store built from cfg, replay every log segment the
+// snapshot does not cover, oldest first, and stop at the first torn or
+// corrupt record, because recovered state must stay a prefix of history. A
+// loaded snapshot's segment size overrides cfg's: it is what the logged
+// records were coded under. The walk itself only reads. atStop, when
+// non-nil, is the caller's action at a stop point: it receives the stopped
+// segment, the length of its valid prefix, and the later segments the walk
+// will not apply. Open passes discardFrom; Inspect passes nil.
+func recoverDir(dir string, cfg store.MemoryConfig,
+	atStop func(dir string, seq uint64, valid int64, later []uint64) error) (*recoveredState, error) {
+	logs, snaps, err := scanDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	r := &recoveredState{next: 1}
+	if n := len(logs); n > 0 {
+		r.next = logs[n-1] + 1
+	}
+	if n := len(snaps); n > 0 && snaps[n-1] > r.next {
+		r.next = snaps[n-1]
+	}
 
-// applyRecord replays one record against an in-RAM store — shared between
-// Open's recovery and Inspect's read-only walk.
+	var snap *snapshot
+	var snapSeq uint64
+	for i := len(snaps) - 1; i >= 0 && snap == nil; i-- {
+		if s, err := loadSnapshotFile(filepath.Join(dir, snapName(snaps[i]))); err == nil {
+			snap, snapSeq = s, snaps[i]
+		}
+	}
+	if snap != nil && snap.segmentSize > 0 {
+		cfg.SegmentSize = snap.segmentSize
+	}
+	if r.mem, err = store.NewMemory(cfg); err != nil {
+		return nil, err
+	}
+	if snap != nil {
+		r.stats.SnapshotLoaded = true
+		for _, seg := range snap.finished {
+			r.mem.MarkFinished(seg)
+		}
+		for _, sc := range snap.cols {
+			if err := r.mem.Restore(sc.seg, sc.state, sc.payloadLen, sc.basis); err != nil {
+				return nil, fmt.Errorf("wal: %s: %w", snapName(snapSeq), err)
+			}
+			r.stats.SnapshotSegments++
+		}
+	}
+
+replay:
+	for i, seq := range logs {
+		if seq < snapSeq {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, logName(seq)))
+		if err != nil {
+			return nil, fmt.Errorf("wal: %w", err)
+		}
+		for off := 0; off < len(data); {
+			rec, n, derr := decodeRecord(data[off:])
+			if derr != nil {
+				r.stats.TornTail = true
+				if atStop != nil {
+					if err := atStop(dir, seq, int64(off), logs[i+1:]); err != nil {
+						return nil, err
+					}
+				}
+				break replay
+			}
+			applyRecord(r.mem, rec)
+			r.stats.ReplayedRecords++
+			off += n
+		}
+	}
+
+	r.mem.Range(func(seg rlnc.SegmentID, col *peercore.Collection) {
+		r.stats.OpenSegments++
+		r.stats.TotalRank += col.Rank()
+		if col.RankDeficit() == 0 {
+			r.decoded = append(r.decoded, seg)
+		}
+	})
+	sort.Slice(r.decoded, func(i, j int) bool {
+		a, b := r.decoded[i], r.decoded[j]
+		if a.Origin != b.Origin {
+			return a.Origin < b.Origin
+		}
+		return a.Seq < b.Seq
+	})
+	r.stats.DecodedPending = len(r.decoded)
+	return r, nil
+}
+
+// discardFrom is Open's action at a stop point. The stopped segment is cut
+// at its last valid frame, so the next recovery is clean. The later
+// segments are deleted: they can never be applied (that would skip the
+// lost records), and left in place a later recovery, finding the stop
+// point gone, would replay them anyway.
+func discardFrom(dir string, seq uint64, valid int64, later []uint64) error {
+	if err := os.Truncate(filepath.Join(dir, logName(seq)), valid); err != nil {
+		return fmt.Errorf("wal: truncating torn tail: %w", err)
+	}
+	for _, seq := range later {
+		if err := os.Remove(filepath.Join(dir, logName(seq))); err != nil {
+			return fmt.Errorf("wal: dropping unreachable segment: %w", err)
+		}
+	}
+	if len(later) > 0 {
+		return syncDir(dir)
+	}
+	return nil
+}
+
+// applyRecord replays one record against the in-RAM store, mirroring what
+// the collection service did to generate it. Malformed blocks were
+// rejected when first received and are rejected identically here.
 func applyRecord(mem *store.Memory, rec record) {
 	switch rec.typ {
 	case recBlock:
@@ -588,8 +610,7 @@ func (w *Store) snapshot() error {
 	if err := w.rotate(); err != nil {
 		return err
 	}
-	data := encodeSnapshot(w.mem)
-	if err := writeSnapshotFile(w.opts.Dir, snapName(w.seq), data); err != nil {
+	if err := durable.WriteFile(filepath.Join(w.opts.Dir, snapName(w.seq)), encodeSnapshot(w.mem)); err != nil {
 		return err
 	}
 	w.sinceSnap = 0
@@ -619,6 +640,16 @@ func (w *Store) prune() {
 	}
 	syncDir(w.opts.Dir) //nolint:errcheck // best-effort
 	w.totalBytes = dirLogBytes(w.opts.Dir)
+}
+
+// syncDir fsyncs a directory so unlinks within it are durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close() //nolint:errcheck // read-only handle
+	return d.Sync()
 }
 
 // Recovery returns what Open reconstructed.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -528,4 +529,199 @@ func TestParseSyncMode(t *testing.T) {
 			t.Errorf("SyncMode(%v).String() empty", got)
 		}
 	}
+}
+
+// feed receives n coded blocks round-robin over the sources.
+func feed(t *testing.T, w *Store, rng *randx.Rand, srcs []*rlnc.Segment, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, _, err := w.Receive(1, srcs[i%len(srcs)].Encode(rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// corruptLog flips one body byte of the record starting at off.
+func corruptLog(t *testing.T, dir string, seq uint64, off int) {
+	t.Helper()
+	path := filepath.Join(dir, logName(seq))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[off+frameHeaderSize+3] ^= 0x40
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoveryStopKeepsPrefixAcrossRestarts: a corrupt record in a
+// non-final log segment stops replay there, and the state recovered then —
+// a prefix of history — must still be what the NEXT restart recovers, plus
+// whatever was appended in between. The segments past the stop point may
+// never come back, and new records may never land in one of them.
+func TestRecoveryStopKeepsPrefixAcrossRestarts(t *testing.T) {
+	dir := t.TempDir()
+	rng := randx.New(29)
+	const s, payloadLen = 4, 32
+	srcs := make([]*rlnc.Segment, 5)
+	for i := range srcs {
+		srcs[i] = makeSegment(t, rng, rlnc.SegmentID{Origin: 6, Seq: uint64(i)}, s, payloadLen)
+	}
+	recLen := len(appendRecord(nil, record{typ: recBlock,
+		coeffs: make([]byte, s), payload: make([]byte, payloadLen)}))
+	twoPerLog := func(o *Options) { o.SegmentBytes = int64(2 * recLen) }
+
+	w := openStore(t, dir, twoPerLog)
+	feed(t, w, rng, srcs, 10) // logs 1..5 hold two records each, 6 is the empty active one
+	w.Crash()
+	corruptLog(t, dir, 1, recLen) // the second record of log 1
+
+	w = openStore(t, dir, twoPerLog)
+	rs := w.Recovery()
+	if !rs.TornTail || rs.ReplayedRecords != 1 || rs.OpenSegments != 1 || rs.TotalRank != 1 {
+		t.Fatalf("recovery past a corrupt record: %+v, want a 1-record prefix", rs)
+	}
+	logs, _, err := scanDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(logs) != 2 || logs[0] != 1 || logs[1] != 7 {
+		t.Errorf("logs after recovery = %v, want [1 7]: the unreachable segments gone, the active one past everything seen", logs)
+	}
+	fresh := makeSegment(t, rng, rlnc.SegmentID{Origin: 6, Seq: 99}, s, payloadLen)
+	feed(t, w, rng, []*rlnc.Segment{fresh}, 1)
+	w.Crash()
+
+	w = openStore(t, dir, twoPerLog)
+	defer w.Close() //nolint:errcheck // tmp dir
+	rs = w.Recovery()
+	if rs.TornTail || rs.ReplayedRecords != 2 || rs.OpenSegments != 2 || rs.TotalRank != 2 {
+		t.Errorf("second recovery: %+v, want the 1-record prefix plus the 1 new record", rs)
+	}
+	if w.Collection(fresh.ID) == nil || w.Collection(srcs[0].ID) == nil {
+		t.Error("second recovery lost the prefix or the record appended after it")
+	}
+}
+
+// TestInspectAgreesWithOpen: Inspect and Open are one walk, so over any
+// directory Inspect reports exactly what Open then recovers (Duration
+// aside), and Inspect leaves every byte on disk as it found it.
+func TestInspectAgreesWithOpen(t *testing.T) {
+	const s, payloadLen = 4, 32
+	recLen := len(appendRecord(nil, record{typ: recBlock,
+		coeffs: make([]byte, s), payload: make([]byte, payloadLen)}))
+	twoPerLog := func(o *Options) { o.SegmentBytes = int64(2 * recLen) }
+	cases := []struct {
+		name  string
+		build func(t *testing.T, dir string, rng *randx.Rand, srcs []*rlnc.Segment)
+		check func(t *testing.T, rs RecoveryStats)
+	}{
+		{"clean close", func(t *testing.T, dir string, rng *randx.Rand, srcs []*rlnc.Segment) {
+			w := openStore(t, dir, nil)
+			feed(t, w, rng, srcs, 7)
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}, func(t *testing.T, rs RecoveryStats) {
+			if !rs.SnapshotLoaded || rs.ReplayedRecords != 0 || rs.TornTail {
+				t.Errorf("clean close: %+v, want a pure snapshot load", rs)
+			}
+		}},
+		{"crash with a torn tail", func(t *testing.T, dir string, rng *randx.Rand, srcs []*rlnc.Segment) {
+			w := openStore(t, dir, nil)
+			feed(t, w, rng, srcs, 7)
+			w.Crash()
+			path := filepath.Join(dir, logName(1))
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, data[:len(data)-recLen/2], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, func(t *testing.T, rs RecoveryStats) {
+			if rs.SnapshotLoaded || rs.ReplayedRecords != 6 || !rs.TornTail {
+				t.Errorf("torn tail: %+v, want 6 replayed records and a torn tail", rs)
+			}
+		}},
+		{"corrupt record in a non-final segment", func(t *testing.T, dir string, rng *randx.Rand, srcs []*rlnc.Segment) {
+			w := openStore(t, dir, twoPerLog)
+			feed(t, w, rng, srcs, 8)
+			w.Crash()
+			corruptLog(t, dir, 2, 0)
+		}, func(t *testing.T, rs RecoveryStats) {
+			if rs.ReplayedRecords != 2 || !rs.TornTail {
+				t.Errorf("corrupt mid-log: %+v, want replay to stop after log 1", rs)
+			}
+		}},
+		{"snapshot plus tail", func(t *testing.T, dir string, rng *randx.Rand, srcs []*rlnc.Segment) {
+			w := openStore(t, dir, func(o *Options) { o.SnapshotEvery = 5 })
+			feed(t, w, rng, srcs, 8)
+			w.Crash()
+		}, func(t *testing.T, rs RecoveryStats) {
+			if !rs.SnapshotLoaded || rs.ReplayedRecords != 3 || rs.TornTail {
+				t.Errorf("snapshot plus tail: %+v, want the snapshot and 3 replayed records", rs)
+			}
+		}},
+		{"unreadable newest snapshot", func(t *testing.T, dir string, rng *randx.Rand, srcs []*rlnc.Segment) {
+			w := openStore(t, dir, nil)
+			feed(t, w, rng, srcs, 7)
+			w.Crash()
+			if err := os.WriteFile(filepath.Join(dir, snapName(9)), []byte("not a snapshot"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, func(t *testing.T, rs RecoveryStats) {
+			if rs.SnapshotLoaded || rs.ReplayedRecords != 7 {
+				t.Errorf("unreadable snapshot: %+v, want a fall back to full replay", rs)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			rng := randx.New(31)
+			srcs := make([]*rlnc.Segment, 3)
+			for i := range srcs {
+				srcs[i] = makeSegment(t, rng, rlnc.SegmentID{Origin: 8, Seq: uint64(i)}, s, payloadLen)
+			}
+			tc.build(t, dir, rng, srcs)
+
+			before := readDir(t, dir)
+			got, err := Inspect(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after := readDir(t, dir); !reflect.DeepEqual(before, after) {
+				t.Errorf("Inspect changed the directory: %d files before, %d after, or their bytes differ", len(before), len(after))
+			}
+			tc.check(t, got)
+
+			w := openStore(t, dir, nil)
+			defer w.Close() //nolint:errcheck // tmp dir
+			want := w.Recovery()
+			got.Duration, want.Duration = 0, 0
+			if got != want {
+				t.Errorf("Inspect = %+v\nOpen    = %+v", got, want)
+			}
+		})
+	}
+}
+
+// readDir maps every file in dir to its bytes.
+func readDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(data)
+	}
+	return files
 }

@@ -11,20 +11,12 @@ const DefaultJournalCap = 1 << 20
 
 // Journal is the fleet's coordinator-free delivery dedup: a segment is
 // delivered by whichever shard first reaches full rank, and Claim makes
-// that race winner-take-all. Entries are bounded by a FIFO eviction ring
-// (an evicted segment could at worst be delivered again — the same
-// contract as the per-server finished set). Safe for concurrent use by
-// all shards.
+// that race winner-take-all. Entries live in a bounded segment set (an
+// evicted segment could at worst be delivered again — the same contract as
+// the per-server finished set). Safe for concurrent use by all shards.
 type Journal struct {
 	mu        sync.Mutex
-	delivered map[rlnc.SegmentID]bool
-	// ring holds the remembered segments. It grows by append, oldest first,
-	// until it reaches cap entries — a journal costs memory for what it has
-	// seen, not for its bound — and from then on is a circular buffer whose
-	// oldest entry sits at head.
-	ring      []rlnc.SegmentID
-	cap       int
-	head      int
+	delivered *rlnc.SegmentSet
 	persister JournalPersister
 }
 
@@ -54,14 +46,10 @@ func NewJournalBacked(cap int, persisted []rlnc.SegmentID, p JournalPersister) *
 	if cap <= 0 {
 		cap = DefaultJournalCap
 	}
-	j := &Journal{
-		delivered: make(map[rlnc.SegmentID]bool),
-		cap:       cap,
-	}
+	j := &Journal{delivered: rlnc.NewSegmentSet(cap), persister: p}
 	for _, seg := range persisted {
-		j.admit(seg)
+		j.delivered.Add(seg)
 	}
-	j.persister = p
 	return j
 }
 
@@ -72,7 +60,7 @@ func NewJournalBacked(cap int, persisted []rlnc.SegmentID, p JournalPersister) *
 func (j *Journal) Claim(seg rlnc.SegmentID) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.delivered[seg] {
+	if j.delivered.Has(seg) {
 		return false
 	}
 	if j.persister != nil {
@@ -80,36 +68,20 @@ func (j *Journal) Claim(seg rlnc.SegmentID) bool {
 			return false
 		}
 	}
-	j.admit(seg)
+	j.delivered.Add(seg)
 	return true
-}
-
-// admit places seg in the ring and map, evicting the oldest entry when
-// full. Caller holds j.mu (or has exclusive access during construction).
-func (j *Journal) admit(seg rlnc.SegmentID) {
-	if j.delivered[seg] {
-		return
-	}
-	if len(j.ring) < j.cap {
-		j.ring = append(j.ring, seg)
-	} else {
-		delete(j.delivered, j.ring[j.head])
-		j.ring[j.head] = seg
-		j.head = (j.head + 1) % j.cap
-	}
-	j.delivered[seg] = true
 }
 
 // Delivered reports whether the segment has been claimed.
 func (j *Journal) Delivered(seg rlnc.SegmentID) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.delivered[seg]
+	return j.delivered.Has(seg)
 }
 
 // Count returns how many deliveries the journal currently remembers.
 func (j *Journal) Count() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return len(j.ring)
+	return j.delivered.Len()
 }

@@ -66,6 +66,9 @@ type endpoint struct {
 	// node, pull targets for a server: fixed under a static topology,
 	// tracking the live view when the SWIM detector runs.
 	peers *peercore.PeerSet
+	// onLeave, when set by the embedder, runs under mu as a peer leaves the
+	// contact set, to drop whatever per-peer state was kept for it.
+	onLeave func(transport.NodeID)
 
 	// swim is the failure detector, nil under a static topology. swimMu
 	// serializes it and may be held when mu is taken (a status transition
@@ -185,6 +188,9 @@ func (e *endpoint) onMember(m membership.Member, st membership.Status) {
 		e.peers.Add(uint64(m.ID))
 	case membership.StatusDead, membership.StatusLeft:
 		e.peers.Remove(uint64(m.ID))
+		if e.onLeave != nil {
+			e.onLeave(m.ID)
+		}
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"p2pcollect/internal/membership"
 	"p2pcollect/internal/obs"
 	"p2pcollect/internal/peercore"
-	"p2pcollect/internal/pullsched"
 	"p2pcollect/internal/randx"
 	"p2pcollect/internal/rlnc"
 	"p2pcollect/internal/transport"
@@ -245,12 +244,14 @@ func (n *Node) inject() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	now := n.now()
-	segID, _, ok := n.core.Inject(now, n.makePayloads)
+	segID, _, ok := n.core.Inject(now, func() [][]byte {
+		return n.gen.Payloads(n.cfg.SegmentSize, n.cfg.BlockSize, now, n.rng)
+	})
 	if ok {
 		n.injected++
 		var tctx obs.TraceContext
 		if n.traceRNG != nil && n.traceRNG.Float64() < n.cfg.TraceSample {
-			tctx = obs.TraceContext{ID: n.mintTraceID()}
+			tctx = obs.TraceContext{ID: peercore.MintTraceID(n.traceRNG, uint64(n.tr.LocalID()))}
 			n.core.SetTraceCtx(segID, tctx)
 		}
 		n.tracer.Trace(obs.TraceEvent{
@@ -260,36 +261,6 @@ func (n *Node) inject() bool {
 		})
 	}
 	return n.cfg.MaxSegments <= 0 || n.injected < n.cfg.MaxSegments
-}
-
-// mintTraceID draws a nonzero lineage identifier: 63 random bits folded
-// with the node identity, so concurrent injections across the cluster
-// cannot collide by seed reuse. Callers hold mu and checked traceRNG.
-func (n *Node) mintTraceID() uint64 {
-	for {
-		if id := uint64(n.traceRNG.Int63()) ^ uint64(n.tr.LocalID())<<48; id != 0 {
-			return id
-		}
-	}
-}
-
-// makePayloads builds the s payload blocks for a new segment from the
-// node's synthetic statistics stream. Callers hold mu.
-func (n *Node) makePayloads() [][]byte {
-	perBlock := n.cfg.BlockSize / logdata.RecordSize
-	elapsed := n.now()
-	blocks := make([][]byte, n.cfg.SegmentSize)
-	for i := range blocks {
-		block := make([]byte, n.cfg.BlockSize)
-		for j := 0; j < perBlock; j++ {
-			copy(block[j*logdata.RecordSize:], n.gen.Next(elapsed).Marshal())
-		}
-		if perBlock == 0 {
-			n.rng.FillCoefficients(block)
-		}
-		blocks[i] = block
-	}
-	return blocks
 }
 
 // gossip is the paced push: one re-encoded block to one eligible neighbor.
@@ -437,47 +408,19 @@ func (n *Node) servePull(m *transport.Message) {
 		// node that never saw a traced block serves traced replies.
 		n.core.SetTraceCtx(m.Seg, m.Trace)
 	}
-	segID, ok := m.Seg, m.HasHint && n.core.Holds(m.Seg)
-	if !ok {
-		segID, ok = n.core.SampleSegment()
-	}
-	if ok {
-		reply = &transport.Message{Type: transport.MsgBlock, Block: n.core.Recode(segID)}
-		if tctx := n.core.TraceCtx(segID); tctx.Valid() {
-			reply.Trace = tctx.Next()
-		}
+	if cb, wire, ok := n.core.ServePull(m.Seg, m.HasHint); ok {
+		reply = &transport.Message{Type: transport.MsgBlock, Block: cb, Trace: wire}
 		n.counters.Count(peercore.EvPullServed, 1)
 	} else {
 		reply = &transport.Message{Type: transport.MsgEmpty}
 	}
 	var inv *transport.Message
 	if m.WantInventory {
-		inv = &transport.Message{Type: transport.MsgInventory, Inventory: n.inventory()}
+		inv = &transport.Message{Type: transport.MsgInventory, Inventory: n.core.Inventory()}
 	}
 	n.mu.Unlock()
 	n.tr.Send(m.From, reply) //nolint:errcheck // best-effort reply
 	if inv != nil {
 		n.tr.Send(m.From, inv) //nolint:errcheck // best-effort digest
 	}
-}
-
-// inventory digests the buffered segments for a pull reply. Block counts
-// are clamped to the wire format's 16-bit field; a count that large is
-// indistinguishable from "plenty" to any scheduling policy. Callers hold
-// mu.
-func (n *Node) inventory() []pullsched.InventoryEntry {
-	k := n.core.NumSegments()
-	if k == 0 {
-		return nil
-	}
-	inv := make([]pullsched.InventoryEntry, 0, k)
-	for i := 0; i < k; i++ {
-		seg := n.core.SegmentAt(i)
-		blocks := n.core.BlocksOf(seg)
-		if blocks > 0xFFFF {
-			blocks = 0xFFFF
-		}
-		inv = append(inv, pullsched.InventoryEntry{Seg: seg, Blocks: blocks})
-	}
-	return inv
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"p2pcollect/internal/membership"
 	"p2pcollect/internal/obs"
 	"p2pcollect/internal/randx"
 	"p2pcollect/internal/transport"
@@ -422,5 +423,31 @@ func TestGaugesReadAtScrape(t *testing.T) {
 	}
 	if _, ok := gauges["outboxDepth"]; !ok {
 		t.Error("outboxDepth gauge missing")
+	}
+}
+
+// TestOutstandingPullsDrainsWhenPeerLeaves: a peer that leaves the contact
+// set never answers and is never pulled again, so its pending pull must go
+// with it. Otherwise outstandingPulls never drains and the map grows with
+// every distinct departed ID under churn.
+func TestOutstandingPullsDrainsWhenPeerLeaves(t *testing.T) {
+	net := transport.NewNetwork()
+	net.Join(1)
+	net.Join(2)
+	srv, err := NewServer(net.Join(serverIDBase), ServerConfig{Peers: []transport.NodeID{1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outstanding := func() float64 { return srv.Registry().Snapshot().Gauges["outstandingPulls"] }
+	for outstanding() < 2 {
+		srv.pull() // unanswered: neither peer is running
+	}
+	srv.onMember(membership.Member{ID: 1, Role: membership.RolePeer}, membership.StatusDead)
+	if got := outstanding(); got != 1 {
+		t.Errorf("outstandingPulls = %g after peer 1 died, want 1 (peer 2's)", got)
+	}
+	srv.onMember(membership.Member{ID: 2, Role: membership.RolePeer}, membership.StatusLeft)
+	if got := outstanding(); got != 0 {
+		t.Errorf("outstandingPulls = %g after both peers left, want 0", got)
 	}
 }

@@ -121,8 +121,7 @@ type ServerConfig struct {
 	// FlightPath overrides where the crash flight recorder dumps its ring
 	// on CrashStop or a loop panic. Empty selects Durability.Dir/flight.bin
 	// (next to the WAL, so postmortem tooling finds both); with no durable
-	// directory either, the dump is skipped and the ring stays in-memory
-	// only (still reachable via Server.Flight).
+	// directory either, the dump is skipped.
 	FlightPath string
 }
 
@@ -208,6 +207,9 @@ func NewServer(tr transport.Transport, cfg ServerConfig) (*Server, error) {
 		policy = pullsched.Blind{}
 	}
 	s := &Server{cfg: cfg, pending: make(map[transport.NodeID]float64)}
+	// A departed peer never answers and is never pulled again: its entry
+	// would sit in pending, and in the outstandingPulls gauge, forever.
+	s.onLeave = func(id transport.NodeID) { delete(s.pending, id) }
 	// With Membership set, Peers only seed the pull target set; the live
 	// view then keeps it current.
 	s.init(tr, membership.RoleServer, cfg.Seed, cfg.Peers, cfg.Membership,
@@ -351,13 +353,6 @@ func (s *Server) CrashStop() {
 		s.svc.Crash()
 	})
 }
-
-// Flight exposes the server's always-on crash flight recorder.
-func (s *Server) Flight() *obs.FlightRecorder { return s.flight }
-
-// DumpFlight writes the flight recorder ring to path (for SIGQUIT handlers
-// and tooling; CrashStop and loop panics dump automatically).
-func (s *Server) DumpFlight(path string) error { return s.flight.DumpFile(path) }
 
 // flightDumpPath resolves where automatic flight dumps land: the explicit
 // override, else next to the WAL, else nowhere.

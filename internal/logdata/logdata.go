@@ -163,6 +163,27 @@ func (g *Generator) Next(t float64) *Record {
 	return r
 }
 
+// Payloads fabricates the s payload blocks of one new segment, each
+// blockSize bytes: as many whole records at time t as fit, zero padding
+// after them. A block too small for a single record is filled with opaque
+// bytes drawn from fill (the driver's protocol stream), so undersized test
+// blocks still carry distinguishable data.
+func (g *Generator) Payloads(s, blockSize int, t float64, fill *randx.Rand) [][]byte {
+	perBlock := blockSize / RecordSize
+	blocks := make([][]byte, s)
+	for i := range blocks {
+		block := make([]byte, blockSize)
+		for j := 0; j < perBlock; j++ {
+			copy(block[j*RecordSize:], g.Next(t).Marshal())
+		}
+		if perBlock == 0 {
+			fill.FillCoefficients(block)
+		}
+		blocks[i] = block
+	}
+	return blocks
+}
+
 // PackRecords marshals records into fixed-size blocks of blockSize bytes,
 // zero-padding the tail of the last block. blockSize must hold at least one
 // record.
@@ -197,35 +218,6 @@ func UnpackRecords(block []byte) ([]*Record, error) {
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-// ArrivalProcess models peer arrivals with a time-varying rate, used to
-// drive the flash-crowd scenarios of the introduction. Rates are per unit
-// time; sampling uses thinning against the peak rate.
-type ArrivalProcess struct {
-	rate func(t float64) float64
-	peak float64
-	rng  *randx.Rand
-	now  float64
-}
-
-// NewArrivalProcess returns a non-homogeneous Poisson arrival sampler.
-// peak must bound rate(t) from above for all t >= start.
-func NewArrivalProcess(rate func(t float64) float64, peak, start float64, rng *randx.Rand) *ArrivalProcess {
-	if peak <= 0 {
-		panic("logdata: non-positive peak rate")
-	}
-	return &ArrivalProcess{rate: rate, peak: peak, rng: rng, now: start}
-}
-
-// Next returns the next arrival time.
-func (p *ArrivalProcess) Next() float64 {
-	for {
-		p.now += p.rng.Exp(p.peak)
-		if p.rng.Float64() <= p.rate(p.now)/p.peak {
-			return p.now
-		}
-	}
 }
 
 // FlashCrowdRate returns a rate function that sits at base, ramps linearly

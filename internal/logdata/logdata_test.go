@@ -212,41 +212,3 @@ func TestFlashCrowdRateShape(t *testing.T) {
 		}
 	}
 }
-
-func TestArrivalProcessMatchesRate(t *testing.T) {
-	rng := randx.New(4)
-	// Constant rate 5: expect ~5 arrivals per unit time.
-	p := NewArrivalProcess(func(float64) float64 { return 5 }, 5, 0, rng)
-	count := 0
-	for {
-		if p.Next() > 200 {
-			break
-		}
-		count++
-	}
-	if count < 850 || count > 1150 {
-		t.Errorf("constant-rate arrivals in [0,200] = %d, want ~1000", count)
-	}
-}
-
-func TestArrivalProcessFlashCrowdBurst(t *testing.T) {
-	rng := randx.New(5)
-	rate := FlashCrowdRate(1, 20, 50, 5, 80)
-	p := NewArrivalProcess(rate, 20, 0, rng)
-	before, during := 0, 0
-	for {
-		at := p.Next()
-		if at > 80 {
-			break
-		}
-		if at < 50 {
-			before++
-		} else if at >= 55 {
-			during++
-		}
-	}
-	// Burst rate is 20x the base rate over half the window length.
-	if during < 5*before {
-		t.Errorf("flash crowd not visible: before=%d during=%d", before, during)
-	}
-}

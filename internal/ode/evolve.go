@@ -1,9 +1,6 @@
 package ode
 
-import (
-	"errors"
-	"math"
-)
+import "errors"
 
 // FullTrajectoryPoint samples the complete transient state of the three
 // coupled systems.
@@ -226,17 +223,4 @@ func (fs fullState) sampleAt(t float64, v []float64) FullTrajectoryPoint {
 		}
 	}
 	return pt
-}
-
-// SteadyFromTrajectory returns the last trajectory point, for convergence
-// checks against Solve.
-func SteadyFromTrajectory(traj []FullTrajectoryPoint) (FullTrajectoryPoint, error) {
-	if len(traj) == 0 {
-		return FullTrajectoryPoint{}, errors.New("ode: empty trajectory")
-	}
-	last := traj[len(traj)-1]
-	if math.IsNaN(last.E) || math.IsInf(last.E, 0) {
-		return FullTrajectoryPoint{}, errors.New("ode: trajectory diverged")
-	}
-	return last, nil
 }

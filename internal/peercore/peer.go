@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"p2pcollect/internal/obs"
+	"p2pcollect/internal/pullsched"
 	"p2pcollect/internal/randx"
 	"p2pcollect/internal/rlnc"
 	"p2pcollect/internal/slab"
@@ -274,6 +275,39 @@ func (p *Peer) Recode(seg rlnc.SegmentID) *rlnc.CodedBlock {
 		return h.RecodePooled(p.rng)
 	}
 	return h.Recode(p.rng)
+}
+
+// ServePull answers one server pull, the serve step of §2: a fresh
+// recoding of the hinted segment when the pull carries a hint this peer
+// still buffers, else of a uniformly sampled buffered segment. wire is the
+// trace context the reply carries: the segment's lineage one hop deeper,
+// zero when it is untraced. ok is false when the buffer is empty.
+func (p *Peer) ServePull(hint rlnc.SegmentID, hasHint bool) (cb *rlnc.CodedBlock, wire obs.TraceContext, ok bool) {
+	seg := hint
+	if !hasHint || !p.Holds(hint) {
+		if seg, ok = p.SampleSegment(); !ok {
+			return nil, obs.TraceContext{}, false
+		}
+	}
+	if tctx := p.traceCtx[seg]; tctx.Valid() {
+		wire = tctx.Next()
+	}
+	return p.Recode(seg), wire, true
+}
+
+// Inventory digests the buffered segments for a pull reply, in SegmentAt
+// order; nil when the buffer is empty. Block counts are clamped to the
+// wire format's 16-bit field: a count that large is indistinguishable from
+// "plenty" to any scheduling policy.
+func (p *Peer) Inventory() []pullsched.InventoryEntry {
+	if len(p.segIDs) == 0 {
+		return nil
+	}
+	inv := make([]pullsched.InventoryEntry, len(p.segIDs))
+	for i, seg := range p.segIDs {
+		inv[i] = pullsched.InventoryEntry{Seg: seg, Blocks: min(p.holdings[seg].Len(), 0xFFFF)}
+	}
+	return inv
 }
 
 // ExpireBlock removes one specific stored block (the event-driven TTL path)

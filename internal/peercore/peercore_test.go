@@ -1,8 +1,11 @@
 package peercore
 
 import (
+	"reflect"
 	"testing"
 
+	"p2pcollect/internal/obs"
+	"p2pcollect/internal/pullsched"
 	"p2pcollect/internal/randx"
 	"p2pcollect/internal/rlnc"
 )
@@ -351,5 +354,89 @@ func TestCountersSnapshotNames(t *testing.T) {
 		if ev.String() == "" || ev.String() == "unknownEvent" {
 			t.Fatalf("event %d has no name", ev)
 		}
+	}
+}
+
+// TestServePull covers the peer side of a pull, the rule both drivers
+// share: the hinted segment while it is still held, else a sampled one,
+// nothing from an empty buffer, and the reply's trace context one hop past
+// the segment's own lineage.
+func TestServePull(t *testing.T) {
+	traced := obs.TraceContext{ID: 0xabc, Hop: 2}
+	cases := []struct {
+		name     string
+		segments int  // injected before the pull: seq 0, 1, ...
+		trace    bool // segment 0 carries the lineage
+		hint     rlnc.SegmentID
+		hasHint  bool
+		wantOK   bool
+		wantSeg  func(seg rlnc.SegmentID) bool
+		wantWire obs.TraceContext
+	}{
+		{name: "empty buffer", wantOK: false},
+		{name: "empty buffer with a hint", hint: rlnc.SegmentID{Origin: 7, Seq: 0}, hasHint: true, wantOK: false},
+		{name: "hint held", segments: 3, hint: rlnc.SegmentID{Origin: 7, Seq: 1}, hasHint: true, wantOK: true,
+			wantSeg: func(seg rlnc.SegmentID) bool { return seg.Seq == 1 }},
+		{name: "hint not held falls back to a sample", segments: 2, hint: rlnc.SegmentID{Origin: 9, Seq: 9}, hasHint: true, wantOK: true,
+			wantSeg: func(seg rlnc.SegmentID) bool { return seg.Origin == 7 && seg.Seq < 2 }},
+		{name: "no hint samples", segments: 2, wantOK: true,
+			wantSeg: func(seg rlnc.SegmentID) bool { return seg.Origin == 7 && seg.Seq < 2 }},
+		{name: "hint value ignored without hasHint", segments: 1, hint: rlnc.SegmentID{Origin: 9, Seq: 9}, wantOK: true,
+			wantSeg: func(seg rlnc.SegmentID) bool { return seg.Seq == 0 }},
+		{name: "lineage one hop deeper", segments: 2, trace: true, hint: rlnc.SegmentID{Origin: 7, Seq: 0}, hasHint: true, wantOK: true,
+			wantSeg:  func(seg rlnc.SegmentID) bool { return seg.Seq == 0 },
+			wantWire: traced.Next()},
+		{name: "untraced segment beside a traced one", segments: 2, trace: true, hint: rlnc.SegmentID{Origin: 7, Seq: 1}, hasHint: true, wantOK: true,
+			wantSeg: func(seg rlnc.SegmentID) bool { return seg.Seq == 1 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newTestPeer(t, 16, nil)
+			for i := 0; i < tc.segments; i++ {
+				if _, _, ok := p.Inject(0, nil); !ok {
+					t.Fatal("inject rejected")
+				}
+			}
+			if tc.trace {
+				p.SetTraceCtx(rlnc.SegmentID{Origin: 7, Seq: 0}, traced)
+			}
+			occupancy := p.Occupancy()
+			cb, wire, ok := p.ServePull(tc.hint, tc.hasHint)
+			if ok != tc.wantOK {
+				t.Fatalf("ok = %v, want %v", ok, tc.wantOK)
+			}
+			if !ok {
+				if cb != nil || wire.Valid() {
+					t.Fatalf("refused pull still returned %v, %+v", cb, wire)
+				}
+				return
+			}
+			if !tc.wantSeg(cb.Seg) {
+				t.Errorf("served segment %v", cb.Seg)
+			}
+			if cb.SegmentSize() != 4 {
+				t.Errorf("served a block of segment size %d, want a recoding over s=4", cb.SegmentSize())
+			}
+			if wire != tc.wantWire {
+				t.Errorf("wire context %+v, want %+v", wire, tc.wantWire)
+			}
+			if p.Occupancy() != occupancy {
+				t.Errorf("serving changed the buffer: occupancy %d -> %d", occupancy, p.Occupancy())
+			}
+		})
+	}
+}
+
+func TestInventory(t *testing.T) {
+	p := newTestPeer(t, 16, nil)
+	if inv := p.Inventory(); inv != nil {
+		t.Fatalf("empty buffer digests to %v, want nil", inv)
+	}
+	first, _, _ := p.Inject(0, nil)
+	second, stored, _ := p.Inject(0, nil)
+	p.ExpireBlock(stored[0].Block)
+	want := []pullsched.InventoryEntry{{Seg: first, Blocks: 4}, {Seg: second, Blocks: 3}}
+	if inv := p.Inventory(); !reflect.DeepEqual(inv, want) {
+		t.Errorf("Inventory = %v, want %v (SegmentAt order, buffered block counts)", inv, want)
 	}
 }

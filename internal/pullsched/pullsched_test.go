@@ -228,11 +228,11 @@ func TestRarestFirstDeliveredRingBounded(t *testing.T) {
 	for i := uint64(0); i < 16; i++ {
 		p.Feedback(Feedback{Seg: seg(1, i), Done: true})
 	}
-	if len(p.delivered) != 4 {
-		t.Fatalf("delivered set = %d entries, want cap 4", len(p.delivered))
+	if p.delivered.Len() != 4 {
+		t.Fatalf("delivered set = %d entries, want cap 4", p.delivered.Len())
 	}
 	// Newest entries survive, oldest are forgotten.
-	if !p.delivered[seg(1, 15)] || p.delivered[seg(1, 0)] {
+	if !p.delivered.Has(seg(1, 15)) || p.delivered.Has(seg(1, 0)) {
 		t.Fatal("ring evicted the wrong end")
 	}
 }

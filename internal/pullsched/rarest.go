@@ -52,10 +52,7 @@ type RarestFirst struct {
 	segPos  map[rlnc.SegmentID]int // position in segs
 	holders map[rlnc.SegmentID]int // known holder count
 
-	delivered     map[rlnc.SegmentID]bool
-	deliveredRing []rlnc.SegmentID
-	ringHead      int
-	ringSize      int
+	delivered *rlnc.SegmentSet
 
 	// lastHint remembers the most recent hinted segment per peer so the
 	// reply can confirm or refute the digest entry it was aimed at.
@@ -89,7 +86,7 @@ func NewRarestFirst(cfg RarestConfig) *RarestFirst {
 		peers:     make(map[PeerRef]*peerInventory),
 		segPos:    make(map[rlnc.SegmentID]int),
 		holders:   make(map[rlnc.SegmentID]int),
-		delivered: make(map[rlnc.SegmentID]bool),
+		delivered: rlnc.NewSegmentSet(cfg.DeliveredCap),
 		lastHint:  make(map[PeerRef]rlnc.SegmentID),
 	}
 }
@@ -150,7 +147,7 @@ func (p *RarestFirst) rarest() (rlnc.SegmentID, bool) {
 	best := -1
 	for i := 0; i < len(p.segs); i++ {
 		seg := p.segs[i]
-		if p.delivered[seg] || p.holders[seg] <= 0 {
+		if p.delivered.Has(seg) || p.holders[seg] <= 0 {
 			p.dropSeg(seg)
 			i--
 			continue
@@ -200,14 +197,15 @@ func (p *RarestFirst) Feedback(f Feedback) {
 		p.removeHolding(f.Peer, f.Seg)
 	}
 	if f.Done {
-		p.markDelivered(f.Seg)
+		// Candidate structures are pruned lazily by rarest.
+		p.delivered.Add(f.Seg)
 	}
 }
 
 // confirmHolding records that a pull reply proved the peer holds seg.
 func (p *RarestFirst) confirmHolding(peer PeerRef, seg rlnc.SegmentID) {
 	inv := p.peers[peer]
-	if inv == nil || p.delivered[seg] || inv.segs[seg] > 0 {
+	if inv == nil || p.delivered.Has(seg) || inv.segs[seg] > 0 {
 		return
 	}
 	inv.segs[seg] = 1
@@ -236,7 +234,7 @@ func (p *RarestFirst) ObserveInventory(now float64, peer PeerRef, inv []Inventor
 	}
 	pi := &peerInventory{at: now, segs: make(map[rlnc.SegmentID]int, len(inv))}
 	for _, e := range inv {
-		if e.Blocks <= 0 || p.delivered[e.Seg] || pi.segs[e.Seg] > 0 {
+		if e.Blocks <= 0 || p.delivered.Has(e.Seg) || pi.segs[e.Seg] > 0 {
 			continue
 		}
 		pi.segs[e.Seg] = e.Blocks
@@ -269,25 +267,6 @@ func (p *RarestFirst) clearPeer(peer PeerRef) {
 			break
 		}
 	}
-}
-
-// markDelivered records a completed segment in the bounded ring; candidate
-// structures are pruned lazily by rarest.
-func (p *RarestFirst) markDelivered(seg rlnc.SegmentID) {
-	if p.delivered[seg] {
-		return
-	}
-	if p.deliveredRing == nil {
-		p.deliveredRing = make([]rlnc.SegmentID, p.cfg.DeliveredCap)
-	}
-	if p.ringSize == len(p.deliveredRing) {
-		delete(p.delivered, p.deliveredRing[p.ringHead])
-		p.ringHead = (p.ringHead + 1) % len(p.deliveredRing)
-		p.ringSize--
-	}
-	p.deliveredRing[(p.ringHead+p.ringSize)%len(p.deliveredRing)] = seg
-	p.ringSize++
-	p.delivered[seg] = true
 }
 
 // dropSeg removes one segment from the candidate structures in O(1).

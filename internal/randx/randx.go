@@ -100,9 +100,6 @@ func (r *Rand) Choose(n, exclude int) int {
 	return v
 }
 
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int { return r.src.Perm(n) }
-
 // Shuffle randomizes the order of n elements using the provided swap
 // function.
 func (r *Rand) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }

@@ -150,17 +150,6 @@ func TestChoosePanicsWhenEmpty(t *testing.T) {
 	New(8).Choose(1, 0)
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	p := New(9).Perm(10)
-	seen := make([]bool, 10)
-	for _, v := range p {
-		if v < 0 || v >= 10 || seen[v] {
-			t.Fatalf("invalid permutation %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestBernoulli(t *testing.T) {
 	r := New(10)
 	hits := 0

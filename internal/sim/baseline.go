@@ -237,11 +237,6 @@ func (b *Baseline) Collected() int64 { return b.inner.collected }
 // Generated returns the cumulative blocks generated so far.
 func (b *Baseline) Generated() int64 { return b.inner.generated }
 
-// Lost returns the cumulative blocks lost to overflow and departures.
-func (b *Baseline) Lost() int64 {
-	return b.inner.lostToOverflow + b.inner.lostToDeparture
-}
-
 // Result assembles the run's measurements.
 func (b *Baseline) Result() *BaselineResult { return b.inner.result() }
 

@@ -277,12 +277,3 @@ func (r *Result) CollectionEfficiency() float64 {
 	}
 	return 1 - float64(r.RedundantPulls)/float64(r.ServerPulls)
 }
-
-// RankEfficiency returns the fraction of server pulls that were linearly
-// innovative, the rank-based counterpart of CollectionEfficiency.
-func (r *Result) RankEfficiency() float64 {
-	if r.ServerPulls == 0 {
-		return 0
-	}
-	return float64(r.InnovativePulls) / float64(r.ServerPulls)
-}

@@ -513,7 +513,9 @@ func (s *Simulator) inject(pi int) {
 	p := s.peers[pi]
 	var payloads func() [][]byte
 	if s.cfg.PayloadLen > 0 {
-		payloads = func() [][]byte { return s.makePayloads(p, s.cfg.SegmentSize) }
+		payloads = func() [][]byte {
+			return p.logGen.Payloads(s.cfg.SegmentSize, s.cfg.PayloadLen, s.clock.Now(), s.rng)
+		}
 	}
 	segID, stored, ok := p.core.Inject(s.clock.Now(), payloads)
 	if !ok {
@@ -534,7 +536,7 @@ func (s *Simulator) inject(pi int) {
 	}
 	s.segs[segID] = meta
 	if s.traceRNG != nil && s.traceRNG.Float64() < s.cfg.TraceSample {
-		meta.tctx = obs.TraceContext{ID: s.mintTraceID(p.id)}
+		meta.tctx = obs.TraceContext{ID: peercore.MintTraceID(s.traceRNG, p.id)}
 		p.core.SetTraceCtx(segID, meta.tctx)
 	}
 	s.tracer.Trace(obs.TraceEvent{
@@ -544,37 +546,6 @@ func (s *Simulator) inject(pi int) {
 	for _, st := range stored {
 		s.noteStored(pi, st.Block, st.TTL)
 	}
-}
-
-// mintTraceID draws a nonzero lineage identifier from the trace RNG,
-// folded with the injecting peer's identity.
-func (s *Simulator) mintTraceID(actor uint64) uint64 {
-	for {
-		if id := uint64(s.traceRNG.Int63()) ^ actor<<48; id != 0 {
-			return id
-		}
-	}
-}
-
-// makePayloads builds the s payload blocks for a new segment from the
-// peer's synthetic statistics stream, or returns nil in structure-only mode.
-func (s *Simulator) makePayloads(p *peerState, size int) [][]byte {
-	if s.cfg.PayloadLen == 0 {
-		return nil
-	}
-	payloads := make([][]byte, size)
-	perBlock := s.cfg.PayloadLen / logdata.RecordSize
-	for i := range payloads {
-		block := make([]byte, s.cfg.PayloadLen)
-		for j := 0; j < perBlock; j++ {
-			copy(block[j*logdata.RecordSize:], p.logGen.Next(s.clock.Now()).Marshal())
-		}
-		if perBlock == 0 {
-			s.rng.FillCoefficients(block) // too small for records; opaque data
-		}
-		payloads[i] = block
-	}
-	return payloads
 }
 
 func (s *Simulator) gossipTick(pi int) {
@@ -746,22 +717,6 @@ func (s *Simulator) serverPolicy(server int) pullsched.Policy {
 	return s.policies[server]
 }
 
-// peerInventory builds the compact digest a pulled peer piggybacks on its
-// reply when the pull requested one.
-func (s *Simulator) peerInventory(pi int) []pullsched.InventoryEntry {
-	core := s.peers[pi].core
-	n := core.NumSegments()
-	if n == 0 {
-		return nil
-	}
-	inv := make([]pullsched.InventoryEntry, n)
-	for i := 0; i < n; i++ {
-		segID := core.SegmentAt(i)
-		inv[i] = pullsched.InventoryEntry{Seg: segID, Blocks: core.BlocksOf(segID)}
-	}
-	return inv
-}
-
 func (s *Simulator) pull(server int) {
 	pol := s.serverPolicy(server)
 	now := s.clock.Now()
@@ -783,29 +738,20 @@ func (s *Simulator) pull(server int) {
 		}
 		return
 	}
-	core := s.peers[pi].core
-	var segID rlnc.SegmentID
-	switch {
-	case env.edgeOK && pi == env.edgePeer && !dec.HasHint:
-		// Mean-field mode without a hint keeps the edge sample's
-		// degree-proportional segment choice.
-		segID = env.edgeSeg
-	case dec.HasHint && core.Holds(dec.Hint):
-		segID = dec.Hint
-	default:
-		// No hint (the literal §2 protocol), or the peer no longer holds
-		// the hinted segment and falls back to a random buffered one.
-		segID, _ = core.SampleSegment()
+	// Mean-field mode without a hint keeps the edge sample's
+	// degree-proportional segment choice: the sampled peer holds it, so
+	// serving it as the hint costs no draw. Otherwise the peer serves the
+	// policy's hint, or with none (the literal §2 protocol) a random
+	// buffered segment. wctx is the wire context the reply would carry;
+	// server events take it so the pull leg's hop depth matches the live
+	// runtime's.
+	hint, hasHint := dec.Hint, dec.HasHint
+	if env.edgeOK && pi == env.edgePeer && !hasHint {
+		hint, hasHint = env.edgeSeg, true
 	}
-	cb := core.Recode(segID)
+	cb, wctx, _ := s.peers[pi].core.ServePull(hint, hasHint)
+	segID := cb.Seg
 	meta := s.segs[segID]
-	// The wire context the serving peer would have attached: its own
-	// lineage one hop deeper. Server events carry it so the pull leg's hop
-	// depth matches the live runtime's.
-	var wctx obs.TraceContext
-	if tctx := core.TraceCtx(segID); tctx.Valid() {
-		wctx = tctx.Next()
-	}
 
 	// The paper's accounting: every pull on a segment whose collection
 	// state is below s is useful and advances the state (§3); the decoder
@@ -838,7 +784,7 @@ func (s *Simulator) pull(server int) {
 		Deficit: rcol.Deficit(),
 	})
 	if dec.WantInventory {
-		pol.ObserveInventory(now, dec.Peer, s.peerInventory(pi))
+		pol.ObserveInventory(now, dec.Peer, s.peers[pi].core.Inventory())
 	}
 
 	if out.Useful && now >= s.cfg.Warmup {

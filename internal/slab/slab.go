@@ -57,9 +57,6 @@ var poison atomic.Bool
 // buffers; production leaves it off.
 func SetPoison(on bool) { poison.Store(on) }
 
-// Poisoned reports whether poison-on-release is enabled.
-func Poisoned() bool { return poison.Load() }
-
 // classFor returns the class index whose buffers can hold n bytes, or -1
 // when n is outside the pooled range.
 func classFor(n int) int {

@@ -87,18 +87,18 @@ func EncodeMessage(m *Message) ([]byte, error) {
 		if m.Block == nil {
 			return nil, fmt.Errorf("transport: %v without block", m.Type)
 		}
-		body = appendUint64(body, m.Block.Seg.Origin)
-		body = appendUint64(body, m.Block.Seg.Seq)
+		body = binary.BigEndian.AppendUint64(body, m.Block.Seg.Origin)
+		body = binary.BigEndian.AppendUint64(body, m.Block.Seg.Seq)
 		body = appendBytes(body, m.Block.Coeffs)
 		body = appendBytes(body, m.Block.Payload)
 		if m.Trace.Valid() {
 			body = append(body, traceMarker)
-			body = appendUint64(body, m.Trace.ID)
+			body = binary.BigEndian.AppendUint64(body, m.Trace.ID)
 			body = append(body, m.Trace.Hop)
 		}
 	case MsgSegmentComplete:
-		body = appendUint64(body, m.Seg.Origin)
-		body = appendUint64(body, m.Seg.Seq)
+		body = binary.BigEndian.AppendUint64(body, m.Seg.Origin)
+		body = binary.BigEndian.AppendUint64(body, m.Seg.Seq)
 	case MsgPullRequest:
 		// A hintless, digest-less pull keeps the legacy empty payload so
 		// blind pulls are byte-identical with pre-scheduling nodes.
@@ -115,11 +115,11 @@ func EncodeMessage(m *Message) ([]byte, error) {
 		if flags != 0 {
 			body = append(body, flags)
 			if m.HasHint {
-				body = appendUint64(body, m.Seg.Origin)
-				body = appendUint64(body, m.Seg.Seq)
+				body = binary.BigEndian.AppendUint64(body, m.Seg.Origin)
+				body = binary.BigEndian.AppendUint64(body, m.Seg.Seq)
 			}
 			if m.Trace.Valid() {
-				body = appendUint64(body, m.Trace.ID)
+				body = binary.BigEndian.AppendUint64(body, m.Trace.ID)
 				body = append(body, m.Trace.Hop)
 			}
 		}
@@ -128,14 +128,14 @@ func EncodeMessage(m *Message) ([]byte, error) {
 	case MsgSwim:
 		body = appendBytes(body, m.Raw)
 	case MsgInventory:
-		body = appendUint32(body, uint32(len(m.Inventory)))
+		body = binary.BigEndian.AppendUint32(body, uint32(len(m.Inventory)))
 		for _, e := range m.Inventory {
 			if e.Blocks < 0 || e.Blocks > 0xFFFF {
 				return nil, fmt.Errorf("transport: inventory block count %d outside u16", e.Blocks)
 			}
-			body = appendUint64(body, e.Seg.Origin)
-			body = appendUint64(body, e.Seg.Seq)
-			body = appendUint16(body, uint16(e.Blocks))
+			body = binary.BigEndian.AppendUint64(body, e.Seg.Origin)
+			body = binary.BigEndian.AppendUint64(body, e.Seg.Seq)
+			body = binary.BigEndian.AppendUint16(body, uint16(e.Blocks))
 		}
 	default:
 		return nil, fmt.Errorf("transport: cannot encode %v", m.Type)
@@ -347,26 +347,8 @@ func ReadFrame(r io.Reader) (*Message, error) {
 	return DecodeMessage(body)
 }
 
-func appendUint64(b []byte, v uint64) []byte {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], v)
-	return append(b, buf[:]...)
-}
-
-func appendUint32(b []byte, v uint32) []byte {
-	var buf [4]byte
-	binary.BigEndian.PutUint32(buf[:], v)
-	return append(b, buf[:]...)
-}
-
-func appendUint16(b []byte, v uint16) []byte {
-	return append(b, byte(v>>8), byte(v))
-}
-
 func appendBytes(b, data []byte) []byte {
-	var buf [4]byte
-	binary.BigEndian.PutUint32(buf[:], uint32(len(data)))
-	b = append(b, buf[:]...)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(data)))
 	return append(b, data...)
 }
 
