@@ -149,6 +149,13 @@ type Node struct {
 	fullAt   map[rlnc.SegmentID]map[transport.NodeID]float64
 	gen      *logdata.Generator
 	injected int // segments injected so far, for MaxSegments
+	// candidates is prepareGossip's scratch list of unmuted neighbors.
+	candidates []transport.NodeID
+
+	// One message per loop, rewritten for every event instead of
+	// allocated: Send does not keep what it is given. gossipMsg belongs to
+	// the gossip loop, pullReply to the receive loop.
+	gossipMsg, pullReply transport.Message
 }
 
 // NewNode builds a peer over the given transport.
@@ -296,20 +303,21 @@ func (n *Node) prepareGossip() (transport.NodeID, *transport.Message, bool) {
 	}
 	now := n.now()
 	full := n.fullAt[segID]
-	candidates := make([]transport.NodeID, 0, n.peers.Len())
+	candidates := n.candidates[:0]
 	for i := 0; i < n.peers.Len(); i++ {
 		nb := transport.NodeID(n.peers.At(i))
 		if deadline, muted := full[nb]; !muted || now >= deadline {
 			candidates = append(candidates, nb)
 		}
 	}
+	n.candidates = candidates
 	if len(candidates) == 0 {
 		n.counters.Count(peercore.EvNoTargetGossip, 1)
 		return 0, nil, false
 	}
 	to := candidates[n.rng.Intn(len(candidates))]
-	cb := n.core.Recode(segID)
-	msg := &transport.Message{Type: transport.MsgBlock, Block: cb}
+	msg := &n.gossipMsg
+	*msg = transport.Message{Type: transport.MsgBlock, Block: n.core.Recode(segID)}
 	if tctx := n.core.TraceCtx(segID); tctx.Valid() {
 		msg.Trace = tctx.Next()
 	}
@@ -402,17 +410,17 @@ func (n *Node) receiveBlock(m *transport.Message) {
 // reply so feedback-driven policies can aim their next pulls.
 func (n *Node) servePull(m *transport.Message) {
 	n.mu.Lock()
-	var reply *transport.Message
+	reply := &n.pullReply
 	if m.HasHint {
 		// A traced hinted pull seeds the segment's lineage here, so even a
 		// node that never saw a traced block serves traced replies.
 		n.core.SetTraceCtx(m.Seg, m.Trace)
 	}
 	if cb, wire, ok := n.core.ServePull(m.Seg, m.HasHint); ok {
-		reply = &transport.Message{Type: transport.MsgBlock, Block: cb, Trace: wire}
+		*reply = transport.Message{Type: transport.MsgBlock, Block: cb, Trace: wire}
 		n.counters.Count(peercore.EvPullServed, 1)
 	} else {
-		reply = &transport.Message{Type: transport.MsgEmpty}
+		*reply = transport.Message{Type: transport.MsgEmpty}
 	}
 	var inv *transport.Message
 	if m.WantInventory {

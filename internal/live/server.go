@@ -415,6 +415,11 @@ func (s *Server) observeRTT(from transport.NodeID, now float64) {
 	}
 }
 
+// blindPull is the hintless, digest-less pull request. Every such pull
+// sends this one value: Send copies what it is given, so nothing ever
+// writes it.
+var blindPull = transport.Message{Type: transport.MsgPullRequest}
+
 // pull is the paced event: ask the policy for a peer (and maybe a segment
 // hint) and send it one pull request.
 func (s *Server) pull() bool {
@@ -428,10 +433,12 @@ func (s *Server) pull() bool {
 	if !ok {
 		return true
 	}
-	msg := &transport.Message{Type: transport.MsgPullRequest, WantInventory: dec.WantInventory}
-	if dec.HasHint {
-		msg.HasHint = true
-		msg.Seg = dec.Hint
+	msg := &blindPull
+	if dec.HasHint || dec.WantInventory {
+		msg = &transport.Message{
+			Type: transport.MsgPullRequest, WantInventory: dec.WantInventory,
+			HasHint: dec.HasHint, Seg: dec.Hint,
+		}
 		// A hinted pull for a traced segment carries the lineage out, so
 		// the pull leg joins the segment's span.
 		if tctx.Valid() {

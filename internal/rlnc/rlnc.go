@@ -113,6 +113,30 @@ func (s *Segment) Encode(rng *randx.Rand) *CodedBlock {
 	return Recode(s.SourceBlocks(), rng)
 }
 
+// inlineCoeffs is the widest coefficient vector that shares its block's
+// allocation. Every segment size the experiments and the live runtime use
+// fits; a wider vector gets its own.
+const inlineCoeffs = 32
+
+// NewBlock returns a block of seg with a zeroed coefficient vector of the
+// given width and no payload. Up to inlineCoeffs the vector and the block
+// are one heap object, so a block costs one allocation plus its payload's.
+// The payload stays separate on purpose: holders buffer blocks, and a fused
+// coefficients+payload buffer spills a 1 KiB payload into the next size
+// class.
+func NewBlock(seg SegmentID, width int) *CodedBlock {
+	if width > inlineCoeffs {
+		return &CodedBlock{Seg: seg, Coeffs: make([]byte, width)}
+	}
+	b := &struct {
+		CodedBlock
+		coeffs [inlineCoeffs]byte
+	}{}
+	b.Seg = seg
+	b.Coeffs = b.coeffs[:width:width]
+	return &b.CodedBlock
+}
+
 // Recode produces one fresh coded block from l ≥ 1 buffered coded blocks of
 // the same segment, drawing one random coefficient per buffered block
 // exactly as in the paper's gossip step. At least one coefficient is forced
@@ -120,7 +144,7 @@ func (s *Segment) Encode(rng *randx.Rand) *CodedBlock {
 // segment ID, coefficient width, and payload presence; violations panic as
 // programming errors.
 func Recode(blocks []*CodedBlock, rng *randx.Rand) *CodedBlock {
-	return recodeNew(blocks, rng, func(n int) []byte { return make([]byte, n) })
+	return recodeNew(blocks, rng, NewBlock, func(n int) []byte { return make([]byte, n) })
 }
 
 // RecodePooled is Recode with the output buffers drawn from the slab free
@@ -129,16 +153,20 @@ func Recode(blocks []*CodedBlock, rng *randx.Rand) *CodedBlock {
 // order is identical to Recode, so seeded runs are unaffected by which
 // variant produced a block.
 func RecodePooled(blocks []*CodedBlock, rng *randx.Rand) *CodedBlock {
-	return recodeNew(blocks, rng, slab.Get)
+	return recodeNew(blocks, rng, func(seg SegmentID, width int) *CodedBlock {
+		return &CodedBlock{Seg: seg, Coeffs: slab.Get(width)}
+	}, slab.Get)
 }
 
-// recodeNew recodes into a fresh block whose buffers come from alloc.
-func recodeNew(blocks []*CodedBlock, rng *randx.Rand, alloc func(n int) []byte) *CodedBlock {
+// recodeNew recodes into a fresh block from newBlock, its payload from
+// alloc.
+func recodeNew(blocks []*CodedBlock, rng *randx.Rand,
+	newBlock func(seg SegmentID, width int) *CodedBlock, alloc func(n int) []byte) *CodedBlock {
 	if len(blocks) == 0 {
 		panic("rlnc: Recode with no blocks")
 	}
 	first := blocks[0]
-	out := &CodedBlock{Seg: first.Seg, Coeffs: alloc(len(first.Coeffs))}
+	out := newBlock(first.Seg, len(first.Coeffs))
 	if first.Payload != nil {
 		out.Payload = alloc(len(first.Payload))
 	}
@@ -337,11 +365,8 @@ func (d *Decoder) Recode(rng *randx.Rand) *CodedBlock {
 	if d.Rank() == 0 || d.payloadLen == 0 {
 		return nil
 	}
-	out := &CodedBlock{
-		Seg:     d.seg,
-		Coeffs:  make([]byte, d.size),
-		Payload: make([]byte, d.payloadLen),
-	}
+	out := NewBlock(d.seg, d.size)
+	out.Payload = make([]byte, d.payloadLen)
 	combine(d.Rank(), rng, func(i int, c byte) {
 		coeffs, payload := d.basisRow(i)
 		gf256.AddMulSlice(out.Coeffs, c, coeffs)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"p2pcollect/internal/raceon"
 	"p2pcollect/internal/randx"
 )
 
@@ -424,6 +425,26 @@ func BenchmarkDecoderAdd32(b *testing.B) {
 			if dec.Complete() {
 				break
 			}
+		}
+	}
+}
+
+// TestRecodeAllocations pins what one recoded block costs: the block with
+// its coefficient vector, and the payload. Above inlineCoeffs the vector is
+// a third object.
+func TestRecodeAllocations(t *testing.T) {
+	if raceon.Enabled {
+		t.Skip("allocation budgets describe the uninstrumented build")
+	}
+	for _, tc := range []struct{ s, want int }{{8, 2}, {32, 2}, {33, 3}} {
+		rng := randx.New(int64(tc.s))
+		src := makeSegment(t, rng, SegmentID{Origin: 1, Seq: 1}, tc.s, 1024).SourceBlocks()
+		if n := testing.AllocsPerRun(100, func() { Recode(src, rng) }); n != float64(tc.want) {
+			t.Errorf("Recode at s=%d: %v allocations, want %d", tc.s, n, tc.want)
+		}
+		cb := Recode(src, rng)
+		if len(cb.Coeffs) != tc.s || cap(cb.Coeffs) != tc.s || cap(cb.Payload) != 1024 {
+			t.Errorf("Recode at s=%d: coefficients %d/%d, payload cap %d", tc.s, len(cb.Coeffs), cap(cb.Coeffs), cap(cb.Payload))
 		}
 	}
 }

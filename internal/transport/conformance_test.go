@@ -1,11 +1,15 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
 	"time"
 
+	"p2pcollect/internal/obs"
+	"p2pcollect/internal/pullsched"
+	"p2pcollect/internal/randx"
 	"p2pcollect/internal/rlnc"
 )
 
@@ -144,6 +148,60 @@ func TestTransportConformance(t *testing.T) {
 				t.Errorf("bad reply: %+v", reply)
 			}
 		})
+
+		// Send does not retain its argument: the caller overwrites its
+		// Message the moment Send returns and the receiver still reads what
+		// was sent. Every fabric, bare and behind a Faulty whose injected
+		// latency runs the inner Send after the outer one has returned. The
+		// block is left alone: it is shared by reference (chanmem) and the
+		// contract makes it immutable once sent.
+		for _, delayed := range []bool{false, true} {
+			name := fab.name + "/send-does-not-retain"
+			if delayed {
+				name = fab.name + "+latency/send-does-not-retain"
+			}
+			t.Run(name, func(t *testing.T) {
+				a, b := fab.pair(t)
+				if delayed {
+					lat := FaultConfig{LatencyMin: 5 * time.Millisecond, LatencyMax: 5 * time.Millisecond}
+					f := NewFaulty(a, lat, randx.New(1))
+					t.Cleanup(func() { f.Close() })
+					a = f
+				}
+				sent := sampleBlockMessage()
+				sent.Trace = obs.TraceContext{ID: 7, Hop: 2}
+				var got *Message
+				eventually(t, "delivery", func() bool {
+					msg := *sent
+					if err := a.Send(2, &msg); err != nil {
+						t.Fatalf("Send: %v", err)
+					}
+					msg = Message{
+						Type: MsgInventory, From: 98, To: 99,
+						Seg:     rlnc.SegmentID{Origin: 9, Seq: 9},
+						HasHint: true, WantInventory: true,
+						Inventory: []pullsched.InventoryEntry{{Blocks: 1}},
+						Trace:     obs.TraceContext{ID: 1},
+						Raw:       []byte{1},
+					}
+					select {
+					case got = <-b.Receive():
+						return true
+					case <-time.After(50 * time.Millisecond):
+						return false
+					}
+				})
+				if got.Type != MsgBlock || got.From != 1 || got.To != 2 || got.Trace != sent.Trace ||
+					got.HasHint || got.WantInventory || got.Inventory != nil || got.Raw != nil {
+					t.Errorf("received %+v, want the block message as it was when sent", got)
+				}
+				if got.Block == nil || got.Block.Seg != sent.Block.Seg ||
+					!bytes.Equal(got.Block.Coeffs, sent.Block.Coeffs) ||
+					!bytes.Equal(got.Block.Payload, sent.Block.Payload) {
+					t.Errorf("received block %+v, want %+v", got.Block, sent.Block)
+				}
+			})
+		}
 
 		t.Run(fab.name+"/unroutable", func(t *testing.T) {
 			a, _ := fab.pair(t)

@@ -119,9 +119,12 @@ func (f *Faulty) Send(to NodeID, m *Message) error {
 		return f.inner.Send(to, m)
 	}
 	f.counters.Add(ctrFaultDelayed, 1)
+	// The late send runs after this call has returned, when m is the
+	// caller's to reuse: delay a copy.
+	late := *m
 	time.AfterFunc(delay, func() {
 		defer f.wg.Done()
-		f.inner.Send(to, m) //nolint:errcheck // best-effort late delivery
+		f.inner.Send(to, &late) //nolint:errcheck // best-effort late delivery
 	})
 	return nil
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -45,6 +46,9 @@ func (o TCPOptions) withDefaults() TCPOptions {
 	}
 	return o
 }
+
+// tcpReadBuffer is each accepted connection's read-ahead.
+const tcpReadBuffer = 4 << 10
 
 // TCPTransport carries protocol frames over TCP connections. Each node
 // listens on one address and dials peers from an address book.
@@ -178,6 +182,7 @@ func (s *tcpSender) loop() {
 	backoff := opts.BackoffMin
 	var nextDial time.Time
 	connectedOnce := false
+	var frame []byte // every frame is encoded here, in place
 	for {
 		select {
 		case <-s.t.stop:
@@ -209,8 +214,11 @@ func (s *tcpSender) loop() {
 				}
 				connectedOnce = true
 			}
-			frame, err := EncodeMessage(m)
-			if err != nil {
+			if cap(frame) > maxRetainedBuf {
+				frame = nil // one huge frame must not pin its buffer
+			}
+			var err error
+			if frame, err = appendFrame(frame[:0], m); err != nil {
 				// Malformed message: drop it, keep the connection.
 				s.t.counters.Add(ctrWriteErrors, 1)
 				continue
@@ -269,9 +277,15 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 		delete(t.accepted, conn)
 		t.mu.Unlock()
 	}()
+	// One read syscall can carry several small frames. The buffer is per
+	// connection and a cluster has peers² of those, so it stays small; a
+	// body larger than it is read straight into the frame buffer.
+	r := bufio.NewReaderSize(conn, tcpReadBuffer)
+	var buf []byte
 	for {
-		m, err := ReadFrame(conn)
-		if err != nil {
+		var m *Message
+		var err error
+		if m, buf, err = readFrame(r, buf); err != nil {
 			return
 		}
 		if t.deliver(m) == deliverGone {

@@ -7,6 +7,17 @@
 // core (identity, inbox, health counters, address book, Send prologue,
 // shutdown order; see core.go), plus Faulty, a wrapper that injects seeded
 // loss, latency and partitions into any of them.
+//
+// Ownership. Send copies: once it returns, the transport neither reads nor
+// writes the caller's Message, so a sender may rewrite one Message value
+// per event. A message taken from Receive belongs to the receiver, is
+// read-only and is never recycled. The CodedBlock a Message points to is
+// immutable from the moment it is sent: the in-memory fabric delivers the
+// same block the sender recoded. What a message costs follows from that:
+// one addressed copy per Send, and over a socket one in-place encode into
+// a buffer the writer owns (no allocation, the payload copied once) and a
+// decode that allocates the Message, the block with its coefficients, and
+// the payload.
 package transport
 
 import (
@@ -120,8 +131,13 @@ var ErrFrameTooLarge = errors.New("transport: frame exceeds size limit")
 // for concurrent use.
 //
 // Send is best-effort, mirroring the protocol's tolerance for loss: a
-// message may be dropped under backpressure without error. Receive returns
-// the incoming channel, closed when the transport shuts down.
+// message may be dropped under backpressure without error. It does not
+// retain or modify m after it returns (whatever travels on is a copy made
+// before then), so the caller may reuse m at once; the block m points to
+// is shared, not copied, and must not change after the call. Receive
+// returns the incoming channel, closed when the transport shuts down; a
+// message read from it is the receiver's alone, read-only, and is never
+// reused by the transport.
 type Transport interface {
 	LocalID() NodeID
 	Send(to NodeID, m *Message) error

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 )
 
 // UDPOptions tunes the UDP transport. The zero value selects the defaults
@@ -67,10 +68,18 @@ type UDPTransport struct {
 	resolved map[NodeID]udpRoute
 }
 
-// udpRoute is one resolved book entry.
+// udpRoute is one resolved book entry: the address as the writer hands it
+// to the socket, and as the reader compares it with a datagram's source.
 type udpRoute struct {
 	addr string
 	ua   *net.UDPAddr
+	ap   netip.AddrPort
+}
+
+// unmapped strips the IPv4-in-IPv6 form a dual-stack socket reports, so
+// one host compares equal however the address was learned.
+func unmapped(ap netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }
 
 var _ Transport = (*UDPTransport)(nil)
@@ -153,7 +162,7 @@ func (t *UDPTransport) resolve(to NodeID) (*net.UDPAddr, bool) {
 		return nil, false
 	}
 	t.mu.Lock()
-	t.resolved[to] = udpRoute{addr, ua}
+	t.resolved[to] = udpRoute{addr, ua, unmapped(ua.AddrPort())}
 	t.mu.Unlock()
 	return ua, true
 }
@@ -162,32 +171,34 @@ func (t *UDPTransport) resolve(to NodeID) (*net.UDPAddr, bool) {
 // return route to its sender. A changed address (rejoin after restart,
 // NAT rebind) replaces the old one, book entry included: the freshest
 // observation wins.
-func (t *UDPTransport) learnRoute(from NodeID, src *net.UDPAddr) {
-	if from == t.id || src == nil {
+func (t *UDPTransport) learnRoute(from NodeID, src netip.AddrPort) {
+	if from == t.id || !src.IsValid() {
 		return
 	}
+	src = unmapped(src)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	// The common case — the sender is where the book already says — must
-	// stay a map read: no String(), no write.
-	if r := t.resolved[from]; r.ua != nil && r.addr == t.book[from] &&
-		r.ua.Port == src.Port && r.ua.Zone == src.Zone && r.ua.IP.Equal(src.IP) {
+	// stay a map read and a value compare: no String(), no address
+	// allocated, no write.
+	if r := t.resolved[from]; r.ua != nil && r.addr == t.book[from] && r.ap == src {
 		return
 	}
 	addr := src.String()
 	t.book[from] = addr
-	t.resolved[from] = udpRoute{addr, src}
+	t.resolved[from] = udpRoute{addr, net.UDPAddrFromAddrPort(src), src}
 }
 
 func (t *UDPTransport) writeLoop() {
 	defer t.wg.Done()
+	var buf []byte // every datagram is encoded here, in place
 	for {
 		select {
 		case <-t.stop:
 			return
 		case m := <-t.outbox:
-			payload, err := EncodeDatagram(m, t.opts.MaxDatagram)
-			if err != nil {
+			var err error
+			if buf, err = appendDatagram(buf[:0], m, t.opts.MaxDatagram); err != nil {
 				if errors.Is(err, ErrFrameTooLarge) {
 					t.counters.Add(ctrDropsOversize, 1)
 				} else {
@@ -200,7 +211,7 @@ func (t *UDPTransport) writeLoop() {
 				t.counters.Add(ctrDropsDown, 1)
 				continue
 			}
-			if _, err := t.conn.WriteToUDP(payload, ua); err != nil {
+			if _, err := t.conn.WriteToUDP(buf, ua); err != nil {
 				t.counters.Add(ctrWriteErrors, 1)
 				continue
 			}
@@ -213,7 +224,7 @@ func (t *UDPTransport) readLoop() {
 	defer t.wg.Done()
 	buf := make([]byte, maxUDPPayload)
 	for {
-		n, src, err := t.conn.ReadFromUDP(buf)
+		n, src, err := t.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // socket closed
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"p2pcollect/internal/obs"
 	"p2pcollect/internal/pullsched"
@@ -76,78 +77,150 @@ const (
 // inventoryEntryLen is the wire size of one MsgInventory digest line.
 const inventoryEntryLen = 8 + 8 + 2
 
-// EncodeMessage serializes m into a self-contained frame.
-func EncodeMessage(m *Message) ([]byte, error) {
-	body := make([]byte, headerLen, headerLen+64)
-	body[0] = byte(m.Type)
-	binary.BigEndian.PutUint64(body[1:], uint64(m.From))
-	binary.BigEndian.PutUint64(body[9:], uint64(m.To))
+// maxRetainedBuf is the largest frame buffer a connection keeps from one
+// frame to the next. A bigger frame gets a one-off buffer, so a single
+// 16 MiB frame cannot pin 16 MiB per connection.
+const maxRetainedBuf = 64 << 10
+
+// pullFlags is the flags byte of a MsgPullRequest. Zero is the blind pull,
+// which keeps the legacy empty payload so it stays byte-identical with
+// pre-scheduling nodes.
+func pullFlags(m *Message) byte {
+	var flags byte
+	if m.HasHint {
+		flags |= pullFlagHint
+	}
+	if m.WantInventory {
+		flags |= pullFlagWantInventory
+	}
+	if m.Trace.Valid() {
+		flags |= pullFlagTrace
+	}
+	return flags
+}
+
+// bodySize returns the exact length of m's frame body. It is where a
+// message that must not reach the wire is refused, before a byte is
+// written: an unknown type, a block message without a block, an inventory
+// count outside u16, a body over limit (ErrFrameTooLarge).
+func bodySize(m *Message, limit int) (int, error) {
+	n := headerLen
 	switch m.Type {
 	case MsgBlock, MsgExchange:
 		if m.Block == nil {
-			return nil, fmt.Errorf("transport: %v without block", m.Type)
+			return 0, fmt.Errorf("transport: %v without block", m.Type)
 		}
-		body = binary.BigEndian.AppendUint64(body, m.Block.Seg.Origin)
-		body = binary.BigEndian.AppendUint64(body, m.Block.Seg.Seq)
-		body = appendBytes(body, m.Block.Coeffs)
-		body = appendBytes(body, m.Block.Payload)
+		n += 8 + 8 + 4 + len(m.Block.Coeffs) + 4 + len(m.Block.Payload)
 		if m.Trace.Valid() {
-			body = append(body, traceMarker)
-			body = binary.BigEndian.AppendUint64(body, m.Trace.ID)
-			body = append(body, m.Trace.Hop)
+			n += traceSuffixLen
 		}
 	case MsgSegmentComplete:
-		body = binary.BigEndian.AppendUint64(body, m.Seg.Origin)
-		body = binary.BigEndian.AppendUint64(body, m.Seg.Seq)
+		n += 8 + 8
 	case MsgPullRequest:
-		// A hintless, digest-less pull keeps the legacy empty payload so
-		// blind pulls are byte-identical with pre-scheduling nodes.
-		var flags byte
-		if m.HasHint {
-			flags |= pullFlagHint
-		}
-		if m.WantInventory {
-			flags |= pullFlagWantInventory
-		}
-		if m.Trace.Valid() {
-			flags |= pullFlagTrace
-		}
-		if flags != 0 {
-			body = append(body, flags)
+		if flags := pullFlags(m); flags != 0 {
+			n++
 			if m.HasHint {
-				body = binary.BigEndian.AppendUint64(body, m.Seg.Origin)
-				body = binary.BigEndian.AppendUint64(body, m.Seg.Seq)
+				n += 8 + 8
 			}
 			if m.Trace.Valid() {
-				body = binary.BigEndian.AppendUint64(body, m.Trace.ID)
-				body = append(body, m.Trace.Hop)
+				n += 8 + 1
 			}
 		}
 	case MsgEmpty:
 		// No payload.
 	case MsgSwim:
-		body = appendBytes(body, m.Raw)
+		n += 4 + len(m.Raw)
 	case MsgInventory:
-		body = binary.BigEndian.AppendUint32(body, uint32(len(m.Inventory)))
 		for _, e := range m.Inventory {
 			if e.Blocks < 0 || e.Blocks > 0xFFFF {
-				return nil, fmt.Errorf("transport: inventory block count %d outside u16", e.Blocks)
+				return 0, fmt.Errorf("transport: inventory block count %d outside u16", e.Blocks)
 			}
-			body = binary.BigEndian.AppendUint64(body, e.Seg.Origin)
-			body = binary.BigEndian.AppendUint64(body, e.Seg.Seq)
-			body = binary.BigEndian.AppendUint16(body, uint16(e.Blocks))
 		}
+		n += 4 + len(m.Inventory)*inventoryEntryLen
 	default:
-		return nil, fmt.Errorf("transport: cannot encode %v", m.Type)
+		return 0, fmt.Errorf("transport: cannot encode %v", m.Type)
 	}
-	if len(body) > maxFrameSize {
-		return nil, fmt.Errorf("%w: body %d bytes > %d", ErrFrameTooLarge, len(body), maxFrameSize)
+	if n > limit {
+		return 0, fmt.Errorf("%w: body %d bytes > %d", ErrFrameTooLarge, n, limit)
 	}
-	frame := make([]byte, 4+len(body))
-	binary.BigEndian.PutUint32(frame, uint32(len(body)))
-	copy(frame[4:], body)
-	return frame, nil
+	return n, nil
 }
+
+// appendBody appends the frame body of a message bodySize accepted.
+func appendBody(b []byte, m *Message) []byte {
+	b = append(b, byte(m.Type))
+	b = binary.BigEndian.AppendUint64(b, uint64(m.From))
+	b = binary.BigEndian.AppendUint64(b, uint64(m.To))
+	switch m.Type {
+	case MsgBlock, MsgExchange:
+		b = binary.BigEndian.AppendUint64(b, m.Block.Seg.Origin)
+		b = binary.BigEndian.AppendUint64(b, m.Block.Seg.Seq)
+		b = appendBytes(b, m.Block.Coeffs)
+		b = appendBytes(b, m.Block.Payload)
+		if m.Trace.Valid() {
+			b = append(b, traceMarker)
+			b = binary.BigEndian.AppendUint64(b, m.Trace.ID)
+			b = append(b, m.Trace.Hop)
+		}
+	case MsgSegmentComplete:
+		b = binary.BigEndian.AppendUint64(b, m.Seg.Origin)
+		b = binary.BigEndian.AppendUint64(b, m.Seg.Seq)
+	case MsgPullRequest:
+		if flags := pullFlags(m); flags != 0 {
+			b = append(b, flags)
+			if m.HasHint {
+				b = binary.BigEndian.AppendUint64(b, m.Seg.Origin)
+				b = binary.BigEndian.AppendUint64(b, m.Seg.Seq)
+			}
+			if m.Trace.Valid() {
+				b = binary.BigEndian.AppendUint64(b, m.Trace.ID)
+				b = append(b, m.Trace.Hop)
+			}
+		}
+	case MsgSwim:
+		b = appendBytes(b, m.Raw)
+	case MsgInventory:
+		b = binary.BigEndian.AppendUint32(b, uint32(len(m.Inventory)))
+		for _, e := range m.Inventory {
+			b = binary.BigEndian.AppendUint64(b, e.Seg.Origin)
+			b = binary.BigEndian.AppendUint64(b, e.Seg.Seq)
+			b = binary.BigEndian.AppendUint16(b, uint16(e.Blocks))
+		}
+	}
+	return b
+}
+
+// appendFrame appends m's self-contained frame (length prefix, then body)
+// to dst and returns the extended slice. The frame is written once, in
+// place: into a buffer of sufficient capacity it allocates nothing and
+// copies the payload once. dst comes back unchanged with the error when m
+// cannot be encoded.
+func appendFrame(dst []byte, m *Message) ([]byte, error) {
+	n, err := bodySize(m, maxFrameSize)
+	if err != nil {
+		return dst, err
+	}
+	dst = binary.BigEndian.AppendUint32(slices.Grow(dst, 4+n), uint32(n))
+	return appendBody(dst, m), nil
+}
+
+// appendDatagram is appendFrame for a datagram: the body alone, since the
+// datagram boundary already frames it, bounded by maxSize (<= 0 applies
+// only the codec's own maxFrameSize).
+func appendDatagram(dst []byte, m *Message, maxSize int) ([]byte, error) {
+	if maxSize <= 0 || maxSize > maxFrameSize {
+		maxSize = maxFrameSize
+	}
+	n, err := bodySize(m, maxSize)
+	if err != nil {
+		return dst, err
+	}
+	return appendBody(slices.Grow(dst, n), m), nil
+}
+
+// EncodeMessage serializes m into a self-contained frame in a slice of its
+// own.
+func EncodeMessage(m *Message) ([]byte, error) { return appendFrame(nil, m) }
 
 // DecodeMessage parses a frame body (without the length prefix).
 func DecodeMessage(body []byte) (*Message, error) {
@@ -195,11 +268,11 @@ func DecodeMessage(body []byte) (*Message, error) {
 				return nil, fmt.Errorf("transport: trace context with zero ID")
 			}
 		}
-		m.Block = &rlnc.CodedBlock{
-			Seg:     rlnc.SegmentID{Origin: origin, Seq: seq},
-			Coeffs:  coeffs,
-			Payload: payload,
-		}
+		// The block and its coefficients are one object and the payload
+		// sits alone in its exact size class: receivers buffer these.
+		m.Block = rlnc.NewBlock(rlnc.SegmentID{Origin: origin, Seq: seq}, len(coeffs))
+		copy(m.Block.Coeffs, coeffs)
+		m.Block.Payload = cloneBytes(payload)
 		m.Seg = m.Block.Seg
 	case MsgSegmentComplete:
 		var origin, seq uint64
@@ -267,7 +340,7 @@ func DecodeMessage(body []byte) (*Message, error) {
 		if len(rest) != 0 {
 			return nil, fmt.Errorf("transport: %d trailing bytes", len(rest))
 		}
-		m.Raw = raw
+		m.Raw = cloneBytes(raw)
 	case MsgInventory:
 		if len(rest) < 4 {
 			return nil, fmt.Errorf("transport: truncated inventory count")
@@ -304,15 +377,7 @@ func DecodeMessage(body []byte) (*Message, error) {
 // receiver can reassemble. maxSize <= 0 applies only the codec's own
 // maxFrameSize bound.
 func EncodeDatagram(m *Message, maxSize int) ([]byte, error) {
-	frame, err := EncodeMessage(m)
-	if err != nil {
-		return nil, err
-	}
-	body := frame[4:]
-	if maxSize > 0 && len(body) > maxSize {
-		return nil, fmt.Errorf("%w: datagram %d bytes > %d", ErrFrameTooLarge, len(body), maxSize)
-	}
-	return body, nil
+	return appendDatagram(nil, m, maxSize)
 }
 
 // DecodeDatagram parses one datagram payload (a frame body, as produced by
@@ -330,21 +395,41 @@ func WriteFrame(w io.Writer, m *Message) error {
 	return err
 }
 
-// ReadFrame reads one message from r.
+// ReadFrame reads one message from r, consuming exactly its frame.
 func ReadFrame(r io.Reader) (*Message, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return nil, err
+	m, _, err := readFrame(r, nil)
+	return m, err
+}
+
+// readFrame is ReadFrame through a buffer the caller keeps between frames:
+// it returns buf, regrown to hold the frame when that stays within
+// maxRetainedBuf, for the next call. Legal because every decoded field is
+// a copy.
+func readFrame(r io.Reader, buf []byte) (*Message, []byte, error) {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
+	buf = buf[:cap(buf)]
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
+		return nil, buf, err
+	}
+	n := int(binary.BigEndian.Uint32(buf))
 	if n > maxFrameSize {
-		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
+		return nil, buf, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
-	body := make([]byte, n)
+	body := buf
+	if cap(body) < n {
+		body = make([]byte, n)
+		if n <= maxRetainedBuf {
+			buf = body
+		}
+	}
+	body = body[:n]
 	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
+		return nil, buf, err
 	}
-	return DecodeMessage(body)
+	m, err := DecodeMessage(body)
+	return m, buf, err
 }
 
 func appendBytes(b, data []byte) []byte {
@@ -359,7 +444,10 @@ func readUint64(b []byte) (uint64, []byte, error) {
 	return binary.BigEndian.Uint64(b), b[8:], nil
 }
 
-func readBytes(b []byte) ([]byte, []byte, error) {
+// readBytes splits one length-prefixed field off b. The field is a view
+// into b: a caller that keeps it past b's lifetime copies it (cloneBytes).
+// This is the decoder's one bounds check on a variable-length field.
+func readBytes(b []byte) (field, rest []byte, err error) {
 	if len(b) < 4 {
 		return nil, nil, fmt.Errorf("transport: truncated length")
 	}
@@ -368,10 +456,16 @@ func readBytes(b []byte) ([]byte, []byte, error) {
 	if uint32(len(b)) < n {
 		return nil, nil, fmt.Errorf("transport: truncated field (%d of %d bytes)", len(b), n)
 	}
-	if n == 0 {
-		return nil, b, nil
+	return b[:n], b[n:], nil
+}
+
+// cloneBytes copies a decoded field into a slice of exactly its size; an
+// empty field is nil.
+func cloneBytes(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
 	}
-	out := make([]byte, n)
-	copy(out, b[:n])
-	return out, b[n:], nil
+	out := make([]byte, len(b))
+	copy(out, b)
+	return out
 }
