@@ -27,19 +27,27 @@ import (
 // Pull-feedback outcome counters. Every policy.Feedback call is classified
 // into exactly one bucket, so the exposition layer shows how the server's
 // pull budget is spent: useful (rank growth), redundant (finished segment or
-// non-innovative block), or empty (peer had nothing).
+// non-innovative block), or empty (peer had nothing). The inventory
+// counters beside them are the digest traffic the policy costs: messages
+// by kind, and the lines they carried.
 const (
 	fbUseful = iota
 	fbRedundant
 	fbEmpty
+	invFull
+	invDelta
+	invEntries
 
-	numFeedbackCounters
+	numPolicyCounters
 )
 
-var feedbackCounterNames = [numFeedbackCounters]string{
+var policyCounterNames = [numPolicyCounters]string{
 	fbUseful:    "pullschedFeedbackUseful",
 	fbRedundant: "pullschedFeedbackRedundant",
 	fbEmpty:     "pullschedFeedbackEmpty",
+	invFull:     "inventoryFull",
+	invDelta:    "inventoryDelta",
+	invEntries:  "inventoryEntries",
 }
 
 // Config parameterizes a collection service.
@@ -179,7 +187,7 @@ func New(cfg Config) (*Service, error) {
 		policy:    policy,
 		st:        st,
 		tracer:    tracer,
-		fb:        metrics.NewCounterSet(feedbackCounterNames[:]),
+		fb:        metrics.NewCounterSet(policyCounterNames[:]),
 		firstSeen: make(map[rlnc.SegmentID]float64),
 	}, nil
 }
@@ -261,8 +269,8 @@ func (s *Service) OpenCount() int { return s.st.OpenCount() }
 // segment, malformed, or non-innovative.
 func (s *Service) Redundant() int64 { return s.redundant }
 
-// RangeFeedback visits the pull-feedback outcome counters (concurrency-safe;
-// registries scrape this).
+// RangeFeedback visits the pull-feedback outcome and inventory counters
+// (concurrency-safe; registries scrape this).
 func (s *Service) RangeFeedback(f func(name string, v int64)) { s.fb.Range(f) }
 
 // Owns reports whether the segment is in this service's universe.
@@ -281,9 +289,15 @@ func (s *Service) HandleEmpty(now float64, from pullsched.PeerRef) {
 	s.policy.Feedback(pullsched.Feedback{Peer: from, Time: now, Empty: true})
 }
 
-// HandleInventory forwards a peer's inventory to the policy, filtered to
-// the service's segment universe.
-func (s *Service) HandleInventory(now float64, from pullsched.PeerRef, inv []pullsched.InventoryEntry) {
+// HandleInventory forwards a peer's inventory digest, full or delta, to the
+// policy, filtered to the service's segment universe.
+func (s *Service) HandleInventory(now float64, from pullsched.PeerRef, inv []pullsched.InventoryEntry, delta bool) {
+	if delta {
+		s.fb.Add(invDelta, 1)
+	} else {
+		s.fb.Add(invFull, 1)
+	}
+	s.fb.Add(invEntries, int64(len(inv)))
 	if s.cfg.Owns != nil {
 		owned := make([]pullsched.InventoryEntry, 0, len(inv))
 		for _, e := range inv {
@@ -293,7 +307,7 @@ func (s *Service) HandleInventory(now float64, from pullsched.PeerRef, inv []pul
 		}
 		inv = owned
 	}
-	s.policy.ObserveInventory(now, from, inv)
+	pullsched.ObserveDigest(s.policy, now, from, inv, delta)
 }
 
 // HandleBlock runs one received block through the collection state machine.

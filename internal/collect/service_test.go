@@ -15,6 +15,9 @@ const (
 	testSize       = 3
 	testPayloadLen = 16
 	testPeer       = pullsched.PeerRef(7)
+
+	// The pull-feedback counters lead the service's counter set.
+	numFeedbackCounters = fbEmpty + 1
 )
 
 // recPolicy records what the service tells its pull policy.
@@ -62,7 +65,7 @@ func newHarness(t *testing.T, cfg Config) *harness {
 // feedbackCounts returns the useful/redundant/empty pull-feedback counters.
 func (h *harness) feedbackCounts() (c [numFeedbackCounters]int64) {
 	h.RangeFeedback(func(name string, v int64) {
-		for i, n := range feedbackCounterNames {
+		for i, n := range policyCounterNames[:len(c)] {
 			if n == name {
 				c[i] = v
 			}
@@ -229,10 +232,16 @@ func TestOwnsFiltersPolicyInput(t *testing.T) {
 		t.Errorf("delivered %+v, want the foreign segment (ownership does not gate delivery)", h.delivered)
 	}
 
-	h.HandleInventory(3, testPeer, []pullsched.InventoryEntry{{Seg: theirs.ID, Blocks: 2}, {Seg: mine.ID, Blocks: 1}})
-	want := []pullsched.InventoryEntry{{Seg: mine.ID, Blocks: 1}}
-	if len(h.policy.inventory) != 1 || !reflect.DeepEqual(h.policy.inventory[0], want) {
-		t.Errorf("policy saw inventory %+v, want %+v", h.policy.inventory, want)
+	// A full digest reaches the policy as clear, then the owned lines; a
+	// delta as its owned lines alone, and one with none of them not at all
+	// (an empty call would read as "the peer holds nothing").
+	digest := []pullsched.InventoryEntry{{Seg: theirs.ID, Blocks: 2}, {Seg: mine.ID, Blocks: 1}}
+	owned := []pullsched.InventoryEntry{{Seg: mine.ID, Blocks: 1}}
+	h.HandleInventory(3, testPeer, digest, false)
+	h.HandleInventory(4, testPeer, digest, true)
+	h.HandleInventory(5, testPeer, digest[:1], true)
+	if want := [][]pullsched.InventoryEntry{nil, owned, owned}; !reflect.DeepEqual(h.policy.inventory, want) {
+		t.Errorf("policy saw inventory calls %+v, want %+v", h.policy.inventory, want)
 	}
 }
 

@@ -154,8 +154,8 @@ type Node struct {
 
 	// One message per loop, rewritten for every event instead of
 	// allocated: Send does not keep what it is given. gossipMsg belongs to
-	// the gossip loop, pullReply to the receive loop.
-	gossipMsg, pullReply transport.Message
+	// the gossip loop, pullReply and invReply to the receive loop.
+	gossipMsg, pullReply, invReply transport.Message
 }
 
 // NewNode builds a peer over the given transport.
@@ -406,8 +406,11 @@ func (n *Node) receiveBlock(m *transport.Message) {
 // servePull answers a logging server: one re-encoded block of the hinted
 // segment when the request carries a hint this node still buffers, else of
 // a uniformly random buffered segment, or an empty notice. When the server
-// asked for an inventory, a digest of the buffered segments follows the
-// reply so feedback-driven policies can aim their next pulls.
+// asked for an inventory a digest follows the reply, so feedback-driven
+// policies can aim their next pulls: the whole buffer for WantInventory,
+// what is new since the request's cursor otherwise, and for a cursor with
+// no news nothing. The node keeps no per-server state: a server that
+// missed a delta still holds the old cursor and is told again.
 func (n *Node) servePull(m *transport.Message) {
 	n.mu.Lock()
 	reply := &n.pullReply
@@ -423,8 +426,15 @@ func (n *Node) servePull(m *transport.Message) {
 		*reply = transport.Message{Type: transport.MsgEmpty}
 	}
 	var inv *transport.Message
-	if m.WantInventory {
-		inv = &transport.Message{Type: transport.MsgInventory, Inventory: n.core.Inventory()}
+	if m.WantInventory || m.InvCursor != 0 {
+		since := m.InvCursor
+		if m.WantInventory {
+			since = 0
+		}
+		if lines, cur, delta := n.core.InventorySince(since); !delta || len(lines) > 0 {
+			inv = &n.invReply
+			*inv = transport.Message{Type: transport.MsgInventory, Inventory: lines, InvCursor: cur, InvDelta: delta}
+		}
 	}
 	n.mu.Unlock()
 	n.tr.Send(m.From, reply) //nolint:errcheck // best-effort reply

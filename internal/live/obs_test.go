@@ -308,7 +308,8 @@ func TestDebugEndpointUnderLoss(t *testing.T) {
 // Counter names recorded at the parent of the change that made the registry
 // the only counter source (bench/ reads several of them by key): a node
 // exposes the protocol and transport vocabularies, a server adds the pull
-// feedback, a fleet shard the exchange counters.
+// feedback (and, since the inventory cursor, the digest traffic), a fleet
+// shard the exchange counters.
 var (
 	parentNodeCounters = strings.Fields(`
 		blocksLostToExit blocksLostToTTL blocksPurgedByFeedback blocksReceived blocksStored
@@ -320,7 +321,8 @@ var (
 		transportFramesDelivered transportInboxDrops transportReconnects transportSendsEnqueued
 		transportWriteErrors transportWriteTimeouts`)
 	parentServerCounters = append(strings.Fields(
-		`pullschedFeedbackEmpty pullschedFeedbackRedundant pullschedFeedbackUseful`), parentNodeCounters...)
+		`pullschedFeedbackEmpty pullschedFeedbackRedundant pullschedFeedbackUseful
+		inventoryFull inventoryDelta inventoryEntries`), parentNodeCounters...)
 	parentShardCounters = append(strings.Fields(
 		`fleetExchangeInnovative fleetExchangeReceived fleetExchangeSent fleetMisroutedBlocks fleetRemoteFinished`),
 		parentServerCounters...)

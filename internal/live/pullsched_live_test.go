@@ -82,24 +82,13 @@ func TestPullSentRequiresTransportAccept(t *testing.T) {
 	}
 }
 
-// seedNodeSegments hands the node one coded block for each given segment
-// via its own receive path, then waits until all are buffered.
+// seedNodeSegments hands an empty node one coded block for each given
+// segment via its own receive path, waiting until each is buffered.
 func seedNodeSegments(t *testing.T, node *Node, probe transport.Transport, segs []rlnc.SegmentID) {
 	t.Helper()
-	for _, seg := range segs {
-		cb := &rlnc.CodedBlock{Seg: seg, Coeffs: []byte{1, 2, 3, 4}, Payload: []byte{0xAB}}
-		if err := probe.Send(node.ID(), &transport.Message{Type: transport.MsgBlock, Block: cb}); err != nil {
-			t.Fatal(err)
-		}
+	for i, seg := range segs {
+		bufferSegment(t, node, probe, seg, i+1)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if node.Stats().BufferedSegments == len(segs) {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("node buffered %d segments, want %d", node.Stats().BufferedSegments, len(segs))
 }
 
 func startIdleNode(t *testing.T, net *transport.Network, id transport.NodeID) *Node {

@@ -189,7 +189,12 @@ type Server struct {
 
 	// Observability. pending maps each peer to the send time of its latest
 	// outstanding pull (the next reply from that peer closes it).
-	pending    map[transport.NodeID]float64
+	pending map[transport.NodeID]float64
+	// invCursor maps each peer that has sent a digest to the arrival count
+	// that digest reached; every later pull to the peer carries it and is
+	// answered with what is new since (see transport/wire.go). Empty unless
+	// the policy asks for digests.
+	invCursor  map[transport.NodeID]uint64
 	obsRTT     *obs.Histogram
 	obsCollect *obs.Histogram
 	obsDecode  *obs.Histogram
@@ -206,10 +211,17 @@ func NewServer(tr transport.Transport, cfg ServerConfig) (*Server, error) {
 	if policy == nil {
 		policy = pullsched.Blind{}
 	}
-	s := &Server{cfg: cfg, pending: make(map[transport.NodeID]float64)}
+	s := &Server{
+		cfg:       cfg,
+		pending:   make(map[transport.NodeID]float64),
+		invCursor: make(map[transport.NodeID]uint64),
+	}
 	// A departed peer never answers and is never pulled again: its entry
 	// would sit in pending, and in the outstandingPulls gauge, forever.
-	s.onLeave = func(id transport.NodeID) { delete(s.pending, id) }
+	s.onLeave = func(id transport.NodeID) {
+		delete(s.pending, id)
+		delete(s.invCursor, id)
+	}
 	// With Membership set, Peers only seed the pull target set; the live
 	// view then keeps it current.
 	s.init(tr, membership.RoleServer, cfg.Seed, cfg.Peers, cfg.Membership,
@@ -421,23 +433,29 @@ func (s *Server) observeRTT(from transport.NodeID, now float64) {
 var blindPull = transport.Message{Type: transport.MsgPullRequest}
 
 // pull is the paced event: ask the policy for a peer (and maybe a segment
-// hint) and send it one pull request.
+// hint) and send it one pull request. A peer whose inventory cursor the
+// server holds is asked for what is new since, unless the policy wants the
+// full digest this time.
 func (s *Server) pull() bool {
 	s.mu.Lock()
 	dec, ok := s.svc.Choose(s.now(), liveEnv{s})
 	var tctx obs.TraceContext
+	var cursor uint64
 	if ok && dec.HasHint {
 		tctx = s.svc.TraceCtx(dec.Hint)
+	}
+	if ok && !dec.WantInventory {
+		cursor = s.invCursor[transport.NodeID(dec.Peer)]
 	}
 	s.mu.Unlock()
 	if !ok {
 		return true
 	}
 	msg := &blindPull
-	if dec.HasHint || dec.WantInventory {
+	if dec.HasHint || dec.WantInventory || cursor != 0 {
 		msg = &transport.Message{
 			Type: transport.MsgPullRequest, WantInventory: dec.WantInventory,
-			HasHint: dec.HasHint, Seg: dec.Hint,
+			HasHint: dec.HasHint, Seg: dec.Hint, InvCursor: cursor,
 		}
 		// A hinted pull for a traced segment carries the lineage out, so
 		// the pull leg joins the segment's span.
@@ -492,12 +510,22 @@ func (s *Server) handle(m *transport.Message) {
 		s.svc.HandleEmpty(now, pullsched.PeerRef(m.From))
 		s.mu.Unlock()
 	case transport.MsgInventory:
-		s.mu.Lock()
-		s.svc.HandleInventory(s.now(), pullsched.PeerRef(m.From), m.Inventory)
-		s.mu.Unlock()
+		s.receiveInventory(m)
 	default:
 		// Servers ignore peer-to-peer chatter.
 	}
+}
+
+// receiveInventory hands a peer's digest to the policy and keeps the cursor
+// it reaches for the next pull to that peer. A cursor is kept only for a
+// current pull target, so what onLeave dropped stays dropped.
+func (s *Server) receiveInventory(m *transport.Message) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if m.InvCursor != 0 && s.peers.Contains(uint64(m.From)) {
+		s.invCursor[m.From] = m.InvCursor
+	}
+	s.svc.HandleInventory(s.now(), pullsched.PeerRef(m.From), m.Inventory, m.InvDelta)
 }
 
 // receiveBlock feeds a pulled block into the collection service and runs

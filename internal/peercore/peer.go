@@ -85,12 +85,18 @@ type Peer struct {
 	rng    *randx.Rand
 	sink   EventSink
 
-	seq       uint64
-	holdings  map[rlnc.SegmentID]*rlnc.Holding
-	segIDs    []rlnc.SegmentID
-	segPos    map[rlnc.SegmentID]int
-	deadlines map[*rlnc.CodedBlock]float64
-	occupancy int
+	seq      uint64
+	holdings map[rlnc.SegmentID]*rlnc.Holding
+	segIDs   []rlnc.SegmentID
+	segPos   map[rlnc.SegmentID]int
+	// arrivals numbers the holdings this peer has ever opened; segArrival[i]
+	// is the number segIDs[i]'s holding took. The count starts at 1, so 0 is
+	// free to mean "no cursor", and survives Clear, so a cursor handed out
+	// before it still means what it meant (see InventorySince).
+	arrivals   uint64
+	segArrival []uint64
+	deadlines  map[*rlnc.CodedBlock]float64
+	occupancy  int
 	// sweep is ExpireDue's snapshot of the holding it is visiting, kept so
 	// a sweep allocates nothing; it holds no blocks between sweeps.
 	sweep []*rlnc.CodedBlock
@@ -114,6 +120,7 @@ func NewPeer(origin uint64, cfg PeerConfig, rng *randx.Rand, sink EventSink) *Pe
 		origin:    origin,
 		rng:       rng,
 		sink:      sink,
+		arrivals:  1,
 		holdings:  make(map[rlnc.SegmentID]*rlnc.Holding),
 		segPos:    make(map[rlnc.SegmentID]int),
 		deadlines: make(map[*rlnc.CodedBlock]float64),
@@ -235,6 +242,8 @@ func (p *Peer) Store(now float64, cb *rlnc.CodedBlock) StoreResult {
 		p.holdings[cb.Seg] = h
 		p.segPos[cb.Seg] = len(p.segIDs)
 		p.segIDs = append(p.segIDs, cb.Seg)
+		p.arrivals++
+		p.segArrival = append(p.segArrival, p.arrivals)
 	}
 	if !h.Add(cb) {
 		if h.Len() == 0 {
@@ -296,18 +305,44 @@ func (p *Peer) ServePull(hint rlnc.SegmentID, hasHint bool) (cb *rlnc.CodedBlock
 }
 
 // Inventory digests the buffered segments for a pull reply, in SegmentAt
-// order; nil when the buffer is empty. Block counts are clamped to the
-// wire format's 16-bit field: a count that large is indistinguishable from
-// "plenty" to any scheduling policy.
+// order; nil when the buffer is empty. It is InventorySince with no cursor.
 func (p *Peer) Inventory() []pullsched.InventoryEntry {
-	if len(p.segIDs) == 0 {
-		return nil
-	}
-	inv := make([]pullsched.InventoryEntry, len(p.segIDs))
-	for i, seg := range p.segIDs {
-		inv[i] = pullsched.InventoryEntry{Seg: seg, Blocks: min(p.holdings[seg].Len(), 0xFFFF)}
-	}
+	inv, _, _ := p.InventorySince(0)
 	return inv
+}
+
+// InventorySince digests the segments whose holding was opened after cursor
+// and is still held, in SegmentAt order (nil when there are none), and
+// returns the cursor the digest reaches: the count of holdings opened so
+// far. A puller that sends that cursor back on its next pull is told only
+// what is new. delta is false when the digest lists the whole buffer
+// instead: for cursor 0 (the puller holds none) and for a cursor ahead of
+// the count, which only a predecessor under the same identity can have
+// issued. Block counts are clamped to the wire format's 16-bit field: a
+// count that large is indistinguishable from "plenty" to any scheduling
+// policy.
+func (p *Peer) InventorySince(cursor uint64) (inv []pullsched.InventoryEntry, cur uint64, delta bool) {
+	delta = cursor != 0 && cursor <= p.arrivals
+	if !delta {
+		cursor = 0
+	}
+	n := 0
+	for _, at := range p.segArrival {
+		if at > cursor {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil, p.arrivals, delta
+	}
+	inv = make([]pullsched.InventoryEntry, 0, n)
+	for i, at := range p.segArrival {
+		if at > cursor {
+			seg := p.segIDs[i]
+			inv = append(inv, pullsched.InventoryEntry{Seg: seg, Blocks: min(p.holdings[seg].Len(), 0xFFFF)})
+		}
+	}
+	return inv, p.arrivals, delta
 }
 
 // ExpireBlock removes one specific stored block (the event-driven TTL path)
@@ -384,6 +419,7 @@ func (p *Peer) Clear() {
 	}
 	p.holdings = make(map[rlnc.SegmentID]*rlnc.Holding)
 	p.segIDs = nil
+	p.segArrival = nil
 	p.segPos = make(map[rlnc.SegmentID]int)
 	p.deadlines = make(map[*rlnc.CodedBlock]float64)
 	p.occupancy = 0
@@ -408,8 +444,10 @@ func (p *Peer) dropHolding(seg rlnc.SegmentID) {
 	last := len(p.segIDs) - 1
 	moved := p.segIDs[last]
 	p.segIDs[pos] = moved
+	p.segArrival[pos] = p.segArrival[last]
 	p.segPos[moved] = pos
 	p.segIDs = p.segIDs[:last]
+	p.segArrival = p.segArrival[:last]
 	delete(p.segPos, seg)
 	delete(p.holdings, seg)
 	delete(p.traceCtx, seg)
@@ -445,6 +483,14 @@ func (p *Peer) CheckInvariants() error {
 	}
 	if len(p.segIDs) != len(p.holdings) {
 		return fmt.Errorf("peercore: sampling list length %d, holdings %d", len(p.segIDs), len(p.holdings))
+	}
+	if len(p.segArrival) != len(p.segIDs) {
+		return fmt.Errorf("peercore: %d arrival numbers for %d buffered segments", len(p.segArrival), len(p.segIDs))
+	}
+	for i, at := range p.segArrival {
+		if at < 2 || at > p.arrivals {
+			return fmt.Errorf("peercore: arrival number %d of %v outside (1, %d]", at, p.segIDs[i], p.arrivals)
+		}
 	}
 	if deadlined != occ || len(p.deadlines) != occ {
 		return fmt.Errorf("peercore: %d deadlines for %d stored blocks (%d matched)", len(p.deadlines), occ, deadlined)

@@ -73,3 +73,18 @@ func BenchmarkFeedbackRankGreedy(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRarestObserveDelta is the steady-state cost of news: one new
+// line for a known peer, which the next reply then disproves so the state
+// does not grow.
+func BenchmarkRarestObserveDelta(b *testing.B) {
+	p := NewRarestFirst(RarestConfig{Seed: 1})
+	populate(p, 32, 256)
+	line := []InventoryEntry{{Seg: rlnc.SegmentID{Origin: 2, Seq: 1}, Blocks: 1}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.ObserveInventory(0.5, 7, line)
+		p.Feedback(Feedback{Peer: 7, Time: 0.5, Seg: line[0].Seg})
+	}
+}

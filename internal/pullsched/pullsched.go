@@ -19,9 +19,10 @@
 //   - RankGreedy: hints the known undelivered segment with the largest
 //     remaining collection deficit and stops asking for delivered segments.
 //     It learns purely from pull feedback.
-//   - RarestFirst: maintains compact per-peer inventory digests
-//     (piggybacked on pull replies on request) and pulls the undelivered
-//     segment with the fewest known holders, from a peer known to hold it.
+//   - RarestFirst: maintains compact per-peer inventory digests (a full
+//     one piggybacked on a pull reply on request, kept current by deltas
+//     in between) and pulls the undelivered segment with the fewest known
+//     holders, from a peer known to hold it.
 //
 // The subsystem is clock- and transport-agnostic: time is an opaque float64
 // supplied by the driver (simulated time or wall seconds), peers are opaque
@@ -45,8 +46,11 @@ type PeerRef uint64
 
 // Decision is one scheduled pull: the target peer, an optional segment
 // hint (the peer falls back to a uniformly random buffered segment when it
-// no longer holds the hinted one), and whether the peer should piggyback an
-// inventory digest on its reply.
+// no longer holds the hinted one), and whether the peer should piggyback
+// its full inventory digest on its reply. A policy sets WantInventory only
+// when it needs the whole listing, to start a digest or to refresh one: once
+// it has been given one, the driver asks the peer on every later pull for
+// what is new since and delivers that unasked (see ObserveDigest).
 type Decision struct {
 	Peer          PeerRef
 	Hint          rlnc.SegmentID
@@ -94,8 +98,24 @@ type Policy interface {
 	Choose(now float64, env Env) (Decision, bool)
 	// Feedback reports what one pull produced.
 	Feedback(f Feedback)
-	// ObserveInventory ingests a peer's inventory digest (nil clears it).
+	// ObserveInventory adds lines to what the policy knows the peer holds
+	// and leaves the age of that knowledge alone; with no lines it instead
+	// records that the peer holds nothing as of now. Drivers deliver
+	// digests through ObserveDigest, which turns a full one into the two
+	// calls.
 	ObserveInventory(now float64, peer PeerRef, inv []InventoryEntry)
+}
+
+// ObserveDigest delivers one peer digest to a policy. A delta is lines to
+// add. A full digest replaces what the policy knew: clear, which also marks
+// the digest fresh as of now, then add.
+func ObserveDigest(pol Policy, now float64, peer PeerRef, inv []InventoryEntry, delta bool) {
+	if !delta {
+		pol.ObserveInventory(now, peer, nil)
+	}
+	if len(inv) > 0 {
+		pol.ObserveInventory(now, peer, inv)
+	}
 }
 
 // Policy registry names accepted by New.

@@ -203,14 +203,64 @@ func TestRarestFirstEmptyReplyClearsPeer(t *testing.T) {
 	if p.KnownPeers() != 1 {
 		t.Fatalf("KnownPeers = %d, want 1", p.KnownPeers())
 	}
-	p.Feedback(Feedback{Peer: 5, Time: 1, Empty: true})
-	if p.KnownPeers() != 0 {
-		t.Fatalf("KnownPeers after empty = %d, want 0", p.KnownPeers())
+	p.Feedback(Feedback{Peer: 5, Time: 0.5, Empty: true})
+	if p.holders[seg(1, 1)] != 0 {
+		t.Fatalf("emptied peer still counted as %d holders", p.holders[seg(1, 1)])
 	}
-	// With no holders left the policy is back to the blind fallback.
-	d, ok := p.Choose(2, &scriptEnv{peers: []PeerRef{5}})
+	// With no holders left the policy is back to the blind fallback, and
+	// the emptied digest is as old as it was: no refresh before its time.
+	d, ok := p.Choose(0.9, &scriptEnv{peers: []PeerRef{5}})
+	if !ok || d.HasHint || d.WantInventory {
+		t.Fatalf("Choose after clear = %+v, %v; want a bare blind pull", d, ok)
+	}
+	d, ok = p.Choose(1, &scriptEnv{peers: []PeerRef{5}})
 	if !ok || d.HasHint || !d.WantInventory {
-		t.Fatalf("Choose after clear = %+v, %v; want blind refreshing pull", d, ok)
+		t.Fatalf("Choose at the interval = %+v, %v; want blind refreshing pull", d, ok)
+	}
+}
+
+// TestRarestFirstEmptyDigestIsADigest pins the idle-peer fix: a peer with
+// nothing buffered is asked for one digest per refresh interval, not one
+// per pull. An empty reply alone is not a digest, so one that got lost is
+// asked for again.
+func TestRarestFirstEmptyDigestIsADigest(t *testing.T) {
+	for _, digestLost := range []bool{false, true} {
+		p := NewRarestFirst(RarestConfig{Seed: 1})
+		asked := 0
+		for i := 0; i < 10; i++ {
+			now := float64(i) * 0.05
+			d, ok := p.Choose(now, &scriptEnv{peers: []PeerRef{5}})
+			if !ok || d.HasHint {
+				t.Fatalf("Choose %d = %+v, %v; want a blind pull", i, d, ok)
+			}
+			p.Feedback(Feedback{Peer: 5, Time: now, Empty: true})
+			if d.WantInventory {
+				asked++
+				if !digestLost {
+					p.ObserveInventory(now, 5, nil)
+				}
+			}
+		}
+		if want := map[bool]int{false: 1, true: 10}[digestLost]; asked != want {
+			t.Errorf("digest lost=%v: ten pulls to an idle peer asked for %d digests, want %d", digestLost, asked, want)
+		}
+	}
+}
+
+// TestRarestFirstDeltaAddsAndKeepsAge pins the delta half of the
+// ObserveInventory contract: lines add up, and the digest stays as old as
+// its last full refresh.
+func TestRarestFirstDeltaAddsAndKeepsAge(t *testing.T) {
+	p := NewRarestFirst(RarestConfig{Seed: 1})
+	p.ObserveInventory(0, 5, nil)
+	p.ObserveInventory(0, 5, []InventoryEntry{{Seg: seg(1, 1), Blocks: 1}})
+	p.ObserveInventory(0.9, 5, []InventoryEntry{{Seg: seg(2, 2), Blocks: 1}, {Seg: seg(1, 1), Blocks: 3}})
+	if p.holders[seg(1, 1)] != 1 || p.holders[seg(2, 2)] != 1 {
+		t.Fatalf("holders = %d and %d, want one each (a repeated line counts once)",
+			p.holders[seg(1, 1)], p.holders[seg(2, 2)])
+	}
+	if d, ok := p.Choose(1, &scriptEnv{}); !ok || !d.HasHint || !d.WantInventory {
+		t.Fatalf("Choose = %+v, %v; want a hinted pull refreshing a digest last whole at t=0", d, ok)
 	}
 }
 
@@ -300,12 +350,28 @@ func TestRarestFirstUselessReplyExhaustsHolding(t *testing.T) {
 func TestRarestFirstDigestReplacement(t *testing.T) {
 	p := NewRarestFirst(RarestConfig{Seed: 1})
 	p.ObserveInventory(0, 5, []InventoryEntry{{Seg: seg(1, 1), Blocks: 1}})
+	// A full digest is delivered as clear, then add.
+	p.ObserveInventory(1, 5, nil)
 	p.ObserveInventory(1, 5, []InventoryEntry{{Seg: seg(2, 2), Blocks: 1}})
 	if p.holders[seg(1, 1)] != 0 {
 		t.Fatalf("stale holder count %d for replaced digest", p.holders[seg(1, 1)])
 	}
 	d, ok := p.Choose(1.5, &scriptEnv{})
-	if !ok || d.Hint != seg(2, 2) {
-		t.Fatalf("Choose = %+v, %v; want hint 2/2 from replacement digest", d, ok)
+	if !ok || d.Hint != seg(2, 2) || d.WantInventory {
+		t.Fatalf("Choose = %+v, %v; want hint 2/2 from the fresh replacement digest", d, ok)
+	}
+}
+
+// TestRarestFirstPrunedSegmentLeavesNoHolderEntry: a delivered segment is
+// pruned from the candidate structures while digests may still list it;
+// dropping those lines later must not resurrect its holder count.
+func TestRarestFirstPrunedSegmentLeavesNoHolderEntry(t *testing.T) {
+	p := NewRarestFirst(RarestConfig{Seed: 1})
+	p.ObserveInventory(0, 5, []InventoryEntry{{Seg: seg(1, 1), Blocks: 1}})
+	p.Feedback(Feedback{Peer: 5, Seg: seg(1, 1), Useful: true, Done: true})
+	p.Choose(0.1, &scriptEnv{peers: []PeerRef{5}}) // prunes the delivered segment
+	p.ObserveInventory(0.2, 5, nil)
+	if n, ok := p.holders[seg(1, 1)]; ok {
+		t.Fatalf("pruned segment back in the holder table at %d", n)
 	}
 }

@@ -6,8 +6,9 @@ import (
 )
 
 // DefaultRefreshInterval is how long (in the driver's time base) a peer's
-// inventory digest stays fresh before the next pull to that peer requests a
-// new one.
+// full inventory digest stays fresh before the next pull to that peer
+// requests a new one. Deltas keep the digest current in between; the full
+// refresh is what prunes the lines that expired at the peer.
 const DefaultRefreshInterval = 1.0
 
 // defaultDeliveredCap bounds the policy's memory of completed segments.
@@ -36,10 +37,12 @@ type RarestConfig struct {
 // RarestFirst schedules pulls from per-peer inventory digests: it asks for
 // the undelivered segment with the fewest known holders, from a peer known
 // to hold it — the classic rarest-first rule, aimed at the tail of the
-// coupon collector where blind pulls are mostly redundant. Digests are
-// piggybacked on pull replies on request (Decision.WantInventory), so the
-// policy costs one extra reply message per refresh and nothing when idle.
-// With no usable inventory it degrades to the blind choice while
+// coupon collector where blind pulls are mostly redundant. Full digests
+// are piggybacked on pull replies on request (Decision.WantInventory), once
+// per RefreshInterval and peer; in between the driver's inventory cursor
+// brings each newly opened holding on the next pull to its peer, so the
+// policy costs one small reply message per piece of news and nothing when
+// idle. With no usable inventory it degrades to the blind choice while
 // requesting digests, so it bootstraps itself from any state.
 type RarestFirst struct {
 	cfg RarestConfig
@@ -61,6 +64,8 @@ type RarestFirst struct {
 	scratch []PeerRef // holder candidates, reused across Choose calls
 }
 
+// peerInventory is one peer's digest: at is when it was last known whole
+// (the last full digest, or the moment the peer was first heard of).
 type peerInventory struct {
 	at   float64
 	segs map[rlnc.SegmentID]int // seg -> block count
@@ -162,26 +167,29 @@ func (p *RarestFirst) rarest() (rlnc.SegmentID, bool) {
 	return p.segs[best], true
 }
 
-// stale reports whether the peer's digest is missing or past the refresh
-// interval.
+// stale reports whether the peer's full digest is missing or past the
+// refresh interval.
 func (p *RarestFirst) stale(now float64, peer PeerRef) bool {
 	inv := p.peers[peer]
 	return inv == nil || now-inv.at >= p.cfg.RefreshInterval
 }
 
 // Feedback implements Policy: completed segments stop being candidates, an
-// empty reply invalidates everything the digest claimed the peer held, and
-// every served block adjusts the digest in place. A useful reply proves
-// the peer holds the served segment right now; a reply that does not match
-// the hint it was aimed at disproves that digest entry; and a useless,
-// not-done reply exhausts it — the peer still buffers the segment but its
-// holding spans nothing the collection is missing (live servers see this
-// when a low-degree holder's recoded blocks stop being innovative), so
-// pulling it again from this peer cannot help until a fresh digest says
-// otherwise.
+// empty reply invalidates everything the digest claimed the peer held (the
+// digest itself stays, empty and as old as it was: an idle peer is not
+// asked for a new one on every pull), and every served block adjusts the
+// digest in place. A useful reply proves the peer holds the served segment
+// right now; a reply that does not match the hint it was aimed at
+// disproves that digest entry; and a useless, not-done reply exhausts it —
+// the peer still buffers the segment but its holding spans nothing the
+// collection is missing (live servers see this when a low-degree holder's
+// recoded blocks stop being innovative), so pulling it again from this
+// peer cannot help until a fresh digest says otherwise.
 func (p *RarestFirst) Feedback(f Feedback) {
 	if f.Empty {
-		p.clearPeer(f.Peer)
+		if pi := p.peers[f.Peer]; pi != nil {
+			p.dropLines(pi)
+		}
 		delete(p.lastHint, f.Peer)
 		return
 	}
@@ -223,16 +231,24 @@ func (p *RarestFirst) removeHolding(peer PeerRef, seg rlnc.SegmentID) {
 		return
 	}
 	delete(inv.segs, seg)
-	p.holders[seg]--
+	p.unhold(seg)
 }
 
-// ObserveInventory implements Policy: replace the peer's digest.
+// ObserveInventory implements Policy: add the lines to the peer's digest,
+// or with none empty it and restart its age. An empty digest is a digest:
+// the peer is known, and holds nothing.
 func (p *RarestFirst) ObserveInventory(now float64, peer PeerRef, inv []InventoryEntry) {
-	p.clearPeer(peer)
+	pi := p.peers[peer]
+	if pi == nil {
+		pi = &peerInventory{at: now, segs: make(map[rlnc.SegmentID]int, len(inv))}
+		p.peers[peer] = pi
+		p.peerOrder = append(p.peerOrder, peer)
+	}
 	if len(inv) == 0 {
+		p.dropLines(pi)
+		pi.at = now
 		return
 	}
-	pi := &peerInventory{at: now, segs: make(map[rlnc.SegmentID]int, len(inv))}
 	for _, e := range inv {
 		if e.Blocks <= 0 || p.delivered.Has(e.Seg) || pi.segs[e.Seg] > 0 {
 			continue
@@ -244,22 +260,35 @@ func (p *RarestFirst) ObserveInventory(now float64, peer PeerRef, inv []Inventor
 			p.segs = append(p.segs, e.Seg)
 		}
 	}
-	p.peers[peer] = pi
-	p.peerOrder = append(p.peerOrder, peer)
 }
 
 // KnownPeers returns how many peers currently have a live digest.
 func (p *RarestFirst) KnownPeers() int { return len(p.peers) }
 
-// clearPeer drops a peer's digest and its holder contributions.
+// dropLines empties a digest, taking back its holder contributions.
+func (p *RarestFirst) dropLines(pi *peerInventory) {
+	for seg := range pi.segs {
+		p.unhold(seg)
+	}
+	clear(pi.segs)
+}
+
+// unhold takes back one holder of seg. A delivered segment that rarest has
+// already pruned can still sit in a digest; its count is gone and must not
+// come back as a negative entry nothing would ever delete.
+func (p *RarestFirst) unhold(seg rlnc.SegmentID) {
+	if n, tracked := p.holders[seg]; tracked {
+		p.holders[seg] = n - 1
+	}
+}
+
+// clearPeer forgets a peer: its digest, age and holder contributions.
 func (p *RarestFirst) clearPeer(peer PeerRef) {
 	inv := p.peers[peer]
 	if inv == nil {
 		return
 	}
-	for seg := range inv.segs {
-		p.holders[seg]--
-	}
+	p.dropLines(inv)
 	delete(p.peers, peer)
 	for i, id := range p.peerOrder {
 		if id == peer {

@@ -54,6 +54,11 @@ type Simulator struct {
 	// one view of the remaining work), one per server in IndependentServers
 	// mode.
 	policies []pullsched.Policy
+	// invCursor[j][peer] is the inventory cursor policy j holds for the
+	// peer slot: the arrival count its last digest from that peer reached
+	// (see exchangeInventory). A policy's map is allocated when it first
+	// asks for a digest, so a run under one that never does is untouched.
+	invCursor []map[pullsched.PeerRef]uint64
 
 	nonEmpty   *indexSet
 	nextPeerID uint64
@@ -216,6 +221,7 @@ func New(cfg Config) (*Simulator, error) {
 		npol = cfg.NumServers
 	}
 	s.policies = make([]pullsched.Policy, npol)
+	s.invCursor = make([]map[pullsched.PeerRef]uint64, npol)
 	for j := range s.policies {
 		pol, err := pullsched.New(cfg.PullPolicy, cfg.Seed+policySeedSalt+int64(j))
 		if err != nil {
@@ -709,16 +715,40 @@ func (e *pullEnv) SamplePeer() (pullsched.PeerRef, bool) {
 	return pullsched.PeerRef(pi), ok
 }
 
-// serverPolicy returns the scheduler for one server's pulls.
-func (s *Simulator) serverPolicy(server int) pullsched.Policy {
+// policyIndex returns which scheduler drives one server's pulls.
+func (s *Simulator) policyIndex(server int) int {
 	if len(s.policies) == 1 {
-		return s.policies[0]
+		return 0
 	}
-	return s.policies[server]
+	return server
+}
+
+// exchangeInventory is the live runtime's inventory exchange (see
+// transport/wire.go) at zero cost and zero loss: a decision that wants the
+// full digest gets it, and once a policy holds a peer's cursor every later
+// pull to that peer brings what the peer opened since. A peer that took
+// over the slot counts from 1 again, finds the old cursor ahead of its
+// count, and so answers in full.
+func (s *Simulator) exchangeInventory(pj int, now float64, dec pullsched.Decision) {
+	since := s.invCursor[pj][dec.Peer]
+	if dec.WantInventory {
+		since = 0
+	} else if since == 0 {
+		return
+	}
+	inv, cur, delta := s.peers[dec.Peer].core.InventorySince(since)
+	if s.invCursor[pj] == nil {
+		s.invCursor[pj] = make(map[pullsched.PeerRef]uint64)
+	}
+	s.invCursor[pj][dec.Peer] = cur
+	if !delta || len(inv) > 0 {
+		pullsched.ObserveDigest(s.policies[pj], now, dec.Peer, inv, delta)
+	}
 }
 
 func (s *Simulator) pull(server int) {
-	pol := s.serverPolicy(server)
+	pj := s.policyIndex(server)
+	pol := s.policies[pj]
 	now := s.clock.Now()
 	env := &pullEnv{s: s}
 	dec, ok := pol.Choose(now, env)
@@ -733,8 +763,8 @@ func (s *Simulator) pull(server int) {
 	if pi < 0 || pi >= len(s.peers) || s.peers[pi].dead || s.peers[pi].core.Occupancy() == 0 {
 		s.counters.Count(peercore.EvEmptyReply, 1)
 		pol.Feedback(pullsched.Feedback{Peer: dec.Peer, Time: now, Empty: true})
-		if dec.WantInventory {
-			pol.ObserveInventory(now, dec.Peer, nil)
+		if pi >= 0 && pi < len(s.peers) {
+			s.exchangeInventory(pj, now, dec)
 		}
 		return
 	}
@@ -783,9 +813,7 @@ func (s *Simulator) pull(server int) {
 		Done:    rcol.Delivered(),
 		Deficit: rcol.Deficit(),
 	})
-	if dec.WantInventory {
-		pol.ObserveInventory(now, dec.Peer, s.peers[pi].core.Inventory())
-	}
+	s.exchangeInventory(pj, now, dec)
 
 	if out.Useful && now >= s.cfg.Warmup {
 		s.usefulInWindow++

@@ -18,9 +18,9 @@ import (
 )
 
 // The frame table pins the wire format byte for byte: one line per message
-// shape, "name hex(frame)", written by the encoder as it stood before the
-// in-place append existed. Regenerate with -update-frames only for a
-// deliberate wire change.
+// shape, "name hex(frame)", the first 19 written by the encoder as it stood
+// before the in-place append existed. Regenerate with -update-frames only
+// for a deliberate wire change.
 var updateFrames = flag.Bool("update-frames", false, "rewrite testdata/frames.golden")
 
 const framesPath = "testdata/frames.golden"
@@ -81,6 +81,19 @@ func frameTable() []struct {
 			}}},
 		{"swim", &Message{Type: MsgSwim, From: 3, To: 4, Raw: []byte{1, 1, 0, 0, 0, 7, 0xAB}}},
 		{"swim-empty", &Message{Type: MsgSwim, From: 3, To: 4}},
+		// The inventory cursor (rows appended by the change that added it;
+		// everything above is older and must not move).
+		{"pull-cursor", &Message{Type: MsgPullRequest, From: 1 << 32, To: 9, InvCursor: 0x2122232425262728}},
+		{"pull-hinted-traced-cursor", &Message{Type: MsgPullRequest, From: 1 << 32, To: 9,
+			HasHint: true, Seg: seg, Trace: trace, InvCursor: 1}},
+		{"inventory-full-cursor", &Message{Type: MsgInventory, From: 9, To: 1 << 32, InvCursor: 0x2122232425262728,
+			Inventory: []pullsched.InventoryEntry{
+				{Seg: seg, Blocks: 4},
+				{Seg: rlnc.SegmentID{Origin: 8, Seq: 1}, Blocks: 65535},
+			}}},
+		{"inventory-delta", &Message{Type: MsgInventory, From: 9, To: 1 << 32, InvCursor: 3, InvDelta: true,
+			Inventory: []pullsched.InventoryEntry{{Seg: seg, Blocks: 1}}}},
+		{"inventory-empty-cursor", &Message{Type: MsgInventory, From: 9, To: 1 << 32, InvCursor: 1}},
 	}
 }
 

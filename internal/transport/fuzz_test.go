@@ -32,6 +32,23 @@ func FuzzDecodeMessage(f *testing.F) {
 				{Seg: rlnc.SegmentID{Origin: 8, Seq: 1}, Blocks: 65535},
 			},
 		},
+		// Inventory-cursor frames: pulls that carry one, digests that end
+		// in one.
+		{Type: MsgPullRequest, From: 1, To: 2, InvCursor: 5},
+		{
+			Type: MsgPullRequest, From: 1, To: 2,
+			HasHint: true, Seg: rlnc.SegmentID{Origin: 7, Seq: 3},
+			Trace: obs.TraceContext{ID: 42, Hop: 1}, InvCursor: 1,
+		},
+		{
+			Type: MsgInventory, From: 2, To: 1, InvCursor: 9,
+			Inventory: []pullsched.InventoryEntry{{Seg: rlnc.SegmentID{Origin: 7, Seq: 3}, Blocks: 4}},
+		},
+		{
+			Type: MsgInventory, From: 2, To: 1, InvCursor: 10, InvDelta: true,
+			Inventory: []pullsched.InventoryEntry{{Seg: rlnc.SegmentID{Origin: 8, Seq: 1}, Blocks: 1}},
+		},
+		{Type: MsgInventory, From: 2, To: 1, InvCursor: 1},
 		{Type: MsgSegmentComplete, From: 3, To: 4, Seg: rlnc.SegmentID{Origin: 3, Seq: 9}},
 		{
 			Type: MsgBlock, From: 5, To: 6,
@@ -116,6 +133,9 @@ func FuzzDecodeMessage(f *testing.F) {
 		if again.HasHint != m.HasHint || again.WantInventory != m.WantInventory {
 			t.Fatalf("round trip changed pull flags: %+v vs %+v", again, m)
 		}
+		if again.InvCursor != m.InvCursor || again.InvDelta != m.InvDelta {
+			t.Fatalf("round trip changed inventory cursor: %+v vs %+v", again, m)
+		}
 		if again.Trace != m.Trace {
 			t.Fatalf("round trip changed trace context: %+v vs %+v", again.Trace, m.Trace)
 		}
@@ -174,6 +194,23 @@ func FuzzDatagramDecode(f *testing.F) {
 				{Seg: rlnc.SegmentID{Origin: 7, Seq: 3}, Blocks: 4},
 			},
 		},
+		// Inventory-cursor frames: pulls that carry one, digests that end
+		// in one.
+		{Type: MsgPullRequest, From: 1, To: 2, InvCursor: 5},
+		{
+			Type: MsgPullRequest, From: 1, To: 2,
+			HasHint: true, Seg: rlnc.SegmentID{Origin: 7, Seq: 3},
+			Trace: obs.TraceContext{ID: 42, Hop: 1}, InvCursor: 1,
+		},
+		{
+			Type: MsgInventory, From: 2, To: 1, InvCursor: 9,
+			Inventory: []pullsched.InventoryEntry{{Seg: rlnc.SegmentID{Origin: 7, Seq: 3}, Blocks: 4}},
+		},
+		{
+			Type: MsgInventory, From: 2, To: 1, InvCursor: 10, InvDelta: true,
+			Inventory: []pullsched.InventoryEntry{{Seg: rlnc.SegmentID{Origin: 8, Seq: 1}, Blocks: 1}},
+		},
+		{Type: MsgInventory, From: 2, To: 1, InvCursor: 1},
 	}
 	for _, m := range seeds {
 		dg, err := EncodeDatagram(m, 0)
@@ -211,6 +248,9 @@ func FuzzDatagramDecode(f *testing.F) {
 		}
 		if again.Trace != m.Trace {
 			t.Fatalf("round trip changed trace context: %+v vs %+v", again.Trace, m.Trace)
+		}
+		if again.InvCursor != m.InvCursor || again.InvDelta != m.InvDelta {
+			t.Fatalf("round trip changed inventory cursor: %+v vs %+v", again, m)
 		}
 		if !bytes.Equal(again.Raw, m.Raw) {
 			t.Fatalf("round trip changed swim payload: %x vs %x", again.Raw, m.Raw)

@@ -45,12 +45,14 @@ const (
 	MsgSegmentComplete
 	// MsgPullRequest asks a peer for one re-encoded block of a random
 	// buffered segment; it may carry an optional segment hint and an
-	// inventory-digest request (see Message.HasHint / WantInventory).
+	// inventory request, for the full digest or for what is new since a
+	// cursor (see Message.HasHint / WantInventory / InvCursor).
 	MsgPullRequest
 	// MsgEmpty answers a pull when the peer's buffer is empty.
 	MsgEmpty
 	// MsgInventory answers a pull's WantInventory with a compact digest of
-	// the sender's buffered segments.
+	// the sender's buffered segments, or a pull's InvCursor with the ones
+	// that are new since.
 	MsgInventory
 	// MsgExchange carries a recoded block between fleet shards: a server
 	// that received an innovative block for a segment another shard owns
@@ -100,12 +102,21 @@ type Message struct {
 	// hintless request encodes to the legacy empty payload, so blind pulls
 	// are byte-identical with older nodes.
 	HasHint bool
-	// WantInventory asks the pulled peer to follow its reply with a
+	// WantInventory asks the pulled peer to follow its reply with a full
 	// MsgInventory digest.
 	WantInventory bool
+	// InvDelta marks a MsgInventory that lists only the segments the sender
+	// opened after the cursor the pull carried; false is a full digest.
+	InvDelta bool
 	// Inventory is set for MsgInventory: the sender's buffered segments
 	// and per-segment block counts.
 	Inventory []pullsched.InventoryEntry
+	// InvCursor is the inventory cursor (see wire.go). On a MsgInventory it
+	// is the sender's arrival count, which the digest reaches; on a
+	// MsgPullRequest it is the count the puller last heard from this peer,
+	// and asks for what is new since. Zero means absent, and encodes to the
+	// pre-cursor bytes.
+	InvCursor uint64
 	// Trace is the optional sampled lineage riding on MsgBlock,
 	// MsgExchange, and MsgPullRequest frames. The zero value (no sampled
 	// lineage) encodes to exactly the legacy byte stream, mirroring how a

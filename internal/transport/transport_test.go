@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"p2pcollect/internal/pullsched"
 	"p2pcollect/internal/rlnc"
@@ -43,6 +44,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			Type: MsgPullRequest, From: 100, To: 4,
 			HasHint: true, Seg: rlnc.SegmentID{Origin: 2, Seq: 7}, WantInventory: true,
 		}},
+		{"pull with cursor", &Message{Type: MsgPullRequest, From: 100, To: 4, InvCursor: 1}},
+		{"hinted pull with cursor", &Message{
+			Type: MsgPullRequest, From: 100, To: 4,
+			HasHint: true, Seg: rlnc.SegmentID{Origin: 2, Seq: 7}, InvCursor: 1 << 40,
+		}},
 		{"empty", &Message{Type: MsgEmpty, From: 4, To: 100}},
 		{"inventory", &Message{
 			Type: MsgInventory, From: 4, To: 100,
@@ -50,6 +56,15 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 				{Seg: rlnc.SegmentID{Origin: 2, Seq: 7}, Blocks: 3},
 				{Seg: rlnc.SegmentID{Origin: 9, Seq: 0}, Blocks: 1},
 			},
+		}},
+		{"full inventory with cursor", &Message{
+			Type: MsgInventory, From: 4, To: 100, InvCursor: 12,
+			Inventory: []pullsched.InventoryEntry{{Seg: rlnc.SegmentID{Origin: 2, Seq: 7}, Blocks: 3}},
+		}},
+		{"empty full inventory with cursor", &Message{Type: MsgInventory, From: 4, To: 100, InvCursor: 1}},
+		{"inventory delta", &Message{
+			Type: MsgInventory, From: 4, To: 100, InvCursor: 13, InvDelta: true,
+			Inventory: []pullsched.InventoryEntry{{Seg: rlnc.SegmentID{Origin: 9, Seq: 0}, Blocks: 1}},
 		}},
 	}
 	for _, tt := range tests {
@@ -77,6 +92,10 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual(got.Inventory, tt.msg.Inventory) {
 				t.Errorf("Inventory = %v, want %v", got.Inventory, tt.msg.Inventory)
 			}
+			if got.InvCursor != tt.msg.InvCursor || got.InvDelta != tt.msg.InvDelta {
+				t.Errorf("inventory cursor = %d (delta %v), want %d (delta %v)",
+					got.InvCursor, got.InvDelta, tt.msg.InvCursor, tt.msg.InvDelta)
+			}
 			if tt.msg.Block != nil {
 				if got.Block == nil {
 					t.Fatal("block lost in transit")
@@ -92,6 +111,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
+	header := func(typ MsgType) []byte { return append([]byte{byte(typ)}, make([]byte, 16)...) }
+	// A one-entry inventory followed by the given bytes.
+	inventory := func(suffix ...byte) []byte {
+		return append(append(append(header(MsgInventory), 0, 0, 0, 1), make([]byte, inventoryEntryLen)...), suffix...)
+	}
 	tests := []struct {
 		name string
 		body []byte
@@ -104,6 +128,15 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		{"pull truncated hint", append(append([]byte{byte(MsgPullRequest)}, make([]byte, 16)...), 0x01, 1, 2)},
 		{"inventory no count", append([]byte{byte(MsgInventory)}, make([]byte, 16)...)},
 		{"inventory short entries", append(append([]byte{byte(MsgInventory)}, make([]byte, 16)...), 0, 0, 0, 2, 1, 2, 3)},
+		{"pull unknown flag bit4", append(header(MsgPullRequest), 0x10)},
+		{"pull cursor zero", append(header(MsgPullRequest), 0x08, 0, 0, 0, 0, 0, 0, 0, 0)},
+		{"pull cursor truncated", append(header(MsgPullRequest), 0x08, 0, 0, 0, 0, 0, 0, 1)},
+		{"pull cursor trailing byte", append(header(MsgPullRequest), 0x08, 0, 0, 0, 0, 0, 0, 0, 1, 0)},
+		{"inventory unknown kind", inventory(3, 0, 0, 0, 0, 0, 0, 0, 5)},
+		{"inventory kind zero", inventory(0, 0, 0, 0, 0, 0, 0, 0, 5)},
+		{"inventory cursor zero", inventory(1, 0, 0, 0, 0, 0, 0, 0, 0)},
+		{"inventory suffix truncated", inventory(2, 0, 0, 0, 0, 0, 0, 5)},
+		{"inventory suffix trailing byte", inventory(2, 0, 0, 0, 0, 0, 0, 0, 5, 0)},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -130,6 +163,20 @@ func TestBlindPullEncodingUnchanged(t *testing.T) {
 	}
 	if !bytes.Equal(frame, want) {
 		t.Fatalf("blind pull frame = %v, want legacy %v", frame, want)
+	}
+}
+
+// TestMessageStaysInSizeClass: every Send copies one Message, so the struct
+// must not outgrow the 128-byte allocation class the cursor field filled.
+func TestMessageStaysInSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Message{}); size > 128 {
+		t.Fatalf("transport.Message is %d bytes, over the 128-byte size class", size)
+	}
+}
+
+func TestEncodeRejectsDeltaWithoutCursor(t *testing.T) {
+	if _, err := EncodeMessage(&Message{Type: MsgInventory, From: 1, To: 2, InvDelta: true}); err == nil {
+		t.Fatal("an inventory delta with no cursor encoded without error")
 	}
 }
 

@@ -33,21 +33,41 @@ import (
 // MsgSegmentComplete payload: u64 origin | u64 seq
 // MsgPullRequest payload:     (empty)  — legacy blind pull, or
 //	                           u8 flags [| u64 origin | u64 seq]
-//	                           [| u64 traceID | u8 hop]
+//	                           [| u64 traceID | u8 hop] [| u64 cursor]
 //	                           flags bit0 = segment hint present (origin+seq
 //	                           follow), bit1 = want inventory digest, bit2 =
 //	                           trace context present (traceID+hop follow the
-//	                           hint fields; traceID must be nonzero). A zero
-//	                           or unknown flags byte is a decode error, so
-//	                           the empty payload stays the only encoding of
-//	                           a blind pull.
+//	                           hint fields; traceID must be nonzero), bit3 =
+//	                           inventory cursor present (follows the trace
+//	                           fields; must be nonzero). A zero or unknown
+//	                           flags byte is a decode error, so the empty
+//	                           payload stays the only encoding of a blind
+//	                           pull.
 // MsgEmpty payload:           (empty)
 // MsgInventory payload:       u32 n | n × (u64 origin | u64 seq | u16 blocks)
+//	                           [| u8 kind | u64 cursor]
+//	                           kind 1 = full digest, 2 = delta; the cursor
+//	                           must be nonzero. A truncated suffix, an
+//	                           unknown kind or bytes after it are decode
+//	                           errors; without the suffix the frame is the
+//	                           pre-cursor full digest, byte for byte.
 // MsgExchange payload:        identical to MsgBlock (including the optional
 //	                           trace context)
 // MsgSwim payload:            u32 rawLen | raw  — one membership packet,
 //	                           opaque to the transport (internal/membership
 //	                           owns the bytes)
+//
+// The inventory cursor. A peer numbers the holdings it opens (peercore:
+// the count starts at 1 and never goes back), and every digest it sends
+// ends in the count it reaches. The server keeps that cursor per peer and
+// sends it on its later pulls; the peer answers a cursor with a delta, the
+// segments whose holding it opened after the cursor and still holds, or
+// with no MsgInventory at all when there are none. The cursor travels in
+// the request so the peer keeps nothing per server: a delta that is lost
+// is simply covered by the answer to the next pull, which still carries
+// the old cursor. A full digest (want-inventory, no cursor) is the delta
+// since cursor 0; a peer also answers in full when the cursor is ahead of
+// its count, which means it restarted under the same identity.
 //
 // Datagram transports reuse the same codec: one datagram carries exactly one
 // frame body (no u32 length prefix — the datagram boundary is the frame
@@ -66,6 +86,14 @@ const (
 	pullFlagHint          = 1 << 0
 	pullFlagWantInventory = 1 << 1
 	pullFlagTrace         = 1 << 2
+	pullFlagCursor        = 1 << 3
+)
+
+// MsgInventory cursor suffix: kind byte, then the cursor.
+const (
+	invKindFull     = 1
+	invKindDelta    = 2
+	invCursorSufLen = 1 + 8
 )
 
 // Block-frame trace suffix: marker byte, then trace ID and hop.
@@ -96,13 +124,17 @@ func pullFlags(m *Message) byte {
 	if m.Trace.Valid() {
 		flags |= pullFlagTrace
 	}
+	if m.InvCursor != 0 {
+		flags |= pullFlagCursor
+	}
 	return flags
 }
 
 // bodySize returns the exact length of m's frame body. It is where a
 // message that must not reach the wire is refused, before a byte is
 // written: an unknown type, a block message without a block, an inventory
-// count outside u16, a body over limit (ErrFrameTooLarge).
+// count outside u16 or a delta without its cursor, a body over limit
+// (ErrFrameTooLarge).
 func bodySize(m *Message, limit int) (int, error) {
 	n := headerLen
 	switch m.Type {
@@ -125,6 +157,9 @@ func bodySize(m *Message, limit int) (int, error) {
 			if m.Trace.Valid() {
 				n += 8 + 1
 			}
+			if m.InvCursor != 0 {
+				n += 8
+			}
 		}
 	case MsgEmpty:
 		// No payload.
@@ -137,6 +172,11 @@ func bodySize(m *Message, limit int) (int, error) {
 			}
 		}
 		n += 4 + len(m.Inventory)*inventoryEntryLen
+		if m.InvCursor != 0 {
+			n += invCursorSufLen
+		} else if m.InvDelta {
+			return 0, fmt.Errorf("transport: inventory delta without a cursor")
+		}
 	default:
 		return 0, fmt.Errorf("transport: cannot encode %v", m.Type)
 	}
@@ -176,6 +216,9 @@ func appendBody(b []byte, m *Message) []byte {
 				b = binary.BigEndian.AppendUint64(b, m.Trace.ID)
 				b = append(b, m.Trace.Hop)
 			}
+			if m.InvCursor != 0 {
+				b = binary.BigEndian.AppendUint64(b, m.InvCursor)
+			}
 		}
 	case MsgSwim:
 		b = appendBytes(b, m.Raw)
@@ -185,6 +228,14 @@ func appendBody(b []byte, m *Message) []byte {
 			b = binary.BigEndian.AppendUint64(b, e.Seg.Origin)
 			b = binary.BigEndian.AppendUint64(b, e.Seg.Seq)
 			b = binary.BigEndian.AppendUint16(b, uint16(e.Blocks))
+		}
+		if m.InvCursor != 0 {
+			kind := byte(invKindFull)
+			if m.InvDelta {
+				kind = invKindDelta
+			}
+			b = append(b, kind)
+			b = binary.BigEndian.AppendUint64(b, m.InvCursor)
 		}
 	}
 	return b
@@ -293,7 +344,7 @@ func DecodeMessage(body []byte) (*Message, error) {
 		}
 		flags := rest[0]
 		rest = rest[1:]
-		if flags == 0 || flags&^(pullFlagHint|pullFlagWantInventory|pullFlagTrace) != 0 {
+		if flags == 0 || flags&^(pullFlagHint|pullFlagWantInventory|pullFlagTrace|pullFlagCursor) != 0 {
 			return nil, fmt.Errorf("transport: bad pull flags 0x%02x", flags)
 		}
 		if flags&pullFlagHint != 0 {
@@ -323,6 +374,15 @@ func DecodeMessage(body []byte) (*Message, error) {
 			m.Trace = obs.TraceContext{ID: id, Hop: rest[0]}
 			rest = rest[1:]
 		}
+		if flags&pullFlagCursor != 0 {
+			var err error
+			if m.InvCursor, rest, err = readUint64(rest); err != nil {
+				return nil, err
+			}
+			if m.InvCursor == 0 {
+				return nil, fmt.Errorf("transport: pull with a zero inventory cursor")
+			}
+		}
 		m.WantInventory = flags&pullFlagWantInventory != 0
 		if len(rest) != 0 {
 			return nil, fmt.Errorf("transport: %d trailing bytes", len(rest))
@@ -347,7 +407,18 @@ func DecodeMessage(body []byte) (*Message, error) {
 		}
 		n := binary.BigEndian.Uint32(rest)
 		rest = rest[4:]
-		if uint64(len(rest)) != uint64(n)*inventoryEntryLen {
+		switch uint64(len(rest)) {
+		case uint64(n) * inventoryEntryLen:
+		case uint64(n)*inventoryEntryLen + invCursorSufLen:
+			suffix := rest[len(rest)-invCursorSufLen:]
+			if suffix[0] != invKindFull && suffix[0] != invKindDelta {
+				return nil, fmt.Errorf("transport: bad inventory kind 0x%02x", suffix[0])
+			}
+			m.InvDelta = suffix[0] == invKindDelta
+			if m.InvCursor = binary.BigEndian.Uint64(suffix[1:]); m.InvCursor == 0 {
+				return nil, fmt.Errorf("transport: inventory with a zero cursor")
+			}
+		default:
 			return nil, fmt.Errorf("transport: inventory of %d entries in %d bytes", n, len(rest))
 		}
 		if n > 0 {
