@@ -133,6 +133,7 @@ type Service struct {
 	firstSeen map[rlnc.SegmentID]float64
 	traceCtx  map[rlnc.SegmentID]obs.TraceContext
 	redundant int64
+	owned     []pullsched.InventoryEntry // HandleInventory's filter scratch
 
 	deliver   func(seg rlnc.SegmentID, blocks [][]byte)
 	pool      *decodePool
@@ -290,7 +291,8 @@ func (s *Service) HandleEmpty(now float64, from pullsched.PeerRef) {
 }
 
 // HandleInventory forwards a peer's inventory digest, full or delta, to the
-// policy, filtered to the service's segment universe.
+// policy, filtered to the service's segment universe. The filter reuses one
+// scratch slice, which the policy does not retain past the call.
 func (s *Service) HandleInventory(now float64, from pullsched.PeerRef, inv []pullsched.InventoryEntry, delta bool) {
 	if delta {
 		s.fb.Add(invDelta, 1)
@@ -299,13 +301,13 @@ func (s *Service) HandleInventory(now float64, from pullsched.PeerRef, inv []pul
 	}
 	s.fb.Add(invEntries, int64(len(inv)))
 	if s.cfg.Owns != nil {
-		owned := make([]pullsched.InventoryEntry, 0, len(inv))
+		owned := s.owned[:0]
 		for _, e := range inv {
 			if s.cfg.Owns(e.Seg) {
 				owned = append(owned, e)
 			}
 		}
-		inv = owned
+		s.owned, inv = owned, owned
 	}
 	pullsched.ObserveDigest(s.policy, now, from, inv, delta)
 }

@@ -29,8 +29,9 @@ type recPolicy struct {
 
 func (p *recPolicy) Feedback(f pullsched.Feedback) { p.feedback = append(p.feedback, f) }
 
+// ObserveInventory records a copy: the service reuses inv's backing array.
 func (p *recPolicy) ObserveInventory(_ float64, _ pullsched.PeerRef, inv []pullsched.InventoryEntry) {
-	p.inventory = append(p.inventory, inv)
+	p.inventory = append(p.inventory, append([]pullsched.InventoryEntry(nil), inv...))
 }
 
 // delivery is one deliver callback invocation.
@@ -412,5 +413,31 @@ func TestDecodeWorkersDeliverInCompletionOrder(t *testing.T) {
 		if !reflect.DeepEqual(poolOut[i].blocks, src.Blocks) {
 			t.Fatalf("segment %v: decoded blocks differ from the source", syncDone[i])
 		}
+	}
+}
+
+// BenchmarkHandleInventoryOwned is one delta digest reaching a fleet shard's
+// rarest policy: 64 lines, half of them for segments the shard owns, all
+// already known, so the steady state is the ownership filter and the
+// policy's lookups and must not allocate.
+func BenchmarkHandleInventoryOwned(b *testing.B) {
+	svc, err := New(Config{
+		SegmentSize: testSize,
+		Policy:      pullsched.NewRarestFirst(pullsched.RarestConfig{Seed: 1}),
+		Owns:        func(seg rlnc.SegmentID) bool { return seg.Seq%2 == 0 },
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close()
+	digest := make([]pullsched.InventoryEntry, 64)
+	for i := range digest {
+		digest[i] = pullsched.InventoryEntry{Seg: rlnc.SegmentID{Origin: 1, Seq: uint64(i)}, Blocks: 2}
+	}
+	svc.HandleInventory(0, testPeer, digest, false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		svc.HandleInventory(0.5, testPeer, digest, true)
 	}
 }

@@ -6,8 +6,11 @@
 // logarithm/antilogarithm tables built over the generator element 2.
 //
 // The package also provides the vector kernels used by the coding hot path:
-// in-place multiply, multiply-accumulate, and dot products over byte slices.
+// in-place multiply, multiply-accumulate (of one source, or of many fused
+// into one pass over the destination), and dot products over byte slices.
 package gf256
+
+import "unsafe"
 
 // Polynomial is the irreducible reduction polynomial of the field,
 // x^8 + x^4 + x^3 + x^2 + 1.
@@ -37,6 +40,12 @@ var (
 	// _mul), so it stays L1-resident across coefficient changes, and its
 	// 16-entry halves are exactly the shape VPSHUFB consumes on amd64.
 	_nib [256][32]byte
+
+	// _gfni[k] is multiplication by k as the 8×8 bit matrix GF2P8AFFINEQB
+	// applies to every byte: byte 7−i of the word holds output bit i, whose
+	// bit j is set when bit i of k·2^j is. Multiplication is GF(2)-linear
+	// in the bits of its operand, so one affine op per byte is the product.
+	_gfni [256]uint64
 )
 
 // The tables are deterministic compile-time-style data; building them in a
@@ -68,6 +77,14 @@ func buildTables() struct{} {
 			nib[n] = _mul[a][n]
 			nib[16+n] = _mul[a][n<<4]
 		}
+		var m uint64
+		for j := 0; j < 8; j++ {
+			p := _mul[a][1<<j]
+			for i := 0; i < 8; i++ {
+				m |= uint64(p>>i&1) << (8*(7-i) + j)
+			}
+		}
+		_gfni[a] = m
 	}
 	return struct{}{}
 }
@@ -135,4 +152,33 @@ func Dot(a, b []byte) byte {
 		acc ^= _mul[a[i]][v]
 	}
 	return acc
+}
+
+// termsLen checks the operands of AddMulSlices and returns the common source
+// length: one coefficient per source, sources of equal length, dst at least
+// that long, and no source overlapping the bytes of dst that are written.
+// Every tier enforces the same rule, so a caller that passes under the
+// scalar reference also passes under the fused kernel.
+func termsLen(dst, ks []byte, srcs [][]byte) int {
+	if len(ks) != len(srcs) {
+		panic("gf256: AddMulSlices needs one coefficient per source")
+	}
+	if len(srcs) == 0 {
+		return 0
+	}
+	n := len(srcs[0])
+	if len(dst) < n {
+		panic("gf256: AddMulSlices dst is shorter than its sources")
+	}
+	d0 := uintptr(unsafe.Pointer(unsafe.SliceData(dst)))
+	d1 := d0 + uintptr(n)
+	for _, s := range srcs {
+		if len(s) != n {
+			panic("gf256: AddMulSlices sources differ in length")
+		}
+		if s0 := uintptr(unsafe.Pointer(unsafe.SliceData(s))); s0 < d1 && d0 < s0+uintptr(n) {
+			panic("gf256: AddMulSlices dst overlaps a source")
+		}
+	}
+	return n
 }

@@ -26,10 +26,10 @@ func RefMulSlice(k byte, dst []byte) {
 }
 
 // RefAddMulSlice computes dst[i] += k * src[i] for every index, one table
-// lookup per byte. The slices must have equal length; mismatched lengths
-// panic via the bounds check.
+// lookup per byte. dst must be at least as long as src; a shorter dst
+// panics via the bounds check.
 func RefAddMulSlice(dst []byte, k byte, src []byte) {
-	if k == 0 {
+	if k == 0 || len(src) == 0 {
 		return
 	}
 	_ = dst[len(src)-1] // hoist the bounds check out of the loop
@@ -47,6 +47,9 @@ func RefAddMulSlice(dst []byte, k byte, src []byte) {
 
 // RefAddSlice computes dst[i] += src[i] for every index.
 func RefAddSlice(dst, src []byte) {
+	if len(src) == 0 {
+		return
+	}
 	_ = dst[len(src)-1]
 	for i, v := range src {
 		dst[i] ^= v

@@ -243,12 +243,32 @@ func (e *Echelon) InsertRow(v, x []byte) bool {
 	return true
 }
 
+// fuseBatch bounds the rows one fused forward reduction takes, so the
+// multiplier and row lists live on the stack; a wider basis reduces in
+// batches.
+const fuseBatch = 32
+
 func (e *Echelon) insertOwned(v []byte) bool {
+	// Forward reduction: v ⊕= Σ v[p]·row over the basis. The basis is in
+	// reduced echelon form, so a row is zero in every other row's pivot
+	// column and subtracting it leaves v's other pivot entries alone: the
+	// multipliers are v's entries before any update, and the sum is one
+	// fused kernel call per batch with the sequential loop's bytes.
+	var ks [fuseBatch]byte
+	var srcs [fuseBatch][]byte
+	m := 0
 	for idx, p := range e.pivots {
-		if v[p] != 0 {
-			gf256.AddMulSlice(v, v[p], e.rows[idx])
+		if v[p] == 0 {
+			continue
 		}
+		if m == fuseBatch {
+			gf256.AddMulSlices(v, ks[:m], srcs[:m])
+			m = 0
+		}
+		ks[m], srcs[m] = v[p], e.rows[idx]
+		m++
 	}
+	gf256.AddMulSlices(v, ks[:m], srcs[:m])
 	pivot := firstNonZero(v[:e.width])
 	if pivot < 0 {
 		return false

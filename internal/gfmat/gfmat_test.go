@@ -230,30 +230,36 @@ func TestEchelonMatchesMatrixRank(t *testing.T) {
 // TestAugmentedEchelonCarriesColumns inserts rows [a | a·X] and checks that
 // pivots are sought in the first width columns only while the carried
 // columns follow every row operation: at full rank row i reads [e_i | X_i].
+// The wide shape reduces against more than two fused batches per insert.
 func TestAugmentedEchelonCarriesColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	const width, extra = 6, 10
-	x := randomMatrix(rng, width, extra)
-	e := NewAugmented(width, extra, false)
-	for !e.Full() {
-		a := randomMatrix(rng, 1, width)
-		rank := e.Rank()
-		if e.InsertRow(a.Row(0), a.Mul(x).Row(0)) != (e.Rank() == rank+1) {
-			t.Fatal("InsertRow verdict disagrees with the rank change")
+	for _, shape := range [][2]int{{6, 10}, {2*fuseBatch + 16, 40}} {
+		width, extra := shape[0], shape[1]
+		x := randomMatrix(rng, width, extra)
+		e := NewAugmented(width, extra, false)
+		for tries := 0; !e.Full(); tries++ {
+			if tries == 4*width {
+				t.Fatalf("width %d: rank %d after %d random rows", width, e.Rank(), tries)
+			}
+			a := randomMatrix(rng, 1, width)
+			rank := e.Rank()
+			if e.InsertRow(a.Row(0), a.Mul(x).Row(0)) != (e.Rank() == rank+1) {
+				t.Fatal("InsertRow verdict disagrees with the rank change")
+			}
 		}
-	}
-	for i := 0; i < width; i++ {
-		row := e.Row(i)
-		if !bytes.Equal(row[:width], Identity(width).Row(i)) {
-			t.Fatalf("pivot columns of row %d are not e_%d: %v", i, i, row[:width])
+		for i := 0; i < width; i++ {
+			row := e.Row(i)
+			if !bytes.Equal(row[:width], Identity(width).Row(i)) {
+				t.Fatalf("width %d: pivot columns of row %d are not e_%d: %v", width, i, i, row[:width])
+			}
+			if !bytes.Equal(row[width:], x.Row(i)) {
+				t.Fatalf("width %d: carried columns of row %d are not X_%d", width, i, i)
+			}
 		}
-		if !bytes.Equal(row[width:], x.Row(i)) {
-			t.Fatalf("carried columns of row %d are not X_%d", i, i)
+		// Dependent pivot columns make a row redundant whatever it carries.
+		if e.InsertRow(make([]byte, width), x.Row(0)) {
+			t.Fatal("row with zero pivot columns reported innovative")
 		}
-	}
-	// Dependent pivot columns make a row redundant whatever it carries.
-	if e.InsertRow(make([]byte, width), x.Row(0)) {
-		t.Fatal("row with zero pivot columns reported innovative")
 	}
 }
 

@@ -118,7 +118,7 @@ func inventoryCounters(srv *Server) (full, delta int64) {
 // and waits until it buffers total segments.
 func bufferSegment(t *testing.T, node *Node, probe transport.Transport, seg rlnc.SegmentID, total int) {
 	t.Helper()
-	cb := &rlnc.CodedBlock{Seg: seg, Coeffs: []byte{1, 2, 3, 4}, Payload: []byte{0xAB}}
+	cb := &rlnc.CodedBlock{Seg: seg, Coeffs: []byte{1, 2, 3, 4}, Payload: make([]byte, node.cfg.BlockSize)}
 	if err := probe.Send(node.ID(), &transport.Message{Type: transport.MsgBlock, Block: cb}); err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,13 @@
 package live
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 	"time"
 
 	"p2pcollect/internal/collect/store"
+	"p2pcollect/internal/gf256"
 	"p2pcollect/internal/logdata"
 	"p2pcollect/internal/rlnc"
 	"p2pcollect/internal/transport"
@@ -361,6 +363,82 @@ func TestSegmentCompleteUnmutesAfterExpiry(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatal("neighbor never un-muted after the notice expired")
+}
+
+// TestNodeDropsMisSizedPayload: a neighbour running another BlockSize
+// gossips a block whose payload is longer or shorter than this node's. The
+// node must drop it and keep running on the well-formed block of the same
+// segment. Accepting the longer one crashed the process at the next recode
+// (an index panic in the gossip goroutine); accepting the shorter one
+// gossiped blocks whose payloads did not match their coefficients.
+func TestNodeDropsMisSizedPayload(t *testing.T) {
+	const blockSize = 64
+	for _, tc := range []struct {
+		name string
+		bad  int
+	}{{"longer", 2 * blockSize}, {"shorter", blockSize / 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := transport.NewNetwork()
+			cfg := fastNodeConfig()
+			cfg.BlockSize = blockSize
+			cfg.Lambda = 0   // the probe's two blocks are all the node holds
+			cfg.Mu = 400     // gossip every few milliseconds
+			cfg.Gamma = 0.05 // ~20s mean TTL: nothing expires during the test
+			cfg.Neighbors = []transport.NodeID{2}
+			node, err := NewNode(net.Join(1), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := node.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer node.Stop()
+			probe := net.Join(2)
+
+			seg := rlnc.SegmentID{Origin: 9, Seq: 1}
+			block := func(i, size int) *rlnc.CodedBlock {
+				cb := rlnc.NewBlock(seg, cfg.SegmentSize)
+				cb.Coeffs[i] = 1
+				cb.Payload = make([]byte, size)
+				for j := range cb.Payload {
+					cb.Payload[j] = byte(i*size + j + 1)
+				}
+				return cb
+			}
+			good := block(0, blockSize)
+			for _, cb := range []*rlnc.CodedBlock{good, block(1, tc.bad)} {
+				if err := probe.Send(1, &transport.Message{Type: transport.MsgBlock, Block: cb}); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// Every gossip is then a multiple of the good block alone.
+			for gossiped := 0; gossiped < 20; {
+				select {
+				case m := <-probe.Receive():
+					if m.Type != transport.MsgBlock {
+						continue
+					}
+					gossiped++
+					c := m.Block.Coeffs[0]
+					want := append([]byte(nil), good.Payload...)
+					gf256.MulSlice(c, want)
+					if !bytes.Equal(m.Block.Coeffs, []byte{c, 0, 0, 0}) || !bytes.Equal(m.Block.Payload, want) {
+						t.Fatalf("gossip %d combines the %d-byte block: coeffs %x, payload %d bytes",
+							gossiped, tc.bad, m.Block.Coeffs, len(m.Block.Payload))
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("node stopped gossiping after %d blocks", gossiped)
+				}
+			}
+			node.mu.Lock()
+			held := node.core.BlocksOf(seg)
+			node.mu.Unlock()
+			if held != 1 {
+				t.Errorf("node buffers %d blocks of the segment, want only the well-formed one", held)
+			}
+		})
+	}
 }
 
 // The finished-ring steady-state allocation guard moved with the ring into

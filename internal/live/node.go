@@ -370,9 +370,12 @@ func (n *Node) handle(m *transport.Message) {
 }
 
 // receiveBlock files a gossiped block and, when the holding just became
-// full, tells the neighbors to stop sending this segment.
+// full, tells the neighbors to stop sending this segment. A block of another
+// shape — a neighbour running a different SegmentSize or BlockSize — is
+// dropped: every recode of a segment combines its blocks' payloads, which
+// must all be BlockSize long.
 func (n *Node) receiveBlock(m *transport.Message) {
-	if m.Block == nil || m.Block.SegmentSize() != n.cfg.SegmentSize {
+	if m.Block == nil || m.Block.SegmentSize() != n.cfg.SegmentSize || len(m.Block.Payload) != n.cfg.BlockSize {
 		return
 	}
 	n.mu.Lock()

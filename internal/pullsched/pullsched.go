@@ -102,7 +102,8 @@ type Policy interface {
 	// and leaves the age of that knowledge alone; with no lines it instead
 	// records that the peer holds nothing as of now. Drivers deliver
 	// digests through ObserveDigest, which turns a full one into the two
-	// calls.
+	// calls. inv is not retained after the call: drivers reuse its backing
+	// array, so a policy that keeps lines copies them.
 	ObserveInventory(now float64, peer PeerRef, inv []InventoryEntry)
 }
 

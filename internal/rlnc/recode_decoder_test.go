@@ -1,8 +1,10 @@
 package rlnc
 
 import (
+	"bytes"
 	"testing"
 
+	"p2pcollect/internal/gf256"
 	"p2pcollect/internal/randx"
 )
 
@@ -87,4 +89,50 @@ func TestDecoderRecodeSpansReceivedSpace(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRecodeWiderThanOneBatch recodes over more rows than one fused call
+// takes, from source blocks and from full eager and deferred decoders:
+// every output payload must be its own coefficients applied to the
+// originals, which fails if a batch is lost or applied twice.
+func TestRecodeWiderThanOneBatch(t *testing.T) {
+	const size, payloadLen = 2*fuseBatch + 5, 40
+	rng := randx.New(11)
+	blocks := make([][]byte, size)
+	for i := range blocks {
+		blocks[i] = make([]byte, payloadLen)
+		rng.FillCoefficients(blocks[i])
+	}
+	seg, err := NewSegment(SegmentID{Origin: 4, Seq: 7}, blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(from string, cb *CodedBlock) {
+		t.Helper()
+		want := make([]byte, payloadLen)
+		for i, c := range cb.Coeffs {
+			gf256.RefAddMulSlice(want, c, blocks[i])
+		}
+		if !bytes.Equal(cb.Payload, want) {
+			t.Fatalf("recode from %s: payload does not match its coefficients", from)
+		}
+	}
+	check("source blocks", Recode(seg.SourceBlocks(), rng))
+	eager := NewDecoder(seg.ID, size, payloadLen)
+	deferred := NewDeferredDecoder(seg.ID, size, payloadLen)
+	defer deferred.Release()
+	for tries := 0; !eager.Complete(); tries++ {
+		if tries == 4*size {
+			t.Fatalf("rank %d after %d encoded blocks", eager.Rank(), tries)
+		}
+		cb := seg.Encode(rng)
+		if _, err := eager.Add(cb); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := deferred.Add(cb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("an eager decoder", eager.Recode(rng))
+	check("a deferred decoder", deferred.Recode(rng))
 }

@@ -191,19 +191,48 @@ func RecodeInto(out *CodedBlock, blocks []*CodedBlock, rng *randx.Rand) {
 		panic("rlnc: RecodeInto output shape mismatch")
 	}
 	for _, b := range blocks {
-		if b.Seg != first.Seg || len(b.Coeffs) != width || (b.Payload != nil) != hasPayload {
+		if b.Seg != first.Seg || len(b.Coeffs) != width || len(b.Payload) != len(first.Payload) ||
+			(b.Payload != nil) != hasPayload {
 			panic("rlnc: Recode over mismatched blocks")
 		}
 	}
 	out.Seg = first.Seg
 	clear(out.Coeffs)
 	clear(out.Payload)
-	combine(len(blocks), rng, func(i int, c byte) {
-		gf256.AddMulSlice(out.Coeffs, c, blocks[i].Coeffs)
-		if hasPayload {
-			gf256.AddMulSlice(out.Payload, c, blocks[i].Payload)
-		}
+	recodeRows(out, len(blocks), rng, func(i int) ([]byte, []byte) {
+		return blocks[i].Coeffs, blocks[i].Payload
 	})
+}
+
+// fuseBatch bounds the rows one fused multiply-accumulate takes, so the
+// coefficient and row lists live on the stack. A wider combination flushes
+// in batches, which XOR-sums to the same bytes.
+const fuseBatch = 32
+
+// recodeRows adds a fresh combine draw over n rows into out's zeroed
+// Coeffs and, when it has one, Payload: one gf256.AddMulSlices per output
+// part and batch, so each output byte is read and written once per batch
+// rather than once per row. row returns row i's coefficients and payload.
+func recodeRows(out *CodedBlock, n int, rng *randx.Rand, row func(i int) (coeffs, payload []byte)) {
+	var ks [fuseBatch]byte
+	var cs, ps [fuseBatch][]byte
+	m := 0
+	flush := func() {
+		gf256.AddMulSlices(out.Coeffs, ks[:m], cs[:m])
+		if out.Payload != nil {
+			gf256.AddMulSlices(out.Payload, ks[:m], ps[:m])
+		}
+		m = 0
+	}
+	combine(n, rng, func(i int, c byte) {
+		if m == fuseBatch {
+			flush()
+		}
+		ks[m] = c
+		cs[m], ps[m] = row(i)
+		m++
+	})
+	flush()
 }
 
 // combine is the paper's gossip draw: one random coefficient per buffered
@@ -367,11 +396,7 @@ func (d *Decoder) Recode(rng *randx.Rand) *CodedBlock {
 	}
 	out := NewBlock(d.seg, d.size)
 	out.Payload = make([]byte, d.payloadLen)
-	combine(d.Rank(), rng, func(i int, c byte) {
-		coeffs, payload := d.basisRow(i)
-		gf256.AddMulSlice(out.Coeffs, c, coeffs)
-		gf256.AddMulSlice(out.Payload, c, payload)
-	})
+	recodeRows(out, d.Rank(), rng, d.basisRow)
 	return out
 }
 

@@ -215,9 +215,11 @@ func NewNode(tr Transport, cfg NodeConfig) (*Node, error) { return live.NewNode(
 func NewServer(tr Transport, cfg ServerConfig) (*Server, error) { return live.NewServer(tr, cfg) }
 
 // CodingKernel reports which GF(2^8) slice-kernel implementation this build
-// selected: "avx2" (VPSHUFB vector assembly on amd64 CPUs with AVX2),
-// "nibble" (portable word-at-a-time nibble tables: every other architecture,
-// and amd64 CPUs without AVX2), or "ref" (the scalar
+// selected: "gfni" (VGF2P8AFFINEQB vector assembly, with recodes and
+// eliminations fused into one pass per stripe, on amd64 CPUs with GFNI and
+// AVX2), "avx2" (VPSHUFB vector assembly on amd64 CPUs with AVX2 but not
+// GFNI), "nibble" (portable word-at-a-time nibble tables: every other
+// architecture, and amd64 CPUs without AVX2), or "ref" (the scalar
 // reference build, selected with -tags gf256ref). All coding throughput —
 // recoding on peers, elimination and decoding on servers — runs on these
 // kernels.
