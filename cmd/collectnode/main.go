@@ -79,7 +79,6 @@ func run(args []string) error {
 	fs.IntVar(&node.BufferCap, "buffer", 512, "buffer capacity in blocks")
 	fs.Float64Var(&node.TraceSample, "trace-sample", 0, "peer mode: fraction of injected segments stamped with a wire-level trace id (0 = off, frames stay byte-identical)")
 	fs.Float64Var(&srv.PullRate, "pullrate", 20, "server pulls per second")
-	fs.IntVar(&srv.DecodeWorkers, "decode-workers", 0, "server mode: decode completed segments on this many workers (0 = synchronous)")
 	fs.IntVar(&srv.Shards, "shards", 0, "server mode: total shard count of the fleet this server belongs to (0 or 1 = standalone)")
 	fs.IntVar(&srv.ShardID, "shard-id", 0, "server mode: this server's shard index in [0, shards)")
 	fs.StringVar(&srv.Durability.Dir, "wal-dir", "", "server mode: persist collection state in a write-ahead log under this directory; a restart recovers and resumes (empty = in-RAM only)")

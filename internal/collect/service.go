@@ -8,7 +8,7 @@
 // Concurrency contract: all Service methods except Start/Close must be
 // called by one driver at a time (the live server calls them under its
 // mutex). BlockResult.Flush closures must run after the driver releases
-// its lock — they deliver segments and may block on the decode pool.
+// its lock — they deliver segments.
 package collect
 
 import (
@@ -57,11 +57,6 @@ type Config struct {
 	// FinishedCap bounds the completed-segment memory. Zero selects
 	// store.DefaultFinishedCap.
 	FinishedCap int
-	// DecodeWorkers offloads payload solves onto this many workers; the
-	// store then defers payload elimination. Zero decodes synchronously
-	// inside HandleBlock (under the driver's lock), as the original server
-	// did.
-	DecodeWorkers int
 	// Policy schedules pulls; nil selects pullsched.Blind. The service
 	// forwards the driver's serialization — policies are not thread-safe.
 	Policy pullsched.Policy
@@ -90,8 +85,7 @@ type Config struct {
 
 	// Optional instruments; nil disables each.
 	CollectTime   *obs.Histogram // first block → decode, driver-clock seconds
-	DecodeLatency *obs.Histogram // payload-solve wall seconds
-	DecodeQueue   *obs.Gauge     // decode-pool backlog
+	DecodeLatency *obs.Histogram // decode wall seconds
 	WALAppend     *obs.Histogram // per-record WAL append wall seconds
 	WALBytes      *obs.Gauge     // live log bytes on disk
 	SnapshotAge   *obs.Gauge     // seconds since the last snapshot
@@ -117,8 +111,7 @@ type BlockResult struct {
 	// zero context. Fleet drivers stamp exchange forwards with it.
 	Trace obs.TraceContext
 	// Flush, when non-nil, must be invoked exactly once after the driver
-	// releases its lock: it delivers the decoded segment (directly or via
-	// the decode pool, whose backpressure may block).
+	// releases its lock: it delivers the decoded segment.
 	Flush func()
 }
 
@@ -135,10 +128,8 @@ type Service struct {
 	redundant int64
 	owned     []pullsched.InventoryEntry // HandleInventory's filter scratch
 
-	deliver   func(seg rlnc.SegmentID, blocks [][]byte)
-	pool      *decodePool
-	decodeSeq uint64
-	started   bool
+	deliver func(seg rlnc.SegmentID, blocks [][]byte)
+	started bool
 }
 
 // New builds a collection service.
@@ -148,8 +139,6 @@ func New(cfg Config) (*Service, error) {
 		return nil, errors.New("collect: negative SegmentSize")
 	case cfg.FinishedCap < 0:
 		return nil, errors.New("collect: negative FinishedCap")
-	case cfg.DecodeWorkers < 0:
-		return nil, errors.New("collect: negative DecodeWorkers")
 	}
 	policy := cfg.Policy
 	if policy == nil {
@@ -162,7 +151,6 @@ func New(cfg Config) (*Service, error) {
 			Config:        cfg.Durability,
 			SegmentSize:   cfg.SegmentSize,
 			FinishedCap:   cfg.FinishedCap,
-			DeferPayload:  cfg.DecodeWorkers > 0,
 			Sink:          cfg.Sink,
 			AppendLatency: cfg.WALAppend,
 			WALBytes:      cfg.WALBytes,
@@ -170,10 +158,9 @@ func New(cfg Config) (*Service, error) {
 		})
 	} else {
 		st, err = store.NewMemory(store.MemoryConfig{
-			SegmentSize:  cfg.SegmentSize,
-			FinishedCap:  cfg.FinishedCap,
-			DeferPayload: cfg.DecodeWorkers > 0,
-			Sink:         cfg.Sink,
+			SegmentSize: cfg.SegmentSize,
+			FinishedCap: cfg.FinishedCap,
+			Sink:        cfg.Sink,
 		})
 	}
 	if err != nil {
@@ -193,8 +180,7 @@ func New(cfg Config) (*Service, error) {
 	}, nil
 }
 
-// Start fixes the delivery callback and spins up the decode pool if
-// configured. Call before the driver's loops run.
+// Start fixes the delivery callback. Call before the driver's loops run.
 //
 // If the store recovered collections that reached full rank before a crash
 // but whose completion never became durable, Start flushes each through
@@ -204,9 +190,6 @@ func New(cfg Config) (*Service, error) {
 func (s *Service) Start(deliver func(seg rlnc.SegmentID, blocks [][]byte)) {
 	s.deliver = deliver
 	s.started = true
-	if s.cfg.DecodeWorkers > 0 {
-		s.pool = newDecodePool(s.cfg.DecodeWorkers, deliver, s.cfg.DecodeLatency, s.cfg.DecodeQueue)
-	}
 	if rec, ok := s.st.(store.Recovered); ok {
 		for _, seg := range rec.RecoveredDecoded() {
 			col := s.st.Collection(seg)
@@ -221,26 +204,17 @@ func (s *Service) Start(deliver func(seg rlnc.SegmentID, blocks [][]byte)) {
 	}
 }
 
-// Close drains the decode pool (delivering everything queued) and releases
-// the store. The driver must have stopped issuing Handle calls.
+// Close releases the store. The driver must have stopped issuing Handle
+// calls.
 func (s *Service) Close() {
-	if s.pool != nil {
-		s.pool.close()
-		s.pool = nil
-	}
 	s.st.Close() //nolint:errcheck // durable stores log write errors as they happen
 }
 
 // Crash simulates abrupt process death for crash-recovery tests: the
-// decode pool is drained (its segments were claimed before being
-// enqueued), then the store's buffered log writes are dropped and its
-// files closed without a final snapshot — exactly the state a killed
-// process leaves on disk. Stores without crash support just close.
+// store's buffered log writes are dropped and its files closed without a
+// final snapshot — exactly the state a killed process leaves on disk.
+// Stores without crash support just close.
 func (s *Service) Crash() {
-	if s.pool != nil {
-		s.pool.close()
-		s.pool = nil
-	}
 	if c, ok := s.st.(store.Crasher); ok {
 		c.Crash()
 		return
@@ -413,9 +387,8 @@ func (s *Service) HandleBlock(now float64, from pullsched.PeerRef, cb *rlnc.Code
 func (s *Service) TraceCtx(seg rlnc.SegmentID) obs.TraceContext { return s.traceCtx[seg] }
 
 // complete retires a full-rank collection: finished + forgotten first (so
-// no later block can reach it), then delivery — via the pool, or decoded
-// synchronously here. Returns the deferred delivery step, nil when the
-// gate (or a solve error) suppressed it.
+// no later block can reach it), then the decode. Returns the delivery
+// step, nil when the gate (or a decode error) suppressed it.
 func (s *Service) complete(seg rlnc.SegmentID, col *peercore.Collection) func() {
 	s.st.MarkFinished(seg)
 	s.st.Forget(seg)
@@ -424,12 +397,6 @@ func (s *Service) complete(seg rlnc.SegmentID, col *peercore.Collection) func() 
 		// and return the rows.
 		col.Release()
 		return nil
-	}
-	if s.pool != nil {
-		seq := s.decodeSeq
-		s.decodeSeq++
-		pool := s.pool
-		return func() { pool.enqueue(seq, seg, col) }
 	}
 	t0 := time.Now()
 	blocks, decErr := col.Decode()

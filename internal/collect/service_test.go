@@ -1,7 +1,6 @@
 package collect
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
@@ -353,66 +352,6 @@ func TestTraceContextAdoption(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("trace events %+v, want %+v", got, want)
-	}
-}
-
-// TestDecodeWorkersDeliverInCompletionOrder feeds the same interleaved
-// stream to a synchronous service and to one decoding on a worker pool:
-// both must deliver the same segments, in completion order, with
-// byte-identical blocks.
-func TestDecodeWorkersDeliverInCompletionOrder(t *testing.T) {
-	const nSegs = 24
-	segs := make([]*rlnc.Segment, nSegs)
-	for i := range segs {
-		segs[i] = testSegment(t, uint64(100+i))
-	}
-	// Coded (not source) blocks, so the pool's deferred solve has work to
-	// do, shuffled across segments so completions interleave; the same
-	// stream goes to both services.
-	rng := randx.New(5)
-	var stream []*rlnc.CodedBlock
-	for _, seg := range segs {
-		for k := 0; k < testSize+2; k++ {
-			stream = append(stream, seg.Encode(rng))
-		}
-	}
-	rng.Shuffle(len(stream), func(i, j int) { stream[i], stream[j] = stream[j], stream[i] })
-
-	run := func(workers int) (completed []rlnc.SegmentID, delivered []delivery) {
-		h := newHarness(t, Config{DecodeWorkers: workers})
-		for i, cb := range stream {
-			res := h.HandleBlock(float64(i), testPeer, cb, true, obs.TraceContext{})
-			if res.Outcome.Decoded {
-				completed = append(completed, cb.Seg)
-			}
-			if res.Flush != nil {
-				res.Flush()
-			}
-		}
-		h.Close() // drains the pool: every queued segment is delivered
-		return completed, h.delivered
-	}
-	syncDone, syncOut := run(0)
-	poolDone, poolOut := run(3)
-	if len(syncDone) != nSegs || !reflect.DeepEqual(syncDone, poolDone) {
-		t.Fatalf("completion order differs: sync %v, pooled %v", syncDone, poolDone)
-	}
-	if len(syncOut) != nSegs || len(poolOut) != nSegs {
-		t.Fatalf("delivered %d (sync) / %d (pooled) segments, want %d", len(syncOut), len(poolOut), nSegs)
-	}
-	for i := range syncOut {
-		if syncOut[i].seg != syncDone[i] || poolOut[i].seg != syncDone[i] {
-			t.Fatalf("delivery %d: sync %v, pooled %v, completed %v", i, syncOut[i].seg, poolOut[i].seg, syncDone[i])
-		}
-		for b := range syncOut[i].blocks {
-			if !bytes.Equal(syncOut[i].blocks[b], poolOut[i].blocks[b]) {
-				t.Fatalf("segment %v block %d: pooled decode differs from synchronous", syncDone[i], b)
-			}
-		}
-		src := segs[syncDone[i].Seq-100]
-		if !reflect.DeepEqual(poolOut[i].blocks, src.Blocks) {
-			t.Fatalf("segment %v: decoded blocks differ from the source", syncDone[i])
-		}
 	}
 }
 

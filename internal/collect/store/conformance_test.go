@@ -19,15 +19,3 @@ func TestMemoryConformance(t *testing.T) {
 		return m
 	})
 }
-
-// TestMemoryConformanceDeferred covers the deferred-decode configuration,
-// which must be observationally identical.
-func TestMemoryConformanceDeferred(t *testing.T) {
-	storetest.Run(t, func(t *testing.T) store.Store {
-		m, err := store.NewMemory(store.MemoryConfig{DeferPayload: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	})
-}

@@ -55,7 +55,7 @@ type Store interface {
 // can reconstruct collections that reached full rank before the crash but
 // whose completion never became durable. The collection service flushes
 // these through its normal completion path (finished set, delivery gate,
-// decode pool) at Start, so a recovered segment is delivered exactly as a
+// decode) at Start, so a recovered segment is delivered exactly as a
 // freshly decoded one would be — and dropped if the delivery journal shows
 // another party already claimed it.
 type Recovered interface {
@@ -79,9 +79,6 @@ type MemoryConfig struct {
 	// first; a forgotten segment would merely be decoded again). Zero
 	// selects DefaultFinishedCap.
 	FinishedCap int
-	// DeferPayload opens collections with deferred decoders (payload solve
-	// at Decode, pooled rows — see peercore.CollectorConfig).
-	DeferPayload bool
 	// Sink receives the collector's protocol events; nil discards them.
 	Sink peercore.EventSink
 }
@@ -119,10 +116,7 @@ func NewMemory(cfg MemoryConfig) (*Memory, error) {
 }
 
 func (m *Memory) newCollector(segmentSize int) *peercore.Collector {
-	return peercore.NewCollector(peercore.CollectorConfig{
-		SegmentSize:  segmentSize,
-		DeferPayload: m.cfg.DeferPayload,
-	}, m.cfg.Sink)
+	return peercore.NewCollector(peercore.CollectorConfig{SegmentSize: segmentSize}, m.cfg.Sink)
 }
 
 // SegmentSize implements Store.

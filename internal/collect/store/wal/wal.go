@@ -93,14 +93,13 @@ type Config struct {
 type Options struct {
 	Config
 
-	// SegmentSize, FinishedCap, DeferPayload, Sink mirror
-	// store.MemoryConfig for the in-RAM state the log shadows. A loaded
-	// snapshot's segment size takes precedence over SegmentSize — it is
-	// what the logged records were coded under.
-	SegmentSize  int
-	FinishedCap  int
-	DeferPayload bool
-	Sink         peercore.EventSink
+	// SegmentSize, FinishedCap, Sink mirror store.MemoryConfig for the
+	// in-RAM state the log shadows. A loaded snapshot's segment size takes
+	// precedence over SegmentSize — it is what the logged records were
+	// coded under.
+	SegmentSize int
+	FinishedCap int
+	Sink        peercore.EventSink
 
 	// AppendLatency observes seconds spent framing + writing (+ fsyncing,
 	// in SyncAlways mode) each record.
@@ -229,10 +228,9 @@ func Open(opts Options) (*Store, error) {
 
 	w := &Store{opts: opts, gate: &gatedSink{inner: opts.Sink}, lastSnap: start}
 	rec, err := recoverDir(opts.Dir, store.MemoryConfig{
-		SegmentSize:  opts.SegmentSize,
-		FinishedCap:  opts.FinishedCap,
-		DeferPayload: opts.DeferPayload,
-		Sink:         w.gate,
+		SegmentSize: opts.SegmentSize,
+		FinishedCap: opts.FinishedCap,
+		Sink:        w.gate,
 	}, discardFrom)
 	if err != nil {
 		return nil, err

@@ -115,74 +115,71 @@ func TestRecordRoundTrip(t *testing.T) {
 
 // TestCloseReopen checks the clean-shutdown path: Close snapshots, so a
 // reopen is a pure snapshot load (no replay) that resumes exact rank and
-// state and decodes to the same bytes.
+// state and decodes to the same bytes. The store reduces payloads eagerly,
+// as they arrive.
 func TestCloseReopen(t *testing.T) {
-	for _, defer_ := range []bool{false, true} {
-		name := "eager"
-		if defer_ {
-			name = "deferred"
+	t.Run("eager", testCloseReopen)
+}
+
+func testCloseReopen(t *testing.T) {
+	dir := t.TempDir()
+	rng := randx.New(3)
+	const s, payloadLen = 5, 48
+	idA := rlnc.SegmentID{Origin: 1, Seq: 1}
+	idB := rlnc.SegmentID{Origin: 1, Seq: 2}
+	segA := makeSegment(t, rng, idA, s, payloadLen)
+	segB := makeSegment(t, rng, idB, s, payloadLen)
+
+	w := openStore(t, dir, nil)
+	for i := 0; i < s-2; i++ {
+		if _, _, err := w.Receive(1, segA.Encode(rng)); err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			rng := randx.New(3)
-			const s, payloadLen = 5, 48
-			idA := rlnc.SegmentID{Origin: 1, Seq: 1}
-			idB := rlnc.SegmentID{Origin: 1, Seq: 2}
-			segA := makeSegment(t, rng, idA, s, payloadLen)
-			segB := makeSegment(t, rng, idB, s, payloadLen)
-
-			w := openStore(t, dir, func(o *Options) { o.DeferPayload = defer_ })
-			for i := 0; i < s-2; i++ {
-				if _, _, err := w.Receive(1, segA.Encode(rng)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			w.MarkFinished(idB)
-			wantRank := w.Collection(idA).Rank()
-			wantState := w.Collection(idA).State()
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			w2 := openStore(t, dir, func(o *Options) { o.DeferPayload = defer_ })
-			defer w2.Close() //nolint:errcheck // tmp dir
-			rs := w2.Recovery()
-			if !rs.SnapshotLoaded {
-				t.Error("no snapshot loaded after clean Close")
-			}
-			if rs.ReplayedRecords != 0 {
-				t.Errorf("replayed %d records after clean Close, want 0", rs.ReplayedRecords)
-			}
-			col := w2.Collection(idA)
-			if col == nil {
-				t.Fatal("segment A not recovered")
-			}
-			if col.Rank() != wantRank || col.State() != wantState {
-				t.Errorf("recovered rank/state = %d/%d, want %d/%d",
-					col.Rank(), col.State(), wantRank, wantState)
-			}
-			if !w2.Finished(idB) {
-				t.Error("finished set not recovered")
-			}
-
-			// Finishing the segment post-recovery decodes the source bytes.
-			for col.RankDeficit() > 0 {
-				if _, _, err := w2.Receive(2, segA.Encode(rng)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			decoded, err := col.Decode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, want := range segA.Blocks {
-				if !bytes.Equal(decoded[i], want) {
-					t.Fatalf("decoded block %d differs after recovery", i)
-				}
-			}
-			_ = segB
-		})
 	}
+	w.MarkFinished(idB)
+	wantRank := w.Collection(idA).Rank()
+	wantState := w.Collection(idA).State()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	w2 := openStore(t, dir, nil)
+	defer w2.Close() //nolint:errcheck // tmp dir
+	rs := w2.Recovery()
+	if !rs.SnapshotLoaded {
+		t.Error("no snapshot loaded after clean Close")
+	}
+	if rs.ReplayedRecords != 0 {
+		t.Errorf("replayed %d records after clean Close, want 0", rs.ReplayedRecords)
+	}
+	col := w2.Collection(idA)
+	if col == nil {
+		t.Fatal("segment A not recovered")
+	}
+	if col.Rank() != wantRank || col.State() != wantState {
+		t.Errorf("recovered rank/state = %d/%d, want %d/%d",
+			col.Rank(), col.State(), wantRank, wantState)
+	}
+	if !w2.Finished(idB) {
+		t.Error("finished set not recovered")
+	}
+
+	// Finishing the segment post-recovery decodes the source bytes.
+	for col.RankDeficit() > 0 {
+		if _, _, err := w2.Receive(2, segA.Encode(rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decoded, err := col.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range segA.Blocks {
+		if !bytes.Equal(decoded[i], want) {
+			t.Fatalf("decoded block %d differs after recovery", i)
+		}
+	}
+	_ = segB
 }
 
 // TestCrashRecoveryExactRank checks the headline guarantee: in SyncAlways

@@ -5,180 +5,86 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"p2pcollect/internal/gf256"
 )
 
-func randomMatrix(rng *rand.Rand, rows, cols int) *Matrix {
-	m := New(rows, cols)
-	for i := 0; i < rows; i++ {
-		row := m.Row(i)
-		for j := range row {
-			row[j] = byte(rng.Intn(256))
-		}
+func randomRows(rng *rand.Rand, rows, cols int) [][]byte {
+	m := make([][]byte, rows)
+	for i := range m {
+		m[i] = make([]byte, cols)
+		rng.Read(m[i])
 	}
 	return m
 }
 
-func TestNewDimensions(t *testing.T) {
-	m := New(3, 5)
-	if m.Rows() != 3 || m.Cols() != 5 {
-		t.Fatalf("New(3,5) dims = %dx%d", m.Rows(), m.Cols())
+// refRank is the rank of rows by textbook scalar Gaussian elimination on
+// copies of them, sharing no code with Echelon.
+func refRank(rows [][]byte) int {
+	m := make([][]byte, len(rows))
+	for i, r := range rows {
+		m[i] = append([]byte(nil), r...)
 	}
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 5; j++ {
-			if m.At(i, j) != 0 {
-				t.Fatalf("new matrix not zero at (%d,%d)", i, j)
+	rank := 0
+	for col := 0; len(m) > 0 && col < len(m[0]) && rank < len(m); col++ {
+		p := rank
+		for p < len(m) && m[p][col] == 0 {
+			p++
+		}
+		if p == len(m) {
+			continue
+		}
+		m[rank], m[p] = m[p], m[rank]
+		inv := gf256.Inv(m[rank][col])
+		for i := rank + 1; i < len(m); i++ {
+			if f := m[i][col]; f != 0 {
+				gf256.RefAddMulSlice(m[i], gf256.Mul(f, inv), m[rank])
 			}
 		}
+		rank++
 	}
+	return rank
 }
 
-func TestSetAtRow(t *testing.T) {
-	m := New(2, 2)
-	m.Set(1, 0, 7)
-	if m.At(1, 0) != 7 {
-		t.Errorf("At(1,0) = %d, want 7", m.At(1, 0))
+// mulRow is the row vector a times the matrix x: Σ a[k]·x[k].
+func mulRow(a []byte, x [][]byte) []byte {
+	out := make([]byte, len(x[0]))
+	for k, c := range a {
+		gf256.RefAddMulSlice(out, c, x[k])
 	}
-	row := m.Row(1)
-	row[1] = 9
-	if m.At(1, 1) != 9 {
-		t.Errorf("Row slice does not alias storage")
-	}
+	return out
 }
 
-func TestIdentityMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	m := randomMatrix(rng, 4, 4)
-	got := Identity(4).Mul(m)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			if got.At(i, j) != m.At(i, j) {
-				t.Fatalf("I·M != M at (%d,%d)", i, j)
-			}
-		}
+func echelonRank(width int, rows [][]byte) int {
+	e := NewEchelon(width)
+	for _, r := range rows {
+		e.Insert(r)
 	}
-}
-
-func TestMulAssociative(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := randomMatrix(rng, 3, 4)
-	b := randomMatrix(rng, 4, 5)
-	c := randomMatrix(rng, 5, 2)
-	left := a.Mul(b).Mul(c)
-	right := a.Mul(b.Mul(c))
-	for i := 0; i < left.Rows(); i++ {
-		for j := 0; j < left.Cols(); j++ {
-			if left.At(i, j) != right.At(i, j) {
-				t.Fatalf("(AB)C != A(BC) at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-func TestMulVecMatchesMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := randomMatrix(rng, 5, 7)
-	v := make([]byte, 7)
-	rng.Read(v)
-	col := New(7, 1)
-	for i := range v {
-		col.Set(i, 0, v[i])
-	}
-	want := a.Mul(col)
-	got := a.MulVec(v)
-	for i := range got {
-		if got[i] != want.At(i, 0) {
-			t.Fatalf("MulVec mismatch at %d", i)
-		}
-	}
+	return e.Rank()
 }
 
 func TestRank(t *testing.T) {
 	tests := []struct {
-		name string
-		rows [][]byte
-		want int
+		name  string
+		width int
+		rows  [][]byte
+		want  int
 	}{
-		{"empty", nil, 0},
-		{"zero", [][]byte{{0, 0}, {0, 0}}, 0},
-		{"identity", [][]byte{{1, 0}, {0, 1}}, 2},
-		{"dependent", [][]byte{{1, 2}, {2, 4}}, 1},
-		{"three rows rank two", [][]byte{{1, 0, 1}, {0, 1, 1}, {1, 1, 0}}, 2},
+		{"empty", 2, nil, 0},
+		{"zero", 2, [][]byte{{0, 0}, {0, 0}}, 0},
+		{"identity", 2, [][]byte{{1, 0}, {0, 1}}, 2},
+		{"dependent", 2, [][]byte{{1, 2}, {2, 4}}, 1},
+		{"three rows rank two", 3, [][]byte{{1, 0, 1}, {0, 1, 1}, {1, 1, 0}}, 2},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := FromRows(tt.rows).Rank(); got != tt.want {
+			if got := echelonRank(tt.width, tt.rows); got != tt.want {
 				t.Errorf("Rank = %d, want %d", got, tt.want)
 			}
+			if got := refRank(tt.rows); got != tt.want {
+				t.Errorf("reference rank = %d, want %d", got, tt.want)
+			}
 		})
-	}
-}
-
-func TestInverseRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(12)
-		m := randomMatrix(rng, n, n)
-		inv, err := m.Inverse()
-		if err != nil {
-			continue // singular draw, skip
-		}
-		prod := m.Mul(inv)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				want := byte(0)
-				if i == j {
-					want = 1
-				}
-				if prod.At(i, j) != want {
-					t.Fatalf("M·M⁻¹ != I at (%d,%d), n=%d", i, j, n)
-				}
-			}
-		}
-	}
-}
-
-func TestSolveRecoversKnownSolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(10)
-		a := randomMatrix(rng, n, n)
-		if a.Rank() < n {
-			continue
-		}
-		x := randomMatrix(rng, n, 3)
-		rhs := a.Mul(x)
-		got, err := a.Solve(rhs)
-		if err != nil {
-			t.Fatalf("Solve: %v", err)
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < 3; j++ {
-				if got.At(i, j) != x.At(i, j) {
-					t.Fatalf("Solve mismatch at (%d,%d)", i, j)
-				}
-			}
-		}
-	}
-}
-
-func TestSolveSingular(t *testing.T) {
-	a := FromRows([][]byte{{1, 2}, {2, 4}})
-	if _, err := a.Solve(New(2, 1)); err != ErrSingular {
-		t.Errorf("Solve singular err = %v, want ErrSingular", err)
-	}
-}
-
-func TestSolveOverdetermined(t *testing.T) {
-	// 3 equations, 2 unknowns, consistent.
-	a := FromRows([][]byte{{1, 0}, {0, 1}, {1, 1}})
-	x := FromRows([][]byte{{5}, {7}})
-	rhs := a.Mul(x)
-	got, err := a.Solve(rhs)
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
-	if got.At(0, 0) != 5 || got.At(1, 0) != 7 {
-		t.Errorf("Solve overdetermined = (%d,%d), want (5,7)", got.At(0, 0), got.At(1, 0))
 	}
 }
 
@@ -207,20 +113,26 @@ func TestEchelonInsertRank(t *testing.T) {
 	}
 }
 
+// TestEchelonMatchesMatrixRank checks every insert's innovation verdict
+// against the rank of the rows so far under the scalar reference. Every
+// third row is a combination of the rows above it, so dependent rows occur
+// below full rank too.
 func TestEchelonMatchesMatrixRank(t *testing.T) {
 	f := func(seed int64, rows8, cols8 uint8) bool {
 		rows := int(rows8%12) + 1
 		cols := int(cols8%12) + 1
 		rng := rand.New(rand.NewSource(seed))
-		m := randomMatrix(rng, rows, cols)
+		m := randomRows(rng, rows, cols)
+		for i := 2; i < rows; i += 3 {
+			m[i] = mulRow(randomRows(rng, 1, i)[0], m[:i])
+		}
 		e := NewEchelon(cols)
-		got := 0
-		for i := 0; i < rows; i++ {
-			if e.Insert(m.Row(i)) {
-				got++
+		for i, r := range m {
+			if e.Insert(r) != (refRank(m[:i+1]) > refRank(m[:i])) {
+				return false
 			}
 		}
-		return got == m.Rank() && got == e.Rank()
+		return e.Rank() == refRank(m)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -235,29 +147,31 @@ func TestAugmentedEchelonCarriesColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, shape := range [][2]int{{6, 10}, {2*fuseBatch + 16, 40}} {
 		width, extra := shape[0], shape[1]
-		x := randomMatrix(rng, width, extra)
-		e := NewAugmented(width, extra, false)
+		x := randomRows(rng, width, extra)
+		e := NewAugmented(width, extra)
 		for tries := 0; !e.Full(); tries++ {
 			if tries == 4*width {
 				t.Fatalf("width %d: rank %d after %d random rows", width, e.Rank(), tries)
 			}
-			a := randomMatrix(rng, 1, width)
+			a := randomRows(rng, 1, width)[0]
 			rank := e.Rank()
-			if e.InsertRow(a.Row(0), a.Mul(x).Row(0)) != (e.Rank() == rank+1) {
+			if e.InsertRow(a, mulRow(a, x)) != (e.Rank() == rank+1) {
 				t.Fatal("InsertRow verdict disagrees with the rank change")
 			}
 		}
 		for i := 0; i < width; i++ {
 			row := e.Row(i)
-			if !bytes.Equal(row[:width], Identity(width).Row(i)) {
+			unit := make([]byte, width)
+			unit[i] = 1
+			if !bytes.Equal(row[:width], unit) {
 				t.Fatalf("width %d: pivot columns of row %d are not e_%d: %v", width, i, i, row[:width])
 			}
-			if !bytes.Equal(row[width:], x.Row(i)) {
+			if !bytes.Equal(row[width:], x[i]) {
 				t.Fatalf("width %d: carried columns of row %d are not X_%d", width, i, i)
 			}
 		}
 		// Dependent pivot columns make a row redundant whatever it carries.
-		if e.InsertRow(make([]byte, width), x.Row(0)) {
+		if e.InsertRow(make([]byte, width), x[0]) {
 			t.Fatal("row with zero pivot columns reported innovative")
 		}
 	}
@@ -293,36 +207,32 @@ func TestEchelonWidthMismatchPanics(t *testing.T) {
 	NewEchelon(3).Insert([]byte{1})
 }
 
-func BenchmarkEchelonInsert32(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	vecs := make([][]byte, 64)
-	for i := range vecs {
-		vecs[i] = make([]byte, 32)
-		rng.Read(vecs[i])
+// TestEchelonRedundantInsertNoAlloc pins the scratch-row contract: once the
+// basis is full, further Inserts (all redundant) must not allocate.
+func TestEchelonRedundantInsertNoAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	e := NewEchelon(32)
+	for !e.Full() {
+		e.Insert(randomRows(rng, 1, 32)[0])
 	}
+	v := randomRows(rng, 1, 32)[0]
+	allocs := testing.AllocsPerRun(100, func() {
+		if e.Insert(v) {
+			t.Fatal("insert into full basis reported innovative")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("redundant Insert allocates %v times per run, want 0", allocs)
+	}
+}
+
+func BenchmarkEchelonInsert32(b *testing.B) {
+	vecs := randomRows(rand.New(rand.NewSource(6)), 64, 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := NewEchelon(32)
 		for _, v := range vecs {
 			e.Insert(v)
-		}
-	}
-}
-
-func BenchmarkSolve64(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	var a *Matrix
-	for {
-		a = randomMatrix(rng, 64, 64)
-		if a.Rank() == 64 {
-			break
-		}
-	}
-	rhs := randomMatrix(rng, 64, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := a.Solve(rhs); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

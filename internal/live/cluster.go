@@ -32,8 +32,8 @@ type ClusterConfig struct {
 	// Node is every peer's template. StartCluster fills Neighbors (or
 	// Membership), Seed and Tracer per node.
 	Node NodeConfig
-	// Server is every server's template: PullRate, DecodeWorkers,
-	// FinishedCap, Durability and the rest are set here and nowhere else.
+	// Server is every server's template: PullRate, FinishedCap, Durability
+	// and the rest are set here and nowhere else.
 	// StartCluster fills Peers (or Membership), Seed, Policy, Tracer and the
 	// fleet fields per server. A zero SegmentSize takes Node.SegmentSize.
 	// Durability.Dir, when set, is the cluster's root: server j logs under

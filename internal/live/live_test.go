@@ -2,6 +2,8 @@ package live
 
 import (
 	"bytes"
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -9,6 +11,7 @@ import (
 	"p2pcollect/internal/collect/store"
 	"p2pcollect/internal/gf256"
 	"p2pcollect/internal/logdata"
+	"p2pcollect/internal/randx"
 	"p2pcollect/internal/rlnc"
 	"p2pcollect/internal/transport"
 )
@@ -505,5 +508,113 @@ func TestPeerRestartRejoinsSession(t *testing.T) {
 	defer replacement.Stop()
 	if !waitDecodes(before + 2) {
 		t.Fatalf("no decodes after restart: %+v", srv.Stats())
+	}
+}
+
+// buildSegmentStream precomputes numSegs segments plus an interleaved
+// stream of coded blocks (round-robin across segments, so several
+// collections complete close together).
+func buildSegmentStream(numSegs, size, payloadLen int) (map[rlnc.SegmentID][][]byte, []*rlnc.CodedBlock) {
+	drv := rand.New(rand.NewSource(31))
+	crng := randx.New(77)
+	originals := make(map[rlnc.SegmentID][][]byte, numSegs)
+	perSeg := make([][]*rlnc.CodedBlock, numSegs)
+	for i := 0; i < numSegs; i++ {
+		blocks := make([][]byte, size)
+		for j := range blocks {
+			blocks[j] = make([]byte, payloadLen)
+			drv.Read(blocks[j])
+		}
+		seg, err := rlnc.NewSegment(rlnc.SegmentID{Origin: 42, Seq: uint64(i)}, blocks)
+		if err != nil {
+			panic(err)
+		}
+		originals[seg.ID] = blocks
+		src := seg.SourceBlocks()
+		// size+3 random recodings virtually guarantee full rank.
+		for k := 0; k < size+3; k++ {
+			perSeg[i] = append(perSeg[i], rlnc.Recode(src, crng))
+		}
+	}
+	var stream []*rlnc.CodedBlock
+	for k := 0; k < size+3; k++ {
+		for i := 0; i < numSegs; i++ {
+			stream = append(stream, perSeg[i][k])
+		}
+	}
+	return originals, stream
+}
+
+func waitForReceived(t *testing.T, srv *Server, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		if srv.Stats().BlocksReceived >= n {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("server did not drain %d blocks in time", n)
+}
+
+// TestPushFedServerDeliversInCompletionOrder pushes an interleaved
+// coded-block stream at a server that never pulls: OnSegment must fire
+// once per segment, in the order a standalone decoder fed the same stream
+// completes them, with the original bytes.
+func TestPushFedServerDeliversInCompletionOrder(t *testing.T) {
+	const numSegs, size, payloadLen = 12, 8, 256
+	originals, stream := buildSegmentStream(numSegs, size, payloadLen)
+	var wantOrder []rlnc.SegmentID
+	decs := make(map[rlnc.SegmentID]*rlnc.Decoder)
+	for _, cb := range stream {
+		if decs[cb.Seg] == nil {
+			decs[cb.Seg] = rlnc.NewDecoder(cb.Seg, size, payloadLen)
+		}
+		if ok, _ := decs[cb.Seg].Add(cb); ok && decs[cb.Seg].Complete() {
+			wantOrder = append(wantOrder, cb.Seg)
+		}
+	}
+	if len(wantOrder) != numSegs {
+		t.Fatalf("stream completes %d/%d segments", len(wantOrder), numSegs)
+	}
+
+	net := transport.NewNetwork()
+	peerTr := net.Join(1)
+	defer peerTr.Close()
+	srv, err := NewServer(net.Join(1000), ServerConfig{Peers: []transport.NodeID{1}, SegmentSize: size, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var order []rlnc.SegmentID
+	srv.OnSegment = func(id rlnc.SegmentID, blocks [][]byte) {
+		mu.Lock()
+		defer mu.Unlock()
+		order = append(order, id)
+		for j := range blocks {
+			if !bytes.Equal(blocks[j], originals[id][j]) {
+				t.Errorf("segment %v block %d diverges from the original", id, j)
+			}
+		}
+	}
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for i, cb := range stream {
+		if err := peerTr.Send(1000, &transport.Message{Type: transport.MsgBlock, Block: cb.Clone()}); err != nil {
+			t.Fatal(err)
+		}
+		if i%64 == 63 {
+			// Let the receive loop drain so the 256-slot inbox never drops.
+			waitForReceived(t, srv, int64(i+1))
+		}
+	}
+	waitForReceived(t, srv, int64(len(stream)))
+	srv.Stop()
+
+	mu.Lock()
+	defer mu.Unlock()
+	if !reflect.DeepEqual(order, wantOrder) {
+		t.Fatalf("delivered %v, want %v", order, wantOrder)
 	}
 }

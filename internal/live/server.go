@@ -81,14 +81,6 @@ type ServerConfig struct {
 	// (Prometheus /metrics, JSON /debug/snapshot, pprof) on the given
 	// address for the server's lifetime. Use ":0" for an ephemeral port.
 	DebugAddr string
-	// DecodeWorkers moves the end-of-segment payload solve off the receive
-	// loop onto this many worker goroutines. Collections then defer all
-	// payload elimination (rlnc deferred decoders), so the per-block cost on
-	// the pull path drops to the rank update, and completed segments decode
-	// concurrently. OnSegment still fires in completion order. Zero keeps
-	// the synchronous in-loop decode. Rank accounting, feedback, and
-	// decoded bytes are identical either way.
-	DecodeWorkers int
 
 	// Shards makes this server one shard of an N_s-server fleet: a
 	// consistent-hash ring partitions the segment space, the pull policy
@@ -135,8 +127,6 @@ func (c ServerConfig) validate() error {
 		return errors.New("live: negative SegmentSize")
 	case c.FinishedCap < 0:
 		return errors.New("live: negative FinishedCap")
-	case c.DecodeWorkers < 0:
-		return errors.New("live: negative DecodeWorkers")
 	case c.Shards < 0:
 		return errors.New("live: negative Shards")
 	}
@@ -171,9 +161,8 @@ type Server struct {
 	endpoint
 	cfg ServerConfig
 
-	// OnSegment is invoked (from the receive loop or the decode pool's
-	// delivery goroutine) with the original blocks of each segment as soon
-	// as it decodes.
+	// OnSegment is invoked from the receive loop with the original blocks
+	// of each segment as soon as it decodes.
 	OnSegment func(id rlnc.SegmentID, blocks [][]byte)
 
 	svc *collect.Service // guarded by mu
@@ -198,7 +187,6 @@ type Server struct {
 	obsRTT     *obs.Histogram
 	obsCollect *obs.Histogram
 	obsDecode  *obs.Histogram
-	obsDecodeQ *obs.Gauge
 	flight     *obs.FlightRecorder
 }
 
@@ -237,7 +225,6 @@ func NewServer(tr transport.Transport, cfg ServerConfig) (*Server, error) {
 		defer s.mu.Unlock()
 		return float64(len(s.pending))
 	})
-	s.obsDecodeQ = s.reg.Gauge("decodeQueueDepth")
 	// The flight recorder is always on: a bounded in-memory ring of the
 	// last trace events, teed alongside the configured tracer so a crash
 	// dump exists even when tracing is otherwise disabled. Appends are
@@ -248,14 +235,12 @@ func NewServer(tr transport.Transport, cfg ServerConfig) (*Server, error) {
 	svcCfg := collect.Config{
 		SegmentSize:   cfg.SegmentSize,
 		FinishedCap:   cfg.FinishedCap,
-		DecodeWorkers: cfg.DecodeWorkers,
 		Policy:        policy,
 		Sink:          s.counters,
 		Tracer:        s.tracer,
 		Actor:         uint64(tr.LocalID()),
 		CollectTime:   s.obsCollect,
 		DecodeLatency: s.obsDecode,
-		DecodeQueue:   s.obsDecodeQ,
 		Durability:    cfg.Durability,
 	}
 	if cfg.Durability.Dir != "" {
@@ -342,9 +327,8 @@ func (s *Server) Start() error {
 	}, loops...)
 }
 
-// Stop shuts the server down and waits for its loops. With the receive loop
-// gone no further blocks arrive: the service drains its decode pool,
-// delivering everything queued, then releases store state.
+// Stop shuts the server down, waits for its loops, then releases store
+// state.
 func (s *Server) Stop() {
 	s.shutdown(true, func() {
 		s.tracer.Trace(obs.TraceEvent{Kind: obs.TraceServerStop, T: s.now(), Actor: uint64(s.tr.LocalID())})

@@ -16,14 +16,6 @@ type CollectorConfig struct {
 	// ignores payloads. The simulator's pooled ground-truth observer (the
 	// IndependentServers rank decoder) runs in this mode.
 	RankOnly bool
-	// DeferPayload opens payload-carrying collections with a deferred
-	// decoder: Receive performs only the rank-update coefficient
-	// elimination, and the O(s²·payloadLen) payload solve runs inside
-	// Decode. Innovation verdicts, ranks, and decoded bytes are identical;
-	// the cost just moves from the pull path to the (offloadable) decode
-	// call. Deferred collections hold pooled rows — call Release when a
-	// collection is discarded.
-	DeferPayload bool
 }
 
 // PullOutcome reports how a received block advanced a collection.
@@ -97,9 +89,8 @@ func (c *Collection) Recode(rng *randx.Rand) *rlnc.CodedBlock { return c.dec.Rec
 // rebuilds it from them.
 func (c *Collection) RangeBasis(f func(coeffs, payload []byte)) { c.dec.RangeBasis(f) }
 
-// Release returns the collection's decoder storage to the slab free list
-// (meaningful for deferred collections; harmless otherwise). Call it after
-// the final Decode, once the collection has been forgotten.
+// Release empties the collection's decoder. Blocks a Decode returned
+// stay valid.
 func (c *Collection) Release() { c.dec.Release() }
 
 // Collector is the server collection state machine: one Collection per
@@ -133,13 +124,7 @@ func (c *Collector) Open(seg rlnc.SegmentID, payloadLen int) *Collection {
 		if c.cfg.RankOnly {
 			payloadLen = 0
 		}
-		var dec *rlnc.Decoder
-		if c.cfg.DeferPayload && payloadLen > 0 {
-			dec = rlnc.NewDeferredDecoder(seg, c.cfg.SegmentSize, payloadLen)
-		} else {
-			dec = rlnc.NewDecoder(seg, c.cfg.SegmentSize, payloadLen)
-		}
-		col = &Collection{dec: dec, payloadLen: payloadLen}
+		col = &Collection{dec: rlnc.NewDecoder(seg, c.cfg.SegmentSize, payloadLen), payloadLen: payloadLen}
 		c.segs[seg] = col
 	}
 	return col

@@ -340,6 +340,52 @@ func TestCollectorOpenForget(t *testing.T) {
 	}
 }
 
+// TestCollectorRestoreArrivalOrderBasis restores a collection from raw
+// innovative blocks in arrival order rather than a reduced basis, the rows
+// an older snapshot may hold: it must resume at the same rank, give the
+// same verdicts, and decode the originals.
+func TestCollectorRestoreArrivalOrderBasis(t *testing.T) {
+	const s, payloadLen = 4, 16
+	rng := randx.New(3)
+	blocks := make([][]byte, s)
+	for i := range blocks {
+		blocks[i] = make([]byte, payloadLen)
+		rng.FillCoefficients(blocks[i])
+	}
+	seg, err := rlnc.NewSegment(rlnc.SegmentID{Origin: 5}, blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := NewCollector(CollectorConfig{SegmentSize: s}, nil)
+	var raw []*rlnc.CodedBlock
+	for len(raw) < s-1 {
+		cb := seg.Encode(rng)
+		if out, _, err := live.Receive(1, cb); err != nil {
+			t.Fatal(err)
+		} else if out.Innovative {
+			raw = append(raw, cb)
+		}
+	}
+	src := live.Collection(seg.ID)
+	restored, err := NewCollector(CollectorConfig{SegmentSize: s}, nil).Restore(seg.ID, src.State(), payloadLen, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.Rank() != src.Rank() || restored.State() != src.State() {
+		t.Fatalf("restored rank/state %d/%d, want %d/%d", restored.Rank(), restored.State(), src.Rank(), src.State())
+	}
+	for !src.Decoded() {
+		cb := seg.Encode(rng)
+		want, _, _ := live.Receive(2, cb)
+		if got, err := restored.dec.Add(cb); err != nil || got != want.Innovative {
+			t.Fatalf("restored verdict %v err=%v, live %v", got, err, want.Innovative)
+		}
+	}
+	if got, err := restored.Decode(); err != nil || !reflect.DeepEqual(got, blocks) {
+		t.Fatalf("restored collection decoded %v err=%v, want the originals", got, err)
+	}
+}
+
 func TestCountersSnapshotNames(t *testing.T) {
 	sink := NewCounters()
 	sink.Count(EvGossipSend, 3)

@@ -270,31 +270,17 @@ func ReleaseBlock(b *CodedBlock) {
 	b.Payload = nil
 }
 
-// Decoder progressively reconstructs one segment from coded blocks. All of
-// its linear algebra is one gfmat.Echelon; the two modes differ only in
-// what rides behind the coefficient columns.
-//
-// An eager decoder (NewDecoder) inserts rows [coefficients | payload], so
-// decoding cost is spread over insertions and the originals drop out of the
-// carried columns as soon as rank s is reached. Created with payloadLen == 0
-// it carries nothing and tracks linear independence only: Add still reports
-// innovation but Decode returns ErrNoPayload.
-//
-// A deferred decoder (NewDeferredDecoder) inserts coefficients alone (for
-// the innovation check) and keeps raw copies of the accepted blocks; Decode
-// solves the whole system in one batch. This moves the O(s²·payloadLen)
-// payload work out of Add — off the receive path — while producing
-// byte-identical originals (full-rank linear systems have a unique
-// solution).
+// Decoder progressively reconstructs one segment from coded blocks. Its
+// linear algebra is one gfmat.Echelon over rows [coefficients | payload],
+// so decoding cost is spread over insertions and the originals drop out of
+// the carried columns as soon as rank s is reached. Created with
+// payloadLen == 0 it carries nothing and tracks linear independence only:
+// Add still reports innovation but Decode returns ErrNoPayload.
 type Decoder struct {
 	seg        SegmentID
 	size       int
 	payloadLen int
 	ech        *gfmat.Echelon
-
-	deferred    bool
-	rawCoeffs   [][]byte
-	rawPayloads [][]byte
 }
 
 // NewDecoder returns a decoder for the given segment with segment size s.
@@ -306,23 +292,7 @@ func NewDecoder(seg SegmentID, size, payloadLen int) *Decoder {
 		panic("rlnc: negative payload length")
 	}
 	return &Decoder{seg: seg, size: size, payloadLen: payloadLen,
-		ech: gfmat.NewAugmented(size, payloadLen, false)}
-}
-
-// NewDeferredDecoder returns a pooled decoder that postpones all payload
-// elimination to Decode: Add performs the rank-only coefficient reduction
-// (cheap, O(s²) per block) and stashes a raw copy of each innovative block;
-// Decode solves the accumulated s×s system against the s×payloadLen
-// right-hand side in one batched augmented elimination. Rank, Complete, and
-// the innovation verdicts match the eager decoder exactly, and Decode
-// returns byte-identical originals. payloadLen must be positive. Call
-// Release when the decoder is dropped so its rows return to the slab.
-func NewDeferredDecoder(seg SegmentID, size, payloadLen int) *Decoder {
-	if payloadLen <= 0 {
-		panic("rlnc: deferred decoder needs a payload")
-	}
-	return &Decoder{seg: seg, size: size, payloadLen: payloadLen, deferred: true,
-		ech: gfmat.NewAugmented(size, 0, true)}
+		ech: gfmat.NewAugmented(size, payloadLen)}
 }
 
 // SegmentID returns the segment the decoder reconstructs.
@@ -353,31 +323,12 @@ func (d *Decoder) Add(b *CodedBlock) (bool, error) {
 	if d.Complete() {
 		return false, nil
 	}
-	// Eager decoders carry the payload through the elimination; deferred
-	// and rank-only decoders reduce the coefficients alone.
-	carried := b.Payload[:0]
-	if !d.deferred {
-		carried = b.Payload[:d.payloadLen]
-	}
-	if !d.ech.InsertRow(b.Coeffs, carried) {
-		return false, nil
-	}
-	if d.deferred {
-		// Stash the untouched block for the batched end-of-segment solve.
-		d.rawCoeffs = append(d.rawCoeffs, slab.GetCopy(b.Coeffs))
-		d.rawPayloads = append(d.rawPayloads, slab.GetCopy(b.Payload))
-	}
-	return true, nil
+	return d.ech.InsertRow(b.Coeffs, b.Payload[:d.payloadLen]), nil
 }
 
-// basisRow returns the i-th of Rank() coded-block rows spanning the
-// received space: the reduced echelon row of an eager decoder, the i-th
-// stashed raw block of a deferred one (its echelon rows carry no payload;
-// the raw blocks span the same space). The slices alias decoder storage.
+// basisRow returns the i-th reduced echelon row, split into coefficients
+// and payload. The slices alias decoder storage.
 func (d *Decoder) basisRow(i int) (coeffs, payload []byte) {
-	if d.deferred {
-		return d.rawCoeffs[i], d.rawPayloads[i]
-	}
 	row := d.ech.Row(i)
 	return row[:d.size], row[d.size:]
 }
@@ -405,10 +356,9 @@ func (d *Decoder) Recode(rng *randx.Rand) *CodedBlock {
 // Re-adding every visited row (as coeffs/payload of a CodedBlock) to a
 // fresh decoder of the same shape reproduces the same rank, the same
 // innovation verdict for any future block, and byte-identical decoded
-// originals at full rank. Eager decoders yield their reduced basis rows in
-// pivot order; deferred decoders yield the stashed raw blocks in arrival
-// order. payload is nil for rank-only decoders. The visited slices alias
-// decoder storage — copy before retaining.
+// originals at full rank. The rows are the reduced basis in pivot order;
+// payload is nil for rank-only decoders. The visited slices alias decoder
+// storage — copy before retaining.
 func (d *Decoder) RangeBasis(f func(coeffs, payload []byte)) {
 	for i := 0; i < d.Rank(); i++ {
 		coeffs, payload := d.basisRow(i)
@@ -419,18 +369,9 @@ func (d *Decoder) RangeBasis(f func(coeffs, payload []byte)) {
 	}
 }
 
-// Release empties the decoder and hands a deferred decoder's pooled rows
-// back to the slab free list. Blocks previously returned by Decode are
+// Release empties the decoder. Blocks previously returned by Decode are
 // freshly allocated and stay valid.
-func (d *Decoder) Release() {
-	d.ech.Release()
-	for i := range d.rawCoeffs {
-		slab.Put(d.rawCoeffs[i])
-		slab.Put(d.rawPayloads[i])
-	}
-	d.rawCoeffs = nil
-	d.rawPayloads = nil
-}
+func (d *Decoder) Release() { d.ech.Reset() }
 
 // Decode returns the s original blocks in order. It fails with
 // ErrIncomplete until rank s is reached, and with ErrNoPayload when the
@@ -442,27 +383,11 @@ func (d *Decoder) Decode() ([][]byte, error) {
 	if d.payloadLen == 0 {
 		return nil, ErrNoPayload
 	}
+	// At full rank the pivot columns are the identity, so row i carries
+	// original i.
 	out := make([][]byte, d.size)
-	if !d.deferred {
-		// At full rank the pivot columns are the identity, so row i carries
-		// original i.
-		for i := range out {
-			out[i] = append([]byte(nil), d.ech.Row(i)[d.size:]...)
-		}
-		return out, nil
-	}
-	// Solve coeffs·X = payloads over the s stashed raw blocks. The system
-	// has full rank by construction (only innovative blocks were stashed),
-	// so the solution is unique and equals what eager per-block elimination
-	// would have produced.
-	x, err := gfmat.FromRows(d.rawCoeffs).Solve(gfmat.FromRows(d.rawPayloads))
-	if err != nil {
-		// Unreachable when the bookkeeping is correct; surface it rather
-		// than panic so a corrupted stream degrades gracefully.
-		return nil, fmt.Errorf("rlnc: deferred decode: %w", err)
-	}
 	for i := range out {
-		out[i] = append([]byte(nil), x.Row(i)...)
+		out[i] = append([]byte(nil), d.ech.Row(i)[d.size:]...)
 	}
 	return out, nil
 }

@@ -3,12 +3,28 @@ package rlnc
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"p2pcollect/internal/raceon"
 	"p2pcollect/internal/randx"
 )
+
+func testSegment(t testing.TB, seed int64, size, payloadLen int) *Segment {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	blocks := make([][]byte, size)
+	for i := range blocks {
+		blocks[i] = make([]byte, payloadLen)
+		rng.Read(blocks[i])
+	}
+	seg, err := NewSegment(SegmentID{Origin: 1, Seq: uint64(seed)}, blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seg
+}
 
 func makeSegment(t *testing.T, rng *randx.Rand, id SegmentID, s, blockLen int) *Segment {
 	t.Helper()
@@ -446,5 +462,136 @@ func TestRecodeAllocations(t *testing.T) {
 		if len(cb.Coeffs) != tc.s || cap(cb.Coeffs) != tc.s || cap(cb.Payload) != 1024 {
 			t.Errorf("Recode at s=%d: coefficients %d/%d, payload cap %d", tc.s, len(cb.Coeffs), cap(cb.Coeffs), cap(cb.Payload))
 		}
+	}
+}
+
+// TestDecoderRedundantAddNoAlloc pins the scratch-row contract on the
+// decoder: once complete (or when a block is redundant), Add must not
+// allocate.
+func TestDecoderRedundantAddNoAlloc(t *testing.T) {
+	const size, payloadLen = 8, 64
+	seg := testSegment(t, 22, size, payloadLen)
+	rng := randx.New(5)
+	d := NewDecoder(seg.ID, size, payloadLen)
+	src := seg.SourceBlocks()
+	// Bring the decoder one short of full so reductions still run the whole
+	// basis (a complete decoder short-circuits before touching scratch).
+	var absorbed []*CodedBlock
+	for d.Rank() < size-1 {
+		cb := Recode(src, rng)
+		ok, err := d.Add(cb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			absorbed = append(absorbed, cb)
+		}
+	}
+	// A combination of already-absorbed blocks is redundant by construction.
+	redundant := Recode(absorbed[:2], rng)
+	allocs := testing.AllocsPerRun(50, func() {
+		ok, err := d.Add(redundant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			t.Fatal("redundant block reported innovative")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("redundant Add allocates %v times per run, want 0", allocs)
+	}
+}
+
+// TestRecodeIntoMatchesRecode checks the in-place variant draws the same
+// coefficients and produces the same block as Recode under an identical RNG
+// stream, and that RecodePooled agrees too.
+func TestRecodeIntoMatchesRecode(t *testing.T) {
+	const size, payloadLen = 8, 40
+	seg := testSegment(t, 25, size, payloadLen)
+	src := seg.SourceBlocks()
+
+	want := Recode(src, randx.New(42))
+
+	out := &CodedBlock{Coeffs: make([]byte, size), Payload: make([]byte, payloadLen)}
+	// Dirty the buffers to prove RecodeInto zeroes them.
+	for i := range out.Coeffs {
+		out.Coeffs[i] = 0xEE
+	}
+	for i := range out.Payload {
+		out.Payload[i] = 0xEE
+	}
+	RecodeInto(out, src, randx.New(42))
+	if out.Seg != want.Seg || !bytes.Equal(out.Coeffs, want.Coeffs) || !bytes.Equal(out.Payload, want.Payload) {
+		t.Fatal("RecodeInto diverges from Recode under the same RNG stream")
+	}
+
+	pooled := RecodePooled(src, randx.New(42))
+	if !bytes.Equal(pooled.Coeffs, want.Coeffs) || !bytes.Equal(pooled.Payload, want.Payload) {
+		t.Fatal("RecodePooled diverges from Recode under the same RNG stream")
+	}
+	ReleaseBlock(pooled)
+	if pooled.Coeffs != nil || pooled.Payload != nil {
+		t.Fatal("ReleaseBlock did not clear the block")
+	}
+}
+
+// FuzzDecoderRoundTrip builds a segment from fuzz-chosen shape and data,
+// streams random recodings into a decoder, and checks that it reproduces
+// the originals.
+func FuzzDecoderRoundTrip(f *testing.F) {
+	f.Add(uint8(1), uint8(1), int64(1))
+	f.Add(uint8(4), uint8(16), int64(7))
+	f.Add(uint8(16), uint8(64), int64(999))
+	f.Add(uint8(3), uint8(5), int64(-12345))
+	f.Fuzz(func(t *testing.T, sizeIn, payloadIn uint8, seed int64) {
+		size := 1 + int(sizeIn)%16
+		payloadLen := 1 + int(payloadIn)%64
+		rng := rand.New(rand.NewSource(seed))
+		blocks := make([][]byte, size)
+		for i := range blocks {
+			blocks[i] = make([]byte, payloadLen)
+			rng.Read(blocks[i])
+		}
+		seg, err := NewSegment(SegmentID{Origin: 3, Seq: 1}, blocks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := seg.SourceBlocks()
+		crng := randx.New(seed)
+
+		dec := NewDecoder(seg.ID, size, payloadLen)
+		// 8·size recodings is overwhelmingly enough to reach full rank; bail
+		// out if the RNG stream is degenerate rather than loop forever.
+		for i := 0; i < 8*size && !dec.Complete(); i++ {
+			if _, err := dec.Add(Recode(src, crng)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !dec.Complete() {
+			t.Skip("degenerate RNG stream did not reach full rank")
+		}
+		out, err := dec.Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range out {
+			if !bytes.Equal(out[i], seg.Blocks[i]) {
+				t.Fatalf("decode diverges from original at block %d", i)
+			}
+		}
+	})
+}
+
+func BenchmarkRecodeInto32(b *testing.B) {
+	seg := testSegment(b, 26, 32, 1024)
+	src := seg.SourceBlocks()
+	rng := randx.New(1)
+	out := &CodedBlock{Coeffs: make([]byte, 32), Payload: make([]byte, 1024)}
+	b.SetBytes(32 * 1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		RecodeInto(out, src, rng)
 	}
 }
