@@ -195,9 +195,9 @@ func (m *Memory) FinishedCount() int { return m.finished.Len() }
 // identical set. Callers must not mutate the store while ranging.
 func (m *Memory) RangeFinished(f func(seg rlnc.SegmentID)) { m.finished.Range(f) }
 
-// Close implements Store: every open collection's pooled rows go back to
-// the slab free list, and the finished set is cleared — a reused store
-// starts empty instead of reporting stale Finished hits.
+// Close implements Store: every open collection is released and
+// forgotten, and the finished set is cleared — a reused store starts
+// empty instead of reporting stale Finished hits.
 func (m *Memory) Close() error {
 	if m.collector != nil {
 		open := make([]rlnc.SegmentID, 0, m.collector.OpenCount())

@@ -6,6 +6,7 @@ package gfmat
 
 import (
 	"fmt"
+	"slices"
 
 	"p2pcollect/internal/gf256"
 )
@@ -20,18 +21,24 @@ import (
 // elimination loop.
 // Insert is O(rank · (width+extra)); Rank is O(1).
 type Echelon struct {
-	width  int
-	extra  int
-	pivots []int    // pivot column of each stored row, ascending
-	rows   [][]byte // stored rows, normalized to leading coefficient 1
+	width int
+	extra int
+	rank  int
 
-	// scratch is the reusable reduction buffer for InsertRow. A
-	// redundant Insert reduces the candidate to zero inside scratch and
-	// allocates nothing; an innovative Insert promotes scratch into the
-	// basis and lazily replaces it on the next call. Since buffers where
-	// coding traffic mostly consists of redundant arrivals, this removes
-	// the per-arrival allocation from the innovation check.
-	scratch []byte
+	// slots is the echelon's row storage, carved from chunks of 1, 1, 2,
+	// 4, … rows (never past width): slots[:rank] is the basis in
+	// ascending pivot order, slots[rank:] are free. A candidate is reduced
+	// in slots[rank] and, if innovative, filed there by pivot without a
+	// copy; a redundant one leaves the slot free. Capacity only doubles
+	// when a candidate finds no free slot, so at rank r at most 2r+1 rows
+	// are held.
+	slots []slot
+}
+
+// slot is one row of storage and, while it is in the basis, its pivot.
+type slot struct {
+	pivot int
+	row   []byte
 }
 
 // NewEchelon returns an empty basis for vectors of the given width.
@@ -47,102 +54,102 @@ func NewAugmented(width, extra int) *Echelon {
 }
 
 // Rank returns the current rank of the inserted set.
-func (e *Echelon) Rank() int { return len(e.rows) }
+func (e *Echelon) Rank() int { return e.rank }
 
 // Full reports whether the basis spans the whole space.
-func (e *Echelon) Full() bool { return len(e.rows) == e.width }
+func (e *Echelon) Full() bool { return e.rank == e.width }
 
 // Row returns the i-th basis row, pivot columns then carried columns, in
 // ascending pivot order; at full rank row i has pivot i. The slice aliases
-// basis storage: it is valid until the next Insert or Reset and must not
-// be modified.
-func (e *Echelon) Row(i int) []byte { return e.rows[i] }
+// basis storage and must not be modified. An innovative Insert may rewrite
+// it (back-substitution) and renumber it, and after Reset its storage
+// holds later candidates; a full basis writes no row again.
+func (e *Echelon) Row(i int) []byte { return e.slots[:e.rank][i].row }
 
 // Insert is InsertRow for a basis without carried columns.
 func (e *Echelon) Insert(v []byte) bool { return e.InsertRow(v, nil) }
-
-// InsertRow reduces the row [v | x] against the basis and, if a non-zero
-// remainder is left in the pivot columns, adds it, returning true. Neither
-// argument is modified. Inserting a row of the wrong shape panics. A
-// redundant insert allocates nothing: the reduction runs in the reusable
-// scratch row.
-func (e *Echelon) InsertRow(v, x []byte) bool {
-	if len(v) != e.width || len(x) != e.extra {
-		panic(fmt.Sprintf("gfmat: echelon shape %d+%d, row shape %d+%d", e.width, e.extra, len(v), len(x)))
-	}
-	n := e.width + e.extra
-	if e.scratch == nil { // the previous one was promoted into the basis
-		e.scratch = make([]byte, n)
-	}
-	w := e.scratch[:n]
-	copy(w, v)
-	copy(w[e.width:], x)
-	if !e.insertOwned(w) {
-		return false // scratch stays ours for the next insert
-	}
-	e.scratch = nil
-	return true
-}
 
 // fuseBatch bounds the rows one fused forward reduction takes, so the
 // multiplier and row lists live on the stack; a wider basis reduces in
 // batches.
 const fuseBatch = 32
 
-func (e *Echelon) insertOwned(v []byte) bool {
-	// Forward reduction: v ⊕= Σ v[p]·row over the basis. The basis is in
+// InsertRow reduces the row [v | x] against the basis and, if a non-zero
+// remainder is left in the pivot columns, adds it, returning true. Neither
+// argument is modified. Inserting a row of the wrong shape panics. A full
+// basis rejects every row at once. A redundant insert allocates nothing:
+// the reduction runs in the next free slot, which stays free.
+func (e *Echelon) InsertRow(v, x []byte) bool {
+	if len(v) != e.width || len(x) != e.extra {
+		panic(fmt.Sprintf("gfmat: echelon shape %d+%d, row shape %d+%d", e.width, e.extra, len(v), len(x)))
+	}
+	if e.Full() {
+		return false
+	}
+	if e.rank == len(e.slots) {
+		e.grow()
+	}
+	basis := e.slots[:e.rank]
+	w := e.slots[e.rank].row
+	copy(w, v)
+	copy(w[e.width:], x)
+	// Forward reduction: w ⊕= Σ w[p]·row over the basis. The basis is in
 	// reduced echelon form, so a row is zero in every other row's pivot
-	// column and subtracting it leaves v's other pivot entries alone: the
-	// multipliers are v's entries before any update, and the sum is one
+	// column and subtracting it leaves w's other pivot entries alone: the
+	// multipliers are w's entries before any update, and the sum is one
 	// fused kernel call per batch with the sequential loop's bytes.
 	var ks [fuseBatch]byte
 	var srcs [fuseBatch][]byte
 	m := 0
-	for idx, p := range e.pivots {
-		if v[p] == 0 {
+	for _, b := range basis {
+		if w[b.pivot] == 0 {
 			continue
 		}
 		if m == fuseBatch {
-			gf256.AddMulSlices(v, ks[:m], srcs[:m])
+			gf256.AddMulSlices(w, ks[:m], srcs[:m])
 			m = 0
 		}
-		ks[m], srcs[m] = v[p], e.rows[idx]
+		ks[m], srcs[m] = w[b.pivot], b.row
 		m++
 	}
-	gf256.AddMulSlices(v, ks[:m], srcs[:m])
-	pivot := firstNonZero(v[:e.width])
+	gf256.AddMulSlices(w, ks[:m], srcs[:m])
+	pivot := firstNonZero(w[:e.width])
 	if pivot < 0 {
 		return false
 	}
-	gf256.MulSlice(gf256.Inv(v[pivot]), v)
+	gf256.MulSlice(gf256.Inv(w[pivot]), w)
 	// Back-substitute into existing rows so the basis stays reduced.
-	for idx := range e.rows {
-		if f := e.rows[idx][pivot]; f != 0 {
-			gf256.AddMulSlice(e.rows[idx], f, v)
+	for _, b := range basis {
+		if f := b.row[pivot]; f != 0 {
+			gf256.AddMulSlice(b.row, f, w)
 		}
 	}
-	// Keep rows ordered by pivot column.
-	pos := len(e.pivots)
-	for i, p := range e.pivots {
-		if pivot < p {
-			pos = i
-			break
-		}
-	}
-	e.pivots = append(e.pivots, 0)
-	copy(e.pivots[pos+1:], e.pivots[pos:])
-	e.pivots[pos] = pivot
-	e.rows = append(e.rows, nil)
-	copy(e.rows[pos+1:], e.rows[pos:])
-	e.rows[pos] = v
+	// File the slot by pivot: rotate it down from slots[rank] to pos.
+	pos, _ := slices.BinarySearchFunc(basis, pivot, func(b slot, p int) int { return b.pivot - p })
+	s := e.slots[e.rank]
+	s.pivot = pivot
+	copy(e.slots[pos+1:e.rank+1], e.slots[pos:e.rank])
+	e.slots[pos] = s
+	e.rank++
 	return true
 }
 
-// Reset empties the basis, retaining capacity where possible.
-func (e *Echelon) Reset() {
-	e.pivots = e.pivots[:0]
-	e.rows = e.rows[:0]
+// grow appends the next chunk of free slots: as many rows as are already
+// held (one to start), never past width.
+func (e *Echelon) grow() {
+	n := e.width + e.extra
+	k := min(max(len(e.slots), 1), e.width-len(e.slots))
+	chunk := make([]byte, k*n)
+	e.slots = slices.Grow(e.slots, k)
+	for i := 0; i < k; i++ {
+		e.slots = append(e.slots, slot{row: chunk[i*n : (i+1)*n : (i+1)*n]})
+	}
 }
+
+// Reset empties the basis and keeps its storage: later inserts reduce in
+// the same slots, so rebuilding a basis up to its old rank allocates
+// nothing. Rows read through Row before a Reset are overwritten.
+func (e *Echelon) Reset() { e.rank = 0 }
 
 func firstNonZero(v []byte) int {
 	for i, x := range v {

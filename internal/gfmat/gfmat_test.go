@@ -177,6 +177,37 @@ func TestAugmentedEchelonCarriesColumns(t *testing.T) {
 	}
 }
 
+// TestEchelonStorageBound pins the growth rule of the slot storage: after
+// every insert, innovative or not, a basis of rank r holds at most 2r+1
+// rows, so one that stalls at low rank never pays for width rows. Every
+// other row is dependent, so redundant candidates claim the free slot at
+// every rank.
+func TestEchelonStorageBound(t *testing.T) {
+	f := func(seed int64, rows8, cols8, extra8 uint8) bool {
+		rows := int(rows8%48) + 1
+		cols := int(cols8%40) + 1
+		extra := int(extra8 % 5)
+		rng := rand.New(rand.NewSource(seed))
+		m := randomRows(rng, rows, cols)
+		for i := 1; i < rows; i += 2 {
+			m[i] = mulRow(randomRows(rng, 1, i)[0], m[:i])
+		}
+		e := NewAugmented(cols, extra)
+		x := make([]byte, extra)
+		for _, r := range m {
+			e.InsertRow(r, x)
+			if len(e.slots) > 2*e.Rank()+1 {
+				t.Logf("%dx%d+%d: %d rows held at rank %d", rows, cols, extra, len(e.slots), e.Rank())
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestEchelonInsertDoesNotModifyInput(t *testing.T) {
 	e := NewEchelon(2)
 	v := []byte{3, 4}
@@ -207,8 +238,8 @@ func TestEchelonWidthMismatchPanics(t *testing.T) {
 	NewEchelon(3).Insert([]byte{1})
 }
 
-// TestEchelonRedundantInsertNoAlloc pins the scratch-row contract: once the
-// basis is full, further Inserts (all redundant) must not allocate.
+// TestEchelonRedundantInsertNoAlloc pins that a full basis rejects further
+// Inserts (all redundant) without allocating.
 func TestEchelonRedundantInsertNoAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	e := NewEchelon(32)

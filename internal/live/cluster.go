@@ -68,7 +68,9 @@ type ClusterConfig struct {
 	// the seed members' addresses are handed out and SWIM spreads the rest.
 	// Wrapping the result, e.g. in a transport.Faulty, needs no further seam.
 	Listen func(id transport.NodeID) (transport.Transport, error)
-	// OnSegment observes every segment reconstructed by any server.
+	// OnSegment observes every segment reconstructed by any server. As for
+	// Server.OnSegment, the blocks alias decoder memory: do not modify
+	// them, and mind that one retained block keeps its storage chunk alive.
 	OnSegment func(id rlnc.SegmentID, blocks [][]byte)
 	// DebugAddr, when non-empty, serves one debug endpoint for the whole
 	// cluster: every node's and server's registry on a shared port,

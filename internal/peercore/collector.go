@@ -74,7 +74,9 @@ func (c *Collection) Decoded() bool { return c.decodedAt > 0 }
 // DecodedAt returns when the decoder reached full rank (0 if not yet).
 func (c *Collection) DecodedAt() float64 { return c.decodedAt }
 
-// Decode reconstructs the source blocks; valid only once Decoded.
+// Decode reconstructs the source blocks; valid only once Decoded. The
+// blocks alias decoder memory (see rlnc.Decoder.Decode): callers must not
+// modify them, and one retained block keeps its storage chunk alive.
 func (c *Collection) Decode() ([][]byte, error) { return c.dec.Decode() }
 
 // Recode returns one fresh random linear combination of the collection's
@@ -89,8 +91,8 @@ func (c *Collection) Recode(rng *randx.Rand) *rlnc.CodedBlock { return c.dec.Rec
 // rebuilds it from them.
 func (c *Collection) RangeBasis(f func(coeffs, payload []byte)) { c.dec.RangeBasis(f) }
 
-// Release empties the collection's decoder. Blocks a Decode returned
-// stay valid.
+// Release empties the collection's decoder and drops its storage rather
+// than reusing it, so blocks a Decode returned stay valid and unchanged.
 func (c *Collection) Release() { c.dec.Release() }
 
 // Collector is the server collection state machine: one Collection per

@@ -58,7 +58,7 @@ func (h *Holding) Add(b *CodedBlock) bool {
 }
 
 // Remove deletes the i-th stored block (TTL expiry) and rebuilds the rank
-// structure from the survivors.
+// structure from the survivors, in the row storage it already holds.
 func (h *Holding) Remove(i int) {
 	last := len(h.blocks) - 1
 	h.blocks[i] = h.blocks[last]

@@ -369,13 +369,17 @@ func (d *Decoder) RangeBasis(f func(coeffs, payload []byte)) {
 	}
 }
 
-// Release empties the decoder. Blocks previously returned by Decode are
-// freshly allocated and stay valid.
-func (d *Decoder) Release() { d.ech.Reset() }
+// Release empties the decoder and lets go of its row storage instead of
+// reusing it, so blocks a Decode returned stay valid and unchanged.
+func (d *Decoder) Release() { d.ech = gfmat.NewAugmented(d.size, d.payloadLen) }
 
 // Decode returns the s original blocks in order. It fails with
 // ErrIncomplete until rank s is reached, and with ErrNoPayload when the
-// decoder tracks ranks only.
+// decoder tracks ranks only. Nothing is copied: each block is a view of a
+// basis row, and callers must not modify it. A complete decoder writes no
+// row again and Release drops the rows rather than reusing them, so the
+// blocks stay valid and unchanged for good; one retained block keeps its
+// storage chunk (up to half the segment's rows) alive.
 func (d *Decoder) Decode() ([][]byte, error) {
 	if !d.Complete() {
 		return nil, ErrIncomplete
@@ -387,7 +391,8 @@ func (d *Decoder) Decode() ([][]byte, error) {
 	// original i.
 	out := make([][]byte, d.size)
 	for i := range out {
-		out[i] = append([]byte(nil), d.ech.Row(i)[d.size:]...)
+		row := d.ech.Row(i)
+		out[i] = row[d.size:len(row):len(row)]
 	}
 	return out, nil
 }

@@ -465,9 +465,8 @@ func TestRecodeAllocations(t *testing.T) {
 	}
 }
 
-// TestDecoderRedundantAddNoAlloc pins the scratch-row contract on the
-// decoder: once complete (or when a block is redundant), Add must not
-// allocate.
+// TestDecoderRedundantAddNoAlloc pins that a redundant block costs the
+// decoder nothing: it is reduced in the free slot, which stays free.
 func TestDecoderRedundantAddNoAlloc(t *testing.T) {
 	const size, payloadLen = 8, 64
 	seg := testSegment(t, 22, size, payloadLen)
@@ -475,7 +474,7 @@ func TestDecoderRedundantAddNoAlloc(t *testing.T) {
 	d := NewDecoder(seg.ID, size, payloadLen)
 	src := seg.SourceBlocks()
 	// Bring the decoder one short of full so reductions still run the whole
-	// basis (a complete decoder short-circuits before touching scratch).
+	// basis (a complete decoder short-circuits before reducing anything).
 	var absorbed []*CodedBlock
 	for d.Rank() < size-1 {
 		cb := Recode(src, rng)
@@ -500,6 +499,158 @@ func TestDecoderRedundantAddNoAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("redundant Add allocates %v times per run, want 0", allocs)
+	}
+}
+
+// TestDecodedBlocksStayUnchanged pins the aliasing contract of Decode: the
+// blocks are views of basis rows, so nothing may write those rows again —
+// not further Adds on the complete decoder, not a second decoder filled
+// from the same blocks, and not the released decoder refilled with another
+// payload under the same segment ID.
+func TestDecodedBlocksStayUnchanged(t *testing.T) {
+	const size, payloadLen = 8, 64
+	rng := randx.New(31)
+	id := SegmentID{Origin: 1, Seq: 1}
+	segA := makeSegment(t, rng, id, size, payloadLen)
+	segB := makeSegment(t, rng, id, size, payloadLen)
+	fill := func(d *Decoder, seg *Segment) []*CodedBlock {
+		var coded []*CodedBlock
+		for !d.Complete() {
+			cb := seg.Encode(rng)
+			if _, err := d.Add(cb); err != nil {
+				t.Fatal(err)
+			}
+			coded = append(coded, cb)
+		}
+		return coded
+	}
+	decode := func(d *Decoder, seg *Segment, event string) [][]byte {
+		out, err := d.Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range out {
+			if !bytes.Equal(out[i], seg.Blocks[i]) {
+				t.Fatalf("%s: decoded block %d differs from the original", event, i)
+			}
+		}
+		return out
+	}
+
+	d := NewDecoder(id, size, payloadLen)
+	coded := fill(d, segA)
+	out := decode(d, segA, "first decode")
+	want := make([][]byte, size)
+	for i := range out {
+		want[i] = bytes.Clone(out[i])
+	}
+	check := func(event string) {
+		t.Helper()
+		for i := range out {
+			if !bytes.Equal(out[i], want[i]) {
+				t.Fatalf("after %s: decoded block %d changed", event, i)
+			}
+		}
+	}
+
+	for i := 0; i < 4; i++ {
+		if _, err := d.Add(segB.Encode(rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("further Adds on the complete decoder")
+
+	d2 := NewDecoder(id, size, payloadLen)
+	for _, cb := range coded {
+		if _, err := d2.Add(cb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode(d2, segA, "second decoder")
+	check("a second decoder filled from the same blocks")
+
+	d.Release()
+	fill(d, segB)
+	decode(d, segB, "refilled decoder")
+	check("Release and a refill with another payload")
+}
+
+// TestDecodeSegmentAllocations pins what one whole s=32, 1 KiB segment
+// costs a server: NewDecoder (decoder and echelon), 32 innovative Adds and
+// Decode. The rows arrive in six doubling chunks, each with one growth of
+// the slot list; Decode adds only its slice of views.
+func TestDecodeSegmentAllocations(t *testing.T) {
+	if raceon.Enabled {
+		t.Skip("allocation budgets describe the uninstrumented build")
+	}
+	const size, payloadLen, budget = 32, 1024, 2 + 6 + 6 + 1
+	seg := testSegment(t, 33, size, payloadLen)
+	rng := randx.New(33)
+	// Keep only blocks innovative over their predecessors, so every Add of a
+	// run promotes.
+	probe := NewDecoder(seg.ID, size, payloadLen)
+	var coded []*CodedBlock
+	for !probe.Complete() {
+		cb := seg.Encode(rng)
+		if ok, err := probe.Add(cb); err != nil {
+			t.Fatal(err)
+		} else if ok {
+			coded = append(coded, cb)
+		}
+	}
+	n := testing.AllocsPerRun(20, func() {
+		d := NewDecoder(seg.ID, size, payloadLen)
+		for _, cb := range coded {
+			if ok, err := d.Add(cb); !ok || err != nil {
+				t.Fatalf("Add: innovative %v, err %v", ok, err)
+			}
+		}
+		if _, err := d.Decode(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > budget {
+		t.Errorf("a whole s=%d segment costs %v allocations, budget %d", size, n, budget)
+	}
+}
+
+// fullHolding returns a holding of s independent coded blocks.
+func fullHolding(t testing.TB, s int) *Holding {
+	t.Helper()
+	seg := testSegment(t, 34, s, 0)
+	rng := randx.New(34)
+	h := NewHolding(seg.ID, s)
+	for !h.Full() {
+		h.Add(seg.Encode(rng))
+	}
+	return h
+}
+
+// TestHoldingRemoveNoAlloc pins the TTL rebuild at steady state: Remove
+// resets the echelon and re-inserts the survivors into the slots they
+// already own, and re-adding the removed block fills the one left free.
+func TestHoldingRemoveNoAlloc(t *testing.T) {
+	h := fullHolding(t, 32)
+	allocs := testing.AllocsPerRun(50, func() {
+		cb := h.Blocks()[0]
+		h.Remove(0)
+		if h.Rank() != 31 || !h.Add(cb) {
+			t.Fatal("removed block not innovative over the survivors")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Remove and re-add allocate %v times per run, want 0", allocs)
+	}
+}
+
+func BenchmarkHoldingRemove32(b *testing.B) {
+	h := fullHolding(b, 32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cb := h.Blocks()[0]
+		h.Remove(0)
+		h.Add(cb)
 	}
 }
 
@@ -553,31 +704,53 @@ func FuzzDecoderRoundTrip(f *testing.F) {
 			blocks[i] = make([]byte, payloadLen)
 			rng.Read(blocks[i])
 		}
-		seg, err := NewSegment(SegmentID{Origin: 3, Seq: 1}, blocks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := seg.SourceBlocks()
 		crng := randx.New(seed)
-
-		dec := NewDecoder(seg.ID, size, payloadLen)
-		// 8·size recodings is overwhelmingly enough to reach full rank; bail
-		// out if the RNG stream is degenerate rather than loop forever.
-		for i := 0; i < 8*size && !dec.Complete(); i++ {
-			if _, err := dec.Add(Recode(src, crng)); err != nil {
+		dec := NewDecoder(SegmentID{Origin: 3, Seq: 1}, size, payloadLen)
+		// decode streams recodings of originals into dec and checks that it
+		// reproduces them.
+		decode := func(originals [][]byte) [][]byte {
+			seg, err := NewSegment(dec.SegmentID(), originals)
+			if err != nil {
 				t.Fatal(err)
 			}
+			src := seg.SourceBlocks()
+			// 8·size recodings is overwhelmingly enough to reach full rank;
+			// bail out if the RNG stream is degenerate rather than loop forever.
+			for i := 0; i < 8*size && !dec.Complete(); i++ {
+				if _, err := dec.Add(Recode(src, crng)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !dec.Complete() {
+				t.Skip("degenerate RNG stream did not reach full rank")
+			}
+			out, err := dec.Decode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range out {
+				if !bytes.Equal(out[i], originals[i]) {
+					t.Fatalf("decode diverges from original at block %d", i)
+				}
+			}
+			return out
 		}
-		if !dec.Complete() {
-			t.Skip("degenerate RNG stream did not reach full rank")
+		out := decode(blocks)
+
+		// Refill the released decoder with the complement of every original
+		// under the same ID; the blocks decoded first must not move.
+		again := make([][]byte, size)
+		for i := range again {
+			again[i] = make([]byte, payloadLen)
+			for j, c := range blocks[i] {
+				again[i][j] = ^c
+			}
 		}
-		out, err := dec.Decode()
-		if err != nil {
-			t.Fatal(err)
-		}
+		dec.Release()
+		decode(again)
 		for i := range out {
-			if !bytes.Equal(out[i], seg.Blocks[i]) {
-				t.Fatalf("decode diverges from original at block %d", i)
+			if !bytes.Equal(out[i], blocks[i]) {
+				t.Fatalf("refill after Release changed earlier decoded block %d", i)
 			}
 		}
 	})

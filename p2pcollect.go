@@ -109,7 +109,10 @@ type (
 	Node = live.Node
 	// ServerConfig parameterizes one live logging server.
 	ServerConfig = live.ServerConfig
-	// Server is a running live logging server.
+	// Server is a running live logging server. Its OnSegment callback
+	// gets each decoded segment's blocks as views of decoder memory, valid
+	// and unchanged for good: do not modify them, and copy any you keep
+	// long, since one retained block keeps its storage chunk alive.
 	Server = live.Server
 	// ClusterConfig describes an in-process deployment: its shape (Peers,
 	// Servers, Degree, Fleet, Membership), one template per role (Node,
