@@ -36,8 +36,9 @@ type Store interface {
 	// OpenCount returns how many collections are currently open.
 	OpenCount() int
 	// Forget discards a segment's open collection without releasing its
-	// storage (callers that hand the collection elsewhere — e.g. a decode
-	// pool — own the release).
+	// storage: a caller that still reads the collection (the collection
+	// service decodes a finished segment after forgetting it) owns the
+	// release.
 	Forget(seg rlnc.SegmentID)
 	// Range visits every open collection, in no particular order. Callers
 	// must not mutate the store while ranging.

@@ -55,32 +55,45 @@ func TestInventorySinceCursor(t *testing.T) {
 	}
 }
 
-// TestInventoryDeltasCoverHoldings drives random Store / ExpireDue /
-// DropSegment / Clear sequences with a puller beside them that took one
-// full digest and then, at random moments, a delta since the cursor it
-// holds. What it has been told, less what the peer has dropped since, must
-// be exactly the peer's holdings after every delta, and no holding may be
-// told twice.
+// TestInventoryDeltasCoverHoldings drives random Store / Inject /
+// Recode-then-Store / ExpireDue / DropSegment / Clear sequences under
+// CheckInvariants, with a puller beside them that took one full digest and
+// then, at random moments, a delta since the cursor it holds. What it has
+// been told, less what the peer has dropped since, must be exactly the
+// peer's holdings after every delta, and no holding may be told twice.
 func TestInventoryDeltasCoverHoldings(t *testing.T) {
 	const size = 4
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := randx.New(seed)
 		p := NewPeer(7, PeerConfig{SegmentSize: size, BufferCap: 24, Gamma: 1}, randx.New(seed+100), nil)
+		payloads := func() [][]byte {
+			out := make([][]byte, size)
+			for i := range out {
+				out[i] = []byte{byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))}
+			}
+			return out
+		}
 		told := make(map[rlnc.SegmentID]bool)
 		var cursor uint64
 		now := 0.0
 		for step := 0; step < 2000; step++ {
-			switch op := rng.Intn(20); {
+			switch op := rng.Intn(24); {
 			case op < 14:
 				cb := rlnc.NewBlock(rlnc.SegmentID{Origin: 1, Seq: uint64(rng.Intn(12))}, size)
 				for i := range cb.Coeffs {
 					cb.Coeffs[i] = byte(rng.Intn(256))
 				}
 				p.Store(now, cb)
-			case op < 17:
+			case op < 16:
+				p.Inject(now, payloads)
+			case op < 18:
+				if n := p.NumSegments(); n > 0 {
+					p.Store(now, p.Recode(p.SegmentAt(rng.Intn(n))))
+				}
+			case op < 21:
 				now += 0.2
 				p.ExpireDue(now)
-			case op < 19:
+			case op < 23:
 				p.DropSegment(rlnc.SegmentID{Origin: 1, Seq: uint64(rng.Intn(12))})
 			default:
 				p.Clear()

@@ -19,7 +19,6 @@ import (
 	"p2pcollect/internal/pullsched"
 	"p2pcollect/internal/randx"
 	"p2pcollect/internal/rlnc"
-	"p2pcollect/internal/slab"
 )
 
 // PeerConfig parameterizes one peer state machine. Rates are per unit of
@@ -32,14 +31,6 @@ type PeerConfig struct {
 	// Gamma is the block TTL rate; each stored block gets an Exp(Gamma)
 	// lifetime sampled at store time.
 	Gamma float64
-	// Recycle hands the coefficient and payload buffers of evicted blocks
-	// (TTL expiry, feedback purges, redundant or over-capacity arrivals,
-	// Clear) back to the slab free list, and draws Inject's buffers from it.
-	// Enabling it makes Store take ownership of every offered block's
-	// buffers: drivers must pass blocks nothing else still aliases, and must
-	// not touch a block's buffers after Store rejects it. Buffer contents
-	// and RNG draws are unchanged either way, so seeded runs are identical.
-	Recycle bool
 }
 
 // Validate reports the first problem with the configuration.
@@ -198,22 +189,10 @@ func (p *Peer) Inject(now float64, payloads func() [][]byte) (rlnc.SegmentID, []
 	}
 	stored := make([]Stored, 0, size)
 	for i := 0; i < size; i++ {
-		var coeffs []byte
-		if p.cfg.Recycle {
-			coeffs = slab.Get(size)
-		} else {
-			coeffs = make([]byte, size)
-		}
-		coeffs[i] = 1
-		cb := &rlnc.CodedBlock{Seg: segID, Coeffs: coeffs}
+		cb := rlnc.NewBlock(segID, size)
+		cb.Coeffs[i] = 1
 		if data != nil {
-			if p.cfg.Recycle {
-				// Copy so the eventual release never hands driver-owned
-				// memory to the pool.
-				cb.Payload = slab.GetCopy(data[i])
-			} else {
-				cb.Payload = data[i]
-			}
+			cb.Payload = data[i]
 		}
 		res := p.Store(now, cb)
 		if !res.Stored {
@@ -230,10 +209,10 @@ func (p *Peer) Inject(now float64, payloads func() [][]byte) (rlnc.SegmentID, []
 // block arriving at a full buffer is rejected with NoRoom; a linearly
 // redundant block is discarded and counted. The caller keeps the returned
 // TTL if it wants to schedule the exact expiry event (the simulator does);
-// sweep-based runtimes use ExpireDue instead.
+// sweep-based runtimes use ExpireDue instead. A stored block is kept by
+// reference, not copied, so the caller must not modify it afterwards.
 func (p *Peer) Store(now float64, cb *rlnc.CodedBlock) StoreResult {
 	if p.occupancy >= p.cfg.BufferCap {
-		p.recycle(cb)
 		return StoreResult{NoRoom: true}
 	}
 	h := p.holdings[cb.Seg]
@@ -250,7 +229,6 @@ func (p *Peer) Store(now float64, cb *rlnc.CodedBlock) StoreResult {
 			p.dropHolding(cb.Seg)
 		}
 		p.sink.Count(EvRedundantBlock, 1)
-		p.recycle(cb)
 		return StoreResult{}
 	}
 	ttl := p.rng.Exp(p.cfg.Gamma)
@@ -272,16 +250,11 @@ func (p *Peer) SampleSegment() (rlnc.SegmentID, bool) {
 
 // Recode produces a fresh coded block of the segment from the buffered
 // blocks, as gossip and pull-serve require. It panics when the segment is
-// not buffered (a protocol-logic error in the driver). With Recycle
-// enabled the output buffers come from the slab free list; the receiving
-// peer's Store (or an explicit rlnc.ReleaseBlock) recycles them.
+// not buffered (a protocol-logic error in the driver).
 func (p *Peer) Recode(seg rlnc.SegmentID) *rlnc.CodedBlock {
 	h := p.holdings[seg]
 	if h == nil {
 		panic("peercore: Recode of segment not buffered")
-	}
-	if p.cfg.Recycle {
-		return h.RecodePooled(p.rng)
 	}
 	return h.Recode(p.rng)
 }
@@ -359,7 +332,6 @@ func (p *Peer) ExpireBlock(cb *rlnc.CodedBlock) bool {
 		p.dropHolding(cb.Seg)
 	}
 	p.occupancy--
-	p.recycle(cb)
 	return true
 }
 
@@ -378,7 +350,6 @@ func (p *Peer) ExpireDue(now float64) int {
 				p.occupancy--
 				removed++
 				p.sink.Count(EvBlockLostTTL, 1)
-				p.recycle(cb)
 			}
 		}
 		if h.Len() == 0 {
@@ -401,7 +372,6 @@ func (p *Peer) DropSegment(seg rlnc.SegmentID) int {
 	n := h.Len()
 	for _, cb := range h.Blocks() {
 		delete(p.deadlines, cb)
-		p.recycle(cb)
 	}
 	p.dropHolding(seg)
 	p.occupancy -= n
@@ -410,13 +380,6 @@ func (p *Peer) DropSegment(seg rlnc.SegmentID) int {
 
 // Clear evicts everything, as when the peer departs the session.
 func (p *Peer) Clear() {
-	if p.cfg.Recycle {
-		for _, h := range p.holdings {
-			for _, cb := range h.Blocks() {
-				rlnc.ReleaseBlock(cb)
-			}
-		}
-	}
 	p.holdings = make(map[rlnc.SegmentID]*rlnc.Holding)
 	p.segIDs = nil
 	p.segArrival = nil
@@ -424,17 +387,6 @@ func (p *Peer) Clear() {
 	p.deadlines = make(map[*rlnc.CodedBlock]float64)
 	p.occupancy = 0
 	p.traceCtx = nil
-}
-
-// recycle hands an evicted block's buffers back to the slab when buffer
-// recycling is enabled. The block struct itself is never pooled: the
-// deadlines map and event-driven TTL bookkeeping rely on pointer identity,
-// and a reused struct could make a stale expiry event evict a legitimately
-// re-stored block.
-func (p *Peer) recycle(cb *rlnc.CodedBlock) {
-	if p.cfg.Recycle {
-		rlnc.ReleaseBlock(cb)
-	}
 }
 
 // dropHolding unregisters an empty (or purged) holding from the sampling

@@ -87,9 +87,3 @@ func (h *Holding) RemoveBlock(b *CodedBlock) bool {
 func (h *Holding) Recode(rng *randx.Rand) *CodedBlock {
 	return Recode(h.blocks, rng)
 }
-
-// RecodePooled is Recode with the output buffers drawn from the slab free
-// list; the RNG draw order and output bytes are identical.
-func (h *Holding) RecodePooled(rng *randx.Rand) *CodedBlock {
-	return RecodePooled(h.blocks, rng)
-}

@@ -17,7 +17,6 @@ import (
 	"p2pcollect/internal/gf256"
 	"p2pcollect/internal/gfmat"
 	"p2pcollect/internal/randx"
-	"p2pcollect/internal/slab"
 )
 
 // Common errors returned by the decoder.
@@ -144,31 +143,13 @@ func NewBlock(seg SegmentID, width int) *CodedBlock {
 // segment ID, coefficient width, and payload presence; violations panic as
 // programming errors.
 func Recode(blocks []*CodedBlock, rng *randx.Rand) *CodedBlock {
-	return recodeNew(blocks, rng, NewBlock, func(n int) []byte { return make([]byte, n) })
-}
-
-// RecodePooled is Recode with the output buffers drawn from the slab free
-// list. The caller owns the result; hand the buffers back with
-// ReleaseBlock when the block leaves circulation. The coefficient draw
-// order is identical to Recode, so seeded runs are unaffected by which
-// variant produced a block.
-func RecodePooled(blocks []*CodedBlock, rng *randx.Rand) *CodedBlock {
-	return recodeNew(blocks, rng, func(seg SegmentID, width int) *CodedBlock {
-		return &CodedBlock{Seg: seg, Coeffs: slab.Get(width)}
-	}, slab.Get)
-}
-
-// recodeNew recodes into a fresh block from newBlock, its payload from
-// alloc.
-func recodeNew(blocks []*CodedBlock, rng *randx.Rand,
-	newBlock func(seg SegmentID, width int) *CodedBlock, alloc func(n int) []byte) *CodedBlock {
 	if len(blocks) == 0 {
 		panic("rlnc: Recode with no blocks")
 	}
 	first := blocks[0]
-	out := newBlock(first.Seg, len(first.Coeffs))
+	out := NewBlock(first.Seg, len(first.Coeffs))
 	if first.Payload != nil {
-		out.Payload = alloc(len(first.Payload))
+		out.Payload = make([]byte, len(first.Payload))
 	}
 	RecodeInto(out, blocks, rng)
 	return out
@@ -177,8 +158,8 @@ func recodeNew(blocks []*CodedBlock, rng *randx.Rand,
 // RecodeInto recodes into a caller-provided block, allocating nothing. out
 // must carry Coeffs of the input width and, when the inputs have payloads,
 // a Payload of the input payload length (both are zeroed here); its Seg is
-// overwritten. This is the steady-state form: gossip and pull loops reuse
-// one output block per send.
+// overwritten. It is Recode's kernel, for a caller that already owns an
+// output block.
 func RecodeInto(out *CodedBlock, blocks []*CodedBlock, rng *randx.Rand) {
 	if len(blocks) == 0 {
 		panic("rlnc: Recode with no blocks")
@@ -253,21 +234,6 @@ func combine(n int, rng *randx.Rand, add func(i int, c byte)) {
 			add(i, c)
 		}
 	}
-}
-
-// ReleaseBlock hands a block's coefficient and payload buffers back to the
-// slab free list and clears them. Only call it when the block is leaving
-// circulation and nothing else aliases its buffers; when in doubt, skip the
-// release — a missed release is garbage-collected, a premature one corrupts
-// whatever still reads the buffer.
-func ReleaseBlock(b *CodedBlock) {
-	if b == nil {
-		return
-	}
-	slab.Put(b.Coeffs)
-	slab.Put(b.Payload)
-	b.Coeffs = nil
-	b.Payload = nil
 }
 
 // Decoder progressively reconstructs one segment from coded blocks. Its

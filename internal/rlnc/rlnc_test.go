@@ -656,7 +656,7 @@ func BenchmarkHoldingRemove32(b *testing.B) {
 
 // TestRecodeIntoMatchesRecode checks the in-place variant draws the same
 // coefficients and produces the same block as Recode under an identical RNG
-// stream, and that RecodePooled agrees too.
+// stream.
 func TestRecodeIntoMatchesRecode(t *testing.T) {
 	const size, payloadLen = 8, 40
 	seg := testSegment(t, 25, size, payloadLen)
@@ -675,15 +675,6 @@ func TestRecodeIntoMatchesRecode(t *testing.T) {
 	RecodeInto(out, src, randx.New(42))
 	if out.Seg != want.Seg || !bytes.Equal(out.Coeffs, want.Coeffs) || !bytes.Equal(out.Payload, want.Payload) {
 		t.Fatal("RecodeInto diverges from Recode under the same RNG stream")
-	}
-
-	pooled := RecodePooled(src, randx.New(42))
-	if !bytes.Equal(pooled.Coeffs, want.Coeffs) || !bytes.Equal(pooled.Payload, want.Payload) {
-		t.Fatal("RecodePooled diverges from Recode under the same RNG stream")
-	}
-	ReleaseBlock(pooled)
-	if pooled.Coeffs != nil || pooled.Payload != nil {
-		t.Fatal("ReleaseBlock did not clear the block")
 	}
 }
 

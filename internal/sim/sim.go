@@ -186,13 +186,6 @@ func New(cfg Config) (*Simulator, error) {
 			SegmentSize: cfg.SegmentSize,
 			BufferCap:   cfg.BufferCap,
 			Gamma:       cfg.Gamma,
-			// The simulator is single-threaded and every block moves
-			// through exactly one owner at a time (recode → store →
-			// expire/purge), so buffer recycling is always safe here and
-			// keeps the event loop essentially allocation-free in steady
-			// state. Recycling never touches the RNG, so seeded runs are
-			// byte-identical with or without it.
-			Recycle: true,
 		},
 	}
 	if s.tracer == nil {
@@ -799,9 +792,6 @@ func (s *Simulator) pull(server int) {
 	if err != nil {
 		panic(fmt.Sprintf("sim: server decode: %v", err))
 	}
-	// Receive and Observe copy what they keep; the pulled block is dead now
-	// and its buffers go back to the slab.
-	rlnc.ReleaseBlock(cb)
 	// Close the scheduling loop in the simulator's state-based accounting:
 	// a pull is useful while the collection state is below s, and a
 	// delivered collection needs no further pulls.
