@@ -167,8 +167,9 @@ func (e *endpoint) stepSWIM(step func(now float64) []membership.Packet) {
 	e.swimMu.Lock()
 	pkts := step(e.now())
 	e.swimMu.Unlock()
+	self := e.tr.LocalID()
 	for _, p := range pkts {
-		e.tr.Send(p.To, &transport.Message{Type: transport.MsgSwim, Raw: p.Raw}) //nolint:errcheck // best-effort probe
+		e.tr.Send(p.To, &transport.Message{Type: transport.MsgSwim, From: self, To: p.To, Raw: p.Raw}) //nolint:errcheck // best-effort probe
 	}
 }
 

@@ -151,11 +151,6 @@ type Node struct {
 	injected int // segments injected so far, for MaxSegments
 	// candidates is prepareGossip's scratch list of unmuted neighbors.
 	candidates []transport.NodeID
-
-	// One message per loop, rewritten for every event instead of
-	// allocated: Send does not keep what it is given. gossipMsg belongs to
-	// the gossip loop, pullReply and invReply to the receive loop.
-	gossipMsg, pullReply, invReply transport.Message
 }
 
 // NewNode builds a peer over the given transport.
@@ -316,12 +311,22 @@ func (n *Node) prepareGossip() (transport.NodeID, *transport.Message, bool) {
 		return 0, nil, false
 	}
 	to := candidates[n.rng.Intn(len(candidates))]
-	msg := &n.gossipMsg
-	*msg = transport.Message{Type: transport.MsgBlock, Block: n.core.Recode(segID)}
+	msg := n.blockMessage(to, segID)
 	if tctx := n.core.TraceCtx(segID); tctx.Valid() {
 		msg.Trace = tctx.Next()
 	}
 	return to, msg, true
+}
+
+// blockMessage recodes a fresh block of a buffered segment into a new
+// message addressed to its receiver: one object for the message, the block
+// and its coefficients, one for the payload. Being addressed, it passes
+// through the transport uncopied, so nothing writes it once it is sent.
+// Callers hold mu.
+func (n *Node) blockMessage(to transport.NodeID, seg rlnc.SegmentID) *transport.Message {
+	msg := transport.NewBlockMessage(transport.MsgBlock, n.tr.LocalID(), to, seg, n.cfg.SegmentSize)
+	n.core.RecodeInto(seg, msg.Block)
+	return msg
 }
 
 // reap removes blocks whose TTL expired, and garbage-collects
@@ -415,18 +420,20 @@ func (n *Node) receiveBlock(m *transport.Message) {
 // no news nothing. The node keeps no per-server state: a server that
 // missed a delta still holds the old cursor and is told again.
 func (n *Node) servePull(m *transport.Message) {
+	self := n.tr.LocalID()
 	n.mu.Lock()
-	reply := &n.pullReply
 	if m.HasHint {
 		// A traced hinted pull seeds the segment's lineage here, so even a
 		// node that never saw a traced block serves traced replies.
 		n.core.SetTraceCtx(m.Seg, m.Trace)
 	}
-	if cb, wire, ok := n.core.ServePull(m.Seg, m.HasHint); ok {
-		*reply = transport.Message{Type: transport.MsgBlock, Block: cb, Trace: wire}
+	var reply *transport.Message
+	if seg, wire, ok := n.core.ServePull(m.Seg, m.HasHint); ok {
+		reply = n.blockMessage(m.From, seg)
+		reply.Trace = wire
 		n.counters.Count(peercore.EvPullServed, 1)
 	} else {
-		*reply = transport.Message{Type: transport.MsgEmpty}
+		reply = &transport.Message{Type: transport.MsgEmpty, From: self, To: m.From}
 	}
 	var inv *transport.Message
 	if m.WantInventory || m.InvCursor != 0 {
@@ -435,8 +442,10 @@ func (n *Node) servePull(m *transport.Message) {
 			since = 0
 		}
 		if lines, cur, delta := n.core.InventorySince(since); !delta || len(lines) > 0 {
-			inv = &n.invReply
-			*inv = transport.Message{Type: transport.MsgInventory, Inventory: lines, InvCursor: cur, InvDelta: delta}
+			inv = &transport.Message{
+				Type: transport.MsgInventory, From: self, To: m.From,
+				Inventory: lines, InvCursor: cur, InvDelta: delta,
+			}
 		}
 	}
 	n.mu.Unlock()

@@ -186,7 +186,12 @@ type Server struct {
 	// that digest reached; every later pull to the peer carries it and is
 	// answered with what is new since (see transport/wire.go). Empty unless
 	// the policy asks for digests.
-	invCursor  map[transport.NodeID]uint64
+	invCursor map[transport.NodeID]uint64
+	// blind maps each pull target to its blind pull: hintless, digest-less,
+	// addressed to it, built on first use and never written again, so every
+	// blind pull to the peer sends the same object through the transport
+	// uncopied. Dropped with the peer, like pending and invCursor.
+	blind      map[transport.NodeID]*transport.Message
 	obsRTT     *obs.Histogram
 	obsCollect *obs.Histogram
 	obsDecode  *obs.Histogram
@@ -206,12 +211,14 @@ func NewServer(tr transport.Transport, cfg ServerConfig) (*Server, error) {
 		cfg:       cfg,
 		pending:   make(map[transport.NodeID]float64),
 		invCursor: make(map[transport.NodeID]uint64),
+		blind:     make(map[transport.NodeID]*transport.Message),
 	}
 	// A departed peer never answers and is never pulled again: its entry
 	// would sit in pending, and in the outstandingPulls gauge, forever.
 	s.onLeave = func(id transport.NodeID) {
 		delete(s.pending, id)
 		delete(s.invCursor, id)
+		delete(s.blind, id)
 	}
 	// With Membership set, Peers only seed the pull target set; the live
 	// view then keeps it current.
@@ -416,11 +423,6 @@ func (s *Server) observeRTT(from transport.NodeID, now float64) {
 	}
 }
 
-// blindPull is the hintless, digest-less pull request. Every such pull
-// sends this one value: Send copies what it is given, so nothing ever
-// writes it.
-var blindPull = transport.Message{Type: transport.MsgPullRequest}
-
 // pull is the paced event: ask the policy for a peer (and maybe a segment
 // hint) and send it one pull request. A peer whose inventory cursor the
 // server holds is asked for what is new since, unless the policy wants the
@@ -428,34 +430,41 @@ var blindPull = transport.Message{Type: transport.MsgPullRequest}
 func (s *Server) pull() bool {
 	s.mu.Lock()
 	dec, ok := s.svc.Choose(s.now(), liveEnv{s})
-	var tctx obs.TraceContext
-	var cursor uint64
-	if ok && dec.HasHint {
-		tctx = s.svc.TraceCtx(dec.Hint)
-	}
-	if ok && !dec.WantInventory {
-		cursor = s.invCursor[transport.NodeID(dec.Peer)]
-	}
-	s.mu.Unlock()
 	if !ok {
+		s.mu.Unlock()
 		return true
 	}
-	msg := &blindPull
+	to := transport.NodeID(dec.Peer)
+	var cursor uint64
+	if !dec.WantInventory {
+		cursor = s.invCursor[to]
+	}
+	var msg *transport.Message
 	if dec.HasHint || dec.WantInventory || cursor != 0 {
 		msg = &transport.Message{
-			Type: transport.MsgPullRequest, WantInventory: dec.WantInventory,
-			HasHint: dec.HasHint, Seg: dec.Hint, InvCursor: cursor,
+			Type: transport.MsgPullRequest, From: s.tr.LocalID(), To: to,
+			WantInventory: dec.WantInventory, HasHint: dec.HasHint, Seg: dec.Hint, InvCursor: cursor,
 		}
 		// A hinted pull for a traced segment carries the lineage out, so
 		// the pull leg joins the segment's span.
-		if tctx.Valid() {
-			msg.Trace = tctx.Next()
+		if dec.HasHint {
+			if tctx := s.svc.TraceCtx(dec.Hint); tctx.Valid() {
+				msg.Trace = tctx.Next()
+			}
+		}
+	} else if msg = s.blind[to]; msg == nil {
+		msg = &transport.Message{Type: transport.MsgPullRequest, From: s.tr.LocalID(), To: to}
+		// Kept only for a current pull target, so what onLeave dropped
+		// stays dropped.
+		if s.peers.Contains(uint64(to)) {
+			s.blind[to] = msg
 		}
 	}
+	s.mu.Unlock()
 	// EvPullSent counts pulls the transport accepted, mirroring the
 	// gossip-send accounting: a pull the transport refused outright was
 	// never in flight.
-	if err := s.tr.Send(transport.NodeID(dec.Peer), msg); err == nil {
+	if err := s.tr.Send(to, msg); err == nil {
 		s.mu.Lock()
 		s.counters.Count(peercore.EvPullSent, 1)
 		// One outstanding pull per peer: a newer pull to the same peer
@@ -463,7 +472,7 @@ func (s *Server) pull() bool {
 		// latest request→first reply span (an approximation that
 		// under-reports queueing at a slow peer, which the outstandingPulls
 		// gauge shows instead).
-		s.pending[transport.NodeID(dec.Peer)] = s.now()
+		s.pending[to] = s.now()
 		s.mu.Unlock()
 	}
 	return true
@@ -545,7 +554,7 @@ func (s *Server) receiveBlock(m *transport.Message) {
 		if res.Outcome.Innovative && !res.Outcome.Decoded {
 			if to, ok := s.shardTo[s.ring.Owner(cb.Seg)]; ok {
 				if rec := res.Col.Recode(s.exchRNG); rec != nil {
-					fwd = &transport.Message{Type: transport.MsgExchange, Block: rec}
+					fwd = &transport.Message{Type: transport.MsgExchange, From: s.tr.LocalID(), To: to, Block: rec}
 					if res.Trace.Valid() {
 						// The recoded combination inherits the segment's
 						// lineage one hop deeper, so the cross-shard leg
@@ -623,7 +632,8 @@ func (s *Server) broadcastFinished(seg rlnc.SegmentID) {
 		return
 	}
 	for _, to := range s.shardTo {
-		s.tr.Send(to, &transport.Message{Type: transport.MsgSegmentComplete, Seg: seg}) //nolint:errcheck // best-effort
+		notice := &transport.Message{Type: transport.MsgSegmentComplete, From: s.tr.LocalID(), To: to, Seg: seg}
+		s.tr.Send(to, notice) //nolint:errcheck // best-effort
 	}
 }
 

@@ -14,6 +14,7 @@ package peercore
 
 import (
 	"fmt"
+	"math"
 
 	"p2pcollect/internal/obs"
 	"p2pcollect/internal/pullsched"
@@ -86,8 +87,13 @@ type Peer struct {
 	// before it still means what it meant (see InventorySince).
 	arrivals   uint64
 	segArrival []uint64
-	deadlines  map[*rlnc.CodedBlock]float64
-	occupancy  int
+	// segDue[i] is a lower bound on the earliest deadline in segIDs[i]'s
+	// holding: Store lowers it, an ExpireDue visit makes it exact again, and
+	// a sweep skips a holding whose bound has not passed. A block removed
+	// any other way leaves it too early, which costs one visit.
+	segDue    []float64
+	deadlines map[*rlnc.CodedBlock]float64
+	occupancy int
 	// sweep is ExpireDue's snapshot of the holding it is visiting, kept so
 	// a sweep allocates nothing; it holds no blocks between sweeps.
 	sweep []*rlnc.CodedBlock
@@ -223,6 +229,7 @@ func (p *Peer) Store(now float64, cb *rlnc.CodedBlock) StoreResult {
 		p.segIDs = append(p.segIDs, cb.Seg)
 		p.arrivals++
 		p.segArrival = append(p.segArrival, p.arrivals)
+		p.segDue = append(p.segDue, math.Inf(1))
 	}
 	if !h.Add(cb) {
 		if h.Len() == 0 {
@@ -234,6 +241,8 @@ func (p *Peer) Store(now float64, cb *rlnc.CodedBlock) StoreResult {
 	ttl := p.rng.Exp(p.cfg.Gamma)
 	deadline := now + ttl
 	p.deadlines[cb] = deadline
+	pos := p.segPos[cb.Seg]
+	p.segDue[pos] = min(p.segDue[pos], deadline)
 	p.occupancy++
 	p.sink.Count(EvBlockStored, 1)
 	return StoreResult{Stored: true, TTL: ttl, Deadline: deadline}
@@ -252,29 +261,42 @@ func (p *Peer) SampleSegment() (rlnc.SegmentID, bool) {
 // blocks, as gossip and pull-serve require. It panics when the segment is
 // not buffered (a protocol-logic error in the driver).
 func (p *Peer) Recode(seg rlnc.SegmentID) *rlnc.CodedBlock {
+	out := rlnc.NewBlock(seg, p.cfg.SegmentSize)
+	p.RecodeInto(seg, out)
+	return out
+}
+
+// RecodeInto is Recode into a block the caller owns, such as the one inside
+// a transport.NewBlockMessage: out carries zeroed Coeffs of the segment
+// size, and its Payload is allocated here to the buffered blocks' length.
+func (p *Peer) RecodeInto(seg rlnc.SegmentID, out *rlnc.CodedBlock) {
 	h := p.holdings[seg]
 	if h == nil {
 		panic("peercore: Recode of segment not buffered")
 	}
-	return h.Recode(p.rng)
+	if payload := h.Blocks()[0].Payload; payload != nil {
+		out.Payload = make([]byte, len(payload))
+	}
+	rlnc.RecodeInto(out, h.Blocks(), p.rng)
 }
 
-// ServePull answers one server pull, the serve step of §2: a fresh
-// recoding of the hinted segment when the pull carries a hint this peer
-// still buffers, else of a uniformly sampled buffered segment. wire is the
+// ServePull chooses what answers one server pull, the serve step of §2:
+// the hinted segment when the pull carries a hint this peer still buffers,
+// else a uniformly sampled buffered segment. The caller recodes it (Recode
+// or RecodeInto) right away, so the draws keep their order. wire is the
 // trace context the reply carries: the segment's lineage one hop deeper,
 // zero when it is untraced. ok is false when the buffer is empty.
-func (p *Peer) ServePull(hint rlnc.SegmentID, hasHint bool) (cb *rlnc.CodedBlock, wire obs.TraceContext, ok bool) {
-	seg := hint
+func (p *Peer) ServePull(hint rlnc.SegmentID, hasHint bool) (seg rlnc.SegmentID, wire obs.TraceContext, ok bool) {
+	seg = hint
 	if !hasHint || !p.Holds(hint) {
 		if seg, ok = p.SampleSegment(); !ok {
-			return nil, obs.TraceContext{}, false
+			return rlnc.SegmentID{}, obs.TraceContext{}, false
 		}
 	}
 	if tctx := p.traceCtx[seg]; tctx.Valid() {
 		wire = tctx.Next()
 	}
-	return p.Recode(seg), wire, true
+	return seg, wire, true
 }
 
 // Inventory digests the buffered segments for a pull reply, in SegmentAt
@@ -336,26 +358,39 @@ func (p *Peer) ExpireBlock(cb *rlnc.CodedBlock) bool {
 }
 
 // ExpireDue removes every block whose TTL deadline has passed (the
-// sweep-based TTL path) and returns how many were removed.
+// sweep-based TTL path) and returns how many were removed. Only holdings
+// whose earliest-deadline bound has passed are visited.
 func (p *Peer) ExpireDue(now float64) int {
 	removed := 0
 	for i := 0; i < len(p.segIDs); i++ {
+		if now <= p.segDue[i] {
+			continue
+		}
 		h := p.holdings[p.segIDs[i]]
 		// RemoveBlock reorders h.Blocks(), so iterate over a snapshot.
 		p.sweep = append(p.sweep[:0], h.Blocks()...)
+		due := math.Inf(1)
 		for _, cb := range p.sweep {
-			if deadline, ok := p.deadlines[cb]; ok && now > deadline {
-				h.RemoveBlock(cb)
-				delete(p.deadlines, cb)
-				p.occupancy--
-				removed++
-				p.sink.Count(EvBlockLostTTL, 1)
+			deadline, ok := p.deadlines[cb]
+			if !ok {
+				continue
 			}
+			if now <= deadline {
+				due = min(due, deadline)
+				continue
+			}
+			h.RemoveBlock(cb)
+			delete(p.deadlines, cb)
+			p.occupancy--
+			removed++
+			p.sink.Count(EvBlockLostTTL, 1)
 		}
 		if h.Len() == 0 {
 			p.dropHolding(p.segIDs[i])
 			i--
+			continue
 		}
+		p.segDue[i] = due
 	}
 	clear(p.sweep[:cap(p.sweep)])
 	return removed
@@ -383,6 +418,7 @@ func (p *Peer) Clear() {
 	p.holdings = make(map[rlnc.SegmentID]*rlnc.Holding)
 	p.segIDs = nil
 	p.segArrival = nil
+	p.segDue = nil
 	p.segPos = make(map[rlnc.SegmentID]int)
 	p.deadlines = make(map[*rlnc.CodedBlock]float64)
 	p.occupancy = 0
@@ -397,9 +433,11 @@ func (p *Peer) dropHolding(seg rlnc.SegmentID) {
 	moved := p.segIDs[last]
 	p.segIDs[pos] = moved
 	p.segArrival[pos] = p.segArrival[last]
+	p.segDue[pos] = p.segDue[last]
 	p.segPos[moved] = pos
 	p.segIDs = p.segIDs[:last]
 	p.segArrival = p.segArrival[:last]
+	p.segDue = p.segDue[:last]
 	delete(p.segPos, seg)
 	delete(p.holdings, seg)
 	delete(p.traceCtx, seg)
@@ -422,8 +460,11 @@ func (p *Peer) CheckInvariants() error {
 		}
 		occ += h.Len()
 		for _, cb := range h.Blocks() {
-			if _, ok := p.deadlines[cb]; ok {
+			if deadline, ok := p.deadlines[cb]; ok {
 				deadlined++
+				if pos < len(p.segDue) && deadline < p.segDue[pos] {
+					return fmt.Errorf("peercore: %v has a deadline %g before its bound %g", seg, deadline, p.segDue[pos])
+				}
 			}
 		}
 	}
@@ -436,8 +477,9 @@ func (p *Peer) CheckInvariants() error {
 	if len(p.segIDs) != len(p.holdings) {
 		return fmt.Errorf("peercore: sampling list length %d, holdings %d", len(p.segIDs), len(p.holdings))
 	}
-	if len(p.segArrival) != len(p.segIDs) {
-		return fmt.Errorf("peercore: %d arrival numbers for %d buffered segments", len(p.segArrival), len(p.segIDs))
+	if len(p.segArrival) != len(p.segIDs) || len(p.segDue) != len(p.segIDs) {
+		return fmt.Errorf("peercore: %d arrival numbers and %d deadline bounds for %d buffered segments",
+			len(p.segArrival), len(p.segDue), len(p.segIDs))
 	}
 	for i, at := range p.segArrival {
 		if at < 2 || at > p.arrivals {

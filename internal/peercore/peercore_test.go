@@ -1,6 +1,8 @@
 package peercore
 
 import (
+	"bytes"
+	"math"
 	"reflect"
 	"testing"
 
@@ -193,6 +195,163 @@ func TestExpireDueNothingDueAllocatesNothing(t *testing.T) {
 	if p.Occupancy() != occ {
 		t.Fatalf("occupancy %d after no-op sweeps, want %d", p.Occupancy(), occ)
 	}
+}
+
+// sweepAll is ExpireDue without the per-holding bound: every holding is
+// visited and its blocks checked, the sweep as it was before the bound.
+func sweepAll(p *Peer, now float64) int {
+	removed := 0
+	for i := 0; i < len(p.segIDs); i++ {
+		h := p.holdings[p.segIDs[i]]
+		due := math.Inf(1)
+		for _, cb := range append([]*rlnc.CodedBlock(nil), h.Blocks()...) {
+			if deadline := p.deadlines[cb]; now > deadline {
+				h.RemoveBlock(cb)
+				delete(p.deadlines, cb)
+				p.occupancy--
+				removed++
+			} else {
+				due = min(due, deadline)
+			}
+		}
+		if h.Len() == 0 {
+			p.dropHolding(p.segIDs[i])
+			i--
+			continue
+		}
+		p.segDue[i] = due
+	}
+	return removed
+}
+
+// TestExpireDueSkipsOnlyHoldingsWithNothingDue drives two peers through the
+// same seeded stores, targeted expiries, purges and sweeps, one sweeping
+// with ExpireDue and one visiting every holding: the removal counts, the
+// sampling order and every holding's block order must agree throughout.
+func TestExpireDueSkipsOnlyHoldingsWithNothingDue(t *testing.T) {
+	const size = 4
+	for seed := int64(1); seed <= 10; seed++ {
+		a := NewPeer(7, PeerConfig{SegmentSize: size, BufferCap: 64, Gamma: 1}, randx.New(seed), nil)
+		b := NewPeer(7, PeerConfig{SegmentSize: size, BufferCap: 64, Gamma: 1}, randx.New(seed), nil)
+		ops := randx.New(seed + 100)
+		now := 0.0
+		for step := 0; step < 400; step++ {
+			now += ops.Exp(20)
+			switch k := ops.Intn(10); {
+			case k < 3:
+				a.Inject(now, nil)
+				b.Inject(now, nil)
+			case k < 6 && a.NumSegments() > 0:
+				i := ops.Intn(a.NumSegments())
+				a.Store(now, a.Recode(a.SegmentAt(i)))
+				b.Store(now, b.Recode(b.SegmentAt(i)))
+			case k == 6 && a.NumSegments() > 0:
+				i := ops.Intn(a.NumSegments())
+				j := ops.Intn(a.BlocksOf(a.SegmentAt(i)))
+				a.ExpireBlock(a.holdings[a.SegmentAt(i)].Blocks()[j])
+				b.ExpireBlock(b.holdings[b.SegmentAt(i)].Blocks()[j])
+			case k == 7 && a.NumSegments() > 0:
+				i := ops.Intn(a.NumSegments())
+				a.DropSegment(a.SegmentAt(i))
+				b.DropSegment(b.SegmentAt(i))
+			default:
+				if got, want := a.ExpireDue(now), sweepAll(b, now); got != want {
+					t.Fatalf("seed %d step %d: ExpireDue removed %d, a full sweep %d", seed, step, got, want)
+				}
+			}
+			for _, p := range []*Peer{a, b} {
+				if err := p.CheckInvariants(); err != nil {
+					t.Fatalf("seed %d step %d: %v", seed, step, err)
+				}
+			}
+			if a.NumSegments() != b.NumSegments() || a.Occupancy() != b.Occupancy() {
+				t.Fatalf("seed %d step %d: %d segments and %d blocks, want %d and %d",
+					seed, step, a.NumSegments(), a.Occupancy(), b.NumSegments(), b.Occupancy())
+			}
+			for i := 0; i < a.NumSegments(); i++ {
+				seg := a.SegmentAt(i)
+				if b.SegmentAt(i) != seg {
+					t.Fatalf("seed %d step %d: segment %d is %v, want %v", seed, step, i, seg, b.SegmentAt(i))
+				}
+				for j, cb := range a.holdings[seg].Blocks() {
+					if !bytes.Equal(cb.Coeffs, b.holdings[seg].Blocks()[j].Coeffs) {
+						t.Fatalf("seed %d step %d: block %d of %v differs", seed, step, j, seg)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkExpireDue is one live-node reap over a steady buffer of 256
+// segments × 8 blocks, about 1% of them due per sweep; the due blocks are
+// stored again afterwards, as gossip would refill the buffer.
+func BenchmarkExpireDue(b *testing.B) {
+	const size, segments, step = 8, 256, 0.01 // gamma 1: ~1% of blocks due per step
+	p := NewPeer(7, PeerConfig{SegmentSize: size, BufferCap: size * segments, Gamma: 1}, randx.New(1), nil)
+	var due dueHeap
+	for i := 0; i < segments; i++ {
+		_, stored, _ := p.Inject(0, nil)
+		for _, st := range stored {
+			due.push(st)
+		}
+	}
+	now := 0.0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now += step
+		p.ExpireDue(now)
+		for len(due) > 0 && now > due[0].Deadline {
+			st := due.pop()
+			res := p.Store(now, st.Block)
+			if !res.Stored {
+				b.Fatal("an expired block was not stored again")
+			}
+			due.push(Stored{Block: st.Block, Deadline: res.Deadline})
+		}
+	}
+}
+
+// dueHeap is a min-heap of stored blocks by deadline, without interfaces so
+// a push and a pop allocate nothing.
+type dueHeap []Stored
+
+func (h *dueHeap) push(st Stored) {
+	*h = append(*h, st)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		up := (i - 1) / 2
+		if s[up].Deadline <= s[i].Deadline {
+			break
+		}
+		s[up], s[i] = s[i], s[up]
+		i = up
+	}
+}
+
+// pop removes and returns the earliest entry.
+func (h *dueHeap) pop() Stored {
+	s := *h
+	top, last := s[0], len(s)-1
+	s[0] = s[last]
+	s = s[:last]
+	for i := 0; ; {
+		l, r, least := 2*i+1, 2*i+2, i
+		if l < len(s) && s[l].Deadline < s[least].Deadline {
+			least = l
+		}
+		if r < len(s) && s[r].Deadline < s[least].Deadline {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		s[i], s[least] = s[least], s[i]
+		i = least
+	}
+	*h = s
+	return top
 }
 
 func TestDropSegmentAndClear(t *testing.T) {
@@ -447,21 +606,21 @@ func TestServePull(t *testing.T) {
 				p.SetTraceCtx(rlnc.SegmentID{Origin: 7, Seq: 0}, traced)
 			}
 			occupancy := p.Occupancy()
-			cb, wire, ok := p.ServePull(tc.hint, tc.hasHint)
+			seg, wire, ok := p.ServePull(tc.hint, tc.hasHint)
 			if ok != tc.wantOK {
 				t.Fatalf("ok = %v, want %v", ok, tc.wantOK)
 			}
 			if !ok {
-				if cb != nil || wire.Valid() {
-					t.Fatalf("refused pull still returned %v, %+v", cb, wire)
+				if seg != (rlnc.SegmentID{}) || wire.Valid() {
+					t.Fatalf("refused pull still returned %v, %+v", seg, wire)
 				}
 				return
 			}
-			if !tc.wantSeg(cb.Seg) {
-				t.Errorf("served segment %v", cb.Seg)
+			if !tc.wantSeg(seg) {
+				t.Errorf("served segment %v", seg)
 			}
-			if cb.SegmentSize() != 4 {
-				t.Errorf("served a block of segment size %d, want a recoding over s=4", cb.SegmentSize())
+			if !p.Holds(seg) {
+				t.Errorf("served segment %v is not buffered", seg)
 			}
 			if wire != tc.wantWire {
 				t.Errorf("wire context %+v, want %+v", wire, tc.wantWire)

@@ -112,24 +112,25 @@ func (s *Segment) Encode(rng *randx.Rand) *CodedBlock {
 	return Recode(s.SourceBlocks(), rng)
 }
 
-// inlineCoeffs is the widest coefficient vector that shares its block's
-// allocation. Every segment size the experiments and the live runtime use
-// fits; a wider vector gets its own.
-const inlineCoeffs = 32
+// InlineCoeffs is the widest coefficient vector that shares its block's
+// allocation (here, and in transport.NewBlockMessage). Every segment size
+// the experiments and the live runtime use fits; a wider vector gets its
+// own.
+const InlineCoeffs = 32
 
 // NewBlock returns a block of seg with a zeroed coefficient vector of the
-// given width and no payload. Up to inlineCoeffs the vector and the block
+// given width and no payload. Up to InlineCoeffs the vector and the block
 // are one heap object, so a block costs one allocation plus its payload's.
 // The payload stays separate on purpose: holders buffer blocks, and a fused
 // coefficients+payload buffer spills a 1 KiB payload into the next size
 // class.
 func NewBlock(seg SegmentID, width int) *CodedBlock {
-	if width > inlineCoeffs {
+	if width > InlineCoeffs {
 		return &CodedBlock{Seg: seg, Coeffs: make([]byte, width)}
 	}
 	b := &struct {
 		CodedBlock
-		coeffs [inlineCoeffs]byte
+		coeffs [InlineCoeffs]byte
 	}{}
 	b.Seg = seg
 	b.Coeffs = b.coeffs[:width:width]

@@ -446,7 +446,7 @@ func BenchmarkDecoderAdd32(b *testing.B) {
 }
 
 // TestRecodeAllocations pins what one recoded block costs: the block with
-// its coefficient vector, and the payload. Above inlineCoeffs the vector is
+// its coefficient vector, and the payload. Above InlineCoeffs the vector is
 // a third object.
 func TestRecodeAllocations(t *testing.T) {
 	if raceon.Enabled {

@@ -772,8 +772,8 @@ func (s *Simulator) pull(server int) {
 	if env.edgeOK && pi == env.edgePeer && !hasHint {
 		hint, hasHint = env.edgeSeg, true
 	}
-	cb, wctx, _ := s.peers[pi].core.ServePull(hint, hasHint)
-	segID := cb.Seg
+	segID, wctx, _ := s.peers[pi].core.ServePull(hint, hasHint)
+	cb := s.peers[pi].core.Recode(segID)
 	meta := s.segs[segID]
 
 	// The paper's accounting: every pull on a segment whose collection

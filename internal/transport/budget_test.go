@@ -71,8 +71,33 @@ func TestDecodeBlockAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(200, func() { DecodeMessage(frame[4:]) }); n > 3 { //nolint:errcheck // counted, not used
-		t.Errorf("DecodeMessage of a 1 KiB block: %v allocations, want at most 3", n)
+	// One object for the message, the block and its coefficients, and the
+	// payload.
+	if n := testing.AllocsPerRun(200, func() { DecodeMessage(frame[4:]) }); n > 2 { //nolint:errcheck // counted, not used
+		t.Errorf("DecodeMessage of a 1 KiB block: %v allocations, want at most 2", n)
+	}
+}
+
+// TestNewBlockMessageIsOneObject pins the shape a sender builds: message,
+// block and coefficients in one allocation up to rlnc.InlineCoeffs (three
+// objects above it), addressed, zeroed, with no payload.
+func TestNewBlockMessageIsOneObject(t *testing.T) {
+	seg := rlnc.SegmentID{Origin: 4, Seq: 2}
+	for _, tc := range []struct{ width, allocs int }{{8, 1}, {rlnc.InlineCoeffs, 1}, {rlnc.InlineCoeffs + 1, 3}} {
+		m := NewBlockMessage(MsgExchange, 1, 2, seg, tc.width)
+		if m.Type != MsgExchange || m.From != 1 || m.To != 2 || m.Seg != seg || m.Block.Seg != seg ||
+			len(m.Block.Coeffs) != tc.width || cap(m.Block.Coeffs) != tc.width || m.Block.Payload != nil {
+			t.Errorf("width %d: built %+v with block %+v", tc.width, m, m.Block)
+		}
+		if !bytes.Equal(m.Block.Coeffs, make([]byte, tc.width)) {
+			t.Errorf("width %d: coefficients %v, want zeroed", tc.width, m.Block.Coeffs)
+		}
+		if raceon.Enabled {
+			continue
+		}
+		if n := testing.AllocsPerRun(100, func() { decodeSink = NewBlockMessage(MsgBlock, 1, 2, seg, tc.width) }); n != float64(tc.allocs) {
+			t.Errorf("width %d: %v allocations, want %d", tc.width, n, tc.allocs)
+		}
 	}
 }
 
@@ -143,8 +168,8 @@ func TestReaderBufferStaysBounded(t *testing.T) {
 		r.Reset(src)
 		_, buf, _ = readFrame(r, buf)
 	})
-	if n > 3 {
-		t.Errorf("readFrame of a 1 KiB block through a warmed buffer: %v allocations, want at most 3", n)
+	if n > 2 {
+		t.Errorf("readFrame of a 1 KiB block through a warmed buffer: %v allocations, want at most 2", n)
 	}
 }
 
@@ -171,9 +196,9 @@ func TestUDPReceiveOfKnownRouteAllocatesNoAddress(t *testing.T) {
 		t.Errorf("learnRoute of a known route: %v allocations, want 0", n)
 	}
 
-	// End to end: Send's addressed copy and the decoded Message are the
-	// only two objects a small datagram costs (5 before: two encode slices
-	// and a net.UDPAddr on top).
+	// End to end: the addressed copy Send makes of an unaddressed message
+	// and the decoded Message are the only two objects a small datagram
+	// costs (5 before: two encode slices and a net.UDPAddr on top).
 	msg := &Message{Type: MsgEmpty}
 	timeout := time.NewTimer(time.Hour)
 	defer timeout.Stop()

@@ -60,10 +60,10 @@ type chanTransport struct {
 var _ Transport = (*chanTransport)(nil)
 var _ CounterRanger = (*chanTransport)(nil)
 
-// Send places a stamped copy of m in the destination's mailbox. The mailbox
-// is the only queue on this fabric, so a full one is counted twice: as the
-// destination's transportInboxDrops and as this sender's
-// transportDropsOverflow.
+// Send places m, when its sender addressed it, or else an addressed copy,
+// in the destination's mailbox. The mailbox is the only queue on this
+// fabric, so a full one is counted twice: as the destination's
+// transportInboxDrops and as this sender's transportDropsOverflow.
 func (t *chanTransport) Send(to NodeID, m *Message) error {
 	cp, err := t.stamp(to, m)
 	if err != nil {

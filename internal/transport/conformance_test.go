@@ -203,6 +203,68 @@ func TestTransportConformance(t *testing.T) {
 			})
 		}
 
+		// A message its sender addressed travels as is: it arrives with
+		// identical content (on chanmem, as the very object sent), and Send
+		// writes nothing of it, which a reader running alongside lets -race
+		// confirm. Bare, behind a fault-free Faulty, and behind a Faulty
+		// whose delayed send travels a copy.
+		for _, via := range []string{"", "+faulty", "+latency"} {
+			t.Run(fab.name+via+"/addressed-passes-through", func(t *testing.T) {
+				a, b := fab.pair(t)
+				if via != "" {
+					var cfg FaultConfig
+					if via == "+latency" {
+						cfg = FaultConfig{LatencyMin: 5 * time.Millisecond, LatencyMax: 5 * time.Millisecond}
+					}
+					f := NewFaulty(a, cfg, randx.New(1))
+					t.Cleanup(func() { f.Close() })
+					a = f
+				}
+				sent := sampleBlockMessage()
+				sent.From, sent.To = 1, 2
+				sent.Trace = obs.TraceContext{ID: 7, Hop: 2}
+				before, err := EncodeMessage(sent)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stop, done := make(chan struct{}), make(chan struct{})
+				go func() {
+					defer close(done)
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+							EncodeMessage(sent) //nolint:errcheck // a read of every field
+						}
+					}
+				}()
+				var got *Message
+				eventually(t, "delivery", func() bool {
+					if err := a.Send(2, sent); err != nil {
+						t.Fatalf("Send: %v", err)
+					}
+					select {
+					case got = <-b.Receive():
+						return true
+					case <-time.After(50 * time.Millisecond):
+						return false
+					}
+				})
+				close(stop)
+				<-done
+				if after, _ := EncodeMessage(sent); !bytes.Equal(after, before) {
+					t.Error("Send changed the sender's addressed message")
+				}
+				if frame, err := EncodeMessage(got); err != nil || !bytes.Equal(frame, before) {
+					t.Errorf("received %+v, want the message as sent", got)
+				}
+				if fab.name == "chanmem" && via != "+latency" && got != sent {
+					t.Error("chanmem delivered a copy of an addressed message, want the message itself")
+				}
+			})
+		}
+
 		t.Run(fab.name+"/unroutable", func(t *testing.T) {
 			a, _ := fab.pair(t)
 			enqueued := counter(a, "transportSendsEnqueued")

@@ -76,9 +76,10 @@ func (c *core) Receive() <-chan *Message { return c.inbox }
 func (c *core) RangeCounters(f func(name string, v int64)) { c.counters.Range(f) }
 
 // stamp is the Send prologue: it refuses a closed transport (ErrClosed) and
-// a destination missing from the book (ErrUnknownNode), then returns a copy
-// of m addressed From this node To the destination and counted as enqueued.
-// The caller's message is never modified.
+// a destination missing from the book (ErrUnknownNode), then returns the
+// message to enqueue or deliver, counted as enqueued. A message its sender
+// already addressed From this node To the destination is that message; any
+// other is a copy addressed so. The caller's message is never modified.
 func (c *core) stamp(to NodeID, m *Message) (*Message, error) {
 	c.mu.Lock()
 	closed := c.closed
@@ -90,10 +91,13 @@ func (c *core) stamp(to NodeID, m *Message) (*Message, error) {
 	if !known && c.book != nil {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownNode, to)
 	}
+	c.counters.Add(ctrSendsEnqueued, 1)
+	if m.From == c.id && m.To == to {
+		return m, nil
+	}
 	cp := *m
 	cp.From = c.id
 	cp.To = to
-	c.counters.Add(ctrSendsEnqueued, 1)
 	return &cp, nil
 }
 

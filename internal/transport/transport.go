@@ -8,16 +8,18 @@
 // shutdown order; see core.go), plus Faulty, a wrapper that injects seeded
 // loss, latency and partitions into any of them.
 //
-// Ownership. Send copies: once it returns, the transport neither reads nor
-// writes the caller's Message, so a sender may rewrite one Message value
-// per event. A message taken from Receive belongs to the receiver, is
-// read-only and is never recycled. The CodedBlock a Message points to is
-// immutable from the moment it is sent: the in-memory fabric delivers the
-// same block the sender recoded. What a message costs follows from that:
-// one addressed copy per Send, and over a socket one in-place encode into
-// a buffer the writer owns (no allocation, the payload copied once) and a
-// decode that allocates the Message, the block with its coefficients, and
-// the payload.
+// Ownership. Send never writes the caller's Message. A message its sender
+// addressed (From this endpoint, To the destination) is shared with the
+// receiver: the in-memory fabric delivers that very object, a socket
+// transport encodes it after Send has returned, so neither it nor its
+// block may change after Send. Any other message is copied and addressed
+// before Send returns, and may be reused at once. A message taken from
+// Receive is read-only and may be shared; the transport never recycles it.
+// What a message costs follows from that: nothing on Send for an addressed
+// one, and a block message built by NewBlockMessage is one object plus its
+// payload, on the sending side and again after a decode. Over a socket a
+// frame is one in-place encode into a buffer the writer owns (no
+// allocation, the payload copied once).
 package transport
 
 import (
@@ -127,6 +129,26 @@ type Message struct {
 	Raw []byte
 }
 
+// NewBlockMessage returns a message of type typ (MsgBlock or MsgExchange)
+// addressed from→to, carrying a block of seg with a zeroed coefficient
+// vector of the given width and no payload. Up to rlnc.InlineCoeffs the
+// message, the block and the vector are one heap object, so a block message
+// costs one allocation plus its payload's; wider vectors fall back to
+// rlnc.NewBlock.
+func NewBlockMessage(typ MsgType, from, to NodeID, seg rlnc.SegmentID, width int) *Message {
+	if width > rlnc.InlineCoeffs {
+		return &Message{Type: typ, From: from, To: to, Seg: seg, Block: rlnc.NewBlock(seg, width)}
+	}
+	o := &struct {
+		Message
+		block  rlnc.CodedBlock
+		coeffs [rlnc.InlineCoeffs]byte
+	}{}
+	o.block = rlnc.CodedBlock{Seg: seg, Coeffs: o.coeffs[:width:width]}
+	o.Message = Message{Type: typ, From: from, To: to, Seg: seg, Block: &o.block}
+	return &o.Message
+}
+
 // ErrClosed is returned by Send after the transport was closed.
 var ErrClosed = errors.New("transport: closed")
 
@@ -142,12 +164,14 @@ var ErrFrameTooLarge = errors.New("transport: frame exceeds size limit")
 // for concurrent use.
 //
 // Send is best-effort, mirroring the protocol's tolerance for loss: a
-// message may be dropped under backpressure without error. It does not
-// retain or modify m after it returns (whatever travels on is a copy made
-// before then), so the caller may reuse m at once; the block m points to
-// is shared, not copied, and must not change after the call. Receive
-// returns the incoming channel, closed when the transport shuts down; a
-// message read from it is the receiver's alone, read-only, and is never
+// message may be dropped under backpressure without error. It never
+// modifies m. An m already addressed From LocalID() To the destination
+// travels as is and is shared with the receiver: neither it nor its block
+// may change after the call. Any other m is copied and addressed before
+// Send returns, so the caller may reuse it at once; the block it points to
+// is still shared, not copied, and must not change. Receive returns the
+// incoming channel, closed when the transport shuts down; a message read
+// from it is read-only, may be shared with its sender, and is never
 // reused by the transport.
 type Transport interface {
 	LocalID() NodeID

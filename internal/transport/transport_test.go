@@ -166,8 +166,10 @@ func TestBlindPullEncodingUnchanged(t *testing.T) {
 	}
 }
 
-// TestMessageStaysInSizeClass: every Send copies one Message, so the struct
-// must not outgrow the 128-byte allocation class the cursor field filled.
+// TestMessageStaysInSizeClass: a decoded or unaddressed message is one
+// Message allocation, and NewBlockMessage puts one beside its block, so the
+// struct must not outgrow the 128-byte allocation class the cursor field
+// filled.
 func TestMessageStaysInSizeClass(t *testing.T) {
 	if size := unsafe.Sizeof(Message{}); size > 128 {
 		t.Fatalf("transport.Message is %d bytes, over the 128-byte size class", size)

@@ -278,53 +278,15 @@ func DecodeMessage(body []byte) (*Message, error) {
 	if len(body) < headerLen {
 		return nil, fmt.Errorf("transport: short body (%d bytes)", len(body))
 	}
-	m := &Message{
-		Type: MsgType(body[0]),
-		From: NodeID(binary.BigEndian.Uint64(body[1:])),
-		To:   NodeID(binary.BigEndian.Uint64(body[9:])),
-	}
+	typ := MsgType(body[0])
+	from := NodeID(binary.BigEndian.Uint64(body[1:]))
+	to := NodeID(binary.BigEndian.Uint64(body[9:]))
 	rest := body[headerLen:]
+	if typ == MsgBlock || typ == MsgExchange {
+		return decodeBlock(typ, from, to, rest)
+	}
+	m := &Message{Type: typ, From: from, To: to}
 	switch m.Type {
-	case MsgBlock, MsgExchange:
-		var origin, seq uint64
-		var err error
-		if origin, rest, err = readUint64(rest); err != nil {
-			return nil, err
-		}
-		if seq, rest, err = readUint64(rest); err != nil {
-			return nil, err
-		}
-		var coeffs, payload []byte
-		if coeffs, rest, err = readBytes(rest); err != nil {
-			return nil, err
-		}
-		if payload, rest, err = readBytes(rest); err != nil {
-			return nil, err
-		}
-		if len(coeffs) == 0 {
-			return nil, fmt.Errorf("transport: block frame with no coefficients")
-		}
-		if len(rest) != 0 {
-			// The only legal trailer is a complete trace context; a
-			// truncated or oversized suffix must not decode.
-			if len(rest) != traceSuffixLen {
-				return nil, fmt.Errorf("transport: %d trailing bytes", len(rest))
-			}
-			if rest[0] != traceMarker {
-				return nil, fmt.Errorf("transport: bad trace marker 0x%02x", rest[0])
-			}
-			m.Trace.ID = binary.BigEndian.Uint64(rest[1:])
-			m.Trace.Hop = rest[9]
-			if m.Trace.ID == 0 {
-				return nil, fmt.Errorf("transport: trace context with zero ID")
-			}
-		}
-		// The block and its coefficients are one object and the payload
-		// sits alone in its exact size class: receivers buffer these.
-		m.Block = rlnc.NewBlock(rlnc.SegmentID{Origin: origin, Seq: seq}, len(coeffs))
-		copy(m.Block.Coeffs, coeffs)
-		m.Block.Payload = cloneBytes(payload)
-		m.Seg = m.Block.Seg
 	case MsgSegmentComplete:
 		var origin, seq uint64
 		var err error
@@ -437,6 +399,51 @@ func DecodeMessage(body []byte) (*Message, error) {
 	default:
 		return nil, fmt.Errorf("transport: cannot decode %v", m.Type)
 	}
+	return m, nil
+}
+
+// decodeBlock parses the payload of a MsgBlock or MsgExchange frame into a
+// message built by NewBlockMessage: the message, the block and its
+// coefficients are one object, and the payload sits alone in its exact
+// size class, because receivers buffer these.
+func decodeBlock(typ MsgType, from, to NodeID, rest []byte) (*Message, error) {
+	var origin, seq uint64
+	var err error
+	if origin, rest, err = readUint64(rest); err != nil {
+		return nil, err
+	}
+	if seq, rest, err = readUint64(rest); err != nil {
+		return nil, err
+	}
+	var coeffs, payload []byte
+	if coeffs, rest, err = readBytes(rest); err != nil {
+		return nil, err
+	}
+	if payload, rest, err = readBytes(rest); err != nil {
+		return nil, err
+	}
+	if len(coeffs) == 0 {
+		return nil, fmt.Errorf("transport: block frame with no coefficients")
+	}
+	var trace obs.TraceContext
+	if len(rest) != 0 {
+		// The only legal trailer is a complete trace context; a truncated
+		// or oversized suffix must not decode.
+		if len(rest) != traceSuffixLen {
+			return nil, fmt.Errorf("transport: %d trailing bytes", len(rest))
+		}
+		if rest[0] != traceMarker {
+			return nil, fmt.Errorf("transport: bad trace marker 0x%02x", rest[0])
+		}
+		trace = obs.TraceContext{ID: binary.BigEndian.Uint64(rest[1:]), Hop: rest[9]}
+		if trace.ID == 0 {
+			return nil, fmt.Errorf("transport: trace context with zero ID")
+		}
+	}
+	m := NewBlockMessage(typ, from, to, rlnc.SegmentID{Origin: origin, Seq: seq}, len(coeffs))
+	copy(m.Block.Coeffs, coeffs)
+	m.Block.Payload = cloneBytes(payload)
+	m.Trace = trace
 	return m, nil
 }
 
