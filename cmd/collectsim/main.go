@@ -6,8 +6,8 @@
 //	collectsim -experiment fig3 [-n 300] [-horizon 40] [-warmup 15] [-seed 42] [-csv]
 //	collectsim -experiment all
 //
-// Experiments: fig3, fig4, fig5, fig6, overhead (t1), s1 (t2),
-// baseline (t3), drain (t4), ablation (a1), feedback (a2), all.
+// -experiment takes any experiment's name or its EXPERIMENTS.md label
+// (t1, a7, ...), or all; -h lists them.
 package main
 
 import (
@@ -30,7 +30,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("collectsim", flag.ContinueOnError)
 	var (
-		experiment = fs.String("experiment", "all", "experiment to run: fig3, fig4, fig5, fig6, overhead, s1, baseline, drain, ablation, feedback, all")
+		experiment = fs.String("experiment", "all", "experiment to run: "+experiments.Names()+", all")
 		n          = fs.Int("n", 0, "simulated peer population (0 = default)")
 		horizon    = fs.Float64("horizon", 0, "simulated duration per run (0 = default)")
 		warmup     = fs.Float64("warmup", 0, "measurement warmup per run (0 = default)")

@@ -88,7 +88,6 @@ type Config struct {
 	DecodeLatency *obs.Histogram // decode wall seconds
 	WALAppend     *obs.Histogram // per-record WAL append wall seconds
 	WALBytes      *obs.Gauge     // live log bytes on disk
-	SnapshotAge   *obs.Gauge     // seconds since the last snapshot
 }
 
 // BlockResult reports what one received block did.
@@ -154,7 +153,6 @@ func New(cfg Config) (*Service, error) {
 			Sink:          cfg.Sink,
 			AppendLatency: cfg.WALAppend,
 			WALBytes:      cfg.WALBytes,
-			SnapshotAge:   cfg.SnapshotAge,
 		})
 	} else {
 		st, err = store.NewMemory(store.MemoryConfig{

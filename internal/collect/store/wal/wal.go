@@ -106,8 +106,6 @@ type Options struct {
 	AppendLatency *obs.Histogram
 	// WALBytes tracks live log bytes on disk.
 	WALBytes *obs.Gauge
-	// SnapshotAge tracks seconds since the last completed snapshot.
-	SnapshotAge *obs.Gauge
 }
 
 // RecoveryStats reports what Open reconstructed.
@@ -159,7 +157,7 @@ type Store struct {
 	// a rotation, or an inline backpressure drain), serialized by iomu.
 	// In SyncAlways mode the appender drains and fsyncs inline instead.
 	// Lock order: iomu before wmu; wmu is never held across I/O.
-	wmu         sync.Mutex // batch, counters, closed
+	wmu         sync.Mutex // batch, counters, closed, lastSnap
 	iomu        sync.Mutex // f handle and all writes to it
 	f           *os.File
 	batch       []byte // framed records awaiting the drainer
@@ -572,9 +570,17 @@ func (w *Store) setGauges() {
 	if w.opts.WALBytes != nil {
 		w.opts.WALBytes.Set(float64(w.totalBytes))
 	}
-	if w.opts.SnapshotAge != nil {
-		w.opts.SnapshotAge.Set(time.Since(w.lastSnap).Seconds())
-	}
+}
+
+// SnapshotAgeSeconds returns the wall seconds since the last completed
+// snapshot (since Open, before the first). It reads the clock when called,
+// so a gauge over it keeps aging while no record is appended. Safe from any
+// goroutine.
+func (w *Store) SnapshotAgeSeconds() float64 {
+	w.wmu.Lock()
+	last := w.lastSnap
+	w.wmu.Unlock()
+	return time.Since(last).Seconds()
 }
 
 // flushLoop is the background drainer for the group-commit modes: every
@@ -612,7 +618,9 @@ func (w *Store) snapshot() error {
 		return err
 	}
 	w.sinceSnap = 0
+	w.wmu.Lock()
 	w.lastSnap = time.Now()
+	w.wmu.Unlock()
 	w.prune()
 	w.setGauges()
 	return nil

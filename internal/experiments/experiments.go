@@ -16,6 +16,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -762,36 +763,42 @@ func FlashJoinTable(opt Options) (*metrics.Table, error) {
 	return tbl, nil
 }
 
+// experiment is one row of the experiment table: the name collectsim
+// takes, the short label EXPERIMENTS.md files it under (t1, a7, ...; empty
+// for the paper's figures), and its generator.
+type experiment struct {
+	name, alias string
+	run         func(Options) (*metrics.Table, error)
+}
+
+// experiments is the one list of experiments, in the order All runs them.
+var experiments = []experiment{
+	{"fig3", "", Fig3},
+	{"fig4", "", Fig4},
+	{"fig5", "", Fig5},
+	{"fig6", "", Fig6},
+	{"overhead", "t1", OverheadTable},
+	{"s1", "t2", S1Table},
+	{"baseline", "t3", BaselineTable},
+	{"drain", "t4", DrainTable},
+	{"ablation", "a1", AblationTable},
+	{"feedback", "a2", FeedbackTable},
+	{"transient", "t5", TransientTable},
+	{"servers", "a3", ServersTable},
+	{"flashjoin", "t6", FlashJoinTable},
+	{"topology", "a4", TopologyTable},
+	{"codingcost", "a5", CodingCostTable},
+	{"pullsched", "a6", PullPolicyTable},
+	{"obs", "a7", ObsTable},
+	{"fleet", "a8", FleetScalingTable},
+}
+
 // All runs every experiment and writes the rendered tables to w.
 func All(opt Options, w io.Writer) error {
-	type gen struct {
-		name string
-		fn   func(Options) (*metrics.Table, error)
-	}
-	gens := []gen{
-		{"fig3", Fig3},
-		{"fig4", Fig4},
-		{"fig5", Fig5},
-		{"fig6", Fig6},
-		{"overhead", OverheadTable},
-		{"s1", S1Table},
-		{"baseline", BaselineTable},
-		{"drain", DrainTable},
-		{"ablation", AblationTable},
-		{"feedback", FeedbackTable},
-		{"transient", TransientTable},
-		{"servers", ServersTable},
-		{"flashjoin", FlashJoinTable},
-		{"topology", TopologyTable},
-		{"codingcost", CodingCostTable},
-		{"pullsched", PullPolicyTable},
-		{"obs", ObsTable},
-		{"fleet", FleetScalingTable},
-	}
-	for _, g := range gens {
-		tbl, err := g.fn(opt)
+	for _, e := range experiments {
+		tbl, err := e.run(opt)
 		if err != nil {
-			return fmt.Errorf("experiment %s: %w", g.name, err)
+			return fmt.Errorf("experiment %s: %w", e.name, err)
 		}
 		if _, err := io.WriteString(w, tbl.Render()+"\n"); err != nil {
 			return err
@@ -800,48 +807,27 @@ func All(opt Options, w io.Writer) error {
 	return nil
 }
 
-// ByName returns the generator for a named experiment.
+// ByName returns the generator for an experiment, by name or alias.
 func ByName(name string) (func(Options) (*metrics.Table, error), bool) {
-	switch name {
-	case "fig3":
-		return Fig3, true
-	case "fig4":
-		return Fig4, true
-	case "fig5":
-		return Fig5, true
-	case "fig6":
-		return Fig6, true
-	case "overhead", "t1":
-		return OverheadTable, true
-	case "s1", "t2":
-		return S1Table, true
-	case "baseline", "t3":
-		return BaselineTable, true
-	case "drain", "t4":
-		return DrainTable, true
-	case "ablation", "a1":
-		return AblationTable, true
-	case "feedback", "a2":
-		return FeedbackTable, true
-	case "transient", "t5":
-		return TransientTable, true
-	case "servers", "a3":
-		return ServersTable, true
-	case "flashjoin", "t6":
-		return FlashJoinTable, true
-	case "topology", "a4":
-		return TopologyTable, true
-	case "codingcost", "a5":
-		return CodingCostTable, true
-	case "pullsched", "a6":
-		return PullPolicyTable, true
-	case "obs", "a7":
-		return ObsTable, true
-	case "fleet", "a8":
-		return FleetScalingTable, true
-	default:
-		return nil, false
+	for _, e := range experiments {
+		if name == e.name || (name == e.alias && e.alias != "") {
+			return e.run, true
+		}
 	}
+	return nil, false
+}
+
+// Names lists every experiment in run order, each alias in parentheses
+// after its name: "fig3, ..., overhead (t1), ...".
+func Names() string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+		if e.alias != "" {
+			names[i] += " (" + e.alias + ")"
+		}
+	}
+	return strings.Join(names, ", ")
 }
 
 // bufferFor sizes B comfortably above the Theorem 1 occupancy for the given
@@ -850,14 +836,14 @@ func bufferFor(lambda, mu, gamma float64, s int) int {
 	return int(4*(lambda+mu)/gamma) + 4*s + 16
 }
 
-// runParallel executes job(0..n-1) on up to GOMAXPROCS workers and waits
-// for completion. Jobs report failures through shared state they own.
-// runParallel runs job(0..n-1) across GOMAXPROCS workers. Work is handed
-// out through a shared atomic counter, so there is no dispatcher goroutine
-// and no per-item channel rendezvous — a worker grabs the next index the
-// moment it finishes the previous one. A panic in any job is captured and
-// re-raised on the caller's goroutine after all workers drain, instead of
-// killing the process from an anonymous worker with the dispatch stack.
+// runParallel runs job(0..n-1) across GOMAXPROCS workers and waits for
+// completion; jobs report failures through shared state they own. Work is
+// handed out through a shared atomic counter, so there is no dispatcher
+// goroutine and no per-item channel rendezvous — a worker grabs the next
+// index the moment it finishes the previous one. A panic in any job is
+// captured and re-raised on the caller's goroutine after all workers drain,
+// instead of killing the process from an anonymous worker with the
+// dispatch stack.
 func runParallel(n int, job func(i int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {

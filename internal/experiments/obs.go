@@ -13,14 +13,15 @@ import (
 const obsSeedSalt = 700
 
 // ObsTable (A7) validates the observability layer end to end against the
-// analysis: one instrumented mean-field run whose measurements are read
-// back exclusively through the obs registry snapshot — the same scrape a
-// live debug endpoint serves — never from simulator internals. The
-// occupancy and empty-peer-fraction time series sampled by the registry
-// are overlaid on the ODE's e(t)/z_0(t) trajectories, and the title row
-// reports the delivery-delay p50/p90/p99 from the scraped histogram. If
-// the obs plumbing dropped, duplicated, or mislabeled samples, the curves
-// would visibly diverge from the prediction.
+// analysis: one mean-field run whose measurements are read back
+// exclusively through the obs registry snapshot — the same scrape a live
+// debug endpoint serves — never from simulator internals. The run is
+// scraped the way Prometheus scrapes an endpoint: every interval of
+// simulated time the occupancy and empty-peer-fraction gauges are read,
+// and the resulting trajectories are overlaid on the ODE's e(t)/z_0(t).
+// The title row reports the delivery-delay p50/p90/p99 from the histogram
+// scraped at the horizon. If the obs plumbing dropped or mislabeled a
+// reading, the curves would visibly diverge from the prediction.
 func ObsTable(opt Options) (*metrics.Table, error) {
 	opt = opt.withDefaults()
 	const (
@@ -41,9 +42,7 @@ func ObsTable(opt Options) (*metrics.Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("a7 sim: %w", err)
 	}
-	reg := s.EnableObs(interval)
-	s.RunUntil(opt.Horizon)
-	snap := reg.Snapshot()
+	reg := s.Registry()
 
 	tbl := metrics.NewTable(
 		fmt.Sprintf("A7: observability scrape vs ODE (lambda=%g mu=%g gamma=%g c=%g s=%d, sampled every %.2g)",
@@ -53,19 +52,18 @@ func ObsTable(opt Options) (*metrics.Table, error) {
 	simZ0 := tbl.AddSeries("scraped empty fraction")
 	odeZ0 := tbl.AddSeries("ODE z0(t)")
 
-	for _, sr := range snap.Series {
-		for _, p := range sr.Points {
-			switch sr.Name {
-			case "blocksPerPeer":
-				simBlocks.Add(p.T, p.V)
-			case "emptyPeerFrac":
-				simZ0.Add(p.T, p.V)
-			}
+	for t := 0.0; t <= opt.Horizon; t += interval {
+		s.RunUntil(t)
+		g := reg.Snapshot().Gauges
+		blocks, ok := g["blocksPerPeer"]
+		if !ok {
+			return nil, fmt.Errorf("a7: registry scrape carried no occupancy gauge")
 		}
+		simBlocks.Add(t, blocks)
+		simZ0.Add(t, g["emptyPeerFrac"])
 	}
-	if len(simBlocks.Points) == 0 {
-		return nil, fmt.Errorf("a7: registry scrape carried no occupancy samples")
-	}
+	s.RunUntil(opt.Horizon)
+	snap := reg.Snapshot()
 
 	traj, err := ode.EvolveE(ode.Params{Lambda: lambda, Mu: mu, Gamma: gamma, C: c, S: segSz},
 		opt.Horizon, interval)

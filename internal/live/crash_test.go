@@ -387,3 +387,39 @@ func TestFleetCrashRestartDurableJournal(t *testing.T) {
 	t.Logf("all %d pre-crash segments delivered across a shard crash (%d total deliveries, recovery %+v)",
 		len(injected), total, stats)
 }
+
+// TestWALSnapshotAgeReadAtScrape: walSnapshotAgeSeconds is read when the
+// snapshot is taken, so it keeps aging on a server that appends nothing,
+// and falls back to about zero once a snapshot completes.
+func TestWALSnapshotAgeReadAtScrape(t *testing.T) {
+	cfg := crashServerConfig(t.TempDir())
+	cfg.Durability.SnapshotEvery = 1 // the next received block snapshots
+	net := transport.NewNetwork()
+	srv, err := NewServer(net.Join(1000), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Service().Close()
+	age := func() float64 {
+		v, ok := srv.Registry().Snapshot().Gauges["walSnapshotAgeSeconds"]
+		if !ok {
+			t.Fatal("walSnapshotAgeSeconds gauge missing")
+		}
+		return v
+	}
+
+	before := age()
+	time.Sleep(60 * time.Millisecond) // no record is appended meanwhile
+	idle := age()
+	if idle-before < 0.05 {
+		t.Errorf("age went %.4f -> %.4f over 60ms without an append, want +0.05 or more", before, idle)
+	}
+
+	_, stream := buildSegmentStream(1, 4, 16)
+	if _, _, err := srv.Service().Store().Receive(0, stream[0]); err != nil {
+		t.Fatal(err)
+	}
+	if after := age(); after >= idle || after > 0.05 {
+		t.Errorf("age = %.4f right after a snapshot (was %.4f), want a reset to about 0", after, idle)
+	}
+}

@@ -258,7 +258,6 @@ func NewServer(tr transport.Transport, cfg ServerConfig) (*Server, error) {
 	if cfg.Durability.Dir != "" {
 		svcCfg.WALAppend = s.reg.Histogram("walAppendLatency", obs.ExpBuckets(1e-7, 4, 16))
 		svcCfg.WALBytes = s.reg.Gauge("walBytes")
-		svcCfg.SnapshotAge = s.reg.Gauge("walSnapshotAgeSeconds")
 	}
 	if cfg.Journal != nil {
 		journal := cfg.Journal
@@ -297,6 +296,9 @@ func NewServer(tr transport.Transport, cfg ServerConfig) (*Server, error) {
 	}
 	s.svc = svc
 	s.reg.RegisterCounters(svc.RangeFeedback)
+	if ws, ok := svc.Store().(*wal.Store); ok {
+		s.reg.GaugeFunc("walSnapshotAgeSeconds", ws.SnapshotAgeSeconds)
+	}
 	if stats, ok := svc.Recovery(); ok {
 		s.reg.Gauge("walRecoverySeconds").Set(stats.Duration.Seconds())
 		s.reg.SetInfo("walRecovered", fmt.Sprintf(

@@ -69,6 +69,19 @@ type Member struct {
 	Role Role
 }
 
+// Fixed protocol parameters. A direct ping unacknowledged for a third of
+// the probe period is retried indirectly through proxies.
+const (
+	// indirectProxies is how many members relay an indirect ping when the
+	// direct one times out.
+	indirectProxies = 3
+	// maxPiggyback bounds the rumors attached to one packet.
+	maxPiggyback = 8
+	// rumorTransmits is how many packets each rumor rides before it is
+	// retired.
+	rumorTransmits = 6
+)
+
 // Config tunes the failure detector. The zero value of each field selects
 // the documented default.
 type Config struct {
@@ -80,21 +93,10 @@ type Config struct {
 	// pinged, and an unacknowledged probe becomes a suspicion at the end of
 	// its period. Default 1.0.
 	Period float64
-	// PingTimeout is how long a direct ping may go unacknowledged before
-	// indirect ping-reqs are sent through proxies. Default Period/3.
-	PingTimeout float64
 	// SuspectTimeout is how long a suspect may linger before it is declared
 	// dead. Longer tolerates slow refutations; shorter evicts crashed nodes
 	// faster. Default 3×Period.
 	SuspectTimeout float64
-	// IndirectProxies is how many members relay an indirect ping when the
-	// direct one times out. Default 3.
-	IndirectProxies int
-	// MaxPiggyback bounds the rumors attached to one packet. Default 8.
-	MaxPiggyback int
-	// RumorTransmits is how many packets each rumor rides before it is
-	// retired. Default 6.
-	RumorTransmits int
 	// Seed seeds the probe-order and proxy-choice RNG.
 	Seed int64
 	// OnUpdate, if set, is called on every status transition of a remote
@@ -108,20 +110,8 @@ func (c Config) withDefaults() Config {
 	if c.Period <= 0 {
 		c.Period = 1.0
 	}
-	if c.PingTimeout <= 0 {
-		c.PingTimeout = c.Period / 3
-	}
 	if c.SuspectTimeout <= 0 {
 		c.SuspectTimeout = 3 * c.Period
-	}
-	if c.IndirectProxies <= 0 {
-		c.IndirectProxies = 3
-	}
-	if c.MaxPiggyback <= 0 {
-		c.MaxPiggyback = 8
-	}
-	if c.RumorTransmits <= 0 {
-		c.RumorTransmits = 6
 	}
 	return c
 }
@@ -252,8 +242,8 @@ func (s *SWIM) Tick(now float64) []Packet {
 	}
 	var out []Packet
 
-	// Advance the in-flight probe: escalate to indirect pings at
-	// PingTimeout, suspect the target at the end of its period.
+	// Advance the in-flight probe: escalate to indirect pings a third of
+	// the way through its period, suspect the target at the end of it.
 	if p := s.probe; p != nil {
 		switch {
 		case p.acked:
@@ -263,7 +253,7 @@ func (s *SWIM) Tick(now float64) []Packet {
 				s.applySuspect(ms.Member, ms.inc, now)
 			}
 			s.probe = nil
-		case !p.indirectSent && now-p.started >= s.cfg.PingTimeout:
+		case !p.indirectSent && now-p.started >= s.cfg.Period/3:
 			p.indirectSent = true
 			for _, proxy := range s.pickProxies(p.target) {
 				out = append(out, s.buildPacket(proxy, kindPingReq, s.nextSeq(), p.target))
@@ -369,8 +359,8 @@ func (s *SWIM) Leave(now float64) []Packet {
 	s.queueRumor(rumor{m: s.self, status: StatusLeft, inc: s.inc})
 	alive := s.Alive()
 	s.shuffleMembers(alive)
-	if len(alive) > s.cfg.IndirectProxies {
-		alive = alive[:s.cfg.IndirectProxies]
+	if len(alive) > indirectProxies {
+		alive = alive[:indirectProxies]
 	}
 	var out []Packet
 	for _, m := range alive {
@@ -496,11 +486,11 @@ func (s *SWIM) applyRumor(r wireRumor, now float64) {
 // queueRumor replaces any pending rumor about the same member with this
 // one at a full transmission budget — the newest verdict wins the wire.
 func (s *SWIM) queueRumor(r rumor) {
-	r.transmits = s.cfg.RumorTransmits
+	r.transmits = rumorTransmits
 	s.rumors[r.m.ID] = &r
 }
 
-// takeRumors selects up to MaxPiggyback rumors with the largest remaining
+// takeRumors selects up to maxPiggyback rumors with the largest remaining
 // budgets and charges one transmission each.
 func (s *SWIM) takeRumors() []wireRumor {
 	if len(s.rumors) == 0 {
@@ -518,8 +508,8 @@ func (s *SWIM) takeRumors() []wireRumor {
 		}
 	}
 	n := len(pending)
-	if n > s.cfg.MaxPiggyback {
-		n = s.cfg.MaxPiggyback
+	if n > maxPiggyback {
+		n = maxPiggyback
 	}
 	out := make([]wireRumor, 0, n)
 	for _, r := range pending[:n] {
@@ -579,7 +569,7 @@ func (s *SWIM) rebuildRing() {
 	s.ringPos = 0
 }
 
-// pickProxies chooses up to IndirectProxies alive members other than the
+// pickProxies chooses up to indirectProxies alive members other than the
 // probe target to relay an indirect ping.
 func (s *SWIM) pickProxies(target transport.NodeID) []transport.NodeID {
 	cand := make([]Member, 0, len(s.members))
@@ -589,8 +579,8 @@ func (s *SWIM) pickProxies(target transport.NodeID) []transport.NodeID {
 		}
 	}
 	s.shuffleMembers(cand)
-	if len(cand) > s.cfg.IndirectProxies {
-		cand = cand[:s.cfg.IndirectProxies]
+	if len(cand) > indirectProxies {
+		cand = cand[:indirectProxies]
 	}
 	out := make([]transport.NodeID, len(cand))
 	for i, m := range cand {

@@ -107,12 +107,3 @@ func BenchmarkGaugeSet(b *testing.B) {
 		g.Set(float64(i))
 	}
 }
-
-func BenchmarkTimeSeriesObserve(b *testing.B) {
-	ts := NewTimeSeries("s", 1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ts.Observe(float64(i), float64(i))
-	}
-}

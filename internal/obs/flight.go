@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"sync"
 
 	"p2pcollect/internal/durable"
 	"p2pcollect/internal/rlnc"
@@ -28,8 +29,15 @@ import (
 //
 //	u8 version (1) | u8 kind | u8 hop | u64 traceID | u64 origin |
 //	u64 seq | u64 actor | f64 t | i64 n
+//
+// The ring grows by append until it holds max events and then overwrites
+// the oldest, so a recorder costs memory for what it has seen, not for its
+// bound.
 type FlightRecorder struct {
-	ring ring[TraceEvent]
+	mu   sync.Mutex
+	buf  []TraceEvent
+	head int // oldest event, once len(buf) == max
+	max  int
 }
 
 // flightMagic heads every dump file.
@@ -52,18 +60,39 @@ var ErrFlightCorrupt = errors.New("obs: corrupt flight dump")
 // NewFlightRecorder returns a recorder retaining the last cap events
 // (minimum 1).
 func NewFlightRecorder(cap int) *FlightRecorder {
-	return &FlightRecorder{ring: ring[TraceEvent]{max: ringCap(cap)}}
+	return &FlightRecorder{max: max(cap, 1)}
 }
 
 // Trace implements Tracer: an O(1) ring append, allocation-free once the
 // ring has grown to the events it holds.
-func (f *FlightRecorder) Trace(ev TraceEvent) { f.ring.push(&ev) }
+func (f *FlightRecorder) Trace(ev TraceEvent) {
+	f.mu.Lock()
+	if len(f.buf) < f.max {
+		f.buf = append(f.buf, ev)
+	} else {
+		f.buf[f.head] = ev
+		if f.head++; f.head == f.max {
+			f.head = 0
+		}
+	}
+	f.mu.Unlock()
+}
 
 // Len returns the number of retained events.
-func (f *FlightRecorder) Len() int { return f.ring.len() }
+func (f *FlightRecorder) Len() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.buf)
+}
 
-// Events returns the retained events, oldest-first.
-func (f *FlightRecorder) Events() []TraceEvent { return f.ring.snapshot() }
+// Events returns the retained events, oldest-first, as a fresh slice.
+func (f *FlightRecorder) Events() []TraceEvent {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	out := make([]TraceEvent, 0, len(f.buf))
+	out = append(out, f.buf[f.head:]...)
+	return append(out, f.buf[:f.head]...)
+}
 
 // encode serializes the retained events oldest-first in the dump format.
 func (f *FlightRecorder) encode() []byte {

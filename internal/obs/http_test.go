@@ -29,9 +29,7 @@ func buildRegistry(label string) *Registry {
 	h.Observe(3)
 	g := r.Gauge("bufferOccupancy")
 	g.Set(17)
-	ts := r.TimeSeries("occupancy", 8)
-	ts.Observe(1, 10)
-	ts.Observe(2, 12)
+	r.GaugeFunc("occupancy", func() float64 { return 12 })
 	rt := NewRingTracer(16)
 	rt.Trace(TraceEvent{Seg: rlnc.SegmentID{Origin: 1, Seq: 1}, Kind: TraceInject, T: 1})
 	r.SetTracer(rt)
@@ -69,7 +67,7 @@ func TestServeEndpoints(t *testing.T) {
 		`p2p_bufferOccupancy{endpoint="node-1"} 17`,
 		`p2p_deliveryDelay_bucket{endpoint="node-1",le="2"} 1`,
 		`p2p_deliveryDelay_count{endpoint="node-1"} 2`,
-		`p2p_occupancy{endpoint="server"} 12`, // latest series sample as gauge
+		`p2p_occupancy{endpoint="server"} 12`, // gauge read at scrape
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q in:\n%s", want, metrics)
@@ -93,8 +91,8 @@ func TestServeEndpoints(t *testing.T) {
 	if len(ep.Histograms) != 1 || ep.Histograms[0].Count != 2 {
 		t.Errorf("snapshot histograms = %+v", ep.Histograms)
 	}
-	if len(ep.Series) != 1 || len(ep.Series[0].Points) != 2 {
-		t.Errorf("snapshot series = %+v", ep.Series)
+	if ep.Gauges["occupancy"] != 12 {
+		t.Errorf("snapshot gauges = %+v", ep.Gauges)
 	}
 
 	if pprofIdx := get("/debug/pprof/"); !strings.Contains(pprofIdx, "goroutine") {

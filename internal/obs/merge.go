@@ -92,11 +92,9 @@ func MergeHistogramSnapshots(a, b HistogramSnapshot) (HistogramSnapshot, error) 
 // view: counters and gauges are summed, histograms with matching bucket
 // layouts are merged bucket-wise with percentiles recomputed from the
 // combined distribution, and trace tails are concatenated in time order.
-// Bounded series are omitted — per-endpoint trajectories do not sum into a
-// meaningful cluster trajectory; scrape them per shard instead. The source
-// endpoint labels are recorded under Info["endpoints"]. Histograms whose
-// layouts conflict across endpoints are kept from the first endpoint and
-// the conflict noted under Info["mergeConflicts"].
+// The source endpoint labels are recorded under Info["endpoints"].
+// Histograms whose layouts conflict across endpoints are kept from the
+// first endpoint and the conflict noted under Info["mergeConflicts"].
 func MergeSnapshots(label string, snaps ...Snapshot) Snapshot {
 	out := Snapshot{
 		Label:    label,

@@ -8,10 +8,10 @@
 // the three missing instruments:
 //
 //   - Distribution metrics: a fixed-bucket, atomically updated Histogram
-//     (p50/p90/p99, mergeable across nodes), a Gauge for spot values, and a
-//     bounded TimeSeries sampler. Time is an opaque float64 supplied by the
-//     driver — simulated time in internal/sim, wall seconds in
-//     internal/live — exactly like the peercore state machines.
+//     (p50/p90/p99, mergeable across nodes) and a Gauge for spot values.
+//     Time is an opaque float64 supplied by the driver — simulated time in
+//     internal/sim, wall seconds in internal/live — exactly like the
+//     peercore state machines.
 //
 //   - Segment-lifecycle tracing: a Tracer interface with a nop
 //     implementation (the default; it keeps the hot path and all golden
@@ -21,7 +21,7 @@
 //     trace query reconstructs "where did segment X's time go".
 //
 //   - One read path: a Registry bundles an endpoint's counters,
-//     histograms, gauges, series and trace tail, and the only way out of it
+//     histograms, gauges and trace tail, and the only way out of it
 //     is Registry.Snapshot. Everything downstream is a function of
 //     snapshots: the JSON document (/debug/snapshot), the Prometheus text
 //     (WriteExposition, behind /metrics and obstool), the cluster view
@@ -50,7 +50,7 @@ const promPrefix = "p2p_"
 const traceTailLen = 64
 
 // Registry is one endpoint's scrape surface: every counter source,
-// histogram, gauge, time series, and optional tracer registered on it
+// histogram, gauge, and optional tracer registered on it
 // appears in its Snapshot. Registration usually happens at endpoint
 // construction; all methods are safe for concurrent use with scrapes.
 type Registry struct {
@@ -64,7 +64,6 @@ type Registry struct {
 	counters []func(func(name string, v int64))
 	hists    []*Histogram
 	gauges   []gaugeFunc
-	series   []*TimeSeries
 	tracer   *RingTracer
 	info     map[string]string
 }
@@ -133,15 +132,6 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	r.gauges = append(r.gauges, gaugeFunc{name, fn})
 }
 
-// TimeSeries creates a bounded series and registers it.
-func (r *Registry) TimeSeries(name string, capacity int) *TimeSeries {
-	ts := NewTimeSeries(name, capacity)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.series = append(r.series, ts)
-	return ts
-}
-
 // SetTracer attaches a ring tracer whose tail appears in snapshots.
 func (r *Registry) SetTracer(t *RingTracer) {
 	r.mu.Lock()
@@ -171,14 +161,7 @@ type Snapshot struct {
 	Counters   map[string]int64    `json:"counters"`
 	Histograms []HistogramSnapshot `json:"histograms,omitempty"`
 	Gauges     map[string]float64  `json:"gauges,omitempty"`
-	Series     []SeriesSnapshot    `json:"series,omitempty"`
 	TraceTail  []TraceEvent        `json:"traceTail,omitempty"`
-}
-
-// SeriesSnapshot is one bounded time series in a snapshot.
-type SeriesSnapshot struct {
-	Name   string  `json:"name"`
-	Points []Point `json:"points"`
 }
 
 // Snapshot captures the registry's current state. The instrument lists
@@ -196,7 +179,7 @@ func (r *Registry) Snapshot() Snapshot {
 			snap.Info[k] = v
 		}
 	}
-	hists, gauges, series, tracer := r.hists, r.gauges, r.series, r.tracer
+	hists, gauges, tracer := r.hists, r.gauges, r.tracer
 	r.mu.Unlock()
 	r.RangeCounters(func(name string, v int64) { snap.Counters[name] = v })
 	for _, h := range hists {
@@ -204,9 +187,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for _, g := range gauges {
 		snap.Gauges[g.name] = g.read()
-	}
-	for _, ts := range series {
-		snap.Series = append(snap.Series, SeriesSnapshot{Name: ts.Name(), Points: ts.Points()})
 	}
 	if tracer != nil {
 		snap.TraceTail = tracer.Tail(traceTailLen)
@@ -219,10 +199,8 @@ func (r *Registry) Snapshot() Snapshot {
 // /metrics and obstool alike. Samples are grouped by metric family, one
 // "# TYPE" line each (a TYPE line per endpoint is a format violation real
 // servers reject), with each snapshot's Label as the endpoint label.
-// Families are sorted by name within kind: counters, gauges, histograms. A
-// series is exposed as a gauge holding its last sample; the trajectory is
-// in the JSON (Prometheus scrapes build their own). Counter names keep
-// their Go-side camelCase, which the format allows.
+// Families are sorted by name within kind: counters, gauges, histograms.
+// Counter names keep their Go-side camelCase, which the format allows.
 func WriteExposition(w io.Writer, snaps ...Snapshot) {
 	type family struct{ kind, name string }
 	lines := make(map[family][]string)
@@ -243,11 +221,6 @@ func WriteExposition(w io.Writer, snaps ...Snapshot) {
 		}
 		for name, v := range s.Gauges {
 			add("gauge", promName(name), "", ep, v)
-		}
-		for _, ts := range s.Series {
-			if n := len(ts.Points); n > 0 {
-				add("gauge", promName(ts.Name), "", ep, ts.Points[n-1].V)
-			}
 		}
 		for _, h := range s.Histograms {
 			name := promName(h.Name)

@@ -100,10 +100,6 @@ func (r *Rand) Choose(n, exclude int) int {
 	return v
 }
 
-// Shuffle randomizes the order of n elements using the provided swap
-// function.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
-
 // Bernoulli returns true with probability p.
 func (r *Rand) Bernoulli(p float64) bool { return r.src.Float64() < p }
 

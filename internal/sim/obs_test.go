@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -15,10 +16,11 @@ func obsTestConfig() Config {
 	}
 }
 
-// TestObsDoesNotPerturbSeededRun is the tentpole contract: attaching the
-// full observability stack — ring tracer plus sampled registry — leaves a
-// seeded run's measurements identical to the bare run, because none of the
-// instruments draw from the protocol RNG.
+// TestObsDoesNotPerturbSeededRun is the tentpole contract: a ring tracer
+// and scrapes of the registry between RunUntil steps leave a seeded run's
+// measurements identical to the bare run, because no instrument draws from
+// the protocol RNG. The registry itself exists in every run, so the sim
+// goldens pin its half of the contract.
 func TestObsDoesNotPerturbSeededRun(t *testing.T) {
 	bare, err := Run(obsTestConfig())
 	if err != nil {
@@ -31,7 +33,10 @@ func TestObsDoesNotPerturbSeededRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.EnableObs(0.5)
+	for now := 0.0; now < cfg.Horizon; now += 0.5 {
+		s.RunUntil(now)
+		s.Registry().Snapshot()
+	}
 	s.RunUntil(cfg.Horizon)
 	instrumented := s.Result()
 
@@ -43,6 +48,9 @@ func TestObsDoesNotPerturbSeededRun(t *testing.T) {
 	}
 }
 
+// TestSimObsInstruments scrapes the registry between RunUntil steps: each
+// scrape's state gauges must be the simulator's state at that instant, and
+// the final scrape's counters and delay histogram must agree with Result.
 func TestSimObsInstruments(t *testing.T) {
 	cfg := obsTestConfig()
 	rt := obs.NewRingTracer(1 << 16)
@@ -51,9 +59,24 @@ func TestSimObsInstruments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := s.EnableObs(0.5)
-	if again := s.EnableObs(0.5); again != reg {
-		t.Fatal("EnableObs did not return the same registry on repeat call")
+	reg := s.Registry()
+	for _, now := range []float64{0, 3, 7.5, 12, 20} {
+		s.RunUntil(now)
+		g := reg.Snapshot().Gauges
+		n := float64(s.Population())
+		want := map[string]float64{
+			"blocksPerPeer": float64(s.TotalBlocks()) / n,
+			"emptyPeerFrac": 1 - float64(s.nonEmpty.len())/n,
+			"liveSegments":  float64(s.LiveSegments()),
+		}
+		for name, v := range want {
+			if got, ok := g[name]; !ok || got != v {
+				t.Errorf("t=%g: %s = %v (present %v), simulator state %v", now, name, got, ok, v)
+			}
+		}
+		if now > cfg.Warmup && s.TotalBlocks() == 0 {
+			t.Fatalf("t=%g: no blocks buffered; the gauges were not exercised", now)
+		}
 	}
 	s.RunUntil(cfg.Horizon)
 	res := s.Result()
@@ -87,20 +110,6 @@ func TestSimObsInstruments(t *testing.T) {
 			delivery.P50, delivery.P90, delivery.P99)
 	}
 
-	// The occupancy series sampled the whole horizon on the sim clock.
-	var blocks []obs.Point
-	for _, sr := range snap.Series {
-		if sr.Name == "blocksPerPeer" {
-			blocks = sr.Points
-		}
-	}
-	if want := int(cfg.Horizon/0.5) + 1; len(blocks) < want {
-		t.Fatalf("blocksPerPeer has %d samples, want >= %d", len(blocks), want)
-	}
-	if last := blocks[len(blocks)-1]; last.T < cfg.Horizon-1 {
-		t.Errorf("last occupancy sample at t=%g, horizon %g", last.T, cfg.Horizon)
-	}
-
 	// The trace tail reached the snapshot through the registry.
 	if len(snap.TraceTail) == 0 {
 		t.Error("snapshot carries no trace tail despite ring tracer")
@@ -131,5 +140,47 @@ func TestSimObsInstruments(t *testing.T) {
 	}
 	if !checked {
 		t.Error("no segment had a reconstructable phase breakdown")
+	}
+}
+
+// TestEmptyPopulationLeavesAveragesFinite empties the session, runs through
+// the gap, and repopulates it. The samples taken while nobody is alive are
+// skipped, so the per-peer averages and trace points stay finite, and the
+// state gauges read 0 rather than NaN.
+func TestEmptyPopulationLeavesAveragesFinite(t *testing.T) {
+	cfg := obsTestConfig()
+	cfg.N, cfg.Warmup, cfg.Horizon = 4, 1, 6
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.StartTrace(1)
+	s.RunUntil(2)
+	for pi := 0; pi < cfg.N; pi++ {
+		s.RemovePeer(pi)
+	}
+	s.RunUntil(3)
+	g := s.Registry().Snapshot().Gauges
+	if g["blocksPerPeer"] != 0 || g["emptyPeerFrac"] != 0 {
+		t.Errorf("gauges at zero population = %v, want 0", g)
+	}
+	s.AddPeers(cfg.N)
+	s.RunUntil(cfg.Horizon)
+
+	res := s.Result()
+	for name, v := range map[string]float64{
+		"AvgBlocksPerPeer": res.AvgBlocksPerPeer,
+		"AvgNonEmptyFrac":  res.AvgNonEmptyFrac,
+		"SavedPerPeer":     res.SavedPerPeer,
+		"StorageOverhead":  res.StorageOverhead,
+	} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Errorf("Result.%s = %v", name, v)
+		}
+	}
+	for _, p := range s.TracePoints() {
+		if p.Population == 0 || math.IsNaN(p.E) || math.IsNaN(p.Z0) {
+			t.Errorf("trace point at t=%g: population %d, E %v, Z0 %v", p.T, p.Population, p.E, p.Z0)
+		}
 	}
 }

@@ -95,14 +95,11 @@ type Simulator struct {
 	// traceRNG drives lineage sampling and trace-ID minting; nil when
 	// TraceSample is 0.
 	traceRNG *randx.Rand
-	// Observability registry and instruments, nil until EnableObs. None of
-	// them draw randomness, so the seeded event sequence is unperturbed.
-	obsReg      *obs.Registry
-	obsDelivery *obs.Histogram  // inject→state-s delay
-	obsDecode   *obs.Histogram  // inject→full-rank delay
-	obsBlocks   *obs.TimeSeries // buffered blocks per peer, E(t)/N
-	obsZ0       *obs.TimeSeries // empty-peer fraction z_0(t)
-	obsSegs     *obs.Gauge      // live segments
+	// The run's scrape surface and its pushed instruments. None of them
+	// draw randomness, so the seeded event sequence is unperturbed.
+	reg         *obs.Registry
+	obsDelivery *obs.Histogram // inject→state-s delay
+	obsDecode   *obs.Histogram // inject→full-rank delay
 }
 
 // TracePoint is one sample of the network's transient state. The
@@ -244,7 +241,30 @@ func New(cfg Config) (*Simulator, error) {
 		}
 	}
 	s.clock.After(cfg.SampleInterval, s.sampleTick)
+	s.initRegistry()
 	return s, nil
+}
+
+// initRegistry builds the registry Registry returns, as an endpoint's
+// constructor builds its own.
+func (s *Simulator) initRegistry() {
+	r := obs.NewRegistry("sim")
+	r.RegisterCounters(s.counters.Range)
+	s.reg = r
+	s.obsDelivery = r.Histogram("deliveryDelay", obs.ExpBuckets(0.125, 2, 14))
+	s.obsDecode = r.Histogram("decodeDelay", obs.ExpBuckets(0.125, 2, 14))
+	r.GaugeFunc("blocksPerPeer", func() float64 {
+		e, _, _ := s.occupancy()
+		return e
+	})
+	r.GaugeFunc("emptyPeerFrac", func() float64 {
+		_, z0, _ := s.occupancy()
+		return z0
+	})
+	r.GaugeFunc("liveSegments", func() float64 { return float64(len(s.segs)) })
+	if rt, ok := s.tracer.(*obs.RingTracer); ok {
+		r.SetTracer(rt)
+	}
 }
 
 // schedulePeer starts the injection, gossip, and lifetime processes for
@@ -400,12 +420,14 @@ func (s *Simulator) StartTrace(interval float64) {
 }
 
 func (s *Simulator) recordTrace() {
-	pop := s.Population()
-	n := float64(pop)
+	e, z0, pop := s.occupancy()
+	if pop == 0 {
+		return // an emptied session has no per-peer state to sample
+	}
 	s.trace = append(s.trace, TracePoint{
 		T:                    s.clock.Now(),
-		E:                    float64(s.totalBlocks) / n,
-		Z0:                   1 - float64(s.nonEmpty.len())/n,
+		E:                    e,
+		Z0:                   z0,
 		CumServerPulls:       s.counters.Get(peercore.EvServerPull),
 		CumUsefulPulls:       s.counters.Get(peercore.EvUsefulPull),
 		CumInjectedBlocks:    s.counters.Get(peercore.EvInjectedBlock),
@@ -419,51 +441,28 @@ func (s *Simulator) TracePoints() []TracePoint {
 	return append([]TracePoint(nil), s.trace...)
 }
 
-// EnableObs attaches an observability registry to the run and starts a
-// sampler on the simulated clock: every interval it records the per-peer
-// buffer occupancy E(t)/N and the empty-peer fraction z_0(t) into bounded
-// time series, and from then on every delivery and decode lands its
-// inject→completion delay in a histogram. The registry carries the shared
-// protocol counters too, so it can be served by obs.Serve or merged with
-// live registries. Like StartTrace, the sampler draws no randomness.
-// Call once, before running; returns the same registry on repeat calls.
-func (s *Simulator) EnableObs(interval float64) *obs.Registry {
-	if s.obsReg != nil {
-		return s.obsReg
-	}
-	if interval <= 0 {
-		panic("sim: non-positive obs sample interval")
-	}
-	r := obs.NewRegistry("sim")
-	r.RegisterCounters(s.counters.Range)
-	s.obsReg = r
-	s.obsDelivery = r.Histogram("deliveryDelay", obs.ExpBuckets(0.125, 2, 14))
-	s.obsDecode = r.Histogram("decodeDelay", obs.ExpBuckets(0.125, 2, 14))
-	s.obsBlocks = r.TimeSeries("blocksPerPeer", 4096)
-	s.obsZ0 = r.TimeSeries("emptyPeerFrac", 4096)
-	s.obsSegs = r.Gauge("liveSegments")
-	if rt, ok := s.tracer.(*obs.RingTracer); ok {
-		r.SetTracer(rt)
-	}
-	var tick func()
-	tick = func() {
-		s.sampleObs()
-		s.clock.After(interval, tick)
-	}
-	s.sampleObs()
-	s.clock.After(interval, tick)
-	return r
-}
+// Registry returns the run's scrape surface: the shared protocol counters,
+// the deliveryDelay and decodeDelay histograms (every delivery and decode,
+// warmup included), the ring tracer's tail, and three gauges read from the
+// simulator's state when a snapshot is taken — blocksPerPeer E(t)/N,
+// emptyPeerFrac z_0(t) (both 0 with no live peer) and liveSegments. It
+// can be served by obs.Serve or merged with live registries.
+//
+// The gauges read plain simulator fields, so a simulator's registry is
+// scraped between RunUntil calls, never during one. A trajectory is a
+// sequence of such scrapes: step RunUntil(t) and snapshot at each t.
+func (s *Simulator) Registry() *obs.Registry { return s.reg }
 
-// sampleObs records one observability sample of the network state.
-func (s *Simulator) sampleObs() {
-	now := s.clock.Now()
-	n := float64(s.Population())
-	if n > 0 {
-		s.obsBlocks.Observe(now, float64(s.totalBlocks)/n)
-		s.obsZ0.Observe(now, 1-float64(s.nonEmpty.len())/n)
+// occupancy returns the average buffered blocks per live peer E(t)/N, the
+// empty-peer fraction z_0(t), and the live population. With no live peer
+// both averages are 0.
+func (s *Simulator) occupancy() (e, z0 float64, pop int) {
+	pop = s.Population()
+	if pop == 0 {
+		return 0, 0, 0
 	}
-	s.obsSegs.Set(float64(len(s.segs)))
+	n := float64(pop)
+	return float64(s.totalBlocks) / n, 1 - float64(s.nonEmpty.len())/n, pop
 }
 
 // TotalBlocks returns the number of coded blocks currently buffered across
@@ -831,9 +830,7 @@ func (s *Simulator) pull(server int) {
 			Seg: segID, Kind: obs.TraceDelivered, T: now, Actor: uint64(server),
 			TraceID: wctx.ID, Hop: wctx.Hop,
 		})
-		if s.obsDelivery != nil {
-			s.obsDelivery.Observe(now - meta.injectTime)
-		}
+		s.obsDelivery.Observe(now - meta.injectTime)
 		if s.onDeliver != nil {
 			s.onDeliver(meta.view())
 		}
@@ -854,9 +851,7 @@ func (s *Simulator) pull(server int) {
 			Seg: segID, Kind: obs.TraceDecoded, T: now, Actor: uint64(server),
 			TraceID: wctx.ID, Hop: wctx.Hop,
 		})
-		if s.obsDecode != nil {
-			s.obsDecode.Observe(now - meta.injectTime)
-		}
+		s.obsDecode.Observe(now - meta.injectTime)
 		if s.onDecode != nil {
 			s.onDecode(meta.view())
 		}
@@ -891,10 +886,12 @@ func (s *Simulator) depart(pi int) {
 
 func (s *Simulator) sampleTick() {
 	if s.clock.Now() >= s.cfg.Warmup {
-		n := float64(s.Population())
-		s.blocksPerPeer.Add(float64(s.totalBlocks) / n)
-		s.nonEmptyFrac.Add(float64(s.nonEmpty.len()) / n)
-		s.savedPerPeer.Add(float64(s.saved) * float64(s.cfg.SegmentSize) / n)
+		// An emptied session has no per-peer averages: skip its samples.
+		if n := float64(s.Population()); n > 0 {
+			s.blocksPerPeer.Add(float64(s.totalBlocks) / n)
+			s.nonEmptyFrac.Add(float64(s.nonEmpty.len()) / n)
+			s.savedPerPeer.Add(float64(s.saved) * float64(s.cfg.SegmentSize) / n)
+		}
 	}
 	s.clock.After(s.cfg.SampleInterval, s.sampleTick)
 }

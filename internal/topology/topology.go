@@ -1,8 +1,8 @@
 // Package topology builds and maintains the P2P overlay graphs on which the
 // gossip protocol runs: random k-neighbor overlays (the shape used by mesh
-// streaming systems like the one the paper measures), Erdős–Rényi graphs,
-// rings, and full meshes, plus the node-replacement operation needed by the
-// churn model.
+// streaming systems like the one the paper measures), plus the
+// node-replacement operation needed by the churn model. The paper's full
+// mesh needs no graph: a simulator without one samples any peer.
 //
 // Adjacency is stored as sorted slices so that iteration order — and hence
 // every simulation run — is deterministic for a fixed seed.
@@ -147,45 +147,6 @@ func RandomKNeighbor(n, k int, rng *randx.Rand) (*Graph, error) {
 		}
 	}
 	return g, nil
-}
-
-// ErdosRenyi builds G(n, p): every pair is independently adjacent with
-// probability p.
-func ErdosRenyi(n int, p float64, rng *randx.Rand) *Graph {
-	g := NewGraph(n)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if rng.Bernoulli(p) {
-				g.AddEdge(u, v)
-			}
-		}
-	}
-	return g
-}
-
-// Ring builds a cycle 0-1-...-n-1-0 (n >= 3), a pathological low-expansion
-// topology useful in tests and ablations.
-func Ring(n int) (*Graph, error) {
-	if n < 3 {
-		return nil, fmt.Errorf("topology: ring needs n >= 3, got %d", n)
-	}
-	g := NewGraph(n)
-	for i := 0; i < n; i++ {
-		g.AddEdge(i, (i+1)%n)
-	}
-	return g, nil
-}
-
-// FullMesh builds the complete graph, the implicit topology of the paper's
-// mean-field analysis (any peer can be a gossip target).
-func FullMesh(n int) *Graph {
-	g := NewGraph(n)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			g.AddEdge(u, v)
-		}
-	}
-	return g
 }
 
 func contains(s []int, v int) bool {

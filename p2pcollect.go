@@ -247,8 +247,9 @@ type (
 	UDPOptions = transport.UDPOptions
 	// MembershipConfig parameterizes the SWIM failure detector a node or
 	// server runs when NodeConfig.Membership / ServerConfig.Membership is
-	// set: seed members, probe period, suspicion timeout, and rumor
-	// budgets. The zero value (plus Seeds) accepts the defaults.
+	// set: seed members, probe period, suspicion timeout, the probe-order
+	// seed and a status callback. The zero value (plus Seeds) accepts the
+	// defaults.
 	MembershipConfig = membership.Config
 	// Member is one endpoint in the membership gossip: its transport ID,
 	// dialable address (empty on the in-memory fabric), and role.
