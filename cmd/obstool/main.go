@@ -6,7 +6,8 @@
 //	    Scrape N /debug/snapshot endpoints (or read saved JSON payloads),
 //	    merge every endpoint registry into one cluster view, and print it
 //	    with a per-shard breakdown and derived signals: pull redundancy
-//	    ratio, delivery-delay percentiles, WAL append-latency percentiles.
+//	    ratio, collection-time percentiles (first block to decode at the
+//	    server), WAL append-latency percentiles.
 //
 //	obstool postmortem [-wal dir] <flight.bin>
 //	    Decode a crash flight-recorder dump (the last moments of a dead
@@ -219,7 +220,7 @@ func writeSnapshotText(w io.Writer, indent string, s obs.Snapshot) {
 
 // derivedSignals computes the operator-level numbers no single raw metric
 // carries: the pull redundancy ratio (what fraction of server pull work
-// bought nothing), the delivery-delay percentiles, and the WAL append
+// bought nothing), the collection-time percentiles, and the WAL append
 // latency percentiles.
 func derivedSignals(s obs.Snapshot) []string {
 	var lines []string
@@ -233,7 +234,7 @@ func derivedSignals(s obs.Snapshot) []string {
 	for _, h := range s.Histograms {
 		switch h.Name {
 		case "collectionTime":
-			lines = append(lines, fmt.Sprintf("delivery delay: p50=%.3gs p90=%.3gs p99=%.3gs (n=%d)",
+			lines = append(lines, fmt.Sprintf("collection time (first block → decode): p50=%.3gs p90=%.3gs p99=%.3gs (n=%d)",
 				h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99), h.Count))
 		case "walAppendLatency":
 			lines = append(lines, fmt.Sprintf("wal append latency: p50=%.3gs p99=%.3gs (n=%d)",

@@ -94,6 +94,12 @@ func TestMergeLiveShardSnapshots(t *testing.T) {
 	if !strings.Contains(text, wantLine) {
 		t.Fatalf("merged view missing %q:\n%s", wantLine, text)
 	}
+	// collectionTime runs from a segment's first block to its decode at
+	// the server, so it must not be labeled as inject-to-delivery delay.
+	if !strings.Contains(text, "collection time (first block → decode): p50=") ||
+		strings.Contains(text, "delivery delay") {
+		t.Fatalf("collectionTime histogram mislabeled in merged view:\n%s", text)
+	}
 
 	// The Prometheus rendering of the same merge must itself pass the
 	// exposition lint — obstool's output can be re-exported.

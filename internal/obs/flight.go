@@ -7,19 +7,16 @@ import (
 	"io"
 	"math"
 	"os"
-	"sync"
 
 	"p2pcollect/internal/durable"
 	"p2pcollect/internal/rlnc"
 )
 
-// FlightRecorder is an always-on black box: a bounded ring of the most
-// recent trace and lifecycle events, kept cheap enough (one short mutex
-// hold, no allocation once the ring has grown) to leave recording on every
-// server in production. When a process dies — CrashStop or a loop panic —
-// the ring is dumped to a binary file next to the WAL directory, and
-// `obstool postmortem` decodes it alongside the recovery stats so the
-// crash can be explained after the fact.
+// A flight dump is an always-on black box: every live server keeps a
+// RingTracer of its most recent trace and lifecycle events, and when the
+// process dies — CrashStop or a loop panic — writes it to a binary file
+// next to the WAL directory, so `obstool postmortem` can decode it
+// alongside the recovery stats and explain the crash after the fact.
 //
 // Dump format: the 8-byte magic "P2PCFLT1", then one durable frame per
 // event (the frame WAL records use, see package durable), so a dump cut
@@ -29,16 +26,6 @@ import (
 //
 //	u8 version (1) | u8 kind | u8 hop | u64 traceID | u64 origin |
 //	u64 seq | u64 actor | f64 t | i64 n
-//
-// The ring grows by append until it holds max events and then overwrites
-// the oldest, so a recorder costs memory for what it has seen, not for its
-// bound.
-type FlightRecorder struct {
-	mu   sync.Mutex
-	buf  []TraceEvent
-	head int // oldest event, once len(buf) == max
-	max  int
-}
 
 // flightMagic heads every dump file.
 const flightMagic = "P2PCFLT1"
@@ -57,46 +44,9 @@ const flightFrameHeader = durable.FrameHeaderSize
 // by the dying process, which ReadFlightDump tolerates silently.
 var ErrFlightCorrupt = errors.New("obs: corrupt flight dump")
 
-// NewFlightRecorder returns a recorder retaining the last cap events
-// (minimum 1).
-func NewFlightRecorder(cap int) *FlightRecorder {
-	return &FlightRecorder{max: max(cap, 1)}
-}
-
-// Trace implements Tracer: an O(1) ring append, allocation-free once the
-// ring has grown to the events it holds.
-func (f *FlightRecorder) Trace(ev TraceEvent) {
-	f.mu.Lock()
-	if len(f.buf) < f.max {
-		f.buf = append(f.buf, ev)
-	} else {
-		f.buf[f.head] = ev
-		if f.head++; f.head == f.max {
-			f.head = 0
-		}
-	}
-	f.mu.Unlock()
-}
-
-// Len returns the number of retained events.
-func (f *FlightRecorder) Len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.buf)
-}
-
-// Events returns the retained events, oldest-first, as a fresh slice.
-func (f *FlightRecorder) Events() []TraceEvent {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]TraceEvent, 0, len(f.buf))
-	out = append(out, f.buf[f.head:]...)
-	return append(out, f.buf[:f.head]...)
-}
-
 // encode serializes the retained events oldest-first in the dump format.
-func (f *FlightRecorder) encode() []byte {
-	events := f.Events()
+func (rt *RingTracer) encode() []byte {
+	events := rt.Tail(rt.Len())
 	buf := make([]byte, 0, len(flightMagic)+len(events)*(flightFrameHeader+flightBodySize))
 	buf = append(buf, flightMagic...)
 	for i := range events {
@@ -105,18 +55,18 @@ func (f *FlightRecorder) encode() []byte {
 	return buf
 }
 
-// WriteTo writes the dump to w.
-func (f *FlightRecorder) WriteTo(w io.Writer) (int64, error) {
-	n, err := w.Write(f.encode())
+// WriteTo writes the flight dump of the retained events to w.
+func (rt *RingTracer) WriteTo(w io.Writer) (int64, error) {
+	n, err := w.Write(rt.encode())
 	return int64(n), err
 }
 
-// DumpFile atomically replaces path with the dump (durable.WriteFile),
-// creating parent directories as needed. It is safe to call on a crash
-// path: any existing dump stays intact until the new one is durably
-// complete.
-func (f *FlightRecorder) DumpFile(path string) error {
-	if err := durable.WriteFile(path, f.encode()); err != nil {
+// DumpFile atomically replaces path with the flight dump
+// (durable.WriteFile), creating parent directories as needed. It is safe
+// to call on a crash path: any existing dump stays intact until the new
+// one is durably complete.
+func (rt *RingTracer) DumpFile(path string) error {
+	if err := durable.WriteFile(path, rt.encode()); err != nil {
 		return fmt.Errorf("obs: flight dump: %w", err)
 	}
 	return nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"p2pcollect/internal/rlnc"
@@ -23,7 +24,7 @@ func flightEvent(i int) TraceEvent {
 }
 
 func TestFlightRecorderRoundTrip(t *testing.T) {
-	fr := NewFlightRecorder(64)
+	fr := NewRingTracer(64)
 	var want []TraceEvent
 	for i := 0; i < 10; i++ {
 		ev := flightEvent(i)
@@ -51,24 +52,55 @@ func TestFlightRecorderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderRingWraps dumps a ring that has wrapped and requires
+// the dump to read back as the retained window, Tail(Len()), oldest first.
 func TestFlightRecorderRingWraps(t *testing.T) {
-	fr := NewFlightRecorder(4)
+	fr := NewRingTracer(4)
 	for i := 0; i < 10; i++ {
 		fr.Trace(flightEvent(i))
 	}
-	evs := fr.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained %d events, want 4", len(evs))
+	var buf bytes.Buffer
+	if _, err := fr.WriteTo(&buf); err != nil {
+		t.Fatal(err)
 	}
-	for i, ev := range evs {
+	got, err := ReadFlightDump(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fr.Tail(fr.Len()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("dump = %+v, want Tail(Len()) = %+v", got, want)
+	}
+	for i, ev := range got {
 		if want := flightEvent(6 + i); ev != want {
 			t.Fatalf("event %d = %+v, want %+v (oldest-first after wrap)", i, ev, want)
 		}
 	}
 }
 
+// TestFlightDumpBytesUnchanged pins the dump format byte for byte: a
+// cap-4 ring fed six events must encode exactly as
+// testdata/flight_cap4.bin, so dumps written by one build read back in
+// every other.
+func TestFlightDumpBytesUnchanged(t *testing.T) {
+	fr := NewRingTracer(4)
+	for i := 0; i < 6; i++ {
+		fr.Trace(flightEvent(i))
+	}
+	var buf bytes.Buffer
+	if _, err := fr.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/flight_cap4.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("dump bytes changed:\n got  %x\n want %x", buf.Bytes(), want)
+	}
+}
+
 func TestFlightDumpTornTailTolerated(t *testing.T) {
-	fr := NewFlightRecorder(8)
+	fr := NewRingTracer(8)
 	for i := 0; i < 5; i++ {
 		fr.Trace(flightEvent(i))
 	}
@@ -90,7 +122,7 @@ func TestFlightDumpTornTailTolerated(t *testing.T) {
 }
 
 func TestFlightDumpCorruptionDetected(t *testing.T) {
-	fr := NewFlightRecorder(8)
+	fr := NewRingTracer(8)
 	for i := 0; i < 3; i++ {
 		fr.Trace(flightEvent(i))
 	}
@@ -116,7 +148,7 @@ func TestFlightDumpCorruptionDetected(t *testing.T) {
 }
 
 func TestFlightDumpFile(t *testing.T) {
-	fr := NewFlightRecorder(8)
+	fr := NewRingTracer(8)
 	for i := 0; i < 6; i++ {
 		fr.Trace(flightEvent(i))
 	}
@@ -141,13 +173,17 @@ func TestFlightDumpFile(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderTraceDoesNotAllocate pins the always-on cost: the hot
-// append must stay allocation-free so leaving the black box recording on
-// every production server is genuinely free.
+// TestFlightRecorderTraceDoesNotAllocate pins the always-on cost as a
+// server pays it: its flight ring teed with a shared cluster ring. Once
+// both rings have grown, a traced event must cost no allocation.
 func TestFlightRecorderTraceDoesNotAllocate(t *testing.T) {
-	fr := NewFlightRecorder(1024)
+	flight, shared := NewRingTracer(1024), NewRingTracer(64)
+	tr := Tee(shared, flight)
+	for i := 0; i < 1024; i++ {
+		tr.Trace(flightEvent(i))
+	}
 	ev := flightEvent(1)
-	if avg := testing.AllocsPerRun(1000, func() { fr.Trace(ev) }); avg != 0 {
-		t.Fatalf("FlightRecorder.Trace allocates %.1f times per event, want 0", avg)
+	if avg := testing.AllocsPerRun(1000, func() { tr.Trace(ev) }); avg != 0 {
+		t.Fatalf("teed flight ring allocates %.1f times per event, want 0", avg)
 	}
 }

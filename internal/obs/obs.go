@@ -18,7 +18,9 @@
 //     seeded runs byte-identical) and a bounded ring implementation that
 //     records per-segment milestones — injection, gossip hops, server rank
 //     increments, delivery, decode, purge — cheap enough to leave on. A
-//     trace query reconstructs "where did segment X's time go".
+//     trace query reconstructs "where did segment X's time go", and the
+//     same ring, kept by every live server, is dumped as the crash flight
+//     recorder (RingTracer.DumpFile, ReadFlightDump).
 //
 //   - One read path: a Registry bundles an endpoint's counters,
 //     histograms, gauges and trace tail, and the only way out of it

@@ -172,74 +172,37 @@ func Tee(tracers ...Tracer) Tracer {
 	return live
 }
 
-// RingTracer keeps the last cap events in a fixed ring. Trace is O(1),
-// allocation-free, and takes one short mutex hold, cheap enough to leave
-// enabled on live clusters; when the ring wraps the oldest events are
-// overwritten, so queries see a sliding window.
+// RingTracer keeps the last max events in a ring that grows by append
+// until it holds max events and then overwrites the oldest, so it costs
+// memory for the events it has seen, not for its bound, and queries see a
+// sliding window. Trace is O(1), takes one short mutex hold and is
+// allocation-free once the ring has grown, cheap enough to leave on: every
+// live server keeps one as its crash flight recorder, dumped by WriteTo and
+// DumpFile (see flight.go).
 type RingTracer struct {
-	mu    sync.Mutex
-	buf   []TraceEvent
-	start int
-	n     int
-	// next chains each segment's live slots in insertion order (-1 ends a
-	// chain) and segs holds every chain's ends, so Query touches only the
-	// queried segment's events instead of scanning the ring. The ring
-	// evicts in insertion order too: the slot being overwritten is always
-	// the head of its segment's chain, which keeps index maintenance O(1)
-	// per Trace with no per-segment storage to grow.
-	next []int32
-	segs map[rlnc.SegmentID]slotChain
+	mu   sync.Mutex
+	buf  []TraceEvent
+	head int // oldest event, once len(buf) == max
+	max  int
 }
-
-// slotChain is one segment's run of ring slots: n slots from head to tail
-// through RingTracer.next.
-type slotChain struct{ head, tail, n int32 }
 
 // NewRingTracer returns a tracer retaining the last cap events
 // (minimum 1).
 func NewRingTracer(cap int) *RingTracer {
-	if cap < 1 {
-		cap = 1
-	}
-	return &RingTracer{
-		buf:  make([]TraceEvent, cap),
-		next: make([]int32, cap),
-		segs: make(map[rlnc.SegmentID]slotChain),
-	}
+	return &RingTracer{max: max(cap, 1)}
 }
 
 // Trace implements Tracer.
 func (rt *RingTracer) Trace(ev TraceEvent) {
 	rt.mu.Lock()
-	var slot int32
-	if rt.n < len(rt.buf) {
-		slot = int32((rt.start + rt.n) % len(rt.buf))
-		rt.n++
+	if len(rt.buf) < rt.max {
+		rt.buf = append(rt.buf, ev)
 	} else {
-		slot = int32(rt.start)
-		rt.start = (rt.start + 1) % len(rt.buf)
-		// The evicted slot is the oldest event overall, hence the head of
-		// its own segment's chain.
-		old := rt.buf[slot].Seg
-		if c := rt.segs[old]; c.n <= 1 {
-			delete(rt.segs, old)
-		} else {
-			c.head = rt.next[slot]
-			c.n--
-			rt.segs[old] = c
+		rt.buf[rt.head] = ev
+		if rt.head++; rt.head == rt.max {
+			rt.head = 0
 		}
 	}
-	rt.buf[slot] = ev
-	rt.next[slot] = -1
-	c, ok := rt.segs[ev.Seg]
-	if ok {
-		rt.next[c.tail] = slot
-	} else {
-		c.head = slot
-	}
-	c.tail = slot
-	c.n++
-	rt.segs[ev.Seg] = c
 	rt.mu.Unlock()
 }
 
@@ -247,36 +210,37 @@ func (rt *RingTracer) Trace(ev TraceEvent) {
 func (rt *RingTracer) Len() int {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return rt.n
+	return len(rt.buf)
 }
 
 // Tail returns up to n most recent events, oldest-first.
 func (rt *RingTracer) Tail(n int) []TraceEvent {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if n > rt.n {
-		n = rt.n
-	}
+	n = min(n, len(rt.buf))
 	if n <= 0 {
 		return nil
 	}
 	out := make([]TraceEvent, n)
-	first := rt.n - n // skip the oldest rt.n-n events
-	for i := 0; i < n; i++ {
-		out[i] = rt.buf[(rt.start+first+i)%len(rt.buf)]
+	first := len(rt.buf) - n // skip the oldest len(buf)-n events
+	for i := range out {
+		out[i] = rt.buf[(rt.head+first+i)%len(rt.buf)]
 	}
 	return out
 }
 
 // Query collects every retained event for one segment, in time order,
-// reconstructing where that segment's time went.
+// reconstructing where that segment's time went. It scans the whole
+// window: queries are for tests and debugging, and an index would tax
+// every Trace.
 func (rt *RingTracer) Query(seg rlnc.SegmentID) SegmentTrace {
-	rt.mu.Lock()
 	var events []TraceEvent
-	if c, ok := rt.segs[seg]; ok {
-		events = make([]TraceEvent, 0, c.n)
-		for slot := c.head; slot >= 0; slot = rt.next[slot] {
-			events = append(events, rt.buf[slot])
+	rt.mu.Lock()
+	for _, part := range [2][]TraceEvent{rt.buf[rt.head:], rt.buf[:rt.head]} {
+		for _, ev := range part {
+			if ev.Seg == seg {
+				events = append(events, ev)
+			}
 		}
 	}
 	rt.mu.Unlock()

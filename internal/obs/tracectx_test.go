@@ -54,8 +54,8 @@ func TestTee(t *testing.T) {
 // TestRingTracerQueryMatchesScan drives a ring through an event stream long
 // enough to wrap it several times and requires Query to return, for every
 // segment at several checkpoints, exactly what a brute-force filter over
-// the whole retained window finds. The per-segment slot chains are a pure
-// acceleration structure; any divergence from the scan is a bug.
+// the whole retained window (Tail(Len())) finds, in the same order; any
+// divergence from the filter is a bug.
 func TestRingTracerQueryMatchesScan(t *testing.T) {
 	const cap, segs, events = 64, 7, 1000
 	rt := NewRingTracer(cap)

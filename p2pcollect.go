@@ -316,7 +316,9 @@ type (
 	// rank growth, delivery, decode) from the simulator or live endpoints.
 	Tracer = obs.Tracer
 	// RingTracer is the bounded in-memory Tracer; query it to reconstruct
-	// where a segment's time went.
+	// where a segment's time went. Every live server keeps one as its
+	// always-on crash flight recorder, which CrashStop and loop panics dump
+	// next to the WAL (WriteTo, DumpFile; read back with ReadFlightDump).
 	RingTracer = obs.RingTracer
 	// TraceEvent is one recorded segment-lifecycle milestone.
 	TraceEvent = obs.TraceEvent
@@ -346,9 +348,6 @@ type (
 	Span = obs.Span
 	// Assembler stitches per-process dumps into Spans, one per lineage.
 	Assembler = obs.Assembler
-	// FlightRecorder is the always-on crash black box every live server
-	// carries; CrashStop and loop panics dump it next to the WAL.
-	FlightRecorder = obs.FlightRecorder
 	// ObsSnapshot is one registry's scraped state — the single read model
 	// of the telemetry; MergeSnapshots folds many into a cluster view.
 	ObsSnapshot = obs.Snapshot
