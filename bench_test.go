@@ -13,7 +13,6 @@ import (
 
 	"p2pcollect"
 	"p2pcollect/internal/experiments"
-	"p2pcollect/internal/metrics"
 	"p2pcollect/internal/ode"
 	"p2pcollect/internal/randx"
 	"p2pcollect/internal/rlnc"
@@ -24,9 +23,9 @@ func benchOptions() experiments.Options {
 	return experiments.Options{N: 60, Horizon: 12, Warmup: 5, Seed: 17, Quick: true}
 }
 
-func benchExperiment(b *testing.B, gen func(experiments.Options) (*metrics.Table, error)) {
+func benchExperiment(b *testing.B, gen func(experiments.Options) (*experiments.Table, error)) {
 	b.Helper()
-	var tbl *metrics.Table
+	var tbl *experiments.Table
 	for i := 0; i < b.N; i++ {
 		var err error
 		tbl, err = gen(benchOptions())

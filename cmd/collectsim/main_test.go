@@ -16,6 +16,22 @@ func TestRunSingleExperiment(t *testing.T) {
 	}
 }
 
+func TestRunChart(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{"-experiment", "s1", "-chart", "-n", "40", "-horizon", "10", "-warmup", "4"}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"c  closed form (Thm 2)  m-system",                   // the table's header row
+		"\n  * closed form (Thm 2)\n  o m-system\n  + sim\n", // the chart's legend
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, out.String())
+		}
+	}
+}
+
 func TestRunCSV(t *testing.T) {
 	var out strings.Builder
 	err := run([]string{"-experiment", "overhead", "-csv", "-n", "40", "-horizon", "10", "-warmup", "4"}, &out)

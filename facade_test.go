@@ -31,8 +31,17 @@ func TestFacadeNewSimulatorStepwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.StartTrace(2)
-	s.RunUntil(6)
+	// Step in intervals of 2, scraping the registry at each step.
+	points, next := 0, 0.0
+	runUntil := func(until float64) {
+		for ; next <= until; next += 2 {
+			s.RunUntil(next)
+			if _, ok := s.Registry().Snapshot().Gauges["blocksPerPeer"]; ok {
+				points++
+			}
+		}
+	}
+	runUntil(6)
 	mid := s.TotalBlocks()
 	if mid == 0 {
 		t.Error("no blocks buffered mid-run")
@@ -45,11 +54,11 @@ func TestFacadeNewSimulatorStepwise(t *testing.T) {
 	if s.Population() != 59 {
 		t.Errorf("RemovePeer via facade: population %d", s.Population())
 	}
-	s.RunUntil(12)
+	runUntil(12)
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.TracePoints()) == 0 {
+	if points == 0 {
 		t.Error("no trace points")
 	}
 }

@@ -17,7 +17,6 @@ import (
 
 	"p2pcollect/internal/collect/store"
 	"p2pcollect/internal/collect/store/wal"
-	"p2pcollect/internal/metrics"
 	"p2pcollect/internal/obs"
 	"p2pcollect/internal/peercore"
 	"p2pcollect/internal/pullsched"
@@ -121,7 +120,7 @@ type Service struct {
 	st     store.Store
 	tracer obs.Tracer
 
-	fb        *metrics.CounterSet
+	fb        *obs.CounterSet
 	firstSeen map[rlnc.SegmentID]float64
 	traceCtx  map[rlnc.SegmentID]obs.TraceContext
 	redundant int64
@@ -173,7 +172,7 @@ func New(cfg Config) (*Service, error) {
 		policy:    policy,
 		st:        st,
 		tracer:    tracer,
-		fb:        metrics.NewCounterSet(policyCounterNames[:]),
+		fb:        obs.NewCounterSet(policyCounterNames[:]),
 		firstSeen: make(map[rlnc.SegmentID]float64),
 	}, nil
 }

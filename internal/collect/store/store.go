@@ -29,7 +29,8 @@ type Store interface {
 	SegmentSize() int
 	// Receive runs one coded block through the collection state machine,
 	// opening the segment's collection lazily. The first block fixes the
-	// segment size when the store was built without one.
+	// segment size when the store was built without one. now is the
+	// caller's clock; the stores here keep no timestamps.
 	Receive(now float64, cb *rlnc.CodedBlock) (peercore.PullOutcome, *peercore.Collection, error)
 	// Collection returns a segment's open collection, or nil.
 	Collection(seg rlnc.SegmentID) *peercore.Collection
@@ -129,12 +130,12 @@ func (m *Memory) SegmentSize() int {
 }
 
 // Receive implements Store.
-func (m *Memory) Receive(now float64, cb *rlnc.CodedBlock) (peercore.PullOutcome, *peercore.Collection, error) {
+func (m *Memory) Receive(_ float64, cb *rlnc.CodedBlock) (peercore.PullOutcome, *peercore.Collection, error) {
 	if m.collector == nil {
 		m.cfg.SegmentSize = cb.SegmentSize()
 		m.collector = m.newCollector(m.cfg.SegmentSize)
 	}
-	return m.collector.Receive(now, cb)
+	return m.collector.Receive(cb)
 }
 
 // Collection implements Store.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"p2pcollect/internal/metrics"
 	"p2pcollect/internal/randx"
 	"p2pcollect/internal/rlnc"
 )
@@ -19,13 +18,13 @@ const codingCostBlockSize = 1024
 // sufficient ... with an acceptable computational complexity incurred".
 // Rows sweep s; columns give per-block re-encoding and decoding cost in
 // microseconds and the implied decode throughput in MB/s (1 KiB blocks).
-func CodingCostTable(opt Options) (*metrics.Table, error) {
+func CodingCostTable(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
 	sizes := []int{1, 5, 10, 20, 30, 50, 100}
 	if opt.Quick {
 		sizes = []int{1, 10, 30}
 	}
-	tbl := metrics.NewTable("A5: coding cost vs segment size (1 KiB blocks)", "s")
+	tbl := NewTable("A5: coding cost vs segment size (1 KiB blocks)", "s")
 	encCost := tbl.AddSeries("recode us/block")
 	decCost := tbl.AddSeries("decode us/block")
 	decRate := tbl.AddSeries("decode MB/s")

@@ -4,7 +4,7 @@
 // four validation tables (storage overhead, the s=1 closed form, the
 // direct-pull baseline comparison, and post-session draining).
 //
-// Each generator returns a metrics.Table whose series correspond to the
+// Each generator returns a Table whose series correspond to the
 // curves of the figure; Render prints the rows the paper plots. The sim
 // population and horizon are configurable so the same harness serves the
 // CLI (full size) and the benchmarks (reduced size).
@@ -22,7 +22,6 @@ import (
 
 	"p2pcollect/internal/analysis"
 	"p2pcollect/internal/logdata"
-	"p2pcollect/internal/metrics"
 	"p2pcollect/internal/ode"
 	"p2pcollect/internal/sim"
 )
@@ -111,7 +110,7 @@ func sweepFigure(
 	seedSalt int64,
 	extractAna func(*analysis.Metrics) float64,
 	extractSim func(*sim.Result) float64,
-) (*metrics.Table, error) {
+) (*Table, error) {
 	sizes := opt.segmentSweep()
 	cells := make([]figureCell, len(capacities)*len(sizes))
 	runParallel(len(cells), func(k int) {
@@ -136,9 +135,9 @@ func sweepFigure(
 		}
 		cell.simR = r
 	})
-	tbl := metrics.NewTable(title, "s")
+	tbl := NewTable(title, "s")
 	for ci, c := range capacities {
-		var capSeries *metrics.Series
+		var capSeries *Series
 		if withCapacityLine {
 			capSeries = tbl.AddSeries(fmt.Sprintf("capacity c=%g", c))
 		}
@@ -162,7 +161,7 @@ func sweepFigure(
 // Fig3 reproduces "Session throughput as a function of segment size s"
 // (λ=20, μ=10, γ=1). One analysis and one simulation series per c, plus the
 // capacity line.
-func Fig3(opt Options) (*metrics.Table, error) {
+func Fig3(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
 	return sweepFigure(opt,
 		"Fig. 3: normalized session throughput vs segment size s (lambda=20, mu=10, gamma=1)",
@@ -178,9 +177,9 @@ var fig4Mus = []float64{2, 6, 10, 14, 18}
 // Fig4 reproduces "Session throughput as a function of μ under different
 // scenarios" (λ=8, γ=1): ample (c=8) vs scarce (c=2) capacity, non-coding
 // (s=1) vs coded (s=30), static vs severe churn (mean lifetime L=5).
-func Fig4(opt Options) (*metrics.Table, error) {
+func Fig4(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
-	tbl := metrics.NewTable("Fig. 4: normalized session throughput vs mu (lambda=8, gamma=1)", "mu")
+	tbl := NewTable("Fig. 4: normalized session throughput vs mu (lambda=8, gamma=1)", "mu")
 	mus := fig4Mus
 	if opt.Quick {
 		mus = []float64{4, 12}
@@ -242,7 +241,7 @@ var fig56Capacities = []float64{4, 8, 16}
 // Fig5 reproduces "Average block delivery delay T for different values of
 // s" (λ=20, μ=10, γ=1): Theorem 3 plus the simulator's measured
 // injection→delivery delay.
-func Fig5(opt Options) (*metrics.Table, error) {
+func Fig5(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
 	return sweepFigure(opt,
 		"Fig. 5: average block delivery delay T vs segment size s (lambda=20, mu=10, gamma=1)",
@@ -255,7 +254,7 @@ func Fig5(opt Options) (*metrics.Table, error) {
 // Fig6 reproduces "Data saved in each peer" (λ=20, μ=10, γ=1): original
 // blocks buffered per peer in decodable segments the servers have not
 // finished collecting (Theorem 4), analysis and simulation.
-func Fig6(opt Options) (*metrics.Table, error) {
+func Fig6(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
 	return sweepFigure(opt,
 		"Fig. 6: original blocks saved per peer vs segment size s (lambda=20, mu=10, gamma=1)",
@@ -267,9 +266,9 @@ func Fig6(opt Options) (*metrics.Table, error) {
 
 // OverheadTable (T1) validates Theorem 1 over a μ sweep: the storage
 // overhead per peer, analysis vs simulation, must stay below μ/γ.
-func OverheadTable(opt Options) (*metrics.Table, error) {
+func OverheadTable(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
-	tbl := metrics.NewTable("T1: storage overhead per peer vs mu (Theorem 1; lambda=8, gamma=1, s=4)", "mu")
+	tbl := NewTable("T1: storage overhead per peer vs mu (Theorem 1; lambda=8, gamma=1, s=4)", "mu")
 	bound := tbl.AddSeries("bound mu/gamma")
 	ana := tbl.AddSeries("analysis")
 	anaRho := tbl.AddSeries("analysis rho")
@@ -299,9 +298,9 @@ func OverheadTable(opt Options) (*metrics.Table, error) {
 
 // S1Table (T2) cross-validates the non-coding case three ways: Theorem 2's
 // closed form, the numerically solved m-system, and the simulator.
-func S1Table(opt Options) (*metrics.Table, error) {
+func S1Table(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
-	tbl := metrics.NewTable("T2: normalized throughput, non-coding case s=1 (lambda=20, mu=10, gamma=1)", "c")
+	tbl := NewTable("T2: normalized throughput, non-coding case s=1 (lambda=20, mu=10, gamma=1)", "c")
 	closed := tbl.AddSeries("closed form (Thm 2)")
 	numeric := tbl.AddSeries("m-system")
 	simS := tbl.AddSeries("sim")
@@ -332,7 +331,7 @@ func S1Table(opt Options) (*metrics.Table, error) {
 // BaselineTable (T3) reproduces the motivation of Fig. 1: a flash crowd
 // with churn, servers provisioned near the *average* load. Rows compare
 // delivered fraction and losses for direct pull vs indirect collection.
-func BaselineTable(opt Options) (*metrics.Table, error) {
+func BaselineTable(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
 	const (
 		lambdaBase = 2.0
@@ -374,7 +373,7 @@ func BaselineTable(opt Options) (*metrics.Table, error) {
 		return nil, fmt.Errorf("t3 indirect: %w", err)
 	}
 
-	tbl := metrics.NewTable("T3: flash crowd + churn, direct pull vs indirect collection (c = 1.5x average load; rows: 1 delivered fraction, 2 loss fraction, 3 departed-peer data recovered, 4 mean block delay)", "row")
+	tbl := NewTable("T3: flash crowd + churn, direct pull vs indirect collection (c = 1.5x average load; rows: 1 delivered fraction, 2 loss fraction, 3 departed-peer data recovered, 4 mean block delay)", "row")
 	d := tbl.AddSeries("direct pull")
 	ind := tbl.AddSeries("indirect (s=8)")
 	// Row 1: delivered fraction of offered load.
@@ -398,10 +397,10 @@ func BaselineTable(opt Options) (*metrics.Table, error) {
 
 // DrainTable (T4) demonstrates Theorem 4: injection stops mid-run and the
 // servers keep harvesting the buffered backlog afterwards.
-func DrainTable(opt Options) (*metrics.Table, error) {
+func DrainTable(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
 	stop := opt.Horizon / 2
-	tbl := metrics.NewTable(fmt.Sprintf("T4: post-session delayed delivery (injection stops at t=%g; lambda=12, mu=8, gamma=1, c=2)", stop), "s")
+	tbl := NewTable(fmt.Sprintf("T4: post-session delayed delivery (injection stops at t=%g; lambda=12, mu=8, gamma=1, c=2)", stop), "s")
 	backlog := tbl.AddSeries("backlog segments at stop")
 	drained := tbl.AddSeries("delivered after stop")
 	savedAna := tbl.AddSeries("analysis saved/peer")
@@ -446,9 +445,9 @@ func DrainTable(opt Options) (*metrics.Table, error) {
 // probability deg/E, while the literal protocol of §2 picks uniformly among
 // a random peer's distinct segments. Running the simulator both ways
 // isolates the gap, which grows with s and c.
-func AblationTable(opt Options) (*metrics.Table, error) {
+func AblationTable(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
-	tbl := metrics.NewTable("A1: mean-field sampling ablation, normalized throughput (lambda=20, mu=10, gamma=1, c=16)", "s")
+	tbl := NewTable("A1: mean-field sampling ablation, normalized throughput (lambda=20, mu=10, gamma=1, c=16)", "s")
 	ana := tbl.AddSeries("ODE (Thm 2)")
 	meanField := tbl.AddSeries("sim, degree-proportional sampling")
 	protocol := tbl.AddSeries("sim, literal protocol")
@@ -485,9 +484,9 @@ func AblationTable(opt Options) (*metrics.Table, error) {
 // idealized server→peer feedback channel that purges delivered segments
 // from peer buffers, freeing pull capacity and storage for undelivered
 // data. Rows sweep the capacity ratio c/λ.
-func FeedbackTable(opt Options) (*metrics.Table, error) {
+func FeedbackTable(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
-	tbl := metrics.NewTable("A2: server-feedback extension, normalized throughput (lambda=10, mu=8, gamma=1, s=8)", "c")
+	tbl := NewTable("A2: server-feedback extension, normalized throughput (lambda=10, mu=8, gamma=1, s=8)", "c")
 	plain := tbl.AddSeries("base protocol")
 	withFB := tbl.AddSeries("with feedback purge")
 	purged := tbl.AddSeries("blocks purged/peer/time")
@@ -522,9 +521,9 @@ func FeedbackTable(opt Options) (*metrics.Table, error) {
 // servers each must gather s blocks alone, and completed-segment
 // throughput falls as N_s grows. Rows sweep N_s at fixed aggregate
 // capacity.
-func ServersTable(opt Options) (*metrics.Table, error) {
+func ServersTable(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
-	tbl := metrics.NewTable("A3: server collaboration ablation, delivered-segment throughput (lambda=10, mu=8, gamma=1, s=8, c=4)", "Ns")
+	tbl := NewTable("A3: server collaboration ablation, delivered-segment throughput (lambda=10, mu=8, gamma=1, s=8, c=4)", "Ns")
 	collab := tbl.AddSeries("collaborating (paper)")
 	indep := tbl.AddSeries("independent")
 	counts := []int{1, 2, 4, 8}
@@ -557,13 +556,13 @@ func ServersTable(opt Options) (*metrics.Table, error) {
 // the ODE trajectory, so e(t) measured in a simulator started from the
 // empty network must follow the integrated z system, not just its fixed
 // point. Rows are time samples.
-func TransientTable(opt Options) (*metrics.Table, error) {
+func TransientTable(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
 	p := ode.Params{Lambda: 8, Mu: 6, Gamma: 1, S: 4}
 	horizon := math.Min(opt.Horizon, 16)
 	const interval = 1.0
 	const c = 2.0
-	tbl := metrics.NewTable("T5: transient from the empty network, ODE vs simulation (lambda=8, mu=6, gamma=1, s=4, c=2)", "t")
+	tbl := NewTable("T5: transient from the empty network, ODE vs simulation (lambda=8, mu=6, gamma=1, s=4, c=2)", "t")
 	anaE := tbl.AddSeries("ODE e(t)")
 	simE := tbl.AddSeries("sim e(t)")
 	anaEta := tbl.AddSeries("ODE eta(t)")
@@ -586,21 +585,20 @@ func TransientTable(opt Options) (*metrics.Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("t5 sim: %w", err)
 	}
-	s.StartTrace(interval)
-	s.RunUntil(horizon)
-	pts := s.TracePoints()
-	for i, pt := range pts {
-		simE.Add(math.Round(pt.T), pt.E)
-		if i == 0 {
-			continue
-		}
-		// Windowed efficiency between consecutive samples; skip empty
+	// The trajectory is a sequence of registry scrapes, one per interval.
+	reg := s.Registry()
+	var prevPulls, prevUseful int64
+	for t := 0.0; t <= horizon; t += interval {
+		s.RunUntil(t)
+		snap := reg.Snapshot()
+		simE.Add(t, snap.Gauges["blocksPerPeer"])
+		pulls, useful := snap.Counters["serverPulls"], snap.Counters["usefulPulls"]
+		// Windowed efficiency between consecutive scrapes; skip empty
 		// windows (no pulls yet).
-		dPulls := pt.CumServerPulls - pts[i-1].CumServerPulls
-		if dPulls > 0 {
-			dUseful := pt.CumUsefulPulls - pts[i-1].CumUsefulPulls
-			simEta.Add(math.Round(pt.T), float64(dUseful)/float64(dPulls))
+		if dPulls := pulls - prevPulls; t > 0 && dPulls > 0 {
+			simEta.Add(t, float64(useful-prevUseful)/float64(dPulls))
 		}
+		prevPulls, prevUseful = pulls, useful
 	}
 	return tbl, nil
 }
@@ -608,9 +606,9 @@ func TransientTable(opt Options) (*metrics.Table, error) {
 // TopologyTable (A4) relaxes the analysis's full-mesh assumption: gossip
 // targets come from a bounded-degree random overlay (each peer links to k
 // partners). Rows sweep k; the full mesh is the paper's reference point.
-func TopologyTable(opt Options) (*metrics.Table, error) {
+func TopologyTable(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
-	tbl := metrics.NewTable("A4: overlay connectivity ablation, normalized throughput (lambda=10, mu=8, gamma=1, s=8, c=4)", "k")
+	tbl := NewTable("A4: overlay connectivity ablation, normalized throughput (lambda=10, mu=8, gamma=1, s=8, c=4)", "k")
 	series := tbl.AddSeries("sim")
 	degrees := []int{1, 2, 4, 8, 16}
 	if opt.Quick {
@@ -663,7 +661,7 @@ func TopologyTable(opt Options) (*metrics.Table, error) {
 // after the crowd leaves — the buffered backlog draining in delayed
 // fashion — while the direct architecture's overflow and departed-peer
 // losses are permanent.
-func FlashJoinTable(opt Options) (*metrics.Table, error) {
+func FlashJoinTable(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
 	const (
 		lambda    = 8.0
@@ -673,7 +671,7 @@ func FlashJoinTable(opt Options) (*metrics.Table, error) {
 		joinScale = 1 // peers added = joinScale x N
 	)
 	horizon := math.Max(opt.Horizon, 70)
-	tbl := metrics.NewTable(
+	tbl := NewTable(
 		fmt.Sprintf("T6: transient flash crowd (x%d arrivals at t=%g, departing t=%g; servers fixed at 0.75x initial demand; lambda=%g)",
 			joinScale+1, joinTime, leaveTime, lambda), "window start")
 	indirectS := tbl.AddSeries("indirect delivered fraction")
@@ -698,27 +696,33 @@ func FlashJoinTable(opt Options) (*metrics.Table, error) {
 			burstDelivered++
 		}
 	})
-	s.StartTrace(window)
-	s.RunUntil(joinTime)
-	injAtJoin := s.Result().InjectedBlocks
-	crowd := s.AddPeers(joinScale * opt.N)
-	s.RunUntil(leaveTime)
-	injAtLeave := s.Result().InjectedBlocks
-	for _, pi := range crowd {
-		s.RemovePeer(pi)
+	// Step through the run one window at a time, scraping the registry at
+	// each window boundary; the crowd arrives and leaves right after the
+	// scrapes at joinTime and leaveTime.
+	reg := s.Registry()
+	var crowd []int
+	var injAtJoin, injAtLeave, prevInj, prevUseful int64
+	for t := 0.0; t <= horizon; t += window {
+		s.RunUntil(t)
+		c := reg.Snapshot().Counters
+		inj, useful := c["injectedBlocks"], c["usefulPulls"]
+		if offered := float64(inj - prevInj); t > 0 && offered > 0 {
+			indirectS.Add(t-window, float64(useful-prevUseful)/offered)
+			population.Add(t-window, float64(s.Population()))
+		}
+		prevInj, prevUseful = inj, useful
+		switch t {
+		case joinTime:
+			injAtJoin = inj
+			crowd = s.AddPeers(joinScale * opt.N)
+		case leaveTime:
+			injAtLeave = inj
+			for _, pi := range crowd {
+				s.RemovePeer(pi)
+			}
+		}
 	}
 	s.RunUntil(horizon)
-	pts := s.TracePoints()
-	for i := 1; i < len(pts); i++ {
-		a, b := pts[i-1], pts[i]
-		offered := float64(b.CumInjectedBlocks - a.CumInjectedBlocks)
-		if offered <= 0 {
-			continue
-		}
-		useful := float64(b.CumUsefulPulls - a.CumUsefulPulls)
-		indirectS.Add(a.T, useful/offered)
-		population.Add(a.T, float64(b.Population))
-	}
 
 	d, err := sim.NewBaseline(sim.BaselineConfig{
 		N: opt.N, Lambda: lambda, C: 0.75 * lambda, BufferCap: 20,
@@ -768,7 +772,7 @@ func FlashJoinTable(opt Options) (*metrics.Table, error) {
 // for the paper's figures), and its generator.
 type experiment struct {
 	name, alias string
-	run         func(Options) (*metrics.Table, error)
+	run         func(Options) (*Table, error)
 }
 
 // experiments is the one list of experiments, in the order All runs them.
@@ -808,7 +812,7 @@ func All(opt Options, w io.Writer) error {
 }
 
 // ByName returns the generator for an experiment, by name or alias.
-func ByName(name string) (func(Options) (*metrics.Table, error), bool) {
+func ByName(name string) (func(Options) (*Table, error), bool) {
 	for _, e := range experiments {
 		if name == e.name || (name == e.alias && e.alias != "") {
 			return e.run, true

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -240,6 +242,34 @@ func TestFlashJoinRecoveryOvershoot(t *testing.T) {
 	}
 	if recovery <= burst {
 		t.Errorf("no recovery: burst %v, recovery %v", burst, recovery)
+	}
+}
+
+// TestTrajectoryGoldens pins T5 and T6 byte for byte at N=40. Both step a
+// simulator through its run and scrape its registry at every sample time,
+// so a change to the stepping, the scraped instruments or the seeded event
+// order shows up here.
+func TestTrajectoryGoldens(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		gen  func(Options) (*Table, error)
+	}{
+		{"transient", TransientTable},
+		{"flashjoin", FlashJoinTable},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.name+"_n40.txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tbl, err := tc.gen(Options{N: 40})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := tbl.Render(); got != string(want) {
+				t.Errorf("%s at N=40 drifted from testdata:\ngot:\n%s\nwant:\n%s", tc.name, got, want)
+			}
+		})
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"p2pcollect/internal/live"
-	"p2pcollect/internal/metrics"
 	"p2pcollect/internal/rlnc"
 )
 
@@ -41,7 +40,7 @@ var fleetShardCounts = []int{1, 2, 4}
 // and the inter-shard exchange rate that pays for the convergence. Unlike
 // the other experiments this one runs the live runtime, not the simulator —
 // the fleet is a deployment-layer feature.
-func FleetScalingTable(opt Options) (*metrics.Table, error) {
+func FleetScalingTable(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
 	warmup := 1 * time.Second
 	window := 8 * time.Second
@@ -53,7 +52,7 @@ func FleetScalingTable(opt Options) (*metrics.Table, error) {
 		trials = 1
 	}
 
-	tbl := metrics.NewTable(fmt.Sprintf(
+	tbl := NewTable(fmt.Sprintf(
 		"A8: sharded-fleet scaling (live, %d peers, lambda=%g mu=%g gamma=%g s=%d, c_s=%g pulls/s per shard, %.1fs window)",
 		fleetPeers, fleetLambda, fleetMu, fleetGamma, fleetSegSize, fleetPullRate, window.Seconds()), "shards")
 	delivered := tbl.AddSeries("delivered segments/s")

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"p2pcollect/internal/metrics"
 	"p2pcollect/internal/obs"
 	"p2pcollect/internal/ode"
 	"p2pcollect/internal/sim"
@@ -22,7 +21,7 @@ const obsSeedSalt = 700
 // The title row reports the delivery-delay p50/p90/p99 from the histogram
 // scraped at the horizon. If the obs plumbing dropped or mislabeled a
 // reading, the curves would visibly diverge from the prediction.
-func ObsTable(opt Options) (*metrics.Table, error) {
+func ObsTable(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
 	const (
 		lambda = 20.0
@@ -44,7 +43,7 @@ func ObsTable(opt Options) (*metrics.Table, error) {
 	}
 	reg := s.Registry()
 
-	tbl := metrics.NewTable(
+	tbl := NewTable(
 		fmt.Sprintf("A7: observability scrape vs ODE (lambda=%g mu=%g gamma=%g c=%g s=%d, sampled every %.2g)",
 			lambda, mu, gamma, c, segSz, interval), "t")
 	simBlocks := tbl.AddSeries("scraped blocks/peer")

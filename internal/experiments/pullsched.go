@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"p2pcollect/internal/metrics"
 	"p2pcollect/internal/pullsched"
 	"p2pcollect/internal/sim"
 )
@@ -17,9 +16,9 @@ import (
 // fraction, (2) server pulls per delivered segment, (3) delivered
 // segments, (4) mean segment delivery delay. Blind is the paper-faithful
 // baseline; its row is the reference the others must beat.
-func PullPolicyTable(opt Options) (*metrics.Table, error) {
+func PullPolicyTable(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
-	tbl := metrics.NewTable("A6: pull-scheduling policies (lambda=8, mu=10, gamma=1, s=8, c=4, Ns=2; rows: 1 redundant-pull fraction, 2 pulls per delivered segment, 3 delivered segments, 4 mean segment delay)", "row")
+	tbl := NewTable("A6: pull-scheduling policies (lambda=8, mu=10, gamma=1, s=8, c=4, Ns=2; rows: 1 redundant-pull fraction, 2 pulls per delivered segment, 3 delivered segments, 4 mean segment delay)", "row")
 	policies := pullsched.Names()
 	type cell struct {
 		r   *sim.Result

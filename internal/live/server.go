@@ -9,7 +9,6 @@ import (
 	"p2pcollect/internal/collect/store/wal"
 	"p2pcollect/internal/fleet"
 	"p2pcollect/internal/membership"
-	"p2pcollect/internal/metrics"
 	"p2pcollect/internal/obs"
 	"p2pcollect/internal/peercore"
 	"p2pcollect/internal/pullsched"
@@ -177,7 +176,7 @@ type Server struct {
 	shardTo  map[int]transport.NodeID
 	shardSet map[transport.NodeID]bool
 	exchRNG  *randx.Rand
-	fleetCtr *metrics.CounterSet
+	fleetCtr *obs.CounterSet
 
 	// Observability. pending maps each peer to the send time of its latest
 	// outstanding pull (the next reply from that peer closes it).
@@ -286,7 +285,7 @@ func NewServer(tr transport.Transport, cfg ServerConfig) (*Server, error) {
 		svcCfg.Owns = func(seg rlnc.SegmentID) bool { return ring.Owner(seg) == shardID }
 		s.reg.SetInfo("shard", fmt.Sprintf("%d/%d", cfg.ShardID, cfg.Shards))
 	}
-	s.fleetCtr = metrics.NewCounterSet(fleetCounterNames[:])
+	s.fleetCtr = obs.NewCounterSet(fleetCounterNames[:])
 	if cfg.Shards > 1 {
 		s.reg.RegisterCounters(s.fleetCtr.Range)
 	}

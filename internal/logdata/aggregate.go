@@ -3,7 +3,7 @@ package logdata
 import (
 	"sort"
 
-	"p2pcollect/internal/metrics"
+	"p2pcollect/internal/obs"
 )
 
 // DefaultOutageThreshold is the playback continuity below which a record
@@ -26,17 +26,17 @@ type Aggregator struct {
 type channelAgg struct {
 	records    int
 	peers      map[uint64]bool
-	continuity metrics.Summary
-	buffer     metrics.Summary
-	download   metrics.Summary
-	loss       metrics.Summary
+	continuity obs.Mean
+	buffer     obs.Mean
+	download   obs.Mean
+	loss       obs.Mean
 	degraded   int
 }
 
 type peerAgg struct {
 	records    int
-	continuity metrics.Summary
-	loss       metrics.Summary
+	continuity obs.Mean
+	loss       obs.Mean
 }
 
 // ChannelReport is the per-channel health summary.

@@ -1,7 +1,7 @@
 // Package obs is the clock-agnostic observability layer shared by the
 // discrete-event simulator and the live runtime. The protocol's event
-// counters (internal/metrics.CounterSet behind peercore.EventSink) answer
-// "how many", but the paper's core claims are distributional — collection
+// counters (a CounterSet behind peercore.EventSink) answer "how many",
+// but the paper's core claims are distributional — collection
 // delay percentiles (Theorems 1-2), the buffer-occupancy trajectory Y(t)
 // of the ODE in §IV, useful-pull throughput over time — and "how many"
 // cannot answer "how long" or "why was this one slow". This package adds
@@ -87,8 +87,8 @@ func NewRegistry(label string) *Registry {
 func (r *Registry) Label() string { return r.label }
 
 // RegisterCounters adds an alloc-free counter source: rangeFn must call its
-// callback once per counter with a stable name. metrics.CounterSet.Range
-// and peercore.Counters.Range have exactly this shape.
+// callback once per counter with a stable name. CounterSet.Range and
+// peercore.Counters.Range have exactly this shape.
 func (r *Registry) RegisterCounters(rangeFn func(func(name string, v int64))) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

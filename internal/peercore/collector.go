@@ -35,11 +35,9 @@ type PullOutcome struct {
 // Collection is one segment's server-side state: the collection-state
 // counter of §2 plus the rank decoder that grounds it.
 type Collection struct {
-	state       int
-	dec         *rlnc.Decoder
-	payloadLen  int
-	deliveredAt float64
-	decodedAt   float64
+	state      int
+	dec        *rlnc.Decoder
+	payloadLen int
 }
 
 // State returns the collection-state counter.
@@ -63,16 +61,10 @@ func (c *Collection) Deficit() int { return c.dec.Size() - c.state }
 func (c *Collection) RankDeficit() int { return c.dec.Size() - c.dec.Rank() }
 
 // Delivered reports whether the state counter has reached s.
-func (c *Collection) Delivered() bool { return c.deliveredAt > 0 }
-
-// DeliveredAt returns when the state counter reached s (0 if not yet).
-func (c *Collection) DeliveredAt() float64 { return c.deliveredAt }
+func (c *Collection) Delivered() bool { return c.state == c.dec.Size() }
 
 // Decoded reports whether the decoder has full rank.
-func (c *Collection) Decoded() bool { return c.decodedAt > 0 }
-
-// DecodedAt returns when the decoder reached full rank (0 if not yet).
-func (c *Collection) DecodedAt() float64 { return c.decodedAt }
+func (c *Collection) Decoded() bool { return c.dec.Complete() }
 
 // Decode reconstructs the source blocks; valid only once Decoded. The
 // blocks alias decoder memory (see rlnc.Decoder.Decode): callers must not
@@ -142,10 +134,10 @@ func (c *Collector) Collection(seg rlnc.SegmentID) *Collection { return c.segs[s
 // hold state without rank if every block was a zero vector). The decoder
 // re-adds the basis, so rank, future innovation verdicts, and decoded
 // bytes match the pre-snapshot collection exactly; the rank invariant
-// len(basis) ≤ state ≤ s is enforced. No protocol events fire, and the
-// delivery/decode timestamps restart at zero — a restored collection never
-// re-fires a transition it fired before the snapshot. On error nothing
-// stays open.
+// len(basis) ≤ state ≤ s is enforced. No protocol events fire: a restored
+// collection at state s or full rank reads as Delivered or Decoded but
+// never re-fires the transition it fired before the snapshot. On error
+// nothing stays open.
 func (c *Collector) Restore(seg rlnc.SegmentID, state, payloadLen int, basis []*rlnc.CodedBlock) (*Collection, error) {
 	s := c.cfg.SegmentSize
 	switch {
@@ -192,7 +184,7 @@ func (c *Collector) Range(f func(seg rlnc.SegmentID, col *Collection)) {
 // Receive runs one pulled block through the collection state machine:
 // shape validation, state-counter accounting, then the rank decoder. A
 // malformed block is rejected before any counter moves.
-func (c *Collector) Receive(now float64, cb *rlnc.CodedBlock) (PullOutcome, *Collection, error) {
+func (c *Collector) Receive(cb *rlnc.CodedBlock) (PullOutcome, *Collection, error) {
 	s := c.cfg.SegmentSize
 	if len(cb.Coeffs) != s {
 		return PullOutcome{}, nil, fmt.Errorf("peercore: block with %d coefficients, segment size %d", len(cb.Coeffs), s)
@@ -217,7 +209,6 @@ func (c *Collector) Receive(now float64, cb *rlnc.CodedBlock) (PullOutcome, *Col
 		c.sink.Count(EvUsefulPull, 1)
 		if col.state == s {
 			out.Delivered = true
-			col.deliveredAt = now
 			c.sink.Count(EvDeliveredSegment, 1)
 		}
 	} else {
@@ -231,7 +222,6 @@ func (c *Collector) Receive(now float64, cb *rlnc.CodedBlock) (PullOutcome, *Col
 		c.sink.Count(EvInnovativePull, 1)
 		if col.dec.Complete() {
 			out.Decoded = true
-			col.decodedAt = now
 			c.sink.Count(EvDecodedSegment, 1)
 		}
 	}
@@ -242,7 +232,7 @@ func (c *Collector) Receive(now float64, cb *rlnc.CodedBlock) (PullOutcome, *Col
 // counter and every event counter. The simulator's pooled ground-truth
 // observer uses this in IndependentServers mode, where the state-based
 // accounting lives in the per-server collections instead.
-func (c *Collector) Observe(now float64, cb *rlnc.CodedBlock) (innovative bool, nowDecoded bool, err error) {
+func (c *Collector) Observe(cb *rlnc.CodedBlock) (innovative bool, nowDecoded bool, err error) {
 	if len(cb.Coeffs) != c.cfg.SegmentSize {
 		return false, false, fmt.Errorf("peercore: block with %d coefficients, segment size %d", len(cb.Coeffs), c.cfg.SegmentSize)
 	}
@@ -251,9 +241,5 @@ func (c *Collector) Observe(now float64, cb *rlnc.CodedBlock) (innovative bool, 
 	if err != nil {
 		return false, false, err
 	}
-	if added && col.dec.Complete() {
-		col.decodedAt = now
-		return true, true, nil
-	}
-	return added, false, nil
+	return added, added && col.dec.Complete(), nil
 }

@@ -15,7 +15,7 @@ func TestCollectionDeficits(t *testing.T) {
 		t.Fatalf("fresh deficits = %d/%d, want 3/3", col.Deficit(), col.RankDeficit())
 	}
 	b := &rlnc.CodedBlock{Seg: seg, Coeffs: []byte{1, 0, 0}}
-	if _, _, err := c.Receive(1, b); err != nil {
+	if _, _, err := c.Receive(b); err != nil {
 		t.Fatal(err)
 	}
 	if col.Deficit() != 2 || col.RankDeficit() != 2 {
@@ -23,7 +23,7 @@ func TestCollectionDeficits(t *testing.T) {
 	}
 	// A duplicate advances the state counter but not the rank, so the two
 	// accountings diverge exactly as the policies expect.
-	if _, _, err := c.Receive(2, b); err != nil {
+	if _, _, err := c.Receive(b); err != nil {
 		t.Fatal(err)
 	}
 	if col.Deficit() != 1 || col.RankDeficit() != 2 {
@@ -42,11 +42,11 @@ func TestCollectorForgetBoundsMemory(t *testing.T) {
 	maxOpen := 0
 	for i := 0; i < segments; i++ {
 		seg := rlnc.SegmentID{Origin: 3, Seq: uint64(i)}
-		out, _, err := c.Receive(float64(i), &rlnc.CodedBlock{Seg: seg, Coeffs: []byte{1, 0}})
+		out, _, err := c.Receive(&rlnc.CodedBlock{Seg: seg, Coeffs: []byte{1, 0}})
 		if err != nil || !out.Useful || out.Delivered {
 			t.Fatalf("segment %d first pull: %+v err=%v", i, out, err)
 		}
-		out, _, err = c.Receive(float64(i), &rlnc.CodedBlock{Seg: seg, Coeffs: []byte{0, 1}})
+		out, _, err = c.Receive(&rlnc.CodedBlock{Seg: seg, Coeffs: []byte{0, 1}})
 		if err != nil || !out.Delivered || !out.Decoded {
 			t.Fatalf("segment %d second pull: %+v err=%v", i, out, err)
 		}
@@ -68,7 +68,7 @@ func TestCollectorForgetBoundsMemory(t *testing.T) {
 	}
 	// A straggler block for a forgotten segment opens a fresh zeroed
 	// collection; it does not resurrect the old state.
-	out, col, err := c.Receive(9999, &rlnc.CodedBlock{Seg: rlnc.SegmentID{Origin: 3, Seq: 0}, Coeffs: []byte{1, 1}})
+	out, col, err := c.Receive(&rlnc.CodedBlock{Seg: rlnc.SegmentID{Origin: 3, Seq: 0}, Coeffs: []byte{1, 1}})
 	if err != nil || !out.Useful || out.Delivered || col.State() != 1 {
 		t.Fatalf("straggler after forget: %+v state=%d err=%v", out, col.State(), err)
 	}
@@ -97,7 +97,7 @@ func BenchmarkCollectorReceive(b *testing.B) {
 			if j == 0 {
 				c.Forget(seg) // restart the collection so every pull is useful
 			}
-			out, _, err := c.Receive(1, blocks[j])
+			out, _, err := c.Receive(blocks[j])
 			if err != nil || !out.Useful {
 				b.Fatalf("pull %d: %+v err=%v", i, out, err)
 			}
@@ -107,14 +107,14 @@ func BenchmarkCollectorReceive(b *testing.B) {
 	b.Run("redundant", func(b *testing.B) {
 		c := NewCollector(CollectorConfig{SegmentSize: s}, nil)
 		for _, blk := range blocks {
-			if _, _, err := c.Receive(1, blk); err != nil {
+			if _, _, err := c.Receive(blk); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			out, _, err := c.Receive(1, blocks[0])
+			out, _, err := c.Receive(blocks[0])
 			if err != nil || out.Useful {
 				b.Fatalf("pull %d: %+v err=%v", i, out, err)
 			}
@@ -133,7 +133,7 @@ func BenchmarkCollectionRecode(b *testing.B) {
 	for i := 0; i < s-1; i++ { // mid-collection: the state exchange forwards from
 		coeffs := make([]byte, s)
 		coeffs[i] = 1
-		if _, _, err := c.Receive(1, &rlnc.CodedBlock{Seg: seg, Coeffs: coeffs, Payload: payload}); err != nil {
+		if _, _, err := c.Receive(&rlnc.CodedBlock{Seg: seg, Coeffs: coeffs, Payload: payload}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,6 @@
 package peercore
 
-import "p2pcollect/internal/metrics"
+import "p2pcollect/internal/obs"
 
 // Event enumerates the shared protocol counter vocabulary. The peer and
 // collector state machines emit the events they can observe locally
@@ -110,9 +110,9 @@ type NopSink struct{}
 func (NopSink) Count(Event, int64) {}
 
 // Counters is the standard EventSink: one atomic counter per event, backed
-// by a metrics.CounterSet so snapshots come with stable names.
+// by an obs.CounterSet so snapshots come with stable names.
 type Counters struct {
-	set *metrics.CounterSet
+	set *obs.CounterSet
 }
 
 // NewCounters returns a zeroed counter sink.
@@ -121,7 +121,7 @@ func NewCounters() *Counters {
 	for i := range names {
 		names[i] = Event(i).String()
 	}
-	return &Counters{set: metrics.NewCounterSet(names)}
+	return &Counters{set: obs.NewCounterSet(names)}
 }
 
 // Count implements EventSink.

@@ -418,26 +418,26 @@ func TestCollectorStateAndRankAccounting(t *testing.T) {
 	b1 := &rlnc.CodedBlock{Seg: seg, Coeffs: []byte{1, 0}, Payload: []byte{10}}
 	b2 := &rlnc.CodedBlock{Seg: seg, Coeffs: []byte{0, 1}, Payload: []byte{20}}
 
-	out, col, err := c.Receive(1, b1)
+	out, col, err := c.Receive(b1)
 	if err != nil || !out.Useful || out.Delivered || !out.Innovative || out.Decoded {
 		t.Fatalf("first pull: %+v err=%v", out, err)
 	}
 	// The same block again: still useful for the state counter (the paper's
 	// state-based accounting cannot see redundancy), not innovative.
-	out, _, err = c.Receive(2, b1)
+	out, _, err = c.Receive(b1)
 	if err != nil || !out.Useful || !out.Delivered || out.Innovative {
 		t.Fatalf("repeat pull: %+v err=%v", out, err)
 	}
-	if !col.Delivered() || col.DeliveredAt() != 2 || col.State() != 2 || col.Rank() != 1 {
-		t.Fatalf("collection after delivery: state=%d rank=%d deliveredAt=%g", col.State(), col.Rank(), col.DeliveredAt())
+	if !col.Delivered() || col.Decoded() || col.State() != 2 || col.Rank() != 1 {
+		t.Fatalf("collection after delivery: state=%d rank=%d decoded=%v", col.State(), col.Rank(), col.Decoded())
 	}
 	// Past state s the pull is redundant, but the decoder can still finish.
-	out, _, err = c.Receive(3, b2)
+	out, _, err = c.Receive(b2)
 	if err != nil || out.Useful || !out.Innovative || !out.Decoded {
 		t.Fatalf("post-delivery pull: %+v err=%v", out, err)
 	}
-	if !col.Decoded() || col.DecodedAt() != 3 {
-		t.Fatalf("decodedAt = %g, want 3", col.DecodedAt())
+	if !col.Decoded() {
+		t.Fatal("full-rank collection not decoded")
 	}
 	if data, err := col.Decode(); err != nil || data[0][0] != 10 || data[1][0] != 20 {
 		t.Fatalf("decoded %v err=%v", data, err)
@@ -453,11 +453,11 @@ func TestCollectorRejectsMalformedBeforeCounting(t *testing.T) {
 	sink := NewCounters()
 	c := NewCollector(CollectorConfig{SegmentSize: 2}, sink)
 	seg := rlnc.SegmentID{Origin: 1}
-	if _, _, err := c.Receive(1, &rlnc.CodedBlock{Seg: seg, Coeffs: []byte{1}}); err == nil {
+	if _, _, err := c.Receive(&rlnc.CodedBlock{Seg: seg, Coeffs: []byte{1}}); err == nil {
 		t.Fatal("short coefficient vector accepted")
 	}
-	c.Receive(1, &rlnc.CodedBlock{Seg: seg, Coeffs: []byte{1, 0}, Payload: []byte{1, 2}})
-	if _, _, err := c.Receive(2, &rlnc.CodedBlock{Seg: seg, Coeffs: []byte{0, 1}, Payload: []byte{1}}); err == nil {
+	c.Receive(&rlnc.CodedBlock{Seg: seg, Coeffs: []byte{1, 0}, Payload: []byte{1, 2}})
+	if _, _, err := c.Receive(&rlnc.CodedBlock{Seg: seg, Coeffs: []byte{0, 1}, Payload: []byte{1}}); err == nil {
 		t.Fatal("payload length mismatch accepted")
 	}
 	if sink.Get(EvServerPull) != 1 {
@@ -469,16 +469,16 @@ func TestCollectorRankOnlyObserve(t *testing.T) {
 	c := NewCollector(CollectorConfig{SegmentSize: 2, RankOnly: true}, nil)
 	seg := rlnc.SegmentID{Origin: 4}
 	// Payload-bearing blocks are fine: rank-only decoders ignore payloads.
-	if inn, done, err := c.Observe(1, &rlnc.CodedBlock{Seg: seg, Coeffs: []byte{1, 1}, Payload: []byte{9}}); err != nil || !inn || done {
+	if inn, done, err := c.Observe(&rlnc.CodedBlock{Seg: seg, Coeffs: []byte{1, 1}, Payload: []byte{9}}); err != nil || !inn || done {
 		t.Fatalf("observe 1: inn=%v done=%v err=%v", inn, done, err)
 	}
-	if inn, done, err := c.Observe(2, &rlnc.CodedBlock{Seg: seg, Coeffs: []byte{1, 1}}); err != nil || inn || done {
+	if inn, done, err := c.Observe(&rlnc.CodedBlock{Seg: seg, Coeffs: []byte{1, 1}}); err != nil || inn || done {
 		t.Fatalf("observe dup: inn=%v done=%v err=%v", inn, done, err)
 	}
-	if inn, done, err := c.Observe(3, &rlnc.CodedBlock{Seg: seg, Coeffs: []byte{0, 1}}); err != nil || !inn || !done {
+	if inn, done, err := c.Observe(&rlnc.CodedBlock{Seg: seg, Coeffs: []byte{0, 1}}); err != nil || !inn || !done {
 		t.Fatalf("observe 2: inn=%v done=%v err=%v", inn, done, err)
 	}
-	if col := c.Collection(seg); col == nil || col.Rank() != 2 || col.DecodedAt() != 3 {
+	if col := c.Collection(seg); col == nil || col.Rank() != 2 || !col.Decoded() {
 		t.Fatal("rank-only collection state wrong")
 	}
 }
@@ -519,7 +519,7 @@ func TestCollectorRestoreArrivalOrderBasis(t *testing.T) {
 	var raw []*rlnc.CodedBlock
 	for len(raw) < s-1 {
 		cb := seg.Encode(rng)
-		if out, _, err := live.Receive(1, cb); err != nil {
+		if out, _, err := live.Receive(cb); err != nil {
 			t.Fatal(err)
 		} else if out.Innovative {
 			raw = append(raw, cb)
@@ -535,13 +535,34 @@ func TestCollectorRestoreArrivalOrderBasis(t *testing.T) {
 	}
 	for !src.Decoded() {
 		cb := seg.Encode(rng)
-		want, _, _ := live.Receive(2, cb)
+		want, _, _ := live.Receive(cb)
 		if got, err := restored.dec.Add(cb); err != nil || got != want.Innovative {
 			t.Fatalf("restored verdict %v err=%v, live %v", got, err, want.Innovative)
 		}
 	}
 	if got, err := restored.Decode(); err != nil || !reflect.DeepEqual(got, blocks) {
 		t.Fatalf("restored collection decoded %v err=%v, want the originals", got, err)
+	}
+}
+
+// TestCollectorRestoreReportsDeliveredAndDecoded restores a collection at
+// state s with every rank from 0 to s: it must read as delivered, and as
+// decoded exactly at full rank, as the collection that was snapshotted did.
+func TestCollectorRestoreReportsDeliveredAndDecoded(t *testing.T) {
+	seg := rlnc.SegmentID{Origin: 1}
+	basis := []*rlnc.CodedBlock{
+		{Seg: seg, Coeffs: []byte{1, 0}, Payload: []byte{10}},
+		{Seg: seg, Coeffs: []byte{0, 1}, Payload: []byte{20}},
+	}
+	for rank := 0; rank <= len(basis); rank++ {
+		col, err := NewCollector(CollectorConfig{SegmentSize: 2}, nil).Restore(seg, 2, 1, basis[:rank])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !col.Delivered() || col.Decoded() != (rank == len(basis)) {
+			t.Errorf("restored at state 2, rank %d: rankDeficit=%d Delivered=%v Decoded=%v",
+				rank, col.RankDeficit(), col.Delivered(), col.Decoded())
+		}
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"p2pcollect/internal/des"
-	"p2pcollect/internal/metrics"
+	"p2pcollect/internal/obs"
 	"p2pcollect/internal/randx"
 )
 
@@ -121,8 +121,8 @@ type baselineSim struct {
 
 	generated        int64
 	collected        int64
-	delay            metrics.Summary
-	queuePerPeer     metrics.Summary
+	delay            obs.Mean
+	queuePerPeer     obs.Mean
 	lostToOverflow   int64
 	lostToDeparture  int64
 	departures       int64

@@ -54,19 +54,22 @@ func TestFlashJoinOverloadsFixedServers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.StartTrace(5)
-	s.RunUntil(20)
-	s.AddPeers(160)
-	s.RunUntil(50)
-	pts := s.TracePoints()
-	rate := func(a, b TracePoint) float64 {
+	var pts []tracePoint
+	for tm := 0.0; tm <= 50; tm += 5 {
+		s.RunUntil(tm)
+		pts = append(pts, scrape(s))
+		if tm == 20 {
+			s.AddPeers(160)
+		}
+	}
+	rate := func(a, b tracePoint) float64 {
 		return float64(b.CumUsefulPulls-a.CumUsefulPulls) / (b.T - a.T)
 	}
-	offered := func(a, b TracePoint) float64 {
+	offered := func(a, b tracePoint) float64 {
 		return float64(b.CumInjectedBlocks-a.CumInjectedBlocks) / (b.T - a.T)
 	}
 	// Window [10,20): pre-join; window [35,50): post-join steady-ish.
-	var pre, post [2]TracePoint
+	var pre, post [2]tracePoint
 	for _, p := range pts {
 		switch p.T {
 		case 10:

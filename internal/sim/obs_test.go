@@ -145,8 +145,8 @@ func TestSimObsInstruments(t *testing.T) {
 
 // TestEmptyPopulationLeavesAveragesFinite empties the session, runs through
 // the gap, and repopulates it. The samples taken while nobody is alive are
-// skipped, so the per-peer averages and trace points stay finite, and the
-// state gauges read 0 rather than NaN.
+// skipped, so the per-peer averages stay finite, and the state gauges read
+// 0 rather than NaN at every scrape, the empty ones included.
 func TestEmptyPopulationLeavesAveragesFinite(t *testing.T) {
 	cfg := obsTestConfig()
 	cfg.N, cfg.Warmup, cfg.Horizon = 4, 1, 6
@@ -154,18 +154,22 @@ func TestEmptyPopulationLeavesAveragesFinite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.StartTrace(1)
-	s.RunUntil(2)
-	for pi := 0; pi < cfg.N; pi++ {
-		s.RemovePeer(pi)
+	var pts []tracePoint
+	for tm := 0.0; tm <= cfg.Horizon; tm++ {
+		s.RunUntil(tm)
+		pts = append(pts, scrape(s))
+		switch tm {
+		case 2:
+			for pi := 0; pi < cfg.N; pi++ {
+				s.RemovePeer(pi)
+			}
+		case 3:
+			if p := pts[len(pts)-1]; p.E != 0 || p.Z0 != 0 {
+				t.Errorf("gauges at zero population = E %v, Z0 %v, want 0", p.E, p.Z0)
+			}
+			s.AddPeers(cfg.N)
+		}
 	}
-	s.RunUntil(3)
-	g := s.Registry().Snapshot().Gauges
-	if g["blocksPerPeer"] != 0 || g["emptyPeerFrac"] != 0 {
-		t.Errorf("gauges at zero population = %v, want 0", g)
-	}
-	s.AddPeers(cfg.N)
-	s.RunUntil(cfg.Horizon)
 
 	res := s.Result()
 	for name, v := range map[string]float64{
@@ -178,8 +182,8 @@ func TestEmptyPopulationLeavesAveragesFinite(t *testing.T) {
 			t.Errorf("Result.%s = %v", name, v)
 		}
 	}
-	for _, p := range s.TracePoints() {
-		if p.Population == 0 || math.IsNaN(p.E) || math.IsNaN(p.Z0) {
+	for _, p := range pts {
+		if math.IsNaN(p.E) || math.IsNaN(p.Z0) {
 			t.Errorf("trace point at t=%g: population %d, E %v, Z0 %v", p.T, p.Population, p.E, p.Z0)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 
 	"p2pcollect/internal/des"
 	"p2pcollect/internal/logdata"
-	"p2pcollect/internal/metrics"
 	"p2pcollect/internal/obs"
 	"p2pcollect/internal/peercore"
 	"p2pcollect/internal/pullsched"
@@ -71,13 +70,13 @@ type Simulator struct {
 	// s.counters, shared vocabulary with the live runtime)
 	deliveredInWindow   int64 // state-based (the paper's accounting)
 	usefulInWindow      int64
-	stateDelay          metrics.Summary
+	stateDelay          obs.Mean
 	rankDecodedInWindow int64 // rank-based (ground truth)
 	innovativeInWindow  int64
-	rankDelay           metrics.Summary
-	blocksPerPeer       metrics.Summary
-	nonEmptyFrac        metrics.Summary
-	savedPerPeer        metrics.Summary
+	rankDelay           obs.Mean
+	blocksPerPeer       obs.Mean
+	nonEmptyFrac        obs.Mean
+	savedPerPeer        obs.Mean
 	lostSegments        int64
 	rankLostSegments    int64
 	orphanedSegments    int64
@@ -87,8 +86,6 @@ type Simulator struct {
 	// onDeliver observes every state-based delivery.
 	onDecode  func(SegmentView)
 	onDeliver func(SegmentView)
-
-	trace []TracePoint
 
 	// tracer receives segment-lifecycle milestones; NopTracer by default.
 	tracer obs.Tracer
@@ -100,20 +97,6 @@ type Simulator struct {
 	reg         *obs.Registry
 	obsDelivery *obs.Histogram // inject→state-s delay
 	obsDecode   *obs.Histogram // inject→full-rank delay
-}
-
-// TracePoint is one sample of the network's transient state. The
-// cumulative pull counters let callers compute windowed collection
-// efficiency between consecutive samples.
-type TracePoint struct {
-	T                    float64 // simulated time
-	E                    float64 // average buffered blocks per peer
-	Z0                   float64 // empty-peer fraction
-	CumServerPulls       int64
-	CumUsefulPulls       int64
-	CumInjectedBlocks    int64
-	CumDeliveredSegments int64
-	Population           int
 }
 
 // peerState is the per-slot state; the slot survives churn, the identity
@@ -254,11 +237,11 @@ func (s *Simulator) initRegistry() {
 	s.obsDelivery = r.Histogram("deliveryDelay", obs.ExpBuckets(0.125, 2, 14))
 	s.obsDecode = r.Histogram("decodeDelay", obs.ExpBuckets(0.125, 2, 14))
 	r.GaugeFunc("blocksPerPeer", func() float64 {
-		e, _, _ := s.occupancy()
+		e, _ := s.occupancy()
 		return e
 	})
 	r.GaugeFunc("emptyPeerFrac", func() float64 {
-		_, z0, _ := s.occupancy()
+		_, z0 := s.occupancy()
 		return z0
 	})
 	r.GaugeFunc("liveSegments", func() float64 { return float64(len(s.segs)) })
@@ -388,10 +371,6 @@ func (s *Simulator) Now() float64 { return s.clock.Now() }
 // Config returns the (defaulted) configuration of the run.
 func (s *Simulator) Config() Config { return s.cfg }
 
-// Counters returns the shared protocol counter snapshot, keyed by the
-// peercore event vocabulary (the same names live nodes report).
-func (s *Simulator) Counters() map[string]int64 { return s.counters.Snapshot() }
-
 // RunUntil advances the simulation to the given time.
 func (s *Simulator) RunUntil(t float64) { s.clock.RunUntil(t) }
 
@@ -402,44 +381,6 @@ func (s *Simulator) OnDecode(fn func(SegmentView)) { s.onDecode = fn }
 // OnDeliver registers a callback invoked when a segment's collection state
 // reaches s — the paper's delivery event.
 func (s *Simulator) OnDeliver(fn func(SegmentView)) { s.onDeliver = fn }
-
-// StartTrace begins sampling the network state every interval of simulated
-// time, starting now. Samples accumulate until the run ends; read them with
-// TracePoints. Used by the transient-validation experiment.
-func (s *Simulator) StartTrace(interval float64) {
-	if interval <= 0 {
-		panic("sim: non-positive trace interval")
-	}
-	s.recordTrace()
-	var tick func()
-	tick = func() {
-		s.recordTrace()
-		s.clock.After(interval, tick)
-	}
-	s.clock.After(interval, tick)
-}
-
-func (s *Simulator) recordTrace() {
-	e, z0, pop := s.occupancy()
-	if pop == 0 {
-		return // an emptied session has no per-peer state to sample
-	}
-	s.trace = append(s.trace, TracePoint{
-		T:                    s.clock.Now(),
-		E:                    e,
-		Z0:                   z0,
-		CumServerPulls:       s.counters.Get(peercore.EvServerPull),
-		CumUsefulPulls:       s.counters.Get(peercore.EvUsefulPull),
-		CumInjectedBlocks:    s.counters.Get(peercore.EvInjectedBlock),
-		CumDeliveredSegments: s.deliveredInWindow,
-		Population:           pop,
-	})
-}
-
-// TracePoints returns the samples recorded since StartTrace.
-func (s *Simulator) TracePoints() []TracePoint {
-	return append([]TracePoint(nil), s.trace...)
-}
 
 // Registry returns the run's scrape surface: the shared protocol counters,
 // the deliveryDelay and decodeDelay histograms (every delivery and decode,
@@ -453,16 +394,15 @@ func (s *Simulator) TracePoints() []TracePoint {
 // sequence of such scrapes: step RunUntil(t) and snapshot at each t.
 func (s *Simulator) Registry() *obs.Registry { return s.reg }
 
-// occupancy returns the average buffered blocks per live peer E(t)/N, the
-// empty-peer fraction z_0(t), and the live population. With no live peer
-// both averages are 0.
-func (s *Simulator) occupancy() (e, z0 float64, pop int) {
-	pop = s.Population()
+// occupancy returns the average buffered blocks per live peer E(t)/N and
+// the empty-peer fraction z_0(t). With no live peer both are 0.
+func (s *Simulator) occupancy() (e, z0 float64) {
+	pop := s.Population()
 	if pop == 0 {
-		return 0, 0, 0
+		return 0, 0
 	}
 	n := float64(pop)
-	return float64(s.totalBlocks) / n, 1 - float64(s.nonEmpty.len())/n, pop
+	return float64(s.totalBlocks) / n, 1 - float64(s.nonEmpty.len())/n
 }
 
 // TotalBlocks returns the number of coded blocks currently buffered across
@@ -783,11 +723,11 @@ func (s *Simulator) pull(server int) {
 	col := s.pool
 	if s.cfg.IndependentServers {
 		col = s.perSrv[server]
-		if _, _, err := s.pool.Observe(now, cb); err != nil {
+		if _, _, err := s.pool.Observe(cb); err != nil {
 			panic(fmt.Sprintf("sim: pooled decode: %v", err))
 		}
 	}
-	out, rcol, err := col.Receive(now, cb)
+	out, rcol, err := col.Receive(cb)
 	if err != nil {
 		panic(fmt.Sprintf("sim: server decode: %v", err))
 	}

@@ -410,15 +410,41 @@ func TestSmallSegmentIDsAreUnique(t *testing.T) {
 	}
 }
 
+// tracePoint is one registry scrape of a stepped run: a trajectory sample
+// as every experiment reads it, RunUntil(t) then Registry().Snapshot().
+type tracePoint struct {
+	T                 float64
+	E, Z0             float64 // blocksPerPeer and emptyPeerFrac gauges
+	CumServerPulls    int64
+	CumUsefulPulls    int64
+	CumInjectedBlocks int64
+	Population        int
+}
+
+func scrape(s *Simulator) tracePoint {
+	snap := s.Registry().Snapshot()
+	return tracePoint{
+		T:                 s.Now(),
+		E:                 snap.Gauges["blocksPerPeer"],
+		Z0:                snap.Gauges["emptyPeerFrac"],
+		CumServerPulls:    snap.Counters["serverPulls"],
+		CumUsefulPulls:    snap.Counters["usefulPulls"],
+		CumInjectedBlocks: snap.Counters["injectedBlocks"],
+		Population:        s.Population(),
+	}
+}
+
 func TestTraceSamplesTransient(t *testing.T) {
 	cfg := testConfig()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.StartTrace(1)
-	s.RunUntil(10)
-	pts := s.TracePoints()
+	var pts []tracePoint
+	for tm := 0.0; tm <= 10; tm++ {
+		s.RunUntil(tm)
+		pts = append(pts, scrape(s))
+	}
 	if len(pts) < 10 {
 		t.Fatalf("got %d trace points", len(pts))
 	}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sync"
 
-	"p2pcollect/internal/metrics"
+	"p2pcollect/internal/obs"
 )
 
 // defaultInboxSize buffers inbound bursts. Overflow drops the message (the
@@ -18,7 +18,7 @@ const defaultInboxSize = 256
 type core struct {
 	id       NodeID
 	inbox    chan *Message
-	counters *metrics.CounterSet
+	counters *obs.CounterSet
 	stop     chan struct{} // closed by shutdown, before the inbox
 	wg       sync.WaitGroup
 
@@ -151,7 +151,7 @@ func (c *core) shutdown(unblock func()) error {
 type outbox chan *Message
 
 // push enqueues m, counting each eviction as transportDropsOverflow.
-func (o outbox) push(m *Message, counters *metrics.CounterSet) {
+func (o outbox) push(m *Message, counters *obs.CounterSet) {
 	for {
 		select {
 		case o <- m:

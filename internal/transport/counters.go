@@ -1,9 +1,9 @@
 package transport
 
-import "p2pcollect/internal/metrics"
+import "p2pcollect/internal/obs"
 
 // Transport health counters. Every instrumented transport counts into the
-// same fixed vocabulary (a metrics.CounterSet), so the live runtime can
+// same fixed vocabulary (an obs.CounterSet), so the live runtime can
 // report transport health in its registry and Stats().Protocol next to the
 // peercore protocol counters. Names are prefixed "transport"
 // to keep the two vocabularies disjoint.
@@ -75,8 +75,8 @@ var transportCounterIndex = func() map[string]int {
 }()
 
 // newTransportCounters returns a zeroed health counter set.
-func newTransportCounters() *metrics.CounterSet {
-	return metrics.NewCounterSet(transportCounterNames[:])
+func newTransportCounters() *obs.CounterSet {
+	return obs.NewCounterSet(transportCounterNames[:])
 }
 
 // CounterRanger is implemented by transports that track health counters:

@@ -4,7 +4,7 @@ import (
 	"sync"
 	"time"
 
-	"p2pcollect/internal/metrics"
+	"p2pcollect/internal/obs"
 	"p2pcollect/internal/randx"
 )
 
@@ -37,7 +37,7 @@ type Faulty struct {
 	inner    Transport
 	cfg      FaultConfig
 	start    time.Time
-	counters *metrics.CounterSet
+	counters *obs.CounterSet
 
 	mu     sync.Mutex
 	rng    *randx.Rand

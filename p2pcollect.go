@@ -55,6 +55,8 @@ type (
 	SimResult = sim.Result
 	// Simulator is a stepwise simulation handle for callers that need
 	// mid-run inspection (invariants, segment views, drain experiments).
+	// A trajectory is a sequence of scrapes: RunUntil(t), then
+	// Registry().Snapshot(), at each sample time t.
 	Simulator = sim.Simulator
 	// SegmentView is a read-only snapshot of one live segment.
 	SegmentView = sim.SegmentView
