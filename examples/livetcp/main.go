@@ -4,9 +4,9 @@
 // segments, and prints the recovered vital-statistics records. With -loss
 // the deployment runs under injected message loss, demonstrating the
 // fault-tolerant send path: throughput degrades, collection continues.
-// With -policy the server's pulls are scheduled by a feedback-driven
-// policy (rankgreedy or rarest) instead of the paper's blind baseline; the
-// final useful/redundant pull split shows what the scheduling buys.
+// With -policy rarest the server's pulls are scheduled by the feedback-driven
+// rarest-first policy instead of the paper's blind baseline; the final
+// useful/redundant pull split shows what the scheduling buys.
 package main
 
 import (

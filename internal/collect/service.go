@@ -348,12 +348,11 @@ func (s *Service) HandleBlock(now float64, from pullsched.PeerRef, cb *rlnc.Code
 	}
 	if pulled && res.Owned {
 		s.policy.Feedback(pullsched.Feedback{
-			Peer:    from,
-			Time:    now,
-			Seg:     cb.Seg,
-			Useful:  out.Innovative,
-			Done:    out.Decoded,
-			Deficit: col.RankDeficit(),
+			Peer:   from,
+			Time:   now,
+			Seg:    cb.Seg,
+			Useful: out.Innovative,
+			Done:   out.Decoded,
 		})
 	}
 	if !out.Innovative {

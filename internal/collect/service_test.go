@@ -98,8 +98,8 @@ func TestHandleBlockOutcomes(t *testing.T) {
 	short.Coeffs = short.Coeffs[:testSize-1]
 	thin := seg.SourceBlock(1)
 	thin.Payload = thin.Payload[:testPayloadLen-1]
-	fb := func(useful, done bool, deficit int) *pullsched.Feedback {
-		return &pullsched.Feedback{Peer: testPeer, Seg: seg.ID, Useful: useful, Done: done, Deficit: deficit}
+	fb := func(useful, done bool) *pullsched.Feedback {
+		return &pullsched.Feedback{Peer: testPeer, Seg: seg.ID, Useful: useful, Done: done}
 	}
 	type flags struct{ rejected, finished, innovative, decoded, flush bool }
 	steps := []struct {
@@ -111,14 +111,14 @@ func TestHandleBlockOutcomes(t *testing.T) {
 		redundant int64                      // cumulative
 		told      *pullsched.Feedback        // nil: policy hears nothing
 	}{
-		{"innovative", seg.SourceBlock(0), false, flags{innovative: true}, [3]int64{1, 0, 0}, 0, fb(true, false, 2)},
-		{"redundant", seg.SourceBlock(0), false, flags{}, [3]int64{1, 1, 0}, 1, fb(false, false, 2)},
+		{"innovative", seg.SourceBlock(0), false, flags{innovative: true}, [3]int64{1, 0, 0}, 0, fb(true, false)},
+		{"redundant", seg.SourceBlock(0), false, flags{}, [3]int64{1, 1, 0}, 1, fb(false, false)},
 		{"malformed coefficients", short, false, flags{rejected: true}, [3]int64{1, 2, 0}, 2, nil},
 		{"malformed payload", thin, false, flags{rejected: true}, [3]int64{1, 3, 0}, 3, nil},
 		{"innovative exchange", seg.SourceBlock(1), true, flags{innovative: true}, [3]int64{1, 3, 0}, 3, nil},
 		{"redundant exchange", seg.SourceBlock(1), true, flags{}, [3]int64{1, 3, 0}, 4, nil},
-		{"decoding", seg.SourceBlock(2), false, flags{innovative: true, decoded: true, flush: true}, [3]int64{2, 3, 0}, 4, fb(true, true, 0)},
-		{"finished", seg.SourceBlock(2), false, flags{finished: true}, [3]int64{2, 4, 0}, 5, fb(false, true, 0)},
+		{"decoding", seg.SourceBlock(2), false, flags{innovative: true, decoded: true, flush: true}, [3]int64{2, 3, 0}, 4, fb(true, true)},
+		{"finished", seg.SourceBlock(2), false, flags{finished: true}, [3]int64{2, 4, 0}, 5, fb(false, true)},
 		{"finished exchange", seg.SourceBlock(2), true, flags{finished: true}, [3]int64{2, 4, 0}, 6, nil},
 	}
 	h := newHarness(t, Config{})

@@ -15,7 +15,7 @@ import (
 // Rows compare the policies at one fixed seed: (1) redundant-pull
 // fraction, (2) server pulls per delivered segment, (3) delivered
 // segments, (4) mean segment delivery delay. Blind is the paper-faithful
-// baseline; its row is the reference the others must beat.
+// baseline; its column is the reference rarest must beat.
 func PullPolicyTable(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
 	tbl := NewTable("A6: pull-scheduling policies (lambda=8, mu=10, gamma=1, s=8, c=4, Ns=2; rows: 1 redundant-pull fraction, 2 pulls per delivered segment, 3 delivered segments, 4 mean segment delay)", "row")

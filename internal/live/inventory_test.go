@@ -345,48 +345,47 @@ func TestReplacedPeerIsAnsweredInFull(t *testing.T) {
 	}
 }
 
-// TestDigestlessPoliciesNeverSeeTheCursor: a blind and a rankgreedy server
-// never ask for a digest, so they are never handed a cursor, never send
-// one, and never receive a MsgInventory.
+// TestDigestlessPoliciesNeverSeeTheCursor: a blind server never asks for a
+// digest, so it is never handed a cursor, never sends one, never hints and
+// never receives a MsgInventory.
 func TestDigestlessPoliciesNeverSeeTheCursor(t *testing.T) {
-	for _, name := range []string{pullsched.NameBlind, pullsched.NameRankGreedy} {
-		t.Run(name, func(t *testing.T) {
-			net := transport.NewNetwork()
-			for id := transport.NodeID(1); id <= 2; id++ {
-				cfg := fastNodeConfig()
-				cfg.Neighbors = []transport.NodeID{3 - id}
-				cfg.Seed = int64(id)
-				node, err := NewNode(net.Join(id), cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := node.Start(); err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(node.Stop)
-			}
-			policy, err := pullsched.New(name, 1)
+	name := pullsched.NameBlind
+	t.Run(name, func(t *testing.T) {
+		net := transport.NewNetwork()
+		for id := transport.NodeID(1); id <= 2; id++ {
+			cfg := fastNodeConfig()
+			cfg.Neighbors = []transport.NodeID{3 - id}
+			cfg.Seed = int64(id)
+			node, err := NewNode(net.Join(id), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tap := &sendTap{Transport: net.Join(serverIDBase)}
-			srv, err := NewServer(tap, ServerConfig{PullRate: 400, Peers: []transport.NodeID{1, 2}, Policy: policy, Seed: 1})
-			if err != nil {
+			if err := node.Start(); err != nil {
 				t.Fatal(err)
 			}
-			if err := srv.Start(); err != nil {
-				t.Fatal(err)
+			t.Cleanup(node.Stop)
+		}
+		policy, err := pullsched.New(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tap := &sendTap{Transport: net.Join(serverIDBase)}
+		srv, err := NewServer(tap, ServerConfig{PullRate: 400, Peers: []transport.NodeID{1, 2}, Policy: policy, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Start(); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, 5*time.Second, "200 pulled blocks", func() bool { return srv.Stats().BlocksReceived >= 200 })
+		srv.Stop()
+		for _, m := range tap.pulls() {
+			if m.InvCursor != 0 || m.WantInventory || m.HasHint {
+				t.Fatalf("%s server sent %+v", name, m)
 			}
-			waitFor(t, 5*time.Second, "200 pulled blocks", func() bool { return srv.Stats().BlocksReceived >= 200 })
-			srv.Stop()
-			for _, m := range tap.pulls() {
-				if m.InvCursor != 0 || m.WantInventory || (name == pullsched.NameBlind && m.HasHint) {
-					t.Fatalf("%s server sent %+v", name, m)
-				}
-			}
-			if full, delta := inventoryCounters(srv); full != 0 || delta != 0 {
-				t.Fatalf("%s server received %d full digests and %d deltas", name, full, delta)
-			}
-		})
-	}
+		}
+		if full, delta := inventoryCounters(srv); full != 0 || delta != 0 {
+			t.Fatalf("%s server received %d full digests and %d deltas", name, full, delta)
+		}
+	})
 }

@@ -20,10 +20,12 @@ const (
 	// TraceServerRank: a server pull raised the segment's decoder rank; N
 	// carries the new rank.
 	TraceServerRank
-	// TraceDelivered: a server pull completed the segment's rank (all s
-	// dimensions present).
+	// TraceDelivered: a server pull brought the segment's collection-state
+	// counter to s, the paper's delivery. State counts pulls, not innovative
+	// blocks, so this can come before full rank; N, when set, carries the
+	// state.
 	TraceDelivered
-	// TraceDecoded: the server decoded the segment's payload.
+	// TraceDecoded: the segment reached full rank and the server decoded it.
 	TraceDecoded
 	// TracePurged: a node dropped its holding for the segment.
 	TracePurged

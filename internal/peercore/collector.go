@@ -50,11 +50,6 @@ func (c *Collection) PayloadLen() int { return c.payloadLen }
 // Rank returns the decoder rank.
 func (c *Collection) Rank() int { return c.dec.Rank() }
 
-// Deficit returns how many more useful blocks the state counter needs to
-// reach s — the paper's accounting of remaining collection work. Pull
-// policies rank segments by this.
-func (c *Collection) Deficit() int { return c.dec.Size() - c.state }
-
 // RankDeficit returns how many more innovative blocks the decoder needs for
 // full rank — the ground-truth remaining work a decoding server schedules
 // against.

@@ -11,23 +11,23 @@ func TestCollectionDeficits(t *testing.T) {
 	c := NewCollector(CollectorConfig{SegmentSize: 3}, nil)
 	seg := rlnc.SegmentID{Origin: 1}
 	col := c.Open(seg, 0)
-	if col.Deficit() != 3 || col.RankDeficit() != 3 {
-		t.Fatalf("fresh deficits = %d/%d, want 3/3", col.Deficit(), col.RankDeficit())
+	if col.State() != 0 || col.RankDeficit() != 3 {
+		t.Fatalf("fresh state/rank deficit = %d/%d, want 0/3", col.State(), col.RankDeficit())
 	}
 	b := &rlnc.CodedBlock{Seg: seg, Coeffs: []byte{1, 0, 0}}
 	if _, _, err := c.Receive(b); err != nil {
 		t.Fatal(err)
 	}
-	if col.Deficit() != 2 || col.RankDeficit() != 2 {
-		t.Fatalf("deficits after useful pull = %d/%d, want 2/2", col.Deficit(), col.RankDeficit())
+	if col.State() != 1 || col.RankDeficit() != 2 {
+		t.Fatalf("state/rank deficit after useful pull = %d/%d, want 1/2", col.State(), col.RankDeficit())
 	}
-	// A duplicate advances the state counter but not the rank, so the two
-	// accountings diverge exactly as the policies expect.
+	// A duplicate advances the state counter but not the rank, so the
+	// paper's state accounting and the decoder's rank diverge.
 	if _, _, err := c.Receive(b); err != nil {
 		t.Fatal(err)
 	}
-	if col.Deficit() != 1 || col.RankDeficit() != 2 {
-		t.Fatalf("deficits after duplicate = %d/%d, want 1/2", col.Deficit(), col.RankDeficit())
+	if col.State() != 2 || col.RankDeficit() != 2 {
+		t.Fatalf("state/rank deficit after duplicate = %d/%d, want 2/2", col.State(), col.RankDeficit())
 	}
 }
 

@@ -30,10 +30,9 @@ func populate(p Policy, peers, segs int) {
 	}
 	for j := 0; j < segs; j++ {
 		p.Feedback(Feedback{
-			Peer:    PeerRef(j % peers),
-			Seg:     rlnc.SegmentID{Origin: 1, Seq: uint64(j)},
-			Useful:  true,
-			Deficit: 1 + j%8,
+			Peer:   PeerRef(j % peers),
+			Seg:    rlnc.SegmentID{Origin: 1, Seq: uint64(j)},
+			Useful: true,
 		})
 	}
 }
@@ -53,23 +52,25 @@ func benchmarkChoose(b *testing.B, p Policy) {
 	}
 }
 
-func BenchmarkChooseBlind(b *testing.B)      { benchmarkChoose(b, Blind{}) }
-func BenchmarkChooseRankGreedy(b *testing.B) { benchmarkChoose(b, NewRankGreedy()) }
+func BenchmarkChooseBlind(b *testing.B) { benchmarkChoose(b, Blind{}) }
 func BenchmarkChooseRarestFirst(b *testing.B) {
 	benchmarkChoose(b, NewRarestFirst(RarestConfig{Seed: 1}))
 }
 
-func BenchmarkFeedbackRankGreedy(b *testing.B) {
-	p := NewRankGreedy()
+// BenchmarkFeedbackRarestFirst is the call every rarest pull reply makes:
+// a useful block from a peer whose digest already lists the segment.
+func BenchmarkFeedbackRarestFirst(b *testing.B) {
+	p := NewRarestFirst(RarestConfig{Seed: 1})
 	populate(p, 32, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		j := i % 256
 		p.Feedback(Feedback{
-			Peer:    PeerRef(i % 32),
-			Seg:     rlnc.SegmentID{Origin: 1, Seq: uint64(i % 256)},
-			Useful:  true,
-			Deficit: 1 + i%8,
+			Peer:   PeerRef(j % 32),
+			Time:   0.5,
+			Seg:    rlnc.SegmentID{Origin: 1, Seq: uint64(j)},
+			Useful: true,
 		})
 	}
 }

@@ -10,15 +10,12 @@
 // which segment a collector requests is known to cut that overhead
 // dramatically (Li–Soljanin–Spasojević, "Collecting Coded Coupons over
 // Generations", arXiv:1002.1406). This package provides the paper baseline
-// and two feedback-driven alternatives behind one Policy interface:
+// and one feedback-driven alternative behind one Policy interface:
 //
 //   - Blind: the paper's §2 behavior, byte-for-byte. It consults only
 //     Env.SamplePeer (the driver's own RNG draw) and never hints, so a
 //     seeded run with Blind is indistinguishable from one without the
 //     scheduler.
-//   - RankGreedy: hints the known undelivered segment with the largest
-//     remaining collection deficit and stops asking for delivered segments.
-//     It learns purely from pull feedback.
 //   - RarestFirst: maintains compact per-peer inventory digests (a full
 //     one piggybacked on a pull reply on request, kept current by deltas
 //     in between) and pulls the undelivered segment with the fewest known
@@ -60,17 +57,15 @@ type Decision struct {
 
 // Feedback reports the outcome of one pull in the driver's own collection
 // accounting (the simulator's state-based delivery, the live server's
-// rank-based decode): Useful means the block advanced the collection,
-// Done means the segment is complete and needs no further pulls, Deficit is
-// the number of blocks the collection still needs after this pull.
+// rank-based decode): Useful means the block advanced the collection, and
+// Done means the segment is complete and needs no further pulls.
 type Feedback struct {
-	Peer    PeerRef
-	Time    float64
-	Empty   bool // the peer had nothing buffered; Seg and the rest are unset
-	Seg     rlnc.SegmentID
-	Useful  bool
-	Done    bool
-	Deficit int
+	Peer   PeerRef
+	Time   float64
+	Empty  bool // the peer had nothing buffered; Seg and the rest are unset
+	Seg    rlnc.SegmentID
+	Useful bool
+	Done   bool
 }
 
 // InventoryEntry is one line of a peer's inventory digest: a buffered
@@ -122,12 +117,11 @@ func ObserveDigest(pol Policy, now float64, peer PeerRef, inv []InventoryEntry, 
 // Policy registry names accepted by New.
 const (
 	NameBlind       = "blind"
-	NameRankGreedy  = "rankgreedy"
 	NameRarestFirst = "rarest"
 )
 
 // Names lists the registered policy names, Blind first.
-func Names() []string { return []string{NameBlind, NameRankGreedy, NameRarestFirst} }
+func Names() []string { return []string{NameBlind, NameRarestFirst} }
 
 // New builds a policy by registry name. The empty name selects Blind (the
 // paper-faithful default). The seed drives only policy-internal tie-breaks
@@ -137,8 +131,6 @@ func New(name string, seed int64) (Policy, error) {
 	switch name {
 	case "", NameBlind:
 		return Blind{}, nil
-	case NameRankGreedy:
-		return NewRankGreedy(), nil
 	case NameRarestFirst:
 		return NewRarestFirst(RarestConfig{Seed: seed}), nil
 	default:

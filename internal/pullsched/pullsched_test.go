@@ -59,7 +59,7 @@ func TestBlindPassthrough(t *testing.T) {
 		t.Fatalf("Choose = %+v, %v; want bare peer 7", d, ok)
 	}
 	// Feedback and inventories must not change the next decision.
-	p.Feedback(Feedback{Peer: 7, Seg: seg(1, 1), Useful: true, Deficit: 4})
+	p.Feedback(Feedback{Peer: 7, Seg: seg(1, 1), Useful: true})
 	p.ObserveInventory(0, 7, []InventoryEntry{{Seg: seg(1, 1), Blocks: 3}})
 	d, ok = p.Choose(1, env)
 	if !ok || d.Peer != 3 || d.HasHint || d.WantInventory {
@@ -71,75 +71,6 @@ func TestBlindPassthrough(t *testing.T) {
 	// No eligible peer propagates as ok=false.
 	if _, ok := p.Choose(2, env); ok {
 		t.Fatal("Choose with exhausted env succeeded")
-	}
-}
-
-func TestRankGreedyMaxDeficit(t *testing.T) {
-	p := NewRankGreedy()
-	env := &scriptEnv{peers: []PeerRef{1, 1, 1, 1}}
-
-	// No knowledge yet: blind decision.
-	d, ok := p.Choose(0, env)
-	if !ok || d.HasHint {
-		t.Fatalf("empty policy Choose = %+v, %v; want unhinted", d, ok)
-	}
-
-	p.Feedback(Feedback{Peer: 1, Seg: seg(1, 1), Useful: true, Deficit: 2})
-	p.Feedback(Feedback{Peer: 1, Seg: seg(2, 5), Useful: true, Deficit: 6})
-	p.Feedback(Feedback{Peer: 1, Seg: seg(3, 9), Useful: true, Deficit: 4})
-	if p.Known() != 3 {
-		t.Fatalf("Known = %d, want 3", p.Known())
-	}
-
-	d, ok = p.Choose(1, env)
-	if !ok || !d.HasHint || d.Hint != seg(2, 5) {
-		t.Fatalf("Choose = %+v, %v; want hint on max-deficit 2/5", d, ok)
-	}
-	if d.WantInventory {
-		t.Fatal("RankGreedy requested an inventory")
-	}
-
-	// Deficit updates reorder the hint.
-	p.Feedback(Feedback{Peer: 1, Seg: seg(2, 5), Useful: true, Deficit: 1})
-	if d, _ := p.Choose(2, env); d.Hint != seg(3, 9) {
-		t.Fatalf("hint after update = %v, want 3/9", d.Hint)
-	}
-
-	// Delivered segments are dropped and never hinted again.
-	p.Feedback(Feedback{Peer: 1, Seg: seg(3, 9), Useful: true, Done: true})
-	p.Feedback(Feedback{Peer: 1, Seg: seg(2, 5), Deficit: 0})
-	if p.Known() != 1 {
-		t.Fatalf("Known after delivery = %d, want 1", p.Known())
-	}
-	if d, _ := p.Choose(3, env); d.Hint != seg(1, 1) {
-		t.Fatalf("hint after deliveries = %v, want 1/1", d.Hint)
-	}
-}
-
-func TestRankGreedyTieBreaksDeterministic(t *testing.T) {
-	feed := func(p *RankGreedy) {
-		p.Feedback(Feedback{Seg: seg(1, 1), Useful: true, Deficit: 3})
-		p.Feedback(Feedback{Seg: seg(2, 2), Useful: true, Deficit: 3})
-		p.Feedback(Feedback{Seg: seg(3, 3), Useful: true, Deficit: 3})
-	}
-	a, b := NewRankGreedy(), NewRankGreedy()
-	feed(a)
-	feed(b)
-	da, _ := a.Choose(0, &scriptEnv{peers: []PeerRef{1}})
-	db, _ := b.Choose(0, &scriptEnv{peers: []PeerRef{1}})
-	if da.Hint != db.Hint {
-		t.Fatalf("tie broke differently: %v vs %v", da.Hint, db.Hint)
-	}
-	if da.Hint != seg(1, 1) {
-		t.Fatalf("tie = %v, want earliest-learned 1/1", da.Hint)
-	}
-}
-
-func TestRankGreedyEmptyFeedbackIgnored(t *testing.T) {
-	p := NewRankGreedy()
-	p.Feedback(Feedback{Peer: 1, Empty: true})
-	if p.Known() != 0 {
-		t.Fatalf("Known = %d after empty feedback", p.Known())
 	}
 }
 
@@ -274,26 +205,27 @@ func TestRarestFirstDeliveredExcludedFromDigests(t *testing.T) {
 }
 
 func TestRarestFirstDeliveredRingBounded(t *testing.T) {
-	p := NewRarestFirst(RarestConfig{Seed: 1, DeliveredCap: 4})
-	for i := uint64(0); i < 16; i++ {
+	p := NewRarestFirst(RarestConfig{Seed: 1})
+	const n = deliveredCap + 16
+	for i := uint64(0); i < n; i++ {
 		p.Feedback(Feedback{Seg: seg(1, i), Done: true})
 	}
-	if p.delivered.Len() != 4 {
-		t.Fatalf("delivered set = %d entries, want cap 4", p.delivered.Len())
+	if p.delivered.Len() != deliveredCap {
+		t.Fatalf("delivered set = %d entries, want cap %d", p.delivered.Len(), deliveredCap)
 	}
 	// Newest entries survive, oldest are forgotten.
-	if !p.delivered.Has(seg(1, 15)) || p.delivered.Has(seg(1, 0)) {
+	if !p.delivered.Has(seg(1, n-1)) || p.delivered.Has(seg(1, 0)) {
 		t.Fatal("ring evicted the wrong end")
 	}
 }
 
 func TestRarestFirstExpiresOldDigests(t *testing.T) {
-	p := NewRarestFirst(RarestConfig{Seed: 1, RefreshInterval: 1, ExpireFactor: 2})
+	p := NewRarestFirst(RarestConfig{Seed: 1, RefreshInterval: 1})
 	p.ObserveInventory(0, 5, []InventoryEntry{{Seg: seg(1, 1), Blocks: 1}})
 	if d, ok := p.Choose(1.9, &scriptEnv{}); !ok || !d.HasHint {
 		t.Fatalf("Choose before expiry = %+v, %v; want hinted", d, ok)
 	}
-	// Past RefreshInterval×ExpireFactor the digest is discarded and the
+	// Past RefreshInterval×expireFactor the digest is discarded and the
 	// policy is back to the blind bootstrap.
 	d, ok := p.Choose(2.0, &scriptEnv{peers: []PeerRef{9}})
 	if !ok || d.HasHint || !d.WantInventory {
@@ -314,7 +246,7 @@ func TestRarestFirstLearnsFromReplies(t *testing.T) {
 	if !ok || d.Hint != seg(1, 1) || d.Peer != 5 {
 		t.Fatalf("Choose = %+v, %v; want hint 1/1 at peer 5", d, ok)
 	}
-	p.Feedback(Feedback{Peer: 5, Time: 0.2, Seg: seg(2, 2), Useful: true, Deficit: 3})
+	p.Feedback(Feedback{Peer: 5, Time: 0.2, Seg: seg(2, 2), Useful: true})
 	if p.holders[seg(1, 1)] != 0 {
 		t.Fatalf("refuted digest entry still has %d holders", p.holders[seg(1, 1)])
 	}
@@ -337,7 +269,7 @@ func TestRarestFirstUselessReplyExhaustsHolding(t *testing.T) {
 	// the segment is not done: a low-degree holder whose recoded blocks
 	// stopped being innovative. The digest line must go, or the policy
 	// would hammer this peer for the rest of the digest's lifetime.
-	p.Feedback(Feedback{Peer: 5, Time: 0.2, Seg: seg(1, 1), Deficit: 2})
+	p.Feedback(Feedback{Peer: 5, Time: 0.2, Seg: seg(1, 1)})
 	if p.holders[seg(1, 1)] != 0 {
 		t.Fatalf("exhausted holding still has %d holders", p.holders[seg(1, 1)])
 	}

@@ -11,25 +11,22 @@ import (
 // refresh is what prunes the lines that expired at the peer.
 const DefaultRefreshInterval = 1.0
 
-// defaultDeliveredCap bounds the policy's memory of completed segments.
-const defaultDeliveredCap = 1 << 16
+// expireFactor times RefreshInterval is the age at which a digest is
+// discarded outright: past it the digest's claims are more likely wrong than
+// right (buffered blocks decay continuously), and keeping phantom holders
+// around makes the policy chase segments nobody still has.
+const expireFactor = 2
+
+// deliveredCap bounds how many completed segment IDs the policy remembers
+// (oldest forgotten first; a forgotten segment would at worst be hinted once
+// more and dropped again on feedback).
+const deliveredCap = 1 << 16
 
 // RarestConfig parameterizes a RarestFirst policy.
 type RarestConfig struct {
 	// RefreshInterval is the inventory staleness threshold in the driver's
 	// time units. Zero selects DefaultRefreshInterval.
 	RefreshInterval float64
-	// ExpireFactor times RefreshInterval is the age at which a digest is
-	// discarded outright: past it the digest's claims are more likely wrong
-	// than right (buffered blocks decay continuously), and keeping phantom
-	// holders around makes the policy chase segments nobody still has. Zero
-	// selects 2.
-	ExpireFactor float64
-	// DeliveredCap bounds how many completed segment IDs the policy
-	// remembers (oldest forgotten first; a forgotten segment would at worst
-	// be hinted once more and dropped again on feedback). Zero selects a
-	// 65536-entry default.
-	DeliveredCap int
 	// Seed drives the holder tie-break RNG.
 	Seed int64
 }
@@ -79,19 +76,13 @@ func NewRarestFirst(cfg RarestConfig) *RarestFirst {
 	if cfg.RefreshInterval <= 0 {
 		cfg.RefreshInterval = DefaultRefreshInterval
 	}
-	if cfg.ExpireFactor <= 0 {
-		cfg.ExpireFactor = 2
-	}
-	if cfg.DeliveredCap <= 0 {
-		cfg.DeliveredCap = defaultDeliveredCap
-	}
 	return &RarestFirst{
 		cfg:       cfg,
 		rng:       randx.New(cfg.Seed),
 		peers:     make(map[PeerRef]*peerInventory),
 		segPos:    make(map[rlnc.SegmentID]int),
 		holders:   make(map[rlnc.SegmentID]int),
-		delivered: rlnc.NewSegmentSet(cfg.DeliveredCap),
+		delivered: rlnc.NewSegmentSet(deliveredCap),
 		lastHint:  make(map[PeerRef]rlnc.SegmentID),
 	}
 }
@@ -134,7 +125,7 @@ func (p *RarestFirst) Choose(now float64, env Env) (Decision, bool) {
 // without this, a peer that is never re-pulled would contribute phantom
 // holder counts forever and the policy would chase segments nobody has.
 func (p *RarestFirst) expire(now float64) {
-	deadline := p.cfg.RefreshInterval * p.cfg.ExpireFactor
+	deadline := p.cfg.RefreshInterval * expireFactor
 	for i := 0; i < len(p.peerOrder); {
 		peer := p.peerOrder[i]
 		if now-p.peers[peer].at >= deadline {

@@ -85,7 +85,7 @@ type Config struct {
 	ServerFeedback bool
 	// PullPolicy selects the server pull-scheduling policy by
 	// internal/pullsched registry name: "blind" (the paper's §2 behavior,
-	// and the default when empty), "rankgreedy", or "rarest". Blind adds no
+	// and the default when empty) or "rarest". Blind adds no
 	// RNG draws of its own, so a seeded run with PullPolicy empty or
 	// "blind" reproduces the pre-scheduling simulator byte for byte.
 	PullPolicy string

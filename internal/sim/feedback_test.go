@@ -53,3 +53,60 @@ func TestServerFeedbackInvariants(t *testing.T) {
 		t.Error("no purges in feedback run")
 	}
 }
+
+// TestDecodedOrRankLostBalance: every injected segment ends a run in
+// exactly one of three places — decoded (OnDecode fired), extinct before
+// full rank (RankLostSegments), or still live and undecoded. Under
+// ServerFeedback a pull that brings state and rank to s together purges the
+// segment; the purge must not run before the decode is recorded, or the
+// segment is counted both decoded and rank-lost.
+func TestDecodedOrRankLostBalance(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"literal", func(*Config) {}},
+		{"meanfield", func(c *Config) { c.MeanFieldSampling = true }},
+		{"churn-feedback", func(c *Config) {
+			c.ChurnMeanLifetime = 6
+			c.ServerFeedback = true
+			c.Degree = 4
+		}},
+		{"independent", func(c *Config) {
+			c.IndependentServers = true
+			c.PayloadLen = 64
+		}},
+		{"independent-feedback", func(c *Config) {
+			c.IndependentServers = true
+			c.ServerFeedback = true
+		}},
+		{"rarest-feedback", func(c *Config) {
+			c.PullPolicy = "rarest"
+			c.ServerFeedback = true
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := goldenBase()
+			tc.mutate(&cfg)
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var decoded int64
+			s.OnDecode(func(SegmentView) { decoded++ })
+			s.RunUntil(cfg.Horizon)
+			var undecoded int64
+			s.ForEachSegment(func(v SegmentView) {
+				if !v.Decoded {
+					undecoded++
+				}
+			})
+			r := s.Result()
+			if got := decoded + r.RankLostSegments + undecoded; got != r.InjectedSegments {
+				t.Errorf("decoded %d + rank-lost %d + live undecoded %d = %d, want injected %d",
+					decoded, r.RankLostSegments, undecoded, got, r.InjectedSegments)
+			}
+		})
+	}
+}

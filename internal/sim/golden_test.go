@@ -144,25 +144,27 @@ func TestBlindPolicyPreservesSeededRuns(t *testing.T) {
 }
 
 // TestFeedbackPoliciesCutRedundantPulls is the subsystem's reason to exist:
-// at a fixed seed, both feedback-driven policies must strictly reduce the
+// at every seed, the rarest-first policy must strictly reduce the
 // redundant-pull fraction relative to the blind baseline.
 func TestFeedbackPoliciesCutRedundantPulls(t *testing.T) {
-	frac := func(policy string) float64 {
+	frac := func(policy string, seed int64) float64 {
 		cfg := goldenBase()
 		cfg.PullPolicy = policy
+		cfg.Seed = seed
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.ServerPulls == 0 {
-			t.Fatalf("%s: no server pulls", policy)
+			t.Fatalf("%s seed %d: no server pulls", policy, seed)
 		}
 		return float64(res.RedundantPulls) / float64(res.ServerPulls)
 	}
-	blind := frac("blind")
-	for _, policy := range []string{"rankgreedy", "rarest"} {
-		if got := frac(policy); got >= blind {
-			t.Errorf("%s redundant fraction %.4f, want < blind %.4f", policy, got, blind)
+	for seed := int64(1); seed <= 8; seed++ {
+		blind, rarest := frac("blind", seed), frac("rarest", seed)
+		t.Logf("seed %d: blind %.3f, rarest %.3f", seed, blind, rarest)
+		if rarest >= blind {
+			t.Errorf("seed %d: rarest redundant fraction %.4f, want < blind %.4f", seed, rarest, blind)
 		}
 	}
 }

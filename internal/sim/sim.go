@@ -735,12 +735,11 @@ func (s *Simulator) pull(server int) {
 	// a pull is useful while the collection state is below s, and a
 	// delivered collection needs no further pulls.
 	pol.Feedback(pullsched.Feedback{
-		Peer:    dec.Peer,
-		Time:    now,
-		Seg:     segID,
-		Useful:  out.Useful,
-		Done:    rcol.Delivered(),
-		Deficit: rcol.Deficit(),
+		Peer:   dec.Peer,
+		Time:   now,
+		Seg:    segID,
+		Useful: out.Useful,
+		Done:   rcol.Delivered(),
 	})
 	s.exchangeInventory(pj, now, dec)
 
@@ -754,7 +753,8 @@ func (s *Simulator) pull(server int) {
 			TraceID: wctx.ID, Hop: wctx.Hop,
 		})
 	}
-	if out.Delivered && !meta.delivered() {
+	delivered := out.Delivered && !meta.delivered()
+	if delivered {
 		meta.deliveredAt = now
 		if meta.degree >= s.cfg.SegmentSize {
 			s.saved--
@@ -774,9 +774,6 @@ func (s *Simulator) pull(server int) {
 		if s.onDeliver != nil {
 			s.onDeliver(meta.view())
 		}
-		if s.cfg.ServerFeedback {
-			s.purgeSegment(meta.id)
-		}
 	}
 	if out.Innovative && now >= s.cfg.Warmup {
 		s.innovativeInWindow++
@@ -795,6 +792,12 @@ func (s *Simulator) pull(server int) {
 		if s.onDecode != nil {
 			s.onDecode(meta.view())
 		}
+	}
+	// The purge runs after this pull's decode is recorded: it can make the
+	// segment extinct, and extinction counts a not-yet-decoded segment as
+	// rank-lost.
+	if delivered && s.cfg.ServerFeedback {
+		s.purgeSegment(meta.id)
 	}
 }
 

@@ -294,9 +294,9 @@ func NewUDPTransportOpts(id NodeID, addr string, book map[NodeID]string, opts UD
 }
 
 // PullPolicies lists the built-in pull-scheduling policy names: "blind"
-// (the paper-faithful baseline), "rankgreedy", and "rarest". The same
-// names select a policy in SimConfig.PullPolicy and
-// ClusterConfig.PullPolicy.
+// (the paper-faithful baseline) and "rarest" (rarest-first over per-peer
+// inventory digests). The same names select a policy in
+// SimConfig.PullPolicy and ClusterConfig.PullPolicy.
 func PullPolicies() []string { return pullsched.Names() }
 
 // NewPullPolicy builds a named pull-scheduling policy for a live server
