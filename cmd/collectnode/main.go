@@ -94,27 +94,12 @@ func run(args []string) error {
 	node.Seed, srv.Seed = *seed, *seed
 	node.DebugAddr, srv.DebugAddr = *debugAddr, *debugAddr
 
+	// Every flag is checked before the listener opens, so a bad invocation
+	// binds no port.
 	addrBook, err := parseBook(*book)
 	if err != nil {
 		return err
 	}
-	var tr interface {
-		p2pcollect.Transport
-		Addr() string
-	}
-	switch *trKind {
-	case "tcp":
-		tr, err = p2pcollect.NewTCPTransport(p2pcollect.NodeID(*id), *listen, addrBook)
-	case "udp":
-		tr, err = p2pcollect.NewUDPTransport(p2pcollect.NodeID(*id), *listen, addrBook)
-	default:
-		err = fmt.Errorf("unknown -transport %q (want tcp or udp)", *trKind)
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Printf("node %d listening on %s (%s)\n", *id, tr.Addr(), *trKind)
-
 	// -join switches from static topology to SWIM gossip membership: the
 	// listed members bootstrap the detector and everything else arrives by
 	// rumor.
@@ -130,14 +115,6 @@ func run(args []string) error {
 		// bootstraps standalone and is discovered when later nodes -join it.
 		swim = &p2pcollect.MembershipConfig{Period: *swimPeriod}
 	}
-
-	stopAfter := make(<-chan time.Time)
-	if *duration > 0 {
-		stopAfter = time.After(*duration)
-	}
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-
 	switch *mode {
 	case "peer":
 		ids, err := parseIDs(*neighbors)
@@ -148,6 +125,49 @@ func run(args []string) error {
 			return fmt.Errorf("peer mode needs -neighbors (or -join for gossip membership)")
 		}
 		node.Neighbors, node.Membership = ids, swim
+	case "server":
+		ids, err := parseIDs(*peersList)
+		if err != nil {
+			return fmt.Errorf("-peers: %w", err)
+		}
+		srv.Peers, srv.Membership = ids, swim
+		if srv.Shards > 1 {
+			if srv.ShardPeers, err = parseShardBook(*shardBook); err != nil {
+				return fmt.Errorf("-shard-book: %w", err)
+			}
+		}
+	default:
+		return fmt.Errorf("unknown -mode %q (want peer or server)", *mode)
+	}
+
+	var tr interface {
+		p2pcollect.Transport
+		Addr() string
+	}
+	switch *trKind {
+	case "tcp":
+		tr, err = p2pcollect.NewTCPTransport(p2pcollect.NodeID(*id), *listen, addrBook)
+	case "udp":
+		tr, err = p2pcollect.NewUDPTransport(p2pcollect.NodeID(*id), *listen, addrBook)
+	default:
+		err = fmt.Errorf("unknown -transport %q (want tcp or udp)", *trKind)
+	}
+	if err != nil {
+		return err
+	}
+	// Stop closes the transport too; this Close covers every error return
+	// before Stop, and after it is a no-op.
+	defer tr.Close() //nolint:errcheck // shutdown path
+	fmt.Printf("node %d listening on %s (%s)\n", *id, tr.Addr(), *trKind)
+
+	stopAfter := make(<-chan time.Time)
+	if *duration > 0 {
+		stopAfter = time.After(*duration)
+	}
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
+	if *mode == "peer" {
 		n, err := p2pcollect.NewNode(tr, node)
 		if err != nil {
 			return err
@@ -165,78 +185,66 @@ func run(args []string) error {
 		n.Stop()
 		fmt.Printf("peer stats: %+v\n", n.Stats())
 		return nil
-
-	case "server":
-		ids, err := parseIDs(*peersList)
-		if err != nil {
-			return fmt.Errorf("-peers: %w", err)
-		}
-		srv.Peers, srv.Membership = ids, swim
-		if srv.Shards > 1 {
-			if srv.ShardPeers, err = parseShardBook(*shardBook); err != nil {
-				return fmt.Errorf("-shard-book: %w", err)
-			}
-			// Each process runs its own journal: it dedups local decodes;
-			// cross-process dedup rides on the fleet's completion notices.
-			// With a WAL directory the journal is durable too, so a
-			// restarted shard never re-delivers a segment it already
-			// claimed.
-			if dir := srv.Durability.Dir; dir != "" {
-				j, jc, err := p2pcollect.OpenDeliveryJournal(filepath.Join(dir, "journal.claims"), 0)
-				if err != nil {
-					return err
-				}
-				defer jc.Close()
-				srv.Journal = j
-			} else {
-				srv.Journal = p2pcollect.NewDeliveryJournal(0)
-			}
-		}
-		s, err := p2pcollect.NewServer(tr, srv)
-		if err != nil {
-			return err
-		}
-		var csv *logdata.CSVWriter
-		if *outPath != "" {
-			f, err := os.OpenFile(*outPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return fmt.Errorf("open -out: %w", err)
-			}
-			defer f.Close()
-			csv = logdata.NewCSVWriter(f)
-		}
-		s.OnSegment = func(segID p2pcollect.SegmentID, blocks [][]byte) {
-			records := 0
-			for _, b := range blocks {
-				if csv != nil {
-					if n, err := csv.WriteBlock(b); err == nil {
-						records += n
-						continue
-					}
-				}
-				if rs, err := logdata.UnpackRecords(b); err == nil {
-					records += len(rs)
-				}
-			}
-			fmt.Printf("decoded segment %v: %d blocks, %d records\n", segID, len(blocks), records)
-		}
-		if err := s.Start(); err != nil {
-			return err
-		}
-		if url := s.DebugURL(); url != "" {
-			fmt.Printf("debug endpoint at %s/metrics\n", url)
-		}
-		select {
-		case <-sig:
-		case <-stopAfter:
-		}
-		s.Stop()
-		fmt.Printf("server stats: %+v\n", s.Stats())
-		return nil
-
-	default:
-		return fmt.Errorf("unknown -mode %q (want peer or server)", *mode)
 	}
+
+	var csv *logdata.CSVWriter
+	if *outPath != "" {
+		f, err := os.OpenFile(*outPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return fmt.Errorf("open -out: %w", err)
+		}
+		defer f.Close()
+		csv = logdata.NewCSVWriter(f)
+	}
+	if srv.Shards > 1 {
+		// Each process runs its own journal: it dedups local decodes;
+		// cross-process dedup rides on the fleet's completion notices.
+		// With a WAL directory the journal is durable too, so a
+		// restarted shard never re-delivers a segment it already
+		// claimed.
+		if dir := srv.Durability.Dir; dir != "" {
+			j, jc, err := p2pcollect.OpenDeliveryJournal(filepath.Join(dir, "journal.claims"), 0)
+			if err != nil {
+				return err
+			}
+			defer jc.Close()
+			srv.Journal = j
+		} else {
+			srv.Journal = p2pcollect.NewDeliveryJournal(0)
+		}
+	}
+	s, err := p2pcollect.NewServer(tr, srv)
+	if err != nil {
+		return err
+	}
+	s.OnSegment = func(segID p2pcollect.SegmentID, blocks [][]byte) {
+		records := 0
+		for _, b := range blocks {
+			if csv != nil {
+				if n, err := csv.WriteBlock(b); err == nil {
+					records += n
+					continue
+				}
+			}
+			if rs, err := logdata.UnpackRecords(b); err == nil {
+				records += len(rs)
+			}
+		}
+		fmt.Printf("decoded segment %v: %d blocks, %d records\n", segID, len(blocks), records)
+	}
+	if err := s.Start(); err != nil {
+		return err
+	}
+	if url := s.DebugURL(); url != "" {
+		fmt.Printf("debug endpoint at %s/metrics\n", url)
+	}
+	select {
+	case <-sig:
+	case <-stopAfter:
+	}
+	s.Stop()
+	fmt.Printf("server stats: %+v\n", s.Stats())
+	return nil
 }
 
 // parseBook parses "id=addr,id=addr" into an address book.

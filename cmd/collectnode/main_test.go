@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"p2pcollect"
@@ -47,15 +48,22 @@ func TestParseIDs(t *testing.T) {
 	}
 }
 
+// unlistenable fails to listen without touching the network (the port is
+// out of range), so a test that gets its flag error back proves the flags
+// were checked before the listener opened.
+const unlistenable = "127.0.0.1:99999"
+
 func TestRunRejectsBadMode(t *testing.T) {
-	if err := run([]string{"-mode", "nonsense", "-listen", "127.0.0.1:0", "-duration", "1ms"}); err == nil {
-		t.Error("bad mode accepted")
+	err := run([]string{"-mode", "nonsense", "-listen", unlistenable, "-duration", "1ms"})
+	if err == nil || !strings.Contains(err.Error(), "unknown -mode") {
+		t.Errorf("bad mode: got %v, want the -mode error", err)
 	}
 }
 
 func TestRunPeerNeedsNeighbors(t *testing.T) {
-	if err := run([]string{"-mode", "peer", "-listen", "127.0.0.1:0", "-duration", "1ms"}); err == nil {
-		t.Error("peer without neighbors accepted")
+	err := run([]string{"-mode", "peer", "-listen", unlistenable, "-duration", "1ms"})
+	if err == nil || !strings.Contains(err.Error(), "needs -neighbors") {
+		t.Errorf("peer without neighbors: got %v, want the -neighbors error", err)
 	}
 }
 

@@ -355,28 +355,39 @@ func TestTraceContextAdoption(t *testing.T) {
 	}
 }
 
-// BenchmarkHandleInventoryOwned is one delta digest reaching a fleet shard's
-// rarest policy: 64 lines, half of them for segments the shard owns, all
-// already known, so the steady state is the ownership filter and the
-// policy's lookups and must not allocate.
-func BenchmarkHandleInventoryOwned(b *testing.B) {
+// handleInventoryOwned is one delta digest reaching a fleet shard's rarest
+// policy: 64 lines, half of them for segments the shard owns, all already
+// known, so the steady state is the ownership filter and the policy's
+// lookups.
+func handleInventoryOwned(tb testing.TB) func() {
 	svc, err := New(Config{
 		SegmentSize: testSize,
 		Policy:      pullsched.NewRarestFirst(pullsched.RarestConfig{Seed: 1}),
 		Owns:        func(seg rlnc.SegmentID) bool { return seg.Seq%2 == 0 },
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer svc.Close()
+	tb.Cleanup(func() { svc.Close() })
 	digest := make([]pullsched.InventoryEntry, 64)
 	for i := range digest {
 		digest[i] = pullsched.InventoryEntry{Seg: rlnc.SegmentID{Origin: 1, Seq: uint64(i)}, Blocks: 2}
 	}
 	svc.HandleInventory(0, testPeer, digest, false)
+	return func() { svc.HandleInventory(0.5, testPeer, digest, true) }
+}
+
+func TestHandleInventoryOwnedAllocatesNothing(t *testing.T) {
+	if n := testing.AllocsPerRun(100, handleInventoryOwned(t)); n != 0 {
+		t.Errorf("a known delta digest on a fleet shard: %v allocations, want 0", n)
+	}
+}
+
+func BenchmarkHandleInventoryOwned(b *testing.B) {
+	handle := handleInventoryOwned(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		svc.HandleInventory(0.5, testPeer, digest, true)
+		handle()
 	}
 }

@@ -295,11 +295,36 @@ func BenchmarkRingOwner(b *testing.B) {
 	_ = sink
 }
 
+// journalClaim is one winning claim on a full journal, which forgets its
+// oldest claim to make room. The journal is filled first: until it is
+// full its set still grows.
+func journalClaim(tb testing.TB) func() {
+	const capacity = 1 << 16
+	j := NewJournal(capacity)
+	var seq uint64
+	claim := func() {
+		if !j.Claim(rlnc.SegmentID{Origin: 3, Seq: seq}) {
+			tb.Fatalf("fresh claim %d refused", seq)
+		}
+		seq++
+	}
+	for seq < 2*capacity {
+		claim()
+	}
+	return claim
+}
+
+func TestJournalClaimAllocatesNothing(t *testing.T) {
+	if n := testing.AllocsPerRun(5000, journalClaim(t)); n != 0 {
+		t.Errorf("Claim on a full journal: %v allocations, want 0", n)
+	}
+}
+
 func BenchmarkJournalClaim(b *testing.B) {
-	j := NewJournal(1 << 16)
+	claim := journalClaim(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j.Claim(rlnc.SegmentID{Origin: 3, Seq: uint64(i)})
+		claim()
 	}
 }

@@ -245,13 +245,46 @@ func TestDot(t *testing.T) {
 	}
 }
 
-func BenchmarkMul(b *testing.B) {
-	var acc byte
-	for i := 0; i < b.N; i++ {
-		acc ^= Mul(byte(i), byte(i>>8))
+// TestZeroAllocPaths pins each per-block kernel at 0 allocations per
+// call, timed by the benchmark of the same name over the same operation.
+func TestZeroAllocPaths(t *testing.T) {
+	for _, k := range []struct {
+		name string
+		op   func(testing.TB) func()
+	}{
+		{"Mul", mulOp},
+		{"Dot1K", dot1KOp},
+		{"AddMulSlice1K", addMulSliceOp(1024)},
+		{"AddMulSlice64", addMulSliceOp(64)},
+		{"MulSlice1K", mulSlice1KOp},
+		{"AddMulSlices32x1K", addMulSlices32x1KOp},
+	} {
+		if n := testing.AllocsPerRun(100, k.op(t)); n != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", k.name, n)
+		}
 	}
-	_ = acc
 }
+
+// benchOp times op, which processes bytes bytes per call.
+func benchOp(b *testing.B, bytes int64, op func()) {
+	b.SetBytes(bytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+func mulOp(testing.TB) func() {
+	var acc byte
+	var i int
+	return func() {
+		acc ^= Mul(byte(i), byte(i>>8))
+		i++
+	}
+}
+
+func BenchmarkMul(b *testing.B) { benchOp(b, 0, mulOp(b)) }
 
 func TestDotMatchesMulLoop(t *testing.T) {
 	// Cross-check the table-lookup Dot against the scalar definition over
@@ -273,34 +306,37 @@ func TestDotMatchesMulLoop(t *testing.T) {
 	}
 }
 
-func BenchmarkDot1K(b *testing.B) {
+func dot1KOp(testing.TB) func() {
 	x := make([]byte, 1024)
 	y := make([]byte, 1024)
 	for i := range x {
 		x[i] = byte(i * 31)
 		y[i] = byte(i * 17)
 	}
-	b.SetBytes(1024)
-	b.ResetTimer()
 	var acc byte
-	for i := 0; i < b.N; i++ {
-		acc ^= Dot(x, y)
-	}
-	_ = acc
+	return func() { acc ^= Dot(x, y) }
 }
 
-func BenchmarkAddMulSlice1K(b *testing.B) {
-	dst := make([]byte, 1024)
-	src := make([]byte, 1024)
-	for i := range src {
-		src[i] = byte(i)
-	}
-	b.SetBytes(1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AddMulSlice(dst, byte(i|1), src)
+func BenchmarkDot1K(b *testing.B) { benchOp(b, 1024, dot1KOp(b)) }
+
+// addMulSliceOp folds one n-byte source into a destination under a
+// changing odd coefficient.
+func addMulSliceOp(n int) func(testing.TB) func() {
+	return func(testing.TB) func() {
+		dst := make([]byte, n)
+		src := make([]byte, n)
+		for i := range src {
+			src[i] = byte(i * 7)
+		}
+		var c byte
+		return func() {
+			AddMulSlice(dst, c|1, src)
+			c++
+		}
 	}
 }
+
+func BenchmarkAddMulSlice1K(b *testing.B) { benchOp(b, 1024, addMulSliceOp(1024)(b)) }
 
 func TestMulTableMatchesMul(t *testing.T) {
 	for a := 0; a < 256; a++ {

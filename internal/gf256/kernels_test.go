@@ -331,36 +331,25 @@ func FuzzAddMulSlicesEquivalence(f *testing.F) {
 	})
 }
 
-func BenchmarkMulSlice1K(b *testing.B) {
+func mulSlice1KOp(testing.TB) func() {
 	buf := make([]byte, 1024)
 	for i := range buf {
 		buf[i] = byte(i)
 	}
-	b.SetBytes(1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MulSlice(byte(i|2), buf)
+	var c byte
+	return func() {
+		MulSlice(c|2, buf)
+		c++
 	}
 }
 
-func BenchmarkAddMulSlice64(b *testing.B) {
-	dst := make([]byte, 64)
-	src := make([]byte, 64)
-	for i := range src {
-		src[i] = byte(i * 7)
-	}
-	b.SetBytes(64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AddMulSlice(dst, byte(i|1), src)
-	}
-}
+func BenchmarkMulSlice1K(b *testing.B) { benchOp(b, 1024, mulSlice1KOp(b)) }
 
-// BenchmarkAddMulSlices32x1K is one peer recode's payload work at s=32 and
-// 1 KiB blocks: 32 sources folded into one destination.
-func BenchmarkAddMulSlices32x1K(b *testing.B) {
+func BenchmarkAddMulSlice64(b *testing.B) { benchOp(b, 64, addMulSliceOp(64)(b)) }
+
+// addMulSlices32x1KOp is one peer recode's payload work at s=32 and 1 KiB
+// blocks: 32 sources folded into one destination.
+func addMulSlices32x1KOp(testing.TB) func() {
 	dst := make([]byte, 1024)
 	ks := make([]byte, 32)
 	srcs := make([][]byte, 32)
@@ -371,10 +360,7 @@ func BenchmarkAddMulSlices32x1K(b *testing.B) {
 			srcs[j][i] = byte(i + j)
 		}
 	}
-	b.SetBytes(32 * 1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AddMulSlices(dst, ks, srcs)
-	}
+	return func() { AddMulSlices(dst, ks, srcs) }
 }
+
+func BenchmarkAddMulSlices32x1K(b *testing.B) { benchOp(b, 32*1024, addMulSlices32x1KOp(b)) }

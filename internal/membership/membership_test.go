@@ -302,19 +302,44 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
-// BenchmarkSWIMTick measures one detector tick over a 64-member view with
-// rumors in flight — the steady-state cost a live node pays 4× per period.
-func BenchmarkSWIMTick(b *testing.B) {
+// swimTick is one detector tick, 4× per period, over a 64-member view in
+// which no member answers. Every probe ends in a suspicion and every
+// suspicion in a death, so after about 70 simulated seconds the tick only
+// sweeps 64 tombstones: the steady state a long benchmark times, reached
+// here before the first timed tick.
+func swimTick(tb testing.TB) func() {
 	seeds := make([]Member, 64)
 	for i := range seeds {
 		seeds[i] = Member{ID: transport.NodeID(i + 2), Addr: "127.0.0.1:9999"}
 	}
 	s := New(Member{ID: 1, Addr: "127.0.0.1:1"}, Config{Seeds: seeds, Period: 1.0, Seed: 1})
-	b.ReportAllocs()
-	b.ResetTimer()
 	now := 0.0
-	for i := 0; i < b.N; i++ {
+	tick := func() {
 		now += 0.25
 		s.Tick(now)
+	}
+	for _, m := range seeds {
+		for st, _ := s.Status(m.ID); st != StatusDead; st, _ = s.Status(m.ID) {
+			if now > 1000 {
+				tb.Fatalf("member %d still %v at t=%v", m.ID, st, now)
+			}
+			tick()
+		}
+	}
+	return tick
+}
+
+func TestSWIMTickAllocatesNothing(t *testing.T) {
+	if n := testing.AllocsPerRun(100, swimTick(t)); n != 0 {
+		t.Errorf("a tick over 64 members: %v allocations, want 0", n)
+	}
+}
+
+func BenchmarkSWIMTick(b *testing.B) {
+	tick := swimTick(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tick()
 	}
 }

@@ -97,11 +97,26 @@ func BenchmarkRingTracerQuery(b *testing.B) {
 	}
 }
 
-func BenchmarkGaugeSet(b *testing.B) {
+func gaugeSet(testing.TB) func() {
 	g := NewGauge("g")
+	var v float64
+	return func() {
+		g.Set(v)
+		v++
+	}
+}
+
+func TestGaugeSetDoesNotAllocate(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, gaugeSet(t)); allocs != 0 {
+		t.Errorf("Set allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+func BenchmarkGaugeSet(b *testing.B) {
+	set := gaugeSet(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Set(float64(i))
+		set()
 	}
 }

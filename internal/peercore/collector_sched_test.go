@@ -74,52 +74,48 @@ func TestCollectorForgetBoundsMemory(t *testing.T) {
 	}
 }
 
-// BenchmarkCollectorReceive measures the two Receive paths a scheduler
-// trades between: useful pulls that advance state and rank, and redundant
-// pulls against a saturated collection.
-func BenchmarkCollectorReceive(b *testing.B) {
-	const s = 16
-	seg := rlnc.SegmentID{Origin: 1}
-	payload := make([]byte, 64)
-	blocks := make([]*rlnc.CodedBlock, s)
-	for i := range blocks {
-		coeffs := make([]byte, s)
-		coeffs[i] = 1
-		blocks[i] = &rlnc.CodedBlock{Seg: seg, Coeffs: coeffs, Payload: payload}
+// collectorReceive is one Receive on either path a scheduler trades
+// between: useful pulls that advance state and rank (the collection
+// restarts every s pulls so every pull is useful), or redundant pulls
+// against a saturated collection.
+func collectorReceive(useful bool) func(testing.TB) func() {
+	return func(tb testing.TB) func() {
+		const s = 16
+		seg := rlnc.SegmentID{Origin: 1}
+		payload := make([]byte, 64)
+		blocks := make([]*rlnc.CodedBlock, s)
+		for i := range blocks {
+			coeffs := make([]byte, s)
+			coeffs[i] = 1
+			blocks[i] = &rlnc.CodedBlock{Seg: seg, Coeffs: coeffs, Payload: payload}
+		}
+		c := NewCollector(CollectorConfig{SegmentSize: s}, nil)
+		if !useful {
+			for _, blk := range blocks {
+				if _, _, err := c.Receive(blk); err != nil {
+					tb.Fatal(err)
+				}
+			}
+		}
+		var i int
+		return func() {
+			j := 0
+			if useful {
+				if j = i % s; j == 0 {
+					c.Forget(seg)
+				}
+			}
+			if out, _, err := c.Receive(blocks[j]); err != nil || out.Useful != useful {
+				tb.Fatalf("pull %d: %+v err=%v", i, out, err)
+			}
+			i++
+		}
 	}
+}
 
-	b.Run("useful", func(b *testing.B) {
-		c := NewCollector(CollectorConfig{SegmentSize: s}, nil)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			j := i % s
-			if j == 0 {
-				c.Forget(seg) // restart the collection so every pull is useful
-			}
-			out, _, err := c.Receive(blocks[j])
-			if err != nil || !out.Useful {
-				b.Fatalf("pull %d: %+v err=%v", i, out, err)
-			}
-		}
-	})
-
-	b.Run("redundant", func(b *testing.B) {
-		c := NewCollector(CollectorConfig{SegmentSize: s}, nil)
-		for _, blk := range blocks {
-			if _, _, err := c.Receive(blk); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			out, _, err := c.Receive(blocks[0])
-			if err != nil || out.Useful {
-				b.Fatalf("pull %d: %+v err=%v", i, out, err)
-			}
-		}
-	})
+func BenchmarkCollectorReceive(b *testing.B) {
+	b.Run("useful", func(b *testing.B) { benchOp(b, collectorReceive(true)(b)) })
+	b.Run("redundant", func(b *testing.B) { benchOp(b, collectorReceive(false)(b)) })
 }
 
 // BenchmarkCollectionRecode measures the fleet-exchange hot path: producing

@@ -140,9 +140,9 @@ func TestCheckInvariantsCoversArrivals(t *testing.T) {
 	}
 }
 
-// BenchmarkInventorySinceNoNews is what a pull that carries an up-to-date
-// cursor costs a peer with 256 buffered segments.
-func BenchmarkInventorySinceNoNews(b *testing.B) {
+// inventorySinceNoNews is what a pull that carries an up-to-date cursor
+// costs a peer with 256 buffered segments.
+func inventorySinceNoNews(tb testing.TB) func() {
 	p := NewPeer(7, PeerConfig{SegmentSize: 4, BufferCap: 1024, Gamma: 1}, randx.New(1), nil)
 	for i := 0; i < 256; i++ {
 		cb := rlnc.NewBlock(rlnc.SegmentID{Origin: 1, Seq: uint64(i)}, 4)
@@ -150,11 +150,11 @@ func BenchmarkInventorySinceNoNews(b *testing.B) {
 		p.Store(0, cb)
 	}
 	_, cursor, _ := p.InventorySince(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		if inv, _, _ := p.InventorySince(cursor); inv != nil {
-			b.Fatal("news without a new holding")
+			tb.Fatal("news without a new holding")
 		}
 	}
 }
+
+func BenchmarkInventorySinceNoNews(b *testing.B) { benchOp(b, inventorySinceNoNews(b)) }

@@ -8,6 +8,7 @@ import (
 
 	"p2pcollect/internal/obs"
 	"p2pcollect/internal/pullsched"
+	"p2pcollect/internal/raceon"
 	"p2pcollect/internal/randx"
 	"p2pcollect/internal/rlnc"
 )
@@ -283,10 +284,43 @@ func TestExpireDueSkipsOnlyHoldingsWithNothingDue(t *testing.T) {
 	}
 }
 
-// BenchmarkExpireDue is one live-node reap over a steady buffer of 256
-// segments × 8 blocks, about 1% of them due per sweep; the due blocks are
-// stored again afterwards, as gossip would refill the buffer.
-func BenchmarkExpireDue(b *testing.B) {
+// TestZeroAllocPaths pins each steady-state path at 0 allocations per
+// call, timed by the benchmark of the same name over the same operation.
+// AllocsPerRun, like -benchmem, truncates the mean, so 0 means fewer
+// allocations than calls: a useful Receive reopens its collection every s
+// pulls and stays below one allocation per pull.
+func TestZeroAllocPaths(t *testing.T) {
+	if raceon.Enabled {
+		t.Skip("allocation budgets describe the uninstrumented build")
+	}
+	for _, p := range []struct {
+		name string
+		op   func(testing.TB) func()
+	}{
+		{"CollectorReceive/useful", collectorReceive(true)},
+		{"CollectorReceive/redundant", collectorReceive(false)},
+		{"InventorySinceNoNews", inventorySinceNoNews},
+		{"ExpireDue", expireDue},
+	} {
+		if n := testing.AllocsPerRun(1000, p.op(t)); n != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", p.name, n)
+		}
+	}
+}
+
+// benchOp times op, the call TestZeroAllocPaths measures.
+func benchOp(b *testing.B, op func()) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// expireDue is one live-node reap over a steady buffer of 256 segments × 8
+// blocks, about 1% of them due per sweep; the due blocks are stored again
+// afterwards, as gossip would refill the buffer.
+func expireDue(tb testing.TB) func() {
 	const size, segments, step = 8, 256, 0.01 // gamma 1: ~1% of blocks due per step
 	p := NewPeer(7, PeerConfig{SegmentSize: size, BufferCap: size * segments, Gamma: 1}, randx.New(1), nil)
 	var due dueHeap
@@ -297,21 +331,21 @@ func BenchmarkExpireDue(b *testing.B) {
 		}
 	}
 	now := 0.0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		now += step
 		p.ExpireDue(now)
 		for len(due) > 0 && now > due[0].Deadline {
 			st := due.pop()
 			res := p.Store(now, st.Block)
 			if !res.Stored {
-				b.Fatal("an expired block was not stored again")
+				tb.Fatal("an expired block was not stored again")
 			}
 			due.push(Stored{Block: st.Block, Deadline: res.Deadline})
 		}
 	}
 }
+
+func BenchmarkExpireDue(b *testing.B) { benchOp(b, expireDue(b)) }
 
 // dueHeap is a min-heap of stored blocks by deadline, without interfaces so
 // a push and a pop allocate nothing.

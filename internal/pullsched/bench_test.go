@@ -37,34 +37,67 @@ func populate(p Policy, peers, segs int) {
 	}
 }
 
-func benchmarkChoose(b *testing.B, p Policy) {
-	populate(p, 32, 256)
-	env := &benchEnv{n: 32}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// The clock cycles inside the digest freshness window so RarestFirst
-		// keeps exercising its full scan instead of expiring every digest
-		// once and then timing the empty fallback.
-		if _, ok := p.Choose(float64(i%1000)*1e-3, env); !ok {
-			b.Fatal("Choose failed")
+// TestZeroAllocPaths pins each per-pull policy call at 0 allocations,
+// timed by the benchmark of the same name over the same operation.
+func TestZeroAllocPaths(t *testing.T) {
+	for _, p := range []struct {
+		name string
+		op   func(testing.TB) func()
+	}{
+		{"ChooseBlind", choose(newBlind)},
+		{"ChooseRarestFirst", choose(newRarest)},
+		{"FeedbackRarestFirst", feedbackRarestFirst},
+		{"RarestObserveDelta", rarestObserveDelta},
+	} {
+		if n := testing.AllocsPerRun(1000, p.op(t)); n != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", p.name, n)
 		}
 	}
 }
 
-func BenchmarkChooseBlind(b *testing.B) { benchmarkChoose(b, Blind{}) }
-func BenchmarkChooseRarestFirst(b *testing.B) {
-	benchmarkChoose(b, NewRarestFirst(RarestConfig{Seed: 1}))
-}
-
-// BenchmarkFeedbackRarestFirst is the call every rarest pull reply makes:
-// a useful block from a peer whose digest already lists the segment.
-func BenchmarkFeedbackRarestFirst(b *testing.B) {
-	p := NewRarestFirst(RarestConfig{Seed: 1})
-	populate(p, 32, 256)
+// benchOp times op, the call TestZeroAllocPaths measures.
+func benchOp(b *testing.B, op func()) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+func newBlind() Policy  { return Blind{} }
+func newRarest() Policy { return NewRarestFirst(RarestConfig{Seed: 1}) }
+
+// choose is one Choose by a policy populated with 32 peers and 256
+// segments.
+func choose(policy func() Policy) func(testing.TB) func() {
+	return func(tb testing.TB) func() {
+		p := policy()
+		populate(p, 32, 256)
+		env := &benchEnv{n: 32}
+		var i int
+		return func() {
+			// The clock cycles inside the digest freshness window so
+			// RarestFirst keeps exercising its full scan instead of
+			// expiring every digest once and then timing the empty
+			// fallback.
+			if _, ok := p.Choose(float64(i%1000)*1e-3, env); !ok {
+				tb.Fatal("Choose failed")
+			}
+			i++
+		}
+	}
+}
+
+func BenchmarkChooseBlind(b *testing.B)       { benchOp(b, choose(newBlind)(b)) }
+func BenchmarkChooseRarestFirst(b *testing.B) { benchOp(b, choose(newRarest)(b)) }
+
+// feedbackRarestFirst is the call every rarest pull reply makes: a useful
+// block from a peer whose digest already lists the segment.
+func feedbackRarestFirst(testing.TB) func() {
+	p := newRarest()
+	populate(p, 32, 256)
+	var i int
+	return func() {
 		j := i % 256
 		p.Feedback(Feedback{
 			Peer:   PeerRef(j % 32),
@@ -72,20 +105,23 @@ func BenchmarkFeedbackRarestFirst(b *testing.B) {
 			Seg:    rlnc.SegmentID{Origin: 1, Seq: uint64(j)},
 			Useful: true,
 		})
+		i++
 	}
 }
 
-// BenchmarkRarestObserveDelta is the steady-state cost of news: one new
-// line for a known peer, which the next reply then disproves so the state
-// does not grow.
-func BenchmarkRarestObserveDelta(b *testing.B) {
-	p := NewRarestFirst(RarestConfig{Seed: 1})
+func BenchmarkFeedbackRarestFirst(b *testing.B) { benchOp(b, feedbackRarestFirst(b)) }
+
+// rarestObserveDelta is the steady-state cost of news: one new line for a
+// known peer, which the next reply then disproves so the state does not
+// grow.
+func rarestObserveDelta(testing.TB) func() {
+	p := newRarest()
 	populate(p, 32, 256)
 	line := []InventoryEntry{{Seg: rlnc.SegmentID{Origin: 2, Seq: 1}, Blocks: 1}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		p.ObserveInventory(0.5, 7, line)
 		p.Feedback(Feedback{Peer: 7, Time: 0.5, Seg: line[0].Seg})
 	}
 }
+
+func BenchmarkRarestObserveDelta(b *testing.B) { benchOp(b, rarestObserveDelta(b)) }

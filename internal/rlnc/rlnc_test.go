@@ -747,15 +747,27 @@ func FuzzDecoderRoundTrip(f *testing.F) {
 	})
 }
 
-func BenchmarkRecodeInto32(b *testing.B) {
-	seg := testSegment(b, 26, 32, 1024)
+// recodeInto32 is one recode of an s=32, 1 KiB segment into a reused block.
+func recodeInto32(tb testing.TB) func() {
+	seg := testSegment(tb, 26, 32, 1024)
 	src := seg.SourceBlocks()
 	rng := randx.New(1)
 	out := &CodedBlock{Coeffs: make([]byte, 32), Payload: make([]byte, 1024)}
+	return func() { RecodeInto(out, src, rng) }
+}
+
+func TestRecodeIntoAllocatesNothing(t *testing.T) {
+	if n := testing.AllocsPerRun(100, recodeInto32(t)); n != 0 {
+		t.Errorf("RecodeInto at s=32: %v allocations, want 0", n)
+	}
+}
+
+func BenchmarkRecodeInto32(b *testing.B) {
+	recode := recodeInto32(b)
 	b.SetBytes(32 * 1024)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RecodeInto(out, src, rng)
+		recode()
 	}
 }
