@@ -23,6 +23,9 @@
 //	collectnode -mode server -id 3 -transport udp -listen 127.0.0.1:7003 \
 //	    -join 1=127.0.0.1:7001,2=127.0.0.1:7002
 //
+// Peers and servers of one session share -s: a server rejects blocks of
+// any other segment size.
+//
 // The process runs until the duration elapses (or forever with -duration 0,
 // until SIGINT) and prints its statistics on exit.
 package main
@@ -52,7 +55,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("collectnode", flag.ContinueOnError)
 	// Every protocol and runtime flag is bound straight to the config field
-	// it sets: node for -mode peer, srv for -mode server.
+	// it sets: node for -mode peer, srv for -mode server; -s sets both.
 	var node p2pcollect.NodeConfig
 	var srv p2pcollect.ServerConfig
 	var (
@@ -71,7 +74,7 @@ func run(args []string) error {
 		outPath    = fs.String("out", "", "server mode: append recovered records to this CSV file")
 		debugAddr  = fs.String("debug-addr", "", "serve the observability endpoint (Prometheus /metrics, JSON /debug/snapshot, pprof) on this address (e.g. 127.0.0.1:8090)")
 	)
-	fs.IntVar(&node.SegmentSize, "s", 8, "segment size")
+	fs.IntVar(&node.SegmentSize, "s", 8, "segment size s of both roles: a server rejects blocks coded at any other s")
 	fs.IntVar(&node.BlockSize, "blocksize", logdata.RecordSize, "payload bytes per block")
 	fs.Float64Var(&node.Lambda, "lambda", 5, "blocks generated per second")
 	fs.Float64Var(&node.Mu, "mu", 10, "gossip blocks per second")
@@ -92,6 +95,7 @@ func run(args []string) error {
 		return err
 	}
 	node.Seed, srv.Seed = *seed, *seed
+	srv.SegmentSize = node.SegmentSize
 	node.DebugAddr, srv.DebugAddr = *debugAddr, *debugAddr
 
 	// Every flag is checked before the listener opens, so a bad invocation

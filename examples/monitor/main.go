@@ -34,11 +34,13 @@ func main() {
 func run(peers int, duration time.Duration) error {
 	var mu sync.Mutex
 	agg := logdata.NewAggregator()
-	decodedSegments := 0
+	decoded := make(map[p2pcollect.SegmentID]bool)
+	duplicates := 0
 
 	cluster, err := p2pcollect.StartCluster(p2pcollect.ClusterConfig{
 		Peers:   peers,
 		Servers: 2,
+		Fleet:   true, // a shared delivery journal: each segment arrives once
 		Degree:  4,
 		Node: p2pcollect.NodeConfig{
 			SegmentSize: 4,
@@ -54,7 +56,11 @@ func run(peers int, duration time.Duration) error {
 		OnSegment: func(id p2pcollect.SegmentID, blocks [][]byte) {
 			mu.Lock()
 			defer mu.Unlock()
-			decodedSegments++
+			if decoded[id] {
+				duplicates++
+				return
+			}
+			decoded[id] = true
 			for _, b := range blocks {
 				agg.AddBlock(b) //nolint:errcheck // synthetic payloads are well-formed
 			}
@@ -75,7 +81,7 @@ func run(peers int, duration time.Duration) error {
 	mu.Lock()
 	defer mu.Unlock()
 	fmt.Printf("\nlogging servers reconstructed %d segments -> %d records from %d peers\n\n",
-		decodedSegments, agg.Records(), agg.PeerCount())
+		len(decoded), agg.Records(), agg.PeerCount())
 
 	fmt.Println("channel   records  peers  continuity  buffer(s)  down(kbps)  loss    degraded")
 	for _, ch := range agg.Channels() {
@@ -94,6 +100,9 @@ func run(peers int, duration time.Duration) error {
 	}
 	printInfrastructure(snap)
 
+	if duplicates > 0 {
+		return fmt.Errorf("%d segments were delivered more than once", duplicates)
+	}
 	if agg.Records() == 0 {
 		return fmt.Errorf("no records collected; try a longer -duration")
 	}

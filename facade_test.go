@@ -82,7 +82,7 @@ func TestFacadeLiveNodeServerDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := p2pcollect.NewServer(net.Join(3), p2pcollect.ServerConfig{
-		PullRate: 80, Peers: []p2pcollect.NodeID{1, 2},
+		PullRate: 80, Peers: []p2pcollect.NodeID{1, 2}, SegmentSize: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

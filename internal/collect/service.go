@@ -12,7 +12,7 @@
 package collect
 
 import (
-	"errors"
+	"fmt"
 	"time"
 
 	"p2pcollect/internal/collect/store"
@@ -51,11 +51,9 @@ var policyCounterNames = [numPolicyCounters]string{
 
 // Config parameterizes a collection service.
 type Config struct {
-	// SegmentSize is s; zero infers it from the first block.
+	// SegmentSize is s, fixed for the service's life; it must be at least
+	// 1. Blocks of any other size are rejected.
 	SegmentSize int
-	// FinishedCap bounds the completed-segment memory. Zero selects
-	// store.DefaultFinishedCap.
-	FinishedCap int
 	// Policy schedules pulls; nil selects pullsched.Blind. The service
 	// forwards the driver's serialization — policies are not thread-safe.
 	Policy pullsched.Policy
@@ -118,6 +116,7 @@ type Service struct {
 	cfg    Config
 	policy pullsched.Policy
 	st     store.Store
+	wal    *wal.Store // st when state is durable, else nil
 	tracer obs.Tracer
 
 	fb        *obs.CounterSet
@@ -127,54 +126,43 @@ type Service struct {
 	owned     []pullsched.InventoryEntry // HandleInventory's filter scratch
 
 	deliver func(seg rlnc.SegmentID, blocks [][]byte)
-	started bool
 }
 
 // New builds a collection service.
 func New(cfg Config) (*Service, error) {
-	switch {
-	case cfg.SegmentSize < 0:
-		return nil, errors.New("collect: negative SegmentSize")
-	case cfg.FinishedCap < 0:
-		return nil, errors.New("collect: negative FinishedCap")
+	if cfg.SegmentSize < 1 {
+		return nil, fmt.Errorf("collect: SegmentSize %d, want at least 1", cfg.SegmentSize)
 	}
-	policy := cfg.Policy
-	if policy == nil {
-		policy = pullsched.Blind{}
+	s := &Service{
+		cfg:       cfg,
+		policy:    cfg.Policy,
+		tracer:    cfg.Tracer,
+		fb:        obs.NewCounterSet(policyCounterNames[:]),
+		firstSeen: make(map[rlnc.SegmentID]float64),
 	}
-	var st store.Store
+	if s.policy == nil {
+		s.policy = pullsched.Blind{}
+	}
+	if s.tracer == nil {
+		s.tracer = obs.NopTracer{}
+	}
 	var err error
 	if cfg.Durability.Dir != "" {
-		st, err = wal.Open(wal.Options{
+		s.wal, err = wal.Open(wal.Options{
 			Config:        cfg.Durability,
 			SegmentSize:   cfg.SegmentSize,
-			FinishedCap:   cfg.FinishedCap,
 			Sink:          cfg.Sink,
 			AppendLatency: cfg.WALAppend,
 			WALBytes:      cfg.WALBytes,
 		})
+		s.st = s.wal
 	} else {
-		st, err = store.NewMemory(store.MemoryConfig{
-			SegmentSize: cfg.SegmentSize,
-			FinishedCap: cfg.FinishedCap,
-			Sink:        cfg.Sink,
-		})
+		s.st, err = store.NewMemory(store.MemoryConfig{SegmentSize: cfg.SegmentSize, Sink: cfg.Sink})
 	}
 	if err != nil {
 		return nil, err
 	}
-	tracer := cfg.Tracer
-	if tracer == nil {
-		tracer = obs.NopTracer{}
-	}
-	return &Service{
-		cfg:       cfg,
-		policy:    policy,
-		st:        st,
-		tracer:    tracer,
-		fb:        obs.NewCounterSet(policyCounterNames[:]),
-		firstSeen: make(map[rlnc.SegmentID]float64),
-	}, nil
+	return s, nil
 }
 
 // Start fixes the delivery callback. Call before the driver's loops run.
@@ -186,17 +174,17 @@ func New(cfg Config) (*Service, error) {
 // be, and dropped when the journal shows another shard already claimed it.
 func (s *Service) Start(deliver func(seg rlnc.SegmentID, blocks [][]byte)) {
 	s.deliver = deliver
-	s.started = true
-	if rec, ok := s.st.(store.Recovered); ok {
-		for _, seg := range rec.RecoveredDecoded() {
-			col := s.st.Collection(seg)
-			if col == nil || col.RankDeficit() != 0 {
-				continue
-			}
-			if flush := s.complete(seg, col); flush != nil {
-				// No driver loop runs yet, so invoking directly is safe.
-				flush()
-			}
+	if s.wal == nil {
+		return
+	}
+	for _, seg := range s.wal.RecoveredDecoded() {
+		col := s.st.Collection(seg)
+		if col == nil || col.RankDeficit() != 0 {
+			continue
+		}
+		if flush := s.complete(seg, col); flush != nil {
+			// No driver loop runs yet, so invoking directly is safe.
+			flush()
 		}
 	}
 }
@@ -210,10 +198,10 @@ func (s *Service) Close() {
 // Crash simulates abrupt process death for crash-recovery tests: the
 // store's buffered log writes are dropped and its files closed without a
 // final snapshot — exactly the state a killed process leaves on disk.
-// Stores without crash support just close.
+// In-RAM state just closes.
 func (s *Service) Crash() {
-	if c, ok := s.st.(store.Crasher); ok {
-		c.Crash()
+	if s.wal != nil {
+		s.wal.Crash()
 		return
 	}
 	s.st.Close() //nolint:errcheck // crash path
@@ -222,14 +210,14 @@ func (s *Service) Crash() {
 // Recovery reports what the durable store reconstructed at open, and
 // whether this service has one.
 func (s *Service) Recovery() (wal.RecoveryStats, bool) {
-	if w, ok := s.st.(*wal.Store); ok {
-		return w.Recovery(), true
+	if s.wal == nil {
+		return wal.RecoveryStats{}, false
 	}
-	return wal.RecoveryStats{}, false
+	return s.wal.Recovery(), true
 }
 
-// Policy returns the service's pull policy.
-func (s *Service) Policy() pullsched.Policy { return s.policy }
+// WAL returns the service's durable store, or nil when state is in RAM.
+func (s *Service) WAL() *wal.Store { return s.wal }
 
 // Store returns the service's segment-state backend.
 func (s *Service) Store() store.Store { return s.st }

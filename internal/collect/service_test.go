@@ -199,6 +199,49 @@ func TestRejectedBlocksLeaveNoSegmentState(t *testing.T) {
 	}
 }
 
+// TestStrayBlockCannotSetSegmentSize: s is given at construction, so a
+// service without one is an error, and a stray block of another size that
+// arrives first is rejected instead of fixing s for every later block.
+func TestStrayBlockCannotSetSegmentSize(t *testing.T) {
+	if _, err := New(Config{}); err == nil {
+		t.Fatal("New accepted SegmentSize 0")
+	}
+	const s = testSize + 1
+	svc, err := New(Config{SegmentSize: s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	var delivered [][]byte
+	svc.Start(func(_ rlnc.SegmentID, blocks [][]byte) { delivered = blocks })
+
+	if res := svc.HandleBlock(1, testPeer, testSegment(t, 1).SourceBlock(0), true, obs.TraceContext{}); !res.Rejected {
+		t.Fatalf("stray %d-coefficient block: %+v, want a rejection", testSize, res)
+	}
+	rng := randx.New(5)
+	src := make([][]byte, s)
+	for i := range src {
+		src[i] = make([]byte, testPayloadLen)
+		rng.FillCoefficients(src[i])
+	}
+	seg, err := rlnc.NewSegment(rlnc.SegmentID{Origin: 2, Seq: 1}, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2*s; i++ {
+		res := svc.HandleBlock(1, testPeer, seg.Encode(rng), true, obs.TraceContext{})
+		if res.Rejected {
+			t.Fatalf("coded block %d of a valid segment rejected", i)
+		}
+		if res.Flush != nil {
+			res.Flush()
+		}
+	}
+	if !reflect.DeepEqual(delivered, src) {
+		t.Errorf("delivered %d blocks, want the %d source blocks", len(delivered), s)
+	}
+}
+
 // TestOwnsFiltersPolicyInput: outside its segment universe the service
 // still decodes and counts, but the policy hears neither feedback nor
 // inventory for those segments.

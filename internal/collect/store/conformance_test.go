@@ -11,8 +11,8 @@ import (
 // store.Store conformance suite (including the pinned golden differential
 // stream every implementation must match byte-for-byte).
 func TestMemoryConformance(t *testing.T) {
-	storetest.Run(t, func(t *testing.T) store.Store {
-		m, err := store.NewMemory(store.MemoryConfig{})
+	storetest.Run(t, func(t *testing.T, s int) store.Store {
+		m, err := store.NewMemory(store.MemoryConfig{SegmentSize: s})
 		if err != nil {
 			t.Fatal(err)
 		}

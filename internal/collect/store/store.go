@@ -9,27 +9,24 @@
 package store
 
 import (
-	"errors"
+	"fmt"
 
 	"p2pcollect/internal/peercore"
 	"p2pcollect/internal/rlnc"
 )
 
-// DefaultFinishedCap bounds a store's memory of completed segments when the
-// config leaves FinishedCap zero.
-const DefaultFinishedCap = 1 << 16
+// FinishedCap bounds a store's memory of completed segments: the oldest
+// is forgotten first, and a forgotten segment would merely be decoded again.
+const FinishedCap = 1 << 16
 
 // Store is the collection-state seam: every per-segment decoder and the
 // completed-segment memory live behind it. Implementations are driver-
 // serialized (the collection service calls them under its driver's lock),
 // matching peercore's concurrency contract.
 type Store interface {
-	// SegmentSize returns s, or 0 while it is still to be inferred from the
-	// first block.
-	SegmentSize() int
 	// Receive runs one coded block through the collection state machine,
-	// opening the segment's collection lazily. The first block fixes the
-	// segment size when the store was built without one. now is the
+	// opening the segment's collection lazily. A block whose coefficient
+	// count is not the store's segment size is rejected. now is the
 	// caller's clock; the stores here keep no timestamps.
 	Receive(now float64, cb *rlnc.CodedBlock) (peercore.PullOutcome, *peercore.Collection, error)
 	// Collection returns a segment's open collection, or nil.
@@ -53,132 +50,65 @@ type Store interface {
 	Close() error
 }
 
-// Recovered is the optional capability of durable stores: crash recovery
-// can reconstruct collections that reached full rank before the crash but
-// whose completion never became durable. The collection service flushes
-// these through its normal completion path (finished set, delivery gate,
-// decode) at Start, so a recovered segment is delivered exactly as a
-// freshly decoded one would be — and dropped if the delivery journal shows
-// another party already claimed it.
-type Recovered interface {
-	// RecoveredDecoded returns the segments whose recovered collections
-	// are at full rank and still awaiting completion.
-	RecoveredDecoded() []rlnc.SegmentID
-}
-
-// Crasher is the optional test capability of durable stores: Crash
-// simulates abrupt process death by abandoning all in-RAM state and
-// buffered writes and closing files without snapshotting or syncing.
-type Crasher interface {
-	Crash()
-}
-
 // MemoryConfig parameterizes an in-memory store.
 type MemoryConfig struct {
-	// SegmentSize is s; zero infers it from the first received block.
+	// SegmentSize is s, fixed for the store's life; it must be at least 1.
 	SegmentSize int
-	// FinishedCap bounds the completed-segment memory (oldest forgotten
-	// first; a forgotten segment would merely be decoded again). Zero
-	// selects DefaultFinishedCap.
-	FinishedCap int
 	// Sink receives the collector's protocol events; nil discards them.
 	Sink peercore.EventSink
 }
 
-// Memory is the in-RAM Store: a lazy peercore.Collector plus the bounded
+// Memory is the in-RAM Store: a peercore.Collector plus the bounded
 // segment set of finished IDs, so unbounded decode streams never grow
 // the store.
 type Memory struct {
-	cfg       MemoryConfig
-	collector *peercore.Collector // nil until the segment size is known
-	finished  *rlnc.SegmentSet
+	segmentSize int
+	collector   *peercore.Collector
+	finished    *rlnc.SegmentSet
 }
 
 var _ Store = (*Memory)(nil)
 
 // NewMemory builds an empty in-memory store.
 func NewMemory(cfg MemoryConfig) (*Memory, error) {
-	if cfg.SegmentSize < 0 {
-		return nil, errors.New("store: negative SegmentSize")
-	}
-	if cfg.FinishedCap < 0 {
-		return nil, errors.New("store: negative FinishedCap")
-	}
-	if cfg.FinishedCap == 0 {
-		cfg.FinishedCap = DefaultFinishedCap
+	if cfg.SegmentSize < 1 {
+		return nil, fmt.Errorf("store: SegmentSize %d, want at least 1", cfg.SegmentSize)
 	}
 	if cfg.Sink == nil {
 		cfg.Sink = peercore.NopSink{}
 	}
-	m := &Memory{cfg: cfg, finished: rlnc.NewSegmentSet(cfg.FinishedCap)}
-	if cfg.SegmentSize > 0 {
-		m.collector = m.newCollector(cfg.SegmentSize)
-	}
-	return m, nil
+	return &Memory{
+		segmentSize: cfg.SegmentSize,
+		collector:   peercore.NewCollector(peercore.CollectorConfig{SegmentSize: cfg.SegmentSize}, cfg.Sink),
+		finished:    rlnc.NewSegmentSet(FinishedCap),
+	}, nil
 }
 
-func (m *Memory) newCollector(segmentSize int) *peercore.Collector {
-	return peercore.NewCollector(peercore.CollectorConfig{SegmentSize: segmentSize}, m.cfg.Sink)
-}
-
-// SegmentSize implements Store.
-func (m *Memory) SegmentSize() int {
-	if m.collector == nil {
-		return 0
-	}
-	return m.cfg.SegmentSize
-}
+// SegmentSize returns s.
+func (m *Memory) SegmentSize() int { return m.segmentSize }
 
 // Receive implements Store.
 func (m *Memory) Receive(_ float64, cb *rlnc.CodedBlock) (peercore.PullOutcome, *peercore.Collection, error) {
-	if m.collector == nil {
-		m.cfg.SegmentSize = cb.SegmentSize()
-		m.collector = m.newCollector(m.cfg.SegmentSize)
-	}
 	return m.collector.Receive(cb)
 }
 
 // Collection implements Store.
 func (m *Memory) Collection(seg rlnc.SegmentID) *peercore.Collection {
-	if m.collector == nil {
-		return nil
-	}
 	return m.collector.Collection(seg)
 }
 
 // OpenCount implements Store.
-func (m *Memory) OpenCount() int {
-	if m.collector == nil {
-		return 0
-	}
-	return m.collector.OpenCount()
-}
+func (m *Memory) OpenCount() int { return m.collector.OpenCount() }
 
 // Forget implements Store.
-func (m *Memory) Forget(seg rlnc.SegmentID) {
-	if m.collector != nil {
-		m.collector.Forget(seg)
-	}
-}
+func (m *Memory) Forget(seg rlnc.SegmentID) { m.collector.Forget(seg) }
 
 // Range implements Store.
-func (m *Memory) Range(f func(seg rlnc.SegmentID, col *peercore.Collection)) {
-	if m.collector != nil {
-		m.collector.Range(f)
-	}
-}
+func (m *Memory) Range(f func(seg rlnc.SegmentID, col *peercore.Collection)) { m.collector.Range(f) }
 
 // Restore opens a collection rebuilt from snapshotted state (see
-// peercore.Collector.Restore). A store built without a segment size infers
-// it from the first basis row.
+// peercore.Collector.Restore).
 func (m *Memory) Restore(seg rlnc.SegmentID, state, payloadLen int, basis []*rlnc.CodedBlock) error {
-	if m.collector == nil {
-		if len(basis) == 0 {
-			return errors.New("store: cannot restore an empty basis before the segment size is known")
-		}
-		m.cfg.SegmentSize = basis[0].SegmentSize()
-		m.collector = m.newCollector(m.cfg.SegmentSize)
-	}
 	_, err := m.collector.Restore(seg, state, payloadLen, basis)
 	return err
 }
@@ -201,17 +131,15 @@ func (m *Memory) RangeFinished(f func(seg rlnc.SegmentID)) { m.finished.Range(f)
 // forgotten, and the finished set is cleared — a reused store starts
 // empty instead of reporting stale Finished hits.
 func (m *Memory) Close() error {
-	if m.collector != nil {
-		open := make([]rlnc.SegmentID, 0, m.collector.OpenCount())
-		m.collector.Range(func(seg rlnc.SegmentID, _ *peercore.Collection) {
-			open = append(open, seg)
-		})
-		for _, seg := range open {
-			if col := m.collector.Collection(seg); col != nil {
-				col.Release()
-			}
-			m.collector.Forget(seg)
+	open := make([]rlnc.SegmentID, 0, m.collector.OpenCount())
+	m.collector.Range(func(seg rlnc.SegmentID, _ *peercore.Collection) {
+		open = append(open, seg)
+	})
+	for _, seg := range open {
+		if col := m.collector.Collection(seg); col != nil {
+			col.Release()
 		}
+		m.collector.Forget(seg)
 	}
 	m.finished.Reset()
 	return nil

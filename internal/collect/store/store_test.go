@@ -3,44 +3,51 @@ package store
 import (
 	"testing"
 
-	"p2pcollect/internal/randx"
 	"p2pcollect/internal/rlnc"
 )
 
-func TestFinishedSetBounded(t *testing.T) {
-	m, err := NewMemory(MemoryConfig{SegmentSize: 2, FinishedCap: 4})
+func newMemory(t *testing.T) *Memory {
+	t.Helper()
+	m, err := NewMemory(MemoryConfig{SegmentSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
+	return m
+}
+
+func TestFinishedSetBounded(t *testing.T) {
+	const extra = 6
+	m := newMemory(t)
+	for i := 0; i < FinishedCap+extra; i++ {
 		m.MarkFinished(rlnc.SegmentID{Origin: 1, Seq: uint64(i)})
 	}
-	if m.FinishedCount() != 4 {
-		t.Errorf("finished set size = %d, want 4", m.FinishedCount())
+	if m.FinishedCount() != FinishedCap {
+		t.Errorf("finished set size = %d, want %d", m.FinishedCount(), FinishedCap)
 	}
-	if m.Finished(rlnc.SegmentID{Origin: 1, Seq: 0}) {
-		t.Error("oldest entry not evicted")
+	for i := 0; i < extra; i++ {
+		if m.Finished(rlnc.SegmentID{Origin: 1, Seq: uint64(i)}) {
+			t.Fatalf("entry %d of the oldest %d not evicted", i, extra)
+		}
 	}
-	if !m.Finished(rlnc.SegmentID{Origin: 1, Seq: 9}) {
-		t.Error("newest entry missing")
+	if !m.Finished(rlnc.SegmentID{Origin: 1, Seq: extra}) || !m.Finished(rlnc.SegmentID{Origin: 1, Seq: FinishedCap + extra - 1}) {
+		t.Error("an entry within the cap is missing")
 	}
 
 	// A repeated mark is a no-op: it must not take a second slot, or the
 	// set would evict a live entry early and a snapshot would persist the
 	// duplicate.
-	m, err = NewMemory(MemoryConfig{SegmentSize: 2, FinishedCap: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b, c := rlnc.SegmentID{Origin: 2, Seq: 0}, rlnc.SegmentID{Origin: 2, Seq: 1}, rlnc.SegmentID{Origin: 2, Seq: 2}
-	for _, seg := range []rlnc.SegmentID{a, a, b, c} {
-		m.MarkFinished(seg)
+	m = newMemory(t)
+	a := rlnc.SegmentID{Origin: 2, Seq: 0}
+	m.MarkFinished(a)
+	m.MarkFinished(a)
+	for i := 1; i < FinishedCap; i++ {
+		m.MarkFinished(rlnc.SegmentID{Origin: 3, Seq: uint64(i)})
 	}
 	var order []rlnc.SegmentID
 	m.RangeFinished(func(seg rlnc.SegmentID) { order = append(order, seg) })
-	if !m.Finished(a) || m.FinishedCount() != 3 || len(order) != 3 || order[0] != a || order[1] != b || order[2] != c {
-		t.Errorf("after marking a, a, b, c under cap 3: Finished(a) = %v, count %d, order %v; want a, b, c",
-			m.Finished(a), m.FinishedCount(), order)
+	if !m.Finished(a) || m.FinishedCount() != FinishedCap || len(order) != FinishedCap || order[0] != a || order[1].Origin != 3 {
+		t.Errorf("after marking a twice then %d others: Finished(a) = %v, count %d, order starts %v; want a first, %d entries",
+			FinishedCap-1, m.Finished(a), m.FinishedCount(), order[:2], FinishedCap)
 	}
 }
 
@@ -48,70 +55,37 @@ func TestFinishedSetBounded(t *testing.T) {
 // completing segments indefinitely must not allocate per completion (a
 // FIFO re-sliced with [1:] would pin an ever-growing backing array).
 func TestMarkFinishedSteadyStateAllocations(t *testing.T) {
-	m, err := NewMemory(MemoryConfig{SegmentSize: 2, FinishedCap: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newMemory(t)
 	var seq uint64
 	mark := func() {
 		m.MarkFinished(rlnc.SegmentID{Origin: 7, Seq: seq})
 		seq++
 	}
 	// Warm past the set's growth, then measure steady state.
-	for i := 0; i < 1024; i++ {
+	for i := 0; i < FinishedCap+1024; i++ {
 		mark()
 	}
 	allocs := testing.AllocsPerRun(5000, mark)
 	if allocs > 0.1 {
 		t.Errorf("MarkFinished allocates %.2f allocs/op in steady state, want ~0", allocs)
 	}
-	if m.FinishedCount() != 64 {
-		t.Errorf("finished set size = %d, want 64", m.FinishedCount())
+	if m.FinishedCount() != FinishedCap {
+		t.Errorf("finished set size = %d, want %d", m.FinishedCount(), FinishedCap)
 	}
 	if !m.Finished(rlnc.SegmentID{Origin: 7, Seq: seq - 1}) {
 		t.Error("newest entry missing after the set wrapped")
 	}
-	if m.Finished(rlnc.SegmentID{Origin: 7, Seq: seq - 65}) {
+	if m.Finished(rlnc.SegmentID{Origin: 7, Seq: seq - FinishedCap - 1}) {
 		t.Error("entry older than the set capacity not evicted")
 	}
 }
 
-// TestMemoryInfersSegmentSize checks lazy collector creation: a store built
-// without a segment size adopts the first block's.
-func TestMemoryInfersSegmentSize(t *testing.T) {
-	m, err := NewMemory(MemoryConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.SegmentSize() != 0 {
-		t.Fatalf("fresh store SegmentSize = %d, want 0", m.SegmentSize())
-	}
-	rng := randx.New(1)
-	blocks := [][]byte{make([]byte, 8), make([]byte, 8), make([]byte, 8)}
-	for _, b := range blocks {
-		rng.FillCoefficients(b)
-	}
-	seg, err := rlnc.NewSegment(rlnc.SegmentID{Origin: 3, Seq: 1}, blocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, col, err := m.Receive(0, seg.Encode(rng))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Innovative || col == nil {
-		t.Fatalf("first block not innovative: %+v", out)
-	}
-	if m.SegmentSize() != 3 {
-		t.Errorf("inferred SegmentSize = %d, want 3", m.SegmentSize())
-	}
-	if m.OpenCount() != 1 {
-		t.Errorf("OpenCount = %d, want 1", m.OpenCount())
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if m.OpenCount() != 0 {
-		t.Errorf("OpenCount after Close = %d, want 0", m.OpenCount())
+// TestMemoryRequiresSegmentSize: s is fixed at construction, so a store
+// without one is an error rather than a store that waits for a block.
+func TestMemoryRequiresSegmentSize(t *testing.T) {
+	for _, s := range []int{0, -1} {
+		if _, err := NewMemory(MemoryConfig{SegmentSize: s}); err == nil {
+			t.Errorf("NewMemory accepted SegmentSize %d", s)
+		}
 	}
 }

@@ -26,9 +26,10 @@ import (
 // correct.
 const goldenDigest = 0x0b6aae3e
 
-// Factory opens a fresh, empty store for one subtest. Stores with durable
-// state must point at a fresh location each call (use t.TempDir).
-type Factory func(t *testing.T) store.Store
+// Factory opens a fresh, empty store of segment size s for one subtest.
+// Stores with durable state must point at a fresh location each call (use
+// t.TempDir).
+type Factory func(t *testing.T, s int) store.Store
 
 // Run exercises a store implementation against the conformance suite.
 func Run(t *testing.T, open Factory) {
@@ -39,9 +40,9 @@ func Run(t *testing.T, open Factory) {
 // testOps walks one store through the operation table: lazy open on
 // receive, state/rank accounting, finish, forget, and close.
 func testOps(t *testing.T, open Factory) {
-	st := open(t)
-	rng := randx.New(7)
 	const s, payloadLen = 4, 32
+	st := open(t, s)
+	rng := randx.New(7)
 
 	segA := rlnc.SegmentID{Origin: 1, Seq: 1}
 	segB := rlnc.SegmentID{Origin: 2, Seq: 9}
@@ -65,9 +66,6 @@ func testOps(t *testing.T, open Factory) {
 		if _, _, err := st.Receive(1, srcB.Encode(rng)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got := st.SegmentSize(); got != s {
-		t.Errorf("SegmentSize = %d, want %d", got, s)
 	}
 	if got := st.OpenCount(); got != 2 {
 		t.Errorf("OpenCount = %d, want 2", got)
@@ -129,8 +127,9 @@ func testOps(t *testing.T, open Factory) {
 // and a reference Memory, comparing every observable after every op, and
 // pins the transcript digest.
 func testDifferential(t *testing.T, open Factory) {
-	st := open(t)
-	ref, err := store.NewMemory(store.MemoryConfig{})
+	const s, payloadLen, nSegs, nOps = 3, 16, 6, 400
+	st := open(t, s)
+	ref, err := store.NewMemory(store.MemoryConfig{SegmentSize: s})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +140,6 @@ func testDifferential(t *testing.T, open Factory) {
 		fmt.Fprintf(digest, "%v|%v|%v\n", format, a, b)
 	}
 
-	const s, payloadLen, nSegs, nOps = 3, 16, 6, 400
 	rng := randx.New(42)
 	segs := make([]*rlnc.Segment, nSegs)
 	ids := make([]rlnc.SegmentID, nSegs)

@@ -109,7 +109,7 @@ func walReceive(tb testing.TB) func() {
 		Sync:          SyncInterval,
 		SnapshotEvery: 1 << 30, // never: isolate the append path
 		SegmentBytes:  1 << 40,
-	}})
+	}, SegmentSize: receiveSegSize})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func walReceive(tb testing.TB) func() {
 
 // memoryReceive is the in-RAM reference for walReceive.
 func memoryReceive(tb testing.TB) func() {
-	m, err := store.NewMemory(store.MemoryConfig{})
+	m, err := store.NewMemory(store.MemoryConfig{SegmentSize: receiveSegSize})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func BenchmarkSnapshot(b *testing.B) {
 		Dir:           dir,
 		Sync:          SyncNone,
 		SnapshotEvery: 1 << 30,
-	}})
+	}, SegmentSize: 16})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func BenchmarkRecovery(b *testing.B) {
 		Dir:           dir,
 		Sync:          SyncAlways, // every tail record must survive the crash below
 		SnapshotEvery: 1 << 30,
-	}})
+	}, SegmentSize: 16})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func BenchmarkRecovery(b *testing.B) {
 	w.Crash()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w2, err := Open(Options{Config: Config{Dir: dir, Sync: SyncNone}})
+		w2, err := Open(Options{Config: Config{Dir: dir, Sync: SyncNone}, SegmentSize: s})
 		if err != nil {
 			b.Fatal(err)
 		}

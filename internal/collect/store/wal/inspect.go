@@ -12,7 +12,9 @@ import (
 // without mutating anything. Open is a recovery-and-resume operation: it
 // truncates at a stop point and starts a fresh active segment. Postmortem
 // tooling must do neither, so Inspect runs the same walk with no stop
-// action and throws the reconstructed state away.
+// action and throws the reconstructed state away. Having no config, it is
+// the one place a segment size is read off the data: from the newest
+// snapshot, else from the first block record it replays.
 func Inspect(dir string) (RecoveryStats, error) {
 	if dir == "" {
 		return RecoveryStats{}, fmt.Errorf("wal: empty Dir")

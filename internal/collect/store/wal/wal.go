@@ -93,12 +93,10 @@ type Config struct {
 type Options struct {
 	Config
 
-	// SegmentSize, FinishedCap, Sink mirror store.MemoryConfig for the
-	// in-RAM state the log shadows. A loaded snapshot's segment size takes
-	// precedence over SegmentSize — it is what the logged records were
-	// coded under.
+	// SegmentSize and Sink mirror store.MemoryConfig for the in-RAM state
+	// the log shadows. SegmentSize must be at least 1, and Open fails when
+	// the directory's snapshot was written at another size.
 	SegmentSize int
-	FinishedCap int
 	Sink        peercore.EventSink
 
 	// AppendLatency observes seconds spent framing + writing (+ fsyncing,
@@ -179,11 +177,7 @@ type Store struct {
 	closed    bool
 }
 
-var (
-	_ store.Store     = (*Store)(nil)
-	_ store.Recovered = (*Store)(nil)
-	_ store.Crasher   = (*Store)(nil)
-)
+var _ store.Store = (*Store)(nil)
 
 func logName(seq uint64) string  { return fmt.Sprintf("wal-%016x.log", seq) }
 func snapName(seq uint64) string { return fmt.Sprintf("snap-%016x.snap", seq) }
@@ -207,6 +201,9 @@ func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("wal: empty Dir")
 	}
+	if opts.SegmentSize < 1 {
+		return nil, fmt.Errorf("wal: SegmentSize %d, want at least 1", opts.SegmentSize)
+	}
 	if opts.SyncInterval <= 0 {
 		opts.SyncInterval = DefaultSyncInterval
 	}
@@ -227,7 +224,6 @@ func Open(opts Options) (*Store, error) {
 	w := &Store{opts: opts, gate: &gatedSink{inner: opts.Sink}, lastSnap: start}
 	rec, err := recoverDir(opts.Dir, store.MemoryConfig{
 		SegmentSize: opts.SegmentSize,
-		FinishedCap: opts.FinishedCap,
 		Sink:        w.gate,
 	}, discardFrom)
 	if err != nil {
@@ -306,8 +302,9 @@ type recoveredState struct {
 // state) into a store built from cfg, replay every log segment the
 // snapshot does not cover, oldest first, and stop at the first torn or
 // corrupt record, because recovered state must stay a prefix of history. A
-// loaded snapshot's segment size overrides cfg's: it is what the logged
-// records were coded under. The walk itself only reads. atStop, when
+// snapshot written at a segment size other than cfg's is an error; a zero
+// cfg.SegmentSize (Inspect's) reads s off the data instead: the snapshot's,
+// else the first block record's. The walk itself only reads. atStop, when
 // non-nil, is the caller's action at a stop point: it receives the stopped
 // segment, the length of its valid prefix, and the later segments the walk
 // will not apply. Open passes discardFrom; Inspect passes nil.
@@ -332,8 +329,23 @@ func recoverDir(dir string, cfg store.MemoryConfig,
 			snap, snapSeq = s, snaps[i]
 		}
 	}
-	if snap != nil && snap.segmentSize > 0 {
+	switch {
+	case snap == nil || snap.segmentSize == 0:
+	case cfg.SegmentSize == 0:
 		cfg.SegmentSize = snap.segmentSize
+	case snap.segmentSize != cfg.SegmentSize:
+		return nil, fmt.Errorf("wal: %s was written at segment size %d, store opened at segment size %d",
+			snapName(snapSeq), snap.segmentSize, cfg.SegmentSize)
+	}
+	if cfg.SegmentSize == 0 {
+		// With no block record to apply, any size serves.
+		cfg.SegmentSize = 1
+		walkLogs(dir, logs, snapSeq, func(rec record) bool { //nolint:errcheck // the replay reports it
+			if rec.typ == recBlock {
+				cfg.SegmentSize = len(rec.coeffs)
+			}
+			return rec.typ != recBlock
+		})
 	}
 	if r.mem, err = store.NewMemory(cfg); err != nil {
 		return nil, err
@@ -351,29 +363,18 @@ func recoverDir(dir string, cfg store.MemoryConfig,
 		}
 	}
 
-replay:
-	for i, seq := range logs {
-		if seq < snapSeq {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, logName(seq)))
-		if err != nil {
-			return nil, fmt.Errorf("wal: %w", err)
-		}
-		for off := 0; off < len(data); {
-			rec, n, derr := decodeRecord(data[off:])
-			if derr != nil {
-				r.stats.TornTail = true
-				if atStop != nil {
-					if err := atStop(dir, seq, int64(off), logs[i+1:]); err != nil {
-						return nil, err
-					}
-				}
-				break replay
-			}
-			applyRecord(r.mem, rec)
-			r.stats.ReplayedRecords++
-			off += n
+	stop, off, err := walkLogs(dir, logs, snapSeq, func(rec record) bool {
+		applyRecord(r.mem, rec)
+		r.stats.ReplayedRecords++
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	r.stats.TornTail = stop >= 0
+	if r.stats.TornTail && atStop != nil {
+		if err := atStop(dir, logs[stop], off, logs[stop+1:]); err != nil {
+			return nil, err
 		}
 	}
 
@@ -393,6 +394,32 @@ replay:
 	})
 	r.stats.DecodedPending = len(r.decoded)
 	return r, nil
+}
+
+// walkLogs visits the records of the log segments from sequence from on,
+// oldest first, until fn returns false. At a torn or corrupt record it
+// returns its segment's index in logs and its offset; otherwise stop is -1.
+func walkLogs(dir string, logs []uint64, from uint64, fn func(record) bool) (stop int, off int64, err error) {
+	for i, seq := range logs {
+		if seq < from {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, logName(seq)))
+		if err != nil {
+			return -1, 0, fmt.Errorf("wal: %w", err)
+		}
+		for off := 0; off < len(data); {
+			rec, n, err := decodeRecord(data[off:])
+			if err != nil {
+				return i, int64(off), nil
+			}
+			if !fn(rec) {
+				return -1, 0, nil
+			}
+			off += n
+		}
+	}
+	return -1, 0, nil
 }
 
 // discardFrom is Open's action at a stop point. The stopped segment is cut
@@ -661,15 +688,18 @@ func syncDir(dir string) error {
 // Recovery returns what Open reconstructed.
 func (w *Store) Recovery() RecoveryStats { return w.recovery }
 
-// RecoveredDecoded implements store.Recovered.
+// RecoveredDecoded returns, in segment order, the recovered full-rank
+// collections whose completion never became durable (collect.Service.Start).
 func (w *Store) RecoveredDecoded() []rlnc.SegmentID { return w.recovered }
-
-// SegmentSize implements store.Store.
-func (w *Store) SegmentSize() int { return w.mem.SegmentSize() }
 
 // Receive implements store.Store: the block record is appended (and, in
 // SyncAlways mode, made durable) before the state machine sees the block.
+// A block of the wrong segment size is rejected unlogged, so the log holds
+// only blocks of size s.
 func (w *Store) Receive(now float64, cb *rlnc.CodedBlock) (peercore.PullOutcome, *peercore.Collection, error) {
+	if cb.SegmentSize() != w.mem.SegmentSize() {
+		return w.mem.Receive(now, cb)
+	}
 	if err := w.append(record{typ: recBlock, seg: cb.Seg, coeffs: cb.Coeffs, payload: cb.Payload}); err != nil {
 		return peercore.PullOutcome{}, nil, err
 	}
@@ -743,11 +773,11 @@ func (w *Store) Close() error {
 	return w.lastErr
 }
 
-// Crash implements store.Crasher: simulate abrupt process death. The
-// pending batch — records appended but not yet drained — is dropped and
-// the file handle closed with no snapshot and no fsync, exactly the bytes
-// a killed process would lose. The in-RAM state is left readable so tests
-// can compare pre-crash ranks against what a reopened store recovers.
+// Crash simulates abrupt process death. The pending batch (records
+// appended but not yet drained) is dropped and the file handle closed with
+// no snapshot and no fsync: exactly the bytes a killed process would lose.
+// The in-RAM state stays readable, so tests can compare pre-crash ranks
+// against what a reopened store recovers.
 func (w *Store) Crash() {
 	w.stopFlusher()
 	w.iomu.Lock()

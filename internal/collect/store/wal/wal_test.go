@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,11 +16,11 @@ import (
 	"p2pcollect/internal/rlnc"
 )
 
-// open builds a durable store in dir with test-friendly defaults; tweak
-// overrides fields after defaulting.
-func openStore(t *testing.T, dir string, tweak func(*Options)) *Store {
+// openStore builds a durable store of segment size s in dir with
+// test-friendly defaults; tweak overrides fields after defaulting.
+func openStore(t *testing.T, dir string, s int, tweak func(*Options)) *Store {
 	t.Helper()
-	opts := Options{Config: Config{Dir: dir, Sync: SyncAlways}}
+	opts := Options{Config: Config{Dir: dir, Sync: SyncAlways}, SegmentSize: s}
 	if tweak != nil {
 		tweak(&opts)
 	}
@@ -49,8 +50,8 @@ func makeSegment(t *testing.T, rng *randx.Rand, id rlnc.SegmentID, s, payloadLen
 // byte-identical outcomes required. Snapshots fire mid-stream (tiny
 // SnapshotEvery) so compaction is exercised under the differential too.
 func TestConformance(t *testing.T) {
-	storetest.Run(t, func(t *testing.T) store.Store {
-		return openStore(t, t.TempDir(), func(o *Options) {
+	storetest.Run(t, func(t *testing.T, s int) store.Store {
+		return openStore(t, t.TempDir(), s, func(o *Options) {
 			o.SnapshotEvery = 64
 			o.SegmentBytes = 4096
 		})
@@ -60,8 +61,8 @@ func TestConformance(t *testing.T) {
 // TestConformanceIntervalSync re-runs the suite in the default group-commit
 // mode (durability is weaker; observable behavior must be identical).
 func TestConformanceIntervalSync(t *testing.T) {
-	storetest.Run(t, func(t *testing.T) store.Store {
-		return openStore(t, t.TempDir(), func(o *Options) {
+	storetest.Run(t, func(t *testing.T, s int) store.Store {
+		return openStore(t, t.TempDir(), s, func(o *Options) {
 			o.Sync = SyncInterval
 		})
 	})
@@ -130,7 +131,7 @@ func testCloseReopen(t *testing.T) {
 	segA := makeSegment(t, rng, idA, s, payloadLen)
 	segB := makeSegment(t, rng, idB, s, payloadLen)
 
-	w := openStore(t, dir, nil)
+	w := openStore(t, dir, s, nil)
 	for i := 0; i < s-2; i++ {
 		if _, _, err := w.Receive(1, segA.Encode(rng)); err != nil {
 			t.Fatal(err)
@@ -143,7 +144,7 @@ func testCloseReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w2 := openStore(t, dir, nil)
+	w2 := openStore(t, dir, s, nil)
 	defer w2.Close() //nolint:errcheck // tmp dir
 	rs := w2.Recovery()
 	if !rs.SnapshotLoaded {
@@ -204,7 +205,7 @@ func TestReopenFullRankSegmentReadsDecoded(t *testing.T) {
 			rng := randx.New(5)
 			id := rlnc.SegmentID{Origin: 2, Seq: 1}
 			seg := makeSegment(t, rng, id, 4, 32)
-			w := openStore(t, dir, nil)
+			w := openStore(t, dir, 4, nil)
 			for {
 				_, col, err := w.Receive(1, seg.Encode(rng))
 				if err != nil {
@@ -216,7 +217,7 @@ func TestReopenFullRankSegmentReadsDecoded(t *testing.T) {
 			}
 			tc.stop(w)
 
-			w2 := openStore(t, dir, nil)
+			w2 := openStore(t, dir, 4, nil)
 			defer w2.Close() //nolint:errcheck // tmp dir
 			col := w2.Collection(id)
 			if col == nil {
@@ -242,7 +243,7 @@ func TestCrashRecoveryExactRank(t *testing.T) {
 		segs[i] = makeSegment(t, rng, rlnc.SegmentID{Origin: 9, Seq: uint64(i)}, s, payloadLen)
 	}
 
-	w := openStore(t, dir, nil)
+	w := openStore(t, dir, s, nil)
 	for i := 0; i < 40; i++ {
 		src := segs[rng.Intn(nSegs)]
 		if _, _, err := w.Receive(1, src.Encode(rng)); err != nil {
@@ -256,7 +257,7 @@ func TestCrashRecoveryExactRank(t *testing.T) {
 	})
 	w.Crash()
 
-	w2 := openStore(t, dir, nil)
+	w2 := openStore(t, dir, s, nil)
 	defer w2.Close() //nolint:errcheck // tmp dir
 	rs := w2.Recovery()
 	if rs.SnapshotLoaded {
@@ -290,7 +291,7 @@ func TestTornTail(t *testing.T) {
 	rng := randx.New(13)
 	src := makeSegment(t, rng, rlnc.SegmentID{Origin: 2, Seq: 2}, 4, 32)
 
-	w := openStore(t, dir, nil)
+	w := openStore(t, dir, 4, nil)
 	for i := 0; i < 3; i++ {
 		if _, _, err := w.Receive(1, src.Encode(rng)); err != nil {
 			t.Fatal(err)
@@ -316,7 +317,7 @@ func TestTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	w2 := openStore(t, dir, nil)
+	w2 := openStore(t, dir, 4, nil)
 	if !w2.Recovery().TornTail {
 		t.Error("torn tail not reported")
 	}
@@ -326,7 +327,7 @@ func TestTornTail(t *testing.T) {
 	w2.Crash()
 
 	// The torn bytes were truncated: a third recovery is clean.
-	w3 := openStore(t, dir, nil)
+	w3 := openStore(t, dir, 4, nil)
 	defer w3.Close() //nolint:errcheck // tmp dir
 	if w3.Recovery().TornTail {
 		t.Error("torn tail reported again after truncation")
@@ -344,7 +345,7 @@ func TestIntervalSyncCrashBounded(t *testing.T) {
 	rng := randx.New(17)
 	src := makeSegment(t, rng, rlnc.SegmentID{Origin: 3, Seq: 3}, 8, 32)
 
-	w := openStore(t, dir, func(o *Options) { o.Sync = SyncInterval })
+	w := openStore(t, dir, 8, func(o *Options) { o.Sync = SyncInterval })
 	for i := 0; i < 6; i++ {
 		if _, _, err := w.Receive(1, src.Encode(rng)); err != nil {
 			t.Fatal(err)
@@ -353,7 +354,7 @@ func TestIntervalSyncCrashBounded(t *testing.T) {
 	preRank := w.Collection(src.ID).Rank()
 	w.Crash() // drops anything the flusher had not yet committed
 
-	w2 := openStore(t, dir, nil)
+	w2 := openStore(t, dir, 8, nil)
 	defer w2.Close() //nolint:errcheck // tmp dir
 	var gotRank int
 	if col := w2.Collection(src.ID); col != nil {
@@ -388,7 +389,7 @@ func TestIdleTickThenBurstKeepsLogIntact(t *testing.T) {
 	dir := t.TempDir()
 	rng := randx.New(29)
 	src := makeSegment(t, rng, rlnc.SegmentID{Origin: 4, Seq: 4}, 8, 256)
-	w := openStore(t, dir, func(o *Options) {
+	w := openStore(t, dir, 8, func(o *Options) {
 		o.Sync = SyncInterval
 		o.SyncInterval = time.Millisecond
 		o.SnapshotEvery = 1 << 30 // every record must come back by replay
@@ -408,7 +409,7 @@ func TestIdleTickThenBurstKeepsLogIntact(t *testing.T) {
 	}
 	w.Crash()
 
-	w2 := openStore(t, dir, nil)
+	w2 := openStore(t, dir, 8, nil)
 	defer w2.Close() //nolint:errcheck // tmp dir
 	if rs := w2.Recovery(); rs.TornTail || rs.ReplayedRecords != records {
 		t.Fatalf("replayed %d of %d records, torn tail %v", rs.ReplayedRecords, records, rs.TornTail)
@@ -422,7 +423,7 @@ func TestSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
 	rng := randx.New(19)
 	const s, payloadLen = 3, 24
-	w := openStore(t, dir, func(o *Options) { o.SnapshotEvery = 16 })
+	w := openStore(t, dir, s, func(o *Options) { o.SnapshotEvery = 16 })
 
 	for i := 0; i < 30; i++ {
 		id := rlnc.SegmentID{Origin: 4, Seq: uint64(i)}
@@ -459,7 +460,7 @@ func TestSnapshotCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w2 := openStore(t, dir, nil)
+	w2 := openStore(t, dir, s, nil)
 	defer w2.Close() //nolint:errcheck // tmp dir
 	for i := 0; i < 30; i++ {
 		if !w2.Finished(rlnc.SegmentID{Origin: 4, Seq: uint64(i)}) {
@@ -477,7 +478,7 @@ func TestRecoveredDecoded(t *testing.T) {
 	const s = 3
 	idDone := rlnc.SegmentID{Origin: 6, Seq: 1}
 	idPend := rlnc.SegmentID{Origin: 6, Seq: 2}
-	w := openStore(t, dir, nil)
+	w := openStore(t, dir, s, nil)
 	for _, id := range []rlnc.SegmentID{idDone, idPend} {
 		src := makeSegment(t, rng, id, s, 16)
 		for w.Collection(id) == nil || w.Collection(id).RankDeficit() > 0 {
@@ -491,7 +492,7 @@ func TestRecoveredDecoded(t *testing.T) {
 	w.Forget(idDone)
 	w.Crash()
 
-	w2 := openStore(t, dir, nil)
+	w2 := openStore(t, dir, s, nil)
 	defer w2.Close() //nolint:errcheck // tmp dir
 	rec := w2.RecoveredDecoded()
 	if len(rec) != 1 || rec[0] != idPend {
@@ -617,12 +618,12 @@ func TestRecoveryStopKeepsPrefixAcrossRestarts(t *testing.T) {
 		coeffs: make([]byte, s), payload: make([]byte, payloadLen)}))
 	twoPerLog := func(o *Options) { o.SegmentBytes = int64(2 * recLen) }
 
-	w := openStore(t, dir, twoPerLog)
+	w := openStore(t, dir, s, twoPerLog)
 	feed(t, w, rng, srcs, 10) // logs 1..5 hold two records each, 6 is the empty active one
 	w.Crash()
 	corruptLog(t, dir, 1, recLen) // the second record of log 1
 
-	w = openStore(t, dir, twoPerLog)
+	w = openStore(t, dir, s, twoPerLog)
 	rs := w.Recovery()
 	if !rs.TornTail || rs.ReplayedRecords != 1 || rs.OpenSegments != 1 || rs.TotalRank != 1 {
 		t.Fatalf("recovery past a corrupt record: %+v, want a 1-record prefix", rs)
@@ -638,7 +639,7 @@ func TestRecoveryStopKeepsPrefixAcrossRestarts(t *testing.T) {
 	feed(t, w, rng, []*rlnc.Segment{fresh}, 1)
 	w.Crash()
 
-	w = openStore(t, dir, twoPerLog)
+	w = openStore(t, dir, s, twoPerLog)
 	defer w.Close() //nolint:errcheck // tmp dir
 	rs = w.Recovery()
 	if rs.TornTail || rs.ReplayedRecords != 2 || rs.OpenSegments != 2 || rs.TotalRank != 2 {
@@ -663,7 +664,7 @@ func TestInspectAgreesWithOpen(t *testing.T) {
 		check func(t *testing.T, rs RecoveryStats)
 	}{
 		{"clean close", func(t *testing.T, dir string, rng *randx.Rand, srcs []*rlnc.Segment) {
-			w := openStore(t, dir, nil)
+			w := openStore(t, dir, s, nil)
 			feed(t, w, rng, srcs, 7)
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
@@ -674,7 +675,7 @@ func TestInspectAgreesWithOpen(t *testing.T) {
 			}
 		}},
 		{"crash with a torn tail", func(t *testing.T, dir string, rng *randx.Rand, srcs []*rlnc.Segment) {
-			w := openStore(t, dir, nil)
+			w := openStore(t, dir, s, nil)
 			feed(t, w, rng, srcs, 7)
 			w.Crash()
 			path := filepath.Join(dir, logName(1))
@@ -691,7 +692,7 @@ func TestInspectAgreesWithOpen(t *testing.T) {
 			}
 		}},
 		{"corrupt record in a non-final segment", func(t *testing.T, dir string, rng *randx.Rand, srcs []*rlnc.Segment) {
-			w := openStore(t, dir, twoPerLog)
+			w := openStore(t, dir, s, twoPerLog)
 			feed(t, w, rng, srcs, 8)
 			w.Crash()
 			corruptLog(t, dir, 2, 0)
@@ -701,7 +702,7 @@ func TestInspectAgreesWithOpen(t *testing.T) {
 			}
 		}},
 		{"snapshot plus tail", func(t *testing.T, dir string, rng *randx.Rand, srcs []*rlnc.Segment) {
-			w := openStore(t, dir, func(o *Options) { o.SnapshotEvery = 5 })
+			w := openStore(t, dir, s, func(o *Options) { o.SnapshotEvery = 5 })
 			feed(t, w, rng, srcs, 8)
 			w.Crash()
 		}, func(t *testing.T, rs RecoveryStats) {
@@ -710,7 +711,7 @@ func TestInspectAgreesWithOpen(t *testing.T) {
 			}
 		}},
 		{"unreadable newest snapshot", func(t *testing.T, dir string, rng *randx.Rand, srcs []*rlnc.Segment) {
-			w := openStore(t, dir, nil)
+			w := openStore(t, dir, s, nil)
 			feed(t, w, rng, srcs, 7)
 			w.Crash()
 			if err := os.WriteFile(filepath.Join(dir, snapName(9)), []byte("not a snapshot"), 0o644); err != nil {
@@ -742,7 +743,7 @@ func TestInspectAgreesWithOpen(t *testing.T) {
 			}
 			tc.check(t, got)
 
-			w := openStore(t, dir, nil)
+			w := openStore(t, dir, s, nil)
 			defer w.Close() //nolint:errcheck // tmp dir
 			want := w.Recovery()
 			got.Duration, want.Duration = 0, 0
@@ -769,4 +770,65 @@ func readDir(t *testing.T, dir string) map[string]string {
 		files[e.Name()] = string(data)
 	}
 	return files
+}
+
+// TestOpenAtOtherSegmentSizeFails: s is fixed at construction, and a
+// directory whose snapshot was written at another size is an error that
+// names both sizes, not a store that silently runs at the snapshot's size.
+func TestOpenAtOtherSegmentSizeFails(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Open(Options{Config: Config{Dir: dir}}); err == nil {
+		t.Fatal("Open accepted SegmentSize 0")
+	}
+	rng := randx.New(37)
+	w := openStore(t, dir, 3, nil)
+	src := makeSegment(t, rng, rlnc.SegmentID{Origin: 5, Seq: 1}, 3, 16)
+	if _, _, err := w.Receive(1, src.Encode(rng)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w, err := Open(Options{Config: Config{Dir: dir, Sync: SyncAlways}, SegmentSize: 4})
+	if err == nil {
+		w.Close() //nolint:errcheck // tmp dir
+		t.Fatal("Open at segment size 4 over a size-3 snapshot succeeded")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "segment size 3") || !strings.Contains(msg, "segment size 4") {
+		t.Errorf("error %q does not name both sizes", msg)
+	}
+	w = openStore(t, dir, 3, nil)
+	defer w.Close() //nolint:errcheck // tmp dir
+	if w.Collection(src.ID) == nil {
+		t.Error("reopening at the snapshot's own size lost its collection")
+	}
+}
+
+// TestInspectLogOnly: a store that crashed before its first snapshot
+// leaves log records only, so Inspect reads s off the first block record.
+// A stray block of another size, received first, is rejected without a
+// record and cannot mislead it.
+func TestInspectLogOnly(t *testing.T) {
+	dir := t.TempDir()
+	rng := randx.New(41)
+	const s, payloadLen = 4, 32
+	w := openStore(t, dir, s, nil)
+	stray := makeSegment(t, rng, rlnc.SegmentID{Origin: 9, Seq: 0}, 3, payloadLen)
+	if _, _, err := w.Receive(1, stray.Encode(rng)); err == nil {
+		t.Fatal("a 3-coefficient block was accepted at segment size 4")
+	}
+	srcs := []*rlnc.Segment{
+		makeSegment(t, rng, rlnc.SegmentID{Origin: 9, Seq: 1}, s, payloadLen),
+		makeSegment(t, rng, rlnc.SegmentID{Origin: 9, Seq: 2}, s, payloadLen),
+	}
+	feed(t, w, rng, srcs, 5)
+	w.Crash()
+
+	got, err := Inspect(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.SnapshotLoaded || got.ReplayedRecords != 5 || got.OpenSegments != 2 || got.TotalRank != 5 {
+		t.Errorf("Inspect = %+v, want 5 replayed records over 2 open segments of total rank 5", got)
+	}
 }

@@ -32,7 +32,7 @@ type ClusterConfig struct {
 	// Node is every peer's template. StartCluster fills Neighbors (or
 	// Membership), Seed and Tracer per node.
 	Node NodeConfig
-	// Server is every server's template: PullRate, FinishedCap, Durability
+	// Server is every server's template: PullRate, Durability
 	// and the rest are set here and nowhere else.
 	// StartCluster fills Peers (or Membership), Seed, Policy, Tracer and the
 	// fleet fields per server. A zero SegmentSize takes Node.SegmentSize.

@@ -169,7 +169,7 @@ func TestClusterOverSockets(t *testing.T) {
 // TestCollectionTimeResolvesMilliseconds: the collectionTime ladder used to
 // start at 125 ms, so every faster collection read as 62.5 ms.
 func TestCollectionTimeResolvesMilliseconds(t *testing.T) {
-	srv, err := NewServer(transport.NewNetwork().Join(serverIDBase), ServerConfig{Peers: []transport.NodeID{1}})
+	srv, err := NewServer(transport.NewNetwork().Join(serverIDBase), ServerConfig{Peers: []transport.NodeID{1}, SegmentSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,9 +104,10 @@ func runGoldenStream(t *testing.T, mutate func(*ServerConfig)) goldenRecord {
 	net := transport.NewNetwork()
 	feeder := net.Join(777)
 	cfg := ServerConfig{
-		PullRate: 0, // receive-only: no pull loop, no RNG draws, no timing
-		Peers:    []transport.NodeID{777},
-		Seed:     1,
+		PullRate:    0, // receive-only: no pull loop, no RNG draws, no timing
+		Peers:       []transport.NodeID{777},
+		SegmentSize: 4, // goldenStream's s
+		Seed:        1,
 	}
 	if mutate != nil {
 		mutate(&cfg)

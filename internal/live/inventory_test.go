@@ -74,7 +74,7 @@ func (p *digestRecorder) ObserveInventory(now float64, peer pullsched.PeerRef, i
 func handPulledServer(t *testing.T, net *transport.Network, policy pullsched.Policy, peers ...transport.NodeID) (*Server, *sendTap) {
 	t.Helper()
 	tap := &sendTap{Transport: net.Join(serverIDBase)}
-	srv, err := NewServer(tap, ServerConfig{Peers: peers, Policy: policy, Seed: 1})
+	srv, err := NewServer(tap, ServerConfig{Peers: peers, SegmentSize: 4, Policy: policy, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestDigestlessPoliciesNeverSeeTheCursor(t *testing.T) {
 			t.Fatal(err)
 		}
 		tap := &sendTap{Transport: net.Join(serverIDBase)}
-		srv, err := NewServer(tap, ServerConfig{PullRate: 400, Peers: []transport.NodeID{1, 2}, Policy: policy, Seed: 1})
+		srv, err := NewServer(tap, ServerConfig{PullRate: 400, Peers: []transport.NodeID{1, 2}, SegmentSize: 4, Policy: policy, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"p2pcollect/internal/collect/store"
 	"p2pcollect/internal/gf256"
 	"p2pcollect/internal/logdata"
 	"p2pcollect/internal/randx"
@@ -268,40 +267,6 @@ func TestNodeGarbageCollectsStaleNotices(t *testing.T) {
 	t.Fatalf("stale notices never reaped: %d entries", len(node.fullAt))
 }
 
-// TestServerFinishedSetBounded checks the server end-to-end honors
-// FinishedCap via its store (the ring mechanics themselves are tested in
-// internal/collect/store).
-func TestServerFinishedSetBounded(t *testing.T) {
-	net := transport.NewNetwork()
-	srv, err := NewServer(net.Join(1), ServerConfig{
-		PullRate:    0,
-		Peers:       []transport.NodeID{2},
-		FinishedCap: 4,
-		Seed:        1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := srv.Service().Store()
-	srv.mu.Lock()
-	for i := 0; i < 10; i++ {
-		st.MarkFinished(rlnc.SegmentID{Origin: 1, Seq: uint64(i)})
-	}
-	oldestGone := !st.Finished(rlnc.SegmentID{Origin: 1, Seq: 0})
-	newestKept := st.Finished(rlnc.SegmentID{Origin: 1, Seq: 9})
-	var size int
-	if mem, ok := st.(*store.Memory); ok {
-		size = mem.FinishedCount()
-	}
-	srv.mu.Unlock()
-	if size != 4 {
-		t.Errorf("finished set size = %d, want 4", size)
-	}
-	if !oldestGone || !newestKept {
-		t.Errorf("eviction order wrong: oldestGone=%v newestKept=%v", oldestGone, newestKept)
-	}
-}
-
 // TestSegmentCompleteUnmutesAfterExpiry is the regression test for the
 // permanent-mute bug: a neighbor's segment-complete notice suppressed
 // gossip of that segment toward it forever, even after the neighbor's
@@ -447,10 +412,12 @@ func TestNodeDropsMisSizedPayload(t *testing.T) {
 // The finished-ring steady-state allocation guard moved with the ring into
 // internal/collect/store (TestMarkFinishedSteadyStateAllocations there).
 
-func TestServerNegativeFinishedCapRejected(t *testing.T) {
+// TestServerRequiresSegmentSize: s is fixed at construction; a server
+// without one is an error, not a server that adopts the first block's.
+func TestServerRequiresSegmentSize(t *testing.T) {
 	net := transport.NewNetwork()
-	if _, err := NewServer(net.Join(1), ServerConfig{PullRate: 1, Peers: []transport.NodeID{2}, FinishedCap: -1}); err == nil {
-		t.Error("negative FinishedCap accepted")
+	if _, err := NewServer(net.Join(1), ServerConfig{PullRate: 1, Peers: []transport.NodeID{2}}); err == nil {
+		t.Error("SegmentSize 0 accepted")
 	}
 }
 
@@ -475,7 +442,7 @@ func TestPeerRestartRejoinsSession(t *testing.T) {
 	n1 := mk(1, 2, 3)
 	n2 := mk(2, 1, 3)
 	n3 := mk(3, 1, 2)
-	srv, err := NewServer(net.Join(9), ServerConfig{PullRate: 150, Peers: []transport.NodeID{1, 2, 3}, Seed: 4})
+	srv, err := NewServer(net.Join(9), ServerConfig{PullRate: 150, Peers: []transport.NodeID{1, 2, 3}, SegmentSize: 4, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -181,9 +181,10 @@ func TestNodeAndServerDebugAddrs(t *testing.T) {
 	}
 	defer n.Stop()
 	srv, err := NewServer(net.Join(serverIDBase), ServerConfig{
-		PullRate:  50,
-		Peers:     []transport.NodeID{1},
-		DebugAddr: "127.0.0.1:0",
+		PullRate:    50,
+		Peers:       []transport.NodeID{1},
+		SegmentSize: nodeCfg.SegmentSize,
+		DebugAddr:   "127.0.0.1:0",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -340,12 +341,12 @@ func TestStatsProtocolEqualsRegistryCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	server, err := NewServer(net.Join(serverIDBase), ServerConfig{PullRate: 10, Peers: []transport.NodeID{1}})
+	server, err := NewServer(net.Join(serverIDBase), ServerConfig{PullRate: 10, Peers: []transport.NodeID{1}, SegmentSize: nodeCfg.SegmentSize})
 	if err != nil {
 		t.Fatal(err)
 	}
 	shard, err := NewServer(net.Join(serverIDBase+1), ServerConfig{
-		PullRate: 10, Peers: []transport.NodeID{1},
+		PullRate: 10, Peers: []transport.NodeID{1}, SegmentSize: nodeCfg.SegmentSize,
 		Shards: 2, ShardID: 0, ShardPeers: map[int]transport.NodeID{1: serverIDBase + 2},
 	})
 	if err != nil {
@@ -414,7 +415,7 @@ func TestGaugesReadAtScrape(t *testing.T) {
 		t.Errorf("bufferedBlocks gauge %g disagrees with Stats().BufferedBlocks %g", got, want)
 	}
 
-	srv, err := NewServer(net.Join(serverIDBase), ServerConfig{Peers: []transport.NodeID{1}})
+	srv, err := NewServer(net.Join(serverIDBase), ServerConfig{Peers: []transport.NodeID{1}, SegmentSize: cfg.SegmentSize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +437,7 @@ func TestOutstandingPullsDrainsWhenPeerLeaves(t *testing.T) {
 	net := transport.NewNetwork()
 	net.Join(1)
 	net.Join(2)
-	srv, err := NewServer(net.Join(serverIDBase), ServerConfig{Peers: []transport.NodeID{1, 2}})
+	srv, err := NewServer(net.Join(serverIDBase), ServerConfig{Peers: []transport.NodeID{1, 2}, SegmentSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

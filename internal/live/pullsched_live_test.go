@@ -59,9 +59,10 @@ func (d *downTransport) sendAttempts() int {
 func TestPullSentRequiresTransportAccept(t *testing.T) {
 	tr := newDownTransport(500)
 	srv, err := NewServer(tr, ServerConfig{
-		PullRate: 400,
-		Peers:    []transport.NodeID{1, 2, 3},
-		Seed:     1,
+		PullRate:    400,
+		Peers:       []transport.NodeID{1, 2, 3},
+		SegmentSize: 4,
+		Seed:        1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -56,15 +56,9 @@ type ServerConfig struct {
 	// pulled from). Peers may then be empty; the config's Seeds bootstrap
 	// discovery. Nil keeps the static Peers set.
 	Membership *membership.Config
-	// SegmentSize is s, the coding generation size the server expects.
-	// Zero means infer it from the first block that arrives; blocks of any
-	// other size are then dropped as malformed.
+	// SegmentSize is s (at least 1), the coding generation size the server
+	// expects; blocks of any other size are dropped as malformed.
 	SegmentSize int
-	// FinishedCap bounds how many completed segment IDs the server
-	// remembers for redundancy suppression (oldest forgotten first; a
-	// forgotten segment would merely be decoded again). Zero selects a
-	// 65536-entry default.
-	FinishedCap int
 	// Seed makes the pull sequence reproducible.
 	Seed int64
 	// Policy schedules this server's pulls; nil selects pullsched.Blind,
@@ -122,10 +116,8 @@ func (c ServerConfig) validate() error {
 		return errors.New("live: negative pull rate")
 	case len(c.Peers) == 0 && c.Membership == nil:
 		return errors.New("live: server needs at least one peer")
-	case c.SegmentSize < 0:
-		return errors.New("live: negative SegmentSize")
-	case c.FinishedCap < 0:
-		return errors.New("live: negative FinishedCap")
+	case c.SegmentSize < 1:
+		return fmt.Errorf("live: SegmentSize %d, want at least 1", c.SegmentSize)
 	case c.Shards < 0:
 		return errors.New("live: negative Shards")
 	}
@@ -246,7 +238,6 @@ func NewServer(tr transport.Transport, cfg ServerConfig) (*Server, error) {
 
 	svcCfg := collect.Config{
 		SegmentSize:   cfg.SegmentSize,
-		FinishedCap:   cfg.FinishedCap,
 		Policy:        policy,
 		Sink:          s.counters,
 		Tracer:        s.tracer,
@@ -296,7 +287,7 @@ func NewServer(tr transport.Transport, cfg ServerConfig) (*Server, error) {
 	}
 	s.svc = svc
 	s.reg.RegisterCounters(svc.RangeFeedback)
-	if ws, ok := svc.Store().(*wal.Store); ok {
+	if ws := svc.WAL(); ws != nil {
 		s.reg.GaugeFunc("walSnapshotAgeSeconds", ws.SnapshotAgeSeconds)
 	}
 	if stats, ok := svc.Recovery(); ok {
