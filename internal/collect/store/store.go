@@ -46,6 +46,14 @@ type Store interface {
 	MarkFinished(seg rlnc.SegmentID)
 	// Finished reports whether the segment is in the finished set.
 	Finished(seg rlnc.SegmentID) bool
+	// FinishedHead is the finished set read as a log: the position of the
+	// newest segment MarkFinished took as new, counted over the store's
+	// life (rlnc.SegmentSet.Added).
+	FinishedHead() uint64
+	// FinishedSince appends to dst, oldest first, at most limit finished
+	// segments after position cursor, and returns dst with the position
+	// reached (rlnc.SegmentSet.Since).
+	FinishedSince(cursor uint64, dst []rlnc.SegmentID, limit int) ([]rlnc.SegmentID, uint64)
 	// Close releases every open collection's storage.
 	Close() error
 }
@@ -118,6 +126,14 @@ func (m *Memory) Finished(seg rlnc.SegmentID) bool { return m.finished.Has(seg) 
 
 // MarkFinished implements Store.
 func (m *Memory) MarkFinished(seg rlnc.SegmentID) { m.finished.Add(seg) }
+
+// FinishedHead implements Store.
+func (m *Memory) FinishedHead() uint64 { return m.finished.Added() }
+
+// FinishedSince implements Store.
+func (m *Memory) FinishedSince(cursor uint64, dst []rlnc.SegmentID, limit int) ([]rlnc.SegmentID, uint64) {
+	return m.finished.Since(cursor, dst, limit)
+}
 
 // FinishedCount returns how many completed segments the store remembers.
 func (m *Memory) FinishedCount() int { return m.finished.Len() }

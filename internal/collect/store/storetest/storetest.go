@@ -102,6 +102,12 @@ func testOps(t *testing.T, open Factory) {
 	if st.Collection(segA) != nil {
 		t.Error("segA collection survives Forget")
 	}
+	// The finished set is also a log: one position per new member.
+	st.MarkFinished(segA)
+	if got, cur := st.FinishedSince(0, nil, 8); st.FinishedHead() != 1 || len(got) != 1 || got[0] != segA || cur != 1 {
+		t.Errorf("finished log after one segment: head %d, Since(0) = %v, %d; want 1, [%v], 1",
+			st.FinishedHead(), got, cur, segA)
+	}
 	if got := st.OpenCount(); got != 1 {
 		t.Errorf("OpenCount after forget = %d, want 1", got)
 	}

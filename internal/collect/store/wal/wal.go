@@ -95,7 +95,8 @@ type Options struct {
 
 	// SegmentSize and Sink mirror store.MemoryConfig for the in-RAM state
 	// the log shadows. SegmentSize must be at least 1, and Open fails when
-	// the directory's snapshot was written at another size.
+	// the directory's data was written at another size: its newest
+	// snapshot, or with none its first block record.
 	SegmentSize int
 	Sink        peercore.EventSink
 
@@ -301,13 +302,14 @@ type recoveredState struct {
 // snapshot (an unreadable one falls back to an older: more replay, same
 // state) into a store built from cfg, replay every log segment the
 // snapshot does not cover, oldest first, and stop at the first torn or
-// corrupt record, because recovered state must stay a prefix of history. A
-// snapshot written at a segment size other than cfg's is an error; a zero
-// cfg.SegmentSize (Inspect's) reads s off the data instead: the snapshot's,
-// else the first block record's. The walk itself only reads. atStop, when
-// non-nil, is the caller's action at a stop point: it receives the stopped
-// segment, the length of its valid prefix, and the later segments the walk
-// will not apply. Open passes discardFrom; Inspect passes nil.
+// corrupt record, because recovered state must stay a prefix of history.
+// Data written at a segment size other than cfg's is an error: the
+// snapshot's size, or with no snapshot the first block record's. A zero
+// cfg.SegmentSize (Inspect's) reads s off the data instead. The walk itself
+// only reads. atStop, when non-nil, is the caller's action at a stop point:
+// it receives the stopped segment, the length of its valid prefix, and the
+// later segments the walk will not apply. Open passes discardFrom; Inspect
+// passes nil.
 func recoverDir(dir string, cfg store.MemoryConfig,
 	atStop func(dir string, seq uint64, valid int64, later []uint64) error) (*recoveredState, error) {
 	logs, snaps, err := scanDir(dir)
@@ -329,23 +331,28 @@ func recoverDir(dir string, cfg store.MemoryConfig,
 			snap, snapSeq = s, snaps[i]
 		}
 	}
-	switch {
-	case snap == nil || snap.segmentSize == 0:
-	case cfg.SegmentSize == 0:
-		cfg.SegmentSize = snap.segmentSize
-	case snap.segmentSize != cfg.SegmentSize:
-		return nil, fmt.Errorf("wal: %s was written at segment size %d, store opened at segment size %d",
-			snapName(snapSeq), snap.segmentSize, cfg.SegmentSize)
-	}
-	if cfg.SegmentSize == 0 {
-		// With no block record to apply, any size serves.
-		cfg.SegmentSize = 1
+	// The data's segment size: the snapshot's, else the first block
+	// record's (0 when neither says).
+	size, source := 0, ""
+	if snap != nil && snap.segmentSize != 0 {
+		size, source = snap.segmentSize, snapName(snapSeq)
+	} else {
 		walkLogs(dir, logs, snapSeq, func(rec record) bool { //nolint:errcheck // the replay reports it
 			if rec.typ == recBlock {
-				cfg.SegmentSize = len(rec.coeffs)
+				size, source = len(rec.coeffs), "the log's first block record"
 			}
 			return rec.typ != recBlock
 		})
+	}
+	switch {
+	case size == 0:
+		// With no block record to apply, any size serves.
+		cfg.SegmentSize = max(cfg.SegmentSize, 1)
+	case cfg.SegmentSize == 0:
+		cfg.SegmentSize = size
+	case size != cfg.SegmentSize:
+		return nil, fmt.Errorf("wal: %s was written at segment size %d, store opened at segment size %d",
+			source, size, cfg.SegmentSize)
 	}
 	if r.mem, err = store.NewMemory(cfg); err != nil {
 		return nil, err
@@ -739,6 +746,14 @@ func (w *Store) MarkFinished(seg rlnc.SegmentID) {
 
 // Finished implements store.Store.
 func (w *Store) Finished(seg rlnc.SegmentID) bool { return w.mem.Finished(seg) }
+
+// FinishedHead implements store.Store.
+func (w *Store) FinishedHead() uint64 { return w.mem.FinishedHead() }
+
+// FinishedSince implements store.Store.
+func (w *Store) FinishedSince(cursor uint64, dst []rlnc.SegmentID, limit int) ([]rlnc.SegmentID, uint64) {
+	return w.mem.FinishedSince(cursor, dst, limit)
+}
 
 // Range implements store.Store.
 func (w *Store) Range(f func(seg rlnc.SegmentID, col *peercore.Collection)) { w.mem.Range(f) }

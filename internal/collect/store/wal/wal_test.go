@@ -832,3 +832,30 @@ func TestInspectLogOnly(t *testing.T) {
 		t.Errorf("Inspect = %+v, want 5 replayed records over 2 open segments of total rank 5", got)
 	}
 }
+
+// TestOpenLogOnlyAtOtherSegmentSizeFails: a store that crashed before its
+// first snapshot leaves block records only, and reopening it at another s
+// is the same error as over a snapshot, read off the first block record,
+// not a store that rejects every replayed block and opens empty.
+func TestOpenLogOnlyAtOtherSegmentSizeFails(t *testing.T) {
+	dir := t.TempDir()
+	rng := randx.New(43)
+	w := openStore(t, dir, 3, nil)
+	src := makeSegment(t, rng, rlnc.SegmentID{Origin: 6, Seq: 1}, 3, 16)
+	feed(t, w, rng, []*rlnc.Segment{src}, 2)
+	w.Crash()
+
+	w, err := Open(Options{Config: Config{Dir: dir, Sync: SyncAlways}, SegmentSize: 4})
+	if err == nil {
+		w.Close() //nolint:errcheck // tmp dir
+		t.Fatal("Open at segment size 4 over a size-3 log succeeded")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "segment size 3") || !strings.Contains(msg, "segment size 4") {
+		t.Errorf("error %q does not name both sizes", msg)
+	}
+	w = openStore(t, dir, 3, nil)
+	defer w.Close() //nolint:errcheck // tmp dir
+	if col := w.Collection(src.ID); col == nil || col.Rank() != 2 {
+		t.Error("reopening at the log's own size lost its collection")
+	}
+}

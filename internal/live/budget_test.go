@@ -7,16 +7,16 @@ import (
 	"p2pcollect/internal/logdata"
 	"p2pcollect/internal/peercore"
 	"p2pcollect/internal/raceon"
+	"p2pcollect/internal/randx"
+	"p2pcollect/internal/rlnc"
 	"p2pcollect/internal/transport"
 )
 
-// pullRoundTrip wires a real Server and a real Node over the in-memory
-// fabric without starting their loops, and returns one blind pull driven by
-// hand: the server's pull event, the node serving it, the server receiving
-// the reply. The node holds one segment that the server has already
-// finished, so the reply is received and dropped: the steady state of a
-// saturated cluster, where nearly every pulled block is redundant.
-func pullRoundTrip(tb testing.TB, segmentSize int) func() {
+// pullPair wires a real Server and a real Node over the in-memory fabric
+// without starting their loops, and returns one blind pull driven by hand:
+// the server's pull event, the node serving it, the server receiving the
+// reply.
+func pullPair(tb testing.TB, segmentSize int) (n *Node, roundTrip func()) {
 	tb.Helper()
 	net := transport.NewNetwork()
 	nodeTr, serverTr := net.Join(1), net.Join(serverIDBase)
@@ -39,22 +39,44 @@ func pullRoundTrip(tb testing.TB, segmentSize int) func() {
 		nodeTr.Close()
 		serverTr.Close()
 	})
-	n.inject()
-	roundTrip := func() {
+	return n, func() {
 		s.pull()
 		n.handle(<-nodeTr.Receive())
 		s.handle(<-serverTr.Receive())
 	}
-	for i := 0; s.Stats().DeliveredSegments == 0; i++ {
-		if i > 100*segmentSize {
-			tb.Fatal("the segment never decoded")
-		}
+}
+
+// pullRoundTrip is pullPair over a node that holds a single coded block of
+// a segment, so every block it serves is a multiple of that one: the
+// server's rank for the segment stops at 1 and each further reply is
+// received and found redundant, never decoded. That is the steady state of
+// a saturated cluster, where nearly every pulled block is redundant,
+// without a decode that would make the server list the segment and the
+// node drop it.
+func pullRoundTrip(tb testing.TB, segmentSize int) func() {
+	tb.Helper()
+	n, roundTrip := pullPair(tb, segmentSize)
+	rng := randx.New(3)
+	src := make([][]byte, segmentSize)
+	for i := range src {
+		src[i] = make([]byte, n.cfg.BlockSize)
+		rng.FillCoefficients(src[i])
+	}
+	seg, err := rlnc.NewSegment(rlnc.SegmentID{Origin: 2, Seq: 1}, src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	n.handle(&transport.Message{Type: transport.MsgBlock, From: 2, To: 1, Block: seg.Encode(rng)})
+	if got := n.Stats().BufferedBlocks; got != 1 {
+		tb.Fatalf("the node buffers %d blocks, want 1", got)
+	}
+	for i := 0; i < 4; i++ {
 		roundTrip()
 	}
-	before := s.Stats().Protocol[peercore.EvBlockReceived.String()]
+	before := n.Stats().PullsServed
 	roundTrip()
-	if got := s.Stats().Protocol[peercore.EvBlockReceived.String()]; got != before+1 {
-		tb.Fatalf("a round trip delivered %d blocks to the server, want 1", got-before)
+	if got := n.Stats().PullsServed; got != before+1 {
+		tb.Fatalf("a round trip served %d blocks, want 1", got-before)
 	}
 	return roundTrip
 }
@@ -71,6 +93,24 @@ func TestPullRoundTripAllocations(t *testing.T) {
 	roundTrip := pullRoundTrip(t, 8)
 	if n := testing.AllocsPerRun(500, roundTrip); n > 3 {
 		t.Errorf("one blind pull round trip over chanmem: %v allocations, want at most 3", n)
+	}
+}
+
+// TestEmptyPullAllocatesNothing: a blind pull to a node with nothing
+// buffered costs nothing either way. The server sends its kept blind pull,
+// the node answers with the empty notice it keeps for that server, and the
+// transport passes both through uncopied.
+func TestEmptyPullAllocatesNothing(t *testing.T) {
+	if raceon.Enabled {
+		t.Skip("allocation budgets describe the uninstrumented build")
+	}
+	n, roundTrip := pullPair(t, 8)
+	roundTrip()
+	if got := n.Stats().Protocol[peercore.EvPullServed.String()]; got != 0 {
+		t.Fatalf("an empty node served %d blocks", got)
+	}
+	if allocs := testing.AllocsPerRun(500, roundTrip); allocs != 0 {
+		t.Errorf("one blind pull answered empty over chanmem: %v allocations, want 0", allocs)
 	}
 }
 

@@ -151,14 +151,33 @@ type Node struct {
 	injected int // segments injected so far, for MaxSegments
 	// candidates is prepareGossip's scratch list of unmuted neighbors.
 	candidates []transport.NodeID
+	// decoded remembers the segments servers listed as finished, so their
+	// re-gossip is refused. One ID per buffer slot: the node forgets a
+	// listed segment only after BufferCap newer ones, by which time its
+	// blocks have left its neighbours' buffers too.
+	decoded *rlnc.SegmentSet
+	// empties maps each pulling server to its empty reply, built on first
+	// use and never written again, so an empty answer goes through the
+	// transport uncopied. At most emptyRepliesCap pullers are kept; a
+	// puller beyond them gets a fresh empty each time.
+	empties map[transport.NodeID]*transport.Message
 }
+
+// emptyRepliesCap bounds Node.empties: a fleet has a handful of servers, so
+// forged From IDs cannot grow the map past this.
+const emptyRepliesCap = 64
 
 // NewNode builds a peer over the given transport.
 func NewNode(tr transport.Transport, cfg NodeConfig) (*Node, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	n := &Node{cfg: cfg, fullAt: make(map[rlnc.SegmentID]map[transport.NodeID]float64)}
+	n := &Node{
+		cfg:     cfg,
+		fullAt:  make(map[rlnc.SegmentID]map[transport.NodeID]float64),
+		decoded: rlnc.NewSegmentSet(cfg.BufferCap),
+		empties: make(map[transport.NodeID]*transport.Message),
+	}
 	// With Membership set, Neighbors only seed the gossip target set; the
 	// live view then keeps it current.
 	n.init(tr, membership.RolePeer, cfg.Seed, cfg.Neighbors, cfg.Membership,
@@ -378,13 +397,18 @@ func (n *Node) handle(m *transport.Message) {
 // full, tells the neighbors to stop sending this segment. A block of another
 // shape — a neighbour running a different SegmentSize or BlockSize — is
 // dropped: every recode of a segment combines its blocks' payloads, which
-// must all be BlockSize long.
+// must all be BlockSize long. A block of a segment a server listed as
+// finished is counted and refused.
 func (n *Node) receiveBlock(m *transport.Message) {
 	if m.Block == nil || m.Block.SegmentSize() != n.cfg.SegmentSize || len(m.Block.Payload) != n.cfg.BlockSize {
 		return
 	}
 	n.mu.Lock()
 	n.counters.Count(peercore.EvBlockReceived, 1)
+	if n.decoded.Has(m.Block.Seg) {
+		n.mu.Unlock()
+		return
+	}
 	now := n.now()
 	res := n.core.Store(now, m.Block)
 	justFull := res.Stored && n.core.HoldingFull(m.Block.Seg)
@@ -411,17 +435,26 @@ func (n *Node) receiveBlock(m *transport.Message) {
 	}
 }
 
-// servePull answers a logging server: one re-encoded block of the hinted
-// segment when the request carries a hint this node still buffers, else of
-// a uniformly random buffered segment, or an empty notice. When the server
-// asked for an inventory a digest follows the reply, so feedback-driven
-// policies can aim their next pulls: the whole buffer for WantInventory,
-// what is new since the request's cursor otherwise, and for a cursor with
-// no news nothing. The node keeps no per-server state: a server that
-// missed a delta still holds the old cursor and is told again.
+// servePull answers a logging server: first it drops every segment the
+// request lists as finished, counting the blocks purged; then it sends one
+// re-encoded block of the hinted segment when the request carries a hint
+// this node still buffers, else of a uniformly random buffered segment, or
+// an empty notice. When the server asked for an inventory a digest follows
+// the reply, so feedback-driven policies can aim their next pulls: the
+// whole buffer for WantInventory, what is new since the request's cursor
+// otherwise, and for a cursor with no news nothing. The node keeps no
+// per-server protocol state: a server that missed a delta still holds the
+// old cursor and is told again, and a list lost with its pull is listed
+// again.
 func (n *Node) servePull(m *transport.Message) {
 	self := n.tr.LocalID()
 	n.mu.Lock()
+	for _, seg := range m.DecodedList() {
+		n.decoded.Add(seg)
+		if purged := n.core.DropSegment(seg); purged > 0 {
+			n.counters.Count(peercore.EvBlockPurged, int64(purged))
+		}
+	}
 	if m.HasHint {
 		// A traced hinted pull seeds the segment's lineage here, so even a
 		// node that never saw a traced block serves traced replies.
@@ -433,7 +466,7 @@ func (n *Node) servePull(m *transport.Message) {
 		reply.Trace = wire
 		n.counters.Count(peercore.EvPullServed, 1)
 	} else {
-		reply = &transport.Message{Type: transport.MsgEmpty, From: self, To: m.From}
+		reply = n.emptyReply(m.From)
 	}
 	var inv *transport.Message
 	if m.WantInventory || m.InvCursor != 0 {
@@ -453,4 +486,18 @@ func (n *Node) servePull(m *transport.Message) {
 	if inv != nil {
 		n.tr.Send(m.From, inv) //nolint:errcheck // best-effort digest
 	}
+}
+
+// emptyReply returns the empty notice addressed to a pulling server: its
+// kept one, else a new one, kept while fewer than emptyRepliesCap are.
+// Callers hold mu.
+func (n *Node) emptyReply(to transport.NodeID) *transport.Message {
+	if msg := n.empties[to]; msg != nil {
+		return msg
+	}
+	msg := &transport.Message{Type: transport.MsgEmpty, From: n.tr.LocalID(), To: to}
+	if len(n.empties) < emptyRepliesCap {
+		n.empties[to] = msg
+	}
+	return msg
 }

@@ -323,7 +323,7 @@ var (
 		transportWriteErrors transportWriteTimeouts`)
 	parentServerCounters = append(strings.Fields(
 		`pullschedFeedbackEmpty pullschedFeedbackRedundant pullschedFeedbackUseful
-		inventoryFull inventoryDelta inventoryEntries`), parentNodeCounters...)
+		inventoryFull inventoryDelta inventoryEntries decodedNotices`), parentNodeCounters...)
 	parentShardCounters = append(strings.Fields(
 		`fleetExchangeInnovative fleetExchangeReceived fleetExchangeSent fleetMisroutedBlocks fleetRemoteFinished`),
 		parentServerCounters...)

@@ -178,15 +178,32 @@ type Server struct {
 	// answered with what is new since (see transport/wire.go). Empty unless
 	// the policy asks for digests.
 	invCursor map[transport.NodeID]uint64
-	// blind maps each pull target to its blind pull: hintless, digest-less,
-	// addressed to it, built on first use and never written again, so every
-	// blind pull to the peer sends the same object through the transport
-	// uncopied. Dropped with the peer, like pending and invCursor.
-	blind      map[transport.NodeID]*transport.Message
+	// pulls maps each pull target to what the server keeps for it: its
+	// blind pull and its place in the finished log. Dropped with the peer,
+	// like pending and invCursor.
+	pulls map[transport.NodeID]*peerPulls
+	// notices counts the decoded-list entries sent (decodedNotices).
+	notices    *obs.CounterSet
 	obsRTT     *obs.Histogram
 	obsCollect *obs.Histogram
 	obsDecode  *obs.Histogram
 	flight     *obs.RingTracer
+}
+
+// peerPulls is what the server keeps for one pull target.
+//
+// blind is the peer's blind pull: hintless, digest-less, listless,
+// addressed to it and never written again, so every blind pull to the peer
+// sends the same object through the transport uncopied.
+//
+// acked, sent and listed are the peer's place in the store's finished log
+// (see transport/wire.go): acked is the position the peer has answered a
+// list up to, sent where the latest list to it ended, and listed the blind
+// pull listing what finished after acked, sent again uncopied until the
+// peer answers. Its answer moves acked to sent.
+type peerPulls struct {
+	blind, listed *transport.Message
+	acked, sent   uint64
 }
 
 // NewServer builds a logging server over the given transport.
@@ -202,20 +219,22 @@ func NewServer(tr transport.Transport, cfg ServerConfig) (*Server, error) {
 		cfg:       cfg,
 		pending:   make(map[transport.NodeID]float64),
 		invCursor: make(map[transport.NodeID]uint64),
-		blind:     make(map[transport.NodeID]*transport.Message),
+		pulls:     make(map[transport.NodeID]*peerPulls),
+		notices:   obs.NewCounterSet([]string{"decodedNotices"}),
 	}
 	// A departed peer never answers and is never pulled again: its entry
 	// would sit in pending, and in the outstandingPulls gauge, forever.
 	s.onLeave = func(id transport.NodeID) {
 		delete(s.pending, id)
 		delete(s.invCursor, id)
-		delete(s.blind, id)
+		delete(s.pulls, id)
 	}
 	// With Membership set, Peers only seed the pull target set; the live
 	// view then keeps it current.
 	s.init(tr, membership.RoleServer, cfg.Seed, cfg.Peers, cfg.Membership,
 		cfg.Tracer, cfg.DebugAddr)
 	s.reg.SetInfo("policy", policy.Name())
+	s.reg.RegisterCounters(s.notices.Range)
 	s.obsRTT = s.reg.Histogram("pullRTT", obs.DelayBuckets())
 	// ~1 ms to 1024 s: a loopback collection finishes in milliseconds, one
 	// starved of pulls in minutes.
@@ -419,7 +438,8 @@ func (s *Server) observeRTT(from transport.NodeID, now float64) {
 // pull is the paced event: ask the policy for a peer (and maybe a segment
 // hint) and send it one pull request. A peer whose inventory cursor the
 // server holds is asked for what is new since, unless the policy wants the
-// full digest this time.
+// full digest this time; a peer whose finished-log cursor is behind is
+// told, one page at a time, which segments finished since.
 func (s *Server) pull() bool {
 	s.mu.Lock()
 	dec, ok := s.svc.Choose(s.now(), liveEnv{s})
@@ -432,12 +452,12 @@ func (s *Server) pull() bool {
 	if !dec.WantInventory {
 		cursor = s.invCursor[to]
 	}
+	pp := s.peerPulls(to)
 	var msg *transport.Message
-	if dec.HasHint || dec.WantInventory || cursor != 0 {
-		msg = &transport.Message{
-			Type: transport.MsgPullRequest, From: s.tr.LocalID(), To: to,
-			WantInventory: dec.WantInventory, HasHint: dec.HasHint, Seg: dec.Hint, InvCursor: cursor,
-		}
+	switch {
+	case dec.HasHint || dec.WantInventory || cursor != 0:
+		msg = s.listingPull(to, pp)
+		msg.WantInventory, msg.HasHint, msg.Seg, msg.InvCursor = dec.WantInventory, dec.HasHint, dec.Hint, cursor
 		// A hinted pull for a traced segment carries the lineage out, so
 		// the pull leg joins the segment's span.
 		if dec.HasHint {
@@ -445,13 +465,13 @@ func (s *Server) pull() bool {
 				msg.Trace = tctx.Next()
 			}
 		}
-	} else if msg = s.blind[to]; msg == nil {
-		msg = &transport.Message{Type: transport.MsgPullRequest, From: s.tr.LocalID(), To: to}
-		// Kept only for a current pull target, so what onLeave dropped
-		// stays dropped.
-		if s.peers.Contains(uint64(to)) {
-			s.blind[to] = msg
-		}
+	case pp.listed != nil:
+		msg = pp.listed
+	case pp.acked < s.svc.Store().FinishedHead():
+		pp.listed = s.listingPull(to, pp)
+		msg = pp.listed
+	default:
+		msg = pp.blind
 	}
 	s.mu.Unlock()
 	// EvPullSent counts pulls the transport accepted, mirroring the
@@ -460,6 +480,9 @@ func (s *Server) pull() bool {
 	if err := s.tr.Send(to, msg); err == nil {
 		s.mu.Lock()
 		s.counters.Count(peercore.EvPullSent, 1)
+		if k := len(msg.DecodedList()); k > 0 {
+			s.notices.Add(0, int64(k))
+		}
 		// One outstanding pull per peer: a newer pull to the same peer
 		// replaces the pending send time, so the RTT histogram measures the
 		// latest request→first reply span (an approximation that
@@ -469,6 +492,48 @@ func (s *Server) pull() bool {
 		s.mu.Unlock()
 	}
 	return true
+}
+
+// peerPulls returns what the server keeps for a pull target. A peer the
+// server has not pulled before starts one page behind the head of the
+// finished log: a new or restarted peer hears of the latest decodes, never
+// the whole finished set. Kept only for a current pull target, so what
+// onLeave dropped stays dropped. Callers hold mu.
+func (s *Server) peerPulls(peer transport.NodeID) *peerPulls {
+	if pp := s.pulls[peer]; pp != nil {
+		return pp
+	}
+	head := s.svc.Store().FinishedHead()
+	start := head - min(head, transport.DecodedPage)
+	pp := &peerPulls{blind: transport.NewPullMessage(s.tr.LocalID(), peer, 0), acked: start, sent: start}
+	if s.peers.Contains(uint64(peer)) {
+		s.pulls[peer] = pp
+	}
+	return pp
+}
+
+// listingPull returns a new pull to the peer that lists, one page at most,
+// the segments finished after its cursor, and records where the list ends.
+// Callers hold mu.
+func (s *Server) listingPull(to transport.NodeID, pp *peerPulls) *transport.Message {
+	st := s.svc.Store()
+	msg := transport.NewPullMessage(s.tr.LocalID(), to, int(min(st.FinishedHead()-pp.acked, transport.DecodedPage)))
+	if msg.Decoded != nil {
+		*msg.Decoded, pp.sent = st.FinishedSince(pp.acked, *msg.Decoded, transport.DecodedPage)
+	}
+	return msg
+}
+
+// answered records that a peer replied to a pull: the list the latest pull
+// carried reached it, so the next list starts where that one ended. Which
+// pull a reply answers is not on the wire; taking it for the latest can
+// skip a list only when an older pull's reply arrives after the newer pull
+// was lost, and then the segments it named just expire at the peer as
+// they would have without the list. Callers hold mu.
+func (s *Server) answered(peer transport.NodeID) {
+	if pp := s.pulls[peer]; pp != nil && pp.acked != pp.sent {
+		pp.acked, pp.listed = pp.sent, nil
+	}
 }
 
 // liveEnv adapts the server to the policy's driver view. SamplePeer is the
@@ -498,6 +563,7 @@ func (s *Server) handle(m *transport.Message) {
 		now := s.now()
 		s.counters.Count(peercore.EvEmptyReply, 1)
 		s.observeRTT(m.From, now)
+		s.answered(m.From)
 		s.svc.HandleEmpty(now, pullsched.PeerRef(m.From))
 		s.mu.Unlock()
 	case transport.MsgInventory:
@@ -532,6 +598,7 @@ func (s *Server) receiveBlock(m *transport.Message) {
 	now := s.now()
 	s.counters.Count(peercore.EvBlockReceived, 1)
 	s.observeRTT(m.From, now)
+	s.answered(m.From)
 	res := s.svc.HandleBlock(now, pullsched.PeerRef(m.From), cb, true, m.Trace)
 	var fwd *transport.Message
 	var fwdTo transport.NodeID

@@ -7,12 +7,16 @@ package rlnc
 // delivered memory) is one of these. The ring grows by append until it
 // holds cap entries, so a set costs memory for what it has seen, not for
 // its bound, and from then on it is a circular buffer whose oldest entry
-// sits at head. Not safe for concurrent use.
+// sits at head. The set is also a log: every new member takes the next
+// position (Added), and Since reads the members after a position, so a
+// reader that keeps a cursor learns what the set took since it last looked.
+// Not safe for concurrent use.
 type SegmentSet struct {
 	member map[SegmentID]struct{}
 	ring   []SegmentID
 	head   int
 	cap    int
+	added  uint64 // position of the newest member
 }
 
 // NewSegmentSet returns an empty set remembering up to cap segments; cap
@@ -39,6 +43,7 @@ func (s *SegmentSet) Add(seg SegmentID) bool {
 		s.head = (s.head + 1) % s.cap
 	}
 	s.member[seg] = struct{}{}
+	s.added++
 	return true
 }
 
@@ -58,6 +63,25 @@ func (s *SegmentSet) Range(f func(seg SegmentID)) {
 	for i := range s.ring {
 		f(s.ring[(s.head+i)%len(s.ring)])
 	}
+}
+
+// Added returns how many segments Add has taken as new over the set's
+// life: the log position of the newest member. It never goes back, not even
+// on Reset, so a cursor taken from it stays meaningful.
+func (s *SegmentSet) Added() uint64 { return s.added }
+
+// Since appends to dst, oldest first, at most limit members added after
+// position cursor, and returns dst with the position the read reached. A
+// member the set has forgotten is skipped: a cursor older than the oldest
+// member reads from the oldest member on.
+func (s *SegmentSet) Since(cursor uint64, dst []SegmentID, limit int) ([]SegmentID, uint64) {
+	oldest := s.added - uint64(len(s.ring)) // the position before the oldest member
+	cursor = min(max(cursor, oldest), s.added)
+	for ; cursor < s.added && limit > 0; limit-- {
+		dst = append(dst, s.ring[(s.head+int(cursor-oldest))%len(s.ring)])
+		cursor++
+	}
+	return dst, cursor
 }
 
 // Reset forgets every member and releases the ring.

@@ -105,3 +105,47 @@ func TestSegmentSet(t *testing.T) {
 		}
 	})
 }
+
+// TestSegmentSetSince: the set read as a log. Positions count every new
+// member, re-adds and Reset leave them alone, a read stops at its limit and
+// resumes from the position it returned, and a cursor older than the
+// oldest member reads from the oldest member on.
+func TestSegmentSetSince(t *testing.T) {
+	id := func(seq uint64) SegmentID { return SegmentID{Origin: 2, Seq: seq} }
+	s := NewSegmentSet(3)
+	if got, cur := s.Since(0, nil, 10); len(got) != 0 || cur != 0 {
+		t.Fatalf("empty set: Since(0) = %v, %d", got, cur)
+	}
+	for _, seq := range []uint64{1, 2, 2, 3} {
+		s.Add(id(seq))
+	}
+	if s.Added() != 3 {
+		t.Fatalf("Added = %d after three new members and one re-add, want 3", s.Added())
+	}
+	got, cur := s.Since(0, nil, 2)
+	if !reflect.DeepEqual(got, []SegmentID{id(1), id(2)}) || cur != 2 {
+		t.Fatalf("Since(0, limit 2) = %v, %d; want [1 2], 2", got, cur)
+	}
+	if got, cur = s.Since(cur, got, 2); !reflect.DeepEqual(got, []SegmentID{id(1), id(2), id(3)}) || cur != 3 {
+		t.Fatalf("Since(2) appended %v, %d; want 3 after [1 2], 3", got, cur)
+	}
+	if got, cur := s.Since(3, nil, 5); len(got) != 0 || cur != 3 {
+		t.Fatalf("Since(head) = %v, %d; want nothing, 3", got, cur)
+	}
+	s.Add(id(4))
+	s.Add(id(5)) // 1 and 2 are forgotten
+	if got, cur := s.Since(1, nil, 5); !reflect.DeepEqual(got, []SegmentID{id(3), id(4), id(5)}) || cur != 5 {
+		t.Fatalf("Since(1) past eviction = %v, %d; want [3 4 5], 5", got, cur)
+	}
+	if got, cur := s.Since(4, nil, 5); !reflect.DeepEqual(got, []SegmentID{id(5)}) || cur != 5 {
+		t.Fatalf("Since(4) on a wrapped ring = %v, %d; want [5], 5", got, cur)
+	}
+	s.Reset()
+	if got, cur := s.Since(2, nil, 5); s.Added() != 5 || len(got) != 0 || cur != 5 {
+		t.Fatalf("after Reset: Added %d, Since(2) = %v, %d; want 5, nothing, 5", s.Added(), got, cur)
+	}
+	s.Add(id(6))
+	if got, cur := s.Since(5, nil, 5); !reflect.DeepEqual(got, []SegmentID{id(6)}) || cur != 6 {
+		t.Fatalf("after Reset and one Add: Since(5) = %v, %d; want [6], 6", got, cur)
+	}
+}

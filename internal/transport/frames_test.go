@@ -43,6 +43,10 @@ func frameTable() []struct {
 		return c
 	}
 	trace := obs.TraceContext{ID: 0xDEADBEEFCAFEF00D, Hop: 7}
+	page := make([]rlnc.SegmentID, DecodedPage)
+	for i := range page {
+		page[i] = rlnc.SegmentID{Origin: uint64(i + 1), Seq: uint64(i) << 32}
+	}
 	return []struct {
 		name string
 		msg  *Message
@@ -94,6 +98,13 @@ func frameTable() []struct {
 		{"inventory-delta", &Message{Type: MsgInventory, From: 9, To: 1 << 32, InvCursor: 3, InvDelta: true,
 			Inventory: []pullsched.InventoryEntry{{Seg: seg, Blocks: 1}}}},
 		{"inventory-empty-cursor", &Message{Type: MsgInventory, From: 9, To: 1 << 32, InvCursor: 1}},
+		// The decoded list (rows appended by the change that added it).
+		{"pull-decoded", &Message{Type: MsgPullRequest, From: 1 << 32, To: 9,
+			Decoded: &[]rlnc.SegmentID{seg, {Origin: 8, Seq: 1}}}},
+		{"pull-hinted-traced-cursor-decoded", &Message{Type: MsgPullRequest, From: 1 << 32, To: 9,
+			HasHint: true, Seg: seg, Trace: trace, InvCursor: 0x2122232425262728,
+			Decoded: &[]rlnc.SegmentID{{Origin: 8, Seq: 2}}}},
+		{"pull-decoded-full-page", &Message{Type: MsgPullRequest, From: 1 << 32, To: 9, Decoded: &page}},
 	}
 }
 

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"p2pcollect/internal/obs"
@@ -49,6 +50,14 @@ func FuzzDecodeMessage(f *testing.F) {
 			Inventory: []pullsched.InventoryEntry{{Seg: rlnc.SegmentID{Origin: 8, Seq: 1}, Blocks: 1}},
 		},
 		{Type: MsgInventory, From: 2, To: 1, InvCursor: 1},
+		// Decoded-list pulls: a list alone, and one behind every other field.
+		{Type: MsgPullRequest, From: 1, To: 2, Decoded: &[]rlnc.SegmentID{{Origin: 7, Seq: 3}, {Origin: 8, Seq: 1}}},
+		{
+			Type: MsgPullRequest, From: 1, To: 2,
+			HasHint: true, Seg: rlnc.SegmentID{Origin: 7, Seq: 3}, WantInventory: true,
+			Trace: obs.TraceContext{ID: 42, Hop: 1}, InvCursor: 1,
+			Decoded: &[]rlnc.SegmentID{{Origin: 9, Seq: 9}},
+		},
 		{Type: MsgSegmentComplete, From: 3, To: 4, Seg: rlnc.SegmentID{Origin: 3, Seq: 9}},
 		{
 			Type: MsgBlock, From: 5, To: 6,
@@ -139,6 +148,9 @@ func FuzzDecodeMessage(f *testing.F) {
 		if again.Trace != m.Trace {
 			t.Fatalf("round trip changed trace context: %+v vs %+v", again.Trace, m.Trace)
 		}
+		if !slices.Equal(again.DecodedList(), m.DecodedList()) {
+			t.Fatalf("round trip changed decoded list: %v vs %v", again.DecodedList(), m.DecodedList())
+		}
 		if len(again.Inventory) != len(m.Inventory) {
 			t.Fatalf("round trip changed inventory length: %d vs %d", len(again.Inventory), len(m.Inventory))
 		}
@@ -211,6 +223,14 @@ func FuzzDatagramDecode(f *testing.F) {
 			Inventory: []pullsched.InventoryEntry{{Seg: rlnc.SegmentID{Origin: 8, Seq: 1}, Blocks: 1}},
 		},
 		{Type: MsgInventory, From: 2, To: 1, InvCursor: 1},
+		// Decoded-list pulls: a list alone, and one behind every other field.
+		{Type: MsgPullRequest, From: 1, To: 2, Decoded: &[]rlnc.SegmentID{{Origin: 7, Seq: 3}, {Origin: 8, Seq: 1}}},
+		{
+			Type: MsgPullRequest, From: 1, To: 2,
+			HasHint: true, Seg: rlnc.SegmentID{Origin: 7, Seq: 3}, WantInventory: true,
+			Trace: obs.TraceContext{ID: 42, Hop: 1}, InvCursor: 1,
+			Decoded: &[]rlnc.SegmentID{{Origin: 9, Seq: 9}},
+		},
 	}
 	for _, m := range seeds {
 		dg, err := EncodeDatagram(m, 0)
@@ -251,6 +271,9 @@ func FuzzDatagramDecode(f *testing.F) {
 		}
 		if again.InvCursor != m.InvCursor || again.InvDelta != m.InvDelta {
 			t.Fatalf("round trip changed inventory cursor: %+v vs %+v", again, m)
+		}
+		if !slices.Equal(again.DecodedList(), m.DecodedList()) {
+			t.Fatalf("round trip changed decoded list: %v vs %v", again.DecodedList(), m.DecodedList())
 		}
 		if !bytes.Equal(again.Raw, m.Raw) {
 			t.Fatalf("round trip changed swim payload: %x vs %x", again.Raw, m.Raw)

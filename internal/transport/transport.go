@@ -90,16 +90,10 @@ func (t MsgType) String() string {
 	}
 }
 
-// Message is one protocol datagram.
+// Message is one protocol datagram. The flags sit beside Type, in the word
+// Type pads to, so that the struct stays in the 128-byte size class.
 type Message struct {
 	Type MsgType
-	From NodeID
-	To   NodeID
-	// Seg is set for MsgSegmentComplete, and for MsgPullRequest when
-	// HasHint is true (the segment the puller wants).
-	Seg rlnc.SegmentID
-	// Block is set for MsgBlock and MsgExchange.
-	Block *rlnc.CodedBlock
 	// HasHint marks a MsgPullRequest carrying a segment hint in Seg. A
 	// hintless request encodes to the legacy empty payload, so blind pulls
 	// are byte-identical with older nodes.
@@ -110,6 +104,13 @@ type Message struct {
 	// InvDelta marks a MsgInventory that lists only the segments the sender
 	// opened after the cursor the pull carried; false is a full digest.
 	InvDelta bool
+	From     NodeID
+	To       NodeID
+	// Seg is set for MsgSegmentComplete, and for MsgPullRequest when
+	// HasHint is true (the segment the puller wants).
+	Seg rlnc.SegmentID
+	// Block is set for MsgBlock and MsgExchange.
+	Block *rlnc.CodedBlock
 	// Inventory is set for MsgInventory: the sender's buffered segments
 	// and per-segment block counts.
 	Inventory []pullsched.InventoryEntry
@@ -127,6 +128,38 @@ type Message struct {
 	// Raw is set for MsgSwim: the membership packet bytes, opaque to the
 	// transport.
 	Raw []byte
+	// Decoded, on a MsgPullRequest, lists the segments the puller finished
+	// since the pulled peer last answered it, oldest first and at most
+	// DecodedPage of them (see wire.go); the peer drops its blocks of them.
+	// Nil or empty lists nothing. It is a pointer so that Message stays in
+	// its 128-byte size class; NewPullMessage puts the list's header in the
+	// message's own allocation.
+	Decoded *[]rlnc.SegmentID
+}
+
+// DecodedList returns the segments m.Decoded lists, nil when it lists none.
+func (m *Message) DecodedList() []rlnc.SegmentID {
+	if m.Decoded == nil {
+		return nil
+	}
+	return *m.Decoded
+}
+
+// NewPullMessage returns a MsgPullRequest from→to whose Decoded list is
+// empty with room for n segments, the message and the list's header one
+// heap object. n = 0 leaves Decoded nil and the message a plain one.
+func NewPullMessage(from, to NodeID, n int) *Message {
+	if n == 0 {
+		return &Message{Type: MsgPullRequest, From: from, To: to}
+	}
+	o := &struct {
+		Message
+		decoded []rlnc.SegmentID
+	}{}
+	o.Message = Message{Type: MsgPullRequest, From: from, To: to}
+	o.decoded = make([]rlnc.SegmentID, 0, n)
+	o.Decoded = &o.decoded
+	return &o.Message
 }
 
 // NewBlockMessage returns a message of type typ (MsgBlock or MsgExchange)

@@ -9,6 +9,7 @@ import (
 	"time"
 	"unsafe"
 
+	"p2pcollect/internal/obs"
 	"p2pcollect/internal/pullsched"
 	"p2pcollect/internal/rlnc"
 )
@@ -128,7 +129,13 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		{"pull truncated hint", append(append([]byte{byte(MsgPullRequest)}, make([]byte, 16)...), 0x01, 1, 2)},
 		{"inventory no count", append([]byte{byte(MsgInventory)}, make([]byte, 16)...)},
 		{"inventory short entries", append(append([]byte{byte(MsgInventory)}, make([]byte, 16)...), 0, 0, 0, 2, 1, 2, 3)},
-		{"pull unknown flag bit4", append(header(MsgPullRequest), 0x10)},
+		{"pull unknown flag bit4", append(header(MsgPullRequest), 0x10)}, // bit4 (the decoded list) without its count
+		{"pull unknown flag bit5", append(header(MsgPullRequest), 0x20, 0, 1)},
+		{"pull decoded count zero", append(header(MsgPullRequest), 0x10, 0, 0)},
+		{"pull decoded truncated list", append(append(header(MsgPullRequest), 0x10, 0, 2), make([]byte, segmentIDLen+8)...)},
+		{"pull decoded count above page", append(append(header(MsgPullRequest), 0x10, byte((DecodedPage+1)>>8), byte(DecodedPage+1)),
+			make([]byte, (DecodedPage+1)*segmentIDLen)...)},
+		{"pull decoded trailing byte", append(append(header(MsgPullRequest), 0x10, 0, 1), make([]byte, segmentIDLen+1)...)},
 		{"pull cursor zero", append(header(MsgPullRequest), 0x08, 0, 0, 0, 0, 0, 0, 0, 0)},
 		{"pull cursor truncated", append(header(MsgPullRequest), 0x08, 0, 0, 0, 0, 0, 0, 1)},
 		{"pull cursor trailing byte", append(header(MsgPullRequest), 0x08, 0, 0, 0, 0, 0, 0, 0, 1, 0)},
@@ -173,6 +180,39 @@ func TestBlindPullEncodingUnchanged(t *testing.T) {
 func TestMessageStaysInSizeClass(t *testing.T) {
 	if size := unsafe.Sizeof(Message{}); size > 128 {
 		t.Fatalf("transport.Message is %d bytes, over the 128-byte size class", size)
+	}
+}
+
+// TestFullDecodedPageFitsDatagram: a pull carrying a full page of decoded
+// segments with every other field set still fits the UDP transport's
+// default datagram, so a page is never dropped as oversize, and one segment
+// more is refused by the encoder before it reaches the wire.
+func TestFullDecodedPageFitsDatagram(t *testing.T) {
+	page := make([]rlnc.SegmentID, DecodedPage)
+	for i := range page {
+		page[i] = rlnc.SegmentID{Origin: ^uint64(0), Seq: uint64(i)}
+	}
+	m := &Message{
+		Type: MsgPullRequest, From: 1 << 40, To: 1 << 41,
+		HasHint: true, Seg: rlnc.SegmentID{Origin: 1, Seq: 2}, WantInventory: true,
+		Trace: obs.TraceContext{ID: 3, Hop: 4}, InvCursor: 5, Decoded: &page,
+	}
+	limit := UDPOptions{}.withDefaults().MaxDatagram
+	dg, err := EncodeDatagram(m, limit)
+	if err != nil {
+		t.Fatalf("a full page with every field set does not fit %d bytes: %v", limit, err)
+	}
+	got, err := DecodeDatagram(dg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.DecodedList(), page) || got.InvCursor != 5 || got.Trace != m.Trace || !got.HasHint {
+		t.Fatalf("full page round trip changed the message: %+v", got)
+	}
+	over := append(page, rlnc.SegmentID{})
+	m.Decoded = &over
+	if _, err := EncodeMessage(m); err == nil {
+		t.Fatalf("a list of %d segments encoded, over the page of %d", len(over), DecodedPage)
 	}
 }
 

@@ -25,7 +25,7 @@ type UDPOptions struct {
 
 func (o UDPOptions) withDefaults() UDPOptions {
 	if o.MaxDatagram <= 0 {
-		o.MaxDatagram = 1400
+		o.MaxDatagram = defaultMaxDatagram
 	}
 	if o.MaxDatagram > maxUDPPayload {
 		o.MaxDatagram = maxUDPPayload
@@ -35,6 +35,10 @@ func (o UDPOptions) withDefaults() UDPOptions {
 	}
 	return o
 }
+
+// defaultMaxDatagram is UDPOptions.MaxDatagram's default: an Ethernet MTU
+// minus the IP and UDP headers.
+const defaultMaxDatagram = 1400
 
 // maxUDPPayload is the largest payload a UDP datagram can carry (IPv4
 // 65535 minus the 20-byte IP and 8-byte UDP headers).

@@ -34,15 +34,17 @@ import (
 // MsgPullRequest payload:     (empty)  — legacy blind pull, or
 //	                           u8 flags [| u64 origin | u64 seq]
 //	                           [| u64 traceID | u8 hop] [| u64 cursor]
+//	                           [| u16 n | n × (u64 origin | u64 seq)]
 //	                           flags bit0 = segment hint present (origin+seq
 //	                           follow), bit1 = want inventory digest, bit2 =
 //	                           trace context present (traceID+hop follow the
 //	                           hint fields; traceID must be nonzero), bit3 =
 //	                           inventory cursor present (follows the trace
-//	                           fields; must be nonzero). A zero or unknown
-//	                           flags byte is a decode error, so the empty
-//	                           payload stays the only encoding of a blind
-//	                           pull.
+//	                           fields; must be nonzero), bit4 = decoded list
+//	                           present (last; 1 <= n <= DecodedPage). A zero
+//	                           or unknown flags byte is a decode error, so
+//	                           the empty payload stays the only encoding of
+//	                           a blind pull.
 // MsgEmpty payload:           (empty)
 // MsgInventory payload:       u32 n | n × (u64 origin | u64 seq | u16 blocks)
 //	                           [| u8 kind | u64 cursor]
@@ -69,6 +71,15 @@ import (
 // since cursor 0; a peer also answers in full when the cursor is ahead of
 // its count, which means it restarted under the same identity.
 //
+// The decoded list. A server reads the segments it has finished (its own
+// decodes and those a fellow shard announced) as a log, and keeps one
+// cursor per peer into it. A pull to a peer whose cursor is behind lists
+// the segments finished since, one page at most; the peer drops its blocks
+// of them and refuses later gossip of them. The cursor moves to the end of
+// the list when the peer next answers, so a list lost with its pull is
+// listed again on a later pull. A page fits a pull with every other field
+// set into the default 1400-byte datagram.
+//
 // Datagram transports reuse the same codec: one datagram carries exactly one
 // frame body (no u32 length prefix — the datagram boundary is the frame
 // boundary). See EncodeDatagram / DecodeDatagram.
@@ -87,7 +98,18 @@ const (
 	pullFlagWantInventory = 1 << 1
 	pullFlagTrace         = 1 << 2
 	pullFlagCursor        = 1 << 3
+	pullFlagDecoded       = 1 << 4
+
+	pullFlagsKnown = pullFlagHint | pullFlagWantInventory | pullFlagTrace | pullFlagCursor | pullFlagDecoded
 )
+
+// segmentIDLen is the wire size of one segment ID.
+const segmentIDLen = 8 + 8
+
+// DecodedPage is the most segment IDs one pull request lists: a pull with
+// a hint, a trace context, an inventory cursor and a full page still fits
+// the default datagram (1397 of 1400 bytes).
+const DecodedPage = (defaultMaxDatagram - (headerLen + 1 + segmentIDLen + 8 + 1 + 8 + 2)) / segmentIDLen
 
 // MsgInventory cursor suffix: kind byte, then the cursor.
 const (
@@ -127,14 +149,17 @@ func pullFlags(m *Message) byte {
 	if m.InvCursor != 0 {
 		flags |= pullFlagCursor
 	}
+	if len(m.DecodedList()) > 0 {
+		flags |= pullFlagDecoded
+	}
 	return flags
 }
 
 // bodySize returns the exact length of m's frame body. It is where a
 // message that must not reach the wire is refused, before a byte is
 // written: an unknown type, a block message without a block, an inventory
-// count outside u16 or a delta without its cursor, a body over limit
-// (ErrFrameTooLarge).
+// count outside u16 or a delta without its cursor, a decoded list over
+// DecodedPage, a body over limit (ErrFrameTooLarge).
 func bodySize(m *Message, limit int) (int, error) {
 	n := headerLen
 	switch m.Type {
@@ -159,6 +184,11 @@ func bodySize(m *Message, limit int) (int, error) {
 			}
 			if m.InvCursor != 0 {
 				n += 8
+			}
+			if k := len(m.DecodedList()); k > DecodedPage {
+				return 0, fmt.Errorf("transport: decoded list of %d segments > %d", k, DecodedPage)
+			} else if k > 0 {
+				n += 2 + k*segmentIDLen
 			}
 		}
 	case MsgEmpty:
@@ -218,6 +248,13 @@ func appendBody(b []byte, m *Message) []byte {
 			}
 			if m.InvCursor != 0 {
 				b = binary.BigEndian.AppendUint64(b, m.InvCursor)
+			}
+			if list := m.DecodedList(); len(list) > 0 {
+				b = binary.BigEndian.AppendUint16(b, uint16(len(list)))
+				for _, seg := range list {
+					b = binary.BigEndian.AppendUint64(b, seg.Origin)
+					b = binary.BigEndian.AppendUint64(b, seg.Seq)
+				}
 			}
 		}
 	case MsgSwim:
@@ -285,6 +322,9 @@ func DecodeMessage(body []byte) (*Message, error) {
 	if typ == MsgBlock || typ == MsgExchange {
 		return decodeBlock(typ, from, to, rest)
 	}
+	if typ == MsgPullRequest {
+		return decodePull(from, to, rest)
+	}
 	m := &Message{Type: typ, From: from, To: to}
 	switch m.Type {
 	case MsgSegmentComplete:
@@ -300,55 +340,6 @@ func DecodeMessage(body []byte) (*Message, error) {
 			return nil, fmt.Errorf("transport: %d trailing bytes", len(rest))
 		}
 		m.Seg = rlnc.SegmentID{Origin: origin, Seq: seq}
-	case MsgPullRequest:
-		if len(rest) == 0 {
-			break // legacy blind pull
-		}
-		flags := rest[0]
-		rest = rest[1:]
-		if flags == 0 || flags&^(pullFlagHint|pullFlagWantInventory|pullFlagTrace|pullFlagCursor) != 0 {
-			return nil, fmt.Errorf("transport: bad pull flags 0x%02x", flags)
-		}
-		if flags&pullFlagHint != 0 {
-			var origin, seq uint64
-			var err error
-			if origin, rest, err = readUint64(rest); err != nil {
-				return nil, err
-			}
-			if seq, rest, err = readUint64(rest); err != nil {
-				return nil, err
-			}
-			m.Seg = rlnc.SegmentID{Origin: origin, Seq: seq}
-			m.HasHint = true
-		}
-		if flags&pullFlagTrace != 0 {
-			var id uint64
-			var err error
-			if id, rest, err = readUint64(rest); err != nil {
-				return nil, err
-			}
-			if len(rest) < 1 {
-				return nil, fmt.Errorf("transport: truncated trace hop")
-			}
-			if id == 0 {
-				return nil, fmt.Errorf("transport: trace context with zero ID")
-			}
-			m.Trace = obs.TraceContext{ID: id, Hop: rest[0]}
-			rest = rest[1:]
-		}
-		if flags&pullFlagCursor != 0 {
-			var err error
-			if m.InvCursor, rest, err = readUint64(rest); err != nil {
-				return nil, err
-			}
-			if m.InvCursor == 0 {
-				return nil, fmt.Errorf("transport: pull with a zero inventory cursor")
-			}
-		}
-		m.WantInventory = flags&pullFlagWantInventory != 0
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("transport: %d trailing bytes", len(rest))
-		}
 	case MsgEmpty:
 		if len(rest) != 0 {
 			return nil, fmt.Errorf("transport: %d trailing bytes", len(rest))
@@ -444,6 +435,83 @@ func decodeBlock(typ MsgType, from, to NodeID, rest []byte) (*Message, error) {
 	copy(m.Block.Coeffs, coeffs)
 	m.Block.Payload = cloneBytes(payload)
 	m.Trace = trace
+	return m, nil
+}
+
+// decodePull parses the payload of a MsgPullRequest. A pull with a decoded
+// list is built by NewPullMessage, so the list costs one allocation beside
+// the message.
+func decodePull(from, to NodeID, rest []byte) (*Message, error) {
+	if len(rest) == 0 {
+		return NewPullMessage(from, to, 0), nil // legacy blind pull
+	}
+	flags := rest[0]
+	rest = rest[1:]
+	if flags == 0 || flags&^pullFlagsKnown != 0 {
+		return nil, fmt.Errorf("transport: bad pull flags 0x%02x", flags)
+	}
+	var hdr Message // the fields before the list, until its length is known
+	var err error
+	if flags&pullFlagHint != 0 {
+		var origin, seq uint64
+		if origin, rest, err = readUint64(rest); err != nil {
+			return nil, err
+		}
+		if seq, rest, err = readUint64(rest); err != nil {
+			return nil, err
+		}
+		hdr.Seg = rlnc.SegmentID{Origin: origin, Seq: seq}
+		hdr.HasHint = true
+	}
+	if flags&pullFlagTrace != 0 {
+		var id uint64
+		if id, rest, err = readUint64(rest); err != nil {
+			return nil, err
+		}
+		if len(rest) < 1 {
+			return nil, fmt.Errorf("transport: truncated trace hop")
+		}
+		if id == 0 {
+			return nil, fmt.Errorf("transport: trace context with zero ID")
+		}
+		hdr.Trace = obs.TraceContext{ID: id, Hop: rest[0]}
+		rest = rest[1:]
+	}
+	if flags&pullFlagCursor != 0 {
+		if hdr.InvCursor, rest, err = readUint64(rest); err != nil {
+			return nil, err
+		}
+		if hdr.InvCursor == 0 {
+			return nil, fmt.Errorf("transport: pull with a zero inventory cursor")
+		}
+	}
+	n := 0
+	if flags&pullFlagDecoded != 0 {
+		if len(rest) < 2 {
+			return nil, fmt.Errorf("transport: truncated decoded count")
+		}
+		n = int(binary.BigEndian.Uint16(rest))
+		rest = rest[2:]
+		if n == 0 || n > DecodedPage {
+			return nil, fmt.Errorf("transport: decoded list of %d segments, want 1..%d", n, DecodedPage)
+		}
+		if len(rest) < n*segmentIDLen {
+			return nil, fmt.Errorf("transport: decoded list of %d segments in %d bytes", n, len(rest))
+		}
+	}
+	if len(rest) != n*segmentIDLen {
+		return nil, fmt.Errorf("transport: %d trailing bytes", len(rest)-n*segmentIDLen)
+	}
+	m := NewPullMessage(from, to, n)
+	m.HasHint, m.Seg, m.Trace, m.InvCursor = hdr.HasHint, hdr.Seg, hdr.Trace, hdr.InvCursor
+	m.WantInventory = flags&pullFlagWantInventory != 0
+	for i := 0; i < n; i++ {
+		*m.Decoded = append(*m.Decoded, rlnc.SegmentID{
+			Origin: binary.BigEndian.Uint64(rest),
+			Seq:    binary.BigEndian.Uint64(rest[8:]),
+		})
+		rest = rest[segmentIDLen:]
+	}
 	return m, nil
 }
 
