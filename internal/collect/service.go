@@ -25,10 +25,12 @@ import (
 
 // Pull-feedback outcome counters. Every policy.Feedback call is classified
 // into exactly one bucket, so the exposition layer shows how the server's
-// pull budget is spent: useful (rank growth), redundant (finished segment or
-// non-innovative block), or empty (peer had nothing). The inventory
-// counters beside them are the digest traffic the policy costs: messages
-// by kind, and the lines they carried.
+// pull budget is spent: useful (rank growth), redundant (finished segment,
+// malformed or non-innovative block), or empty (peer had nothing). The
+// inventory counters beside them are the digest traffic the policy costs:
+// messages by kind, and the lines they carried. rejectedBlocks counts
+// blocks the store refused as malformed (wrong coefficient count or
+// payload size), pulled or not.
 const (
 	fbUseful = iota
 	fbRedundant
@@ -36,6 +38,7 @@ const (
 	invFull
 	invDelta
 	invEntries
+	rejected
 
 	numPolicyCounters
 )
@@ -47,6 +50,7 @@ var policyCounterNames = [numPolicyCounters]string{
 	invFull:     "inventoryFull",
 	invDelta:    "inventoryDelta",
 	invEntries:  "inventoryEntries",
+	rejected:    "rejectedBlocks",
 }
 
 // Config parameterizes a collection service.
@@ -225,8 +229,9 @@ func (s *Service) Store() store.Store { return s.st }
 // OpenCount returns how many collections are in progress.
 func (s *Service) OpenCount() int { return s.st.OpenCount() }
 
-// Redundant returns the count of blocks that advanced nothing: finished-
-// segment, malformed, or non-innovative.
+// Redundant returns the count of valid blocks that added no rank, blocks
+// of finished segments included. Malformed blocks count under
+// rejectedBlocks instead.
 func (s *Service) Redundant() int64 { return s.redundant }
 
 // RangeFeedback visits the pull-feedback outcome and inventory counters
@@ -293,7 +298,7 @@ func (s *Service) HandleBlock(now float64, from pullsched.PeerRef, cb *rlnc.Code
 	}
 	out, col, err := s.st.Receive(now, cb)
 	if err != nil {
-		s.redundant++
+		s.fb.Add(rejected, 1)
 		if pulled {
 			s.fb.Add(fbRedundant, 1)
 		}
@@ -327,12 +332,6 @@ func (s *Service) HandleBlock(now float64, from pullsched.PeerRef, cb *rlnc.Code
 		})
 	} else if pulled {
 		s.fb.Add(fbRedundant, 1)
-	}
-	if out.Delivered {
-		s.tracer.Trace(obs.TraceEvent{
-			Seg: cb.Seg, Kind: obs.TraceDelivered, T: now,
-			Actor: s.cfg.Actor, N: col.State(), TraceID: tid, Hop: hop,
-		})
 	}
 	if pulled && res.Owned {
 		s.policy.Feedback(pullsched.Feedback{

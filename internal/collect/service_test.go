@@ -74,6 +74,16 @@ func (h *harness) feedbackCounts() (c [numFeedbackCounters]int64) {
 	return c
 }
 
+// rejectedBlocks reads the service's malformed-block counter.
+func (h *harness) rejectedBlocks() (n int64) {
+	h.RangeFeedback(func(name string, v int64) {
+		if name == "rejectedBlocks" {
+			n = v
+		}
+	})
+	return n
+}
+
 func testSegment(t *testing.T, seq uint64) *rlnc.Segment {
 	t.Helper()
 	rng := randx.New(int64(seq) + 1)
@@ -91,7 +101,8 @@ func testSegment(t *testing.T, seq uint64) *rlnc.Segment {
 
 // TestHandleBlockOutcomes walks one segment through every verdict
 // HandleBlock can return and pins, after each block, the result flags, the
-// pull-feedback counters, Redundant() and what the policy was told.
+// pull-feedback counters, Redundant(), rejectedBlocks and what the policy
+// was told. A malformed block counts as rejected, never as redundant.
 func TestHandleBlockOutcomes(t *testing.T) {
 	seg := testSegment(t, 1)
 	short := seg.SourceBlock(0)
@@ -109,17 +120,18 @@ func TestHandleBlockOutcomes(t *testing.T) {
 		want      flags
 		counts    [numFeedbackCounters]int64 // useful, redundant, empty — cumulative
 		redundant int64                      // cumulative
+		rejected  int64                      // cumulative
 		told      *pullsched.Feedback        // nil: policy hears nothing
 	}{
-		{"innovative", seg.SourceBlock(0), false, flags{innovative: true}, [3]int64{1, 0, 0}, 0, fb(true, false)},
-		{"redundant", seg.SourceBlock(0), false, flags{}, [3]int64{1, 1, 0}, 1, fb(false, false)},
-		{"malformed coefficients", short, false, flags{rejected: true}, [3]int64{1, 2, 0}, 2, nil},
-		{"malformed payload", thin, false, flags{rejected: true}, [3]int64{1, 3, 0}, 3, nil},
-		{"innovative exchange", seg.SourceBlock(1), true, flags{innovative: true}, [3]int64{1, 3, 0}, 3, nil},
-		{"redundant exchange", seg.SourceBlock(1), true, flags{}, [3]int64{1, 3, 0}, 4, nil},
-		{"decoding", seg.SourceBlock(2), false, flags{innovative: true, decoded: true, flush: true}, [3]int64{2, 3, 0}, 4, fb(true, true)},
-		{"finished", seg.SourceBlock(2), false, flags{finished: true}, [3]int64{2, 4, 0}, 5, fb(false, true)},
-		{"finished exchange", seg.SourceBlock(2), true, flags{finished: true}, [3]int64{2, 4, 0}, 6, nil},
+		{"malformed coefficients", short, false, flags{rejected: true}, [3]int64{0, 1, 0}, 0, 1, nil},
+		{"innovative", seg.SourceBlock(0), false, flags{innovative: true}, [3]int64{1, 1, 0}, 0, 1, fb(true, false)},
+		{"redundant", seg.SourceBlock(0), false, flags{}, [3]int64{1, 2, 0}, 1, 1, fb(false, false)},
+		{"malformed payload", thin, false, flags{rejected: true}, [3]int64{1, 3, 0}, 1, 2, nil},
+		{"innovative exchange", seg.SourceBlock(1), true, flags{innovative: true}, [3]int64{1, 3, 0}, 1, 2, nil},
+		{"redundant exchange", seg.SourceBlock(1), true, flags{}, [3]int64{1, 3, 0}, 2, 2, nil},
+		{"decoding", seg.SourceBlock(2), false, flags{innovative: true, decoded: true, flush: true}, [3]int64{2, 3, 0}, 2, 2, fb(true, true)},
+		{"finished", seg.SourceBlock(2), false, flags{finished: true}, [3]int64{2, 4, 0}, 3, 2, fb(false, true)},
+		{"finished exchange", seg.SourceBlock(2), true, flags{finished: true}, [3]int64{2, 4, 0}, 4, 2, nil},
 	}
 	h := newHarness(t, Config{})
 	defer h.Close()
@@ -142,6 +154,9 @@ func TestHandleBlockOutcomes(t *testing.T) {
 		}
 		if h.Redundant() != st.redundant {
 			t.Errorf("%s: Redundant() = %d, want %d", st.name, h.Redundant(), st.redundant)
+		}
+		if r := h.rejectedBlocks(); r != st.rejected {
+			t.Errorf("%s: rejectedBlocks = %d, want %d", st.name, r, st.rejected)
 		}
 		switch heard := h.policy.feedback[told:]; {
 		case st.told == nil && len(heard) != 0:
@@ -390,7 +405,6 @@ func TestTraceContextAdoption(t *testing.T) {
 		{obs.TraceServerRank, 1, 0},
 		{obs.TraceServerRank, 2, 7},
 		{obs.TraceServerRank, 3, 7},
-		{obs.TraceDelivered, 3, 7},
 		{obs.TraceDecoded, 3, 7},
 	}
 	if !reflect.DeepEqual(got, want) {

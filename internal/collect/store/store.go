@@ -116,8 +116,8 @@ func (m *Memory) Range(f func(seg rlnc.SegmentID, col *peercore.Collection)) { m
 
 // Restore opens a collection rebuilt from snapshotted state (see
 // peercore.Collector.Restore).
-func (m *Memory) Restore(seg rlnc.SegmentID, state, payloadLen int, basis []*rlnc.CodedBlock) error {
-	_, err := m.collector.Restore(seg, state, payloadLen, basis)
+func (m *Memory) Restore(seg rlnc.SegmentID, payloadLen int, basis []*rlnc.CodedBlock) error {
+	_, err := m.collector.Restore(seg, payloadLen, basis)
 	return err
 }
 

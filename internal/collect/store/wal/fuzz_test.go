@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"p2pcollect/internal/collect/store"
 	"p2pcollect/internal/rlnc"
 )
 
@@ -55,13 +56,16 @@ func FuzzWALRecord(f *testing.F) {
 }
 
 // FuzzSnapshot fuzzes the snapshot decoder under the same rule: error or
-// valid state, never a panic, and every decoded snapshot must satisfy the
-// rank invariant (len(basis) never exceeds state... enforced downstream by
-// Restore, so here we only require structural sanity).
+// valid state, never a panic (the rank bound is enforced downstream by
+// Restore, so here we only require structural sanity). The seeds include a
+// v1 and a v2 snapshot, each holding an open collection.
 func FuzzSnapshot(f *testing.F) {
 	f.Add([]byte(snapMagic))
 	f.Add([]byte{})
 	f.Add([]byte("P2PCSNP1\x00\x00\x00\x00\x00\x00\x00\x00"))
+	v1, v2 := seedSnapshots(f)
+	f.Add(v1)
+	f.Add(v2)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := decodeSnapshot(data)
 		if err != nil {
@@ -78,4 +82,21 @@ func FuzzSnapshot(f *testing.F) {
 			}
 		}
 	})
+}
+
+// seedSnapshots returns one snapshot per layout, each with a finished
+// segment and an open collection of rank 1 at s=2: v1 written inline with
+// a state word of 2, v2 by the encoder.
+func seedSnapshots(tb testing.TB) (v1, v2 []byte) {
+	done := rlnc.SegmentID{Origin: 1, Seq: 1}
+	cb := &rlnc.CodedBlock{Seg: rlnc.SegmentID{Origin: 1, Seq: 2}, Coeffs: []byte{1, 2}, Payload: []byte{3, 4}}
+	m, err := store.NewMemory(store.MemoryConfig{SegmentSize: 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m.MarkFinished(done)
+	if _, _, err := m.Receive(0, cb); err != nil {
+		tb.Fatal(err)
+	}
+	return snapshotV1(2, []rlnc.SegmentID{done}, cb.Seg, 2, len(cb.Payload), []*rlnc.CodedBlock{cb}), encodeSnapshot(m)
 }

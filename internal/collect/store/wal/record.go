@@ -5,7 +5,7 @@
 // that collected data outlives its peers; this package makes it outlive
 // the collector too — a restarted server loads the latest snapshot,
 // replays the log tail (tolerating a torn final record), and resumes every
-// open segment at the exact rank and collection state it held. That
+// open segment at the exact rank it held. That
 // recovery is one walk (recoverDir): Open runs it and truncates where it
 // stopped, Inspect runs it read-only.
 //

@@ -19,10 +19,16 @@ import (
 //	[4B finishedCount] then finishedCount × [8B origin][8B seq]  (oldest first)
 //	[4B openCount]     then openCount × collection
 //
-// collection: [8B origin][8B seq][4B state][4B payloadLen][4B rank] then
+// collection: [8B origin][8B seq][4B payloadLen][4B rank] then
 // rank × ([4B coeffLen][coeffs][4B payloadLen][payload]) — the decoder
 // basis rows, exactly what peercore.Collector.Restore re-adds.
-const snapMagic = "P2PCSNP1"
+// Only this layout (P2PCSNP2) is written. A P2PCSNP1 snapshot, from builds
+// that kept the paper's state counter on the server, still reads: its
+// collection header has a [4B state] word after the ID, which is dropped.
+const (
+	snapMagic   = "P2PCSNP2"
+	snapMagicV1 = "P2PCSNP1"
+)
 
 // maxSnapshotBody bounds snapshot parsing the same way maxRecordBody
 // bounds records, scaled up for many open collections.
@@ -31,7 +37,6 @@ const maxSnapshotBody = 1 << 30
 // snapCollection is one open collection in a snapshot.
 type snapCollection struct {
 	seg        rlnc.SegmentID
-	state      int
 	payloadLen int
 	basis      []*rlnc.CodedBlock
 }
@@ -48,7 +53,7 @@ type snapshot struct {
 func encodeSnapshot(m *store.Memory) []byte {
 	var cols []snapCollection
 	m.Range(func(seg rlnc.SegmentID, col *peercore.Collection) {
-		sc := snapCollection{seg: seg, state: col.State(), payloadLen: col.PayloadLen()}
+		sc := snapCollection{seg: seg, payloadLen: col.PayloadLen()}
 		col.RangeBasis(func(coeffs, payload []byte) {
 			sc.basis = append(sc.basis, &rlnc.CodedBlock{Seg: seg, Coeffs: coeffs, Payload: payload})
 		})
@@ -73,7 +78,6 @@ func encodeSnapshot(m *store.Memory) []byte {
 	for _, sc := range cols {
 		body = binary.LittleEndian.AppendUint64(body, sc.seg.Origin)
 		body = binary.LittleEndian.AppendUint64(body, sc.seg.Seq)
-		body = binary.LittleEndian.AppendUint32(body, uint32(sc.state))
 		body = binary.LittleEndian.AppendUint32(body, uint32(sc.payloadLen))
 		body = binary.LittleEndian.AppendUint32(body, uint32(len(sc.basis)))
 		for _, cb := range sc.basis {
@@ -97,7 +101,8 @@ func snapErr(what string) error { return fmt.Errorf("%w: snapshot %s", ErrCorrup
 // decodeSnapshot validates and parses an encoded snapshot. The returned
 // coded blocks own their bytes (they outlive the file buffer).
 func decodeSnapshot(b []byte) (*snapshot, error) {
-	if len(b) < len(snapMagic)+8 || string(b[:len(snapMagic)]) != snapMagic {
+	v1 := len(b) >= len(snapMagicV1) && string(b[:len(snapMagicV1)]) == snapMagicV1
+	if len(b) < len(snapMagic)+8 || !v1 && string(b[:len(snapMagic)]) != snapMagic {
 		return nil, snapErr("header")
 	}
 	n := int(binary.LittleEndian.Uint32(b[len(snapMagic):]))
@@ -157,7 +162,10 @@ func decodeSnapshot(b []byte) (*snapshot, error) {
 	for i := 0; i < nCols; i++ {
 		origin, ok1 := u64()
 		seq, ok2 := u64()
-		state, ok3 := u32()
+		ok3 := true
+		if v1 {
+			_, ok3 = u32() // the dropped state word
+		}
 		payloadLen, ok4 := u32()
 		rank, ok5 := u32()
 		if !ok1 || !ok2 || !ok3 || !ok4 || !ok5 || rank < 0 || rank > maxSnapshotBody/16 {
@@ -165,7 +173,6 @@ func decodeSnapshot(b []byte) (*snapshot, error) {
 		}
 		sc := snapCollection{
 			seg:        rlnc.SegmentID{Origin: origin, Seq: seq},
-			state:      state,
 			payloadLen: payloadLen,
 		}
 		for j := 0; j < rank; j++ {

@@ -195,7 +195,7 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 
 // Open creates or recovers a durable store in opts.Dir: load the newest
 // valid snapshot, replay the log tail (discarding a torn final record),
-// reconstruct every open collection at its pre-crash rank and state, and
+// reconstruct every open collection at its pre-crash rank, and
 // start a fresh log segment for new appends. Protocol events fired during
 // replay are suppressed — counters describe only post-recovery activity.
 func Open(opts Options) (*Store, error) {
@@ -363,7 +363,7 @@ func recoverDir(dir string, cfg store.MemoryConfig,
 			r.mem.MarkFinished(seg)
 		}
 		for _, sc := range snap.cols {
-			if err := r.mem.Restore(sc.seg, sc.state, sc.payloadLen, sc.basis); err != nil {
+			if err := r.mem.Restore(sc.seg, sc.payloadLen, sc.basis); err != nil {
 				return nil, fmt.Errorf("wal: %s: %w", snapName(snapSeq), err)
 			}
 			r.stats.SnapshotSegments++

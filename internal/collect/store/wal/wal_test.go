@@ -2,6 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -115,8 +118,8 @@ func TestRecordRoundTrip(t *testing.T) {
 }
 
 // TestCloseReopen checks the clean-shutdown path: Close snapshots, so a
-// reopen is a pure snapshot load (no replay) that resumes exact rank and
-// state and decodes to the same bytes. The store reduces payloads eagerly,
+// reopen is a pure snapshot load (no replay) that resumes the exact rank
+// and decodes to the same bytes. The store reduces payloads eagerly,
 // as they arrive.
 func TestCloseReopen(t *testing.T) {
 	t.Run("eager", testCloseReopen)
@@ -139,7 +142,6 @@ func testCloseReopen(t *testing.T) {
 	}
 	w.MarkFinished(idB)
 	wantRank := w.Collection(idA).Rank()
-	wantState := w.Collection(idA).State()
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -157,9 +159,8 @@ func testCloseReopen(t *testing.T) {
 	if col == nil {
 		t.Fatal("segment A not recovered")
 	}
-	if col.Rank() != wantRank || col.State() != wantState {
-		t.Errorf("recovered rank/state = %d/%d, want %d/%d",
-			col.Rank(), col.State(), wantRank, wantState)
+	if col.Rank() != wantRank {
+		t.Errorf("recovered rank = %d, want %d", col.Rank(), wantRank)
 	}
 	if !w2.Finished(idB) {
 		t.Error("finished set not recovered")
@@ -186,8 +187,8 @@ func testCloseReopen(t *testing.T) {
 // TestReopenFullRankSegmentReadsDecoded brings a segment to full rank with
 // no finished or forget record, then reopens the directory, once replaying
 // the log after a crash and once loading the snapshot a clean Close wrote.
-// The recovered collection must read as delivered and decoded, as it did
-// before the restart.
+// The recovered collection must read as decoded, as it did before the
+// restart.
 func TestReopenFullRankSegmentReadsDecoded(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -223,9 +224,8 @@ func TestReopenFullRankSegmentReadsDecoded(t *testing.T) {
 			if col == nil {
 				t.Fatal("full-rank segment not recovered")
 			}
-			if col.RankDeficit() != 0 || !col.Delivered() || !col.Decoded() {
-				t.Errorf("recovered state=%d rankDeficit=%d Delivered=%v Decoded=%v",
-					col.State(), col.RankDeficit(), col.Delivered(), col.Decoded())
+			if col.RankDeficit() != 0 || !col.Decoded() {
+				t.Errorf("recovered rankDeficit=%d Decoded=%v", col.RankDeficit(), col.Decoded())
 			}
 		})
 	}
@@ -233,7 +233,7 @@ func TestReopenFullRankSegmentReadsDecoded(t *testing.T) {
 
 // TestCrashRecoveryExactRank checks the headline guarantee: in SyncAlways
 // mode an abrupt crash loses nothing — recovery replays the tail and
-// resumes every collection at the exact pre-crash rank and state.
+// resumes every collection at the exact pre-crash rank.
 func TestCrashRecoveryExactRank(t *testing.T) {
 	dir := t.TempDir()
 	rng := randx.New(11)
@@ -250,10 +250,9 @@ func TestCrashRecoveryExactRank(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	type frozen struct{ rank, state int }
-	want := map[rlnc.SegmentID]frozen{}
+	want := map[rlnc.SegmentID]int{}
 	w.Range(func(seg rlnc.SegmentID, col *peercore.Collection) {
-		want[seg] = frozen{col.Rank(), col.State()}
+		want[seg] = col.Rank()
 	})
 	w.Crash()
 
@@ -266,16 +265,16 @@ func TestCrashRecoveryExactRank(t *testing.T) {
 	if rs.ReplayedRecords == 0 {
 		t.Error("no records replayed")
 	}
-	got := map[rlnc.SegmentID]frozen{}
+	got := map[rlnc.SegmentID]int{}
 	w2.Range(func(seg rlnc.SegmentID, col *peercore.Collection) {
-		got[seg] = frozen{col.Rank(), col.State()}
+		got[seg] = col.Rank()
 	})
 	if len(got) != len(want) {
 		t.Fatalf("recovered %d collections, want %d", len(got), len(want))
 	}
-	for seg, f := range want {
-		if got[seg] != f {
-			t.Errorf("%v: recovered %+v, want %+v", seg, got[seg], f)
+	for seg, rank := range want {
+		if got[seg] != rank {
+			t.Errorf("%v: recovered rank %d, want %d", seg, got[seg], rank)
 		}
 	}
 	if rs.TotalRank == 0 || rs.OpenSegments != nSegs {
@@ -857,5 +856,99 @@ func TestOpenLogOnlyAtOtherSegmentSizeFails(t *testing.T) {
 	defer w.Close() //nolint:errcheck // tmp dir
 	if col := w.Collection(src.ID); col == nil || col.Rank() != 2 {
 		t.Error("reopening at the log's own size lost its collection")
+	}
+}
+
+// snapshotV1 encodes a snapshot in the P2PCSNP1 layout older builds wrote,
+// where each collection header carried the paper's collection-state
+// counter after its segment ID: [8B origin][8B seq][4B state][4B
+// payloadLen][4B rank] then the basis rows.
+func snapshotV1(s int, finished []rlnc.SegmentID, seg rlnc.SegmentID, state, payloadLen int, basis []*rlnc.CodedBlock) []byte {
+	le := binary.LittleEndian
+	body := le.AppendUint32(nil, uint32(s))
+	body = le.AppendUint32(body, uint32(len(finished)))
+	for _, id := range finished {
+		body = le.AppendUint64(le.AppendUint64(body, id.Origin), id.Seq)
+	}
+	body = le.AppendUint32(body, 1)
+	body = le.AppendUint64(le.AppendUint64(body, seg.Origin), seg.Seq)
+	body = le.AppendUint32(body, uint32(state))
+	body = le.AppendUint32(body, uint32(payloadLen))
+	body = le.AppendUint32(body, uint32(len(basis)))
+	for _, cb := range basis {
+		body = append(le.AppendUint32(body, uint32(len(cb.Coeffs))), cb.Coeffs...)
+		body = append(le.AppendUint32(body, uint32(len(cb.Payload))), cb.Payload...)
+	}
+	out := le.AppendUint32([]byte(snapMagicV1), uint32(len(body)))
+	out = le.AppendUint32(out, crc32.ChecksumIEEE(body))
+	return append(out, body...)
+}
+
+// TestOpenReadsV1Snapshot opens a directory whose only snapshot is in the
+// P2PCSNP1 layout: one finished segment and one half-full collection whose
+// state word (3) is above its rank (2). The state is dropped, the rank is
+// restored exactly, the segment decodes byte-for-byte once the missing
+// blocks arrive, and the snapshot the store writes next is P2PCSNP2.
+func TestOpenReadsV1Snapshot(t *testing.T) {
+	const s, payloadLen = 4, 24
+	rng := randx.New(17)
+	done := rlnc.SegmentID{Origin: 3, Seq: 1}
+	id := rlnc.SegmentID{Origin: 3, Seq: 2}
+	seg := makeSegment(t, rng, id, s, payloadLen)
+	basis := []*rlnc.CodedBlock{seg.SourceBlock(0), seg.SourceBlock(1)}
+	dir := t.TempDir()
+	v1 := snapshotV1(s, []rlnc.SegmentID{done}, id, 3, payloadLen, basis)
+	if err := os.WriteFile(filepath.Join(dir, snapName(1)), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	w := openStore(t, dir, s, nil)
+	if rs := w.Recovery(); !rs.SnapshotLoaded || rs.SnapshotSegments != 1 || rs.TotalRank != 2 {
+		t.Fatalf("recovery over a v1 snapshot: %+v", rs)
+	}
+	if !w.Finished(done) {
+		t.Error("finished set not restored from the v1 snapshot")
+	}
+	col := w.Collection(id)
+	if col == nil || col.Rank() != 2 {
+		t.Fatalf("collection restored at %v, want rank 2", col)
+	}
+	for col.RankDeficit() > 0 {
+		if _, _, err := w.Receive(1, seg.Encode(rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decoded, err := col.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range seg.Blocks {
+		if !bytes.Equal(decoded[i], want) {
+			t.Fatalf("decoded block %d differs from the source", i)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, snaps, err := scanDir(dir)
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("no snapshot after Close: %v %v", snaps, err)
+	}
+	newest, err := os.ReadFile(filepath.Join(dir, snapName(snaps[len(snaps)-1])))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(newest[:len(snapMagic)]); got != "P2PCSNP2" {
+		t.Errorf("snapshot written with magic %q, want P2PCSNP2", got)
+	}
+
+	// Cut inside the first collection header (after its 4-byte state word,
+	// before its rank), with the checksum fixed up: still ErrCorrupt.
+	hdr := len(snapMagicV1) + 8 + 4 + 4 + 16 + 4 + 16 + 4
+	cut := append([]byte(nil), v1[:hdr+4]...)
+	binary.LittleEndian.PutUint32(cut[len(snapMagicV1):], uint32(len(cut)-len(snapMagicV1)-8))
+	binary.LittleEndian.PutUint32(cut[len(snapMagicV1)+4:], crc32.ChecksumIEEE(cut[len(snapMagicV1)+8:]))
+	if _, err := decodeSnapshot(cut); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("truncated v1 collection header: err = %v, want ErrCorrupt", err)
 	}
 }

@@ -205,8 +205,8 @@ func TestGossipAttemptedVsDeliveredToTransport(t *testing.T) {
 // TestChaosDifferentialUnderLossAndPartition is the fault-injected variant
 // of the sim-vs-live differential: every endpoint's transport is wrapped in
 // a seeded Faulty with 20% loss, and a third of the peers are partitioned
-// from everyone for 0.8s mid-run. Delivered-segment throughput must
-// degrade gracefully — within a loose factor of the fault-free simulator —
+// from everyone for 0.8s mid-run. The innovative-pull rate must degrade
+// gracefully — within a loose factor of the fault-free simulator —
 // not collapse to zero, which is the paper's core claim about gossip
 // redundancy under churn and loss.
 func TestChaosDifferentialUnderLossAndPartition(t *testing.T) {
@@ -254,9 +254,9 @@ func TestChaosDifferentialUnderLossAndPartition(t *testing.T) {
 	}
 	defer cluster.Stop()
 	time.Sleep(time.Duration(warmupSec * float64(time.Second)))
-	deliveredAtWarmup := cluster.Servers[0].Stats().DeliveredSegments
+	innovativeAtWarmup := cluster.Servers[0].Stats().Protocol["innovativePulls"]
 	time.Sleep(time.Duration(windowSec * float64(time.Second)))
-	liveRate := float64(cluster.Servers[0].Stats().DeliveredSegments-deliveredAtWarmup) / windowSec
+	liveRate := float64(cluster.Servers[0].Stats().Protocol["innovativePulls"]-innovativeAtWarmup) / windowSec
 
 	// The faults must have actually fired.
 	var lossDrops, partitionDrops int64
@@ -291,8 +291,8 @@ func TestChaosDifferentialUnderLossAndPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simRate := float64(r.DeliveredSegments) / r.Window
-	t.Logf("delivered-segment throughput: faulty live %.2f seg/s, clean sim %.2f seg/s (loss drops %d, partition drops %d)",
+	simRate := r.RankThroughput
+	t.Logf("innovative-pull rate: faulty live %.2f blocks/s, clean sim %.2f blocks/s (loss drops %d, partition drops %d)",
 		liveRate, simRate, lossDrops, partitionDrops)
 	if liveRate <= 0 {
 		t.Fatal("throughput collapsed to zero under 20% loss + partition")
@@ -301,6 +301,6 @@ func TestChaosDifferentialUnderLossAndPartition(t *testing.T) {
 	// reference. The floor is loose on purpose — this guards liveness, not
 	// a performance number.
 	if liveRate < 0.1*simRate {
-		t.Errorf("throughput %.2f seg/s degraded below 10%% of the fault-free reference %.2f seg/s", liveRate, simRate)
+		t.Errorf("innovative-pull rate %.2f blocks/s degraded below 10%% of the fault-free reference %.2f blocks/s", liveRate, simRate)
 	}
 }

@@ -34,12 +34,12 @@ func crashServerConfig(dir string) ServerConfig {
 	}
 }
 
-// freezeRanks snapshots every open collection's (rank, state) pair. Safe
-// after CrashStop: the crashed store's in-RAM state stays readable.
-func freezeRanks(srv *Server) map[rlnc.SegmentID][2]int {
-	ranks := make(map[rlnc.SegmentID][2]int)
+// freezeRanks snapshots every open collection's rank. Safe after
+// CrashStop: the crashed store's in-RAM state stays readable.
+func freezeRanks(srv *Server) map[rlnc.SegmentID]int {
+	ranks := make(map[rlnc.SegmentID]int)
 	srv.Service().Store().Range(func(seg rlnc.SegmentID, col *peercore.Collection) {
-		ranks[seg] = [2]int{col.Rank(), col.State()}
+		ranks[seg] = col.Rank()
 	})
 	return ranks
 }
@@ -138,7 +138,7 @@ func TestServerCrashRecoveryResumesRank(t *testing.T) {
 			continue
 		}
 		if g != w {
-			t.Errorf("segment %v recovered at rank/state %v, want %v", seg, g, w)
+			t.Errorf("segment %v recovered at rank %d, want %d", seg, g, w)
 		}
 	}
 	for i := 0; i < doneSegs; i++ {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"p2pcollect/internal/logdata"
+	"p2pcollect/internal/peercore"
 	"p2pcollect/internal/sim"
 	"p2pcollect/internal/transport"
 )
@@ -12,8 +13,8 @@ import (
 // TestDifferentialSimVsLive runs the discrete-event simulator and an
 // in-memory live cluster with matched rates and topology parameters, and
 // checks that the two runtimes agree on coarse steady-state observables:
-// delivered-segment throughput (the paper's state-based accounting) and
-// mean buffer occupancy. Since both drive the same peercore state
+// the innovative-pull rate (the rank growth that grounds delivery, counted
+// under the same name by both drivers) and mean buffer occupancy. Since both drive the same peercore state
 // machines, a divergence beyond the loose statistical tolerance means the
 // drivers schedule the protocol differently, which is exactly the
 // regression this test exists to catch. The live side uses wall-clock
@@ -54,9 +55,9 @@ func TestDifferentialSimVsLive(t *testing.T) {
 	}
 	defer cluster.Stop()
 	time.Sleep(time.Duration(warmupSec * float64(time.Second)))
-	deliveredAtWarmup := cluster.Servers[0].Stats().DeliveredSegments
+	innovativeAtWarmup := cluster.Servers[0].Stats().Protocol["innovativePulls"]
 	time.Sleep(time.Duration(windowSec * float64(time.Second)))
-	liveRate := float64(cluster.Servers[0].Stats().DeliveredSegments-deliveredAtWarmup) / windowSec
+	liveRate := float64(cluster.Servers[0].Stats().Protocol["innovativePulls"]-innovativeAtWarmup) / windowSec
 	var liveOcc float64
 	for _, n := range cluster.Nodes {
 		liveOcc += float64(n.Stats().BufferedBlocks)
@@ -83,7 +84,7 @@ func TestDifferentialSimVsLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simRate := float64(r.DeliveredSegments) / r.Window
+	simRate := r.RankThroughput
 	simOcc := r.AvgBlocksPerPeer
 
 	check := func(name, unit string, live, des float64) {
@@ -95,13 +96,15 @@ func TestDifferentialSimVsLive(t *testing.T) {
 			t.Errorf("%s: live/sim ratio %.2f outside [0.5, 2.0]", name, ratio)
 		}
 	}
-	check("delivered-segment throughput", "seg/s", liveRate, simRate)
+	check("innovative-pull rate", "blocks/s", liveRate, simRate)
 	check("mean buffer occupancy", "blocks", liveOcc, simOcc)
 }
 
-// TestNodeAndSimShareCounterVocabulary asserts the live runtime reports its
-// protocol counters under the same names the simulator uses, so dashboards
-// and tests can consume either side interchangeably.
+// TestNodeAndSimShareCounterVocabulary asserts the live runtime and the
+// simulator both report every name of the shared peercore.Event
+// vocabulary, so dashboards and tests can consume either side
+// interchangeably. The simulator's own state-based counters are not part
+// of it.
 func TestNodeAndSimShareCounterVocabulary(t *testing.T) {
 	net := transport.NewNetwork()
 	n, err := NewNode(net.Join(1), fastNodeConfig())
@@ -115,12 +118,11 @@ func TestNodeAndSimShareCounterVocabulary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simCounters := r.ProtocolCounters
-	if len(simCounters) == 0 {
-		t.Fatal("simulator exposes no protocol counters")
-	}
 	nodeCounters := n.Stats().Protocol
-	for name := range simCounters {
+	for name := range peercore.NewCounters().Snapshot() {
+		if _, ok := r.ProtocolCounters[name]; !ok {
+			t.Errorf("simulator counters missing %q", name)
+		}
 		if _, ok := nodeCounters[name]; !ok {
 			t.Errorf("live node counters missing %q", name)
 		}

@@ -314,16 +314,16 @@ func TestDebugEndpointUnderLoss(t *testing.T) {
 var (
 	parentNodeCounters = strings.Fields(`
 		blocksLostToExit blocksLostToTTL blocksPurgedByFeedback blocksReceived blocksStored
-		decodedSegments deliveredSegments departures emptyReplies gossipSends injectedBlocks
+		decodedSegments departures emptyReplies gossipSends injectedBlocks
 		injectedSegments innovativePulls noTargetGossip pullsSent pullsServed redundantBlocks
-		redundantGossip redundantPulls serverPulls suppressedInjections usefulPulls
+		redundantGossip serverPulls suppressedInjections
 		transportDialFailures transportDropsDown transportDropsOverflow transportDropsOversize
 		transportFaultDelayed transportFaultLossDrops transportFaultPartitionDrops
 		transportFramesDelivered transportInboxDrops transportReconnects transportSendsEnqueued
 		transportWriteErrors transportWriteTimeouts`)
 	parentServerCounters = append(strings.Fields(
 		`pullschedFeedbackEmpty pullschedFeedbackRedundant pullschedFeedbackUseful
-		inventoryFull inventoryDelta inventoryEntries decodedNotices`), parentNodeCounters...)
+		inventoryFull inventoryDelta inventoryEntries rejectedBlocks decodedNotices`), parentNodeCounters...)
 	parentShardCounters = append(strings.Fields(
 		`fleetExchangeInnovative fleetExchangeReceived fleetExchangeSent fleetMisroutedBlocks fleetRemoteFinished`),
 		parentServerCounters...)

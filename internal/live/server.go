@@ -127,20 +127,19 @@ func (c ServerConfig) validate() error {
 	return nil
 }
 
-// ServerStats is a snapshot of a server's counters. RedundantBlocks keeps
-// the original coarse definition (finished-segment, malformed, or
-// non-innovative blocks); Protocol carries the shared peercore counter
-// vocabulary, which splits the same traffic into state-based and
-// rank-based buckets exactly as the simulator reports them.
+// ServerStats is a snapshot of a server's counters. RedundantBlocks counts
+// valid blocks that added no rank, blocks of finished segments included;
+// malformed blocks count under Protocol's rejectedBlocks. Protocol carries
+// the shared peercore counter vocabulary under the names the simulator
+// reports it.
 type ServerStats struct {
-	PullsSent         int64
-	BlocksReceived    int64
-	EmptyReplies      int64
-	RedundantBlocks   int64
-	DeliveredSegments int64
-	DecodedSegments   int64
-	OpenDecoders      int
-	Protocol          map[string]int64
+	PullsSent       int64
+	BlocksReceived  int64
+	EmptyReplies    int64
+	RedundantBlocks int64
+	DecodedSegments int64
+	OpenDecoders    int
+	Protocol        map[string]int64
 }
 
 // Server is the shared endpoint runtime driving the collection service: it
@@ -406,8 +405,7 @@ func (s *Server) dumpFlightOnPanic() {
 }
 
 // Stats returns a snapshot of the server's counters. All event-counter
-// fields come from one consistent snapshot taken under the lock, so a
-// decode landing mid-call cannot yield DecodedSegments > DeliveredSegments.
+// fields come from one consistent snapshot taken under the lock.
 // Protocol holds exactly the counters the server's registry exposes:
 // protocol events, transport health, pull feedback and, on a fleet shard,
 // the exchange counters.
@@ -421,7 +419,6 @@ func (s *Server) Stats() ServerStats {
 	st.PullsSent = get(peercore.EvPullSent)
 	st.BlocksReceived = get(peercore.EvBlockReceived)
 	st.EmptyReplies = get(peercore.EvEmptyReply)
-	st.DeliveredSegments = get(peercore.EvDeliveredSegment)
 	st.DecodedSegments = get(peercore.EvDecodedSegment)
 	return st
 }

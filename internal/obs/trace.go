@@ -20,10 +20,11 @@ const (
 	// TraceServerRank: a server pull raised the segment's decoder rank; N
 	// carries the new rank.
 	TraceServerRank
-	// TraceDelivered: a server pull brought the segment's collection-state
-	// counter to s, the paper's delivery. State counts pulls, not innovative
-	// blocks, so this can come before full rank; N, when set, carries the
-	// state.
+	// TraceDelivered (simulator only): a server pull brought the segment's
+	// collection-state counter to s, the paper's delivery. State counts
+	// pulls, not innovative blocks, so this can come before full rank. Live
+	// servers deliver at decode and never emit it; the kind keeps its number
+	// because flight dumps store it.
 	TraceDelivered
 	// TraceDecoded: the segment reached full rank and the server decoded it.
 	TraceDecoded
@@ -268,8 +269,10 @@ type Phase struct {
 
 // Phases breaks the trace into the spans that answer "where did the time
 // go": injection to first gossip hop, first hop to delivery, delivery to
-// decode. Spans whose endpoints were not captured (event evicted from the
-// ring, or not reached yet) are omitted.
+// decode. A trace with a decode but no earlier delivery (a live server
+// delivers at decode) takes the decode as its delivery. Spans whose
+// endpoints were not captured (event evicted from the ring, or not reached
+// yet) are omitted.
 func (st SegmentTrace) Phases() []Phase {
 	var inject, firstHop, delivered, decoded *TraceEvent
 	for i := range st.Events {
@@ -292,6 +295,9 @@ func (st SegmentTrace) Phases() []Phase {
 				decoded = ev
 			}
 		}
+	}
+	if delivered == nil {
+		delivered, decoded = decoded, nil
 	}
 	var phases []Phase
 	add := func(name string, from, to *TraceEvent) {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -64,14 +65,26 @@ func TestRingTracerQueryAndPhases(t *testing.T) {
 }
 
 func TestSegmentTracePhasesPartial(t *testing.T) {
-	// A trace missing the decode milestone omits that span, not a zero.
-	st := SegmentTrace{Events: []TraceEvent{
-		{Kind: TraceInject, T: 0},
-		{Kind: TraceDelivered, T: 2},
-	}}
-	phases := st.Phases()
-	if len(phases) != 1 || phases[0].Name != "inject→delivered" || phases[0].Dur != 2 {
-		t.Errorf("Phases = %+v", phases)
+	for _, tc := range []struct {
+		name   string
+		events []TraceEvent
+		want   []Phase
+	}{
+		// A trace missing the decode milestone omits that span, not a zero.
+		{"no decode", []TraceEvent{
+			{Kind: TraceInject, T: 0},
+			{Kind: TraceDelivered, T: 2},
+		}, []Phase{{"inject→delivered", 2}}},
+		// A live server delivers at decode: the decode is the delivery.
+		{"decode without delivery", []TraceEvent{
+			{Kind: TraceInject, T: 0},
+			{Kind: TraceGossipHop, T: 1},
+			{Kind: TraceDecoded, T: 3},
+		}, []Phase{{"inject→firstHop", 1}, {"firstHop→delivered", 2}, {"inject→delivered", 3}}},
+	} {
+		if got := (SegmentTrace{Events: tc.events}).Phases(); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: Phases = %+v, want %+v", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -20,28 +20,20 @@ type CollectorConfig struct {
 
 // PullOutcome reports how a received block advanced a collection.
 type PullOutcome struct {
-	// Useful: the block advanced the per-segment collection-state counter
-	// (state < s before the pull). This is the paper's state-based
-	// accounting, Theorem 2.
-	Useful bool
-	// Delivered: this pull moved the state counter to exactly s.
-	Delivered bool
 	// Innovative: the block increased the decoder's rank.
 	Innovative bool
 	// Decoded: this pull brought the decoder to full rank s.
 	Decoded bool
 }
 
-// Collection is one segment's server-side state: the collection-state
-// counter of §2 plus the rank decoder that grounds it.
+// Collection is one segment's server-side state: a rank decoder and the
+// payload size it expects. A segment is delivered when it decodes; the
+// paper's collection-state counter is a model observer the simulator keeps
+// beside it.
 type Collection struct {
-	state      int
 	dec        *rlnc.Decoder
 	payloadLen int
 }
-
-// State returns the collection-state counter.
-func (c *Collection) State() int { return c.state }
 
 // PayloadLen returns the payload size the collection expects (0 for
 // rank-only collections).
@@ -54,9 +46,6 @@ func (c *Collection) Rank() int { return c.dec.Rank() }
 // full rank — the ground-truth remaining work a decoding server schedules
 // against.
 func (c *Collection) RankDeficit() int { return c.dec.Size() - c.dec.Rank() }
-
-// Delivered reports whether the state counter has reached s.
-func (c *Collection) Delivered() bool { return c.state == c.dec.Size() }
 
 // Decoded reports whether the decoder has full rank.
 func (c *Collection) Decoded() bool { return c.dec.Complete() }
@@ -74,8 +63,7 @@ func (c *Collection) Recode(rng *randx.Rand) *rlnc.CodedBlock { return c.dec.Rec
 
 // RangeBasis visits coded-block rows spanning the collection's received
 // space (see rlnc.Decoder.RangeBasis). Durable stores snapshot a
-// collection as its state counter plus these rows; Collector.Restore
-// rebuilds it from them.
+// collection as these rows; Collector.Restore rebuilds it from them.
 func (c *Collection) RangeBasis(f func(coeffs, payload []byte)) { c.dec.RangeBasis(f) }
 
 // Release empties the collection's decoder and drops its storage rather
@@ -103,7 +91,7 @@ func NewCollector(cfg CollectorConfig, sink EventSink) *Collector {
 }
 
 // Open ensures a Collection for the segment exists and returns it. The
-// simulator opens collections at inject time so zero-state segments are
+// simulator opens collections at inject time so segments no pull reached are
 // visible; Receive opens lazily for servers that learn of segments only
 // from arriving blocks. payloadLen fixes the expected payload size (0 for
 // rank tracking only; forced to 0 in RankOnly mode).
@@ -124,24 +112,17 @@ func (c *Collector) Collection(seg rlnc.SegmentID) *Collection { return c.segs[s
 
 // Restore opens a collection rebuilt from snapshotted state: basis holds
 // linearly independent coded blocks of the segment (what RangeBasis
-// visited), state is the collection-state counter, and payloadLen the
-// expected payload size (it matters when basis is empty — a collection can
-// hold state without rank if every block was a zero vector). The decoder
-// re-adds the basis, so rank, future innovation verdicts, and decoded
-// bytes match the pre-snapshot collection exactly; the rank invariant
-// len(basis) ≤ state ≤ s is enforced. No protocol events fire: a restored
-// collection at state s or full rank reads as Delivered or Decoded but
-// never re-fires the transition it fired before the snapshot. On error
-// nothing stays open.
-func (c *Collector) Restore(seg rlnc.SegmentID, state, payloadLen int, basis []*rlnc.CodedBlock) (*Collection, error) {
-	s := c.cfg.SegmentSize
+// visited), and payloadLen the expected payload size (it matters when
+// basis is empty). The decoder re-adds the basis and refuses a dependent
+// row, so rank, future innovation verdicts, and decoded bytes match the
+// pre-snapshot collection exactly and the rank never exceeds s. No
+// protocol events fire: a restored collection at full rank reads as
+// Decoded but never re-fires the transition it fired before the snapshot.
+// On error nothing stays open.
+func (c *Collector) Restore(seg rlnc.SegmentID, payloadLen int, basis []*rlnc.CodedBlock) (*Collection, error) {
 	switch {
 	case c.segs[seg] != nil:
 		return nil, fmt.Errorf("peercore: Restore(%v): collection already open", seg)
-	case state < 0 || state > s:
-		return nil, fmt.Errorf("peercore: Restore(%v): state %d outside [0, %d]", seg, state, s)
-	case len(basis) > state:
-		return nil, fmt.Errorf("peercore: Restore(%v): rank %d exceeds state %d", seg, len(basis), state)
 	case payloadLen < 0:
 		return nil, fmt.Errorf("peercore: Restore(%v): negative payload length", seg)
 	}
@@ -157,7 +138,6 @@ func (c *Collector) Restore(seg rlnc.SegmentID, state, payloadLen int, basis []*
 			return nil, fmt.Errorf("peercore: Restore(%v): basis row %d: %w", seg, i, err)
 		}
 	}
-	col.state = state
 	return col, nil
 }
 
@@ -176,9 +156,9 @@ func (c *Collector) Range(f func(seg rlnc.SegmentID, col *Collection)) {
 	}
 }
 
-// Receive runs one pulled block through the collection state machine:
-// shape validation, state-counter accounting, then the rank decoder. A
-// malformed block is rejected before any counter moves.
+// Receive runs one pulled block through the collection: shape validation,
+// then the rank decoder. A malformed block is rejected before any counter
+// moves.
 func (c *Collector) Receive(cb *rlnc.CodedBlock) (PullOutcome, *Collection, error) {
 	s := c.cfg.SegmentSize
 	if len(cb.Coeffs) != s {
@@ -198,18 +178,6 @@ func (c *Collector) Receive(cb *rlnc.CodedBlock) (PullOutcome, *Collection, erro
 
 	var out PullOutcome
 	c.sink.Count(EvServerPull, 1)
-	if col.state < s {
-		col.state++
-		out.Useful = true
-		c.sink.Count(EvUsefulPull, 1)
-		if col.state == s {
-			out.Delivered = true
-			c.sink.Count(EvDeliveredSegment, 1)
-		}
-	} else {
-		c.sink.Count(EvRedundantPull, 1)
-	}
-
 	if added, err := col.dec.Add(cb); err != nil {
 		return out, col, err
 	} else if added {
@@ -221,20 +189,4 @@ func (c *Collector) Receive(cb *rlnc.CodedBlock) (PullOutcome, *Collection, erro
 		}
 	}
 	return out, col, nil
-}
-
-// Observe feeds a block to the rank decoder only, bypassing the state
-// counter and every event counter. The simulator's pooled ground-truth
-// observer uses this in IndependentServers mode, where the state-based
-// accounting lives in the per-server collections instead.
-func (c *Collector) Observe(cb *rlnc.CodedBlock) (innovative bool, nowDecoded bool, err error) {
-	if len(cb.Coeffs) != c.cfg.SegmentSize {
-		return false, false, fmt.Errorf("peercore: block with %d coefficients, segment size %d", len(cb.Coeffs), c.cfg.SegmentSize)
-	}
-	col := c.Open(cb.Seg, 0)
-	added, err := col.dec.Add(cb)
-	if err != nil {
-		return false, false, err
-	}
-	return added, added && col.dec.Complete(), nil
 }

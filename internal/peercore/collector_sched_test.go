@@ -11,23 +11,22 @@ func TestCollectionDeficits(t *testing.T) {
 	c := NewCollector(CollectorConfig{SegmentSize: 3}, nil)
 	seg := rlnc.SegmentID{Origin: 1}
 	col := c.Open(seg, 0)
-	if col.State() != 0 || col.RankDeficit() != 3 {
-		t.Fatalf("fresh state/rank deficit = %d/%d, want 0/3", col.State(), col.RankDeficit())
+	if col.RankDeficit() != 3 {
+		t.Fatalf("fresh rank deficit = %d, want 3", col.RankDeficit())
 	}
 	b := &rlnc.CodedBlock{Seg: seg, Coeffs: []byte{1, 0, 0}}
 	if _, _, err := c.Receive(b); err != nil {
 		t.Fatal(err)
 	}
-	if col.State() != 1 || col.RankDeficit() != 2 {
-		t.Fatalf("state/rank deficit after useful pull = %d/%d, want 1/2", col.State(), col.RankDeficit())
+	if col.RankDeficit() != 2 {
+		t.Fatalf("rank deficit after innovative pull = %d, want 2", col.RankDeficit())
 	}
-	// A duplicate advances the state counter but not the rank, so the
-	// paper's state accounting and the decoder's rank diverge.
+	// A duplicate leaves the deficit where it was.
 	if _, _, err := c.Receive(b); err != nil {
 		t.Fatal(err)
 	}
-	if col.State() != 2 || col.RankDeficit() != 2 {
-		t.Fatalf("state/rank deficit after duplicate = %d/%d, want 2/2", col.State(), col.RankDeficit())
+	if col.RankDeficit() != 2 {
+		t.Fatalf("rank deficit after duplicate = %d, want 2", col.RankDeficit())
 	}
 }
 
@@ -43,11 +42,11 @@ func TestCollectorForgetBoundsMemory(t *testing.T) {
 	for i := 0; i < segments; i++ {
 		seg := rlnc.SegmentID{Origin: 3, Seq: uint64(i)}
 		out, _, err := c.Receive(&rlnc.CodedBlock{Seg: seg, Coeffs: []byte{1, 0}})
-		if err != nil || !out.Useful || out.Delivered {
+		if err != nil || !out.Innovative || out.Decoded {
 			t.Fatalf("segment %d first pull: %+v err=%v", i, out, err)
 		}
 		out, _, err = c.Receive(&rlnc.CodedBlock{Seg: seg, Coeffs: []byte{0, 1}})
-		if err != nil || !out.Delivered || !out.Decoded {
+		if err != nil || !out.Innovative || !out.Decoded {
 			t.Fatalf("segment %d second pull: %+v err=%v", i, out, err)
 		}
 		if n := c.OpenCount(); n > maxOpen {
@@ -61,23 +60,22 @@ func TestCollectorForgetBoundsMemory(t *testing.T) {
 	if c.OpenCount() != 0 {
 		t.Fatalf("OpenCount = %d after forgetting everything", c.OpenCount())
 	}
-	if sink.Get(EvServerPull) != 2*segments || sink.Get(EvUsefulPull) != 2*segments ||
-		sink.Get(EvRedundantPull) != 0 || sink.Get(EvDeliveredSegment) != segments ||
+	if sink.Get(EvServerPull) != 2*segments || sink.Get(EvInnovativePull) != 2*segments ||
 		sink.Get(EvDecodedSegment) != segments {
 		t.Fatalf("counters drifted across forgets: %v", sink.Snapshot())
 	}
 	// A straggler block for a forgotten segment opens a fresh zeroed
-	// collection; it does not resurrect the old state.
+	// collection; it does not resurrect the old rank.
 	out, col, err := c.Receive(&rlnc.CodedBlock{Seg: rlnc.SegmentID{Origin: 3, Seq: 0}, Coeffs: []byte{1, 1}})
-	if err != nil || !out.Useful || out.Delivered || col.State() != 1 {
-		t.Fatalf("straggler after forget: %+v state=%d err=%v", out, col.State(), err)
+	if err != nil || !out.Innovative || out.Decoded || col.Rank() != 1 {
+		t.Fatalf("straggler after forget: %+v rank=%d err=%v", out, col.Rank(), err)
 	}
 }
 
 // collectorReceive is one Receive on either path a scheduler trades
-// between: useful pulls that advance state and rank (the collection
-// restarts every s pulls so every pull is useful), or redundant pulls
-// against a saturated collection.
+// between: useful pulls that advance the rank (the collection restarts
+// every s pulls so every pull is innovative), or redundant pulls against a
+// full-rank collection.
 func collectorReceive(useful bool) func(testing.TB) func() {
 	return func(tb testing.TB) func() {
 		const s = 16
@@ -105,7 +103,7 @@ func collectorReceive(useful bool) func(testing.TB) func() {
 					c.Forget(seg)
 				}
 			}
-			if out, _, err := c.Receive(blocks[j]); err != nil || out.Useful != useful {
+			if out, _, err := c.Receive(blocks[j]); err != nil || out.Innovative != useful {
 				tb.Fatalf("pull %d: %+v err=%v", i, out, err)
 			}
 			i++

@@ -46,16 +46,8 @@ const (
 	EvEmptyReply
 	// EvServerPull counts blocks entering a server collection domain.
 	EvServerPull
-	// EvUsefulPull counts pulls that advanced a collection-state counter
-	// (the paper's throughput unit, Theorem 2).
-	EvUsefulPull
-	// EvRedundantPull counts pulls on segments whose state already reached s.
-	EvRedundantPull
-	// EvInnovativePull counts pulls that increased a server decoder's rank
-	// (the rank-based ground truth).
+	// EvInnovativePull counts pulls that increased a server decoder's rank.
 	EvInnovativePull
-	// EvDeliveredSegment counts collection states reaching s.
-	EvDeliveredSegment
 	// EvDecodedSegment counts server decoders reaching full rank s.
 	EvDecodedSegment
 	// EvDeparture counts peer departures (driver-emitted).
@@ -81,10 +73,7 @@ var eventNames = [numEvents]string{
 	EvPullSent:            "pullsSent",
 	EvEmptyReply:          "emptyReplies",
 	EvServerPull:          "serverPulls",
-	EvUsefulPull:          "usefulPulls",
-	EvRedundantPull:       "redundantPulls",
 	EvInnovativePull:      "innovativePulls",
-	EvDeliveredSegment:    "deliveredSegments",
 	EvDecodedSegment:      "decodedSegments",
 	EvDeparture:           "departures",
 }

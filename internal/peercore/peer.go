@@ -2,7 +2,7 @@
 // indirect-collection protocol (§2 of the paper): the per-peer state machine
 // (segment holdings, bounded buffer, injection, innovative store, per-block
 // TTL bookkeeping, gossip-target eligibility, re-encoding) and the server
-// collection state machine (per-segment state counter plus rank decoder).
+// collection state machine (a rank decoder per segment).
 //
 // The discrete-event simulator drives one Peer per slot from DES event
 // ticks with simulated time; the live runtime drives the identical code

@@ -445,7 +445,7 @@ func TestSampleAndRecode(t *testing.T) {
 	}
 }
 
-func TestCollectorStateAndRankAccounting(t *testing.T) {
+func TestCollectorRankAccounting(t *testing.T) {
 	sink := NewCounters()
 	c := NewCollector(CollectorConfig{SegmentSize: 2}, sink)
 	seg := rlnc.SegmentID{Origin: 1}
@@ -453,22 +453,20 @@ func TestCollectorStateAndRankAccounting(t *testing.T) {
 	b2 := &rlnc.CodedBlock{Seg: seg, Coeffs: []byte{0, 1}, Payload: []byte{20}}
 
 	out, col, err := c.Receive(b1)
-	if err != nil || !out.Useful || out.Delivered || !out.Innovative || out.Decoded {
+	if err != nil || !out.Innovative || out.Decoded {
 		t.Fatalf("first pull: %+v err=%v", out, err)
 	}
-	// The same block again: still useful for the state counter (the paper's
-	// state-based accounting cannot see redundancy), not innovative.
+	// The same block again adds no rank.
 	out, _, err = c.Receive(b1)
-	if err != nil || !out.Useful || !out.Delivered || out.Innovative {
+	if err != nil || out.Innovative || out.Decoded {
 		t.Fatalf("repeat pull: %+v err=%v", out, err)
 	}
-	if !col.Delivered() || col.Decoded() || col.State() != 2 || col.Rank() != 1 {
-		t.Fatalf("collection after delivery: state=%d rank=%d decoded=%v", col.State(), col.Rank(), col.Decoded())
+	if col.Decoded() || col.Rank() != 1 {
+		t.Fatalf("collection after repeat: rank=%d decoded=%v", col.Rank(), col.Decoded())
 	}
-	// Past state s the pull is redundant, but the decoder can still finish.
 	out, _, err = c.Receive(b2)
-	if err != nil || out.Useful || !out.Innovative || !out.Decoded {
-		t.Fatalf("post-delivery pull: %+v err=%v", out, err)
+	if err != nil || !out.Innovative || !out.Decoded {
+		t.Fatalf("completing pull: %+v err=%v", out, err)
 	}
 	if !col.Decoded() {
 		t.Fatal("full-rank collection not decoded")
@@ -476,9 +474,8 @@ func TestCollectorStateAndRankAccounting(t *testing.T) {
 	if data, err := col.Decode(); err != nil || data[0][0] != 10 || data[1][0] != 20 {
 		t.Fatalf("decoded %v err=%v", data, err)
 	}
-	if sink.Get(EvServerPull) != 3 || sink.Get(EvUsefulPull) != 2 ||
-		sink.Get(EvRedundantPull) != 1 || sink.Get(EvInnovativePull) != 2 ||
-		sink.Get(EvDeliveredSegment) != 1 || sink.Get(EvDecodedSegment) != 1 {
+	if sink.Get(EvServerPull) != 3 || sink.Get(EvInnovativePull) != 2 ||
+		sink.Get(EvDecodedSegment) != 1 {
 		t.Fatalf("counters: %v", sink.Snapshot())
 	}
 }
@@ -499,18 +496,22 @@ func TestCollectorRejectsMalformedBeforeCounting(t *testing.T) {
 	}
 }
 
-func TestCollectorRankOnlyObserve(t *testing.T) {
+func TestCollectorRankOnlyReceive(t *testing.T) {
 	c := NewCollector(CollectorConfig{SegmentSize: 2, RankOnly: true}, nil)
 	seg := rlnc.SegmentID{Origin: 4}
-	// Payload-bearing blocks are fine: rank-only decoders ignore payloads.
-	if inn, done, err := c.Observe(&rlnc.CodedBlock{Seg: seg, Coeffs: []byte{1, 1}, Payload: []byte{9}}); err != nil || !inn || done {
-		t.Fatalf("observe 1: inn=%v done=%v err=%v", inn, done, err)
-	}
-	if inn, done, err := c.Observe(&rlnc.CodedBlock{Seg: seg, Coeffs: []byte{1, 1}}); err != nil || inn || done {
-		t.Fatalf("observe dup: inn=%v done=%v err=%v", inn, done, err)
-	}
-	if inn, done, err := c.Observe(&rlnc.CodedBlock{Seg: seg, Coeffs: []byte{0, 1}}); err != nil || !inn || !done {
-		t.Fatalf("observe 2: inn=%v done=%v err=%v", inn, done, err)
+	// Payload-bearing blocks are fine, of any size: rank-only decoders
+	// ignore payloads.
+	for i, tc := range []struct {
+		cb               *rlnc.CodedBlock
+		innovative, done bool
+	}{
+		{&rlnc.CodedBlock{Seg: seg, Coeffs: []byte{1, 1}, Payload: []byte{9}}, true, false},
+		{&rlnc.CodedBlock{Seg: seg, Coeffs: []byte{1, 1}}, false, false},
+		{&rlnc.CodedBlock{Seg: seg, Coeffs: []byte{0, 1}, Payload: []byte{7, 7}}, true, true},
+	} {
+		if out, _, err := c.Receive(tc.cb); err != nil || out.Innovative != tc.innovative || out.Decoded != tc.done {
+			t.Fatalf("receive %d: %+v err=%v, want innovative=%v decoded=%v", i, out, err, tc.innovative, tc.done)
+		}
 	}
 	if col := c.Collection(seg); col == nil || col.Rank() != 2 || !col.Decoded() {
 		t.Fatal("rank-only collection state wrong")
@@ -524,7 +525,7 @@ func TestCollectorOpenForget(t *testing.T) {
 	if col == nil || c.OpenCount() != 1 || c.Open(seg, 0) != col {
 		t.Fatal("open not idempotent")
 	}
-	if col.State() != 0 || col.Delivered() {
+	if col.Rank() != 0 || col.Decoded() {
 		t.Fatal("fresh collection not zeroed")
 	}
 	c.Forget(seg)
@@ -560,12 +561,12 @@ func TestCollectorRestoreArrivalOrderBasis(t *testing.T) {
 		}
 	}
 	src := live.Collection(seg.ID)
-	restored, err := NewCollector(CollectorConfig{SegmentSize: s}, nil).Restore(seg.ID, src.State(), payloadLen, raw)
+	restored, err := NewCollector(CollectorConfig{SegmentSize: s}, nil).Restore(seg.ID, payloadLen, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Rank() != src.Rank() || restored.State() != src.State() {
-		t.Fatalf("restored rank/state %d/%d, want %d/%d", restored.Rank(), restored.State(), src.Rank(), src.State())
+	if restored.Rank() != src.Rank() {
+		t.Fatalf("restored rank %d, want %d", restored.Rank(), src.Rank())
 	}
 	for !src.Decoded() {
 		cb := seg.Encode(rng)
@@ -579,24 +580,32 @@ func TestCollectorRestoreArrivalOrderBasis(t *testing.T) {
 	}
 }
 
-// TestCollectorRestoreReportsDeliveredAndDecoded restores a collection at
-// state s with every rank from 0 to s: it must read as delivered, and as
-// decoded exactly at full rank, as the collection that was snapshotted did.
-func TestCollectorRestoreReportsDeliveredAndDecoded(t *testing.T) {
+// TestCollectorRestoreReportsDecoded restores a collection at every rank
+// from 0 to s: it must read as decoded exactly at full rank, as the
+// collection that was snapshotted did. A dependent row, which is what a
+// basis longer than s must hold, is refused and leaves nothing open.
+func TestCollectorRestoreReportsDecoded(t *testing.T) {
 	seg := rlnc.SegmentID{Origin: 1}
 	basis := []*rlnc.CodedBlock{
 		{Seg: seg, Coeffs: []byte{1, 0}, Payload: []byte{10}},
 		{Seg: seg, Coeffs: []byte{0, 1}, Payload: []byte{20}},
+		{Seg: seg, Coeffs: []byte{1, 1}, Payload: []byte{30}},
 	}
-	for rank := 0; rank <= len(basis); rank++ {
-		col, err := NewCollector(CollectorConfig{SegmentSize: 2}, nil).Restore(seg, 2, 1, basis[:rank])
+	for rank := 0; rank <= 2; rank++ {
+		col, err := NewCollector(CollectorConfig{SegmentSize: 2}, nil).Restore(seg, 1, basis[:rank])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !col.Delivered() || col.Decoded() != (rank == len(basis)) {
-			t.Errorf("restored at state 2, rank %d: rankDeficit=%d Delivered=%v Decoded=%v",
-				rank, col.RankDeficit(), col.Delivered(), col.Decoded())
+		if col.Rank() != rank || col.Decoded() != (rank == 2) {
+			t.Errorf("restored at rank %d: rank=%d Decoded=%v", rank, col.Rank(), col.Decoded())
 		}
+	}
+	c := NewCollector(CollectorConfig{SegmentSize: 2}, nil)
+	if _, err := c.Restore(seg, 1, basis); err == nil {
+		t.Error("a basis of 3 rows at s=2 was restored")
+	}
+	if c.OpenCount() != 0 {
+		t.Errorf("a refused restore left %d collections open", c.OpenCount())
 	}
 }
 

@@ -265,7 +265,8 @@ type Result struct {
 
 	// ProtocolCounters is the full shared peercore counter snapshot, under
 	// the same names the live runtime reports in NodeStats.Protocol and
-	// ServerStats.Protocol.
+	// ServerStats.Protocol, plus the simulator's own state-based counters
+	// (usefulPulls, redundantPulls, deliveredSegments).
 	ProtocolCounters map[string]int64
 }
 

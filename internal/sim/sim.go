@@ -45,9 +45,10 @@ type Simulator struct {
 	segs  map[rlnc.SegmentID]*segMeta
 
 	counters *peercore.Counters
+	paper    *obs.CounterSet // the paper's state-based pull accounting
 	pcfg     peercore.PeerConfig
-	pool     *peercore.Collector   // collaborating state + union rank
-	perSrv   []*peercore.Collector // per-server collections (IndependentServers)
+	pool     *peercore.Collector   // collaborating decoder + union rank
+	perSrv   []*peercore.Collector // per-server decoders (IndependentServers)
 	// policies holds the pull schedulers: one shared instance when the
 	// servers collaborate (they share one collection state, so they share
 	// one view of the remaining work), one per server in IndependentServers
@@ -109,16 +110,19 @@ type peerState struct {
 	logGen *logdata.Generator // payload mode only
 }
 
-// segMeta is the global bookkeeping for one segment: its network degree and
-// the server-side collections. deliveredAt/decodedAt are the network-wide
-// first-success times (in IndependentServers mode the first server to get
-// there wins).
+// segMeta is the global bookkeeping for one segment: its network degree,
+// the server-side decoders, and the paper's collection-state counter (§3),
+// which every pull below s advances, innovative or not; only the simulator
+// keeps it. deliveredAt/decodedAt are the network-wide first-success times
+// (in IndependentServers mode the first server to get there wins).
 type segMeta struct {
 	id          rlnc.SegmentID
 	injectTime  float64
 	degree      int
-	col         *peercore.Collection   // pooled: collaborating state + union rank
+	col         *peercore.Collection   // pooled: collaborating decoder + union rank
 	perCol      []*peercore.Collection // per-server (IndependentServers mode)
+	state       int                    // pooled state (collaborating servers)
+	perState    []int                  // per-server state (IndependentServers mode)
 	deliveredAt float64                // state reached s; negative until then
 	decodedAt   float64                // full rank reached; negative until then
 	// originDeparted marks segments whose origin peer left before the
@@ -129,6 +133,14 @@ type segMeta struct {
 	// side trace events carry it even after the origin's blocks expire.
 	tctx obs.TraceContext
 }
+
+// Indices into Simulator.paper, the paper's state-based pull accounting,
+// counted beside the shared peercore vocabulary.
+const (
+	usefulPulls       = iota // advanced a state counter (Theorem 2's unit)
+	redundantPulls           // the state had already reached s
+	deliveredSegments        // a state reached s
+)
 
 func (m *segMeta) delivered() bool { return m.deliveredAt >= 0 }
 func (m *segMeta) decoded() bool   { return m.decodedAt >= 0 }
@@ -161,6 +173,7 @@ func New(cfg Config) (*Simulator, error) {
 		segs:     make(map[rlnc.SegmentID]*segMeta),
 		nonEmpty: newIndexSet(cfg.N),
 		counters: peercore.NewCounters(),
+		paper:    obs.NewCounterSet([]string{"usefulPulls", "redundantPulls", "deliveredSegments"}),
 		tracer:   cfg.Tracer,
 		pcfg: peercore.PeerConfig{
 			SegmentSize: cfg.SegmentSize,
@@ -175,11 +188,15 @@ func New(cfg Config) (*Simulator, error) {
 		s.traceRNG = randx.New(cfg.Seed ^ traceSeedSalt)
 	}
 	// In IndependentServers mode the pooled collector only tracks the union
-	// rank (via Observe); the state machines that count are per-server.
+	// rank, so it counts nothing; the collectors that count are per-server.
+	var poolSink peercore.EventSink = s.counters
+	if cfg.IndependentServers {
+		poolSink = nil
+	}
 	s.pool = peercore.NewCollector(peercore.CollectorConfig{
 		SegmentSize: cfg.SegmentSize,
 		RankOnly:    cfg.IndependentServers,
-	}, s.counters)
+	}, poolSink)
 	if cfg.IndependentServers {
 		s.perSrv = make([]*peercore.Collector, cfg.NumServers)
 		for j := range s.perSrv {
@@ -233,6 +250,7 @@ func New(cfg Config) (*Simulator, error) {
 func (s *Simulator) initRegistry() {
 	r := obs.NewRegistry("sim")
 	r.RegisterCounters(s.counters.Range)
+	r.RegisterCounters(s.paper.Range)
 	s.reg = r
 	s.obsDelivery = r.Histogram("deliveryDelay", obs.ExpBuckets(0.125, 2, 14))
 	s.obsDecode = r.Histogram("decodeDelay", obs.ExpBuckets(0.125, 2, 14))
@@ -424,7 +442,7 @@ func (m *segMeta) view() SegmentView {
 	return SegmentView{
 		ID:          m.id,
 		Degree:      m.degree,
-		PullState:   m.col.State(),
+		PullState:   m.state,
 		ServerRank:  m.col.Rank(),
 		InjectTime:  m.injectTime,
 		DeliveredAt: m.deliveredAt,
@@ -468,6 +486,7 @@ func (s *Simulator) inject(pi int) {
 	}
 	if s.cfg.IndependentServers {
 		meta.perCol = make([]*peercore.Collection, s.cfg.NumServers)
+		meta.perState = make([]int, s.cfg.NumServers)
 		for j := range meta.perCol {
 			meta.perCol[j] = s.perSrv[j].Open(segID, 0)
 		}
@@ -715,15 +734,13 @@ func (s *Simulator) pull(server int) {
 	cb := s.peers[pi].core.Recode(segID)
 	meta := s.segs[segID]
 
-	// The paper's accounting: every pull on a segment whose collection
-	// state is below s is useful and advances the state (§3); the decoder
-	// grounds it in actual linear innovation. In independent mode the
+	// The decoder records actual linear innovation. In independent mode the
 	// receiving collection is the pulling server's own, and the pooled
 	// collector silently tracks the union rank for extinction accounting.
-	col := s.pool
+	col, state := s.pool, &meta.state
 	if s.cfg.IndependentServers {
-		col = s.perSrv[server]
-		if _, _, err := s.pool.Observe(cb); err != nil {
+		col, state = s.perSrv[server], &meta.perState[server]
+		if _, _, err := s.pool.Receive(cb); err != nil {
 			panic(fmt.Sprintf("sim: pooled decode: %v", err))
 		}
 	}
@@ -731,19 +748,30 @@ func (s *Simulator) pull(server int) {
 	if err != nil {
 		panic(fmt.Sprintf("sim: server decode: %v", err))
 	}
-	// Close the scheduling loop in the simulator's state-based accounting:
-	// a pull is useful while the collection state is below s, and a
-	// delivered collection needs no further pulls.
+	// The paper's accounting (§3): a pull is useful while the segment's
+	// state is below s, and advances it. The scheduling loop closes on the
+	// same accounting: a collection at state s needs no further pulls.
+	useful := *state < s.cfg.SegmentSize
+	stateDone := false
+	if useful {
+		*state++
+		s.paper.Add(usefulPulls, 1)
+		if stateDone = *state == s.cfg.SegmentSize; stateDone {
+			s.paper.Add(deliveredSegments, 1)
+		}
+	} else {
+		s.paper.Add(redundantPulls, 1)
+	}
 	pol.Feedback(pullsched.Feedback{
 		Peer:   dec.Peer,
 		Time:   now,
 		Seg:    segID,
-		Useful: out.Useful,
-		Done:   rcol.Delivered(),
+		Useful: useful,
+		Done:   *state == s.cfg.SegmentSize,
 	})
 	s.exchangeInventory(pj, now, dec)
 
-	if out.Useful && now >= s.cfg.Warmup {
+	if useful && now >= s.cfg.Warmup {
 		s.usefulInWindow++
 	}
 	if out.Innovative {
@@ -753,7 +781,7 @@ func (s *Simulator) pull(server int) {
 			TraceID: wctx.ID, Hop: wctx.Hop,
 		})
 	}
-	delivered := out.Delivered && !meta.delivered()
+	delivered := stateDone && !meta.delivered()
 	if delivered {
 		meta.deliveredAt = now
 		if meta.degree >= s.cfg.SegmentSize {
@@ -928,13 +956,13 @@ func (s *Simulator) Result() *Result {
 		InjectedBlocks:         c.Get(peercore.EvInjectedBlock),
 		SuppressedInjections:   c.Get(peercore.EvSuppressedInjection),
 		DeliveredSegments:      s.deliveredInWindow,
-		UsefulPulls:            c.Get(peercore.EvUsefulPull),
+		UsefulPulls:            s.paper.Get(usefulPulls),
 		RankDecodedSegments:    s.rankDecodedInWindow,
 		InnovativePulls:        c.Get(peercore.EvInnovativePull),
 		LostSegments:           s.lostSegments,
 		RankLostSegments:       s.rankLostSegments,
 		ServerPulls:            c.Get(peercore.EvServerPull),
-		RedundantPulls:         c.Get(peercore.EvRedundantPull),
+		RedundantPulls:         s.paper.Get(redundantPulls),
 		GossipSends:            c.Get(peercore.EvGossipSend),
 		RedundantGossip:        c.Get(peercore.EvRedundantGossip),
 		NoTargetGossip:         c.Get(peercore.EvNoTargetGossip),
@@ -946,6 +974,7 @@ func (s *Simulator) Result() *Result {
 		BlocksPurgedByFeedback: c.Get(peercore.EvBlockPurged),
 		ProtocolCounters:       c.Snapshot(),
 	}
+	s.paper.Range(func(name string, v int64) { r.ProtocolCounters[name] = v })
 	if window > 0 {
 		r.Throughput = float64(s.usefulInWindow) / window
 		r.RankThroughput = float64(s.innovativeInWindow) / window
@@ -1017,25 +1046,26 @@ func (s *Simulator) CheckInvariants() error {
 		if s.pool.Collection(segID) != meta.col {
 			return fmt.Errorf("segment %v pooled collection out of sync", segID)
 		}
-		if meta.col.State() > s.cfg.SegmentSize {
-			return fmt.Errorf("segment %v pull state %d above s", segID, meta.col.State())
+		if meta.state > s.cfg.SegmentSize {
+			return fmt.Errorf("segment %v pull state %d above s", segID, meta.state)
 		}
 		if s.cfg.IndependentServers {
-			if meta.col.State() != 0 {
-				return fmt.Errorf("segment %v collaborative state %d in independent mode", segID, meta.col.State())
+			if meta.state != 0 {
+				return fmt.Errorf("segment %v collaborative state %d in independent mode", segID, meta.state)
 			}
 			for j, col := range meta.perCol {
-				if col.State() > s.cfg.SegmentSize {
-					return fmt.Errorf("segment %v server %d state %d above s", segID, j, col.State())
+				state := meta.perState[j]
+				if state > s.cfg.SegmentSize {
+					return fmt.Errorf("segment %v server %d state %d above s", segID, j, state)
 				}
-				if col.Rank() > col.State() && col.State() < s.cfg.SegmentSize {
-					return fmt.Errorf("segment %v server %d rank %d exceeds state %d", segID, j, col.Rank(), col.State())
+				if col.Rank() > state && state < s.cfg.SegmentSize {
+					return fmt.Errorf("segment %v server %d rank %d exceeds state %d", segID, j, col.Rank(), state)
 				}
 			}
-		} else if meta.col.Rank() > meta.col.State() && meta.col.State() < s.cfg.SegmentSize {
+		} else if meta.col.Rank() > meta.state && meta.state < s.cfg.SegmentSize {
 			// Every pull feeds both accountings, and a pull can advance rank
 			// only if it advanced the state counter (state saturates first).
-			return fmt.Errorf("segment %v rank %d exceeds pull state %d", segID, meta.col.Rank(), meta.col.State())
+			return fmt.Errorf("segment %v rank %d exceeds pull state %d", segID, meta.col.Rank(), meta.state)
 		}
 	}
 	for segID := range degrees {

@@ -462,3 +462,57 @@ func TestTraceSamplesTransient(t *testing.T) {
 		}
 	}
 }
+
+// TestStateCounterRunsAheadOfRank pins the paper's state-based accounting,
+// which only the simulator keeps: a pull advances a segment's state while
+// it is below s whether or not the block is innovative, so a segment can
+// read as delivered before its decoder has full rank, and pulls past state
+// s are redundant even when the decoder still gains rank from them. Both
+// views, and the registry, must report the same counters.
+func TestStateCounterRunsAheadOfRank(t *testing.T) {
+	for _, independent := range []bool{false, true} {
+		cfg := testConfig()
+		cfg.IndependentServers = independent
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deliveredFirst := 0
+		s.OnDecode(func(v SegmentView) {
+			if !v.Delivered || v.DeliveredAt > v.DecodedAt {
+				t.Errorf("independent=%v: %v decoded at %g before its state reached s (delivered at %g)",
+					independent, v.ID, v.DecodedAt, v.DeliveredAt)
+			}
+			if v.DeliveredAt < v.DecodedAt {
+				deliveredFirst++
+			}
+		})
+		s.RunUntil(cfg.Horizon)
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		r := s.Result()
+		c := r.ProtocolCounters
+		if deliveredFirst == 0 {
+			t.Errorf("independent=%v: no segment reached state s before full rank", independent)
+		}
+		if c["usefulPulls"] != r.UsefulPulls || c["redundantPulls"] != r.RedundantPulls {
+			t.Errorf("independent=%v: ProtocolCounters %v disagree with Result useful/redundant %d/%d",
+				independent, c, r.UsefulPulls, r.RedundantPulls)
+		}
+		if r.UsefulPulls+r.RedundantPulls != r.ServerPulls || r.RedundantPulls == 0 {
+			t.Errorf("independent=%v: useful %d + redundant %d, server pulls %d",
+				independent, r.UsefulPulls, r.RedundantPulls, r.ServerPulls)
+		}
+		if r.UsefulPulls <= r.InnovativePulls || c["deliveredSegments"] < c["decodedSegments"] {
+			t.Errorf("independent=%v: state accounting not ahead of rank: %v", independent, c)
+		}
+		snap := s.Registry().Snapshot()
+		for _, name := range []string{"usefulPulls", "redundantPulls", "deliveredSegments"} {
+			if got, ok := snap.Counters[name]; !ok || got != c[name] {
+				t.Errorf("independent=%v: registry %s = %d (present %v), result %d",
+					independent, name, got, ok, c[name])
+			}
+		}
+	}
+}
