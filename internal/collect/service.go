@@ -23,14 +23,17 @@ import (
 	"p2pcollect/internal/rlnc"
 )
 
-// Pull-feedback outcome counters. Every policy.Feedback call is classified
-// into exactly one bucket, so the exposition layer shows how the server's
-// pull budget is spent: useful (rank growth), redundant (finished segment,
-// malformed or non-innovative block), or empty (peer had nothing). The
-// inventory counters beside them are the digest traffic the policy costs:
-// messages by kind, and the lines they carried. rejectedBlocks counts
-// blocks the store refused as malformed (wrong coefficient count or
-// payload size), pulled or not.
+// Pull-reply outcome counters. Every pull reply the store accepted, or
+// found finished, lands in exactly one bucket, so the exposition layer
+// shows how the server's pull budget is spent: useful (rank growth),
+// redundant (finished segment or non-innovative block), or empty (peer had
+// nothing). The policy hears Feedback only for replies about segments the
+// service owns, so on a fleet shard the buckets count more replies than
+// the policy heard of. rejectedBlocks counts blocks the store refused as
+// malformed (wrong coefficient count or payload size), pulled or not; they
+// land in no bucket and the policy hears nothing of them. The inventory
+// counters are the digest traffic the policy costs: messages by kind, and
+// the lines they carried.
 const (
 	fbUseful = iota
 	fbRedundant
@@ -67,7 +70,7 @@ type Config struct {
 	// recovers its pre-crash collections; Start flushes any that had
 	// already reached full rank through the normal delivery path.
 	Durability wal.Config
-	// Sink receives the collector's protocol events.
+	// Sink receives the collections' protocol events.
 	Sink peercore.EventSink
 	// Owns, when set, restricts the policy's segment universe: feedback and
 	// inventory for segments outside it are withheld from the policy, and
@@ -124,8 +127,6 @@ type Service struct {
 	tracer obs.Tracer
 
 	fb        *obs.CounterSet
-	firstSeen map[rlnc.SegmentID]float64
-	traceCtx  map[rlnc.SegmentID]obs.TraceContext
 	redundant int64
 	owned     []pullsched.InventoryEntry // HandleInventory's filter scratch
 
@@ -138,11 +139,10 @@ func New(cfg Config) (*Service, error) {
 		return nil, fmt.Errorf("collect: SegmentSize %d, want at least 1", cfg.SegmentSize)
 	}
 	s := &Service{
-		cfg:       cfg,
-		policy:    cfg.Policy,
-		tracer:    cfg.Tracer,
-		fb:        obs.NewCounterSet(policyCounterNames[:]),
-		firstSeen: make(map[rlnc.SegmentID]float64),
+		cfg:    cfg,
+		policy: cfg.Policy,
+		tracer: cfg.Tracer,
+		fb:     obs.NewCounterSet(policyCounterNames[:]),
 	}
 	if s.policy == nil {
 		s.policy = pullsched.Blind{}
@@ -299,27 +299,12 @@ func (s *Service) HandleBlock(now float64, from pullsched.PeerRef, cb *rlnc.Code
 	out, col, err := s.st.Receive(now, cb)
 	if err != nil {
 		s.fb.Add(rejected, 1)
-		if pulled {
-			s.fb.Add(fbRedundant, 1)
-		}
 		res.Rejected = true
 		return res
 	}
-	// Per-segment bookkeeping starts only once the store accepted a block:
-	// a rejected block may name a segment that never opens a collection,
-	// and nothing would ever delete its entries.
-	if _, seen := s.firstSeen[cb.Seg]; !seen {
-		s.firstSeen[cb.Seg] = now
-	}
-	if ctx.Valid() {
-		if _, ok := s.traceCtx[cb.Seg]; !ok {
-			if s.traceCtx == nil {
-				s.traceCtx = make(map[rlnc.SegmentID]obs.TraceContext)
-			}
-			s.traceCtx[cb.Seg] = ctx
-		}
-	}
-	res.Trace = s.traceCtx[cb.Seg]
+	// The collection's start time and lineage are adopted only once the
+	// store accepted a block.
+	res.Trace = col.Adopt(now, ctx)
 	tid, hop := res.Trace.ID, res.Trace.Hop
 	res.Outcome, res.Col = out, col
 	if out.Innovative {
@@ -349,17 +334,13 @@ func (s *Service) HandleBlock(now float64, from pullsched.PeerRef, cb *rlnc.Code
 	if !out.Decoded {
 		return res
 	}
-	if t0, ok := s.firstSeen[cb.Seg]; ok {
-		delete(s.firstSeen, cb.Seg)
-		if s.cfg.CollectTime != nil {
-			s.cfg.CollectTime.Observe(now - t0)
-		}
+	if s.cfg.CollectTime != nil {
+		s.cfg.CollectTime.Observe(now - col.FirstSeen())
 	}
 	s.tracer.Trace(obs.TraceEvent{
 		Seg: cb.Seg, Kind: obs.TraceDecoded, T: now,
 		Actor: s.cfg.Actor, N: col.Rank(), TraceID: tid, Hop: hop,
 	})
-	delete(s.traceCtx, cb.Seg)
 	res.Flush = s.complete(cb.Seg, col)
 	return res
 }
@@ -367,7 +348,12 @@ func (s *Service) HandleBlock(now float64, from pullsched.PeerRef, cb *rlnc.Code
 // TraceCtx returns the sampled lineage adopted for an in-progress segment
 // (zero when untraced or already retired). Drivers stamp hinted pulls for
 // the segment with it so the pull leg joins the same span.
-func (s *Service) TraceCtx(seg rlnc.SegmentID) obs.TraceContext { return s.traceCtx[seg] }
+func (s *Service) TraceCtx(seg rlnc.SegmentID) obs.TraceContext {
+	if col := s.st.Collection(seg); col != nil {
+		return col.Trace()
+	}
+	return obs.TraceContext{}
+}
 
 // complete retires a full-rank collection: finished + forgotten first (so
 // no later block can reach it), then the decode. Returns the delivery
@@ -404,8 +390,6 @@ func (s *Service) FinishRemote(seg rlnc.SegmentID) bool {
 		col.Release()
 		s.st.Forget(seg)
 	}
-	delete(s.firstSeen, seg)
-	delete(s.traceCtx, seg)
 	s.st.MarkFinished(seg)
 	return true
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"p2pcollect/internal/collect/store/wal"
 	"p2pcollect/internal/obs"
 	"p2pcollect/internal/pullsched"
 	"p2pcollect/internal/randx"
@@ -123,15 +124,15 @@ func TestHandleBlockOutcomes(t *testing.T) {
 		rejected  int64                      // cumulative
 		told      *pullsched.Feedback        // nil: policy hears nothing
 	}{
-		{"malformed coefficients", short, false, flags{rejected: true}, [3]int64{0, 1, 0}, 0, 1, nil},
-		{"innovative", seg.SourceBlock(0), false, flags{innovative: true}, [3]int64{1, 1, 0}, 0, 1, fb(true, false)},
-		{"redundant", seg.SourceBlock(0), false, flags{}, [3]int64{1, 2, 0}, 1, 1, fb(false, false)},
-		{"malformed payload", thin, false, flags{rejected: true}, [3]int64{1, 3, 0}, 1, 2, nil},
-		{"innovative exchange", seg.SourceBlock(1), true, flags{innovative: true}, [3]int64{1, 3, 0}, 1, 2, nil},
-		{"redundant exchange", seg.SourceBlock(1), true, flags{}, [3]int64{1, 3, 0}, 2, 2, nil},
-		{"decoding", seg.SourceBlock(2), false, flags{innovative: true, decoded: true, flush: true}, [3]int64{2, 3, 0}, 2, 2, fb(true, true)},
-		{"finished", seg.SourceBlock(2), false, flags{finished: true}, [3]int64{2, 4, 0}, 3, 2, fb(false, true)},
-		{"finished exchange", seg.SourceBlock(2), true, flags{finished: true}, [3]int64{2, 4, 0}, 4, 2, nil},
+		{"malformed coefficients", short, false, flags{rejected: true}, [3]int64{0, 0, 0}, 0, 1, nil},
+		{"innovative", seg.SourceBlock(0), false, flags{innovative: true}, [3]int64{1, 0, 0}, 0, 1, fb(true, false)},
+		{"redundant", seg.SourceBlock(0), false, flags{}, [3]int64{1, 1, 0}, 1, 1, fb(false, false)},
+		{"malformed payload", thin, false, flags{rejected: true}, [3]int64{1, 1, 0}, 1, 2, nil},
+		{"innovative exchange", seg.SourceBlock(1), true, flags{innovative: true}, [3]int64{1, 1, 0}, 1, 2, nil},
+		{"redundant exchange", seg.SourceBlock(1), true, flags{}, [3]int64{1, 1, 0}, 2, 2, nil},
+		{"decoding", seg.SourceBlock(2), false, flags{innovative: true, decoded: true, flush: true}, [3]int64{2, 1, 0}, 2, 2, fb(true, true)},
+		{"finished", seg.SourceBlock(2), false, flags{finished: true}, [3]int64{2, 2, 0}, 3, 2, fb(false, true)},
+		{"finished exchange", seg.SourceBlock(2), true, flags{finished: true}, [3]int64{2, 2, 0}, 4, 2, nil},
 	}
 	h := newHarness(t, Config{})
 	defer h.Close()
@@ -183,7 +184,7 @@ func TestHandleBlockOutcomes(t *testing.T) {
 	}
 
 	h.HandleEmpty(99, testPeer)
-	if c := h.feedbackCounts(); c != [3]int64{2, 4, 1} {
+	if c := h.feedbackCounts(); c != [3]int64{2, 2, 1} {
 		t.Errorf("after HandleEmpty: feedback counters %v", c)
 	}
 	if last := h.policy.feedback[len(h.policy.feedback)-1]; !last.Empty || last.Peer != testPeer || last.Time != 99 {
@@ -193,9 +194,9 @@ func TestHandleBlockOutcomes(t *testing.T) {
 
 // TestRejectedBlocksLeaveNoSegmentState: a block the store rejects for a
 // segment it never saw opens no collection, so nothing would ever retire
-// per-segment bookkeeping for it. N such blocks naming N fresh segments —
+// per-segment state for it. N such blocks naming N fresh segments —
 // reachable from the wire, where only the frame codec vets a block — must
-// leave firstSeen and traceCtx empty, traced or not.
+// leave no collection open and no lineage adopted, traced or not.
 func TestRejectedBlocksLeaveNoSegmentState(t *testing.T) {
 	for _, ctx := range []obs.TraceContext{{}, {ID: 42, Hop: 1}} {
 		h := newHarness(t, Config{})
@@ -205,10 +206,12 @@ func TestRejectedBlocksLeaveNoSegmentState(t *testing.T) {
 			if res := h.HandleBlock(1, testPeer, cb, true, ctx); !res.Rejected || res.Trace.Valid() {
 				t.Fatalf("traced=%v seq %d: result %+v, want a rejection with no lineage", ctx.Valid(), seq, res)
 			}
+			if h.TraceCtx(cb.Seg).Valid() {
+				t.Fatalf("traced=%v seq %d: a rejected block's lineage was adopted", ctx.Valid(), seq)
+			}
 		}
-		if len(h.firstSeen) != 0 || len(h.traceCtx) != 0 || h.OpenCount() != 0 {
-			t.Errorf("traced=%v: 64 rejected blocks left firstSeen=%d traceCtx=%d open=%d entries, want none",
-				ctx.Valid(), len(h.firstSeen), len(h.traceCtx), h.OpenCount())
+		if h.OpenCount() != 0 {
+			t.Errorf("traced=%v: 64 rejected blocks left %d collections open, want none", ctx.Valid(), h.OpenCount())
 		}
 		h.Close()
 	}
@@ -446,5 +449,39 @@ func BenchmarkHandleInventoryOwned(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		handle()
+	}
+}
+
+// TestCollectTimeStartsAtFirstAcceptedBlock: collectionTime runs from the
+// first block the store accepted, so a rejected block does not start the
+// clock, and a collection restored from the WAL starts it again at its
+// first block after the restart.
+func TestCollectTimeStartsAtFirstAcceptedBlock(t *testing.T) {
+	seg := testSegment(t, 8)
+	short := seg.SourceBlock(0)
+	short.Coeffs = short.Coeffs[:testSize-1]
+	dir := t.TempDir()
+	open := func() (*harness, *obs.Histogram) {
+		hist := obs.NewHistogram("collectionTime", []float64{1, 10, 100})
+		return newHarness(t, Config{Durability: wal.Config{Dir: dir}, CollectTime: hist}), hist
+	}
+
+	h, _ := open()
+	h.HandleBlock(1, testPeer, short, true, obs.TraceContext{})
+	h.HandleBlock(2, testPeer, seg.SourceBlock(0), true, obs.TraceContext{})
+	h.Close()
+
+	h, hist := open()
+	defer h.Close()
+	if col := h.Store().Collection(seg.ID); col == nil || col.Rank() != 1 {
+		t.Fatal("the open collection was not restored at rank 1")
+	}
+	h.HandleBlock(40, testPeer, seg.SourceBlock(1), true, obs.TraceContext{})
+	res := h.HandleBlock(45, testPeer, seg.SourceBlock(2), true, obs.TraceContext{})
+	if !res.Outcome.Decoded {
+		t.Fatal("the segment did not decode")
+	}
+	if hist.Count() != 1 || hist.Sum() != 5 {
+		t.Errorf("collectionTime: %d observations summing to %g, want one of 5", hist.Count(), hist.Sum())
 	}
 }

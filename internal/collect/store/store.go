@@ -62,16 +62,17 @@ type Store interface {
 type MemoryConfig struct {
 	// SegmentSize is s, fixed for the store's life; it must be at least 1.
 	SegmentSize int
-	// Sink receives the collector's protocol events; nil discards them.
+	// Sink receives the collections' protocol events; nil discards them.
 	Sink peercore.EventSink
 }
 
-// Memory is the in-RAM Store: a peercore.Collector plus the bounded
-// segment set of finished IDs, so unbounded decode streams never grow
-// the store.
+// Memory is the in-RAM Store: one peercore.Collection per open segment
+// plus the bounded segment set of finished IDs, so unbounded decode
+// streams never grow the store.
 type Memory struct {
 	segmentSize int
-	collector   *peercore.Collector
+	sink        peercore.EventSink
+	cols        map[rlnc.SegmentID]*peercore.Collection
 	finished    *rlnc.SegmentSet
 }
 
@@ -87,7 +88,8 @@ func NewMemory(cfg MemoryConfig) (*Memory, error) {
 	}
 	return &Memory{
 		segmentSize: cfg.SegmentSize,
-		collector:   peercore.NewCollector(peercore.CollectorConfig{SegmentSize: cfg.SegmentSize}, cfg.Sink),
+		sink:        cfg.Sink,
+		cols:        make(map[rlnc.SegmentID]*peercore.Collection),
 		finished:    rlnc.NewSegmentSet(FinishedCap),
 	}, nil
 }
@@ -95,29 +97,47 @@ func NewMemory(cfg MemoryConfig) (*Memory, error) {
 // SegmentSize returns s.
 func (m *Memory) SegmentSize() int { return m.segmentSize }
 
-// Receive implements Store.
+// Receive implements Store. The first block of a segment opens its
+// collection at the block's payload size.
 func (m *Memory) Receive(_ float64, cb *rlnc.CodedBlock) (peercore.PullOutcome, *peercore.Collection, error) {
-	return m.collector.Receive(cb)
+	if len(cb.Coeffs) != m.segmentSize {
+		return peercore.PullOutcome{}, nil, fmt.Errorf("store: block with %d coefficients, segment size %d", len(cb.Coeffs), m.segmentSize)
+	}
+	col := m.cols[cb.Seg]
+	if col == nil {
+		col = peercore.NewCollection(cb.Seg, m.segmentSize, len(cb.Payload))
+		m.cols[cb.Seg] = col
+	}
+	out, err := col.Receive(cb, m.sink)
+	return out, col, err
 }
 
 // Collection implements Store.
-func (m *Memory) Collection(seg rlnc.SegmentID) *peercore.Collection {
-	return m.collector.Collection(seg)
-}
+func (m *Memory) Collection(seg rlnc.SegmentID) *peercore.Collection { return m.cols[seg] }
 
 // OpenCount implements Store.
-func (m *Memory) OpenCount() int { return m.collector.OpenCount() }
+func (m *Memory) OpenCount() int { return len(m.cols) }
 
 // Forget implements Store.
-func (m *Memory) Forget(seg rlnc.SegmentID) { m.collector.Forget(seg) }
+func (m *Memory) Forget(seg rlnc.SegmentID) { delete(m.cols, seg) }
 
 // Range implements Store.
-func (m *Memory) Range(f func(seg rlnc.SegmentID, col *peercore.Collection)) { m.collector.Range(f) }
+func (m *Memory) Range(f func(seg rlnc.SegmentID, col *peercore.Collection)) {
+	for seg, col := range m.cols {
+		f(seg, col)
+	}
+}
 
 // Restore opens a collection rebuilt from snapshotted state (see
-// peercore.Collector.Restore).
+// peercore.RestoreCollection). On error nothing stays open.
 func (m *Memory) Restore(seg rlnc.SegmentID, payloadLen int, basis []*rlnc.CodedBlock) error {
-	_, err := m.collector.Restore(seg, payloadLen, basis)
+	if m.cols[seg] != nil {
+		return fmt.Errorf("store: restore %v: collection already open", seg)
+	}
+	col, err := peercore.RestoreCollection(seg, m.segmentSize, payloadLen, basis)
+	if err == nil {
+		m.cols[seg] = col
+	}
 	return err
 }
 
@@ -147,15 +167,9 @@ func (m *Memory) RangeFinished(f func(seg rlnc.SegmentID)) { m.finished.Range(f)
 // forgotten, and the finished set is cleared — a reused store starts
 // empty instead of reporting stale Finished hits.
 func (m *Memory) Close() error {
-	open := make([]rlnc.SegmentID, 0, m.collector.OpenCount())
-	m.collector.Range(func(seg rlnc.SegmentID, _ *peercore.Collection) {
-		open = append(open, seg)
-	})
-	for _, seg := range open {
-		if col := m.collector.Collection(seg); col != nil {
-			col.Release()
-		}
-		m.collector.Forget(seg)
+	for seg, col := range m.cols {
+		col.Release()
+		delete(m.cols, seg)
 	}
 	m.finished.Reset()
 	return nil

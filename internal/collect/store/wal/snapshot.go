@@ -21,7 +21,9 @@ import (
 //
 // collection: [8B origin][8B seq][4B payloadLen][4B rank] then
 // rank × ([4B coeffLen][coeffs][4B payloadLen][payload]) — the decoder
-// basis rows, exactly what peercore.Collector.Restore re-adds.
+// basis rows, exactly what peercore.RestoreCollection re-adds. The
+// driver-side start time and lineage a collection carries are not saved:
+// a restored collection adopts both again from its first block.
 // Only this layout (P2PCSNP2) is written. A P2PCSNP1 snapshot, from builds
 // that kept the paper's state counter on the server, still reads: its
 // collection header has a [4B state] word after the ID, which is dropped.

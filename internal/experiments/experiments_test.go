@@ -273,6 +273,30 @@ func TestTrajectoryGoldens(t *testing.T) {
 	}
 }
 
+// TestTableGoldens pins every sim-only paper table byte for byte at a
+// quick N=40 run, so a refactor of the simulator, the peer state machine
+// or the collection code that shifts one seeded draw shows up here.
+// codingcost and fleet time real work and are left out.
+func TestTableGoldens(t *testing.T) {
+	for _, name := range []string{"fig3", "fig4", "fig5", "fig6", "overhead", "s1", "baseline", "drain", "ablation", "feedback", "servers", "topology", "pullsched", "obs"} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			want, err := os.ReadFile(filepath.Join("testdata", name+"_quick_n40.txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen, _ := ByName(name)
+			tbl, err := gen(Options{N: 40, Quick: true, Horizon: 12, Warmup: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := tbl.Render(); got != string(want) {
+				t.Errorf("%s drifted from testdata:\ngot:\n%s\nwant:\n%s", name, got, want)
+			}
+		})
+	}
+}
+
 func TestTopologyTableCoversSweep(t *testing.T) {
 	tbl, err := TopologyTable(tinyOptions())
 	if err != nil {

@@ -102,6 +102,15 @@ func pullOnce(srv *Server, patience time.Duration) bool {
 	return false
 }
 
+// invCursor reads the inventory cursor the server holds for a peer, 0 when
+// it keeps no record of the peer. Callers hold srv.mu.
+func invCursor(srv *Server, peer transport.NodeID) uint64 {
+	if pp := srv.pulls[peer]; pp != nil {
+		return pp.cursor
+	}
+	return 0
+}
+
 func mustPull(t *testing.T, srv *Server) {
 	t.Helper()
 	if !pullOnce(srv, 5*time.Second) {
@@ -236,7 +245,7 @@ func TestLostDeltaArrivesOnALaterPull(t *testing.T) {
 	// the invariant: nothing at or below the server's cursor is missing.
 	told := func(seg rlnc.SegmentID) bool {
 		srv.mu.Lock()
-		cursor := srv.invCursor[1]
+		cursor := invCursor(srv, 1)
 		known := make(map[rlnc.SegmentID]bool, len(rec.lines[1]))
 		for s := range rec.lines[1] {
 			known[s] = true
@@ -317,7 +326,7 @@ func TestReplacedPeerIsAnsweredInFull(t *testing.T) {
 			whole := func() bool {
 				srv.mu.Lock()
 				defer srv.mu.Unlock()
-				if len(rec.lines[1]) != len(want) || srv.invCursor[1] != uint64(tc.successor+1) {
+				if len(rec.lines[1]) != len(want) || invCursor(srv, 1) != uint64(tc.successor+1) {
 					return false
 				}
 				for seg := range want {

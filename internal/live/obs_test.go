@@ -14,6 +14,7 @@ import (
 
 	"p2pcollect/internal/membership"
 	"p2pcollect/internal/obs"
+	"p2pcollect/internal/pullsched"
 	"p2pcollect/internal/randx"
 	"p2pcollect/internal/transport"
 )
@@ -452,5 +453,41 @@ func TestOutstandingPullsDrainsWhenPeerLeaves(t *testing.T) {
 	srv.onMember(membership.Member{ID: 2, Role: membership.RolePeer}, membership.StatusLeft)
 	if got := outstanding(); got != 0 {
 		t.Errorf("outstandingPulls = %g after both peers left, want 0", got)
+	}
+}
+
+// stalePicker always pulls from one peer, as a rarest policy does whose
+// digest still names a peer that has since left.
+type stalePicker struct{ peer pullsched.PeerRef }
+
+func (stalePicker) Name() string { return "stale" }
+func (p stalePicker) Choose(float64, pullsched.Env) (pullsched.Decision, bool) {
+	return pullsched.Decision{Peer: p.peer}, true
+}
+func (stalePicker) Feedback(pullsched.Feedback)                                             {}
+func (stalePicker) ObserveInventory(float64, pullsched.PeerRef, []pullsched.InventoryEntry) {}
+
+// TestDepartedPeerLeavesNoPullState: a pull the policy still aims at a
+// peer that has left is sent, but the server keeps no record of it, so
+// outstandingPulls does not count a reply that will never come.
+func TestDepartedPeerLeavesNoPullState(t *testing.T) {
+	net := transport.NewNetwork()
+	net.Join(1)
+	net.Join(2)
+	srv, err := NewServer(net.Join(serverIDBase), ServerConfig{
+		Peers: []transport.NodeID{1, 2}, SegmentSize: 4, Policy: stalePicker{peer: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.onMember(membership.Member{ID: 1, Role: membership.RolePeer}, membership.StatusDead)
+	srv.pull()
+	if got := srv.Registry().Snapshot().Gauges["outstandingPulls"]; got != 0 {
+		t.Errorf("outstandingPulls = %g after a pull to a departed peer, want 0", got)
+	}
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	if len(srv.pulls) != 0 {
+		t.Errorf("the server keeps %d pull records after a pull to a departed peer, want none", len(srv.pulls))
 	}
 }

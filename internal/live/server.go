@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 
 	"p2pcollect/internal/collect"
 	"p2pcollect/internal/collect/store/wal"
@@ -86,8 +87,8 @@ type ServerConfig struct {
 	// ShardID is this server's shard index in [0, Shards).
 	ShardID int
 	// ShardPeers maps every other shard's index to its transport ID, for
-	// exchange forwarding and completion notices. This shard's own entry is
-	// ignored.
+	// exchange forwarding and completion notices. This shard's own entry,
+	// and any index outside [0, Shards), is ignored.
 	ShardPeers map[int]transport.NodeID
 	// Journal, when set, gates delivery fleet-wide: whichever shard first
 	// reaches full rank claims the segment, so OnSegment fires exactly once
@@ -160,26 +161,16 @@ type Server struct {
 
 	svc *collect.Service // guarded by mu
 
-	// Fleet state (nil/empty when standalone). exchRNG drives recoding for
-	// exchange forwards — separate from rng so fleet mode adds no draws to
-	// the seeded pull sequence.
+	// Fleet state (nil/empty when standalone). shardTo[j] is shard j's
+	// transport ID, this server's own where there is no other shard to
+	// reach. exchRNG drives recoding for exchange forwards — separate from
+	// rng so fleet mode adds no draws to the seeded pull sequence.
 	ring     *fleet.Ring
-	shardTo  map[int]transport.NodeID
-	shardSet map[transport.NodeID]bool
+	shardTo  []transport.NodeID
 	exchRNG  *randx.Rand
 	fleetCtr *obs.CounterSet
 
-	// Observability. pending maps each peer to the send time of its latest
-	// outstanding pull (the next reply from that peer closes it).
-	pending map[transport.NodeID]float64
-	// invCursor maps each peer that has sent a digest to the arrival count
-	// that digest reached; every later pull to the peer carries it and is
-	// answered with what is new since (see transport/wire.go). Empty unless
-	// the policy asks for digests.
-	invCursor map[transport.NodeID]uint64
-	// pulls maps each pull target to what the server keeps for it: its
-	// blind pull and its place in the finished log. Dropped with the peer,
-	// like pending and invCursor.
+	// pulls maps each current pull target to what the server keeps for it.
 	pulls map[transport.NodeID]*peerPulls
 	// notices counts the decoded-list entries sent (decodedNotices).
 	notices    *obs.CounterSet
@@ -200,9 +191,22 @@ type Server struct {
 // list up to, sent where the latest list to it ended, and listed the blind
 // pull listing what finished after acked, sent again uncopied until the
 // peer answers. Its answer moves acked to sent.
+//
+// cursor is the arrival count the peer's latest digest reached (0 before
+// one); every later pull to the peer carries it and is answered with what
+// is new since (see transport/wire.go).
+//
+// waiting is set while a pull to the peer is unanswered, and sentAt is
+// when the latest one went out: one outstanding pull per peer, so a newer
+// pull replaces the send time and the RTT histogram measures the latest
+// request→first reply span (an approximation that under-reports queueing
+// at a slow peer, which the outstandingPulls gauge shows instead).
 type peerPulls struct {
 	blind, listed *transport.Message
 	acked, sent   uint64
+	cursor        uint64
+	sentAt        float64
+	waiting       bool
 }
 
 // NewServer builds a logging server over the given transport.
@@ -215,19 +219,13 @@ func NewServer(tr transport.Transport, cfg ServerConfig) (*Server, error) {
 		policy = pullsched.Blind{}
 	}
 	s := &Server{
-		cfg:       cfg,
-		pending:   make(map[transport.NodeID]float64),
-		invCursor: make(map[transport.NodeID]uint64),
-		pulls:     make(map[transport.NodeID]*peerPulls),
-		notices:   obs.NewCounterSet([]string{"decodedNotices"}),
+		cfg:     cfg,
+		pulls:   make(map[transport.NodeID]*peerPulls),
+		notices: obs.NewCounterSet([]string{"decodedNotices"}),
 	}
-	// A departed peer never answers and is never pulled again: its entry
-	// would sit in pending, and in the outstandingPulls gauge, forever.
-	s.onLeave = func(id transport.NodeID) {
-		delete(s.pending, id)
-		delete(s.invCursor, id)
-		delete(s.pulls, id)
-	}
+	// A departed peer never answers and is never pulled again: its record
+	// would sit in the outstandingPulls gauge forever.
+	s.onLeave = func(id transport.NodeID) { delete(s.pulls, id) }
 	// With Membership set, Peers only seed the pull target set; the live
 	// view then keeps it current.
 	s.init(tr, membership.RoleServer, cfg.Seed, cfg.Peers, cfg.Membership,
@@ -244,7 +242,13 @@ func NewServer(tr transport.Transport, cfg ServerConfig) (*Server, error) {
 	s.reg.GaugeFunc("outstandingPulls", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return float64(len(s.pending))
+		n := 0
+		for _, pp := range s.pulls {
+			if pp.waiting {
+				n++
+			}
+		}
+		return float64(n)
 	})
 	// The flight recorder is always on: the server's own ring of the last
 	// trace events, teed alongside the configured tracer so a crash dump
@@ -278,14 +282,12 @@ func NewServer(tr transport.Transport, cfg ServerConfig) (*Server, error) {
 			return nil, err
 		}
 		s.ring = ring
-		s.shardTo = make(map[int]transport.NodeID, len(cfg.ShardPeers))
-		s.shardSet = make(map[transport.NodeID]bool, len(cfg.ShardPeers))
-		for id, addr := range cfg.ShardPeers {
-			if id == cfg.ShardID {
-				continue
+		s.shardTo = make([]transport.NodeID, cfg.Shards)
+		for j := range s.shardTo {
+			s.shardTo[j] = tr.LocalID()
+			if addr, ok := cfg.ShardPeers[j]; ok && j != cfg.ShardID {
+				s.shardTo[j] = addr
 			}
-			s.shardTo[id] = addr
-			s.shardSet[addr] = true
 		}
 		// A distinct stream derived from the pull seed: deterministic, but
 		// interleaving-independent of the pull loop's draws.
@@ -423,15 +425,6 @@ func (s *Server) Stats() ServerStats {
 	return st
 }
 
-// observeRTT closes the peer's outstanding pull, if any, into the RTT
-// histogram. Callers hold mu.
-func (s *Server) observeRTT(from transport.NodeID, now float64) {
-	if t0, ok := s.pending[from]; ok {
-		delete(s.pending, from)
-		s.obsRTT.Observe(now - t0)
-	}
-}
-
 // pull is the paced event: ask the policy for a peer (and maybe a segment
 // hint) and send it one pull request. A peer whose inventory cursor the
 // server holds is asked for what is new since, unless the policy wants the
@@ -445,11 +438,11 @@ func (s *Server) pull() bool {
 		return true
 	}
 	to := transport.NodeID(dec.Peer)
+	pp := s.peerPulls(to)
 	var cursor uint64
 	if !dec.WantInventory {
-		cursor = s.invCursor[to]
+		cursor = pp.cursor
 	}
-	pp := s.peerPulls(to)
 	var msg *transport.Message
 	switch {
 	case dec.HasHint || dec.WantInventory || cursor != 0:
@@ -480,12 +473,10 @@ func (s *Server) pull() bool {
 		if k := len(msg.DecodedList()); k > 0 {
 			s.notices.Add(0, int64(k))
 		}
-		// One outstanding pull per peer: a newer pull to the same peer
-		// replaces the pending send time, so the RTT histogram measures the
-		// latest request→first reply span (an approximation that
-		// under-reports queueing at a slow peer, which the outstandingPulls
-		// gauge shows instead).
-		s.pending[to] = s.now()
+		// Looked up again: the peer may have left while the lock was free.
+		if pp := s.pulls[to]; pp != nil {
+			pp.sentAt, pp.waiting = s.now(), true
+		}
 		s.mu.Unlock()
 	}
 	return true
@@ -521,14 +512,23 @@ func (s *Server) listingPull(to transport.NodeID, pp *peerPulls) *transport.Mess
 	return msg
 }
 
-// answered records that a peer replied to a pull: the list the latest pull
-// carried reached it, so the next list starts where that one ended. Which
-// pull a reply answers is not on the wire; taking it for the latest can
-// skip a list only when an older pull's reply arrives after the newer pull
-// was lost, and then the segments it named just expire at the peer as
-// they would have without the list. Callers hold mu.
-func (s *Server) answered(peer transport.NodeID) {
-	if pp := s.pulls[peer]; pp != nil && pp.acked != pp.sent {
+// answered records that a peer replied to a pull: its outstanding pull, if
+// any, closes into the RTT histogram, and the list the latest pull carried
+// reached it, so the next list starts where that one ended. Which pull a
+// reply answers is not on the wire; taking it for the latest can skip a
+// list only when an older pull's reply arrives after the newer pull was
+// lost, and then the segments it named just expire at the peer as they
+// would have without the list. Callers hold mu.
+func (s *Server) answered(peer transport.NodeID, now float64) {
+	pp := s.pulls[peer]
+	if pp == nil {
+		return
+	}
+	if pp.waiting {
+		pp.waiting = false
+		s.obsRTT.Observe(now - pp.sentAt)
+	}
+	if pp.acked != pp.sent {
 		pp.acked, pp.listed = pp.sent, nil
 	}
 }
@@ -559,8 +559,7 @@ func (s *Server) handle(m *transport.Message) {
 		s.mu.Lock()
 		now := s.now()
 		s.counters.Count(peercore.EvEmptyReply, 1)
-		s.observeRTT(m.From, now)
-		s.answered(m.From)
+		s.answered(m.From, now)
 		s.svc.HandleEmpty(now, pullsched.PeerRef(m.From))
 		s.mu.Unlock()
 	case transport.MsgInventory:
@@ -576,8 +575,8 @@ func (s *Server) handle(m *transport.Message) {
 func (s *Server) receiveInventory(m *transport.Message) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if m.InvCursor != 0 && s.peers.Contains(uint64(m.From)) {
-		s.invCursor[m.From] = m.InvCursor
+	if pp := s.pulls[m.From]; pp != nil && m.InvCursor != 0 {
+		pp.cursor = m.InvCursor
 	}
 	s.svc.HandleInventory(s.now(), pullsched.PeerRef(m.From), m.Inventory, m.InvDelta)
 }
@@ -594,8 +593,7 @@ func (s *Server) receiveBlock(m *transport.Message) {
 	s.mu.Lock()
 	now := s.now()
 	s.counters.Count(peercore.EvBlockReceived, 1)
-	s.observeRTT(m.From, now)
-	s.answered(m.From)
+	s.answered(m.From, now)
 	res := s.svc.HandleBlock(now, pullsched.PeerRef(m.From), cb, true, m.Trace)
 	var fwd *transport.Message
 	var fwdTo transport.NodeID
@@ -609,7 +607,7 @@ func (s *Server) receiveBlock(m *transport.Message) {
 		// rather than relaying the block verbatim — lets one exchange carry
 		// everything this shard accumulated for the segment.
 		if res.Outcome.Innovative && !res.Outcome.Decoded {
-			if to, ok := s.shardTo[s.ring.Owner(cb.Seg)]; ok {
+			if to := s.shardTo[s.ring.Owner(cb.Seg)]; to != s.tr.LocalID() {
 				if rec := res.Col.Recode(s.exchRNG); rec != nil {
 					fwd = &transport.Message{Type: transport.MsgExchange, From: s.tr.LocalID(), To: to, Block: rec}
 					if res.Trace.Valid() {
@@ -672,7 +670,7 @@ func (s *Server) receiveExchange(m *transport.Message) {
 // Peers also send MsgSegmentComplete — meaning "my holding is full", not
 // "segment delivered" — so only notices from fleet members count.
 func (s *Server) receiveShardFinished(m *transport.Message) {
-	if s.ring == nil || !s.shardSet[m.From] {
+	if s.ring == nil || m.From == s.tr.LocalID() || !slices.Contains(s.shardTo, m.From) {
 		return
 	}
 	s.mu.Lock()
@@ -682,13 +680,14 @@ func (s *Server) receiveShardFinished(m *transport.Message) {
 	s.mu.Unlock()
 }
 
-// broadcastFinished tells every other shard the segment is complete, so
-// they drop their partial collections and stop exchanging it.
+// broadcastFinished tells every other shard, in shard order, the segment
+// is complete, so they drop their partial collections and stop exchanging
+// it.
 func (s *Server) broadcastFinished(seg rlnc.SegmentID) {
-	if s.ring == nil {
-		return
-	}
 	for _, to := range s.shardTo {
+		if to == s.tr.LocalID() {
+			continue
+		}
 		notice := &transport.Message{Type: transport.MsgSegmentComplete, From: s.tr.LocalID(), To: to, Seg: seg}
 		s.tr.Send(to, notice) //nolint:errcheck // best-effort
 	}

@@ -3,7 +3,7 @@ package peercore
 import "p2pcollect/internal/obs"
 
 // Event enumerates the shared protocol counter vocabulary. The peer and
-// collector state machines emit the events they can observe locally
+// collection state machines emit the events they can observe locally
 // (stores, redundant blocks, TTL losses, pull accounting); drivers emit the
 // events that depend on their clock or transport (gossip sends, pull
 // requests, departures). Both the DES simulator and the live runtime count

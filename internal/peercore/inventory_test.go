@@ -134,9 +134,11 @@ func TestCheckInvariantsCoversArrivals(t *testing.T) {
 	p := newTestPeer(t, 16, nil)
 	p.Inject(0, nil)
 	p.Inject(0, nil)
-	p.segArrival = p.segArrival[:1]
-	if err := p.CheckInvariants(); err == nil {
-		t.Error("arrival list shorter than the sampling list passed CheckInvariants")
+	for _, at := range []uint64{1, p.arrivals + 1} {
+		p.segs[1].arrival = at
+		if err := p.CheckInvariants(); err == nil {
+			t.Errorf("arrival number %d, with %d holdings opened, passed CheckInvariants", at, p.arrivals-1)
+		}
 	}
 }
 

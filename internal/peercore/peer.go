@@ -2,7 +2,9 @@
 // indirect-collection protocol (§2 of the paper): the per-peer state machine
 // (segment holdings, bounded buffer, injection, innovative store, per-block
 // TTL bookkeeping, gossip-target eligibility, re-encoding) and the server
-// collection state machine (a rank decoder per segment).
+// collection state machine (a rank decoder per segment). A buffered segment
+// is one holding record, a collected one one Collection, which the drivers
+// index (the simulator per segment, store.Memory per server).
 //
 // The discrete-event simulator drives one Peer per slot from DES event
 // ticks with simulated time; the live runtime drives the identical code
@@ -15,6 +17,7 @@ package peercore
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"p2pcollect/internal/obs"
 	"p2pcollect/internal/pullsched"
@@ -78,28 +81,61 @@ type Peer struct {
 	sink   EventSink
 
 	seq      uint64
-	holdings map[rlnc.SegmentID]*rlnc.Holding
-	segIDs   []rlnc.SegmentID
-	segPos   map[rlnc.SegmentID]int
-	// arrivals numbers the holdings this peer has ever opened; segArrival[i]
-	// is the number segIDs[i]'s holding took. The count starts at 1, so 0 is
-	// free to mean "no cursor", and survives Clear, so a cursor handed out
-	// before it still means what it meant (see InventorySince).
-	arrivals   uint64
-	segArrival []uint64
-	// segDue[i] is a lower bound on the earliest deadline in segIDs[i]'s
-	// holding: Store lowers it, an ExpireDue visit makes it exact again, and
-	// a sweep skips a holding whose bound has not passed. A block removed
-	// any other way leaves it too early, which costs one visit.
-	segDue    []float64
-	deadlines map[*rlnc.CodedBlock]float64
+	holdings map[rlnc.SegmentID]*holding
+	// segs lists the holdings in SegmentAt order, the list SampleSegment
+	// draws from; each holding knows its own index.
+	segs []*holding
+	// arrivals numbers the holdings this peer has ever opened. The count
+	// starts at 1, so 0 is free to mean "no cursor", and survives Clear, so
+	// a cursor handed out before it still means what it meant (see
+	// InventorySince).
+	arrivals  uint64
 	occupancy int
 	// sweep is ExpireDue's snapshot of the holding it is visiting, kept so
 	// a sweep allocates nothing; it holds no blocks between sweeps.
-	sweep []*rlnc.CodedBlock
-	// traceCtx maps buffered segments to their sampled lineage (see
-	// trace.go). Lazily allocated: untraced runs never touch it.
-	traceCtx map[rlnc.SegmentID]obs.TraceContext
+	sweep []timedBlock
+}
+
+// inlineDeadlines is the segment size up to which a holding keeps its
+// deadlines in the record itself, so opening one costs no extra allocation
+// at the sizes live peers run; larger holdings grow a slice as blocks come.
+const inlineDeadlines = 8
+
+// holding is one buffered segment: its independent blocks, one TTL
+// deadline per block, and what the peer keeps for it.
+type holding struct {
+	rlnc.Holding
+	// deadlines[i] is Blocks()[i]'s deadline; remove keeps the two in step.
+	deadlines []float64
+	inline    [inlineDeadlines]float64
+	// pos is the holding's index in Peer.segs.
+	pos int
+	// arrival is the number the holding took when it opened (see
+	// Peer.arrivals).
+	arrival uint64
+	// due is a lower bound on the earliest deadline: Store lowers it, an
+	// ExpireDue visit makes it exact again, and a sweep skips a holding
+	// whose bound has not passed. A block removed any other way leaves it
+	// too early, which costs one visit.
+	due float64
+	// tctx is the segment's sampled lineage (see trace.go), zero when
+	// untraced.
+	tctx obs.TraceContext
+}
+
+// timedBlock is one block of a holding with its deadline.
+type timedBlock struct {
+	cb       *rlnc.CodedBlock
+	deadline float64
+}
+
+// remove deletes the i-th block and its deadline, moving the last into its
+// place as rlnc.Holding.Remove does.
+func (h *holding) remove(i int) {
+	last := len(h.deadlines) - 1
+	h.deadlines[i] = h.deadlines[last]
+	h.deadlines = h.deadlines[:last]
+	h.Remove(i)
 }
 
 // NewPeer builds a peer with the given network identity. The rng may be
@@ -113,14 +149,12 @@ func NewPeer(origin uint64, cfg PeerConfig, rng *randx.Rand, sink EventSink) *Pe
 		sink = NopSink{}
 	}
 	return &Peer{
-		cfg:       cfg,
-		origin:    origin,
-		rng:       rng,
-		sink:      sink,
-		arrivals:  1,
-		holdings:  make(map[rlnc.SegmentID]*rlnc.Holding),
-		segPos:    make(map[rlnc.SegmentID]int),
-		deadlines: make(map[*rlnc.CodedBlock]float64),
+		cfg:      cfg,
+		origin:   origin,
+		rng:      rng,
+		sink:     sink,
+		arrivals: 1,
+		holdings: make(map[rlnc.SegmentID]*holding),
 	}
 }
 
@@ -132,11 +166,11 @@ func (p *Peer) Origin() uint64 { return p.origin }
 func (p *Peer) Occupancy() int { return p.occupancy }
 
 // NumSegments returns the number of distinct segments buffered.
-func (p *Peer) NumSegments() int { return len(p.segIDs) }
+func (p *Peer) NumSegments() int { return len(p.segs) }
 
 // SegmentAt returns the i-th buffered segment ID (stable between
 // mutations; order is arbitrary).
-func (p *Peer) SegmentAt(i int) rlnc.SegmentID { return p.segIDs[i] }
+func (p *Peer) SegmentAt(i int) rlnc.SegmentID { return p.segs[i].SegmentID() }
 
 // BlocksOf returns how many blocks of the segment are buffered.
 func (p *Peer) BlocksOf(seg rlnc.SegmentID) int {
@@ -223,26 +257,25 @@ func (p *Peer) Store(now float64, cb *rlnc.CodedBlock) StoreResult {
 	}
 	h := p.holdings[cb.Seg]
 	if h == nil {
-		h = rlnc.NewHolding(cb.Seg, p.cfg.SegmentSize)
-		p.holdings[cb.Seg] = h
-		p.segPos[cb.Seg] = len(p.segIDs)
-		p.segIDs = append(p.segIDs, cb.Seg)
 		p.arrivals++
-		p.segArrival = append(p.segArrival, p.arrivals)
-		p.segDue = append(p.segDue, math.Inf(1))
+		h = &holding{Holding: *rlnc.NewHolding(cb.Seg, p.cfg.SegmentSize), pos: len(p.segs), arrival: p.arrivals, due: math.Inf(1)}
+		if p.cfg.SegmentSize <= inlineDeadlines {
+			h.deadlines = h.inline[:0]
+		}
+		p.holdings[cb.Seg] = h
+		p.segs = append(p.segs, h)
 	}
 	if !h.Add(cb) {
 		if h.Len() == 0 {
-			p.dropHolding(cb.Seg)
+			p.dropHolding(h)
 		}
 		p.sink.Count(EvRedundantBlock, 1)
 		return StoreResult{}
 	}
 	ttl := p.rng.Exp(p.cfg.Gamma)
 	deadline := now + ttl
-	p.deadlines[cb] = deadline
-	pos := p.segPos[cb.Seg]
-	p.segDue[pos] = min(p.segDue[pos], deadline)
+	h.deadlines = append(h.deadlines, deadline)
+	h.due = min(h.due, deadline)
 	p.occupancy++
 	p.sink.Count(EvBlockStored, 1)
 	return StoreResult{Stored: true, TTL: ttl, Deadline: deadline}
@@ -251,10 +284,10 @@ func (p *Peer) Store(now float64, cb *rlnc.CodedBlock) StoreResult {
 // SampleSegment returns a uniformly random buffered segment, the segment
 // choice of both the gossip step and the pull-serve step in §2.
 func (p *Peer) SampleSegment() (rlnc.SegmentID, bool) {
-	if len(p.segIDs) == 0 {
+	if len(p.segs) == 0 {
 		return rlnc.SegmentID{}, false
 	}
-	return p.segIDs[p.rng.Intn(len(p.segIDs))], true
+	return p.segs[p.rng.Intn(len(p.segs))].SegmentID(), true
 }
 
 // Recode produces a fresh coded block of the segment from the buffered
@@ -293,7 +326,7 @@ func (p *Peer) ServePull(hint rlnc.SegmentID, hasHint bool) (seg rlnc.SegmentID,
 			return rlnc.SegmentID{}, obs.TraceContext{}, false
 		}
 	}
-	if tctx := p.traceCtx[seg]; tctx.Valid() {
+	if tctx := p.holdings[seg].tctx; tctx.Valid() {
 		wire = tctx.Next()
 	}
 	return seg, wire, true
@@ -322,8 +355,8 @@ func (p *Peer) InventorySince(cursor uint64) (inv []pullsched.InventoryEntry, cu
 		cursor = 0
 	}
 	n := 0
-	for _, at := range p.segArrival {
-		if at > cursor {
+	for _, h := range p.segs {
+		if h.arrival > cursor {
 			n++
 		}
 	}
@@ -331,10 +364,9 @@ func (p *Peer) InventorySince(cursor uint64) (inv []pullsched.InventoryEntry, cu
 		return nil, p.arrivals, delta
 	}
 	inv = make([]pullsched.InventoryEntry, 0, n)
-	for i, at := range p.segArrival {
-		if at > cursor {
-			seg := p.segIDs[i]
-			inv = append(inv, pullsched.InventoryEntry{Seg: seg, Blocks: min(p.holdings[seg].Len(), 0xFFFF)})
+	for _, h := range p.segs {
+		if h.arrival > cursor {
+			inv = append(inv, pullsched.InventoryEntry{Seg: h.SegmentID(), Blocks: min(h.Len(), 0xFFFF)})
 		}
 	}
 	return inv, p.arrivals, delta
@@ -345,13 +377,17 @@ func (p *Peer) InventorySince(cursor uint64) (inv []pullsched.InventoryEntry, cu
 // stored here, or swept — are a no-op.
 func (p *Peer) ExpireBlock(cb *rlnc.CodedBlock) bool {
 	h := p.holdings[cb.Seg]
-	if h == nil || !h.RemoveBlock(cb) {
+	if h == nil {
 		return false
 	}
-	delete(p.deadlines, cb)
+	i := slices.Index(h.Blocks(), cb)
+	if i < 0 {
+		return false
+	}
+	h.remove(i)
 	p.sink.Count(EvBlockLostTTL, 1)
 	if h.Len() == 0 {
-		p.dropHolding(cb.Seg)
+		p.dropHolding(h)
 	}
 	p.occupancy--
 	return true
@@ -362,35 +398,34 @@ func (p *Peer) ExpireBlock(cb *rlnc.CodedBlock) bool {
 // whose earliest-deadline bound has passed are visited.
 func (p *Peer) ExpireDue(now float64) int {
 	removed := 0
-	for i := 0; i < len(p.segIDs); i++ {
-		if now <= p.segDue[i] {
+	for i := 0; i < len(p.segs); i++ {
+		h := p.segs[i]
+		if now <= h.due {
 			continue
 		}
-		h := p.holdings[p.segIDs[i]]
-		// RemoveBlock reorders h.Blocks(), so iterate over a snapshot.
-		p.sweep = append(p.sweep[:0], h.Blocks()...)
+		// remove reorders the blocks, so iterate over a snapshot; the order
+		// it leaves is the order Recode draws over.
+		p.sweep = p.sweep[:0]
+		for j, cb := range h.Blocks() {
+			p.sweep = append(p.sweep, timedBlock{cb, h.deadlines[j]})
+		}
 		due := math.Inf(1)
-		for _, cb := range p.sweep {
-			deadline, ok := p.deadlines[cb]
-			if !ok {
+		for _, b := range p.sweep {
+			if now <= b.deadline {
+				due = min(due, b.deadline)
 				continue
 			}
-			if now <= deadline {
-				due = min(due, deadline)
-				continue
-			}
-			h.RemoveBlock(cb)
-			delete(p.deadlines, cb)
+			h.remove(slices.Index(h.Blocks(), b.cb))
 			p.occupancy--
 			removed++
 			p.sink.Count(EvBlockLostTTL, 1)
 		}
 		if h.Len() == 0 {
-			p.dropHolding(p.segIDs[i])
+			p.dropHolding(h)
 			i--
 			continue
 		}
-		p.segDue[i] = due
+		h.due = due
 	}
 	clear(p.sweep[:cap(p.sweep)])
 	return removed
@@ -405,89 +440,63 @@ func (p *Peer) DropSegment(seg rlnc.SegmentID) int {
 		return 0
 	}
 	n := h.Len()
-	for _, cb := range h.Blocks() {
-		delete(p.deadlines, cb)
-	}
-	p.dropHolding(seg)
+	p.dropHolding(h)
 	p.occupancy -= n
 	return n
 }
 
 // Clear evicts everything, as when the peer departs the session.
 func (p *Peer) Clear() {
-	p.holdings = make(map[rlnc.SegmentID]*rlnc.Holding)
-	p.segIDs = nil
-	p.segArrival = nil
-	p.segDue = nil
-	p.segPos = make(map[rlnc.SegmentID]int)
-	p.deadlines = make(map[*rlnc.CodedBlock]float64)
+	p.holdings = make(map[rlnc.SegmentID]*holding)
+	p.segs = nil
 	p.occupancy = 0
-	p.traceCtx = nil
 }
 
 // dropHolding unregisters an empty (or purged) holding from the sampling
 // list in O(1).
-func (p *Peer) dropHolding(seg rlnc.SegmentID) {
-	pos := p.segPos[seg]
-	last := len(p.segIDs) - 1
-	moved := p.segIDs[last]
-	p.segIDs[pos] = moved
-	p.segArrival[pos] = p.segArrival[last]
-	p.segDue[pos] = p.segDue[last]
-	p.segPos[moved] = pos
-	p.segIDs = p.segIDs[:last]
-	p.segArrival = p.segArrival[:last]
-	p.segDue = p.segDue[:last]
-	delete(p.segPos, seg)
-	delete(p.holdings, seg)
-	delete(p.traceCtx, seg)
+func (p *Peer) dropHolding(h *holding) {
+	last := len(p.segs) - 1
+	moved := p.segs[last]
+	p.segs[h.pos] = moved
+	moved.pos = h.pos
+	p.segs[last] = nil
+	p.segs = p.segs[:last]
+	delete(p.holdings, h.SegmentID())
 }
 
 // CheckInvariants verifies the peer's internal bookkeeping against a full
 // recount and returns the first inconsistency found.
 func (p *Peer) CheckInvariants() error {
-	var occ, deadlined int
-	for seg, h := range p.holdings {
-		if h.Len() == 0 {
+	if len(p.segs) != len(p.holdings) {
+		return fmt.Errorf("peercore: sampling list length %d, holdings %d", len(p.segs), len(p.holdings))
+	}
+	occ := 0
+	for i, h := range p.segs {
+		seg := h.SegmentID()
+		switch {
+		case p.holdings[seg] != h || h.pos != i:
+			return fmt.Errorf("peercore: holding %v at %d of the sampling list, recorded at %d", seg, i, h.pos)
+		case h.Len() == 0:
 			return fmt.Errorf("peercore: empty holding for %v retained", seg)
-		}
-		if h.Len() > p.cfg.SegmentSize {
+		case h.Len() > p.cfg.SegmentSize:
 			return fmt.Errorf("peercore: %d blocks of %v, cap s=%d", h.Len(), seg, p.cfg.SegmentSize)
+		case len(h.deadlines) != h.Len():
+			return fmt.Errorf("peercore: %d deadlines for %d blocks of %v", len(h.deadlines), h.Len(), seg)
+		case h.arrival < 2 || h.arrival > p.arrivals:
+			return fmt.Errorf("peercore: arrival number %d of %v outside (1, %d]", h.arrival, seg, p.arrivals)
 		}
-		pos, ok := p.segPos[seg]
-		if !ok || pos < 0 || pos >= len(p.segIDs) || p.segIDs[pos] != seg {
-			return fmt.Errorf("peercore: holding %v missing from sampling list", seg)
-		}
-		occ += h.Len()
-		for _, cb := range h.Blocks() {
-			if deadline, ok := p.deadlines[cb]; ok {
-				deadlined++
-				if pos < len(p.segDue) && deadline < p.segDue[pos] {
-					return fmt.Errorf("peercore: %v has a deadline %g before its bound %g", seg, deadline, p.segDue[pos])
-				}
+		for _, deadline := range h.deadlines {
+			if deadline < h.due {
+				return fmt.Errorf("peercore: %v has a deadline %g before its bound %g", seg, deadline, h.due)
 			}
 		}
+		occ += h.Len()
 	}
 	if occ != p.occupancy {
 		return fmt.Errorf("peercore: occupancy %d, recount %d", p.occupancy, occ)
 	}
 	if occ > p.cfg.BufferCap {
 		return fmt.Errorf("peercore: occupancy %d over buffer cap %d", occ, p.cfg.BufferCap)
-	}
-	if len(p.segIDs) != len(p.holdings) {
-		return fmt.Errorf("peercore: sampling list length %d, holdings %d", len(p.segIDs), len(p.holdings))
-	}
-	if len(p.segArrival) != len(p.segIDs) || len(p.segDue) != len(p.segIDs) {
-		return fmt.Errorf("peercore: %d arrival numbers and %d deadline bounds for %d buffered segments",
-			len(p.segArrival), len(p.segDue), len(p.segIDs))
-	}
-	for i, at := range p.segArrival {
-		if at < 2 || at > p.arrivals {
-			return fmt.Errorf("peercore: arrival number %d of %v outside (1, %d]", at, p.segIDs[i], p.arrivals)
-		}
-	}
-	if deadlined != occ || len(p.deadlines) != occ {
-		return fmt.Errorf("peercore: %d deadlines for %d stored blocks (%d matched)", len(p.deadlines), occ, deadlined)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"p2pcollect/internal/obs"
@@ -198,17 +199,49 @@ func TestExpireDueNothingDueAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestOpenHoldingAllocs pins what buffering a fresh segment costs: open
+// its holding, store s=8 blocks, purge it. The holding record carries its
+// deadlines inline at this size, so the record adds nothing to the
+// holding's own rank structure and block list.
+func TestOpenHoldingAllocs(t *testing.T) {
+	if raceon.Enabled {
+		t.Skip("allocation budgets describe the uninstrumented build")
+	}
+	const s, budget = 8, 14
+	p := NewPeer(7, PeerConfig{SegmentSize: s, BufferCap: 4 * s, Gamma: 1}, randx.New(1), nil)
+	seg := rlnc.SegmentID{Origin: 3}
+	blocks := make([]*rlnc.CodedBlock, s)
+	for i := range blocks {
+		blocks[i] = rlnc.NewBlock(seg, s)
+		blocks[i].Coeffs[i] = 1
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		for _, cb := range blocks {
+			if !p.Store(0, cb).Stored {
+				t.Fatal("a source block was not stored")
+			}
+		}
+		if n := p.DropSegment(seg); n != s {
+			t.Fatalf("DropSegment removed %d blocks, want %d", n, s)
+		}
+	})
+	if allocs > budget {
+		t.Errorf("open, store %d blocks, drop: %v allocations, want at most %d", s, allocs, budget)
+	}
+}
+
 // sweepAll is ExpireDue without the per-holding bound: every holding is
 // visited and its blocks checked, the sweep as it was before the bound.
 func sweepAll(p *Peer, now float64) int {
 	removed := 0
-	for i := 0; i < len(p.segIDs); i++ {
-		h := p.holdings[p.segIDs[i]]
+	for i := 0; i < len(p.segs); i++ {
+		h := p.segs[i]
 		due := math.Inf(1)
-		for _, cb := range append([]*rlnc.CodedBlock(nil), h.Blocks()...) {
-			if deadline := p.deadlines[cb]; now > deadline {
-				h.RemoveBlock(cb)
-				delete(p.deadlines, cb)
+		blocks := append([]*rlnc.CodedBlock(nil), h.Blocks()...)
+		deadlines := append([]float64(nil), h.deadlines...)
+		for j, cb := range blocks {
+			if deadline := deadlines[j]; now > deadline {
+				h.remove(slices.Index(h.Blocks(), cb))
 				p.occupancy--
 				removed++
 			} else {
@@ -216,11 +249,11 @@ func sweepAll(p *Peer, now float64) int {
 			}
 		}
 		if h.Len() == 0 {
-			p.dropHolding(p.segIDs[i])
+			p.dropHolding(h)
 			i--
 			continue
 		}
-		p.segDue[i] = due
+		h.due = due
 	}
 	return removed
 }
@@ -287,8 +320,7 @@ func TestExpireDueSkipsOnlyHoldingsWithNothingDue(t *testing.T) {
 // TestZeroAllocPaths pins each steady-state path at 0 allocations per
 // call, timed by the benchmark of the same name over the same operation.
 // AllocsPerRun, like -benchmem, truncates the mean, so 0 means fewer
-// allocations than calls: a useful Receive reopens its collection every s
-// pulls and stays below one allocation per pull.
+// allocations than calls.
 func TestZeroAllocPaths(t *testing.T) {
 	if raceon.Enabled {
 		t.Skip("allocation budgets describe the uninstrumented build")
@@ -297,8 +329,6 @@ func TestZeroAllocPaths(t *testing.T) {
 		name string
 		op   func(testing.TB) func()
 	}{
-		{"CollectorReceive/useful", collectorReceive(true)},
-		{"CollectorReceive/redundant", collectorReceive(false)},
 		{"InventorySinceNoNews", inventorySinceNoNews},
 		{"ExpireDue", expireDue},
 	} {
@@ -445,26 +475,28 @@ func TestSampleAndRecode(t *testing.T) {
 	}
 }
 
+// TestCollectorRankAccounting: a collection counts every pull, its
+// innovative pulls and the one that decodes, and decodes the originals.
 func TestCollectorRankAccounting(t *testing.T) {
 	sink := NewCounters()
-	c := NewCollector(CollectorConfig{SegmentSize: 2}, sink)
 	seg := rlnc.SegmentID{Origin: 1}
+	col := NewCollection(seg, 2, 1)
 	b1 := &rlnc.CodedBlock{Seg: seg, Coeffs: []byte{1, 0}, Payload: []byte{10}}
 	b2 := &rlnc.CodedBlock{Seg: seg, Coeffs: []byte{0, 1}, Payload: []byte{20}}
 
-	out, col, err := c.Receive(b1)
+	out, err := col.Receive(b1, sink)
 	if err != nil || !out.Innovative || out.Decoded {
 		t.Fatalf("first pull: %+v err=%v", out, err)
 	}
 	// The same block again adds no rank.
-	out, _, err = c.Receive(b1)
+	out, err = col.Receive(b1, sink)
 	if err != nil || out.Innovative || out.Decoded {
 		t.Fatalf("repeat pull: %+v err=%v", out, err)
 	}
 	if col.Decoded() || col.Rank() != 1 {
 		t.Fatalf("collection after repeat: rank=%d decoded=%v", col.Rank(), col.Decoded())
 	}
-	out, _, err = c.Receive(b2)
+	out, err = col.Receive(b2, sink)
 	if err != nil || !out.Innovative || !out.Decoded {
 		t.Fatalf("completing pull: %+v err=%v", out, err)
 	}
@@ -480,27 +512,27 @@ func TestCollectorRankAccounting(t *testing.T) {
 	}
 }
 
+// TestCollectorRejectsMalformedBeforeCounting: a block of the wrong payload
+// size moves no counter. The coefficient count is the store's check (see
+// store.Memory.Receive).
 func TestCollectorRejectsMalformedBeforeCounting(t *testing.T) {
 	sink := NewCounters()
-	c := NewCollector(CollectorConfig{SegmentSize: 2}, sink)
 	seg := rlnc.SegmentID{Origin: 1}
-	if _, _, err := c.Receive(&rlnc.CodedBlock{Seg: seg, Coeffs: []byte{1}}); err == nil {
-		t.Fatal("short coefficient vector accepted")
-	}
-	c.Receive(&rlnc.CodedBlock{Seg: seg, Coeffs: []byte{1, 0}, Payload: []byte{1, 2}})
-	if _, _, err := c.Receive(&rlnc.CodedBlock{Seg: seg, Coeffs: []byte{0, 1}, Payload: []byte{1}}); err == nil {
+	col := NewCollection(seg, 2, 2)
+	col.Receive(&rlnc.CodedBlock{Seg: seg, Coeffs: []byte{1, 0}, Payload: []byte{1, 2}}, sink)
+	if _, err := col.Receive(&rlnc.CodedBlock{Seg: seg, Coeffs: []byte{0, 1}, Payload: []byte{1}}, sink); err == nil {
 		t.Fatal("payload length mismatch accepted")
 	}
-	if sink.Get(EvServerPull) != 1 {
-		t.Fatalf("serverPulls = %d after malformed blocks, want 1", sink.Get(EvServerPull))
+	if sink.Get(EvServerPull) != 1 || col.Rank() != 1 {
+		t.Fatalf("serverPulls = %d, rank %d after a malformed block, want 1 and 1", sink.Get(EvServerPull), col.Rank())
 	}
 }
 
-func TestCollectorRankOnlyReceive(t *testing.T) {
-	c := NewCollector(CollectorConfig{SegmentSize: 2, RankOnly: true}, nil)
+// TestCollectionWithoutPayloadTracksRank: a collection opened with payload
+// length 0 tracks rank only and takes payload-bearing blocks of any size.
+func TestCollectionWithoutPayloadTracksRank(t *testing.T) {
 	seg := rlnc.SegmentID{Origin: 4}
-	// Payload-bearing blocks are fine, of any size: rank-only decoders
-	// ignore payloads.
+	col := NewCollection(seg, 2, 0)
 	for i, tc := range []struct {
 		cb               *rlnc.CodedBlock
 		innovative, done bool
@@ -509,28 +541,12 @@ func TestCollectorRankOnlyReceive(t *testing.T) {
 		{&rlnc.CodedBlock{Seg: seg, Coeffs: []byte{1, 1}}, false, false},
 		{&rlnc.CodedBlock{Seg: seg, Coeffs: []byte{0, 1}, Payload: []byte{7, 7}}, true, true},
 	} {
-		if out, _, err := c.Receive(tc.cb); err != nil || out.Innovative != tc.innovative || out.Decoded != tc.done {
+		if out, err := col.Receive(tc.cb, NopSink{}); err != nil || out.Innovative != tc.innovative || out.Decoded != tc.done {
 			t.Fatalf("receive %d: %+v err=%v, want innovative=%v decoded=%v", i, out, err, tc.innovative, tc.done)
 		}
 	}
-	if col := c.Collection(seg); col == nil || col.Rank() != 2 || !col.Decoded() {
+	if col.Rank() != 2 || !col.Decoded() || col.PayloadLen() != 0 {
 		t.Fatal("rank-only collection state wrong")
-	}
-}
-
-func TestCollectorOpenForget(t *testing.T) {
-	c := NewCollector(CollectorConfig{SegmentSize: 2}, nil)
-	seg := rlnc.SegmentID{Origin: 2}
-	col := c.Open(seg, 0)
-	if col == nil || c.OpenCount() != 1 || c.Open(seg, 0) != col {
-		t.Fatal("open not idempotent")
-	}
-	if col.Rank() != 0 || col.Decoded() {
-		t.Fatal("fresh collection not zeroed")
-	}
-	c.Forget(seg)
-	if c.OpenCount() != 0 || c.Collection(seg) != nil {
-		t.Fatal("forget did not remove collection")
 	}
 }
 
@@ -550,18 +566,17 @@ func TestCollectorRestoreArrivalOrderBasis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := NewCollector(CollectorConfig{SegmentSize: s}, nil)
+	src := NewCollection(seg.ID, s, payloadLen)
 	var raw []*rlnc.CodedBlock
 	for len(raw) < s-1 {
 		cb := seg.Encode(rng)
-		if out, _, err := live.Receive(cb); err != nil {
+		if out, err := src.Receive(cb, NopSink{}); err != nil {
 			t.Fatal(err)
 		} else if out.Innovative {
 			raw = append(raw, cb)
 		}
 	}
-	src := live.Collection(seg.ID)
-	restored, err := NewCollector(CollectorConfig{SegmentSize: s}, nil).Restore(seg.ID, payloadLen, raw)
+	restored, err := RestoreCollection(seg.ID, s, payloadLen, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -570,7 +585,7 @@ func TestCollectorRestoreArrivalOrderBasis(t *testing.T) {
 	}
 	for !src.Decoded() {
 		cb := seg.Encode(rng)
-		want, _, _ := live.Receive(cb)
+		want, _ := src.Receive(cb, NopSink{})
 		if got, err := restored.dec.Add(cb); err != nil || got != want.Innovative {
 			t.Fatalf("restored verdict %v err=%v, live %v", got, err, want.Innovative)
 		}
@@ -583,7 +598,8 @@ func TestCollectorRestoreArrivalOrderBasis(t *testing.T) {
 // TestCollectorRestoreReportsDecoded restores a collection at every rank
 // from 0 to s: it must read as decoded exactly at full rank, as the
 // collection that was snapshotted did. A dependent row, which is what a
-// basis longer than s must hold, is refused and leaves nothing open.
+// basis longer than s must hold, is refused, and so is a negative payload
+// length.
 func TestCollectorRestoreReportsDecoded(t *testing.T) {
 	seg := rlnc.SegmentID{Origin: 1}
 	basis := []*rlnc.CodedBlock{
@@ -592,7 +608,7 @@ func TestCollectorRestoreReportsDecoded(t *testing.T) {
 		{Seg: seg, Coeffs: []byte{1, 1}, Payload: []byte{30}},
 	}
 	for rank := 0; rank <= 2; rank++ {
-		col, err := NewCollector(CollectorConfig{SegmentSize: 2}, nil).Restore(seg, 1, basis[:rank])
+		col, err := RestoreCollection(seg, 2, 1, basis[:rank])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -600,12 +616,11 @@ func TestCollectorRestoreReportsDecoded(t *testing.T) {
 			t.Errorf("restored at rank %d: rank=%d Decoded=%v", rank, col.Rank(), col.Decoded())
 		}
 	}
-	c := NewCollector(CollectorConfig{SegmentSize: 2}, nil)
-	if _, err := c.Restore(seg, 1, basis); err == nil {
-		t.Error("a basis of 3 rows at s=2 was restored")
+	if col, err := RestoreCollection(seg, 2, 1, basis); err == nil {
+		t.Errorf("a basis of 3 rows at s=2 was restored at rank %d", col.Rank())
 	}
-	if c.OpenCount() != 0 {
-		t.Errorf("a refused restore left %d collections open", c.OpenCount())
+	if _, err := RestoreCollection(seg, 2, -1, nil); err == nil {
+		t.Error("a negative payload length was restored")
 	}
 }
 

@@ -22,24 +22,19 @@ func MintTraceID(rng *randx.Rand, actor uint64) uint64 {
 // The first valid context wins — a segment's lineage is minted once at
 // injection (or adopted from the first traced block received) and never
 // rewritten by later arrivals. Contexts for segments the peer does not
-// hold, and invalid (unsampled) contexts, are dropped: lineage bookkeeping
-// must never outlive the blocks it describes, or the map would grow
-// without bound under churn.
+// hold, and invalid (unsampled) contexts, are dropped; the lineage lives
+// on the holding, so it goes with the blocks it describes.
 func (p *Peer) SetTraceCtx(seg rlnc.SegmentID, ctx obs.TraceContext) {
-	if !ctx.Valid() || p.holdings[seg] == nil {
-		return
+	if h := p.holdings[seg]; h != nil && ctx.Valid() && !h.tctx.Valid() {
+		h.tctx = ctx
 	}
-	if _, ok := p.traceCtx[seg]; ok {
-		return
-	}
-	if p.traceCtx == nil {
-		p.traceCtx = make(map[rlnc.SegmentID]obs.TraceContext)
-	}
-	p.traceCtx[seg] = ctx
 }
 
 // TraceCtx returns the sampled trace context attached to a buffered
 // segment, or the zero context when the segment is untraced.
 func (p *Peer) TraceCtx(seg rlnc.SegmentID) obs.TraceContext {
-	return p.traceCtx[seg]
+	if h := p.holdings[seg]; h != nil {
+		return h.tctx
+	}
+	return obs.TraceContext{}
 }

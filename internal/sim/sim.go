@@ -47,8 +47,6 @@ type Simulator struct {
 	counters *peercore.Counters
 	paper    *obs.CounterSet // the paper's state-based pull accounting
 	pcfg     peercore.PeerConfig
-	pool     *peercore.Collector   // collaborating decoder + union rank
-	perSrv   []*peercore.Collector // per-server decoders (IndependentServers)
 	// policies holds the pull schedulers: one shared instance when the
 	// servers collaborate (they share one collection state, so they share
 	// one view of the remaining work), one per server in IndependentServers
@@ -186,25 +184,6 @@ func New(cfg Config) (*Simulator, error) {
 	}
 	if cfg.TraceSample > 0 {
 		s.traceRNG = randx.New(cfg.Seed ^ traceSeedSalt)
-	}
-	// In IndependentServers mode the pooled collector only tracks the union
-	// rank, so it counts nothing; the collectors that count are per-server.
-	var poolSink peercore.EventSink = s.counters
-	if cfg.IndependentServers {
-		poolSink = nil
-	}
-	s.pool = peercore.NewCollector(peercore.CollectorConfig{
-		SegmentSize: cfg.SegmentSize,
-		RankOnly:    cfg.IndependentServers,
-	}, poolSink)
-	if cfg.IndependentServers {
-		s.perSrv = make([]*peercore.Collector, cfg.NumServers)
-		for j := range s.perSrv {
-			s.perSrv[j] = peercore.NewCollector(peercore.CollectorConfig{
-				SegmentSize: cfg.SegmentSize,
-				RankOnly:    true,
-			}, s.counters)
-		}
 	}
 	npol := 1
 	if cfg.IndependentServers {
@@ -480,16 +459,20 @@ func (s *Simulator) inject(pi int) {
 	meta := &segMeta{
 		id:          segID,
 		injectTime:  s.clock.Now(),
-		col:         s.pool.Open(segID, s.cfg.PayloadLen),
 		deliveredAt: -1,
 		decodedAt:   -1,
 	}
+	// In IndependentServers mode the pooled collection only tracks the
+	// union rank; the rank-only collections that count are per-server.
 	if s.cfg.IndependentServers {
+		meta.col = peercore.NewCollection(segID, s.cfg.SegmentSize, 0)
 		meta.perCol = make([]*peercore.Collection, s.cfg.NumServers)
 		meta.perState = make([]int, s.cfg.NumServers)
 		for j := range meta.perCol {
-			meta.perCol[j] = s.perSrv[j].Open(segID, 0)
+			meta.perCol[j] = peercore.NewCollection(segID, s.cfg.SegmentSize, 0)
 		}
+	} else {
+		meta.col = peercore.NewCollection(segID, s.cfg.SegmentSize, s.cfg.PayloadLen)
 	}
 	s.segs[segID] = meta
 	if s.traceRNG != nil && s.traceRNG.Float64() < s.cfg.TraceSample {
@@ -736,15 +719,15 @@ func (s *Simulator) pull(server int) {
 
 	// The decoder records actual linear innovation. In independent mode the
 	// receiving collection is the pulling server's own, and the pooled
-	// collector silently tracks the union rank for extinction accounting.
-	col, state := s.pool, &meta.state
+	// collection silently tracks the union rank for extinction accounting.
+	rcol, state := meta.col, &meta.state
 	if s.cfg.IndependentServers {
-		col, state = s.perSrv[server], &meta.perState[server]
-		if _, _, err := s.pool.Receive(cb); err != nil {
+		rcol, state = meta.perCol[server], &meta.perState[server]
+		if _, err := meta.col.Receive(cb, peercore.NopSink{}); err != nil {
 			panic(fmt.Sprintf("sim: pooled decode: %v", err))
 		}
 	}
-	out, rcol, err := col.Receive(cb)
+	out, err := rcol.Receive(cb, s.counters)
 	if err != nil {
 		panic(fmt.Sprintf("sim: server decode: %v", err))
 	}
@@ -938,10 +921,6 @@ func (s *Simulator) noteBlockRemoved(segID rlnc.SegmentID) {
 			s.rankLostSegments++
 		}
 		delete(s.segs, segID)
-		s.pool.Forget(segID)
-		for _, c := range s.perSrv {
-			c.Forget(segID)
-		}
 	}
 }
 
@@ -1042,9 +1021,6 @@ func (s *Simulator) CheckInvariants() error {
 		}
 		if meta.degree >= s.cfg.SegmentSize && !meta.delivered() {
 			saved++
-		}
-		if s.pool.Collection(segID) != meta.col {
-			return fmt.Errorf("segment %v pooled collection out of sync", segID)
 		}
 		if meta.state > s.cfg.SegmentSize {
 			return fmt.Errorf("segment %v pull state %d above s", segID, meta.state)
