@@ -278,7 +278,7 @@ func TestTrajectoryGoldens(t *testing.T) {
 // or the collection code that shifts one seeded draw shows up here.
 // codingcost and fleet time real work and are left out.
 func TestTableGoldens(t *testing.T) {
-	for _, name := range []string{"fig3", "fig4", "fig5", "fig6", "overhead", "s1", "baseline", "drain", "ablation", "feedback", "servers", "topology", "pullsched", "obs"} {
+	for _, name := range []string{"fig3", "fig4", "fig5", "fig6", "overhead", "s1", "baseline", "drain", "ablation", "feedback", "servers", "topology", "pullsched", "obs", "transient", "flashjoin"} {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			want, err := os.ReadFile(filepath.Join("testdata", name+"_quick_n40.txt"))

@@ -314,3 +314,36 @@ func TestFirstCursorStartsOnePageBehind(t *testing.T) {
 		t.Fatalf("pull after one more decode lists %v, want [%v]", list, next)
 	}
 }
+
+// TestNodeBlocksConserved: every block a node stores leaves its buffer by
+// TTL or by a decoded-list purge, each counted once in the peer core (a
+// live node has no departure of its own), so in any one Stats snapshot
+// blocksStored − blocksLostToTTL − blocksPurgedByFeedback is what the node
+// buffers. The run lasts until both ways out have been taken.
+func TestNodeBlocksConserved(t *testing.T) {
+	cluster, err := StartCluster(ClusterConfig{
+		Peers:   8,
+		Servers: 1,
+		Degree:  3,
+		Node:    fastNodeConfig(),
+		Server:  ServerConfig{PullRate: 200},
+		Seed:    5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Stop()
+	waitFor(t, 15*time.Second, "TTL losses and decoded-list purges", func() bool {
+		var ttl, purged int64
+		for i, node := range cluster.Nodes {
+			st := node.Stats()
+			get := func(ev peercore.Event) int64 { return st.Protocol[ev.String()] }
+			if left := get(peercore.EvBlockStored) - get(peercore.EvBlockLostTTL) - get(peercore.EvBlockPurged); left != int64(st.BufferedBlocks) {
+				t.Fatalf("node %d: %d blocks stored and not counted out, %d buffered", i, left, st.BufferedBlocks)
+			}
+			ttl += get(peercore.EvBlockLostTTL)
+			purged += get(peercore.EvBlockPurged)
+		}
+		return ttl > 0 && purged > 0
+	})
+}

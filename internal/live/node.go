@@ -436,13 +436,13 @@ func (n *Node) receiveBlock(m *transport.Message) {
 }
 
 // servePull answers a logging server: first it drops every segment the
-// request lists as finished, counting the blocks purged; then it sends one
-// re-encoded block of the hinted segment when the request carries a hint
-// this node still buffers, else of a uniformly random buffered segment, or
-// an empty notice. When the server asked for an inventory a digest follows
-// the reply, so feedback-driven policies can aim their next pulls: the
-// whole buffer for WantInventory, what is new since the request's cursor
-// otherwise, and for a cursor with no news nothing. The node keeps no
+// request lists as finished (the core counts the blocks purged); then it
+// sends one re-encoded block of the hinted segment when the request carries
+// a hint this node still buffers, else of a uniformly random buffered
+// segment, or an empty notice. When the server asked for an inventory a
+// digest follows the reply, so feedback-driven policies can aim their next
+// pulls: the whole buffer for WantInventory, what is new since the request's
+// cursor otherwise, and for a cursor with no news nothing. The node keeps no
 // per-server protocol state: a server that missed a delta still holds the
 // old cursor and is told again, and a list lost with its pull is listed
 // again.
@@ -451,9 +451,7 @@ func (n *Node) servePull(m *transport.Message) {
 	n.mu.Lock()
 	for _, seg := range m.DecodedList() {
 		n.decoded.Add(seg)
-		if purged := n.core.DropSegment(seg); purged > 0 {
-			n.counters.Count(peercore.EvBlockPurged, int64(purged))
-		}
+		n.core.DropSegment(seg)
 	}
 	if m.HasHint {
 		// A traced hinted pull seeds the segment's lineage here, so even a

@@ -17,9 +17,7 @@ func TestInventorySinceCursor(t *testing.T) {
 	if inv, cur, delta := p.InventorySince(1); inv != nil || cur != 1 || !delta {
 		t.Fatalf("fresh peer, cursor 1: %v, %d, delta=%v; want an empty delta", inv, cur, delta)
 	}
-	first, _, _ := p.Inject(0, nil)
-	second, stored, _ := p.Inject(0, nil)
-	p.ExpireBlock(stored[0].Block)
+	first, second := injectThenExpireOne(t, p)
 	lines := []pullsched.InventoryEntry{{Seg: first, Blocks: 4}, {Seg: second, Blocks: 3}}
 	for _, tc := range []struct {
 		cursor uint64

@@ -6,12 +6,15 @@
 // is one holding record, a collected one one Collection, which the drivers
 // index (the simulator per segment, store.Memory per server).
 //
-// The discrete-event simulator drives one Peer per slot from DES event
-// ticks with simulated time; the live runtime drives the identical code
-// from goroutine timers under a mutex with wall-clock seconds. Time is an
-// opaque float64 supplied by the driver, randomness comes from an injected
-// randx.Rand, and counters flow through a pluggable EventSink, so the two
-// runtimes genuinely execute the same protocol code paths.
+// A buffered block leaves in one of three ways, each decided and counted
+// here: its TTL deadline is reached (ExpireDue, EvBlockLostTTL), its segment
+// is purged by server feedback (DropSegment, EvBlockPurged), or its holder
+// departs (Clear, EvBlockLostExit). The discrete-event simulator calls
+// ExpireDue from one event per stored block at its deadline, the live
+// runtime from a periodic sweep; both make the same calls with their own
+// clock. Time is an opaque float64 supplied by the driver, randomness comes
+// from an injected randx.Rand, and counters flow through a pluggable
+// EventSink, so the two runtimes execute the same protocol code paths.
 package peercore
 
 import (
@@ -57,17 +60,15 @@ type StoreResult struct {
 	// NoRoom is true when the buffer was at capacity and the block was
 	// rejected before the rank test.
 	NoRoom bool
-	// TTL is the sampled block lifetime (only when Stored).
-	TTL float64
-	// Deadline is now + TTL (only when Stored); ExpireDue sweeps against it.
+	// Deadline is now plus the sampled TTL (only when Stored): ExpireDue
+	// removes the block once it is reached.
 	Deadline float64
 }
 
-// Stored describes one block filed by Inject, with its TTL so event-driven
-// runtimes can schedule the exact expiry.
+// Stored describes one block filed by Inject with its TTL deadline, so an
+// event-driven runtime can call ExpireDue exactly then.
 type Stored struct {
 	Block    *rlnc.CodedBlock
-	TTL      float64
 	Deadline float64
 }
 
@@ -115,8 +116,7 @@ type holding struct {
 	arrival uint64
 	// due is a lower bound on the earliest deadline: Store lowers it, an
 	// ExpireDue visit makes it exact again, and a sweep skips a holding
-	// whose bound has not passed. A block removed any other way leaves it
-	// too early, which costs one visit.
+	// whose bound has not been reached.
 	due float64
 	// tctx is the segment's sampled lineage (see trace.go), zero when
 	// untraced.
@@ -238,7 +238,7 @@ func (p *Peer) Inject(now float64, payloads func() [][]byte) (rlnc.SegmentID, []
 		if !res.Stored {
 			continue
 		}
-		stored = append(stored, Stored{Block: cb, TTL: res.TTL, Deadline: res.Deadline})
+		stored = append(stored, Stored{Block: cb, Deadline: res.Deadline})
 	}
 	p.sink.Count(EvInjectedSegment, 1)
 	p.sink.Count(EvInjectedBlock, int64(size))
@@ -247,10 +247,10 @@ func (p *Peer) Inject(now float64, payloads func() [][]byte) (rlnc.SegmentID, []
 
 // Store files cb if it is innovative, assigning it an Exp(Gamma) TTL. A
 // block arriving at a full buffer is rejected with NoRoom; a linearly
-// redundant block is discarded and counted. The caller keeps the returned
-// TTL if it wants to schedule the exact expiry event (the simulator does);
-// sweep-based runtimes use ExpireDue instead. A stored block is kept by
-// reference, not copied, so the caller must not modify it afterwards.
+// redundant block is discarded and counted. Whatever clock drives the peer
+// calls ExpireDue at or after the returned Deadline to remove the block. A
+// stored block is kept by reference, not copied, so the caller must not
+// modify it afterwards.
 func (p *Peer) Store(now float64, cb *rlnc.CodedBlock) StoreResult {
 	if p.occupancy >= p.cfg.BufferCap {
 		return StoreResult{NoRoom: true}
@@ -272,13 +272,12 @@ func (p *Peer) Store(now float64, cb *rlnc.CodedBlock) StoreResult {
 		p.sink.Count(EvRedundantBlock, 1)
 		return StoreResult{}
 	}
-	ttl := p.rng.Exp(p.cfg.Gamma)
-	deadline := now + ttl
+	deadline := now + p.rng.Exp(p.cfg.Gamma)
 	h.deadlines = append(h.deadlines, deadline)
 	h.due = min(h.due, deadline)
 	p.occupancy++
 	p.sink.Count(EvBlockStored, 1)
-	return StoreResult{Stored: true, TTL: ttl, Deadline: deadline}
+	return StoreResult{Stored: true, Deadline: deadline}
 }
 
 // SampleSegment returns a uniformly random buffered segment, the segment
@@ -332,13 +331,6 @@ func (p *Peer) ServePull(hint rlnc.SegmentID, hasHint bool) (seg rlnc.SegmentID,
 	return seg, wire, true
 }
 
-// Inventory digests the buffered segments for a pull reply, in SegmentAt
-// order; nil when the buffer is empty. It is InventorySince with no cursor.
-func (p *Peer) Inventory() []pullsched.InventoryEntry {
-	inv, _, _ := p.InventorySince(0)
-	return inv
-}
-
 // InventorySince digests the segments whose holding was opened after cursor
 // and is still held, in SegmentAt order (nil when there are none), and
 // returns the cursor the digest reaches: the count of holdings opened so
@@ -372,35 +364,15 @@ func (p *Peer) InventorySince(cursor uint64) (inv []pullsched.InventoryEntry, cu
 	return inv, p.arrivals, delta
 }
 
-// ExpireBlock removes one specific stored block (the event-driven TTL path)
-// and reports whether it was present. Blocks already gone — purged, never
-// stored here, or swept — are a no-op.
-func (p *Peer) ExpireBlock(cb *rlnc.CodedBlock) bool {
-	h := p.holdings[cb.Seg]
-	if h == nil {
-		return false
-	}
-	i := slices.Index(h.Blocks(), cb)
-	if i < 0 {
-		return false
-	}
-	h.remove(i)
-	p.sink.Count(EvBlockLostTTL, 1)
-	if h.Len() == 0 {
-		p.dropHolding(h)
-	}
-	p.occupancy--
-	return true
-}
-
-// ExpireDue removes every block whose TTL deadline has passed (the
-// sweep-based TTL path) and returns how many were removed. Only holdings
-// whose earliest-deadline bound has passed are visited.
+// ExpireDue removes every block whose TTL deadline has been reached
+// (deadline <= now), counting each as lost to TTL, and returns how many
+// were removed. Only holdings whose earliest-deadline bound has been
+// reached are visited.
 func (p *Peer) ExpireDue(now float64) int {
 	removed := 0
 	for i := 0; i < len(p.segs); i++ {
 		h := p.segs[i]
-		if now <= h.due {
+		if now < h.due {
 			continue
 		}
 		// remove reorders the blocks, so iterate over a snapshot; the order
@@ -411,7 +383,7 @@ func (p *Peer) ExpireDue(now float64) int {
 		}
 		due := math.Inf(1)
 		for _, b := range p.sweep {
-			if now <= b.deadline {
+			if now < b.deadline {
 				due = min(due, b.deadline)
 				continue
 			}
@@ -432,8 +404,8 @@ func (p *Peer) ExpireDue(now float64) int {
 }
 
 // DropSegment evicts every buffered block of the segment (the server
-// feedback purge) and returns how many blocks were removed. Their pending
-// TTLs become no-ops.
+// feedback purge), counting them as purged, and returns how many blocks
+// were removed.
 func (p *Peer) DropSegment(seg rlnc.SegmentID) int {
 	h := p.holdings[seg]
 	if h == nil {
@@ -442,11 +414,14 @@ func (p *Peer) DropSegment(seg rlnc.SegmentID) int {
 	n := h.Len()
 	p.dropHolding(h)
 	p.occupancy -= n
+	p.sink.Count(EvBlockPurged, int64(n))
 	return n
 }
 
-// Clear evicts everything, as when the peer departs the session.
+// Clear evicts everything, as when the peer departs the session, counting
+// every block as lost with its holder.
 func (p *Peer) Clear() {
+	p.sink.Count(EvBlockLostExit, int64(p.occupancy))
 	p.holdings = make(map[rlnc.SegmentID]*holding)
 	p.segs = nil
 	p.occupancy = 0

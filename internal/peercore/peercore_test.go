@@ -2,6 +2,7 @@ package peercore
 
 import (
 	"bytes"
+	"cmp"
 	"math"
 	"reflect"
 	"slices"
@@ -33,8 +34,8 @@ func TestInjectStoresFullSegment(t *testing.T) {
 		t.Fatalf("stored %d blocks, want 4", len(stored))
 	}
 	for _, st := range stored {
-		if st.TTL <= 0 || st.Deadline != st.TTL {
-			t.Fatalf("block TTL %g deadline %g, want positive TTL with deadline = now+TTL", st.TTL, st.Deadline)
+		if st.Deadline <= 0 {
+			t.Fatalf("block deadline %g, want now (0) plus a positive TTL", st.Deadline)
 		}
 	}
 	if p.Occupancy() != 4 || p.NumSegments() != 1 || !p.HoldingFull(seg) {
@@ -130,30 +131,33 @@ func TestStoreRedundantFirstBlockLeavesNoEmptyHolding(t *testing.T) {
 	}
 }
 
-func TestExpireBlockPaths(t *testing.T) {
+// TestExpireDueAtEachDeadline expires a segment's blocks one by one, each by
+// a call at exactly its deadline, as the simulator's TTL events do: a
+// deadline that is reached is due, one an instant later is not.
+func TestExpireDueAtEachDeadline(t *testing.T) {
 	sink := NewCounters()
 	p := newTestPeer(t, 16, sink)
 	seg, stored, _ := p.Inject(0, nil)
-	if !p.ExpireBlock(stored[0].Block) {
-		t.Fatal("live block not expired")
+	slices.SortFunc(stored, func(a, b Stored) int { return cmp.Compare(a.Deadline, b.Deadline) })
+	for i, st := range stored {
+		if n := p.ExpireDue(math.Nextafter(st.Deadline, 0)); n != 0 {
+			t.Fatalf("block %d: %d removed just before its deadline", i, n)
+		}
+		if n := p.ExpireDue(st.Deadline); n != 1 {
+			t.Fatalf("block %d: %d removed at its deadline, want 1", i, n)
+		}
+		if p.Occupancy() != 3-i || p.HoldingFull(seg) {
+			t.Fatalf("occupancy %d full=%v after expiry %d", p.Occupancy(), p.HoldingFull(seg), i)
+		}
+		if err := p.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if p.ExpireBlock(stored[0].Block) {
-		t.Fatal("double expiry reported success")
-	}
-	if p.Occupancy() != 3 || p.HoldingFull(seg) {
-		t.Fatalf("occupancy %d full=%v after expiry", p.Occupancy(), p.HoldingFull(seg))
-	}
-	for _, st := range stored[1:] {
-		p.ExpireBlock(st.Block)
-	}
-	if p.Holds(seg) || p.NumSegments() != 0 || p.Occupancy() != 0 {
+	if p.Holds(seg) || p.NumSegments() != 0 {
 		t.Fatal("holding survived expiry of all its blocks")
 	}
 	if got := sink.Get(EvBlockLostTTL); got != 4 {
 		t.Fatalf("blocksLostToTTL = %d, want 4", got)
-	}
-	if err := p.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -240,7 +244,7 @@ func sweepAll(p *Peer, now float64) int {
 		blocks := append([]*rlnc.CodedBlock(nil), h.Blocks()...)
 		deadlines := append([]float64(nil), h.deadlines...)
 		for j, cb := range blocks {
-			if deadline := deadlines[j]; now > deadline {
+			if deadline := deadlines[j]; now >= deadline {
 				h.remove(slices.Index(h.Blocks(), cb))
 				p.occupancy--
 				removed++
@@ -259,9 +263,10 @@ func sweepAll(p *Peer, now float64) int {
 }
 
 // TestExpireDueSkipsOnlyHoldingsWithNothingDue drives two peers through the
-// same seeded stores, targeted expiries, purges and sweeps, one sweeping
-// with ExpireDue and one visiting every holding: the removal counts, the
-// sampling order and every holding's block order must agree throughout.
+// same seeded stores, purges and sweeps, some landing exactly on a block's
+// deadline, one sweeping with ExpireDue and one visiting every holding: the
+// removal counts, the sampling order and every holding's block order must
+// agree throughout.
 func TestExpireDueSkipsOnlyHoldingsWithNothingDue(t *testing.T) {
 	const size = 4
 	for seed := int64(1); seed <= 10; seed++ {
@@ -280,10 +285,11 @@ func TestExpireDueSkipsOnlyHoldingsWithNothingDue(t *testing.T) {
 				a.Store(now, a.Recode(a.SegmentAt(i)))
 				b.Store(now, b.Recode(b.SegmentAt(i)))
 			case k == 6 && a.NumSegments() > 0:
-				i := ops.Intn(a.NumSegments())
-				j := ops.Intn(a.BlocksOf(a.SegmentAt(i)))
-				a.ExpireBlock(a.holdings[a.SegmentAt(i)].Blocks()[j])
-				b.ExpireBlock(b.holdings[b.SegmentAt(i)].Blocks()[j])
+				h := a.segs[ops.Intn(a.NumSegments())]
+				now = max(now, h.deadlines[ops.Intn(h.Len())])
+				if got, want := a.ExpireDue(now), sweepAll(b, now); got != want {
+					t.Fatalf("seed %d step %d: ExpireDue at a deadline removed %d, a full sweep %d", seed, step, got, want)
+				}
 			case k == 7 && a.NumSegments() > 0:
 				i := ops.Intn(a.NumSegments())
 				a.DropSegment(a.SegmentAt(i))
@@ -419,7 +425,8 @@ func (h *dueHeap) pop() Stored {
 }
 
 func TestDropSegmentAndClear(t *testing.T) {
-	p := newTestPeer(t, 64, nil)
+	sink := NewCounters()
+	p := newTestPeer(t, 64, sink)
 	seg1, _, _ := p.Inject(0, nil)
 	p.Inject(0, nil)
 	if n := p.DropSegment(seg1); n != 4 {
@@ -437,6 +444,9 @@ func TestDropSegmentAndClear(t *testing.T) {
 	p.Clear()
 	if p.Occupancy() != 0 || p.NumSegments() != 0 {
 		t.Fatal("clear left state behind")
+	}
+	if purged, exit := sink.Get(EvBlockPurged), sink.Get(EvBlockLostExit); purged != 4 || exit != 4 {
+		t.Fatalf("blocksPurgedByFeedback %d, blocksLostToExit %d; want 4 each", purged, exit)
 	}
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -713,14 +723,26 @@ func TestServePull(t *testing.T) {
 
 func TestInventory(t *testing.T) {
 	p := newTestPeer(t, 16, nil)
-	if inv := p.Inventory(); inv != nil {
+	if inv, _, _ := p.InventorySince(0); inv != nil {
 		t.Fatalf("empty buffer digests to %v, want nil", inv)
 	}
-	first, _, _ := p.Inject(0, nil)
-	second, stored, _ := p.Inject(0, nil)
-	p.ExpireBlock(stored[0].Block)
+	first, second := injectThenExpireOne(t, p)
 	want := []pullsched.InventoryEntry{{Seg: first, Blocks: 4}, {Seg: second, Blocks: 3}}
-	if inv := p.Inventory(); !reflect.DeepEqual(inv, want) {
-		t.Errorf("Inventory = %v, want %v (SegmentAt order, buffered block counts)", inv, want)
+	if inv, _, _ := p.InventorySince(0); !reflect.DeepEqual(inv, want) {
+		t.Errorf("InventorySince(0) = %v, want %v (SegmentAt order, buffered block counts)", inv, want)
 	}
+}
+
+// injectThenExpireOne injects two segments, the first late enough that
+// every deadline of the second comes before its own, and expires the
+// second's earliest block.
+func injectThenExpireOne(t *testing.T, p *Peer) (first, second rlnc.SegmentID) {
+	t.Helper()
+	first, _, _ = p.Inject(1e6, nil)
+	second, stored, _ := p.Inject(0, nil)
+	earliest := slices.MinFunc(stored, func(a, b Stored) int { return cmp.Compare(a.Deadline, b.Deadline) })
+	if n := p.ExpireDue(earliest.Deadline); n != 1 {
+		t.Fatalf("ExpireDue at the earliest deadline removed %d blocks, want 1", n)
+	}
+	return first, second
 }

@@ -26,6 +26,14 @@ func seg(origin, seq uint64) rlnc.SegmentID {
 	return rlnc.SegmentID{Origin: origin, Seq: seq}
 }
 
+// holders returns the known holder count of a candidate, 0 for none.
+func holders(p *RarestFirst, s rlnc.SegmentID) int {
+	if c := p.cands[s]; c != nil {
+		return c.holders
+	}
+	return 0
+}
+
 func TestNewRegistry(t *testing.T) {
 	for _, name := range append(Names(), "") {
 		p, err := New(name, 1)
@@ -135,8 +143,8 @@ func TestRarestFirstEmptyReplyClearsPeer(t *testing.T) {
 		t.Fatalf("KnownPeers = %d, want 1", p.KnownPeers())
 	}
 	p.Feedback(Feedback{Peer: 5, Time: 0.5, Empty: true})
-	if p.holders[seg(1, 1)] != 0 {
-		t.Fatalf("emptied peer still counted as %d holders", p.holders[seg(1, 1)])
+	if holders(p, seg(1, 1)) != 0 {
+		t.Fatalf("emptied peer still counted as %d holders", holders(p, seg(1, 1)))
 	}
 	// With no holders left the policy is back to the blind fallback, and
 	// the emptied digest is as old as it was: no refresh before its time.
@@ -186,9 +194,9 @@ func TestRarestFirstDeltaAddsAndKeepsAge(t *testing.T) {
 	p.ObserveInventory(0, 5, nil)
 	p.ObserveInventory(0, 5, []InventoryEntry{{Seg: seg(1, 1), Blocks: 1}})
 	p.ObserveInventory(0.9, 5, []InventoryEntry{{Seg: seg(2, 2), Blocks: 1}, {Seg: seg(1, 1), Blocks: 3}})
-	if p.holders[seg(1, 1)] != 1 || p.holders[seg(2, 2)] != 1 {
+	if holders(p, seg(1, 1)) != 1 || holders(p, seg(2, 2)) != 1 {
 		t.Fatalf("holders = %d and %d, want one each (a repeated line counts once)",
-			p.holders[seg(1, 1)], p.holders[seg(2, 2)])
+			holders(p, seg(1, 1)), holders(p, seg(2, 2)))
 	}
 	if d, ok := p.Choose(1, &scriptEnv{}); !ok || !d.HasHint || !d.WantInventory {
 		t.Fatalf("Choose = %+v, %v; want a hinted pull refreshing a digest last whole at t=0", d, ok)
@@ -247,11 +255,11 @@ func TestRarestFirstLearnsFromReplies(t *testing.T) {
 		t.Fatalf("Choose = %+v, %v; want hint 1/1 at peer 5", d, ok)
 	}
 	p.Feedback(Feedback{Peer: 5, Time: 0.2, Seg: seg(2, 2), Useful: true})
-	if p.holders[seg(1, 1)] != 0 {
-		t.Fatalf("refuted digest entry still has %d holders", p.holders[seg(1, 1)])
+	if holders(p, seg(1, 1)) != 0 {
+		t.Fatalf("refuted digest entry still has %d holders", holders(p, seg(1, 1)))
 	}
-	if p.holders[seg(2, 2)] != 1 {
-		t.Fatalf("served segment not learned (holders=%d)", p.holders[seg(2, 2)])
+	if holders(p, seg(2, 2)) != 1 {
+		t.Fatalf("served segment not learned (holders=%d)", holders(p, seg(2, 2)))
 	}
 	if d, ok := p.Choose(0.3, &scriptEnv{}); !ok || d.Hint != seg(2, 2) {
 		t.Fatalf("Choose after learning = %+v, %v; want hint 2/2", d, ok)
@@ -270,8 +278,8 @@ func TestRarestFirstUselessReplyExhaustsHolding(t *testing.T) {
 	// stopped being innovative. The digest line must go, or the policy
 	// would hammer this peer for the rest of the digest's lifetime.
 	p.Feedback(Feedback{Peer: 5, Time: 0.2, Seg: seg(1, 1)})
-	if p.holders[seg(1, 1)] != 0 {
-		t.Fatalf("exhausted holding still has %d holders", p.holders[seg(1, 1)])
+	if holders(p, seg(1, 1)) != 0 {
+		t.Fatalf("exhausted holding still has %d holders", holders(p, seg(1, 1)))
 	}
 	d, ok = p.Choose(0.3, &scriptEnv{peers: []PeerRef{9}})
 	if !ok || d.HasHint {
@@ -285,8 +293,8 @@ func TestRarestFirstDigestReplacement(t *testing.T) {
 	// A full digest is delivered as clear, then add.
 	p.ObserveInventory(1, 5, nil)
 	p.ObserveInventory(1, 5, []InventoryEntry{{Seg: seg(2, 2), Blocks: 1}})
-	if p.holders[seg(1, 1)] != 0 {
-		t.Fatalf("stale holder count %d for replaced digest", p.holders[seg(1, 1)])
+	if holders(p, seg(1, 1)) != 0 {
+		t.Fatalf("stale holder count %d for replaced digest", holders(p, seg(1, 1)))
 	}
 	d, ok := p.Choose(1.5, &scriptEnv{})
 	if !ok || d.Hint != seg(2, 2) || d.WantInventory {
@@ -303,7 +311,27 @@ func TestRarestFirstPrunedSegmentLeavesNoHolderEntry(t *testing.T) {
 	p.Feedback(Feedback{Peer: 5, Seg: seg(1, 1), Useful: true, Done: true})
 	p.Choose(0.1, &scriptEnv{peers: []PeerRef{5}}) // prunes the delivered segment
 	p.ObserveInventory(0.2, 5, nil)
-	if n, ok := p.holders[seg(1, 1)]; ok {
-		t.Fatalf("pruned segment back in the holder table at %d", n)
+	if c := p.cands[seg(1, 1)]; c != nil {
+		t.Fatalf("pruned segment back among the candidates with %d holders", c.holders)
+	}
+}
+
+// TestRarestFirstHintDiesWithItsDigest: a hint refers to the digest it was
+// aimed at. Once that digest expires, a reply from the same peer must not
+// strike the hinted segment from the peer's next digest.
+func TestRarestFirstHintDiesWithItsDigest(t *testing.T) {
+	p := NewRarestFirst(RarestConfig{Seed: 1, RefreshInterval: 1})
+	p.ObserveInventory(0, 5, []InventoryEntry{{Seg: seg(1, 1), Blocks: 1}})
+	if d, ok := p.Choose(0.1, &scriptEnv{}); !ok || d.Hint != seg(1, 1) || d.Peer != 5 {
+		t.Fatalf("Choose = %+v, %v; want hint 1/1 at peer 5", d, ok)
+	}
+	// Past RefreshInterval×expireFactor peer 5's digest expires unanswered.
+	if d, ok := p.Choose(2.5, &scriptEnv{peers: []PeerRef{5}}); !ok || d.HasHint {
+		t.Fatalf("Choose after expiry = %+v, %v; want a blind pull", d, ok)
+	}
+	p.ObserveInventory(2.5, 5, []InventoryEntry{{Seg: seg(1, 1), Blocks: 1}, {Seg: seg(2, 2), Blocks: 1}})
+	p.Feedback(Feedback{Peer: 5, Time: 2.6, Seg: seg(2, 2), Useful: true})
+	if p.peers[5].segs[seg(1, 1)] == 0 || holders(p, seg(1, 1)) != 1 {
+		t.Fatalf("the old hint struck 1/1 from the fresh digest (holders %d)", holders(p, seg(1, 1)))
 	}
 }

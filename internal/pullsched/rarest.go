@@ -48,24 +48,33 @@ type RarestFirst struct {
 	peers     map[PeerRef]*peerInventory
 	peerOrder []PeerRef
 
-	segs    []rlnc.SegmentID       // known segments, insertion-ordered
-	segPos  map[rlnc.SegmentID]int // position in segs
-	holders map[rlnc.SegmentID]int // known holder count
+	// cands holds one record per candidate segment; segs lists them in the
+	// order they were learned, each knowing its own index.
+	cands map[rlnc.SegmentID]*candidate
+	segs  []*candidate
 
 	delivered *rlnc.SegmentSet
-
-	// lastHint remembers the most recent hinted segment per peer so the
-	// reply can confirm or refute the digest entry it was aimed at.
-	lastHint map[PeerRef]rlnc.SegmentID
 
 	scratch []PeerRef // holder candidates, reused across Choose calls
 }
 
+// candidate is one segment some digest lists, with its known holder count.
+type candidate struct {
+	seg     rlnc.SegmentID
+	pos     int // index in RarestFirst.segs
+	holders int
+}
+
 // peerInventory is one peer's digest: at is when it was last known whole
-// (the last full digest, or the moment the peer was first heard of).
+// (the last full digest, or the moment the peer was first heard of). hint
+// is the segment last hinted at the peer (when hinted), so the reply can
+// confirm or refute the digest entry it was aimed at; it dies with the
+// digest.
 type peerInventory struct {
-	at   float64
-	segs map[rlnc.SegmentID]int // seg -> block count
+	at     float64
+	segs   map[rlnc.SegmentID]int // seg -> block count
+	hint   rlnc.SegmentID
+	hinted bool
 }
 
 var _ Policy = (*RarestFirst)(nil)
@@ -80,10 +89,8 @@ func NewRarestFirst(cfg RarestConfig) *RarestFirst {
 		cfg:       cfg,
 		rng:       randx.New(cfg.Seed),
 		peers:     make(map[PeerRef]*peerInventory),
-		segPos:    make(map[rlnc.SegmentID]int),
-		holders:   make(map[rlnc.SegmentID]int),
+		cands:     make(map[rlnc.SegmentID]*candidate),
 		delivered: rlnc.NewSegmentSet(deliveredCap),
-		lastHint:  make(map[PeerRef]rlnc.SegmentID),
 	}
 }
 
@@ -112,7 +119,7 @@ func (p *RarestFirst) Choose(now float64, env Env) (Decision, bool) {
 		}
 	}
 	peer := p.scratch[p.rng.Intn(len(p.scratch))]
-	p.lastHint[peer] = seg
+	p.peers[peer].hint, p.peers[peer].hinted = seg, true
 	return Decision{
 		Peer:          peer,
 		Hint:          seg,
@@ -140,22 +147,22 @@ func (p *RarestFirst) expire(now float64) {
 // Delivered or holderless segments encountered during the scan are pruned,
 // keeping the scan proportional to the live set.
 func (p *RarestFirst) rarest() (rlnc.SegmentID, bool) {
-	best := -1
+	var best *candidate
 	for i := 0; i < len(p.segs); i++ {
-		seg := p.segs[i]
-		if p.delivered.Has(seg) || p.holders[seg] <= 0 {
-			p.dropSeg(seg)
+		c := p.segs[i]
+		if p.delivered.Has(c.seg) || c.holders <= 0 {
+			p.dropSeg(c)
 			i--
 			continue
 		}
-		if best < 0 || p.holders[seg] < p.holders[p.segs[best]] {
-			best = i
+		if best == nil || c.holders < best.holders {
+			best = c
 		}
 	}
-	if best < 0 {
+	if best == nil {
 		return rlnc.SegmentID{}, false
 	}
-	return p.segs[best], true
+	return best.seg, true
 }
 
 // stale reports whether the peer's full digest is missing or past the
@@ -177,17 +184,18 @@ func (p *RarestFirst) stale(now float64, peer PeerRef) bool {
 // recoded blocks stop being innovative), so pulling it again from this
 // peer cannot help until a fresh digest says otherwise.
 func (p *RarestFirst) Feedback(f Feedback) {
+	pi := p.peers[f.Peer]
 	if f.Empty {
-		if pi := p.peers[f.Peer]; pi != nil {
+		if pi != nil {
 			p.dropLines(pi)
+			pi.hinted = false
 		}
-		delete(p.lastHint, f.Peer)
 		return
 	}
-	if hint, ok := p.lastHint[f.Peer]; ok {
-		delete(p.lastHint, f.Peer)
-		if hint != f.Seg {
-			p.removeHolding(f.Peer, hint)
+	if pi != nil && pi.hinted {
+		pi.hinted = false
+		if pi.hint != f.Seg {
+			p.removeHolding(f.Peer, pi.hint)
 		}
 	}
 	if f.Useful || f.Done {
@@ -208,11 +216,7 @@ func (p *RarestFirst) confirmHolding(peer PeerRef, seg rlnc.SegmentID) {
 		return
 	}
 	inv.segs[seg] = 1
-	p.holders[seg]++
-	if _, known := p.segPos[seg]; !known {
-		p.segPos[seg] = len(p.segs)
-		p.segs = append(p.segs, seg)
-	}
+	p.hold(seg)
 }
 
 // removeHolding drops one digest line a reply disproved.
@@ -245,11 +249,7 @@ func (p *RarestFirst) ObserveInventory(now float64, peer PeerRef, inv []Inventor
 			continue
 		}
 		pi.segs[e.Seg] = e.Blocks
-		p.holders[e.Seg]++
-		if _, known := p.segPos[e.Seg]; !known {
-			p.segPos[e.Seg] = len(p.segs)
-			p.segs = append(p.segs, e.Seg)
-		}
+		p.hold(e.Seg)
 	}
 }
 
@@ -264,12 +264,23 @@ func (p *RarestFirst) dropLines(pi *peerInventory) {
 	clear(pi.segs)
 }
 
+// hold counts one more holder of seg, making it a candidate if it is not.
+func (p *RarestFirst) hold(seg rlnc.SegmentID) {
+	c := p.cands[seg]
+	if c == nil {
+		c = &candidate{seg: seg, pos: len(p.segs)}
+		p.cands[seg] = c
+		p.segs = append(p.segs, c)
+	}
+	c.holders++
+}
+
 // unhold takes back one holder of seg. A delivered segment that rarest has
-// already pruned can still sit in a digest; its count is gone and must not
+// already pruned can still sit in a digest; its record is gone and must not
 // come back as a negative entry nothing would ever delete.
 func (p *RarestFirst) unhold(seg rlnc.SegmentID) {
-	if n, tracked := p.holders[seg]; tracked {
-		p.holders[seg] = n - 1
+	if c := p.cands[seg]; c != nil {
+		c.holders--
 	}
 }
 
@@ -289,16 +300,13 @@ func (p *RarestFirst) clearPeer(peer PeerRef) {
 	}
 }
 
-// dropSeg removes one segment from the candidate structures in O(1).
-func (p *RarestFirst) dropSeg(seg rlnc.SegmentID) {
-	i, ok := p.segPos[seg]
-	if !ok {
-		return
-	}
+// dropSeg removes one candidate in O(1), moving the last into its place.
+func (p *RarestFirst) dropSeg(c *candidate) {
 	last := len(p.segs) - 1
-	p.segs[i] = p.segs[last]
-	p.segPos[p.segs[i]] = i
+	moved := p.segs[last]
+	p.segs[c.pos] = moved
+	moved.pos = c.pos
+	p.segs[last] = nil
 	p.segs = p.segs[:last]
-	delete(p.segPos, seg)
-	delete(p.holders, seg)
+	delete(p.cands, c.seg)
 }

@@ -70,18 +70,6 @@ func (h *Holding) Remove(i int) {
 	}
 }
 
-// RemoveBlock deletes the given block by identity and reports whether it was
-// present.
-func (h *Holding) RemoveBlock(b *CodedBlock) bool {
-	for i, s := range h.blocks {
-		if s == b {
-			h.Remove(i)
-			return true
-		}
-	}
-	return false
-}
-
 // Recode produces a fresh coded block from the stored blocks, as the gossip
 // and server-pull steps require. It panics when the holding is empty.
 func (h *Holding) Recode(rng *randx.Rand) *CodedBlock {

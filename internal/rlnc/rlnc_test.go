@@ -308,9 +308,13 @@ func TestHoldingAddRemove(t *testing.T) {
 	if h.Add(seg.Encode(rng)) {
 		t.Error("full holding accepted another block")
 	}
+	last := h.Blocks()[3]
 	h.Remove(0)
-	if h.Rank() != 3 || h.Full() {
-		t.Errorf("after Remove: rank %d full=%v", h.Rank(), h.Full())
+	if h.Rank() != 3 || h.Full() || h.Len() != 3 {
+		t.Errorf("after Remove: rank %d full=%v len %d", h.Rank(), h.Full(), h.Len())
+	}
+	if h.Blocks()[0] != last {
+		t.Error("Remove did not move the last block into the freed place")
 	}
 	// The holding must accept an innovative block again.
 	for tries := 0; h.Rank() < 4; tries++ {
@@ -318,29 +322,6 @@ func TestHoldingAddRemove(t *testing.T) {
 			t.Fatal("holding never refilled")
 		}
 		h.Add(seg.Encode(rng))
-	}
-}
-
-func TestHoldingRemoveBlock(t *testing.T) {
-	rng := randx.New(11)
-	id := SegmentID{Origin: 2, Seq: 2}
-	seg := makeSegment(t, rng, id, 3, 4)
-	h := NewHolding(id, 3)
-	var stored *CodedBlock
-	for h.Rank() < 2 {
-		b := seg.Encode(rng)
-		if h.Add(b) {
-			stored = b
-		}
-	}
-	if !h.RemoveBlock(stored) {
-		t.Error("RemoveBlock failed to find stored block")
-	}
-	if h.RemoveBlock(stored) {
-		t.Error("RemoveBlock found already-removed block")
-	}
-	if h.Len() != 1 {
-		t.Errorf("Len = %d, want 1", h.Len())
 	}
 }
 

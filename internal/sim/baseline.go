@@ -110,8 +110,10 @@ func (r *BaselineResult) LossFraction() float64 {
 	return float64(r.LostToOverflow+r.LostToDeparture) / float64(r.Generated)
 }
 
-// baselineSim is the direct-pull engine.
-type baselineSim struct {
+// Baseline is the direct-pull simulator. RunBaseline runs it over the
+// whole horizon; experiments that change the session mid-run (population
+// growth, drains) step it like a Simulator.
+type Baseline struct {
 	cfg   BaselineConfig
 	rng   *randx.Rand
 	clock *des.Sim
@@ -144,15 +146,8 @@ func RunBaseline(cfg BaselineConfig) (*BaselineResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	b.RunUntil(b.inner.cfg.Horizon)
+	b.RunUntil(b.cfg.Horizon)
 	return b.Result(), nil
-}
-
-// Baseline is a stepping handle on the direct-pull simulator, mirroring
-// Simulator for experiments that change the session mid-run (population
-// growth, drains).
-type Baseline struct {
-	inner *baselineSim
 }
 
 // NewBaseline validates the configuration and builds the direct-pull
@@ -162,7 +157,7 @@ func NewBaseline(cfg BaselineConfig) (*Baseline, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	b := &baselineSim{
+	b := &Baseline{
 		cfg:      cfg,
 		rng:      randx.New(cfg.Seed),
 		clock:    des.New(),
@@ -180,14 +175,14 @@ func NewBaseline(cfg BaselineConfig) (*Baseline, error) {
 	}
 	b.lastLambdaSample = cfg.Warmup
 	b.clock.After(cfg.SampleInterval, b.sampleTick)
-	return &Baseline{inner: b}, nil
+	return b, nil
 }
 
 // RunUntil advances the simulation to the given time.
-func (b *Baseline) RunUntil(t float64) { b.inner.clock.RunUntil(t) }
+func (b *Baseline) RunUntil(t float64) { b.clock.RunUntil(t) }
 
 // Now returns the current simulated time.
-func (b *Baseline) Now() float64 { return b.inner.clock.Now() }
+func (b *Baseline) Now() float64 { return b.clock.Now() }
 
 // AddPeers grows the session by k freshly joined peers (flash crowd of
 // arrivals); the servers keep their provisioned capacity. The returned
@@ -195,10 +190,10 @@ func (b *Baseline) Now() float64 { return b.inner.clock.Now() }
 func (b *Baseline) AddPeers(k int) []int {
 	slots := make([]int, 0, k)
 	for i := 0; i < k; i++ {
-		pi := len(b.inner.queues)
-		b.inner.queues = append(b.inner.queues, baselineQueue{})
-		b.inner.nonEmpty.grow(len(b.inner.queues))
-		b.inner.schedulePeer(pi)
+		pi := len(b.queues)
+		b.queues = append(b.queues, baselineQueue{})
+		b.nonEmpty.grow(len(b.queues))
+		b.schedulePeer(pi)
 		slots = append(slots, pi)
 	}
 	return slots
@@ -207,23 +202,29 @@ func (b *Baseline) AddPeers(k int) []int {
 // RemovePeer departs the peer in slot pi permanently: its unreported queue
 // is lost, as the direct architecture cannot recover departed data.
 func (b *Baseline) RemovePeer(pi int) {
-	q := &b.inner.queues[pi]
-	if q.dead {
+	if b.queues[pi].dead {
 		return
 	}
-	b.inner.departures++
-	b.inner.lostToDeparture += int64(len(q.times))
-	b.inner.totalQueued -= int64(len(q.times))
+	b.leave(pi)
+	b.queues[pi].dead = true
+}
+
+// leave is the departure of the peer in slot i, replaced or not: its
+// unreported blocks are lost.
+func (b *Baseline) leave(i int) {
+	q := &b.queues[i]
+	b.departures++
+	b.lostToDeparture += int64(len(q.times))
+	b.totalQueued -= int64(len(q.times))
 	q.times = nil
-	q.dead = true
-	b.inner.nonEmpty.remove(pi)
+	b.nonEmpty.remove(i)
 }
 
 // Population returns the number of live peers.
 func (b *Baseline) Population() int {
 	n := 0
-	for i := range b.inner.queues {
-		if !b.inner.queues[i].dead {
+	for i := range b.queues {
+		if !b.queues[i].dead {
 			n++
 		}
 	}
@@ -232,16 +233,13 @@ func (b *Baseline) Population() int {
 
 // Collected returns the cumulative blocks pulled inside the measurement
 // window so far.
-func (b *Baseline) Collected() int64 { return b.inner.collected }
+func (b *Baseline) Collected() int64 { return b.collected }
 
 // Generated returns the cumulative blocks generated so far.
-func (b *Baseline) Generated() int64 { return b.inner.generated }
-
-// Result assembles the run's measurements.
-func (b *Baseline) Result() *BaselineResult { return b.inner.result() }
+func (b *Baseline) Generated() int64 { return b.generated }
 
 // schedulePeer starts the generation and lifetime processes for queue pi.
-func (b *baselineSim) schedulePeer(pi int) {
+func (b *Baseline) schedulePeer(pi int) {
 	b.clock.After(b.nextGenDelay(), func() { b.generateTick(pi) })
 	if b.cfg.ChurnMeanLifetime > 0 {
 		b.clock.After(b.rng.Exp(1/b.cfg.ChurnMeanLifetime), func() { b.departTick(pi) })
@@ -250,14 +248,14 @@ func (b *baselineSim) schedulePeer(pi int) {
 
 // nextGenDelay samples the next inter-generation gap. Time-varying rates
 // use thinning against the peak, implemented by resampling in generateTick.
-func (b *baselineSim) nextGenDelay() float64 {
+func (b *Baseline) nextGenDelay() float64 {
 	if b.cfg.LambdaAt != nil {
 		return b.rng.Exp(b.cfg.LambdaPeak)
 	}
 	return b.rng.Exp(b.cfg.Lambda)
 }
 
-func (b *baselineSim) generateTick(i int) {
+func (b *Baseline) generateTick(i int) {
 	if b.queues[i].dead {
 		return // departed without replacement; process ends
 	}
@@ -271,7 +269,7 @@ func (b *baselineSim) generateTick(i int) {
 	b.clock.After(b.nextGenDelay(), func() { b.generateTick(i) })
 }
 
-func (b *baselineSim) generate(i int) {
+func (b *Baseline) generate(i int) {
 	b.generated++
 	q := &b.queues[i]
 	if len(q.times) >= b.cfg.BufferCap {
@@ -285,12 +283,12 @@ func (b *baselineSim) generate(i int) {
 	}
 }
 
-func (b *baselineSim) pullTick(rate float64) {
+func (b *Baseline) pullTick(rate float64) {
 	b.pull()
 	b.clock.After(b.rng.Exp(rate), func() { b.pullTick(rate) })
 }
 
-func (b *baselineSim) pull() {
+func (b *Baseline) pull() {
 	i, ok := b.nonEmpty.sample(b.rng)
 	if !ok {
 		return
@@ -308,29 +306,18 @@ func (b *baselineSim) pull() {
 	}
 }
 
-func (b *baselineSim) departTick(i int) {
+func (b *Baseline) departTick(i int) {
 	if b.queues[i].dead {
 		return
 	}
-	q := &b.queues[i]
-	b.departures++
-	b.lostToDeparture += int64(len(q.times))
-	b.totalQueued -= int64(len(q.times))
-	q.times = nil
-	b.nonEmpty.remove(i)
+	b.leave(i)
 	b.clock.After(b.rng.Exp(1/b.cfg.ChurnMeanLifetime), func() { b.departTick(i) })
 }
 
-func (b *baselineSim) sampleTick() {
+func (b *Baseline) sampleTick() {
 	now := b.clock.Now()
 	if now >= b.cfg.Warmup {
-		live := 0
-		for i := range b.queues {
-			if !b.queues[i].dead {
-				live++
-			}
-		}
-		if live > 0 {
+		if live := b.Population(); live > 0 {
 			b.queuePerPeer.Add(float64(b.totalQueued) / float64(live))
 		}
 		rate := b.cfg.Lambda
@@ -343,7 +330,8 @@ func (b *baselineSim) sampleTick() {
 	b.clock.After(b.cfg.SampleInterval, b.sampleTick)
 }
 
-func (b *baselineSim) result() *BaselineResult {
+// Result assembles the run's measurements.
+func (b *Baseline) Result() *BaselineResult {
 	window := b.clock.Now() - b.cfg.Warmup
 	r := &BaselineResult{
 		Config:          b.cfg,
@@ -357,7 +345,7 @@ func (b *baselineSim) result() *BaselineResult {
 	if window > 0 {
 		r.Throughput = float64(b.collected) / window
 		meanLambda := b.cfg.Lambda
-		if b.cfg.LambdaAt != nil && window > 0 {
+		if b.cfg.LambdaAt != nil {
 			meanLambda = b.lambdaIntegral / window
 		}
 		if meanLambda > 0 {

@@ -35,10 +35,45 @@ func TestAddPeersWithOverlayAndChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.RunUntil(6)
-	s.AddPeers(30)
+	joined := s.AddPeers(30)
+	s.RunUntil(12)
+	for _, pi := range append(joined[:10:10], 0, 1) {
+		s.RemovePeer(pi)
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("after RemovePeer(%d): %v", pi, err)
+		}
+	}
 	s.RunUntil(18)
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRemovePeerOrphansLikeDepart: a permanent departure and a replaced
+// one are the same departure, so on identical runs they flag the same
+// segments as orphaned. Without gossip every segment lives only at its
+// origin and dies with it; both must count it before its blocks go.
+func TestRemovePeerOrphansLikeDepart(t *testing.T) {
+	cfg := Config{
+		N: 4, Lambda: 4, Mu: 0, Gamma: 0.01, SegmentSize: 2, BufferCap: 64,
+		C: 0, Warmup: 0.1, Horizon: 10, Seed: 3,
+	}
+	orphans := func(leave func(*Simulator)) int64 {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.RunUntil(5)
+		leave(s)
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		return s.Result().OrphanedSegments
+	}
+	removed := orphans(func(s *Simulator) { s.RemovePeer(0) })
+	departed := orphans(func(s *Simulator) { s.depart(0) })
+	if removed != departed || removed != 7 {
+		t.Fatalf("RemovePeer orphaned %d segments, depart %d; want 7 each", removed, departed)
 	}
 }
 

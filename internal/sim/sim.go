@@ -102,8 +102,7 @@ type Simulator struct {
 // does not. The protocol state machine itself is the peercore.Peer.
 type peerState struct {
 	id     uint64
-	gen    uint64 // bumped on replacement to invalidate pending TTLs
-	dead   bool   // departed without replacement; slot inert
+	dead   bool // departed without replacement; slot inert
 	core   *peercore.Peer
 	logGen *logdata.Generator // payload mode only
 }
@@ -288,17 +287,11 @@ func (s *Simulator) AddPeers(k int) []int {
 // buffered blocks vanish, its protocol processes stop, and the slot becomes
 // inert. Removing an already-dead slot is a no-op.
 func (s *Simulator) RemovePeer(pi int) {
-	p := s.peers[pi]
-	if p.dead {
+	if s.peers[pi].dead {
 		return
 	}
-	s.counters.Count(peercore.EvDeparture, 1)
-	s.dropPeerBlocks(p)
-	s.markOrphans(p)
-	p.gen++ // invalidate pending TTL events
-	p.dead = true
-	p.core.Clear()
-	s.nonEmpty.remove(pi)
+	s.leave(pi)
+	s.peers[pi].dead = true
 	if s.graph != nil {
 		for _, v := range append([]int(nil), s.graph.Neighbors(pi)...) {
 			s.graph.RemoveEdge(pi, v)
@@ -306,27 +299,27 @@ func (s *Simulator) RemovePeer(pi int) {
 	}
 }
 
-// dropPeerBlocks accounts for every buffered block of a departing peer
-// leaving the network.
-func (s *Simulator) dropPeerBlocks(p *peerState) {
-	for i := 0; i < p.core.NumSegments(); i++ {
-		segID := p.core.SegmentAt(i)
-		n := p.core.BlocksOf(segID)
-		for k := 0; k < n; k++ {
-			s.counters.Count(peercore.EvBlockLostExit, 1)
-			s.noteBlockRemoved(segID)
-		}
-	}
-}
-
-// markOrphans flags the departing peer's undelivered segments.
-func (s *Simulator) markOrphans(p *peerState) {
+// leave is the departure of the peer in slot pi, replaced or not: it is
+// counted, the peer's undelivered segments are flagged as orphaned while
+// they are still live, its blocks leave the network bookkeeping, and its
+// core is cleared, which counts them as lost with it.
+func (s *Simulator) leave(pi int) {
+	p := s.peers[pi]
+	s.counters.Count(peercore.EvDeparture, 1)
 	for _, m := range s.segs {
 		if m.id.Origin == p.id && !m.delivered() && !m.originDeparted {
 			m.originDeparted = true
 			s.orphanedSegments++
 		}
 	}
+	for i := 0; i < p.core.NumSegments(); i++ {
+		segID := p.core.SegmentAt(i)
+		for k := p.core.BlocksOf(segID); k > 0; k-- {
+			s.noteBlockRemoved(segID)
+		}
+	}
+	p.core.Clear()
+	s.nonEmpty.remove(pi)
 }
 
 // Population returns the number of live peers in the session.
@@ -484,7 +477,7 @@ func (s *Simulator) inject(pi int) {
 		TraceID: meta.tctx.ID, Hop: meta.tctx.Hop,
 	})
 	for _, st := range stored {
-		s.noteStored(pi, st.Block, st.TTL)
+		s.noteStored(pi, st.Block.Seg, st.Deadline)
 	}
 }
 
@@ -527,7 +520,7 @@ func (s *Simulator) gossip(pi int) {
 		s.counters.Count(peercore.EvRedundantGossip, 1)
 		return
 	}
-	s.noteStored(target, cb, res.TTL)
+	s.noteStored(target, cb.Seg, res.Deadline)
 	// The receiver adopts the sender's lineage one hop deeper — the DES
 	// equivalent of the trace context riding the wire frame.
 	var hopCtx obs.TraceContext
@@ -542,20 +535,18 @@ func (s *Simulator) gossip(pi int) {
 	})
 }
 
-// noteStored does the network-level bookkeeping for one block the peer
-// core just accepted: the edge count, the segment degree, and the TTL
-// event carrying the core's exact lifetime sample.
-func (s *Simulator) noteStored(pi int, cb *rlnc.CodedBlock, ttl float64) {
-	p := s.peers[pi]
+// noteStored does the network-level bookkeeping for one block of segID the
+// peer core just accepted: the edge count, the segment degree, and the TTL
+// event at the core's deadline for it.
+func (s *Simulator) noteStored(pi int, segID rlnc.SegmentID, deadline float64) {
 	s.nonEmpty.add(pi)
 	s.totalBlocks++
-	meta := s.segs[cb.Seg]
+	meta := s.segs[segID]
 	meta.degree++
 	if meta.degree == s.cfg.SegmentSize && !meta.delivered() {
 		s.saved++
 	}
-	gen := p.gen
-	s.clock.After(ttl, func() { s.expireBlock(pi, gen, cb) })
+	s.clock.At(deadline, func() { s.expire(pi, segID) })
 }
 
 // sampleEdge returns a uniformly random (holder, segment) block copy, the
@@ -820,19 +811,11 @@ func (s *Simulator) departTick(pi int) {
 	s.clock.After(s.rng.Exp(1/s.cfg.ChurnMeanLifetime), func() { s.departTick(pi) })
 }
 
-// depart implements the replacement model: the peer's buffered blocks
-// vanish and a fresh peer instantly takes the slot.
+// depart implements the replacement model: the peer leaves and a fresh
+// peer instantly takes the slot.
 func (s *Simulator) depart(pi int) {
-	p := s.peers[pi]
-	s.counters.Count(peercore.EvDeparture, 1)
-	s.markOrphans(p)
-	s.dropPeerBlocks(p)
-	p.gen++
-	gen := p.gen
-	fresh := s.newPeer()
-	fresh.gen = gen
-	s.peers[pi] = fresh
-	s.nonEmpty.remove(pi)
+	s.leave(pi)
+	s.peers[pi] = s.newPeer()
 	if s.graph != nil {
 		s.graph.ReplaceNode(pi, s.cfg.Degree, s.rng)
 	}
@@ -852,24 +835,27 @@ func (s *Simulator) sampleTick() {
 
 // --- block bookkeeping ---
 
-// expireBlock is the TTL process for one stored block copy.
-func (s *Simulator) expireBlock(pi int, gen uint64, cb *rlnc.CodedBlock) {
-	p := s.peers[pi]
-	if p.gen != gen {
-		return // the peer that held this copy has departed
+// expire is the TTL event of one block of segID stored in slot pi, at the
+// block's deadline. The block is the only one due in the slot's core, unless
+// a purge or a departure took it first; then nothing is due.
+func (s *Simulator) expire(pi int, segID rlnc.SegmentID) {
+	core := s.peers[pi].core
+	switch core.ExpireDue(s.clock.Now()) {
+	case 0:
+		return
+	case 1:
+	default:
+		panic("sim: more than one block due at one TTL event")
 	}
-	if !p.core.ExpireBlock(cb) {
-		return // already purged or swept
-	}
-	if p.core.Occupancy() == 0 {
+	if core.Occupancy() == 0 {
 		s.nonEmpty.remove(pi)
 	}
-	s.noteBlockRemoved(cb.Seg)
+	s.noteBlockRemoved(segID)
 }
 
 // purgeSegment implements the ServerFeedback extension: every peer evicts
 // its blocks of the just-delivered segment, freeing buffer space and pull
-// capacity for undelivered data. The pending TTL events become no-ops.
+// capacity for undelivered data. Their pending TTL events find nothing due.
 func (s *Simulator) purgeSegment(segID rlnc.SegmentID) {
 	purged := 0
 	// Capture the lineage up front: dropping the last block may retire the
@@ -894,7 +880,6 @@ func (s *Simulator) purgeSegment(segID rlnc.SegmentID) {
 		if p.core.Occupancy() == 0 {
 			s.nonEmpty.remove(pi)
 		}
-		s.counters.Count(peercore.EvBlockPurged, int64(n))
 		purged += n
 		for k := 0; k < n; k++ {
 			s.noteBlockRemoved(segID)
@@ -1011,6 +996,10 @@ func (s *Simulator) CheckInvariants() error {
 	}
 	if total != s.totalBlocks {
 		return fmt.Errorf("totalBlocks %d, recount %d", s.totalBlocks, total)
+	}
+	c := s.counters
+	if left := c.Get(peercore.EvBlockStored) - c.Get(peercore.EvBlockLostTTL) - c.Get(peercore.EvBlockPurged) - c.Get(peercore.EvBlockLostExit); left != total {
+		return fmt.Errorf("%d blocks stored and not counted out, %d buffered", left, total)
 	}
 	for segID, meta := range s.segs {
 		if degrees[segID] != meta.degree {
