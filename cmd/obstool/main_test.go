@@ -29,7 +29,6 @@ func TestMergeLiveShardSnapshots(t *testing.T) {
 		Peers:   8,
 		Servers: 2,
 		Degree:  3,
-		Fleet:   true,
 		Node: live.NodeConfig{
 			SegmentSize: 4,
 			BlockSize:   64,

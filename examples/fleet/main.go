@@ -38,14 +38,13 @@ func nodeConfig() p2pcollect.NodeConfig {
 	}
 }
 
-func run(servers int, fleetMode bool) (delivered int, dupes int, exchange int64, err error) {
+func run(servers int) (delivered int, dupes int, exchange int64, err error) {
 	var mu sync.Mutex
 	seen := make(map[p2pcollect.SegmentID]int)
 	cluster, err := p2pcollect.StartCluster(p2pcollect.ClusterConfig{
 		Peers:   peers,
 		Servers: servers,
 		Degree:  degree,
-		Fleet:   fleetMode,
 		Node:    nodeConfig(),
 		Server:  p2pcollect.ServerConfig{PullRate: pullRate},
 		Seed:    7,
@@ -81,13 +80,13 @@ func main() {
 		peers, nodeConfig().Lambda, pullRate)
 	fmt.Printf("one server is capacity-starved; a fleet shards the segment space.\n\n")
 
-	single, dup1, _, err := run(1, false)
+	single, dup1, _, err := run(1)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("1 server : %4d segments delivered in %v (%d duplicates)\n", single, runFor, dup1)
 
-	fleet, dup4, exchange, err := run(4, true)
+	fleet, dup4, exchange, err := run(4)
 	if err != nil {
 		log.Fatal(err)
 	}

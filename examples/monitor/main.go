@@ -39,8 +39,7 @@ func run(peers int, duration time.Duration) error {
 
 	cluster, err := p2pcollect.StartCluster(p2pcollect.ClusterConfig{
 		Peers:   peers,
-		Servers: 2,
-		Fleet:   true, // a shared delivery journal: each segment arrives once
+		Servers: 2, // a fleet with a shared delivery journal: each segment arrives once
 		Degree:  4,
 		Node: p2pcollect.NodeConfig{
 			SegmentSize: 4,

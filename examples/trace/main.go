@@ -4,9 +4,11 @@
 // segments with a cluster-unique trace ID that rides every coded block's
 // wire frame. Every endpoint records the milestones it observes — inject,
 // gossip hops, server rank growth, cross-shard exchange, delivery, decode —
-// into its own ring tracer, exactly the way separate processes would. After
-// the run, the assembler stitches those per-process dumps into end-to-end
-// spans with per-hop latency attribution.
+// into the cluster's ring tracer. After the run, Cluster.Dumps splits the
+// ring into one dump per endpoint, what separate processes would have
+// recorded, and the assembler stitches those dumps into end-to-end spans
+// with per-hop latency attribution. The program exits 1 when it stitches
+// no complete span.
 //
 // Sampling draws from a dedicated RNG, so enabling it never perturbs the
 // protocol: a seeded run delivers the same segment stream with tracing on
@@ -16,6 +18,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,9 +33,8 @@ func main() {
 
 	cluster, err := p2pcollect.StartCluster(p2pcollect.ClusterConfig{
 		Peers:   12,
-		Servers: 2,
+		Servers: 2, // a 2-shard fleet, so spans can cross the exchange path
 		Degree:  3,
-		Fleet:   true, // two shards, so spans can cross the exchange path
 		Node: p2pcollect.NodeConfig{
 			SegmentSize: 4,
 			BlockSize:   64,
@@ -45,10 +47,9 @@ func main() {
 			// block and zero for the rest.
 			TraceSample: 1,
 		},
-		Server: p2pcollect.ServerConfig{PullRate: 120},
-		Seed:   11,
-		// Give each endpoint a private ring, as real processes would have.
-		PerEndpointTrace: true,
+		Server:   p2pcollect.ServerConfig{PullRate: 120},
+		Seed:     11,
+		TraceCap: 1 << 16,
 		OnSegment: func(p2pcollect.SegmentID, [][]byte) {
 			if delivered.Add(1) >= 20 {
 				once.Do(func() { close(enough) })
@@ -64,7 +65,7 @@ func main() {
 	case <-enough:
 	case <-time.After(30 * time.Second):
 	}
-	cluster.Stop() // freeze every ring before dumping
+	cluster.Stop() // freeze the ring before dumping
 
 	// One dump per endpoint (12 nodes + 2 shard servers); in a multi-process
 	// deployment these would come from each process's /debug/snapshot
@@ -93,8 +94,8 @@ func main() {
 	fmt.Printf("delivered %d segments; %d sampled lineages, %d complete inject→deliver spans\n\n",
 		delivered.Load(), len(spans), complete)
 	if best == nil {
-		fmt.Println("no complete span captured (rings too small or run too short)")
-		return
+		fmt.Println("no complete span captured (ring too small or run too short)")
+		os.Exit(1)
 	}
 	fmt.Println(best.String())
 	fmt.Println("per-hop latency attribution:")

@@ -34,12 +34,13 @@ const (
 var fleetShardCounts = []int{1, 2, 4}
 
 // FleetScalingTable (A8) measures horizontal scaling of the live sharded
-// fleet: the same overloaded workload is collected by 1, 2, and 4 shards
-// (wall-clock clusters, real protocol loops, shared delivery journal), and
-// the table reports delivered-segment throughput, speedup over one shard,
-// and the inter-shard exchange rate that pays for the convergence. Unlike
-// the other experiments this one runs the live runtime, not the simulator —
-// the fleet is a deployment-layer feature.
+// fleet: the same overloaded workload is collected by one standalone server
+// and by 2- and 4-shard fleets (wall-clock clusters, real protocol loops,
+// shared delivery journal), and the table reports delivered-segment
+// throughput, speedup over one server, and the inter-shard exchange rate
+// that pays for the convergence. Unlike the other experiments this one runs
+// the live runtime, not the simulator — the fleet is a deployment-layer
+// feature.
 func FleetScalingTable(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
 	warmup := 1 * time.Second
@@ -101,7 +102,6 @@ func runFleetPoint(opt Options, shards int, trial int64, warmup, window time.Dur
 		Peers:   fleetPeers,
 		Servers: shards,
 		Degree:  fleetDegree,
-		Fleet:   true,
 		Node: live.NodeConfig{
 			SegmentSize: fleetSegSize,
 			BlockSize:   fleetBlockSize,

@@ -33,6 +33,22 @@ func TestObsTableScrapeMatchesODE(t *testing.T) {
 	}
 }
 
+// TestObsTableRowsOverlay: every row of the quick A7 table carries both a
+// scraped value and an ODE value, so the two curves share their time marks.
+func TestObsTableRowsOverlay(t *testing.T) {
+	tbl, err := ObsTable(Options{N: 40, Quick: true, Horizon: 12, Warmup: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range tbl.xValues() {
+		for _, s := range tbl.Series() {
+			if _, ok := tbl.lookup(s, x); !ok {
+				t.Errorf("row t=%v has no %q value", x, s.Name)
+			}
+		}
+	}
+}
+
 func tail(v []float64, n int) []float64 {
 	if len(v) < n {
 		return v

@@ -24,7 +24,12 @@ import (
 type ClusterConfig struct {
 	// Peers is the number of nodes (IDs 1..Peers).
 	Peers int
-	// Servers is the number of logging servers.
+	// Servers is the number of logging servers. More than one runs them as
+	// a sharded fleet, the paper's collaborating servers: a consistent-hash
+	// ring partitions the segment space across them, misrouted blocks are
+	// recoded and exchanged server-to-server, and a shared delivery journal
+	// makes OnSegment exactly-once across the fleet. One server runs
+	// standalone.
 	Servers int
 	// Degree is the overlay parameter k (each peer links to k random
 	// partners). Ignored when Membership is set.
@@ -37,21 +42,15 @@ type ClusterConfig struct {
 	// StartCluster fills Peers (or Membership), Seed, Policy, Tracer and the
 	// fleet fields per server. A zero SegmentSize takes Node.SegmentSize.
 	// Durability.Dir, when set, is the cluster's root: server j logs under
-	// <Dir>/shard-<j>, and in fleet mode the shared delivery journal is
-	// durable at <Dir>/journal.claims, so a restarted shard resumes its
-	// collections and never re-delivers a segment the fleet already claimed.
+	// <Dir>/shard-<j>, and with several servers the shared delivery
+	// journal is durable at <Dir>/journal.claims, so a restarted shard
+	// resumes its collections and never re-delivers a segment the fleet
+	// already claimed.
 	Server ServerConfig
 	// PullPolicy names the servers' pull-scheduling policy (see
 	// pullsched.Names). Empty selects "blind", the paper-faithful baseline.
 	// Each server gets its own policy instance seeded from the cluster seed.
 	PullPolicy string
-	// Fleet runs the servers as a sharded fleet: a consistent-hash ring
-	// partitions the segment space across them, misrouted blocks are
-	// recoded and exchanged server-to-server, and a shared delivery
-	// journal makes OnSegment exactly-once across the fleet. With one
-	// server the fleet machinery is inert and the run is byte-identical
-	// to a standalone cluster.
-	Fleet bool
 	// Membership, when non-nil, replaces the static overlay with SWIM gossip
 	// membership, using this config as every endpoint's template (Seeds are
 	// filled in: the first few peers, with their listen addresses): no
@@ -82,12 +81,6 @@ type ClusterConfig struct {
 	// Cluster.Tracer). Zero disables tracing unless DebugAddr is set, which
 	// implies a default-capacity tracer so /debug/snapshot has a trace tail.
 	TraceCap int
-	// PerEndpointTrace gives every endpoint its own private ring tracer
-	// (capacity TraceCap, or the default) instead of the shared one, the
-	// way separate processes would record. Cluster.Dumps then returns one
-	// labelled dump per endpoint, ready for obs.Assembler to stitch
-	// cross-endpoint spans.
-	PerEndpointTrace bool
 	// Seed makes the deployment reproducible: the overlay and every
 	// endpoint's own seed are drawn from it.
 	Seed int64
@@ -128,16 +121,16 @@ type Cluster struct {
 	Network *transport.Network
 	Nodes   []*Node
 	Servers []*Server
-	// Journal is the fleet's shared delivery journal, nil unless Fleet.
+	// Journal is the fleet's shared delivery journal, nil with one server.
 	Journal *fleet.Journal
 	// Tracer is the shared segment-lifecycle ring tracer, nil unless
-	// TraceCap or DebugAddr was set without PerEndpointTrace.
+	// TraceCap or DebugAddr was set.
 	Tracer *obs.RingTracer
 	// Debug is the cluster-wide debug server, nil unless DebugAddr was set.
 	Debug *obs.DebugServer
 
 	// journalFile seals the durable delivery journal on Stop, nil unless
-	// both Fleet and Server.Durability.Dir were set.
+	// there are several servers and Server.Durability.Dir was set.
 	journalFile io.Closer
 }
 
@@ -158,8 +151,9 @@ func (c *Cluster) Registries() []*obs.Registry {
 	return regs
 }
 
-// StartCluster builds and starts the whole deployment. On error, anything
-// already started is stopped and every opened transport is closed.
+// StartCluster builds and starts the whole deployment, its servers a
+// sharded fleet when there is more than one. On error, anything already
+// started is stopped and every opened transport is closed.
 //
 // The cluster RNG is consumed in a fixed order (overlay, one seed per node,
 // then per server its seed and, for feedback policies only, its policy seed)
@@ -248,23 +242,14 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	// Tracers draw no randomness, so attaching one cannot perturb the
 	// cluster's seeded RNG sequence.
-	traceCap := cfg.TraceCap
-	if traceCap <= 0 {
-		traceCap = defaultClusterTraceCap
-	}
-	if !cfg.PerEndpointTrace && (cfg.TraceCap > 0 || cfg.DebugAddr != "") {
-		c.Tracer = obs.NewRingTracer(traceCap)
-	}
-	// endpointTracer resolves which tracer an endpoint records into: its own
-	// private ring (PerEndpointTrace), the shared cluster ring, or none.
-	endpointTracer := func() obs.Tracer {
-		switch {
-		case cfg.PerEndpointTrace:
-			return obs.NewRingTracer(traceCap)
-		case c.Tracer != nil:
-			return c.Tracer
+	var tracer obs.Tracer
+	if cfg.TraceCap > 0 || cfg.DebugAddr != "" {
+		traceCap := cfg.TraceCap
+		if traceCap <= 0 {
+			traceCap = defaultClusterTraceCap
 		}
-		return nil
+		c.Tracer = obs.NewRingTracer(traceCap)
+		tracer = c.Tracer
 	}
 	peerIDs := make([]transport.NodeID, cfg.Peers)
 	for i, tr := range trs[:cfg.Peers] {
@@ -277,7 +262,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 			}
 		}
 		nodeCfg.Seed = rng.Int63()
-		nodeCfg.Tracer = endpointTracer()
+		nodeCfg.Tracer = tracer
 		node, err := NewNode(tr, nodeCfg)
 		if err != nil {
 			return fail(err)
@@ -285,7 +270,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.Nodes = append(c.Nodes, node)
 	}
 	root := srvTmpl.Durability.Dir
-	if cfg.Fleet {
+	if cfg.Servers > 1 {
 		if root != "" {
 			journal, jf, err := wal.OpenJournal(filepath.Join(root, "journal.claims"), 0)
 			if err != nil {
@@ -322,13 +307,13 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		if srvCfg.Membership == nil {
 			srvCfg.Peers = peerIDs
 		}
-		if cfg.Fleet {
+		if cfg.Servers > 1 {
 			srvCfg.ShardID = j
 		}
 		if root != "" {
 			srvCfg.Durability.Dir = filepath.Join(root, fmt.Sprintf("shard-%d", j))
 		}
-		srvCfg.Tracer = endpointTracer()
+		srvCfg.Tracer = tracer
 		srv, err := NewServer(tr, srvCfg)
 		if err != nil {
 			return fail(err)
@@ -391,19 +376,26 @@ func (c *Cluster) Stop() {
 	}
 }
 
-// Dumps collects every endpoint's recorded trace events as labelled
-// per-process dumps for obs.Assembler. With PerEndpointTrace it returns
-// one dump per endpoint, nodes first then servers; with only the shared
-// tracer, a single "cluster" dump; otherwise nil.
+// Dumps splits the shared tracer's tail into one dump per endpoint, what
+// separate processes would have recorded, ready for obs.Assembler to stitch
+// cross-endpoint spans. Each dump holds the events whose Actor is that
+// endpoint, in ring order, labelled as its registry is ("node-3",
+// "server-0"); dumps come in the order their endpoints first appear in the
+// tail. Nil without a tracer.
 func (c *Cluster) Dumps() []obs.ProcessDump {
-	if c.Tracer != nil {
-		return []obs.ProcessDump{{Label: "cluster", Events: c.Tracer.Tail(c.Tracer.Len())}}
+	if c.Tracer == nil {
+		return nil
 	}
 	var dumps []obs.ProcessDump
-	for _, reg := range c.Registries() {
-		if rt := reg.Tracer(); rt != nil {
-			dumps = append(dumps, obs.ProcessDump{Label: reg.Label(), Events: rt.Tail(rt.Len())})
+	at := make(map[uint64]int)
+	for _, ev := range c.Tracer.Tail(c.Tracer.Len()) {
+		i, ok := at[ev.Actor]
+		if !ok {
+			i = len(dumps)
+			at[ev.Actor] = i
+			dumps = append(dumps, obs.ProcessDump{Label: endpointLabel(transport.NodeID(ev.Actor))})
 		}
+		dumps[i].Events = append(dumps[i].Events, ev)
 	}
 	return dumps
 }

@@ -51,7 +51,7 @@ func TestClusterWiringGolden(t *testing.T) {
 		{"rarest fleet", "799c2cdadfd705db", ClusterConfig{
 			Peers: 12, Servers: 3, Degree: 4,
 			Node: fastNodeConfig(), Server: ServerConfig{PullRate: 100},
-			PullPolicy: "rarest", Fleet: true, Seed: 23,
+			PullPolicy: "rarest", Seed: 23,
 		}},
 	} {
 		c, err := StartCluster(tc.cfg)
@@ -62,6 +62,82 @@ func TestClusterWiringGolden(t *testing.T) {
 		if got := wiringDigest(c); got != tc.want {
 			t.Errorf("%s: wiring digest %s, want %s", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestClusterFleetFollowsServerCount: several servers are always a sharded
+// fleet (each its own ShardID, all of them one shared Journal); one server
+// gets none of the fleet fields.
+func TestClusterFleetFollowsServerCount(t *testing.T) {
+	c, err := StartCluster(ClusterConfig{Peers: 4, Servers: 2, Degree: 2, Node: fastNodeConfig(), Server: ServerConfig{PullRate: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Stop()
+	if c.Journal == nil {
+		t.Fatal("2-server cluster has no shared journal")
+	}
+	for j, s := range c.Servers {
+		cfg := s.Config()
+		if cfg.Shards != 2 || cfg.ShardID != j || len(cfg.ShardPeers) != 2 || cfg.Journal != c.Journal {
+			t.Errorf("server %d: Shards %d ShardID %d ShardPeers %v Journal %p, want 2, %d, 2 entries, %p",
+				j, cfg.Shards, cfg.ShardID, cfg.ShardPeers, cfg.Journal, j, c.Journal)
+		}
+	}
+
+	c, err = StartCluster(ClusterConfig{Peers: 4, Servers: 1, Degree: 2, Node: fastNodeConfig(), Server: ServerConfig{PullRate: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Stop()
+	cfg := c.Servers[0].Config()
+	if c.Journal != nil || cfg.Shards != 0 || cfg.ShardID != 0 || cfg.ShardPeers != nil || cfg.Journal != nil {
+		t.Errorf("1-server cluster got fleet fields: Shards %d ShardID %d ShardPeers %v Journal %v (cluster %v)",
+			cfg.Shards, cfg.ShardID, cfg.ShardPeers, cfg.Journal, c.Journal)
+	}
+}
+
+// TestClusterDumpsSplitTheRing: Dumps gives one dump per endpoint out of the
+// shared ring's tail, each holding exactly that endpoint's events in ring
+// order under its registry label; together they are the whole tail.
+func TestClusterDumpsSplitTheRing(t *testing.T) {
+	if (&Cluster{}).Dumps() != nil {
+		t.Fatal("Dumps without a tracer is not nil")
+	}
+	rt := obs.NewRingTracer(16)
+	actors := []uint64{1, serverIDBase, 2, serverIDBase + 1, 1, 3}
+	for i := 0; i < 40; i++ { // wraps the ring: only the last 16 count
+		rt.Trace(obs.TraceEvent{Kind: obs.TraceGossipHop, T: float64(i), Actor: actors[i%len(actors)]})
+	}
+	tail := rt.Tail(rt.Len())
+	dumps := (&Cluster{Tracer: rt}).Dumps()
+	total := 0
+	seen := make(map[uint64]bool)
+	for _, d := range dumps {
+		if len(d.Events) == 0 {
+			t.Fatalf("empty dump %q", d.Label)
+		}
+		actor := d.Events[0].Actor
+		if seen[actor] {
+			t.Fatalf("actor %d split over two dumps", actor)
+		}
+		seen[actor] = true
+		if want := endpointLabel(transport.NodeID(actor)); d.Label != want {
+			t.Errorf("dump of actor %d labelled %q, want %q", actor, d.Label, want)
+		}
+		var want []obs.TraceEvent
+		for _, ev := range tail {
+			if ev.Actor == actor {
+				want = append(want, ev)
+			}
+		}
+		if !reflect.DeepEqual(d.Events, want) {
+			t.Errorf("dump %q = %v, want the tail's events of actor %d in ring order %v", d.Label, d.Events, actor, want)
+		}
+		total += len(d.Events)
+	}
+	if total != len(tail) || len(seen) != len(actors)-1 {
+		t.Errorf("dumps hold %d events of %d actors, tail has %d events of %d", total, len(seen), len(tail), len(actors)-1)
 	}
 }
 

@@ -31,7 +31,6 @@ func fleetClusterConfig(onSegment func(rlnc.SegmentID, [][]byte)) ClusterConfig 
 		Peers:   16,
 		Servers: 4,
 		Degree:  3,
-		Fleet:   true,
 		Node: NodeConfig{
 			SegmentSize: 4,
 			BlockSize:   64,

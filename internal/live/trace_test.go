@@ -34,13 +34,12 @@ func TestGoldenOneShardFleetStreamWithObs(t *testing.T) {
 	}))
 }
 
-// TestChaosCrossShardTraceSpan is the tracing tentpole's acceptance test:
-// a 2-shard fleet with every segment sampled, every endpoint keeping its
-// own trace ring, and 20% seeded loss on every link must still yield at
-// least one stitched end-to-end span — inject at a peer, gossip hops,
-// delivery at a server — when the per-process dumps are fed to the
-// assembler, and the lineage must be seen crossing shards through the
-// exchange path.
+// TestChaosCrossShardTraceSpan: a 2-shard fleet with every segment
+// sampled, one shared trace ring, and 20% seeded loss on every link must
+// still yield at least one stitched end-to-end span — inject at a peer,
+// gossip hops, delivery at a server — when the ring's per-endpoint dumps
+// are fed to the assembler, and the lineage must be seen crossing shards
+// through the exchange path.
 func TestChaosCrossShardTraceSpan(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock chaos test")
@@ -50,7 +49,6 @@ func TestChaosCrossShardTraceSpan(t *testing.T) {
 		Peers:   12,
 		Servers: 2,
 		Degree:  3,
-		Fleet:   true,
 		Node: NodeConfig{
 			SegmentSize: 4,
 			BlockSize:   64,
@@ -60,11 +58,11 @@ func TestChaosCrossShardTraceSpan(t *testing.T) {
 			BufferCap:   256,
 			TraceSample: 1,
 		},
-		Server:           ServerConfig{PullRate: 200},
-		PerEndpointTrace: true,
-		OnSegment:        func(rlnc.SegmentID, [][]byte) { delivered.Add(1) },
-		Seed:             29,
-		Listen:           faultyListen(transport.NewNetwork(), 6271, 5, lossy20),
+		Server:    ServerConfig{PullRate: 200},
+		TraceCap:  1 << 16,
+		OnSegment: func(rlnc.SegmentID, [][]byte) { delivered.Add(1) },
+		Seed:      29,
+		Listen:    faultyListen(transport.NewNetwork(), 6271, 5, lossy20),
 	})
 	if err != nil {
 		t.Fatal(err)

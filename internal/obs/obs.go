@@ -83,9 +83,6 @@ func NewRegistry(label string) *Registry {
 	return &Registry{label: label, info: make(map[string]string)}
 }
 
-// Label returns the endpoint label.
-func (r *Registry) Label() string { return r.label }
-
 // RegisterCounters adds an alloc-free counter source: rangeFn must call its
 // callback once per counter with a stable name. CounterSet.Range and
 // peercore.Counters.Range have exactly this shape.
@@ -139,13 +136,6 @@ func (r *Registry) SetTracer(t *RingTracer) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.tracer = t
-}
-
-// Tracer returns the attached ring tracer, or nil.
-func (r *Registry) Tracer() *RingTracer {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tracer
 }
 
 // SetInfo attaches a static key→value annotation (policy name, config

@@ -276,9 +276,10 @@ type TrajectoryPoint struct {
 }
 
 // EvolveE integrates the z system from the empty network over [0, horizon]
-// and samples e(t) and z_0(t) at the given interval. This is the transient
-// behaviour Wormald's theorem [12] says the finite-N process tracks; the T5
-// experiment compares it against the simulator started empty.
+// and samples e(t) and z_0(t) at the given interval, each sample labelled
+// with the interval mark its step passed, as EvolveFull does. This is the
+// transient behaviour Wormald's theorem [12] says the finite-N process
+// tracks; A7 overlays it on the simulator started empty.
 func EvolveE(p Params, horizon, interval float64) ([]TrajectoryPoint, error) {
 	p = p.withDefaults()
 	if err := p.validate(); err != nil {
@@ -293,8 +294,8 @@ func EvolveE(p Params, horizon, interval float64) ([]TrajectoryPoint, error) {
 	for t := 0.0; t < horizon; {
 		zi.step()
 		t += zi.dt
-		if t >= next {
-			out = append(out, TrajectoryPoint{T: t, E: zi.e(), Z0: zi.z[0]})
+		for next <= t && next <= horizon {
+			out = append(out, TrajectoryPoint{T: next, E: zi.e(), Z0: zi.z[0]})
 			next += interval
 		}
 	}

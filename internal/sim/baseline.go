@@ -23,19 +23,17 @@ type BaselineConfig struct {
 	Lambda     float64
 	LambdaAt   func(t float64) float64
 	LambdaPeak float64
-	// C is the normalized aggregate server capacity c = c_s·N_s/N.
+	// C is the normalized aggregate server capacity c = c_s·N_s/N, split
+	// over DefaultNumServers servers.
 	C float64
-	// NumServers is N_s.
-	NumServers int
 	// BufferCap bounds each peer's unreported-block queue.
 	BufferCap int
 	// ChurnMeanLifetime is the replacement-model mean lifetime; zero
 	// disables churn.
 	ChurnMeanLifetime float64
-	// Warmup, Horizon and SampleInterval are as in Config.
-	Warmup         float64
-	Horizon        float64
-	SampleInterval float64
+	// Warmup and Horizon are as in Config.
+	Warmup  float64
+	Horizon float64
 	// Seed makes the run reproducible.
 	Seed int64
 }
@@ -44,17 +42,11 @@ func (c BaselineConfig) withDefaults() BaselineConfig {
 	if c.BufferCap == 0 {
 		c.BufferCap = DefaultBufferCap
 	}
-	if c.NumServers == 0 {
-		c.NumServers = DefaultNumServers
-	}
 	if c.Warmup == 0 {
 		c.Warmup = DefaultWarmup
 	}
 	if c.Horizon == 0 {
 		c.Horizon = DefaultHorizon
-	}
-	if c.SampleInterval == 0 {
-		c.SampleInterval = DefaultSampleInterval
 	}
 	if c.LambdaAt != nil && c.LambdaPeak == 0 {
 		c.LambdaPeak = c.Lambda
@@ -72,8 +64,6 @@ func (c BaselineConfig) validate() error {
 		return errors.New("sim: LambdaAt requires positive LambdaPeak")
 	case c.C < 0:
 		return errors.New("sim: negative C")
-	case c.NumServers < 1:
-		return errors.New("sim: need at least one server")
 	case c.BufferCap < 1:
 		return errors.New("sim: BufferCap must be positive")
 	case c.ChurnMeanLifetime < 0:
@@ -168,13 +158,13 @@ func NewBaseline(cfg BaselineConfig) (*Baseline, error) {
 		b.schedulePeer(i)
 	}
 	if cfg.C > 0 {
-		perServer := cfg.C * float64(cfg.N) / float64(cfg.NumServers)
-		for j := 0; j < cfg.NumServers; j++ {
+		perServer := cfg.C * float64(cfg.N) / DefaultNumServers
+		for j := 0; j < DefaultNumServers; j++ {
 			b.clock.After(b.rng.Exp(perServer), func() { b.pullTick(perServer) })
 		}
 	}
 	b.lastLambdaSample = cfg.Warmup
-	b.clock.After(cfg.SampleInterval, b.sampleTick)
+	b.clock.After(sampleInterval, b.sampleTick)
 	return b, nil
 }
 
@@ -327,7 +317,7 @@ func (b *Baseline) sampleTick() {
 		b.lambdaIntegral += rate * (now - b.lastLambdaSample)
 		b.lastLambdaSample = now
 	}
-	b.clock.After(b.cfg.SampleInterval, b.sampleTick)
+	b.clock.After(sampleInterval, b.sampleTick)
 }
 
 // Result assembles the run's measurements.

@@ -21,12 +21,15 @@ import (
 
 // Default protocol parameters used when a Config field is zero.
 const (
-	DefaultBufferCap      = 512
-	DefaultNumServers     = 4
-	DefaultWarmup         = 20.0
-	DefaultHorizon        = 60.0
-	DefaultSampleInterval = 0.25
+	DefaultBufferCap  = 512
+	DefaultNumServers = 4
+	DefaultWarmup     = 20.0
+	DefaultHorizon    = 60.0
 )
+
+// sampleInterval spaces the periodic state samples behind the per-peer time
+// averages (AvgBlocksPerPeer, AvgNonEmptyFrac, SavedPerPeer).
+const sampleInterval = 0.25
 
 // Config parameterizes one simulation run. The field names follow the
 // paper's notation.
@@ -97,21 +100,12 @@ type Config struct {
 	// server rank increments, delivery, decode, purge) on the simulated
 	// clock. Nil disables tracing; the hooks then cost a single interface
 	// call and draw no randomness, so seeded runs stay byte-identical.
+	// Events carry no lineage ID: in one process the segment ID names them.
 	Tracer obs.Tracer
-	// TraceSample is the probability (0..1) that an injected segment is
-	// sampled for lineage tracing: it is minted a cluster-unique trace ID
-	// that rides the peercore trace maps across gossip hops and server
-	// pulls, tagging every emitted TraceEvent. Sampling decisions draw
-	// from a dedicated RNG stream (Seed ^ traceSeedSalt) — never from the
-	// protocol RNG — so any rate leaves the seeded event sequence
-	// untouched. Zero disables sampling.
-	TraceSample float64
 	// Warmup is the time after which measurements are collected.
 	Warmup float64
 	// Horizon is the total simulated duration.
 	Horizon float64
-	// SampleInterval spaces the periodic state samples.
-	SampleInterval float64
 	// Seed makes the run reproducible.
 	Seed int64
 }
@@ -129,9 +123,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Horizon == 0 {
 		c.Horizon = DefaultHorizon
-	}
-	if c.SampleInterval == 0 {
-		c.SampleInterval = DefaultSampleInterval
 	}
 	return c
 }
@@ -167,8 +158,6 @@ func (c Config) validate() error {
 		return errors.New("sim: MeanFieldSampling requires a full-mesh overlay (Degree == 0)")
 	case !pullsched.Known(c.PullPolicy):
 		return fmt.Errorf("sim: unknown PullPolicy %q (have %v)", c.PullPolicy, pullsched.Names())
-	case c.TraceSample < 0 || c.TraceSample > 1:
-		return fmt.Errorf("sim: TraceSample %g outside [0,1]", c.TraceSample)
 	}
 	return nil
 }

@@ -83,7 +83,6 @@ func TestFlashJoinOverloadsFixedServers(t *testing.T) {
 	cfg := Config{
 		N: 80, Lambda: 8, Mu: 6, Gamma: 1, SegmentSize: 8,
 		BufferCap: 128, C: 6, Warmup: 0.1, Horizon: 50, Seed: 41,
-		SampleInterval: 1,
 	}
 	s, err := New(cfg)
 	if err != nil {

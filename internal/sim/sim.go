@@ -18,12 +18,6 @@ import (
 // so scheduling never perturbs the seeded protocol randomness.
 const policySeedSalt = 0x5ca1ab1e
 
-// traceSeedSalt derives the trace-sampling RNG stream (Seed ^
-// traceSeedSalt), the same decoupling trick as policySeedSalt: lineage
-// sampling draws never touch the protocol randomness, so traced and
-// untraced runs share one seeded event sequence.
-const traceSeedSalt = 0x7ace5eed
-
 // targetRetries bounds the rejection sampling used to pick a gossip target
 // in full-mesh mode.
 const targetRetries = 40
@@ -88,9 +82,6 @@ type Simulator struct {
 
 	// tracer receives segment-lifecycle milestones; NopTracer by default.
 	tracer obs.Tracer
-	// traceRNG drives lineage sampling and trace-ID minting; nil when
-	// TraceSample is 0.
-	traceRNG *randx.Rand
 	// The run's scrape surface and its pushed instruments. None of them
 	// draw randomness, so the seeded event sequence is unperturbed.
 	reg         *obs.Registry
@@ -126,9 +117,6 @@ type segMeta struct {
 	// segment was delivered — the "statistics from departed peers" the
 	// paper's introduction argues are the most valuable.
 	originDeparted bool
-	// tctx is the segment's sampled lineage (zero when unsampled); server-
-	// side trace events carry it even after the origin's blocks expire.
-	tctx obs.TraceContext
 }
 
 // Indices into Simulator.paper, the paper's state-based pull accounting,
@@ -181,9 +169,6 @@ func New(cfg Config) (*Simulator, error) {
 	if s.tracer == nil {
 		s.tracer = obs.NopTracer{}
 	}
-	if cfg.TraceSample > 0 {
-		s.traceRNG = randx.New(cfg.Seed ^ traceSeedSalt)
-	}
 	npol := 1
 	if cfg.IndependentServers {
 		npol = cfg.NumServers
@@ -218,7 +203,7 @@ func New(cfg Config) (*Simulator, error) {
 			s.clock.After(s.rng.Exp(perServer), func() { s.pullTick(j, perServer) })
 		}
 	}
-	s.clock.After(cfg.SampleInterval, s.sampleTick)
+	s.clock.After(sampleInterval, s.sampleTick)
 	s.initRegistry()
 	return s, nil
 }
@@ -468,14 +453,7 @@ func (s *Simulator) inject(pi int) {
 		meta.col = peercore.NewCollection(segID, s.cfg.SegmentSize, s.cfg.PayloadLen)
 	}
 	s.segs[segID] = meta
-	if s.traceRNG != nil && s.traceRNG.Float64() < s.cfg.TraceSample {
-		meta.tctx = obs.TraceContext{ID: peercore.MintTraceID(s.traceRNG, p.id)}
-		p.core.SetTraceCtx(segID, meta.tctx)
-	}
-	s.tracer.Trace(obs.TraceEvent{
-		Seg: segID, Kind: obs.TraceInject, T: s.clock.Now(), Actor: p.id,
-		TraceID: meta.tctx.ID, Hop: meta.tctx.Hop,
-	})
+	s.tracer.Trace(obs.TraceEvent{Seg: segID, Kind: obs.TraceInject, T: s.clock.Now(), Actor: p.id})
 	for _, st := range stored {
 		s.noteStored(pi, st.Block.Seg, st.Deadline)
 	}
@@ -521,17 +499,9 @@ func (s *Simulator) gossip(pi int) {
 		return
 	}
 	s.noteStored(target, cb.Seg, res.Deadline)
-	// The receiver adopts the sender's lineage one hop deeper — the DES
-	// equivalent of the trace context riding the wire frame.
-	var hopCtx obs.TraceContext
-	if tctx := s.peers[sender].core.TraceCtx(cb.Seg); tctx.Valid() {
-		hopCtx = tctx.Next()
-		s.peers[target].core.SetTraceCtx(cb.Seg, hopCtx)
-	}
 	s.tracer.Trace(obs.TraceEvent{
 		Seg: cb.Seg, Kind: obs.TraceGossipHop, T: s.clock.Now(),
 		Actor: s.peers[target].id, N: s.segs[cb.Seg].degree,
-		TraceID: hopCtx.ID, Hop: hopCtx.Hop,
 	})
 }
 
@@ -697,14 +667,12 @@ func (s *Simulator) pull(server int) {
 	// degree-proportional segment choice: the sampled peer holds it, so
 	// serving it as the hint costs no draw. Otherwise the peer serves the
 	// policy's hint, or with none (the literal §2 protocol) a random
-	// buffered segment. wctx is the wire context the reply would carry;
-	// server events take it so the pull leg's hop depth matches the live
-	// runtime's.
+	// buffered segment.
 	hint, hasHint := dec.Hint, dec.HasHint
 	if env.edgeOK && pi == env.edgePeer && !hasHint {
 		hint, hasHint = env.edgeSeg, true
 	}
-	segID, wctx, _ := s.peers[pi].core.ServePull(hint, hasHint)
+	segID, _, _ := s.peers[pi].core.ServePull(hint, hasHint)
 	cb := s.peers[pi].core.Recode(segID)
 	meta := s.segs[segID]
 
@@ -752,7 +720,6 @@ func (s *Simulator) pull(server int) {
 		s.tracer.Trace(obs.TraceEvent{
 			Seg: segID, Kind: obs.TraceServerRank, T: now,
 			Actor: uint64(server), N: rcol.Rank(),
-			TraceID: wctx.ID, Hop: wctx.Hop,
 		})
 	}
 	delivered := stateDone && !meta.delivered()
@@ -768,10 +735,7 @@ func (s *Simulator) pull(server int) {
 			s.deliveredInWindow++
 			s.stateDelay.Add(now - meta.injectTime)
 		}
-		s.tracer.Trace(obs.TraceEvent{
-			Seg: segID, Kind: obs.TraceDelivered, T: now, Actor: uint64(server),
-			TraceID: wctx.ID, Hop: wctx.Hop,
-		})
+		s.tracer.Trace(obs.TraceEvent{Seg: segID, Kind: obs.TraceDelivered, T: now, Actor: uint64(server)})
 		s.obsDelivery.Observe(now - meta.injectTime)
 		if s.onDeliver != nil {
 			s.onDeliver(meta.view())
@@ -786,10 +750,7 @@ func (s *Simulator) pull(server int) {
 			s.rankDecodedInWindow++
 			s.rankDelay.Add(now - meta.injectTime)
 		}
-		s.tracer.Trace(obs.TraceEvent{
-			Seg: segID, Kind: obs.TraceDecoded, T: now, Actor: uint64(server),
-			TraceID: wctx.ID, Hop: wctx.Hop,
-		})
+		s.tracer.Trace(obs.TraceEvent{Seg: segID, Kind: obs.TraceDecoded, T: now, Actor: uint64(server)})
 		s.obsDecode.Observe(now - meta.injectTime)
 		if s.onDecode != nil {
 			s.onDecode(meta.view())
@@ -830,7 +791,7 @@ func (s *Simulator) sampleTick() {
 			s.savedPerPeer.Add(float64(s.saved) * float64(s.cfg.SegmentSize) / n)
 		}
 	}
-	s.clock.After(s.cfg.SampleInterval, s.sampleTick)
+	s.clock.After(sampleInterval, s.sampleTick)
 }
 
 // --- block bookkeeping ---
@@ -858,20 +819,6 @@ func (s *Simulator) expire(pi int, segID rlnc.SegmentID) {
 // capacity for undelivered data. Their pending TTL events find nothing due.
 func (s *Simulator) purgeSegment(segID rlnc.SegmentID) {
 	purged := 0
-	// Capture the lineage up front: dropping the last block may retire the
-	// segMeta before the deferred event fires.
-	var tctx obs.TraceContext
-	if meta := s.segs[segID]; meta != nil {
-		tctx = meta.tctx
-	}
-	defer func() {
-		if purged > 0 {
-			s.tracer.Trace(obs.TraceEvent{
-				Seg: segID, Kind: obs.TracePurged, T: s.clock.Now(), N: purged,
-				TraceID: tctx.ID, Hop: tctx.Hop,
-			})
-		}
-	}()
 	for pi, p := range s.peers {
 		n := p.core.DropSegment(segID)
 		if n == 0 {
@@ -884,6 +831,9 @@ func (s *Simulator) purgeSegment(segID rlnc.SegmentID) {
 		for k := 0; k < n; k++ {
 			s.noteBlockRemoved(segID)
 		}
+	}
+	if purged > 0 {
+		s.tracer.Trace(obs.TraceEvent{Seg: segID, Kind: obs.TracePurged, T: s.clock.Now(), N: purged})
 	}
 }
 

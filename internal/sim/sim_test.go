@@ -434,7 +434,7 @@ func scrape(s *Simulator) tracePoint {
 	}
 }
 
-func TestTraceSamplesTransient(t *testing.T) {
+func TestTrajectorySamplesTransient(t *testing.T) {
 	cfg := testConfig()
 	s, err := New(cfg)
 	if err != nil {

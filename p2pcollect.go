@@ -117,10 +117,10 @@ type (
 	// long, since one retained block keeps its storage chunk alive.
 	Server = live.Server
 	// ClusterConfig describes an in-process deployment: its shape (Peers,
-	// Servers, Degree, Fleet, Membership), one template per role (Node,
-	// Server — every protocol knob is set there and nowhere else), and the
-	// transport each endpoint listens on (Listen; nil is an in-memory
-	// network).
+	// Servers, Degree, Membership; more than one server is a sharded
+	// fleet), one template per role (Node, Server — every protocol knob is
+	// set there and nowhere else), and the transport each endpoint listens
+	// on (Listen; nil is an in-memory network).
 	ClusterConfig = live.ClusterConfig
 	// Cluster is a running in-process deployment.
 	Cluster = live.Cluster
@@ -149,9 +149,9 @@ type (
 	// DeliveryJournal is a fleet's shared delivery-dedup: whichever shard
 	// first reaches full rank on a segment claims it, so OnSegment fires
 	// exactly once fleet-wide. Share one journal across every in-process
-	// shard (ClusterConfig.Fleet does this for you); separate processes
-	// each run their own and rely on completion notices for best-effort
-	// cross-process dedup.
+	// shard (StartCluster does this for a multi-server cluster); separate
+	// processes each run their own and rely on completion notices for
+	// best-effort cross-process dedup.
 	DeliveryJournal = fleet.Journal
 	// Durability configures a live server's write-ahead log (set it on
 	// ServerConfig.Durability): where the log lives, the fsync policy, and
@@ -339,11 +339,11 @@ type (
 	DebugServer = obs.DebugServer
 	// TraceContext is the sampled lineage a traced block carries on the
 	// wire: a cluster-unique ID plus a hop count. Enable sampling with
-	// SimConfig.TraceSample or NodeConfig.TraceSample.
+	// NodeConfig.TraceSample; the simulator's events name their segment.
 	TraceContext = obs.TraceContext
 	// ProcessDump is one process's trace contribution — a labeled event
 	// batch from a ring tail, flight recorder, or saved snapshot — fed to
-	// an Assembler (see Cluster.Dumps and ClusterConfig.PerEndpointTrace).
+	// an Assembler (Cluster.Dumps splits a cluster's ring per endpoint).
 	ProcessDump = obs.ProcessDump
 	// Span is one sampled segment's stitched end-to-end story across
 	// every process that touched it, with per-hop latency attribution.
