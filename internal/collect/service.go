@@ -345,16 +345,6 @@ func (s *Service) HandleBlock(now float64, from pullsched.PeerRef, cb *rlnc.Code
 	return res
 }
 
-// TraceCtx returns the sampled lineage adopted for an in-progress segment
-// (zero when untraced or already retired). Drivers stamp hinted pulls for
-// the segment with it so the pull leg joins the same span.
-func (s *Service) TraceCtx(seg rlnc.SegmentID) obs.TraceContext {
-	if col := s.st.Collection(seg); col != nil {
-		return col.Trace()
-	}
-	return obs.TraceContext{}
-}
-
 // complete retires a full-rank collection: finished + forgotten first (so
 // no later block can reach it), then the decode. Returns the delivery
 // step, nil when the gate (or a decode error) suppressed it.

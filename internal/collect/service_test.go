@@ -206,12 +206,13 @@ func TestRejectedBlocksLeaveNoSegmentState(t *testing.T) {
 			if res := h.HandleBlock(1, testPeer, cb, true, ctx); !res.Rejected || res.Trace.Valid() {
 				t.Fatalf("traced=%v seq %d: result %+v, want a rejection with no lineage", ctx.Valid(), seq, res)
 			}
-			if h.TraceCtx(cb.Seg).Valid() {
-				t.Fatalf("traced=%v seq %d: a rejected block's lineage was adopted", ctx.Valid(), seq)
+			if h.OpenCount() != 0 {
+				t.Fatalf("traced=%v seq %d: a rejected block opened a collection", ctx.Valid(), seq)
 			}
 		}
-		if h.OpenCount() != 0 {
-			t.Errorf("traced=%v: 64 rejected blocks left %d collections open, want none", ctx.Valid(), h.OpenCount())
+		// A valid untraced block of a rejected segment finds no lineage.
+		if res := h.HandleBlock(2, testPeer, testSegment(t, 100).SourceBlock(0), true, obs.TraceContext{}); res.Trace.Valid() {
+			t.Errorf("traced=%v: a rejected block's lineage was adopted: %+v", ctx.Valid(), res.Trace)
 		}
 		h.Close()
 	}
@@ -343,8 +344,7 @@ func TestFinishRemote(t *testing.T) {
 	seg := testSegment(t, 5)
 	h := newHarness(t, Config{})
 	defer h.Close()
-	h.HandleBlock(1, testPeer, seg.SourceBlock(0), true, obs.TraceContext{ID: 11})
-	if h.OpenCount() != 1 || !h.TraceCtx(seg.ID).Valid() {
+	if res := h.HandleBlock(1, testPeer, seg.SourceBlock(0), true, obs.TraceContext{ID: 11}); h.OpenCount() != 1 || !res.Trace.Valid() {
 		t.Fatal("setup: no open traced collection")
 	}
 	if !h.FinishRemote(seg.ID) {
@@ -353,11 +353,11 @@ func TestFinishRemote(t *testing.T) {
 	if h.FinishRemote(seg.ID) {
 		t.Error("second FinishRemote reported news")
 	}
-	if h.OpenCount() != 0 || h.TraceCtx(seg.ID).Valid() {
-		t.Error("FinishRemote left the collection or its trace context behind")
+	if h.OpenCount() != 0 {
+		t.Error("FinishRemote left the collection behind")
 	}
-	if res := h.HandleBlock(2, testPeer, seg.SourceBlock(1), true, obs.TraceContext{}); !res.Finished {
-		t.Error("block after FinishRemote not dropped as finished")
+	if res := h.HandleBlock(2, testPeer, seg.SourceBlock(1), true, obs.TraceContext{}); !res.Finished || res.Trace.Valid() {
+		t.Errorf("block after FinishRemote: %+v, want a finished drop with no lineage", res)
 	}
 	if unseen := (rlnc.SegmentID{Origin: 9, Seq: 9}); !h.FinishRemote(unseen) || !h.Store().Finished(unseen) {
 		t.Error("FinishRemote of a never-seen segment did not finish it")
@@ -380,15 +380,12 @@ func TestTraceContextAdoption(t *testing.T) {
 	if res := h.HandleBlock(2, testPeer, seg.SourceBlock(1), true, first); res.Trace != first {
 		t.Errorf("first traced block: context %+v, want %+v", res.Trace, first)
 	}
-	if h.TraceCtx(seg.ID) != first {
-		t.Errorf("TraceCtx = %+v, want %+v", h.TraceCtx(seg.ID), first)
-	}
 	res := h.HandleBlock(3, testPeer, seg.SourceBlock(2), true, later)
 	if res.Trace != first {
 		t.Errorf("later context displaced the adopted one: %+v", res.Trace)
 	}
-	if h.TraceCtx(seg.ID).Valid() {
-		t.Error("trace context survived the decode")
+	if h.OpenCount() != 0 {
+		t.Error("the collection and its trace context survived the decode")
 	}
 	res.Flush()
 

@@ -291,7 +291,7 @@ func TestChaosDifferentialUnderLossAndPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simRate := r.RankThroughput
+	simRate := r.InnovativeThroughput
 	t.Logf("innovative-pull rate: faulty live %.2f blocks/s, clean sim %.2f blocks/s (loss drops %d, partition drops %d)",
 		liveRate, simRate, lossDrops, partitionDrops)
 	if liveRate <= 0 {

@@ -141,6 +141,51 @@ func TestClusterDumpsSplitTheRing(t *testing.T) {
 	}
 }
 
+// TestEndpointTraceTailIsItsOwn: in a cluster that shares one ring, each
+// endpoint's snapshot tail holds only the events that endpoint recorded,
+// so merging the endpoints' snapshots counts no event twice.
+func TestEndpointTraceTailIsItsOwn(t *testing.T) {
+	c, err := StartCluster(ClusterConfig{
+		Peers: 6, Servers: 1, Degree: 3, TraceCap: 4096,
+		Node: fastNodeConfig(), Server: ServerConfig{PullRate: 200}, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	waitFor(t, 10*time.Second, "a decode and a busy ring", func() bool {
+		return c.TotalDecoded() > 0 && c.Tracer.Len() >= 448
+	})
+	c.Stop()
+	var snaps []obs.Snapshot
+	ids := make([]transport.NodeID, 0, len(c.Nodes)+len(c.Servers))
+	for _, n := range c.Nodes {
+		ids = append(ids, n.ID())
+	}
+	for _, s := range c.Servers {
+		ids = append(ids, s.ID())
+	}
+	for i, reg := range c.Registries() {
+		snap := reg.Snapshot()
+		if len(snap.TraceTail) == 0 {
+			t.Errorf("%s: empty trace tail", snap.Label)
+		}
+		for _, ev := range snap.TraceTail {
+			if ev.Actor != uint64(ids[i]) {
+				t.Fatalf("%s: tail holds an event of actor %d: %+v", snap.Label, ev.Actor, ev)
+			}
+		}
+		snaps = append(snaps, snap)
+	}
+	seen := make(map[obs.TraceEvent]bool)
+	for _, ev := range obs.MergeSnapshots("cluster", snaps...).TraceTail {
+		if seen[ev] {
+			t.Fatalf("merged tail holds %+v twice", ev)
+		}
+		seen[ev] = true
+	}
+}
+
 // TestClusterRejectsBuilderOwnedTemplateFields: a template that sets a field
 // StartCluster fills per endpoint is an error naming the field, never a
 // silent overwrite.

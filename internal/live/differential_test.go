@@ -84,7 +84,7 @@ func TestDifferentialSimVsLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simRate := r.RankThroughput
+	simRate := r.InnovativeThroughput
 	simOcc := r.AvgBlocksPerPeer
 
 	check := func(name, unit string, live, des float64) {

@@ -127,7 +127,16 @@ func (e *endpoint) init(tr transport.Transport, role membership.Role, seed int64
 		return 0
 	})
 	if rt, ok := tracer.(*obs.RingTracer); ok {
-		e.reg.SetTracer(rt)
+		// A cluster shares one ring: the endpoint's tail is its own events.
+		label := endpointLabel(tr.LocalID())
+		e.reg.SetTail(func(n int) []obs.TraceEvent {
+			for _, d := range splitByActor(rt) {
+				if d.Label == label {
+					return d.Events[max(len(d.Events)-n, 0):]
+				}
+			}
+			return nil
+		})
 	}
 	e.debugAddr = debugAddr
 	e.stop = make(chan struct{})

@@ -330,21 +330,22 @@ func (n *Node) prepareGossip() (transport.NodeID, *transport.Message, bool) {
 		return 0, nil, false
 	}
 	to := candidates[n.rng.Intn(len(candidates))]
-	msg := n.blockMessage(to, segID)
-	if tctx := n.core.TraceCtx(segID); tctx.Valid() {
-		msg.Trace = tctx.Next()
-	}
-	return to, msg, true
+	return to, n.blockMessage(to, segID), true
 }
 
 // blockMessage recodes a fresh block of a buffered segment into a new
 // message addressed to its receiver: one object for the message, the block
-// and its coefficients, one for the payload. Being addressed, it passes
+// and its coefficients, one for the payload. It is the one place a node
+// stamps outbound lineage: a traced segment's block, gossip or pull reply,
+// carries its lineage one hop deeper. Being addressed, the message passes
 // through the transport uncopied, so nothing writes it once it is sent.
 // Callers hold mu.
 func (n *Node) blockMessage(to transport.NodeID, seg rlnc.SegmentID) *transport.Message {
 	msg := transport.NewBlockMessage(transport.MsgBlock, n.tr.LocalID(), to, seg, n.cfg.SegmentSize)
 	n.core.RecodeInto(seg, msg.Block)
+	if tctx := n.core.TraceCtx(seg); tctx.Valid() {
+		msg.Trace = tctx.Next()
+	}
 	return msg
 }
 
@@ -453,15 +454,9 @@ func (n *Node) servePull(m *transport.Message) {
 		n.decoded.Add(seg)
 		n.core.DropSegment(seg)
 	}
-	if m.HasHint {
-		// A traced hinted pull seeds the segment's lineage here, so even a
-		// node that never saw a traced block serves traced replies.
-		n.core.SetTraceCtx(m.Seg, m.Trace)
-	}
 	var reply *transport.Message
-	if seg, wire, ok := n.core.ServePull(m.Seg, m.HasHint); ok {
+	if seg, ok := n.core.ServePull(m.Seg, m.HasHint); ok {
 		reply = n.blockMessage(m.From, seg)
-		reply.Trace = wire
 		n.counters.Count(peercore.EvPullServed, 1)
 	} else {
 		reply = n.emptyReply(m.From)

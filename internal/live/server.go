@@ -448,13 +448,6 @@ func (s *Server) pull() bool {
 	case dec.HasHint || dec.WantInventory || cursor != 0:
 		msg = s.listingPull(to, pp)
 		msg.WantInventory, msg.HasHint, msg.Seg, msg.InvCursor = dec.WantInventory, dec.HasHint, dec.Hint, cursor
-		// A hinted pull for a traced segment carries the lineage out, so
-		// the pull leg joins the segment's span.
-		if dec.HasHint {
-			if tctx := s.svc.TraceCtx(dec.Hint); tctx.Valid() {
-				msg.Trace = tctx.Next()
-			}
-		}
 	case pp.listed != nil:
 		msg = pp.listed
 	case pp.acked < s.svc.Store().FinishedHead():

@@ -34,6 +34,49 @@ func TestGoldenOneShardFleetStreamWithObs(t *testing.T) {
 	}))
 }
 
+// TestOutboundLineage: a node stamps its outbound blocks in one place, so
+// a gossip block and a pull reply of a traced holding both carry the
+// holding's lineage one hop deeper, and an untraced holding's carry none.
+// A pull itself carries no lineage.
+func TestOutboundLineage(t *testing.T) {
+	ctx := obs.TraceContext{ID: 0xabc, Hop: 2}
+	for _, traced := range []bool{true, false} {
+		net := transport.NewNetwork()
+		cfg := fastNodeConfig()
+		cfg.Lambda, cfg.Mu, cfg.Gamma = 0, 0, 0.05
+		cfg.Neighbors = []transport.NodeID{2}
+		n, err := NewNode(net.Join(1), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net.Join(2)
+		server := net.Join(serverIDBase)
+		n.inject()
+		seg := n.core.SegmentAt(0)
+		want := obs.TraceContext{}
+		if traced {
+			n.core.SetTraceCtx(seg, ctx)
+			want = ctx.Next()
+		}
+		_, msg, ok := n.prepareGossip()
+		if !ok {
+			t.Fatalf("traced=%v: a node holding a segment prepared no gossip", traced)
+		}
+		if msg.Block.Seg != seg || msg.Trace != want {
+			t.Errorf("traced=%v: gossip of %v carries %+v, want %+v", traced, msg.Block.Seg, msg.Trace, want)
+		}
+		n.servePull(&transport.Message{Type: transport.MsgPullRequest, From: serverIDBase, To: 1, HasHint: true, Seg: seg})
+		select {
+		case reply := <-server.Receive():
+			if reply.Type != transport.MsgBlock || reply.Block.Seg != seg || reply.Trace != want {
+				t.Errorf("traced=%v: pull reply %v carries %+v, want a block of %v with %+v", traced, reply.Type, reply.Trace, seg, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("traced=%v: no pull reply", traced)
+		}
+	}
+}
+
 // TestChaosCrossShardTraceSpan: a 2-shard fleet with every segment
 // sampled, one shared trace ring, and 20% seeded loss on every link must
 // still yield at least one stitched end-to-end span — inject at a peer,

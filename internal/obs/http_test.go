@@ -32,7 +32,7 @@ func buildRegistry(label string) *Registry {
 	r.GaugeFunc("occupancy", func() float64 { return 12 })
 	rt := NewRingTracer(16)
 	rt.Trace(TraceEvent{Seg: rlnc.SegmentID{Origin: 1, Seq: 1}, Kind: TraceInject, T: 1})
-	r.SetTracer(rt)
+	r.SetTail(rt.Tail)
 	r.SetInfo("policy", "blind")
 	return r
 }
@@ -219,7 +219,7 @@ func TestScrapeWhileCounting(t *testing.T) {
 	h := r.Histogram("d", ExpBuckets(0.001, 2, 10))
 	g := r.Gauge("g")
 	rt := NewRingTracer(32)
-	r.SetTracer(rt)
+	r.SetTail(rt.Tail)
 	srv, err := Serve("127.0.0.1:0", r)
 	if err != nil {
 		t.Fatal(err)

@@ -52,7 +52,7 @@ const promPrefix = "p2p_"
 const traceTailLen = 64
 
 // Registry is one endpoint's scrape surface: every counter source,
-// histogram, gauge, and optional tracer registered on it
+// histogram, gauge, and optional trace tail registered on it
 // appears in its Snapshot. Registration usually happens at endpoint
 // construction; all methods are safe for concurrent use with scrapes.
 type Registry struct {
@@ -66,7 +66,7 @@ type Registry struct {
 	counters []func(func(name string, v int64))
 	hists    []*Histogram
 	gauges   []gaugeFunc
-	tracer   *RingTracer
+	tail     func(n int) []TraceEvent
 	info     map[string]string
 }
 
@@ -131,11 +131,12 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	r.gauges = append(r.gauges, gaugeFunc{name, fn})
 }
 
-// SetTracer attaches a ring tracer whose tail appears in snapshots.
-func (r *Registry) SetTracer(t *RingTracer) {
+// SetTail attaches the source of the trace tail in snapshots: tail(n) gives
+// up to n most recent events, oldest-first, as RingTracer.Tail does.
+func (r *Registry) SetTail(tail func(n int) []TraceEvent) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.tracer = t
+	r.tail = tail
 }
 
 // SetInfo attaches a static key→value annotation (policy name, config
@@ -171,7 +172,7 @@ func (r *Registry) Snapshot() Snapshot {
 			snap.Info[k] = v
 		}
 	}
-	hists, gauges, tracer := r.hists, r.gauges, r.tracer
+	hists, gauges, tail := r.hists, r.gauges, r.tail
 	r.mu.Unlock()
 	r.RangeCounters(func(name string, v int64) { snap.Counters[name] = v })
 	for _, h := range hists {
@@ -180,8 +181,8 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, g := range gauges {
 		snap.Gauges[g.name] = g.read()
 	}
-	if tracer != nil {
-		snap.TraceTail = tracer.Tail(traceTailLen)
+	if tail != nil {
+		snap.TraceTail = tail(traceTailLen)
 	}
 	return snap
 }

@@ -122,11 +122,6 @@ type TraceEvent struct {
 	Hop uint8 `json:"hop,omitempty"`
 }
 
-// Context returns the event's lineage as a TraceContext.
-func (ev TraceEvent) Context() TraceContext {
-	return TraceContext{ID: ev.TraceID, Hop: ev.Hop}
-}
-
 // Tracer receives segment milestones. The nop implementation is the
 // default everywhere, so tracing is strictly opt-in and the hot path pays
 // one interface call when disabled. Implementations must be safe for

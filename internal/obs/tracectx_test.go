@@ -24,10 +24,6 @@ func TestTraceContext(t *testing.T) {
 	if n := sat.Next(); n.Hop != 255 {
 		t.Fatalf("hop did not saturate: %d", n.Hop)
 	}
-	ev := TraceEvent{TraceID: 9, Hop: 3}
-	if got := ev.Context(); got != (TraceContext{ID: 9, Hop: 3}) {
-		t.Fatalf("Context = %+v", got)
-	}
 }
 
 func TestTee(t *testing.T) {

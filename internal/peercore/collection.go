@@ -105,9 +105,6 @@ func (c *Collection) Adopt(now float64, ctx obs.TraceContext) obs.TraceContext {
 // FirstSeen returns the driver time of the first block Adopt recorded.
 func (c *Collection) FirstSeen() float64 { return c.firstAt }
 
-// Trace returns the lineage Adopt fixed, zero when untraced.
-func (c *Collection) Trace() obs.TraceContext { return c.tctx }
-
 // PayloadLen returns the payload size the collection expects (0 for
 // rank-only collections).
 func (c *Collection) PayloadLen() int { return c.payloadLen }

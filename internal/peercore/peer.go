@@ -315,20 +315,13 @@ func (p *Peer) RecodeInto(seg rlnc.SegmentID, out *rlnc.CodedBlock) {
 // ServePull chooses what answers one server pull, the serve step of §2:
 // the hinted segment when the pull carries a hint this peer still buffers,
 // else a uniformly sampled buffered segment. The caller recodes it (Recode
-// or RecodeInto) right away, so the draws keep their order. wire is the
-// trace context the reply carries: the segment's lineage one hop deeper,
-// zero when it is untraced. ok is false when the buffer is empty.
-func (p *Peer) ServePull(hint rlnc.SegmentID, hasHint bool) (seg rlnc.SegmentID, wire obs.TraceContext, ok bool) {
-	seg = hint
-	if !hasHint || !p.Holds(hint) {
-		if seg, ok = p.SampleSegment(); !ok {
-			return rlnc.SegmentID{}, obs.TraceContext{}, false
-		}
+// or RecodeInto) right away, so the draws keep their order. ok is false
+// when the buffer is empty.
+func (p *Peer) ServePull(hint rlnc.SegmentID, hasHint bool) (seg rlnc.SegmentID, ok bool) {
+	if hasHint && p.Holds(hint) {
+		return hint, true
 	}
-	if tctx := p.holdings[seg].tctx; tctx.Valid() {
-		wire = tctx.Next()
-	}
-	return seg, wire, true
+	return p.SampleSegment()
 }
 
 // InventorySince digests the segments whose holding was opened after cursor

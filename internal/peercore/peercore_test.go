@@ -8,7 +8,6 @@ import (
 	"slices"
 	"testing"
 
-	"p2pcollect/internal/obs"
 	"p2pcollect/internal/pullsched"
 	"p2pcollect/internal/raceon"
 	"p2pcollect/internal/randx"
@@ -653,19 +652,15 @@ func TestCountersSnapshotNames(t *testing.T) {
 
 // TestServePull covers the peer side of a pull, the rule both drivers
 // share: the hinted segment while it is still held, else a sampled one,
-// nothing from an empty buffer, and the reply's trace context one hop past
-// the segment's own lineage.
+// nothing from an empty buffer.
 func TestServePull(t *testing.T) {
-	traced := obs.TraceContext{ID: 0xabc, Hop: 2}
 	cases := []struct {
 		name     string
-		segments int  // injected before the pull: seq 0, 1, ...
-		trace    bool // segment 0 carries the lineage
+		segments int // injected before the pull: seq 0, 1, ...
 		hint     rlnc.SegmentID
 		hasHint  bool
 		wantOK   bool
 		wantSeg  func(seg rlnc.SegmentID) bool
-		wantWire obs.TraceContext
 	}{
 		{name: "empty buffer", wantOK: false},
 		{name: "empty buffer with a hint", hint: rlnc.SegmentID{Origin: 7, Seq: 0}, hasHint: true, wantOK: false},
@@ -677,11 +672,6 @@ func TestServePull(t *testing.T) {
 			wantSeg: func(seg rlnc.SegmentID) bool { return seg.Origin == 7 && seg.Seq < 2 }},
 		{name: "hint value ignored without hasHint", segments: 1, hint: rlnc.SegmentID{Origin: 9, Seq: 9}, wantOK: true,
 			wantSeg: func(seg rlnc.SegmentID) bool { return seg.Seq == 0 }},
-		{name: "lineage one hop deeper", segments: 2, trace: true, hint: rlnc.SegmentID{Origin: 7, Seq: 0}, hasHint: true, wantOK: true,
-			wantSeg:  func(seg rlnc.SegmentID) bool { return seg.Seq == 0 },
-			wantWire: traced.Next()},
-		{name: "untraced segment beside a traced one", segments: 2, trace: true, hint: rlnc.SegmentID{Origin: 7, Seq: 1}, hasHint: true, wantOK: true,
-			wantSeg: func(seg rlnc.SegmentID) bool { return seg.Seq == 1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -691,17 +681,14 @@ func TestServePull(t *testing.T) {
 					t.Fatal("inject rejected")
 				}
 			}
-			if tc.trace {
-				p.SetTraceCtx(rlnc.SegmentID{Origin: 7, Seq: 0}, traced)
-			}
 			occupancy := p.Occupancy()
-			seg, wire, ok := p.ServePull(tc.hint, tc.hasHint)
+			seg, ok := p.ServePull(tc.hint, tc.hasHint)
 			if ok != tc.wantOK {
 				t.Fatalf("ok = %v, want %v", ok, tc.wantOK)
 			}
 			if !ok {
-				if seg != (rlnc.SegmentID{}) || wire.Valid() {
-					t.Fatalf("refused pull still returned %v, %+v", seg, wire)
+				if seg != (rlnc.SegmentID{}) {
+					t.Fatalf("refused pull still returned %v", seg)
 				}
 				return
 			}
@@ -710,9 +697,6 @@ func TestServePull(t *testing.T) {
 			}
 			if !p.Holds(seg) {
 				t.Errorf("served segment %v is not buffered", seg)
-			}
-			if wire != tc.wantWire {
-				t.Errorf("wire context %+v, want %+v", wire, tc.wantWire)
 			}
 			if p.Occupancy() != occupancy {
 				t.Errorf("serving changed the buffer: occupancy %d -> %d", occupancy, p.Occupancy())

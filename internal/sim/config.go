@@ -203,14 +203,14 @@ type Result struct {
 	// Rank-based accounting is the stricter ground truth this
 	// implementation adds: a pull only counts when the received coded block
 	// is linearly innovative to the server's basis, and a segment counts as
-	// decoded only at full rank s (actually reconstructable). The gap to
-	// the state-based numbers quantifies how much the paper's counting
-	// idealizes away linear-dependence losses.
-	RankDecodedSegments      int64
-	InnovativePulls          int64
-	RankThroughput           float64
-	RankNormalizedThroughput float64
-	MeanRankBlockDelay       float64
+	// decoded only at full rank s (actually reconstructable). The Innovative
+	// rates count innovative pulls, not decoded segments. The gap to the
+	// state-based numbers is what the paper's counting idealizes away.
+	RankDecodedSegments            int64
+	InnovativePulls                int64
+	InnovativeThroughput           float64
+	InnovativeNormalizedThroughput float64
+	MeanRankBlockDelay             float64
 
 	// AvgBlocksPerPeer estimates ρ, AvgNonEmptyFrac estimates 1−z̃_0, and
 	// StorageOverhead estimates ρ − λ/γ (Theorem 1).

@@ -227,7 +227,7 @@ func (s *Simulator) initRegistry() {
 	})
 	r.GaugeFunc("liveSegments", func() float64 { return float64(len(s.segs)) })
 	if rt, ok := s.tracer.(*obs.RingTracer); ok {
-		r.SetTracer(rt)
+		r.SetTail(rt.Tail)
 	}
 }
 
@@ -672,7 +672,7 @@ func (s *Simulator) pull(server int) {
 	if env.edgeOK && pi == env.edgePeer && !hasHint {
 		hint, hasHint = env.edgeSeg, true
 	}
-	segID, _, _ := s.peers[pi].core.ServePull(hint, hasHint)
+	segID, _ := s.peers[pi].core.ServePull(hint, hasHint)
 	cb := s.peers[pi].core.Recode(segID)
 	meta := s.segs[segID]
 
@@ -891,12 +891,12 @@ func (s *Simulator) Result() *Result {
 	s.paper.Range(func(name string, v int64) { r.ProtocolCounters[name] = v })
 	if window > 0 {
 		r.Throughput = float64(s.usefulInWindow) / window
-		r.RankThroughput = float64(s.innovativeInWindow) / window
+		r.InnovativeThroughput = float64(s.innovativeInWindow) / window
 		deliveredRate := float64(s.deliveredInWindow) * float64(s.cfg.SegmentSize) / window
 		if s.cfg.Lambda > 0 {
 			denom := float64(s.cfg.N) * s.cfg.Lambda
 			r.NormalizedThroughput = r.Throughput / denom
-			r.RankNormalizedThroughput = r.RankThroughput / denom
+			r.InnovativeNormalizedThroughput = r.InnovativeThroughput / denom
 			r.DeliveredNormalizedThroughput = deliveredRate / denom
 		}
 	}

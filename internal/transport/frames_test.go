@@ -18,7 +18,7 @@ import (
 )
 
 // The frame table pins the wire format byte for byte: one line per message
-// shape, "name hex(frame)", the first 19 written by the encoder as it stood
+// shape, "name hex(frame)", the first 16 written by the encoder as it stood
 // before the in-place append existed. Regenerate with -update-frames only
 // for a deliberate wire change.
 var updateFrames = flag.Bool("update-frames", false, "rewrite testdata/frames.golden")
@@ -70,11 +70,6 @@ func frameTable() []struct {
 		{"pull-inventory", &Message{Type: MsgPullRequest, From: 1 << 32, To: 9, WantInventory: true}},
 		{"pull-hinted-inventory", &Message{Type: MsgPullRequest, From: 1 << 32, To: 9,
 			HasHint: true, Seg: seg, WantInventory: true}},
-		{"pull-hinted-traced", &Message{Type: MsgPullRequest, From: 1 << 32, To: 9,
-			HasHint: true, Seg: seg, Trace: trace}},
-		{"pull-traced", &Message{Type: MsgPullRequest, From: 1 << 32, To: 9, Trace: trace}},
-		{"pull-all", &Message{Type: MsgPullRequest, From: 1 << 32, To: 9,
-			HasHint: true, Seg: seg, WantInventory: true, Trace: trace}},
 		{"empty", &Message{Type: MsgEmpty, From: 9, To: 1 << 32}},
 		{"inventory-empty", &Message{Type: MsgInventory, From: 9, To: 1 << 32}},
 		{"inventory", &Message{Type: MsgInventory, From: 9, To: 1 << 32,
@@ -88,8 +83,8 @@ func frameTable() []struct {
 		// The inventory cursor (rows appended by the change that added it;
 		// everything above is older and must not move).
 		{"pull-cursor", &Message{Type: MsgPullRequest, From: 1 << 32, To: 9, InvCursor: 0x2122232425262728}},
-		{"pull-hinted-traced-cursor", &Message{Type: MsgPullRequest, From: 1 << 32, To: 9,
-			HasHint: true, Seg: seg, Trace: trace, InvCursor: 1}},
+		{"pull-hinted-cursor", &Message{Type: MsgPullRequest, From: 1 << 32, To: 9,
+			HasHint: true, Seg: seg, InvCursor: 1}},
 		{"inventory-full-cursor", &Message{Type: MsgInventory, From: 9, To: 1 << 32, InvCursor: 0x2122232425262728,
 			Inventory: []pullsched.InventoryEntry{
 				{Seg: seg, Blocks: 4},
@@ -101,8 +96,8 @@ func frameTable() []struct {
 		// The decoded list (rows appended by the change that added it).
 		{"pull-decoded", &Message{Type: MsgPullRequest, From: 1 << 32, To: 9,
 			Decoded: &[]rlnc.SegmentID{seg, {Origin: 8, Seq: 1}}}},
-		{"pull-hinted-traced-cursor-decoded", &Message{Type: MsgPullRequest, From: 1 << 32, To: 9,
-			HasHint: true, Seg: seg, Trace: trace, InvCursor: 0x2122232425262728,
+		{"pull-hinted-cursor-decoded", &Message{Type: MsgPullRequest, From: 1 << 32, To: 9,
+			HasHint: true, Seg: seg, InvCursor: 0x2122232425262728,
 			Decoded: &[]rlnc.SegmentID{{Origin: 8, Seq: 2}}}},
 		{"pull-decoded-full-page", &Message{Type: MsgPullRequest, From: 1 << 32, To: 9, Decoded: &page}},
 	}
@@ -185,6 +180,9 @@ func FuzzAppendFrameMatchesEncode(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(frame[4:])
+	}
+	for _, body := range retiredTracePulls() {
+		f.Add(body)
 	}
 	corpus, err := filepath.Glob("testdata/fuzz/FuzzDecodeMessage/*")
 	if err != nil || len(corpus) == 0 {

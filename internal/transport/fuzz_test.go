@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"slices"
 	"testing"
@@ -38,8 +39,7 @@ func FuzzDecodeMessage(f *testing.F) {
 		{Type: MsgPullRequest, From: 1, To: 2, InvCursor: 5},
 		{
 			Type: MsgPullRequest, From: 1, To: 2,
-			HasHint: true, Seg: rlnc.SegmentID{Origin: 7, Seq: 3},
-			Trace: obs.TraceContext{ID: 42, Hop: 1}, InvCursor: 1,
+			HasHint: true, Seg: rlnc.SegmentID{Origin: 7, Seq: 3}, InvCursor: 1,
 		},
 		{
 			Type: MsgInventory, From: 2, To: 1, InvCursor: 9,
@@ -54,8 +54,7 @@ func FuzzDecodeMessage(f *testing.F) {
 		{Type: MsgPullRequest, From: 1, To: 2, Decoded: &[]rlnc.SegmentID{{Origin: 7, Seq: 3}, {Origin: 8, Seq: 1}}},
 		{
 			Type: MsgPullRequest, From: 1, To: 2,
-			HasHint: true, Seg: rlnc.SegmentID{Origin: 7, Seq: 3}, WantInventory: true,
-			Trace: obs.TraceContext{ID: 42, Hop: 1}, InvCursor: 1,
+			HasHint: true, Seg: rlnc.SegmentID{Origin: 7, Seq: 3}, WantInventory: true, InvCursor: 1,
 			Decoded: &[]rlnc.SegmentID{{Origin: 9, Seq: 9}},
 		},
 		{Type: MsgSegmentComplete, From: 3, To: 4, Seg: rlnc.SegmentID{Origin: 3, Seq: 9}},
@@ -75,8 +74,8 @@ func FuzzDecodeMessage(f *testing.F) {
 				Payload: []byte("recoded"),
 			},
 		},
-		// Trace-context-bearing frames: block, exchange, pull (hinted and
-		// trace-only).
+		// Trace-context-bearing frames: block and exchange, the only two
+		// types with a trace suffix.
 		{
 			Type: MsgBlock, From: 5, To: 6,
 			Trace: obs.TraceContext{ID: 0xDEADBEEF, Hop: 3},
@@ -94,12 +93,6 @@ func FuzzDecodeMessage(f *testing.F) {
 				Coeffs: []byte{4, 5, 6, 7},
 			},
 		},
-		{
-			Type: MsgPullRequest, From: 1, To: 2,
-			HasHint: true, Seg: rlnc.SegmentID{Origin: 7, Seq: 3},
-			Trace: obs.TraceContext{ID: 42, Hop: 1},
-		},
-		{Type: MsgPullRequest, From: 1, To: 2, Trace: obs.TraceContext{ID: 9, Hop: 0}},
 		{Type: MsgSwim, From: 3, To: 4, Raw: []byte{1, 1, 0, 0, 0, 7, 0xAB}},
 		{Type: MsgSwim, From: 3, To: 4},
 	}
@@ -112,6 +105,11 @@ func FuzzDecodeMessage(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF})
+	// Pulls with the retired trace bit 2, alone and beside the hint bit,
+	// followed by the trace fields they once carried: rejected.
+	for _, body := range retiredTracePulls() {
+		f.Add(body)
+	}
 	// Truncated and oversized trace suffixes must be rejected, never decode
 	// to a half-read context.
 	if frame, err := EncodeMessage(seeds[len(seeds)-4]); err == nil {
@@ -175,6 +173,33 @@ func FuzzDecodeMessage(f *testing.F) {
 	})
 }
 
+// retiredTracePulls returns the bodies of the three frames the retired
+// traced-pull rows of frames.golden pinned (pull-hinted-traced,
+// pull-traced, pull-all): flag bit 2, which once announced a u64 traceID |
+// u8 hop, set alone and beside the hint and inventory bits.
+func retiredTracePulls() [][]byte {
+	var bodies [][]byte
+	for _, h := range []string{
+		"0000002b03000000010000000000000000000000090501020304050607081112131415161718deadbeefcafef00d07",
+		"0000001b030000000100000000000000000000000904deadbeefcafef00d07",
+		"0000002b03000000010000000000000000000000090701020304050607081112131415161718deadbeefcafef00d07",
+	} {
+		frame, _ := hex.DecodeString(h)
+		bodies = append(bodies, frame[4:])
+	}
+	return bodies
+}
+
+// TestPullTraceBitRejected pins that a pull with flag bit 2 set, alone or
+// beside the hint bit, does not decode: a pull carries no lineage.
+func TestPullTraceBitRejected(t *testing.T) {
+	for _, body := range retiredTracePulls() {
+		if m, err := DecodeMessage(body); err == nil {
+			t.Errorf("flags 0x%02x decoded to %+v", body[headerLen], m)
+		}
+	}
+}
+
 // FuzzDatagramDecode hammers the datagram entry point — the frame codec as
 // a UDP receiver sees it, one body per datagram with no length prefix. It
 // must never panic, every accepted datagram must re-encode within the
@@ -183,11 +208,7 @@ func FuzzDecodeMessage(f *testing.F) {
 func FuzzDatagramDecode(f *testing.F) {
 	seeds := []*Message{
 		{Type: MsgPullRequest, From: 1, To: 2},
-		{
-			Type: MsgPullRequest, From: 1, To: 2,
-			HasHint: true, Seg: rlnc.SegmentID{Origin: 7, Seq: 3},
-			Trace: obs.TraceContext{ID: 42, Hop: 1},
-		},
+		{Type: MsgPullRequest, From: 1, To: 2, HasHint: true, Seg: rlnc.SegmentID{Origin: 7, Seq: 3}},
 		{Type: MsgEmpty, From: 2, To: 1},
 		{Type: MsgSegmentComplete, From: 3, To: 4, Seg: rlnc.SegmentID{Origin: 3, Seq: 9}},
 		{
@@ -211,8 +232,7 @@ func FuzzDatagramDecode(f *testing.F) {
 		{Type: MsgPullRequest, From: 1, To: 2, InvCursor: 5},
 		{
 			Type: MsgPullRequest, From: 1, To: 2,
-			HasHint: true, Seg: rlnc.SegmentID{Origin: 7, Seq: 3},
-			Trace: obs.TraceContext{ID: 42, Hop: 1}, InvCursor: 1,
+			HasHint: true, Seg: rlnc.SegmentID{Origin: 7, Seq: 3}, InvCursor: 1,
 		},
 		{
 			Type: MsgInventory, From: 2, To: 1, InvCursor: 9,
@@ -227,8 +247,7 @@ func FuzzDatagramDecode(f *testing.F) {
 		{Type: MsgPullRequest, From: 1, To: 2, Decoded: &[]rlnc.SegmentID{{Origin: 7, Seq: 3}, {Origin: 8, Seq: 1}}},
 		{
 			Type: MsgPullRequest, From: 1, To: 2,
-			HasHint: true, Seg: rlnc.SegmentID{Origin: 7, Seq: 3}, WantInventory: true,
-			Trace: obs.TraceContext{ID: 42, Hop: 1}, InvCursor: 1,
+			HasHint: true, Seg: rlnc.SegmentID{Origin: 7, Seq: 3}, WantInventory: true, InvCursor: 1,
 			Decoded: &[]rlnc.SegmentID{{Origin: 9, Seq: 9}},
 		},
 	}

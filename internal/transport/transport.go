@@ -120,10 +120,9 @@ type Message struct {
 	// and asks for what is new since. Zero means absent, and encodes to the
 	// pre-cursor bytes.
 	InvCursor uint64
-	// Trace is the optional sampled lineage riding on MsgBlock,
-	// MsgExchange, and MsgPullRequest frames. The zero value (no sampled
-	// lineage) encodes to exactly the legacy byte stream, mirroring how a
-	// hintless pull stays the legacy empty payload.
+	// Trace is the optional sampled lineage riding on MsgBlock and
+	// MsgExchange frames; other types ignore it. The zero value (no
+	// sampled lineage) encodes to exactly the legacy byte stream.
 	Trace obs.TraceContext
 	// Raw is set for MsgSwim: the membership packet bytes, opaque to the
 	// transport.

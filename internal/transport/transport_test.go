@@ -9,7 +9,6 @@ import (
 	"time"
 	"unsafe"
 
-	"p2pcollect/internal/obs"
 	"p2pcollect/internal/pullsched"
 	"p2pcollect/internal/rlnc"
 )
@@ -195,7 +194,7 @@ func TestFullDecodedPageFitsDatagram(t *testing.T) {
 	m := &Message{
 		Type: MsgPullRequest, From: 1 << 40, To: 1 << 41,
 		HasHint: true, Seg: rlnc.SegmentID{Origin: 1, Seq: 2}, WantInventory: true,
-		Trace: obs.TraceContext{ID: 3, Hop: 4}, InvCursor: 5, Decoded: &page,
+		InvCursor: 5, Decoded: &page,
 	}
 	limit := UDPOptions{}.withDefaults().MaxDatagram
 	dg, err := EncodeDatagram(m, limit)
@@ -206,7 +205,7 @@ func TestFullDecodedPageFitsDatagram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.DecodedList(), page) || got.InvCursor != 5 || got.Trace != m.Trace || !got.HasHint {
+	if !reflect.DeepEqual(got.DecodedList(), page) || got.InvCursor != 5 || !got.HasHint {
 		t.Fatalf("full page round trip changed the message: %+v", got)
 	}
 	over := append(page, rlnc.SegmentID{})

@@ -33,18 +33,18 @@ import (
 // MsgSegmentComplete payload: u64 origin | u64 seq
 // MsgPullRequest payload:     (empty)  — legacy blind pull, or
 //	                           u8 flags [| u64 origin | u64 seq]
-//	                           [| u64 traceID | u8 hop] [| u64 cursor]
+//	                           [| u64 cursor]
 //	                           [| u16 n | n × (u64 origin | u64 seq)]
 //	                           flags bit0 = segment hint present (origin+seq
 //	                           follow), bit1 = want inventory digest, bit2 =
-//	                           trace context present (traceID+hop follow the
-//	                           hint fields; traceID must be nonzero), bit3 =
-//	                           inventory cursor present (follows the trace
-//	                           fields; must be nonzero), bit4 = decoded list
-//	                           present (last; 1 <= n <= DecodedPage). A zero
-//	                           or unknown flags byte is a decode error, so
-//	                           the empty payload stays the only encoding of
-//	                           a blind pull.
+//	                           unused, bit3 = inventory cursor present
+//	                           (follows the hint; must be nonzero), bit4 =
+//	                           decoded list present (last; 1 <= n <=
+//	                           DecodedPage). A zero flags byte or one with
+//	                           an unknown bit (bit2 among them) is a decode
+//	                           error, so the empty payload stays the only
+//	                           encoding of a blind pull. A pull carries no
+//	                           trace context: lineage rides blocks only.
 // MsgEmpty payload:           (empty)
 // MsgInventory payload:       u32 n | n × (u64 origin | u64 seq | u16 blocks)
 //	                           [| u8 kind | u64 cursor]
@@ -96,20 +96,19 @@ const headerLen = 1 + 8 + 8
 const (
 	pullFlagHint          = 1 << 0
 	pullFlagWantInventory = 1 << 1
-	pullFlagTrace         = 1 << 2
 	pullFlagCursor        = 1 << 3
 	pullFlagDecoded       = 1 << 4
 
-	pullFlagsKnown = pullFlagHint | pullFlagWantInventory | pullFlagTrace | pullFlagCursor | pullFlagDecoded
+	pullFlagsKnown = pullFlagHint | pullFlagWantInventory | pullFlagCursor | pullFlagDecoded
 )
 
 // segmentIDLen is the wire size of one segment ID.
 const segmentIDLen = 8 + 8
 
 // DecodedPage is the most segment IDs one pull request lists: a pull with
-// a hint, a trace context, an inventory cursor and a full page still fits
-// the default datagram (1397 of 1400 bytes).
-const DecodedPage = (defaultMaxDatagram - (headerLen + 1 + segmentIDLen + 8 + 1 + 8 + 2)) / segmentIDLen
+// a hint, an inventory cursor and a full page still fits the default
+// datagram (1388 of 1400 bytes).
+const DecodedPage = (defaultMaxDatagram - (headerLen + 1 + segmentIDLen + 8 + 2)) / segmentIDLen
 
 // MsgInventory cursor suffix: kind byte, then the cursor.
 const (
@@ -143,9 +142,6 @@ func pullFlags(m *Message) byte {
 	if m.WantInventory {
 		flags |= pullFlagWantInventory
 	}
-	if m.Trace.Valid() {
-		flags |= pullFlagTrace
-	}
 	if m.InvCursor != 0 {
 		flags |= pullFlagCursor
 	}
@@ -178,9 +174,6 @@ func bodySize(m *Message, limit int) (int, error) {
 			n++
 			if m.HasHint {
 				n += 8 + 8
-			}
-			if m.Trace.Valid() {
-				n += 8 + 1
 			}
 			if m.InvCursor != 0 {
 				n += 8
@@ -241,10 +234,6 @@ func appendBody(b []byte, m *Message) []byte {
 			if m.HasHint {
 				b = binary.BigEndian.AppendUint64(b, m.Seg.Origin)
 				b = binary.BigEndian.AppendUint64(b, m.Seg.Seq)
-			}
-			if m.Trace.Valid() {
-				b = binary.BigEndian.AppendUint64(b, m.Trace.ID)
-				b = append(b, m.Trace.Hop)
 			}
 			if m.InvCursor != 0 {
 				b = binary.BigEndian.AppendUint64(b, m.InvCursor)
@@ -463,20 +452,6 @@ func decodePull(from, to NodeID, rest []byte) (*Message, error) {
 		hdr.Seg = rlnc.SegmentID{Origin: origin, Seq: seq}
 		hdr.HasHint = true
 	}
-	if flags&pullFlagTrace != 0 {
-		var id uint64
-		if id, rest, err = readUint64(rest); err != nil {
-			return nil, err
-		}
-		if len(rest) < 1 {
-			return nil, fmt.Errorf("transport: truncated trace hop")
-		}
-		if id == 0 {
-			return nil, fmt.Errorf("transport: trace context with zero ID")
-		}
-		hdr.Trace = obs.TraceContext{ID: id, Hop: rest[0]}
-		rest = rest[1:]
-	}
 	if flags&pullFlagCursor != 0 {
 		if hdr.InvCursor, rest, err = readUint64(rest); err != nil {
 			return nil, err
@@ -503,7 +478,7 @@ func decodePull(from, to NodeID, rest []byte) (*Message, error) {
 		return nil, fmt.Errorf("transport: %d trailing bytes", len(rest)-n*segmentIDLen)
 	}
 	m := NewPullMessage(from, to, n)
-	m.HasHint, m.Seg, m.Trace, m.InvCursor = hdr.HasHint, hdr.Seg, hdr.Trace, hdr.InvCursor
+	m.HasHint, m.Seg, m.InvCursor = hdr.HasHint, hdr.Seg, hdr.InvCursor
 	m.WantInventory = flags&pullFlagWantInventory != 0
 	for i := 0; i < n; i++ {
 		*m.Decoded = append(*m.Decoded, rlnc.SegmentID{

@@ -337,9 +337,9 @@ type (
 	// DebugServer is a running debug HTTP endpoint (Prometheus /metrics,
 	// JSON /debug/snapshot, pprof).
 	DebugServer = obs.DebugServer
-	// TraceContext is the sampled lineage a traced block carries on the
-	// wire: a cluster-unique ID plus a hop count. Enable sampling with
-	// NodeConfig.TraceSample; the simulator's events name their segment.
+	// TraceContext is the sampled lineage (cluster-unique ID, hop count)
+	// that every block of a traced segment carries; pulls carry none.
+	// Enable it with NodeConfig.TraceSample (live only).
 	TraceContext = obs.TraceContext
 	// ProcessDump is one process's trace contribution — a labeled event
 	// batch from a ring tail, flight recorder, or saved snapshot — fed to
