@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"p2pcollect/internal/obs"
 	"p2pcollect/internal/pullsched"
 	"p2pcollect/internal/raceon"
 	"p2pcollect/internal/randx"
@@ -652,15 +653,20 @@ func TestCountersSnapshotNames(t *testing.T) {
 
 // TestServePull covers the peer side of a pull, the rule both drivers
 // share: the hinted segment while it is still held, else a sampled one,
-// nothing from an empty buffer.
+// nothing from an empty buffer. Serving leaves the served holding's
+// lineage as it was: a reply is stamped one hop past it (wantWire), and a
+// segment held untraced beside a traced one yields no lineage.
 func TestServePull(t *testing.T) {
+	traced := obs.TraceContext{ID: 0xabc, Hop: 2}
 	cases := []struct {
 		name     string
-		segments int // injected before the pull: seq 0, 1, ...
+		segments int  // injected before the pull: seq 0, 1, ...
+		trace    bool // segment 0 carries the lineage
 		hint     rlnc.SegmentID
 		hasHint  bool
 		wantOK   bool
 		wantSeg  func(seg rlnc.SegmentID) bool
+		wantWire obs.TraceContext
 	}{
 		{name: "empty buffer", wantOK: false},
 		{name: "empty buffer with a hint", hint: rlnc.SegmentID{Origin: 7, Seq: 0}, hasHint: true, wantOK: false},
@@ -672,6 +678,11 @@ func TestServePull(t *testing.T) {
 			wantSeg: func(seg rlnc.SegmentID) bool { return seg.Origin == 7 && seg.Seq < 2 }},
 		{name: "hint value ignored without hasHint", segments: 1, hint: rlnc.SegmentID{Origin: 9, Seq: 9}, wantOK: true,
 			wantSeg: func(seg rlnc.SegmentID) bool { return seg.Seq == 0 }},
+		{name: "lineage one hop deeper", segments: 2, trace: true, hint: rlnc.SegmentID{Origin: 7, Seq: 0}, hasHint: true, wantOK: true,
+			wantSeg:  func(seg rlnc.SegmentID) bool { return seg.Seq == 0 },
+			wantWire: traced.Next()},
+		{name: "untraced segment beside a traced one", segments: 2, trace: true, hint: rlnc.SegmentID{Origin: 7, Seq: 1}, hasHint: true, wantOK: true,
+			wantSeg: func(seg rlnc.SegmentID) bool { return seg.Seq == 1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -680,6 +691,9 @@ func TestServePull(t *testing.T) {
 				if _, _, ok := p.Inject(0, nil); !ok {
 					t.Fatal("inject rejected")
 				}
+			}
+			if tc.trace {
+				p.SetTraceCtx(rlnc.SegmentID{Origin: 7, Seq: 0}, traced)
 			}
 			occupancy := p.Occupancy()
 			seg, ok := p.ServePull(tc.hint, tc.hasHint)
@@ -697,6 +711,13 @@ func TestServePull(t *testing.T) {
 			}
 			if !p.Holds(seg) {
 				t.Errorf("served segment %v is not buffered", seg)
+			}
+			var wire obs.TraceContext
+			if tctx := p.TraceCtx(seg); tctx.Valid() {
+				wire = tctx.Next()
+			}
+			if wire != tc.wantWire {
+				t.Errorf("served segment %v stamps replies with %+v, want %+v", seg, wire, tc.wantWire)
 			}
 			if p.Occupancy() != occupancy {
 				t.Errorf("serving changed the buffer: occupancy %d -> %d", occupancy, p.Occupancy())
