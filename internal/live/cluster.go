@@ -378,22 +378,17 @@ func (c *Cluster) Stop() {
 
 // Dumps splits the shared tracer's tail into one dump per endpoint, what
 // separate processes would have recorded, ready for obs.Assembler to stitch
-// cross-endpoint spans. Nil without a tracer.
+// cross-endpoint spans. Each dump holds the events whose Actor is that
+// endpoint, in ring order, labelled as its registry is ("node-3",
+// "server-0"), and ends with that registry's tail; dumps come in the order
+// their endpoints first appear in the tail. Nil without a tracer.
 func (c *Cluster) Dumps() []obs.ProcessDump {
 	if c.Tracer == nil {
 		return nil
 	}
-	return splitByActor(c.Tracer)
-}
-
-// splitByActor splits a ring's tail into one dump per actor, in the order
-// actors first appear: each holds that endpoint's events in ring order,
-// labelled as its registry is ("node-3", "server-0"). An endpoint's
-// snapshot tail is the end of its own dump.
-func splitByActor(rt *obs.RingTracer) []obs.ProcessDump {
 	var dumps []obs.ProcessDump
 	at := make(map[uint64]int)
-	for _, ev := range rt.Tail(rt.Len()) {
+	for _, ev := range c.Tracer.Tail(c.Tracer.Len()) {
 		i, ok := at[ev.Actor]
 		if !ok {
 			i = len(dumps)

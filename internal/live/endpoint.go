@@ -128,15 +128,7 @@ func (e *endpoint) init(tr transport.Transport, role membership.Role, seed int64
 	})
 	if rt, ok := tracer.(*obs.RingTracer); ok {
 		// A cluster shares one ring: the endpoint's tail is its own events.
-		label := endpointLabel(tr.LocalID())
-		e.reg.SetTail(func(n int) []obs.TraceEvent {
-			for _, d := range splitByActor(rt) {
-				if d.Label == label {
-					return d.Events[max(len(d.Events)-n, 0):]
-				}
-			}
-			return nil
-		})
+		e.reg.SetTail(func(n int) []obs.TraceEvent { return rt.ActorTail(uint64(tr.LocalID()), n) })
 	}
 	e.debugAddr = debugAddr
 	e.stop = make(chan struct{})

@@ -131,8 +131,7 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	r.gauges = append(r.gauges, gaugeFunc{name, fn})
 }
 
-// SetTail attaches the source of the trace tail in snapshots: tail(n) gives
-// up to n most recent events, oldest-first, as RingTracer.Tail does.
+// SetTail attaches tail(n), the n newest events oldest-first, to snapshots.
 func (r *Registry) SetTail(tail func(n int) []TraceEvent) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

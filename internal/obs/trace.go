@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -224,6 +225,20 @@ func (rt *RingTracer) Tail(n int) []TraceEvent {
 	for i := range out {
 		out[i] = rt.buf[(rt.head+first+i)%len(rt.buf)]
 	}
+	return out
+}
+
+// ActorTail returns up to n most recent events whose Actor is actor,
+// oldest-first, walking back from the newest and copying only those.
+func (rt *RingTracer) ActorTail(actor uint64, n int) (out []TraceEvent) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	for i := len(rt.buf) - 1; i >= 0 && len(out) < n; i-- {
+		if ev := rt.buf[(rt.head+i)%len(rt.buf)]; ev.Actor == actor {
+			out = append(out, ev)
+		}
+	}
+	slices.Reverse(out)
 	return out
 }
 

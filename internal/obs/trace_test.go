@@ -32,6 +32,30 @@ func TestRingTracerWrapAndTail(t *testing.T) {
 	}
 }
 
+// TestRingTracerActorTail: one actor's tail is the end of the whole tail
+// filtered to that actor, across growth and wrap, and never longer than n.
+func TestRingTracerActorTail(t *testing.T) {
+	rt := NewRingTracer(8)
+	for i := 0; i < 21; i++ {
+		rt.Trace(TraceEvent{Actor: uint64(1 + i%3), T: float64(i)})
+		for actor := uint64(1); actor <= 4; actor++ {
+			var want []TraceEvent
+			for _, ev := range rt.Tail(rt.Len()) {
+				if ev.Actor == actor {
+					want = append(want, ev)
+				}
+			}
+			for _, n := range []int{0, 1, 2, 8} {
+				got := rt.ActorTail(actor, n)
+				w := want[max(len(want)-n, 0):]
+				if len(got) != len(w) || (len(w) > 0 && !reflect.DeepEqual(got, w)) {
+					t.Fatalf("after %d events: ActorTail(%d, %d) = %+v, want %+v", i+1, actor, n, got, w)
+				}
+			}
+		}
+	}
+}
+
 func TestRingTracerQueryAndPhases(t *testing.T) {
 	rt := NewRingTracer(64)
 	seg := rlnc.SegmentID{Origin: 3, Seq: 7}

@@ -120,9 +120,8 @@ type Message struct {
 	// and asks for what is new since. Zero means absent, and encodes to the
 	// pre-cursor bytes.
 	InvCursor uint64
-	// Trace is the optional sampled lineage riding on MsgBlock and
-	// MsgExchange frames; other types ignore it. The zero value (no
-	// sampled lineage) encodes to exactly the legacy byte stream.
+	// Trace is the optional sampled lineage of MsgBlock and MsgExchange
+	// frames; its zero value encodes to exactly the legacy byte stream.
 	Trace obs.TraceContext
 	// Raw is set for MsgSwim: the membership packet bytes, opaque to the
 	// transport.
